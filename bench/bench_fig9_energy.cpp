@@ -2,10 +2,11 @@
 // conventional implementation, grouped as in the paper: (a) 2-layer
 // MLPs, (b) 5-6 layer MLPs, (c) 6-layer CNN — then cross-checks the
 // static model's activity assumptions by replaying the digit MLP *and*
-// the LeNet CNN through the fixed-point engine: once per registered
-// kernel backend (scalar reference, blocked, SIMD — all must agree bit
-// for bit, dense and conv plans alike; any divergence exits 1, the CI
-// gate) and once through the batched multi-threaded runtime.
+// the LeNet CNN through the fixed-point engine: once sample by sample
+// on the scalar backend (the reference), once per registered kernel
+// backend through a single-worker runner (all must agree with the
+// reference bit for bit, dense and conv plans alike; any divergence
+// exits 1, the CI gate) and once through the warm multi-worker runtime.
 // Fixed-iteration mode for CI via MAN_REPLAY_SAMPLES /
 // MAN_REPLAY_CNN_SAMPLES; per-backend timings land in MAN_BENCH_JSON
 // when set.
@@ -88,8 +89,8 @@ struct ReplayResult {
 /// Replays `samples` random inferences through every registered
 /// kernel backend (single worker) and through the multi-worker
 /// BatchRunner, judging outputs and per-layer EngineStats against the
-/// scalar reference. Prints the per-backend table; any divergence
-/// clears `identical`.
+/// per-sample scalar reference. Prints the per-backend table; any
+/// divergence clears `identical`.
 ReplayResult run_replay(const man::engine::FixedNetwork& engine,
                         std::size_t samples, int workers) {
   ReplayResult result;
@@ -100,28 +101,34 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
   std::vector<float> batch(samples * engine.input_size());
   for (float& p : batch) p = static_cast<float>(rng.next_double());
 
-  // Reference: the scalar backend, single worker. Every other backend
-  // and the parallel run are judged against this output.
+  // Reference: the scalar backend, one sample at a time through
+  // infer_into with one scratch — never a batch tile, so every runner
+  // below (all of which tile) is judged against an independent oracle.
   std::vector<std::int64_t> raw_ref(samples * engine.output_size());
-  man::engine::BatchRunner reference(
-      engine, man::engine::BatchOptions{
-                  .workers = 1,
-                  .backend = man::backend::BackendKind::kScalar});
-  reference.run(batch, raw_ref);  // warm caches and page in the plan
-  reference.reset_stats();
+  const auto& scalar =
+      man::backend::backend_for(man::backend::BackendKind::kScalar);
+  auto ref_scratch = engine.make_scratch();
+  auto seq_stats = engine.make_stats();
+  const auto reference_pass = [&] {
+    for (std::size_t s = 0; s < samples; ++s) {
+      engine.infer_into(
+          std::span<const float>(batch.data() + s * engine.input_size(),
+                                 engine.input_size()),
+          std::span<std::int64_t>(raw_ref.data() + s * engine.output_size(),
+                                  engine.output_size()),
+          seq_stats, ref_scratch, scalar);
+    }
+  };
+  reference_pass();  // warm caches and page in the plan
+  seq_stats = engine.make_stats();
   man::util::Stopwatch ref_watch;
-  reference.run(batch, raw_ref);
+  reference_pass();
   result.scalar_s = ref_watch.seconds();
 
-  // The scalar reference run above doubles as the scalar backend's
-  // measurement (re-running it would only add jitter to a 1.00x row).
-  result.backends.push_back(BackendResult{
-      "scalar",
-      man::backend::backend_for(man::backend::BackendKind::kScalar)
-          .description(),
-      result.scalar_s, true});
+  // Every backend, the scalar one included, through a single-worker
+  // runner (batch tiles engage), timed against the per-sample scalar
+  // reference.
   for (const auto* backend : man::backend::all_backends()) {
-    if (backend->kind() == man::backend::BackendKind::kScalar) continue;
     std::vector<std::int64_t> raw(samples * engine.output_size());
     man::engine::BatchRunner runner(
         engine, man::engine::BatchOptions{.workers = 1,
@@ -136,8 +143,11 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
         backend->name(), backend->description(), seconds, matches});
   }
 
+  std::cout << "Scalar per-sample reference: "
+            << man::util::format_double(result.scalar_s * 1e3, 1) << " ms\n";
   man::util::Table backends_table({"Backend", "Description", "ms",
-                                   "Speedup vs scalar", "Bit-identical"});
+                                   "Speedup vs scalar per-sample",
+                                   "Bit-identical"});
   for (const BackendResult& row : result.backends) {
     backends_table.add_row(
         {row.name, row.description,
@@ -194,16 +204,19 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
   }
 
   // Batched runtime on the auto backend: outputs and the per-layer
-  // activity reduction must both match the sequential reference.
+  // activity reduction must both match the sequential reference. One
+  // untimed run first starts the pool and sizes the per-shard scratch,
+  // so the timed run measures a warm runner, not its set-up.
   std::vector<std::int64_t> raw_par(samples * engine.output_size());
   man::engine::BatchRunner parallel(
       engine, man::engine::BatchOptions{.workers = workers});
+  parallel.run(batch, raw_par);
+  parallel.reset_stats();
   man::util::Stopwatch par_watch;
   parallel.run(batch, raw_par);
   result.par_s = par_watch.seconds();
   result.identical = result.identical && raw_par == raw_ref;
 
-  const auto& seq_stats = reference.stats();
   const auto& par_stats = parallel.stats();
   result.par_backend = par_stats.backend;
   man::util::Table replay({"Layer", "MACs", "Bank firings", "Total ops",

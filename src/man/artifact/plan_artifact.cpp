@@ -77,8 +77,12 @@ void write_array_ref(BlobWriter& dir, BlobWriter& arrays,
 void write_asm_weights_ref(BlobWriter& dir, BlobWriter& arrays,
                            const PlanArray<AsmWeight>& values) {
   std::vector<AsmWeight> clean(values.size());
-  std::memset(static_cast<void*>(clean.data()), 0,
-              clean.size() * sizeof(AsmWeight));
+  // An exact plan has no schedule, and memset's pointer must be
+  // non-null even for zero bytes.
+  if (!clean.empty()) {
+    std::memset(static_cast<void*>(clean.data()), 0,
+                clean.size() * sizeof(AsmWeight));
+  }
   for (std::size_t i = 0; i < values.size(); ++i) {
     clean[i].step_begin = values[i].step_begin;
     clean[i].step_count = values[i].step_count;

@@ -1,6 +1,7 @@
 // AVX-512 kernel: 8-wide int64 over the quartet planes — the AVX2
 // backend's structure at twice the vector width (zmm position tiles
-// for conv, 8-lane gathers for dense) plus the deeper register file
+// for conv, 8-lane gathers for one dense sample, two zmm per plan
+// entry for a dense batch tile) plus the deeper register file
 // (32 zmm) that makes taller row tiles profitable, plus lane masking
 // for ragged row tails (no scalar remainder). Bit-identical to
 // the scalar reference for the same reason the AVX2 kernel is: every
@@ -98,6 +99,71 @@ void accumulate_planes_avx512(const DenseLayerPlan& plan,
     }
     out[r] = plan.biases[static_cast<std::size_t>(r)] +
              _mm512_reduce_add_epi64(acc8) + hsum_epi64_256(acc4);
+  }
+}
+
+/// zmm vectors per kDenseTile-sample lane group.
+inline constexpr int kTileVecs512 = kDenseTile / kZmmLanes;
+
+// Batch-tiled dense kernel — dense_tile_avx2 at zmm width (see
+// there for the layout and the Σ(p ^ s) − Σs sign argument): one row
+// at a time, kTileVecs512 zmm accumulators, one scalar idx and one
+// broadcast shift per plan entry driving plain contiguous loads.
+template <int P>
+void dense_tile_avx512(const DenseLayerPlan& plan, const std::int64_t* tile,
+                       std::int64_t* out) {
+  const int planes = P > 0 ? P : plan.planes;
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  for (int r = 0; r < plan.rows; ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+    __m512i acc[kTileVecs512];
+    for (int v = 0; v < kTileVecs512; ++v) acc[v] = _mm512_setzero_si512();
+    std::int64_t sign_sum = 0;
+    for (int c = 0; c < plan.cols; ++c) {
+      const std::size_t cell = row + static_cast<std::size_t>(c);
+      __m512i product[kTileVecs512];
+      for (int v = 0; v < kTileVecs512; ++v) {
+        product[v] = _mm512_setzero_si512();
+      }
+      for (int q = 0; q < planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const std::int64_t* src = tile + std::size_t{idx[pc]} * kDenseTile;
+        const __m512i sh = _mm512_set1_epi64(shifts[pc]);
+        for (int v = 0; v < kTileVecs512; ++v) {
+          product[v] = _mm512_add_epi64(
+              product[v],
+              _mm512_sllv_epi64(_mm512_loadu_si512(src + v * kZmmLanes), sh));
+        }
+      }
+      const std::int64_t sign = signs[cell];
+      const __m512i vsign = _mm512_set1_epi64(sign);
+      for (int v = 0; v < kTileVecs512; ++v) {
+        acc[v] = _mm512_add_epi64(acc[v], _mm512_xor_si512(product[v], vsign));
+      }
+      sign_sum += sign;
+    }
+    const __m512i bias = _mm512_set1_epi64(
+        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
+    std::int64_t* dst = out + static_cast<std::size_t>(r) * kDenseTile;
+    for (int v = 0; v < kTileVecs512; ++v) {
+      _mm512_storeu_si512(dst + v * kZmmLanes, _mm512_add_epi64(acc[v], bias));
+    }
+  }
+}
+
+/// Plane count → compile-time unrolled plane loop (8- and 12-bit
+/// weights have at most 2 and 3 quartets).
+void accumulate_planes_tile_avx512(const DenseLayerPlan& plan,
+                                   const std::int64_t* tile,
+                                   std::int64_t* out) {
+  switch (plan.planes) {
+    case 1: dense_tile_avx512<1>(plan, tile, out); break;
+    case 2: dense_tile_avx512<2>(plan, tile, out); break;
+    case 3: dense_tile_avx512<3>(plan, tile, out); break;
+    default: dense_tile_avx512<0>(plan, tile, out); break;
   }
 }
 
@@ -401,6 +467,18 @@ class Avx512Backend final : public KernelBackend {
     }
 #endif
     accumulate_planes(plan, multiples, out);
+  }
+
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             const std::int64_t* tile,
+                             std::int64_t* out) const override {
+#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+    if (avx512_) {
+      accumulate_planes_tile_avx512(plan, tile, out);
+      return;
+    }
+#endif
+    accumulate_planes_tile(plan, tile, out);
   }
 
   void exact_dense(const DenseLayerPlan& plan,

@@ -27,6 +27,12 @@ class BlockedBackend final : public KernelBackend {
     accumulate_planes(plan, multiples, out);
   }
 
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             const std::int64_t* tile,
+                             std::int64_t* out) const override {
+    accumulate_planes_tile(plan, tile, out);
+  }
+
   void exact_dense(const DenseLayerPlan& plan,
                    const std::int64_t* activations,
                    std::int64_t* out) const override {

@@ -62,6 +62,19 @@ class KernelBackend {
                                 const std::int64_t* multiples,
                                 std::int64_t* out) const = 0;
 
+  /// accumulate_dense over a tile of kDenseTile samples at once, laid
+  /// out sample-minor: slot s of sample b lives at tile[s·kDenseTile +
+  /// b] (plan.padded_multiples() × kDenseTile values; the zero slot's
+  /// kDenseTile lanes must be 0), and row r of sample b lands at
+  /// out[r·kDenseTile + b]. Each plan entry is read once per tile and
+  /// drives kDenseTile contiguous lanes, so the plan indices stay
+  /// unchanged (the kernel scales them by kDenseTile) and vector
+  /// kernels use plain loads where the per-sample kernel gathers.
+  /// Bit-identical to kDenseTile accumulate_dense calls.
+  virtual void accumulate_dense_tile(const DenseLayerPlan& plan,
+                                     const std::int64_t* tile,
+                                     std::int64_t* out) const = 0;
+
   /// Conventional exact dense stage:
   /// out[r] = biases[r] + Σ_c weights[r][c] · activations[c].
   virtual void exact_dense(const DenseLayerPlan& plan,

@@ -130,6 +130,12 @@ struct AsmWeight {
 /// 256-bit vector).
 inline constexpr int kLaneWidth = 4;
 
+/// Samples per batch tile of the dense tile kernels
+/// (KernelBackend::accumulate_dense_tile): every plan entry is read
+/// once per tile and applied to this many contiguous int64 lanes —
+/// two zmm or four ymm vectors. A fixed constant, not a knob.
+inline constexpr int kDenseTile = 16;
+
 /// Largest register-blocking tile the vectorized conv kernels
 /// instantiate: output rows per tile and vector-width column groups
 /// per tile. Shapes beyond these bounds are rejected by

@@ -41,6 +41,61 @@ inline void accumulate_planes(const DenseLayerPlan& plan,
   }
 }
 
+/// Batch-tiled plane walk (accumulate_dense_tile): the same per-entry
+/// arithmetic as accumulate_planes, applied to kDenseTile contiguous
+/// sample lanes at tile + idx·kDenseTile. The fixed-width inner loops
+/// are what the auto-vectorizer turns into plain vector loads; P > 0
+/// fixes the plane count at compile time so the plane loop unrolls.
+/// The column padding is skipped (it reads the zero slot under sign 0).
+template <int P>
+void accumulate_planes_tile_fixed(const DenseLayerPlan& plan,
+                                  const std::int64_t* tile,
+                                  std::int64_t* out) {
+  constexpr std::size_t kTile = kDenseTile;
+  const int planes = P > 0 ? P : plan.planes;
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  for (int r = 0; r < plan.rows; ++r) {
+    const std::size_t base = static_cast<std::size_t>(r) * plan.cols_padded;
+    std::int64_t acc[kTile];
+    for (std::size_t b = 0; b < kTile; ++b) {
+      acc[b] = plan.biases[static_cast<std::size_t>(r)];
+    }
+    for (int c = 0; c < plan.cols; ++c) {
+      const std::size_t cell = base + static_cast<std::size_t>(c);
+      std::int64_t product[kTile] = {};
+      for (int q = 0; q < planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const std::int64_t* src = tile + std::size_t{idx[pc]} * kTile;
+        const std::int64_t sh = shifts[pc];
+        for (std::size_t b = 0; b < kTile; ++b) product[b] += src[b] << sh;
+      }
+      const std::int64_t sign = signs[cell];
+      for (std::size_t b = 0; b < kTile; ++b) {
+        acc[b] += (product[b] ^ sign) - sign;
+      }
+    }
+    for (std::size_t b = 0; b < kTile; ++b) {
+      out[static_cast<std::size_t>(r) * kTile + b] = acc[b];
+    }
+  }
+}
+
+/// Plane count → compile-time plane loop (8- and 12-bit weights have
+/// at most 2 and 3 quartets).
+inline void accumulate_planes_tile(const DenseLayerPlan& plan,
+                                   const std::int64_t* tile,
+                                   std::int64_t* out) {
+  switch (plan.planes) {
+    case 1: accumulate_planes_tile_fixed<1>(plan, tile, out); break;
+    case 2: accumulate_planes_tile_fixed<2>(plan, tile, out); break;
+    case 3: accumulate_planes_tile_fixed<3>(plan, tile, out); break;
+    default: accumulate_planes_tile_fixed<0>(plan, tile, out); break;
+  }
+}
+
 /// Exact dense with kLaneWidth independent accumulators per row (the
 /// blocked shape; integer addition commutes, so the result is
 /// bit-identical to the sequential reference).

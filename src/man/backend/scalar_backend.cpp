@@ -42,6 +42,32 @@ class ScalarBackend final : public KernelBackend {
     }
   }
 
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             const std::int64_t* tile,
+                             std::int64_t* out) const override {
+    // The same AoS walk, each slot read at stride kDenseTile.
+    constexpr std::size_t kTile = kDenseTile;
+    for (int o = 0; o < plan.rows; ++o) {
+      const std::size_t row = static_cast<std::size_t>(o) * plan.cols;
+      for (std::size_t b = 0; b < kTile; ++b) {
+        std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
+        for (int i = 0; i < plan.cols; ++i) {
+          const AsmWeight& w = plan.asm_weights[row + i];
+          if (w.step_count == 0) continue;
+          const std::int64_t* m =
+              &tile[static_cast<std::size_t>(i) * plan.k * kTile + b];
+          std::int64_t product = 0;
+          for (std::uint8_t s = 0; s < w.step_count; ++s) {
+            const AsmStep& step = plan.steps[w.step_begin + s];
+            product += m[step.lane * kTile] << step.shift;
+          }
+          acc += w.negative ? -product : product;
+        }
+        out[static_cast<std::size_t>(o) * kTile + b] = acc;
+      }
+    }
+  }
+
   void exact_dense(const DenseLayerPlan& plan,
                    const std::int64_t* activations,
                    std::int64_t* out) const override {

@@ -1,6 +1,7 @@
 // Explicit SIMD kernel: 4-wide int64 AVX2 over the quartet planes —
-// gather the selected pre-computer multiples, variable-shift them into
-// place, apply the sign masks with xor/sub, accumulate. Bit-identical
+// gather the selected pre-computer multiples (or, for a dense batch
+// tile, load each entry's contiguous sample lanes), variable-shift them
+// into place, apply the sign masks with xor/sub, accumulate. Bit-identical
 // to the scalar reference because every operation (logical left shift,
 // two's-complement negation, wrapping add) matches the scalar op
 // exactly; only the (commutative) summation order differs.
@@ -68,6 +69,73 @@ void accumulate_planes_avx2(const DenseLayerPlan& plan,
       acc = _mm256_add_epi64(acc, product);
     }
     out[r] = plan.biases[static_cast<std::size_t>(r)] + hsum_epi64(acc);
+  }
+}
+
+/// ymm vectors per kDenseTile-sample lane group.
+inline constexpr int kTileVecs = kDenseTile / kLaneWidth;
+
+// Batch-tiled dense kernel: one row at a time, its kDenseTile sample
+// lanes in kTileVecs ymm accumulators. A plan entry is one scalar idx
+// plus one broadcast shift driving kTileVecs contiguous loads from the
+// sample-minor tile — no gather. The sign is applied as Σ(p ^ s) − Σs:
+// (p ^ s) − s summed over the columns is exactly that in wrapping
+// arithmetic, and Σs is a per-row scalar, so each weight costs an xor
+// and an add per vector instead of three ops. P > 0 fixes the plane
+// count at compile time so the plane loop unrolls.
+template <int P>
+void dense_tile_avx2(const DenseLayerPlan& plan, const std::int64_t* tile,
+                     std::int64_t* out) {
+  const int planes = P > 0 ? P : plan.planes;
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  for (int r = 0; r < plan.rows; ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+    __m256i acc[kTileVecs];
+    for (int v = 0; v < kTileVecs; ++v) acc[v] = _mm256_setzero_si256();
+    std::int64_t sign_sum = 0;
+    for (int c = 0; c < plan.cols; ++c) {
+      const std::size_t cell = row + static_cast<std::size_t>(c);
+      __m256i product[kTileVecs];
+      for (int v = 0; v < kTileVecs; ++v) product[v] = _mm256_setzero_si256();
+      for (int q = 0; q < planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const auto* src = reinterpret_cast<const __m256i*>(
+            tile + std::size_t{idx[pc]} * kDenseTile);
+        const __m256i sh = _mm256_set1_epi64x(shifts[pc]);
+        for (int v = 0; v < kTileVecs; ++v) {
+          product[v] = _mm256_add_epi64(
+              product[v], _mm256_sllv_epi64(_mm256_loadu_si256(src + v), sh));
+        }
+      }
+      const std::int64_t sign = signs[cell];
+      const __m256i vsign = _mm256_set1_epi64x(sign);
+      for (int v = 0; v < kTileVecs; ++v) {
+        acc[v] = _mm256_add_epi64(acc[v], _mm256_xor_si256(product[v], vsign));
+      }
+      sign_sum += sign;
+    }
+    const __m256i bias = _mm256_set1_epi64x(
+        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
+    auto* dst = reinterpret_cast<__m256i*>(
+        out + static_cast<std::size_t>(r) * kDenseTile);
+    for (int v = 0; v < kTileVecs; ++v) {
+      _mm256_storeu_si256(dst + v, _mm256_add_epi64(acc[v], bias));
+    }
+  }
+}
+
+/// Plane count → compile-time unrolled plane loop (8- and 12-bit
+/// weights have at most 2 and 3 quartets).
+void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
+                                 const std::int64_t* tile, std::int64_t* out) {
+  switch (plan.planes) {
+    case 1: dense_tile_avx2<1>(plan, tile, out); break;
+    case 2: dense_tile_avx2<2>(plan, tile, out); break;
+    case 3: dense_tile_avx2<3>(plan, tile, out); break;
+    default: dense_tile_avx2<0>(plan, tile, out); break;
   }
 }
 
@@ -295,6 +363,18 @@ class SimdBackend final : public KernelBackend {
     }
 #endif
     accumulate_planes(plan, multiples, out);
+  }
+
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             const std::int64_t* tile,
+                             std::int64_t* out) const override {
+#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+    if (avx2_) {
+      accumulate_planes_tile_avx2(plan, tile, out);
+      return;
+    }
+#endif
+    accumulate_planes_tile(plan, tile, out);
   }
 
   void exact_dense(const DenseLayerPlan& plan,

@@ -37,18 +37,20 @@ BatchRunner::BatchRunner(const FixedNetwork& network, BatchOptions options)
 
 void BatchRunner::run_sharded(
     std::size_t count,
-    const std::function<void(std::size_t, EngineStats&,
+    const std::function<void(std::size_t, std::size_t, EngineStats&,
                              FixedNetwork::InferScratch&)>& fn) {
   if (count == 0) return;
 
   const std::size_t shards = std::min<std::size_t>(
       static_cast<std::size_t>(workers_),
       (count + min_samples_per_worker_ - 1) / min_samples_per_worker_);
+  // Default-constructed slots are bound to the engine by its first
+  // infer call (FixedNetwork re-binds foreign or empty scratch caches).
+  if (scratches_.size() < shards) scratches_.resize(shards);
 
   if (shards <= 1) {
     EngineStats local = network_->make_stats();
-    FixedNetwork::InferScratch scratch = network_->make_scratch();
-    for (std::size_t i = 0; i < count; ++i) fn(i, local, scratch);
+    fn(0, count, local, scratches_[0].scratch);
     stats_.merge(local);
     return;
   }
@@ -73,8 +75,7 @@ void BatchRunner::run_sharded(
     const std::size_t end = begin + per + (w < extra ? 1 : 0);
     pending.push_back(pool_->submit([&, w, begin, end] {
       EngineStats local = network_->make_stats();
-      FixedNetwork::InferScratch scratch = network_->make_scratch();
-      for (std::size_t i = begin; i < end; ++i) fn(i, local, scratch);
+      fn(begin, end, local, scratches_[w].scratch);
       shard_stats[w] = std::move(local);
     }));
   }
@@ -104,11 +105,15 @@ void BatchRunner::run(std::span<const float> inputs,
         std::to_string(out_size));
   }
 
-  run_sharded(count, [&](std::size_t i, EngineStats& stats,
+  // Each shard's whole sample range goes to the engine in one call, so
+  // full batch tiles form inside it.
+  run_sharded(count, [&](std::size_t begin, std::size_t end,
+                         EngineStats& stats,
                          FixedNetwork::InferScratch& scratch) {
-    network_->infer_into(inputs.subspan(i * in_size, in_size),
-                         outputs.subspan(i * out_size, out_size), stats,
-                         scratch, *kernel_);
+    network_->infer_batch(
+        inputs.subspan(begin * in_size, (end - begin) * in_size),
+        outputs.subspan(begin * out_size, (end - begin) * out_size), stats,
+        scratch, *kernel_);
   });
 }
 
@@ -135,12 +140,15 @@ std::vector<int> BatchRunner::predict(
     std::span<const man::data::Example> examples) {
   const std::size_t out_size = network_->output_size();
   std::vector<int> predictions(examples.size());
-  run_sharded(examples.size(), [&](std::size_t i, EngineStats& stats,
+  run_sharded(examples.size(), [&](std::size_t begin, std::size_t end,
+                                   EngineStats& stats,
                                    FixedNetwork::InferScratch& scratch) {
     scratch.raw_out.resize(out_size);  // per-shard, reused across samples
-    network_->infer_into(examples[i].pixels, scratch.raw_out, stats, scratch,
-                         *kernel_);
-    predictions[i] = argmax_raw(scratch.raw_out);
+    for (std::size_t i = begin; i < end; ++i) {
+      network_->infer_into(examples[i].pixels, scratch.raw_out, stats,
+                           scratch, *kernel_);
+      predictions[i] = argmax_raw(scratch.raw_out);
+    }
   });
   return predictions;
 }

@@ -1,9 +1,11 @@
 // Batched, multi-threaded driver for the fixed-point engine: shards a
-// batch of inputs across a persistent worker pool, gives every shard
-// its own InferScratch (so the CSHM pre-computer outputs are memoized
-// within a shard instead of rebuilt per sample — the amortization the
-// shared bank exists for, paper §III), and reduces the per-shard
-// EngineStats into one aggregate with per-layer activity preserved.
+// batch of inputs across a persistent worker pool, hands each shard its
+// whole sample range in one FixedNetwork::infer_batch call (so dense
+// batch tiles form inside it), keeps one InferScratch per shard slot
+// across calls (so the CSHM pre-computer outputs stay memoized instead
+// of rebuilt per sample — the amortization the shared bank exists for,
+// paper §III), and reduces the per-shard EngineStats into one
+// aggregate with per-layer activity preserved.
 //
 // Results are bit-identical to the sequential path for any worker
 // count: every sample's output lands in its own slot, and the
@@ -109,13 +111,13 @@ class BatchRunner {
   void reset_stats() noexcept { stats_.reset(); }
 
  private:
-  /// Runs fn(sample_index, stats, scratch) for every index in [0,
-  /// count) across the pool, then merges shard stats (in shard
-  /// order) into stats_. Rethrows the first shard exception after
-  /// every shard has finished.
+  /// Splits [0, count) into contiguous shards, runs fn(begin, end,
+  /// stats, scratch) once per shard across the pool, then merges shard
+  /// stats (in shard order) into stats_. Rethrows the first shard
+  /// exception after every shard has finished.
   void run_sharded(
       std::size_t count,
-      const std::function<void(std::size_t, EngineStats&,
+      const std::function<void(std::size_t, std::size_t, EngineStats&,
                                FixedNetwork::InferScratch&)>& fn);
 
   const FixedNetwork* network_;
@@ -123,6 +125,15 @@ class BatchRunner {
   int workers_;
   std::size_t min_samples_per_worker_;
   std::shared_ptr<man::serve::ThreadPool> pool_;
+  /// One scratch per shard slot, kept across calls (the runner is not
+  /// re-entrant, so slot w belongs to shard w of the current call):
+  /// buffers and CSHM caches are sized and filled once, not per call.
+  /// Each slot owns its cache lines: the hot loops write the vector
+  /// headers, which would otherwise falsely share with a neighbour's.
+  struct alignas(128) ScratchSlot {
+    FixedNetwork::InferScratch scratch;
+  };
+  std::vector<ScratchSlot> scratches_;
   EngineStats stats_;
 };
 

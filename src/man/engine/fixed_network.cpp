@@ -87,6 +87,35 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
   }
 }
 
+// Sample-minor variant for the batch tile: `values` holds kDenseTile
+// samples per element (element i of sample b at values[i·T + b]), and
+// lane l of that element lands at multiples[(i·k + l)·T + b], so the
+// T sample lanes of one plan slot sit contiguously — the layout
+// accumulate_dense_tile reads. Same flat-table lookups as the
+// per-sample path, hence the same bank outputs.
+void stage_multiples_tile(std::span<const std::int64_t> values, std::size_t k,
+                          man::core::PrecomputerCache& cache,
+                          std::int64_t* multiples) {
+  constexpr std::size_t kTile = man::backend::kDenseTile;
+  OpCounts discard;
+  const std::size_t elements = values.size() / kTile;
+  for (std::size_t i = 0; i < elements; ++i) {
+    std::int64_t* dest = multiples + i * k * kTile;
+    for (std::size_t b = 0; b < kTile; ++b) {
+      const std::int64_t* row = cache.lookup(values[i * kTile + b], discard);
+      for (std::size_t l = 0; l < k; ++l) dest[l * kTile + b] = row[l];
+    }
+  }
+}
+
+// int64 slots per 64-byte cache line, and how many slots past `p` the
+// next line starts.
+constexpr std::size_t kLineSlots = 64 / sizeof(std::int64_t);
+std::size_t line_offset(const std::int64_t* p) {
+  const auto slot = reinterpret_cast<std::uintptr_t>(p) / sizeof(std::int64_t);
+  return (kLineSlots - slot % kLineSlots) % kLineSlots;
+}
+
 // Phase timing shim: runs `fn` and charges its wall clock to the given
 // PhaseProfile field when profiling is on (profile non-null).
 template <typename Fn>
@@ -207,6 +236,25 @@ void FixedNetwork::link_stages() {
     }
   }
   output_size_ = current;
+
+  // Where a batch tile forms: the first ASM dense stage of the longest
+  // trailing run of ASM dense and LUT stages (the MLP's whole network,
+  // LeNet's fully connected tail). Exact stages and everything before
+  // the run stay per sample.
+  tile_begin_ = stages_.size();
+  for (std::size_t i = stages_.size(); i-- > 0;) {
+    const auto* dense = std::get_if<DenseStage>(&stages_[i]);
+    if (dense != nullptr &&
+        dense->synapse.scheme.multiplier != MultiplierKind::kExact) {
+      tile_begin_ = i;
+    } else if (!std::holds_alternative<LutStage>(stages_[i])) {
+      break;
+    }
+  }
+  tile_synapse_begin_ = static_cast<std::size_t>(
+      std::count_if(synapse_stage_indices_.begin(),
+                    synapse_stage_indices_.end(),
+                    [&](std::size_t idx) { return idx < tile_begin_; }));
 }
 
 namespace {
@@ -574,10 +622,25 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         "FixedNetwork: input has " + std::to_string(pixels.size()) +
         " values, engine expects " + std::to_string(input_size_));
   }
-  if (out.size() != output_size_) {
+  infer_batch(pixels, out, stats, scratch, kernel);
+}
+
+void FixedNetwork::infer_batch(std::span<const float> pixels,
+                               std::span<std::int64_t> out,
+                               EngineStats& stats, InferScratch& scratch,
+                               const man::backend::KernelBackend& kernel)
+    const {
+  if (input_size_ == 0 || pixels.size() % input_size_ != 0) {
+    throw std::invalid_argument(
+        "FixedNetwork: input has " + std::to_string(pixels.size()) +
+        " values, not a whole number of " + std::to_string(input_size_) +
+        "-value samples");
+  }
+  const std::size_t count = pixels.size() / input_size_;
+  if (out.size() != count * output_size_) {
     throw std::invalid_argument(
         "FixedNetwork: output span has " + std::to_string(out.size()) +
-        " slots, engine produces " + std::to_string(output_size_));
+        " slots, engine produces " + std::to_string(count * output_size_));
   }
   // Re-bind the caches of a scratch that is default-constructed or was
   // made by a different engine (they would serve another bank's
@@ -597,6 +660,58 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         "FixedNetwork: stats layout mismatch; use make_stats()");
   }
 
+  const auto sample = [&](std::size_t s) {
+    return pixels.subspan(s * input_size_, input_size_);
+  };
+  constexpr std::size_t kTile = man::backend::kDenseTile;
+  std::size_t s = 0;
+  if (tile_begin_ < stages_.size()) {
+    // Full tiles: each sample runs the stages before the tile alone,
+    // then lands in its lane of the sample-minor tile.
+    const auto width =
+        static_cast<std::size_t>(std::get<DenseStage>(stages_[tile_begin_]).in);
+    for (; s + kTile <= count; s += kTile) {
+      scratch.tile.resize(width * kTile);
+      for (std::size_t b = 0; b < kTile; ++b) {
+        forward_sample(sample(s + b), tile_begin_, stats, scratch, kernel);
+        for (std::size_t i = 0; i < width; ++i) {
+          scratch.tile[i * kTile + b] = scratch.buffer[i];
+        }
+      }
+      forward_tile(stats, scratch, kernel);
+      for (std::size_t b = 0; b < kTile; ++b) {
+        std::int64_t* dst = out.data() + (s + b) * output_size_;
+        for (std::size_t r = 0; r < output_size_; ++r) {
+          dst[r] = scratch.tile[r * kTile + b];
+        }
+      }
+      stats.inferences += kTile;
+    }
+  }
+  // The remainder (and every sample of an engine without a tile) runs
+  // the whole network one sample at a time.
+  for (; s < count; ++s) {
+    forward_sample(sample(s), stages_.size(), stats, scratch, kernel);
+    std::copy(scratch.buffer.begin(), scratch.buffer.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(s * output_size_));
+    stats.inferences += 1;
+  }
+}
+
+void FixedNetwork::charge_synapse(LayerStats& layer, const SynapseData& syn,
+                                  std::uint64_t samples) {
+  layer.macs += syn.macs * samples;
+  layer.bank_activations += syn.bank_activations * samples;
+  for (std::uint64_t s = 0; s < samples; ++s) {
+    layer.ops += syn.ops_per_inference;
+  }
+}
+
+void FixedNetwork::forward_sample(std::span<const float> pixels,
+                                  std::size_t stage_end, EngineStats& stats,
+                                  InferScratch& scratch,
+                                  const man::backend::KernelBackend& kernel)
+    const {
   const auto& afmt = spec_.activation_format;
   PhaseProfile* const profile = scratch.profile;
   std::vector<std::int64_t>& buffer = scratch.buffer;
@@ -609,9 +724,9 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
   });
 
   std::size_t synapse_counter = 0;
-  for (const Stage& stage : stages_) {
+  for (std::size_t si = 0; si < stage_end; ++si) {
+    const Stage& stage = stages_[si];
     if (const auto* dense = std::get_if<DenseStage>(&stage)) {
-      const SynapseData& syn = dense->synapse;
       std::vector<std::int64_t>& next = scratch.next;
       next.assign(static_cast<std::size_t>(dense->out), 0);
       const man::backend::DenseLayerPlan& plan =
@@ -643,13 +758,9 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         });
       }
 
-      LayerStats& ls = stats.layers[synapse_counter++];
-      ls.macs += syn.macs;
-      ls.bank_activations += syn.bank_activations;
-      ls.ops += syn.ops_per_inference;
+      charge_synapse(stats.layers[synapse_counter++], dense->synapse, 1);
       std::swap(buffer, next);
     } else if (const auto* conv = std::get_if<ConvStage>(&stage)) {
-      const SynapseData& syn = conv->synapse;
       std::vector<std::int64_t>& next = scratch.next;
       next.resize(static_cast<std::size_t>(conv->oc) * conv->oh * conv->ow);
       const man::backend::ConvLayerPlan& plan =
@@ -681,10 +792,7 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         });
       }
 
-      LayerStats& ls = stats.layers[synapse_counter++];
-      ls.macs += syn.macs;
-      ls.bank_activations += syn.bank_activations;
-      ls.ops += syn.ops_per_inference;
+      charge_synapse(stats.layers[synapse_counter++], conv->synapse, 1);
       std::swap(buffer, next);
     } else if (const auto* pool = std::get_if<PoolStage>(&stage)) {
       std::vector<std::int64_t>& next = scratch.next;
@@ -720,8 +828,49 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
       if (profile != nullptr) profile->lut_values += buffer.size();
     }
   }
-  stats.inferences += 1;
-  std::copy(buffer.begin(), buffer.end(), out.begin());
+}
+
+void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
+                                const man::backend::KernelBackend& kernel)
+    const {
+  constexpr std::size_t kTile = man::backend::kDenseTile;
+  PhaseProfile* const profile = scratch.profile;
+  std::vector<std::int64_t>& tile = scratch.tile;
+  std::size_t synapse_counter = tile_synapse_begin_;
+  for (std::size_t si = tile_begin_; si < stages_.size(); ++si) {
+    const Stage& stage = stages_[si];
+    if (const auto* dense = std::get_if<DenseStage>(&stage)) {
+      // Every dense stage from tile_begin_ on is ASM (link_stages).
+      const man::backend::DenseLayerPlan& plan =
+          plans_[static_cast<std::size_t>(dense->plan_index)];
+      // The tile starts on a cache line (the buffer carries the slack),
+      // so no vector load of a slot's lanes straddles two lines.
+      std::vector<std::int64_t>& buffer = scratch.multiples;
+      std::int64_t* multiples = nullptr;
+      timed_phase(profile, &PhaseProfile::staging_s, [&] {
+        buffer.resize(plan.padded_multiples() * kTile + kLineSlots - 1);
+        multiples = buffer.data() + line_offset(buffer.data());
+        arm_staging_window(scratch.caches[synapse_counter], plan.in_min_raw,
+                           plan.in_max_raw);
+        stage_multiples_tile(tile, static_cast<std::size_t>(plan.k),
+                             scratch.caches[synapse_counter], multiples);
+        std::fill_n(multiples + plan.zero_slot * kTile, kTile, 0);
+      });
+      if (profile != nullptr) profile->staged_values += tile.size();
+      std::vector<std::int64_t>& next = scratch.tile_next;
+      next.resize(static_cast<std::size_t>(dense->out) * kTile);
+      timed_phase(profile, &PhaseProfile::kernel_s, [&] {
+        kernel.accumulate_dense_tile(plan, multiples, next.data());
+      });
+      charge_synapse(stats.layers[synapse_counter++], dense->synapse, kTile);
+      std::swap(tile, next);
+    } else if (const auto* lut = std::get_if<LutStage>(&stage)) {
+      timed_phase(profile, &PhaseProfile::lut_s, [&] {
+        for (std::int64_t& v : tile) v = lut->lut.apply_raw(v);
+      });
+      if (profile != nullptr) profile->lut_values += tile.size();
+    }
+  }
 }
 
 void FixedNetwork::infer_into(std::span<const float> pixels,

@@ -164,6 +164,10 @@ class FixedNetwork {
     /// lane-major (plus zero region) for conv stages.
     std::vector<std::int64_t> multiples;
     std::vector<man::core::PrecomputerCache> caches;  ///< per synapse stage
+    /// Batch tile activations and the next tile stage's, sample-minor
+    /// (element i of sample b at [i·kDenseTile + b]); see infer_batch.
+    std::vector<std::int64_t> tile;
+    std::vector<std::int64_t> tile_next;
     /// Output staging for callers that loop infer_into per sample
     /// (e.g. BatchRunner's Example path) without re-allocating.
     std::vector<std::int64_t> raw_out;
@@ -197,6 +201,19 @@ class FixedNetwork {
   void infer_into(std::span<const float> pixels, std::span<std::int64_t> out,
                   EngineStats& stats, InferScratch& scratch,
                   const man::backend::KernelBackend& kernel) const;
+
+  /// Forward pass over `pixels.size() / input_size()` samples stored
+  /// contiguously, writing each sample's accumulators to its slot of
+  /// `out` (count × output_size()); infer_into() is its one-sample
+  /// case. Stages before the network's trailing run of ASM dense and
+  /// LUT stages run one sample at a time. When that run exists, every
+  /// full tile of kDenseTile samples is staged sample-minor into
+  /// scratch.tile and runs the run on accumulate_dense_tile; the
+  /// count % kDenseTile remainder runs per sample. Outputs and stats
+  /// are bit-identical to `count` infer_into() calls.
+  void infer_batch(std::span<const float> pixels, std::span<std::int64_t> out,
+                   EngineStats& stats, InferScratch& scratch,
+                   const man::backend::KernelBackend& kernel) const;
 
   /// Convenience overload with throwaway scratch (no cross-sample
   /// bank reuse).
@@ -301,6 +318,22 @@ class FixedNetwork {
   void link_stages();
   [[nodiscard]] const SynapseData& synapse_at(std::size_t stage_index) const;
 
+  /// Adds `samples` inferences' worth of one synapse stage's static
+  /// activity to `layer`.
+  static void charge_synapse(LayerStats& layer, const SynapseData& syn,
+                             std::uint64_t samples);
+
+  /// One sample through stages [0, stage_end): quantizes `pixels` into
+  /// scratch.buffer and leaves that stage range's output there.
+  void forward_sample(std::span<const float> pixels, std::size_t stage_end,
+                      EngineStats& stats, InferScratch& scratch,
+                      const man::backend::KernelBackend& kernel) const;
+
+  /// One full tile through stages [tile_begin_, end): reads and leaves
+  /// its activations in scratch.tile, sample-minor.
+  void forward_tile(EngineStats& stats, InferScratch& scratch,
+                    const man::backend::KernelBackend& kernel) const;
+
   /// The staging window every synapse stage's inputs lie in (the
   /// activation format's raw range), or {0, -1} when the format is
   /// too wide for the flat table (staging then hash-falls-back).
@@ -320,6 +353,10 @@ class FixedNetwork {
   const man::backend::KernelBackend* default_kernel_ = nullptr;
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
+  /// First stage of the batch tile (stages_.size() when no tile forms)
+  /// and the synapse index it starts at; set by link_stages().
+  std::size_t tile_begin_ = 0;
+  std::size_t tile_synapse_begin_ = 0;
   EngineStats stats_;
 };
 

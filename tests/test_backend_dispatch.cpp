@@ -264,6 +264,122 @@ TEST_P(ConvBackendBitIdentity, EveryBackendMatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(PaperWidths, ConvBackendBitIdentity,
                          ::testing::Values(8, 12));
 
+// kDenseTile samples' worth of signed bank outputs for `plan`, staged
+// per sample (k-strided, zero slot last) and transposed into the
+// sample-minor tile; `expected` gets the scalar per-sample kernel's
+// rows in the tile's output layout.
+void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
+                std::vector<std::int64_t>& tile,
+                std::vector<std::int64_t>& expected) {
+  constexpr std::size_t kTile = kDenseTile;
+  const man::core::PrecomputerBank bank(
+      AlphabetSet::first_n(static_cast<std::size_t>(plan.k)));
+  // Signed activations across the stage's window (the whole signed
+  // 10-bit range for hand-built plans without one).
+  const std::int64_t lo = plan.has_input_range() ? plan.in_min_raw : -512;
+  const std::int64_t hi = plan.has_input_range() ? plan.in_max_raw : 511;
+  ASSERT_LT(lo, 0);
+  man::util::Rng rng(seed);
+  man::core::OpCounts discard;
+  tile.assign(plan.padded_multiples() * kTile, 0);
+  expected.assign(static_cast<std::size_t>(plan.rows) * kTile, 0);
+  std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(plan.rows));
+  for (std::size_t b = 0; b < kTile; ++b) {
+    for (int c = 0; c < plan.cols; ++c) {
+      bank.compute_into(rng.next_in(lo, hi),
+                        &multiples[static_cast<std::size_t>(c) * plan.k],
+                        discard);
+    }
+    backend_for(BackendKind::kScalar)
+        .accumulate_dense(plan, multiples.data(), rows.data());
+    for (std::size_t s = 0; s < multiples.size(); ++s) {
+      tile[s * kTile + b] = multiples[s];
+    }
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      expected[r * kTile + b] = rows[r];
+    }
+  }
+}
+
+void expect_tile_matches_scalar(const DenseLayerPlan& plan, std::uint64_t seed,
+                                const std::string& label) {
+  std::vector<std::int64_t> tile;
+  std::vector<std::int64_t> expected;
+  stage_tile(plan, seed, tile, expected);
+  for (const auto* backend : all_backends()) {
+    std::vector<std::int64_t> out(expected.size(), -7);
+    backend->accumulate_dense_tile(plan, tile.data(), out.data());
+    EXPECT_EQ(out, expected) << label << " backend=" << backend->name();
+  }
+}
+
+// The batch-tiled dense kernel contract: every backend's
+// accumulate_dense_tile equals kDenseTile scalar per-sample
+// accumulate_dense calls, on compiled plans at both paper widths (13
+// columns: cols % 8 != 0 and a padded tail; one all-zero row; more
+// than one quartet plane) and on hand-built plans with 1-4 planes, so
+// every compile-time plane specialization and the generic loop run.
+class DenseTileBitIdentity : public ::testing::TestWithParam<int> {};
+
+TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
+  const int bits = GetParam();
+  const QuantSpec spec = QuantSpec::for_bits(bits);
+  const AlphabetSet set = AlphabetSet::four();
+  man::util::Rng rng(400 + static_cast<std::uint64_t>(bits));
+  Network net;
+  auto& dense = net.add<Dense>(13, 6);
+  dense.init_xavier(rng);
+  for (int c = 0; c < 13; ++c) dense.weights()[2 * 13 + c] = 0.0f;  // row 2
+  const ProjectionPlan projection(spec, set, 1);
+  projection.project_network(net);
+  FixedNetwork engine(net, spec, LayerAlphabetPlan::uniform_asm(1, set));
+  const DenseLayerPlan& plan = engine.plans()[0];
+  ASSERT_GT(plan.planes, 1);
+  ASSERT_NE(plan.cols % 8, 0);
+  for (int c = 0; c < plan.cols; ++c) {
+    ASSERT_EQ(plan.asm_weights[2 * 13 + static_cast<std::size_t>(c)]
+                  .step_count,
+              0);
+  }
+  expect_tile_matches_scalar(plan, 31, "bits=" + std::to_string(bits));
+
+  for (int max_steps = 1; max_steps <= 4; ++max_steps) {
+    constexpr int kRows = 5;
+    constexpr int kCols = 11;
+    std::vector<AsmWeight> weights;
+    std::vector<AsmStep> steps;
+    for (int r = 0; r < kRows; ++r) {
+      for (int c = 0; c < kCols; ++c) {
+        AsmWeight w;
+        w.step_begin = static_cast<std::uint32_t>(steps.size());
+        w.step_count = r == 1 ? 0
+                              : static_cast<std::uint8_t>(rng.next_below(
+                                    static_cast<std::uint64_t>(max_steps) + 1));
+        w.negative = rng.next_below(2) == 1;
+        for (int s = 0; s < w.step_count; ++s) {
+          steps.push_back(AsmStep{static_cast<std::uint8_t>(rng.next_below(4)),
+                                  static_cast<std::uint8_t>(rng.next_below(
+                                      static_cast<std::uint64_t>(bits)))});
+        }
+        weights.push_back(w);
+      }
+    }
+    std::vector<std::int64_t> biases(kRows);
+    for (auto& b : biases) b = rng.next_in(-1000, 1000);
+    const DenseLayerPlan built = DenseLayerPlan::build_asm(
+        kRows, kCols, 4, std::move(weights), std::move(steps),
+        std::move(biases));
+    expect_tile_matches_scalar(
+        built, 50 + static_cast<std::uint64_t>(max_steps),
+        "bits=" + std::to_string(bits) +
+            " planes=" + std::to_string(built.planes));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
+                         ::testing::Values(8, 12));
+
 TEST(BackendBatchRunner, BackendsAgreeAndStatsRecordTheChoice) {
   EnvGuard guard;
   guard.unset();

@@ -4,6 +4,8 @@
 // reuse API it is built on.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "man/engine/batch_runner.h"
@@ -212,6 +214,123 @@ TEST(BatchRunner, DeterministicAcrossWorkerCounts) {
     EXPECT_EQ(outputs[i], outputs[0]) << "worker config " << i;
     expect_stats_eq(stats[i], stats[0]);
   }
+}
+
+// Sequential per-sample infer_into over a contiguous batch, with the
+// summed stats — the reference every tiled run must reproduce.
+std::vector<std::int64_t> sequential_infer(const FixedNetwork& engine,
+                                           const std::vector<float>& batch,
+                                           EngineStats& stats) {
+  const std::size_t count = batch.size() / engine.input_size();
+  auto scratch = engine.make_scratch();
+  std::vector<std::int64_t> out(count * engine.output_size());
+  for (std::size_t i = 0; i < count; ++i) {
+    engine.infer_into(
+        std::span<const float>(batch).subspan(i * engine.input_size(),
+                                              engine.input_size()),
+        std::span<std::int64_t>(out).subspan(i * engine.output_size(),
+                                             engine.output_size()),
+        stats, scratch);
+  }
+  return out;
+}
+
+/// An ASM MLP (the whole network tiles) and an ASM CNN (only its
+/// dense tail tiles).
+std::vector<std::unique_ptr<FixedNetwork>> tiling_engines() {
+  std::vector<std::unique_ptr<FixedNetwork>> engines;
+  Network mlp = make_mlp(123, 19, 11, 5);
+  ProjectionPlan(QuantSpec::bits8(), AlphabetSet::four(), 2)
+      .project_network(mlp);
+  engines.push_back(std::make_unique<FixedNetwork>(
+      mlp, QuantSpec::bits8(),
+      LayerAlphabetPlan::uniform_asm(2, AlphabetSet::four())));
+  Network cnn = make_cnn(321);
+  ProjectionPlan(QuantSpec::bits12(), AlphabetSet::two(), 2)
+      .project_network(cnn);
+  engines.push_back(std::make_unique<FixedNetwork>(
+      cnn, QuantSpec::bits12(),
+      LayerAlphabetPlan::uniform_asm(2, AlphabetSet::two())));
+  return engines;
+}
+
+// Batch tiles: sample counts below, at and around kDenseTile (16) and
+// multiples of it, on one and three workers, so a shard holds no tile,
+// exactly one, tiles plus a remainder, or only a remainder. Outputs
+// and merged stats must equal sequential infer_into on the MLP (the
+// whole network tiles) and the CNN (only its dense tail tiles).
+class BatchTileIdentity
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(BatchTileIdentity, MatchesSequentialInferInto) {
+  const auto count = static_cast<std::size_t>(std::get<0>(GetParam()));
+  const int workers = std::get<1>(GetParam());
+  for (const auto& engine_ptr : tiling_engines()) {
+    const FixedNetwork& engine = *engine_ptr;
+    const auto batch = random_batch(count, engine.input_size(), 900 + count);
+    EngineStats expected_stats = engine.make_stats();
+    const auto expected = sequential_infer(engine, batch, expected_stats);
+
+    BatchRunner runner(engine, BatchOptions{.workers = workers});
+    std::vector<std::int64_t> actual(count * engine.output_size());
+    runner.run(batch, actual);
+    EXPECT_EQ(actual, expected)
+        << "count=" << count << " workers=" << workers
+        << " input_size=" << engine.input_size();
+    expect_stats_eq(runner.stats(), expected_stats);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Counts, BatchTileIdentity,
+    ::testing::Combine(::testing::Values(1, 15, 16, 17, 33, 53),
+                       ::testing::Values(1, 3)));
+
+// The runner keeps one scratch per shard slot across run() calls: a
+// large batch, a small one (fewer shards, no tile) and the large one
+// again must all match their sequential references, so the persistent
+// buffers resize correctly in both directions.
+TEST(BatchRunner, ReusedRunnerResizesPersistentScratch) {
+  for (const auto& engine_ptr : tiling_engines()) {
+    const FixedNetwork& engine = *engine_ptr;
+    BatchRunner runner(engine, BatchOptions{.workers = 3});
+    std::vector<std::int64_t> first;
+    for (const std::size_t count : {256u, 7u, 256u}) {
+      const auto batch = random_batch(count, engine.input_size(), 77);
+      EngineStats ignored = engine.make_stats();
+      const auto expected = sequential_infer(engine, batch, ignored);
+      std::vector<std::int64_t> actual(count * engine.output_size());
+      runner.run(batch, actual);
+      EXPECT_EQ(actual, expected) << "count=" << count;
+      if (count == 256) {
+        if (first.empty()) {
+          first = actual;
+        } else {
+          EXPECT_EQ(actual, first);
+        }
+      }
+    }
+    EXPECT_EQ(runner.stats().inferences, 256u + 7u + 256u);
+  }
+}
+
+TEST(FixedNetwork, InferBatchRejectsRaggedSpans) {
+  const auto engines = tiling_engines();
+  const FixedNetwork& engine = *engines[0];
+  auto scratch = engine.make_scratch();
+  auto stats = engine.make_stats();
+  const auto& kernel = engine.default_kernel();
+  std::vector<float> ragged(2 * engine.input_size() + 1);
+  std::vector<std::int64_t> out(2 * engine.output_size());
+  EXPECT_THROW(engine.infer_batch(ragged, out, stats, scratch, kernel),
+               std::invalid_argument);
+  std::vector<float> two(2 * engine.input_size());
+  std::vector<std::int64_t> short_out(engine.output_size());
+  EXPECT_THROW(engine.infer_batch(two, short_out, stats, scratch, kernel),
+               std::invalid_argument);
+  // infer_into stays one sample: a two-sample span is rejected.
+  EXPECT_THROW(engine.infer_into(two, out, stats, scratch),
+               std::invalid_argument);
 }
 
 // The Example-based evaluation path agrees with the engine's own.
