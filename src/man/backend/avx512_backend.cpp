@@ -18,6 +18,8 @@
 // runtime — the backend stays registered and runs the portable plane
 // loop (shared with the blocked backend), so MAN_BACKEND=avx512 is
 // always safe and always bit-identical.
+#include <algorithm>
+
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
 

@@ -1,0 +1,267 @@
+// Portable plane-walk kernels (declared in planes_kernel.h). Built at
+// the default ISA like every file but the two intrinsics backends,
+// which call in here for their fallbacks — keep it that way.
+#include "man/backend/planes_kernel.h"
+
+#include <algorithm>
+
+namespace man::backend::detail {
+
+namespace {
+
+/// Positions processed per tile of the conv plane walk: big enough to
+/// amortize the per-weight plan loads across a whole cache line of
+/// accumulators, small enough to live on the stack.
+constexpr int kConvTile = 64;
+
+/// accumulate_planes_tile for a compile-time plane count (P > 0; 0
+/// reads the plan's). The fixed-width inner loops are what the
+/// auto-vectorizer turns into plain vector loads. The column padding
+/// is skipped (it reads the zero slot under sign 0).
+template <int P>
+void planes_tile(const DenseLayerPlan& plan, const std::int64_t* tile,
+                 std::int64_t* out) {
+  constexpr std::size_t kTile = kDenseTile;
+  const int planes = P > 0 ? P : plan.planes;
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  for (int r = 0; r < plan.rows; ++r) {
+    const std::size_t base = static_cast<std::size_t>(r) * plan.cols_padded;
+    std::int64_t acc[kTile];
+    for (std::size_t b = 0; b < kTile; ++b) {
+      acc[b] = plan.biases[static_cast<std::size_t>(r)];
+    }
+    for (int c = 0; c < plan.cols; ++c) {
+      const std::size_t cell = base + static_cast<std::size_t>(c);
+      std::int64_t product[kTile] = {};
+      for (int q = 0; q < planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const std::int64_t* src = tile + std::size_t{idx[pc]} * kTile;
+        const std::int64_t sh = shifts[pc];
+        for (std::size_t b = 0; b < kTile; ++b) product[b] += src[b] << sh;
+      }
+      const std::int64_t sign = signs[cell];
+      for (std::size_t b = 0; b < kTile; ++b) {
+        acc[b] += (product[b] ^ sign) - sign;
+      }
+    }
+    for (std::size_t b = 0; b < kTile; ++b) {
+      out[static_cast<std::size_t>(r) * kTile + b] = acc[b];
+    }
+  }
+}
+
+}  // namespace
+
+void accumulate_planes(const DenseLayerPlan& plan,
+                       const std::int64_t* multiples, std::int64_t* out) {
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  for (int r = 0; r < plan.rows; ++r) {
+    const std::size_t base = static_cast<std::size_t>(r) * plan.cols_padded;
+    std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+    for (int c = 0; c < plan.cols_padded; ++c) {
+      const std::size_t cell = base + static_cast<std::size_t>(c);
+      std::int64_t product = 0;
+      for (int q = 0; q < plan.planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        product += multiples[idx[pc]] << shifts[pc];
+      }
+      const std::int64_t sign = signs[cell];
+      acc += (product ^ sign) - sign;
+    }
+    out[r] = acc;
+  }
+}
+
+void accumulate_planes_tile(const DenseLayerPlan& plan,
+                            const std::int64_t* tile, std::int64_t* out) {
+  // 8- and 12-bit weights have at most 2 and 3 quartets; a fixed plane
+  // count unrolls the plane loop.
+  switch (plan.planes) {
+    case 1: planes_tile<1>(plan, tile, out); break;
+    case 2: planes_tile<2>(plan, tile, out); break;
+    case 3: planes_tile<3>(plan, tile, out); break;
+    default: planes_tile<0>(plan, tile, out); break;
+  }
+}
+
+void exact_dense_blocked(const DenseLayerPlan& plan,
+                         const std::int64_t* activations, std::int64_t* out) {
+  for (int r = 0; r < plan.rows; ++r) {
+    const std::int32_t* wrow =
+        &plan.weights[static_cast<std::size_t>(r) * plan.cols];
+    std::int64_t lanes[kLaneWidth] = {};
+    const int main = plan.cols / kLaneWidth * kLaneWidth;
+    for (int c = 0; c < main; c += kLaneWidth) {
+      for (int l = 0; l < kLaneWidth; ++l) {
+        lanes[l] += static_cast<std::int64_t>(wrow[c + l]) *
+                    activations[static_cast<std::size_t>(c + l)];
+      }
+    }
+    std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+    for (int l = 0; l < kLaneWidth; ++l) acc += lanes[l];
+    for (int c = main; c < plan.cols; ++c) {
+      acc += static_cast<std::int64_t>(wrow[c]) *
+             activations[static_cast<std::size_t>(c)];
+    }
+    out[r] = acc;
+  }
+}
+
+// The tile covers up to kConvTile output positions, arranged as several
+// output rows × a run of columns: a conv weight fires once per output
+// position with the same idx/shift/sign, so each plan entry is loaded
+// once per *tile* and streamed over every tile position — multi-row
+// tiles matter because a large conv stage's plan exceeds L1 and would
+// otherwise be re-read once per output row. In the lane-major layout
+// the per-row reads are contiguous (base offsets step by one element),
+// so the inner loop is a shift-and-add over adjacent slots — exactly
+// the shape the auto-vectorizer eats. The per-weight quartet steps are
+// packed from plane 0, so the first absent cell ends the weight —
+// skipped weights contribute exactly the zero the padded walk would
+// have added, keeping the result bit-identical to the scalar reference.
+void accumulate_conv_planes(const ConvLayerPlan& plan,
+                            const std::int64_t* multiples, std::int64_t* out) {
+  const std::size_t stride = plan.plane_stride();
+  const std::size_t positions = plan.positions();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  const int cn = std::min(plan.ow, kConvTile);       // tile columns
+  const int rn_max = std::max(1, kConvTile / cn);    // tile rows
+  std::int64_t tmp[kConvTile];
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += rn_max) {
+    const int rn = std::min(rn_max, plan.oh - oy0);
+    for (int ox0 = 0; ox0 < plan.ow; ox0 += cn) {
+      const int tc = std::min(cn, plan.ow - ox0);
+      const std::size_t ebase0 =
+          static_cast<std::size_t>(oy0) * plan.iw + ox0;
+      for (int r = 0; r < plan.oc; ++r) {
+        std::int64_t* out_r = out + static_cast<std::size_t>(r) * positions;
+        const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
+        for (int t = 0; t < rn * tc; ++t) tmp[t] = 0;
+        const std::size_t row =
+            static_cast<std::size_t>(r) * plan.cols_padded;
+        for (int c = 0; c < plan.cols_padded; ++c) {
+          const std::size_t cell = row + static_cast<std::size_t>(c);
+          const std::uint32_t first_idx = idx[cell];
+          if (first_idx == plan.zero_base) continue;  // zero-step weight
+          const std::int64_t sign = signs[cell];
+          if (sign == 0) {
+            // Positive weight: accumulate the shifted multiples
+            // straight into the tile.
+            for (int q = 0; q < plan.planes; ++q) {
+              const std::size_t pc = q * stride + cell;
+              const std::uint32_t cell_idx = idx[pc];
+              if (cell_idx == plan.zero_base) break;  // steps are packed
+              const std::int64_t sh = shifts[pc];
+              for (int ty = 0; ty < rn; ++ty) {
+                const std::int64_t* src = multiples + cell_idx + ebase0 +
+                                          static_cast<std::size_t>(ty) *
+                                              plan.iw;
+                std::int64_t* dst = tmp + ty * tc;
+                for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
+              }
+            }
+          } else {
+            // Negative weight: form the per-position product first,
+            // then subtract — two's complement makes
+            // (product ^ -1) - (-1) == -product exactly.
+            std::int64_t prod[kConvTile];
+            for (int t = 0; t < rn * tc; ++t) prod[t] = 0;
+            for (int q = 0; q < plan.planes; ++q) {
+              const std::size_t pc = q * stride + cell;
+              const std::uint32_t cell_idx = idx[pc];
+              if (cell_idx == plan.zero_base) break;  // steps are packed
+              const std::int64_t sh = shifts[pc];
+              for (int ty = 0; ty < rn; ++ty) {
+                const std::int64_t* src = multiples + cell_idx + ebase0 +
+                                          static_cast<std::size_t>(ty) *
+                                              plan.iw;
+                std::int64_t* dst = prod + ty * tc;
+                for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
+              }
+            }
+            for (int t = 0; t < rn * tc; ++t) tmp[t] -= prod[t];
+          }
+        }
+        for (int ty = 0; ty < rn; ++ty) {
+          std::int64_t* out_row = out_r +
+                                  static_cast<std::size_t>(oy0 + ty) *
+                                      plan.ow +
+                                  ox0;
+          const std::int64_t* src = tmp + ty * tc;
+          for (int t = 0; t < tc; ++t) out_row[t] = bias + src[t];
+        }
+      }
+    }
+  }
+}
+
+void conv_positions_scalar(const ConvLayerPlan& plan,
+                           const std::int64_t* multiples, std::int64_t* out,
+                           int oy0, int rn, int ox0) {
+  const std::size_t stride = plan.plane_stride();
+  const std::size_t positions = plan.positions();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  for (int ox = ox0; ox < plan.ow; ++ox) {
+    for (int ty = 0; ty < rn; ++ty) {
+      const std::size_t base = static_cast<std::size_t>(oy0 + ty) * plan.iw +
+                               static_cast<std::size_t>(ox);
+      const std::size_t p = static_cast<std::size_t>(oy0 + ty) * plan.ow +
+                            static_cast<std::size_t>(ox);
+      for (int r = 0; r < plan.oc; ++r) {
+        const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+        std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+        for (int c = 0; c < plan.cols_padded; ++c) {
+          const std::size_t cell = row + static_cast<std::size_t>(c);
+          std::int64_t product = 0;
+          for (int q = 0; q < plan.planes; ++q) {
+            const std::size_t pc = q * stride + cell;
+            const std::uint32_t cell_idx = idx[pc];
+            if (cell_idx == plan.zero_base) break;  // steps are packed
+            product += multiples[cell_idx + base] << shifts[pc];
+          }
+          const std::int64_t sign = signs[cell];
+          acc += (product ^ sign) - sign;
+        }
+        out[static_cast<std::size_t>(r) * positions + p] = acc;
+      }
+    }
+  }
+}
+
+void exact_conv_blocked(const ConvLayerPlan& plan,
+                        const std::int64_t* activations, std::int64_t* out) {
+  const std::size_t positions = plan.positions();
+  const std::uint32_t* elems = plan.patch_elems.data();
+  for (int oy = 0; oy < plan.oh; ++oy) {
+    for (int ox = 0; ox < plan.ow; ++ox) {
+      const std::size_t base = static_cast<std::size_t>(oy) * plan.iw + ox;
+      const std::size_t p = static_cast<std::size_t>(oy) * plan.ow + ox;
+      for (int r = 0; r < plan.oc; ++r) {
+        const std::int32_t* wrow =
+            &plan.weights[static_cast<std::size_t>(r) * plan.cols_padded];
+        std::int64_t lanes[kLaneWidth] = {};
+        for (int c = 0; c < plan.cols_padded; c += kLaneWidth) {
+          for (int l = 0; l < kLaneWidth; ++l) {
+            lanes[l] += static_cast<std::int64_t>(wrow[c + l]) *
+                        activations[elems[c + l] + base];
+          }
+        }
+        std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+        for (int l = 0; l < kLaneWidth; ++l) acc += lanes[l];
+        out[static_cast<std::size_t>(r) * positions + p] = acc;
+      }
+    }
+  }
+}
+
+}  // namespace man::backend::detail

@@ -12,6 +12,8 @@
 // CPU whose CPUID lacks AVX2 at runtime — the backend stays registered
 // and runs the portable plane loop (shared with the blocked backend),
 // so MAN_BACKEND=simd is always safe and always bit-identical.
+#include <algorithm>
+
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
 
