@@ -21,8 +21,6 @@ namespace man::artifact {
 
 namespace {
 
-using man::backend::AsmStep;
-using man::backend::AsmWeight;
 using man::backend::ConvLayerPlan;
 using man::backend::ConvTileShape;
 using man::backend::DenseLayerPlan;
@@ -49,14 +47,6 @@ enum StageTag : std::uint32_t {
   kTagLut = 3,
 };
 
-// The reader reinterprets mapped bytes as these structs directly, so
-// their layout is part of the artifact format.
-static_assert(sizeof(AsmStep) == 2 && alignof(AsmStep) == 1);
-static_assert(sizeof(AsmWeight) == 8 && alignof(AsmWeight) == 4);
-static_assert(offsetof(AsmWeight, step_begin) == 0);
-static_assert(offsetof(AsmWeight, step_count) == 4);
-static_assert(offsetof(AsmWeight, negative) == 5);
-
 // ------------------------------------------------------------- writing
 
 /// Appends an array to the arrays blob and writes its absolute
@@ -68,30 +58,6 @@ void write_array_ref(BlobWriter& dir, BlobWriter& arrays,
       kHeaderSize + arrays.append_array(values.data(), values.size());
   dir.write_u64(offset);
   dir.write_u64(values.size());
-}
-
-/// AsmWeight has two trailing padding bytes whose in-memory content is
-/// indeterminate; copy the schedule field-by-field over zeroed storage
-/// so identical schedules always produce identical artifact bytes
-/// (and checksums).
-void write_asm_weights_ref(BlobWriter& dir, BlobWriter& arrays,
-                           const PlanArray<AsmWeight>& values) {
-  std::vector<AsmWeight> clean(values.size());
-  // An exact plan has no schedule, and memset's pointer must be
-  // non-null even for zero bytes.
-  if (!clean.empty()) {
-    std::memset(static_cast<void*>(clean.data()), 0,
-                clean.size() * sizeof(AsmWeight));
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    clean[i].step_begin = values[i].step_begin;
-    clean[i].step_count = values[i].step_count;
-    clean[i].negative = values[i].negative;
-  }
-  const std::uint64_t offset =
-      kHeaderSize + arrays.append_array(clean.data(), clean.size());
-  dir.write_u64(offset);
-  dir.write_u64(clean.size());
 }
 
 void write_synapse(BlobWriter& dir, const CompiledSynapse& synapse) {
@@ -130,8 +96,6 @@ void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_i64(plan.in_max_raw);
   write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
-  write_asm_weights_ref(dir, arrays, plan.asm_weights);
-  write_array_ref(dir, arrays, plan.steps);
   write_array_ref(dir, arrays, plan.idx);
   write_array_ref(dir, arrays, plan.shifts);
   write_array_ref(dir, arrays, plan.sign_masks);
@@ -160,8 +124,6 @@ void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
   write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
   write_array_ref(dir, arrays, plan.patch_elems);
-  write_asm_weights_ref(dir, arrays, plan.asm_weights);
-  write_array_ref(dir, arrays, plan.steps);
   write_array_ref(dir, arrays, plan.idx);
   write_array_ref(dir, arrays, plan.shifts);
   write_array_ref(dir, arrays, plan.sign_masks);
@@ -216,7 +178,81 @@ ConvTileShape read_tile(SpanReader& dir) {
   return tile;
 }
 
-DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
+// ------------------------------------------------------ load validation
+//
+// The checksum proves the bytes are what some writer produced, not
+// that a compiler could have produced them. Everything a kernel or the
+// staging indexes with is checked here, so a hostile artifact with a
+// recomputed checksum throws SerializationError instead of reading or
+// writing out of bounds.
+
+/// Most quartet planes a plan can have: one step per weight bit at
+/// most, and QFormat caps weights at 31 bits.
+constexpr int kMaxPlanes = 32;
+
+[[noreturn]] void reject(const std::string& what) {
+  throw SerializationError("plan artifact: " + what);
+}
+
+/// a · b, rejecting products that wrap 64 bits.
+std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) reject("geometry overflows");
+  return product;
+}
+
+/// `cols` rounded up to kLaneWidth, as the ASM and conv builders pad.
+std::int64_t padded(std::int64_t cols) {
+  using man::backend::kLaneWidth;
+  return (cols + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
+}
+
+/// The bank outputs per input element a plan must stage: the
+/// synapse's alphabet count (0 for exact plans, which stage none).
+int staged_alphabets(const CompiledSynapse& synapse, bool exact) {
+  return exact ? 0
+               : static_cast<int>(
+                     synapse.scheme.effective_alphabets().size());
+}
+
+/// Plane contents of an ASM plan (dense rows ≡ conv filters): every
+/// entry reads a slot at or below `absent` — the zero slot, or the
+/// zero region's base, which stays in the buffer under every position
+/// base — each weight's steps are packed from plane 0 and the padding
+/// columns are all absent (so every backend walks the same steps),
+/// shifts are in [0, 64) and sign masks are 0 or -1.
+template <typename Plan>
+void check_planes(const Plan& plan, int rows, std::uint32_t absent) {
+  if (plan.planes < 0 || plan.planes > kMaxPlanes) reject("bad plane count");
+  const std::size_t stride = plan.plane_stride();
+  if (plan.idx.size() != static_cast<std::size_t>(plan.planes) * stride ||
+      plan.shifts.size() != plan.idx.size() ||
+      plan.sign_masks.size() != stride) {
+    reject("plane arrays disagree with plan geometry");
+  }
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < plan.cols_padded; ++c) {
+      const std::size_t cell =
+          static_cast<std::size_t>(r) * plan.cols_padded + c;
+      bool ended = c >= plan.cols;
+      for (int q = 0; q < plan.planes; ++q) {
+        const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
+        const std::uint32_t slot = plan.idx[pc];
+        if (slot > absent || (ended && slot != absent) ||
+            plan.shifts[pc] < 0 || plan.shifts[pc] >= 64) {
+          reject("plane entry out of range");
+        }
+        ended = ended || slot == absent;
+      }
+      if (plan.sign_masks[cell] != 0 && plan.sign_masks[cell] != -1) {
+        reject("bad sign mask");
+      }
+    }
+  }
+}
+
+DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
+                               const CompiledSynapse& synapse) {
   DenseLayerPlan plan;
   plan.rows = dir.read_i32();
   plan.cols = dir.read_i32();
@@ -229,34 +265,37 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
   plan.in_max_raw = dir.read_i64();
   plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
-  plan.asm_weights = read_array_ref<AsmWeight>(dir, file);
-  plan.steps = read_array_ref<AsmStep>(dir, file);
   plan.idx = read_array_ref<std::uint32_t>(dir, file);
   plan.shifts = read_array_ref<std::int64_t>(dir, file);
   plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
 
-  if (plan.rows < 0 || plan.cols < 0 || plan.cols_padded < plan.cols) {
-    throw SerializationError("plan artifact: bad dense geometry");
+  if (plan.rows < 0 || plan.cols < 0 ||
+      plan.cols_padded != (plan.exact ? plan.cols : padded(plan.cols)) ||
+      plan.k != staged_alphabets(synapse, plan.exact)) {
+    reject("bad dense geometry");
   }
-  const auto cells = static_cast<std::size_t>(plan.rows) * plan.cols;
-  const std::size_t stride = plan.plane_stride();
-  const bool consistent =
-      plan.biases.size() == static_cast<std::size_t>(plan.rows) &&
-      (plan.exact
-           ? plan.weights.size() == cells && plan.idx.empty()
-           : plan.weights.empty() && plan.asm_weights.size() == cells &&
-                 plan.idx.size() ==
-                     static_cast<std::size_t>(plan.planes) * stride &&
-                 plan.shifts.size() == plan.idx.size() &&
-                 plan.sign_masks.size() == stride);
-  if (!consistent) {
-    throw SerializationError("plan artifact: dense arrays disagree with "
-                             "plan geometry");
+  if (plan.biases.size() != static_cast<std::size_t>(plan.rows)) {
+    reject("dense biases disagree with plan geometry");
+  }
+  if (plan.exact) {
+    if (plan.weights.size() !=
+            static_cast<std::size_t>(plan.rows) * plan.cols ||
+        !plan.idx.empty()) {
+      reject("dense weights disagree with plan geometry");
+    }
+  } else {
+    if (!plan.weights.empty() ||
+        plan.zero_slot != checked_mul(static_cast<std::uint64_t>(plan.cols),
+                                      static_cast<std::uint64_t>(plan.k))) {
+      reject("bad dense zero slot");
+    }
+    check_planes(plan, plan.rows, plan.zero_slot);
   }
   return plan;
 }
 
-ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
+ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
+                             const CompiledSynapse& synapse) {
   ConvLayerPlan plan;
   plan.oc = dir.read_i32();
   plan.ic = dir.read_i32();
@@ -279,8 +318,6 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
   plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
   plan.patch_elems = read_array_ref<std::uint32_t>(dir, file);
-  plan.asm_weights = read_array_ref<AsmWeight>(dir, file);
-  plan.steps = read_array_ref<AsmStep>(dir, file);
   plan.idx = read_array_ref<std::uint32_t>(dir, file);
   plan.shifts = read_array_ref<std::int64_t>(dir, file);
   plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
@@ -288,29 +325,45 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
   if (plan.oc < 1 || plan.ic < 1 || plan.kernel < 1 ||
       plan.ih < plan.kernel || plan.iw < plan.kernel ||
       plan.oh != plan.ih - plan.kernel + 1 ||
-      plan.ow != plan.iw - plan.kernel + 1 ||
-      plan.cols != plan.ic * plan.kernel * plan.kernel ||
-      plan.cols_padded < plan.cols) {
-    throw SerializationError("plan artifact: bad conv geometry");
+      plan.ow != plan.iw - plan.kernel + 1 || plan.cols < 0 ||
+      static_cast<std::uint64_t>(plan.cols) !=
+          checked_mul(checked_mul(static_cast<std::uint64_t>(plan.ic),
+                                  static_cast<std::uint64_t>(plan.kernel)),
+                      static_cast<std::uint64_t>(plan.kernel)) ||
+      plan.cols_padded != padded(plan.cols) ||
+      plan.k != staged_alphabets(synapse, plan.exact)) {
+    reject("bad conv geometry");
   }
-  const auto cells = static_cast<std::size_t>(plan.oc) * plan.cols;
-  const std::size_t stride = plan.plane_stride();
-  const bool consistent =
-      plan.biases.size() == static_cast<std::size_t>(plan.oc) &&
-      plan.patch_elems.size() ==
-          static_cast<std::size_t>(plan.cols_padded) &&
-      (plan.exact
-           ? plan.weights.size() ==
-                 static_cast<std::size_t>(plan.oc) * plan.cols_padded &&
-                 plan.idx.empty()
-           : plan.weights.empty() && plan.asm_weights.size() == cells &&
-                 plan.idx.size() ==
-                     static_cast<std::size_t>(plan.planes) * stride &&
-                 plan.shifts.size() == plan.idx.size() &&
-                 plan.sign_masks.size() == stride);
-  if (!consistent) {
-    throw SerializationError("plan artifact: conv arrays disagree with "
-                             "plan geometry");
+  const std::uint64_t elems = checked_mul(
+      checked_mul(static_cast<std::uint64_t>(plan.ic),
+                  static_cast<std::uint64_t>(plan.ih)),
+      static_cast<std::uint64_t>(plan.iw));
+  if (plan.biases.size() != static_cast<std::size_t>(plan.oc) ||
+      plan.patch_elems.size() != static_cast<std::size_t>(plan.cols_padded)) {
+    reject("conv arrays disagree with plan geometry");
+  }
+  // Exact kernels read activation patch_elems[c] + oy·iw + ox.
+  for (const std::uint32_t elem : plan.patch_elems) {
+    if (elem + plan.max_position_base() >= elems) {
+      reject("conv patch element out of range");
+    }
+  }
+  if (plan.exact) {
+    if (plan.weights.size() !=
+            static_cast<std::size_t>(plan.oc) * plan.cols_padded ||
+        !plan.idx.empty()) {
+      reject("conv weights disagree with plan geometry");
+    }
+  } else {
+    // Kernels pre-read plane 0, so an ASM conv keeps at least one.
+    if (plan.planes < 1) reject("ASM conv plan without planes");
+    if (!plan.weights.empty() ||
+        plan.zero_base !=
+            checked_mul(elems, static_cast<std::uint64_t>(plan.k))) {
+      reject("bad conv zero region");
+    }
+    // idx ≤ zero_base ⇔ idx + max_position_base() < padded_multiples().
+    check_planes(plan, plan.oc, plan.zero_base);
   }
   return plan;
 }
@@ -497,7 +550,7 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         stage.in = dir.read_i32();
         stage.out = dir.read_i32();
         stage.synapse = read_synapse(dir);
-        plans.push_back(read_dense_plan(dir, file));
+        plans.push_back(read_dense_plan(dir, file, stage.synapse));
         model.stages.emplace_back(std::move(stage));
       } else if (tag == kTagConv) {
         CompiledConvStage stage;
@@ -509,7 +562,7 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         stage.oh = dir.read_i32();
         stage.ow = dir.read_i32();
         stage.synapse = read_synapse(dir);
-        conv_plans.push_back(read_conv_plan(dir, file));
+        conv_plans.push_back(read_conv_plan(dir, file, stage.synapse));
         model.stages.emplace_back(std::move(stage));
       } else if (tag == kTagPool) {
         CompiledPoolStage stage;
@@ -519,6 +572,15 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         stage.window = dir.read_i32();
         stage.oh = dir.read_i32();
         stage.ow = dir.read_i32();
+        // The AvgPool2D identities: every window read stays in its
+        // channel's ih × iw input.
+        if (stage.c < 1 || stage.window < 1 || stage.ih < 0 ||
+            stage.iw < 0 || stage.ih % stage.window != 0 ||
+            stage.iw % stage.window != 0 ||
+            stage.oh != stage.ih / stage.window ||
+            stage.ow != stage.iw / stage.window) {
+          reject("bad pool geometry");
+        }
         model.stages.emplace_back(stage);
       } else if (tag == kTagLut) {
         const std::int32_t kind = dir.read_i32();

@@ -1,10 +1,10 @@
 // Versioned, checksummed flat-blob artifact of one compiled engine:
 // the CompiledModel stage descriptors plus every Dense/ConvLayerPlan,
 // laid out offset-table style so the reader mmap()s the file
-// read-only and points the plan arrays (quartet planes, schedules,
-// weights, biases) directly at the mapping — no per-field parse of
-// the bulk data, and N processes loading the same artifact share one
-// physical copy through the page cache.
+// read-only and points the plan arrays (quartet planes, weights,
+// biases, conv patch offsets) directly at the mapping — no per-field
+// parse of the bulk data, and N processes loading the same artifact
+// share one physical copy through the page cache.
 //
 // File layout (all little-endian):
 //
@@ -21,8 +21,10 @@
 //                       bounds-checked SpanReader
 //
 // Every validation failure — truncation, flipped payload byte, wrong
-// version, wrong config key — throws util::SerializationError, so
-// callers fall back to compiling instead of serving a corrupt plan.
+// version, wrong config key, or (behind a valid checksum) a plan whose
+// geometry, plane indices, shifts or sign masks no compiler could have
+// produced — throws util::SerializationError, so callers fall back to
+// compiling instead of serving a corrupt plan.
 #ifndef MAN_ARTIFACT_PLAN_ARTIFACT_H
 #define MAN_ARTIFACT_PLAN_ARTIFACT_H
 
@@ -33,8 +35,9 @@
 
 namespace man::artifact {
 
-/// Artifact format version; readers reject anything else.
-inline constexpr std::uint32_t kArtifactVersion = 1;
+/// Artifact format version; readers reject anything else. Since
+/// version 2 a plan's quartet planes are its only schedule layout.
+inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

@@ -25,7 +25,8 @@ namespace man::backend {
 
 /// Registered quartet-accumulation kernels.
 enum class BackendKind {
-  kScalar,   ///< extracted reference loop over the AoS schedule
+  kScalar,   ///< extracted reference loop, one weight at a time
+             ///< over the SoA planes
   kBlocked,  ///< branch-free blocked-scalar loop over the SoA planes
   kSimd,     ///< AVX2 intrinsics (portable plane loop when not compiled
              ///< with AVX2 or the CPU lacks it)

@@ -67,9 +67,6 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
       }
     }
   }
-
-  plan.asm_weights = std::move(asm_weights);
-  plan.steps = std::move(steps);
   return plan;
 }
 
@@ -185,9 +182,6 @@ ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
       }
     }
   }
-
-  plan.asm_weights = std::move(asm_weights);
-  plan.steps = std::move(steps);
   return plan;
 }
 

@@ -1,6 +1,7 @@
 // Structure-of-arrays execution plan for one dense synapse stage: the
-// compiled select/shift schedule (AoS, as FixedNetwork builds it) plus
-// contiguous quartet planes derived from it, laid out so the inner
+// compiled select/shift schedule as contiguous quartet planes — the
+// plan's one layout, read by every backend (the scalar reference
+// included) and saved as-is in plan artifacts — laid out so the inner
 // accumulation loop is branch-free and SIMD-friendly.
 //
 // Per quartet plane q and weight w the plan stores
@@ -114,6 +115,7 @@ class PlanArray {
 
 /// One select/shift step of a compiled ASM weight (paper Fig 4: one
 /// quartet = one pre-computer lane selected, shifted into place).
+/// build_asm() input only: plans keep the planes built from it.
 struct AsmStep {
   std::uint8_t lane;   ///< index into the bank's alphabet outputs
   std::uint8_t shift;  ///< total left shift
@@ -176,13 +178,10 @@ struct DenseLayerPlan {
   /// Biases at product scale, one per row (both paths).
   PlanArray<std::int64_t> biases;
 
-  /// ASM path, AoS schedule (the scalar reference walks this).
-  PlanArray<AsmWeight> asm_weights;  ///< rows × cols
-  PlanArray<AsmStep> steps;
-
-  /// ASM path, SoA planes (blocked/SIMD kernels walk these).
+  /// ASM path, SoA planes (every backend walks these).
   /// Plane-major: entry for plane q, row r, column c lives at
-  /// q * rows * cols_padded + r * cols_padded + c.
+  /// q * rows * cols_padded + r * cols_padded + c. A weight's steps
+  /// are packed from plane 0; its first zero-slot entry ends it.
   PlanArray<std::uint32_t> idx;
   PlanArray<std::int64_t> shifts;
   /// Per-weight sign masks, rows × cols_padded (0 or -1).
@@ -221,9 +220,9 @@ struct DenseLayerPlan {
       int rows, int cols, std::vector<std::int32_t> weights,
       std::vector<std::int64_t> biases);
 
-  /// Builds the plan for one ASM layer from the compiled schedule.
-  /// `asm_weights` has rows × cols entries whose steps index `steps`;
-  /// `k` is the bank's alphabet count.
+  /// Builds the plan for one ASM layer from the compiled schedule,
+  /// which it consumes: `asm_weights` has rows × cols entries whose
+  /// steps index `steps`; `k` is the bank's alphabet count.
   [[nodiscard]] static DenseLayerPlan build_asm(
       int rows, int cols, int k, std::vector<AsmWeight> asm_weights,
       std::vector<AsmStep> steps, std::vector<std::int64_t> biases);
@@ -270,15 +269,12 @@ struct ConvLayerPlan {
   /// read element 0 under weight 0.
   PlanArray<std::uint32_t> patch_elems;
 
-  /// ASM path, AoS schedule (the scalar reference walks this).
-  PlanArray<AsmWeight> asm_weights;  ///< oc × cols
-  PlanArray<AsmStep> steps;
-
   /// ASM path, SoA planes, laid out exactly like the dense plan with
   /// rows ≡ oc: entry for plane q, filter r, column c lives at
   /// q · oc · cols_padded + r · cols_padded + c. Offsets index the
   /// lane-major multiples buffer (lane · ic·ih·iw + patch element);
-  /// kernels add the position base oy·iw + ox.
+  /// kernels add the position base oy·iw + ox. Steps are packed from
+  /// plane 0; a weight's first zero_base entry ends it.
   PlanArray<std::uint32_t> idx;
   PlanArray<std::int64_t> shifts;
   /// Per-weight sign masks, oc × cols_padded (0 or -1).
@@ -341,9 +337,9 @@ struct ConvLayerPlan {
       int oc, int ic, int kernel, int ih, int iw,
       std::vector<std::int32_t> weights, std::vector<std::int64_t> biases);
 
-  /// Builds the plan for one ASM conv from the compiled schedule.
-  /// `asm_weights` has oc × ic·K·K entries whose steps index `steps`;
-  /// `k` is the bank's alphabet count.
+  /// Builds the plan for one ASM conv from the compiled schedule,
+  /// which it consumes: `asm_weights` has oc × ic·K·K entries whose
+  /// steps index `steps`; `k` is the bank's alphabet count.
   [[nodiscard]] static ConvLayerPlan build_asm(
       int oc, int ic, int kernel, int ih, int iw, int k,
       std::vector<AsmWeight> asm_weights, std::vector<AsmStep> steps,

@@ -1,11 +1,31 @@
-// The sequential reference: FixedNetwork's original dense inner loops,
-// extracted verbatim onto the DenseLayerPlan's AoS schedule. Every
-// other backend is defined as "bit-identical to this".
+// The sequential reference: FixedNetwork's original dense and conv
+// inner loops — per sample, per row, per weight, summing each step's
+// multiple << shift and then negating — walked over the plan's quartet
+// planes. Every other backend is defined as "bit-identical to this".
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
 
 namespace {
+
+/// One weight's signed product: its steps are packed from plane 0, so
+/// the walk stops at the first entry that reads `absent` (the plan's
+/// zero slot or zero-region base). Step q reads
+/// src[(idx + base) · scale] — `base` is the conv position offset,
+/// `scale` the tile's slot stride.
+template <typename Plan>
+std::int64_t weight_product(const Plan& plan, std::size_t cell,
+                            std::uint32_t absent, const std::int64_t* src,
+                            std::size_t base, std::size_t scale) {
+  const std::size_t stride = plan.plane_stride();
+  std::int64_t product = 0;
+  for (int q = 0; q < plan.planes; ++q) {
+    const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
+    if (plan.idx[pc] == absent) break;
+    product += src[(plan.idx[pc] + base) * scale] << plan.shifts[pc];
+  }
+  return plan.sign_masks[cell] == -1 ? -product : product;
+}
 
 class ScalarBackend final : public KernelBackend {
  public:
@@ -16,7 +36,7 @@ class ScalarBackend final : public KernelBackend {
     return "scalar";
   }
   [[nodiscard]] const char* description() const noexcept override {
-    return "sequential reference (AoS select/shift schedule)";
+    return "sequential reference (per-weight walk of the quartet planes)";
   }
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
@@ -25,18 +45,10 @@ class ScalarBackend final : public KernelBackend {
                         std::int64_t* out) const override {
     for (int o = 0; o < plan.rows; ++o) {
       std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
-      const std::size_t row = static_cast<std::size_t>(o) * plan.cols;
+      const std::size_t row = static_cast<std::size_t>(o) * plan.cols_padded;
       for (int i = 0; i < plan.cols; ++i) {
-        const AsmWeight& w = plan.asm_weights[row + i];
-        if (w.step_count == 0) continue;
-        const std::int64_t* m =
-            &multiples[static_cast<std::size_t>(i) * plan.k];
-        std::int64_t product = 0;
-        for (std::uint8_t s = 0; s < w.step_count; ++s) {
-          const AsmStep& step = plan.steps[w.step_begin + s];
-          product += m[step.lane] << step.shift;
-        }
-        acc += w.negative ? -product : product;
+        acc += weight_product(plan, row + static_cast<std::size_t>(i),
+                              plan.zero_slot, multiples, 0, 1);
       }
       out[o] = acc;
     }
@@ -45,23 +57,15 @@ class ScalarBackend final : public KernelBackend {
   void accumulate_dense_tile(const DenseLayerPlan& plan,
                              const std::int64_t* tile,
                              std::int64_t* out) const override {
-    // The same AoS walk, each slot read at stride kDenseTile.
+    // The same walk, each slot read at stride kDenseTile.
     constexpr std::size_t kTile = kDenseTile;
     for (int o = 0; o < plan.rows; ++o) {
-      const std::size_t row = static_cast<std::size_t>(o) * plan.cols;
+      const std::size_t row = static_cast<std::size_t>(o) * plan.cols_padded;
       for (std::size_t b = 0; b < kTile; ++b) {
         std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
         for (int i = 0; i < plan.cols; ++i) {
-          const AsmWeight& w = plan.asm_weights[row + i];
-          if (w.step_count == 0) continue;
-          const std::int64_t* m =
-              &tile[static_cast<std::size_t>(i) * plan.k * kTile + b];
-          std::int64_t product = 0;
-          for (std::uint8_t s = 0; s < w.step_count; ++s) {
-            const AsmStep& step = plan.steps[w.step_begin + s];
-            product += m[step.lane * kTile] << step.shift;
-          }
-          acc += w.negative ? -product : product;
+          acc += weight_product(plan, row + static_cast<std::size_t>(i),
+                                plan.zero_slot, tile + b, 0, kTile);
         }
         out[static_cast<std::size_t>(o) * kTile + b] = acc;
       }
@@ -88,30 +92,19 @@ class ScalarBackend final : public KernelBackend {
                        std::int64_t* out) const override {
     // The original 6-deep ConvStage reference loop, re-expressed over
     // the plan's patch columns: column c of filter r at position
-    // (oy, ox) reads the lane-major multiples of input element
-    // patch_elems[c] + oy·iw + ox, in the same (ic, ky, kx) order the
-    // hand-rolled loop visited.
+    // (oy, ox) reads its steps' lane-major slots plus oy·iw + ox, in
+    // the same (ic, ky, kx) order the hand-rolled loop visited.
     const std::size_t positions = plan.positions();
-    const std::size_t elems = plan.input_elems();
     for (int r = 0; r < plan.oc; ++r) {
-      const std::size_t row = static_cast<std::size_t>(r) * plan.cols;
+      const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
       for (int oy = 0; oy < plan.oh; ++oy) {
         for (int ox = 0; ox < plan.ow; ++ox) {
           const std::size_t elem_base =
               static_cast<std::size_t>(oy) * plan.iw + ox;
           std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
           for (int c = 0; c < plan.cols; ++c) {
-            const AsmWeight& w = plan.asm_weights[row + c];
-            if (w.step_count == 0) continue;
-            const std::int64_t* m =
-                &multiples[plan.patch_elems[static_cast<std::size_t>(c)] +
-                           elem_base];
-            std::int64_t product = 0;
-            for (std::uint8_t s = 0; s < w.step_count; ++s) {
-              const AsmStep& step = plan.steps[w.step_begin + s];
-              product += m[step.lane * elems] << step.shift;
-            }
-            acc += w.negative ? -product : product;
+            acc += weight_product(plan, row + static_cast<std::size_t>(c),
+                                  plan.zero_base, multiples, elem_base, 1);
           }
           out[static_cast<std::size_t>(r) * positions +
               static_cast<std::size_t>(oy) * plan.ow + ox] = acc;

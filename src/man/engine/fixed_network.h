@@ -261,9 +261,9 @@ class FixedNetwork {
   }
 
  private:
-  // Flattened select/shift schedule: steps_[begin..end) per weight.
-  // Shared with the backend layer (the scalar kernel walks exactly
-  // this representation).
+  // Flattened select/shift schedule: steps[begin..end) per weight —
+  // compile-time input only. compile_plan() hands it to build_asm(),
+  // which turns it into the plan's quartet planes and frees it.
   using AsmWeight = man::backend::AsmWeight;
   using Step = man::backend::AsmStep;
 

@@ -440,7 +440,7 @@ void InferenceServer::dispatch_loop() {
     std::uint64_t batch_ns = 0;
     if (!batch.empty()) {
       const auto started = Clock::now();
-      run_batch(batch, total_samples, tier);
+      run_batch(batch, total_samples, tier, lock);
       batch_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                started)
@@ -448,9 +448,6 @@ void InferenceServer::dispatch_loop() {
     }
     lock.lock();
     if (!batch.empty()) {
-      metrics_.tier_batches[tier] += 1;
-      metrics_.tier_samples[tier] += total_samples;
-      stats_snapshot_ = merged_runner_stats();
       const std::uint64_t per_sample =
           batch_ns / std::max<std::size_t>(total_samples, 1);
       ewma_ns_per_sample_ =
@@ -462,7 +459,8 @@ void InferenceServer::dispatch_loop() {
 }
 
 void InferenceServer::run_batch(std::vector<Pending>& batch,
-                                std::size_t total_samples, std::size_t tier) {
+                                std::size_t total_samples, std::size_t tier,
+                                std::unique_lock<std::mutex>& lock) {
   TierRunner& rung = tiers_[tier];
   const std::size_t in_size = engine_->input_size();
   const std::size_t out_size = engine_->output_size();
@@ -475,31 +473,35 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
   }
 
   std::vector<std::int64_t> raw(total_samples * out_size);
+  std::exception_ptr error;
+  std::string reason = "engine error";
   try {
     rung.runner->run(inputs, raw);
-  } catch (const std::exception& error) {
+  } catch (const std::exception& e) {
+    error = std::current_exception();
+    reason += std::string(": ") + e.what();
+  } catch (...) {
+    error = std::current_exception();
+  }
+
+  // Count the batch and refresh the stats snapshot before any result
+  // is delivered, so stats() read after a result arrives includes it.
+  lock.lock();
+  metrics_.tier_batches[tier] += 1;
+  metrics_.tier_samples[tier] += total_samples;
+  stats_snapshot_ = merged_runner_stats();
+  lock.unlock();
+
+  if (error) {
     // An engine failure is not expressible as a per-request Status
     // beyond "cannot serve": promise holders get the exception (the
     // legacy contract), callback holders a kShutdown result carrying
     // the reason.
-    const std::exception_ptr eptr = std::current_exception();
     for (Pending& pending : batch) {
       if (pending.callback) {
-        pending.callback(
-            make_rejection(Status::kShutdown,
-                           std::string("engine error: ") + error.what()));
+        pending.callback(make_rejection(Status::kShutdown, reason));
       } else {
-        pending.promise.set_exception(eptr);
-      }
-    }
-    return;
-  } catch (...) {
-    const std::exception_ptr eptr = std::current_exception();
-    for (Pending& pending : batch) {
-      if (pending.callback) {
-        pending.callback(make_rejection(Status::kShutdown, "engine error"));
-      } else {
-        pending.promise.set_exception(eptr);
+        pending.promise.set_exception(error);
       }
     }
     return;

@@ -244,8 +244,11 @@ class InferenceServer {
   [[nodiscard]] man::engine::EngineStats merged_runner_stats() const;
 
   void dispatch_loop();
+  /// Runs one micro-batch (called with `lock` released), records it
+  /// in the metrics and the stats snapshot under `lock`, then delivers
+  /// every result — so stats() already counts a delivered result.
   void run_batch(std::vector<Pending>& batch, std::size_t total_samples,
-                 std::size_t tier);
+                 std::size_t tier, std::unique_lock<std::mutex>& lock);
   [[nodiscard]] std::chrono::nanoseconds estimated_delay_locked()
       const noexcept;
 

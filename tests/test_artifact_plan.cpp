@@ -2,7 +2,8 @@
 // to the compiled one through every kernel backend, dense and conv,
 // at both paper weight widths — and every corruption mode (torn
 // file, flipped payload byte, version bump, wrong config key) must be
-// rejected with SerializationError, never served. Also exercises the
+// rejected with SerializationError, never served; so must a plan whose
+// checksum was recomputed over hostile contents. Also exercises the
 // EngineCache disk tier, including fallback from a corrupt artifact
 // to a fresh compile + republish, and the atomic-publish guarantee
 // under an interleaved reader.
@@ -10,11 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,19 +198,23 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
   EXPECT_THROW((void)load_engine(file, "key"), SerializationError);
 }
 
+// Older (e.g. version 1, which still carried the AoS schedule) and
+// newer formats alike.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
   const FixedNetwork engine(compile(make_mlp(3), 8, 4));
   const std::string file = path("engine.plan");
-  save_engine(engine, file, "key");
-  {
-    // The version field sits at byte 8, right after the magic.
-    std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
-    const std::uint32_t future_version = kArtifactVersion + 1;
-    f.seekp(8);
-    f.write(reinterpret_cast<const char*>(&future_version),
-            sizeof future_version);
+  for (const std::uint32_t version :
+       {kArtifactVersion - 1, kArtifactVersion + 1}) {
+    save_engine(engine, file, "key");
+    {
+      // The version field sits at byte 8, right after the magic.
+      std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(8);
+      f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
+    EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
+        << "version " << version;
   }
-  EXPECT_THROW((void)load_engine(file, "key"), SerializationError);
 }
 
 TEST_F(PlanArtifactTest, WrongConfigKeyAndMissingFileRejected) {
@@ -215,6 +224,262 @@ TEST_F(PlanArtifactTest, WrongConfigKeyAndMissingFileRejected) {
   EXPECT_THROW((void)load_engine(file, "key-b"), SerializationError);
   EXPECT_THROW((void)load_engine(path("absent.plan"), "key-a"),
                SerializationError);
+}
+
+/// A saved artifact's bytes, patched in place and written back with a
+/// recomputed payload checksum — so the loader's content checks, not
+/// the checksum, are all that stands between a patch and the kernels.
+class ArtifactBytes {
+ public:
+  explicit ArtifactBytes(const std::string& file) : file_(file) {
+    std::ifstream in(file, std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+
+  /// Offset of the only occurrence of `n` bytes at `pattern`.
+  [[nodiscard]] std::size_t find(const void* pattern, std::size_t n) const {
+    const auto* p = static_cast<const char*>(pattern);
+    const auto at = std::search(bytes_.begin(), bytes_.end(), p, p + n);
+    if (at == bytes_.end() ||
+        std::search(at + 1, bytes_.end(), p, p + n) != bytes_.end()) {
+      throw std::logic_error("field pattern not found exactly once");
+    }
+    return static_cast<std::size_t>(at - bytes_.begin());
+  }
+  template <typename T>
+  [[nodiscard]] std::size_t find(const std::vector<T>& values) const {
+    return find(values.data(), values.size() * sizeof(T));
+  }
+
+  template <typename T>
+  [[nodiscard]] T get(std::size_t at) const {
+    T value;
+    std::memcpy(&value, bytes_.data() + at, sizeof value);
+    return value;
+  }
+  template <typename T>
+  void put(std::size_t at, T value) {
+    std::memcpy(bytes_.data() + at, &value, sizeof value);
+  }
+
+  /// Restamps the checksum (header bytes 32..40) and writes the file.
+  void save() {
+    put<std::uint64_t>(32, man::util::blob_checksum(bytes_.data() + 64,
+                                                    bytes_.size() - 64));
+    std::ofstream(file_, std::ios::binary)
+        .write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  }
+
+ private:
+  std::string file_;
+  std::vector<char> bytes_;
+};
+
+template <typename T>
+std::vector<T> copy_of(const man::backend::PlanArray<T>& array) {
+  return std::vector<T>(array.begin(), array.end());
+}
+
+/// Where the first plan's fields sit in its artifact: the directory's
+/// scalar block (the plan's leading i32/u32 fields, in format order)
+/// and (ASM plans) the plane arrays.
+struct PlanFields {
+  std::size_t scalars = 0;  ///< first geometry field
+  std::size_t planes = 0;   ///< the `planes` field
+  std::size_t zero = 0;     ///< zero_slot / zero_base
+  std::size_t idx = 0;
+  std::size_t shifts = 0;
+  std::size_t signs = 0;
+  std::size_t patch_elems = 0;  ///< conv only
+};
+
+template <typename Plan>
+PlanFields locate(const ArtifactBytes& bytes, const Plan& plan,
+                  std::vector<std::int32_t> geometry) {
+  const std::size_t ints = geometry.size();
+  geometry.push_back(plan.k);
+  geometry.push_back(plan.planes);
+  geometry.push_back(plan.exact ? 1 : 0);
+  PlanFields fields;
+  fields.scalars = bytes.find(geometry);
+  fields.planes = fields.scalars + (ints + 1) * 4;
+  fields.zero = fields.scalars + (ints + 3) * 4;
+  if (!plan.exact) {
+    fields.idx = bytes.find(copy_of(plan.idx));
+    fields.shifts = bytes.find(copy_of(plan.shifts));
+    fields.signs = bytes.find(copy_of(plan.sign_masks));
+  }
+  return fields;
+}
+
+// Loader content checks: each field a kernel or the staging indexes
+// with is patched to a value no compiler emits, the checksum is
+// recomputed, and the load must throw SerializationError. Without the
+// checks, inference on such a plan writes past the multiples buffer
+// (zero slot), reads past a buffer (plane indices, exact patch
+// offsets, pool windows, a conv plan without planes, an alphabet count
+// beyond the bank's), shifts by 64 or by a negative amount (UB), or
+// lets the backends disagree (unpacked steps, sign masks).
+TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
+  using Patch = std::function<void(ArtifactBytes&, const PlanFields&)>;
+  struct Case {
+    const char* label;
+    const FixedNetwork* engine;
+    Patch patch;
+  };
+  const FixedNetwork mlp(compile(make_mlp(8), 8, 4));
+  const FixedNetwork cnn(compile(make_cnn(9), 8, 4));
+  const FixedNetwork cnn_exact(compile(make_cnn(9), 8, 0));
+  const auto& dense = mlp.plans().at(0);
+  const auto& conv = cnn.conv_plans().at(0);
+  const auto k_dense = static_cast<std::uint32_t>(dense.k);
+  const auto k_conv = static_cast<std::uint32_t>(conv.k);
+  // A cell whose weight has a second step: blanking its first makes
+  // the steps unpacked.
+  std::size_t two_step = 0;
+  while (dense.idx[dense.plane_stride() + two_step] == dense.zero_slot) {
+    ++two_step;
+  }
+  ASSERT_LT(two_step, dense.plane_stride());
+  const std::uint64_t elems = conv.input_elems();
+  // A new zero slot (or base) value, moved onto every absent entry too,
+  // so only the alphabet count disagrees with the synapse.
+  const auto rezero = [](ArtifactBytes& b, const PlanFields& f,
+                         std::size_t entries, std::uint32_t old_zero,
+                         std::uint32_t new_zero) {
+    b.put<std::uint32_t>(f.zero, new_zero);
+    for (std::size_t i = 0; i < entries; ++i) {
+      if (b.get<std::uint32_t>(f.idx + i * 4) == old_zero) {
+        b.put<std::uint32_t>(f.idx + i * 4, new_zero);
+      }
+    }
+  };
+
+  const Case cases[] = {
+      {"dense zero slot", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.zero, dense.zero_slot + 1);
+       }},
+      {"dense cols_padded", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int32_t>(f.scalars + 8, dense.cols_padded + 4);
+       }},
+      {"dense alphabet count", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int32_t>(f.planes - 4, dense.k + 1);
+         rezero(b, f, dense.idx.size(), dense.zero_slot,
+                static_cast<std::uint32_t>(dense.cols) * (k_dense + 1));
+       }},
+      {"dense idx past zero slot", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.idx, dense.zero_slot + 1);
+       }},
+      {"dense unpacked steps", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.idx + two_step * 4, dense.zero_slot);
+       }},
+      {"dense shift of 64", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.shifts, 64);
+       }},
+      {"dense negative shift", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.shifts, -1);
+       }},
+      {"dense sign mask", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.signs, 1);
+       }},
+      {"conv zero base", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.zero, conv.zero_base + 1);
+       }},
+      {"conv output width", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int32_t>(f.scalars + 24, conv.ow + 1);
+       }},
+      {"conv alphabet count", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int32_t>(f.planes - 4, conv.k + 1);
+         rezero(b, f, conv.idx.size(), conv.zero_base,
+                static_cast<std::uint32_t>(elems * (k_conv + 1)));
+       }},
+      {"conv idx past zero region", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.idx, conv.zero_base + 1);
+       }},
+      {"conv patch element", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.patch_elems,
+                              static_cast<std::uint32_t>(elems));
+       }},
+      {"exact conv patch element", &cnn_exact,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(f.patch_elems,
+                              static_cast<std::uint32_t>(elems));
+       }},
+      {"conv shift of 64", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.shifts, 64);
+       }},
+      {"conv sign mask", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.signs, 2);
+       }},
+      {"pool rows past its input", &cnn,
+       [&](ArtifactBytes& b, const PlanFields&) {
+         // Tag, c, ih, iw, window, oh, ow of make_cnn's pool; 9 × 1
+         // outputs keep the stage chain's 27 values.
+         const std::int32_t pool[] = {2, 3, 6, 6, 2, 3, 3};
+         const std::size_t at = b.find(pool, sizeof pool);
+         b.put<std::int32_t>(at + 20, 9);
+         b.put<std::int32_t>(at + 24, 1);
+       }},
+      {"conv without planes", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         // planes = 0 and empty idx/shifts arrays: every size agrees.
+         // An array's directory reference is its (offset, count).
+         b.put<std::int32_t>(f.planes, 0);
+         for (const std::size_t at : {f.idx, f.shifts}) {
+           const std::uint64_t ref[2] = {at, conv.idx.size()};
+           b.put<std::uint64_t>(b.find(ref, sizeof ref) + 8, 0);
+         }
+       }},
+  };
+
+  for (const Case& c : cases) {
+    const std::string file = path("hostile.plan");
+    save_engine(*c.engine, file, "key");
+    ArtifactBytes bytes(file);
+    PlanFields fields;
+    if (!c.engine->conv_plans().empty()) {
+      const auto& p = c.engine->conv_plans()[0];
+      fields = locate(bytes, p,
+                      {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols,
+                       p.cols_padded});
+      fields.patch_elems = bytes.find(copy_of(p.patch_elems));
+    } else {
+      const auto& p = c.engine->plans()[0];
+      fields = locate(bytes, p, {p.rows, p.cols, p.cols_padded});
+    }
+    c.patch(bytes, fields);
+    bytes.save();
+    EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
+        << c.label;
+  }
+
+  // The restamp itself is sound: an unpatched round trip still loads
+  // and runs bit-identically.
+  for (const FixedNetwork* engine : {&mlp, &cnn, &cnn_exact}) {
+    const std::string file = path("restamped.plan");
+    save_engine(*engine, file, "key");
+    ArtifactBytes(file).save();
+    const auto pixels = make_pixels(engine->input_size(), 10);
+    EXPECT_EQ(infer_raw(*load_engine(file, "key"), pixels,
+                        backend_for(BackendKind::kScalar)),
+              infer_raw(*engine, pixels, backend_for(BackendKind::kScalar)));
+  }
 }
 
 // Atomic publish: a reader looping over load_engine while a writer

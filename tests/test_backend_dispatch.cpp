@@ -264,12 +264,60 @@ TEST_P(ConvBackendBitIdentity, EveryBackendMatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(PaperWidths, ConvBackendBitIdentity,
                          ::testing::Values(8, 12));
 
+/// A hand-built select/shift schedule. build_asm() consumes a copy;
+/// the test keeps this one, in the array-of-structs layout plans do
+/// not carry, as the independent oracle for the plane walks.
+struct Schedule {
+  std::vector<AsmWeight> weights;
+  std::vector<AsmStep> steps;
+};
+
+/// `count` weights of 0..max_steps random steps over `k` lanes with
+/// shifts below `bits`, random signs; weights where `empty(w)` get no
+/// steps.
+template <typename Empty>
+Schedule random_schedule(std::size_t count, int k, int max_steps, int bits,
+                         Empty empty, man::util::Rng& rng) {
+  Schedule schedule;
+  for (std::size_t i = 0; i < count; ++i) {
+    AsmWeight w;
+    w.step_begin = static_cast<std::uint32_t>(schedule.steps.size());
+    w.step_count = empty(i) ? 0
+                            : static_cast<std::uint8_t>(rng.next_below(
+                                  static_cast<std::uint64_t>(max_steps) + 1));
+    w.negative = rng.next_below(2) == 1;
+    for (int s = 0; s < w.step_count; ++s) {
+      schedule.steps.push_back(
+          AsmStep{static_cast<std::uint8_t>(
+                      rng.next_below(static_cast<std::uint64_t>(k))),
+                  static_cast<std::uint8_t>(
+                      rng.next_below(static_cast<std::uint64_t>(bits)))});
+    }
+    schedule.weights.push_back(w);
+  }
+  return schedule;
+}
+
+/// The AoS walk over weight `w` of `schedule`: Σ m[lane · lane_stride]
+/// << shift over its steps, negated for a negative weight.
+std::int64_t aos_product(const Schedule& schedule, std::size_t w,
+                         const std::int64_t* m, std::size_t lane_stride) {
+  const AsmWeight& weight = schedule.weights[w];
+  std::int64_t product = 0;
+  for (std::uint8_t s = 0; s < weight.step_count; ++s) {
+    const AsmStep& step = schedule.steps[weight.step_begin + s];
+    product += m[step.lane * lane_stride] << step.shift;
+  }
+  return weight.negative ? -product : product;
+}
+
 // kDenseTile samples' worth of signed bank outputs for `plan`, staged
 // per sample (k-strided, zero slot last) and transposed into the
 // sample-minor tile; `expected` gets the scalar per-sample kernel's
-// rows in the tile's output layout.
+// rows in the tile's output layout, checked against the AoS walk over
+// `oracle` when the plan was built from one.
 void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
-                std::vector<std::int64_t>& tile,
+                const Schedule* oracle, std::vector<std::int64_t>& tile,
                 std::vector<std::int64_t>& expected) {
   constexpr std::size_t kTile = kDenseTile;
   const man::core::PrecomputerBank bank(
@@ -293,6 +341,16 @@ void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
     }
     backend_for(BackendKind::kScalar)
         .accumulate_dense(plan, multiples.data(), rows.data());
+    for (int r = 0; oracle != nullptr && r < plan.rows; ++r) {
+      std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+      for (int c = 0; c < plan.cols; ++c) {
+        acc += aos_product(
+            *oracle, static_cast<std::size_t>(r) * plan.cols + c,
+            &multiples[static_cast<std::size_t>(c) * plan.k], 1);
+      }
+      EXPECT_EQ(rows[static_cast<std::size_t>(r)], acc)
+          << "row " << r << " sample " << b;
+    }
     for (std::size_t s = 0; s < multiples.size(); ++s) {
       tile[s * kTile + b] = multiples[s];
     }
@@ -303,10 +361,11 @@ void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
 }
 
 void expect_tile_matches_scalar(const DenseLayerPlan& plan, std::uint64_t seed,
-                                const std::string& label) {
+                                const std::string& label,
+                                const Schedule* oracle = nullptr) {
   std::vector<std::int64_t> tile;
   std::vector<std::int64_t> expected;
-  stage_tile(plan, seed, tile, expected);
+  stage_tile(plan, seed, oracle, tile, expected);
   for (const auto* backend : all_backends()) {
     std::vector<std::int64_t> out(expected.size(), -7);
     backend->accumulate_dense_tile(plan, tile.data(), out.data());
@@ -320,6 +379,8 @@ void expect_tile_matches_scalar(const DenseLayerPlan& plan, std::uint64_t seed,
 // columns: cols % 8 != 0 and a padded tail; one all-zero row; more
 // than one quartet plane) and on hand-built plans with 1-4 planes, so
 // every compile-time plane specialization and the generic loop run.
+// On the hand-built plans the scalar rows also equal the AoS walk over
+// the schedule the plan was built from.
 class DenseTileBitIdentity : public ::testing::TestWithParam<int> {};
 
 TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
@@ -337,48 +398,95 @@ TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
   const DenseLayerPlan& plan = engine.plans()[0];
   ASSERT_GT(plan.planes, 1);
   ASSERT_NE(plan.cols % 8, 0);
-  for (int c = 0; c < plan.cols; ++c) {
-    ASSERT_EQ(plan.asm_weights[2 * 13 + static_cast<std::size_t>(c)]
-                  .step_count,
-              0);
+  for (int q = 0; q < plan.planes; ++q) {
+    for (int c = 0; c < plan.cols; ++c) {
+      ASSERT_EQ(plan.idx[q * plan.plane_stride() +
+                         2 * static_cast<std::size_t>(plan.cols_padded) +
+                         static_cast<std::size_t>(c)],
+                plan.zero_slot);
+    }
   }
   expect_tile_matches_scalar(plan, 31, "bits=" + std::to_string(bits));
 
   for (int max_steps = 1; max_steps <= 4; ++max_steps) {
     constexpr int kRows = 5;
     constexpr int kCols = 11;
-    std::vector<AsmWeight> weights;
-    std::vector<AsmStep> steps;
-    for (int r = 0; r < kRows; ++r) {
-      for (int c = 0; c < kCols; ++c) {
-        AsmWeight w;
-        w.step_begin = static_cast<std::uint32_t>(steps.size());
-        w.step_count = r == 1 ? 0
-                              : static_cast<std::uint8_t>(rng.next_below(
-                                    static_cast<std::uint64_t>(max_steps) + 1));
-        w.negative = rng.next_below(2) == 1;
-        for (int s = 0; s < w.step_count; ++s) {
-          steps.push_back(AsmStep{static_cast<std::uint8_t>(rng.next_below(4)),
-                                  static_cast<std::uint8_t>(rng.next_below(
-                                      static_cast<std::uint64_t>(bits)))});
-        }
-        weights.push_back(w);
-      }
-    }
+    // Row 1 has no steps.
+    const Schedule schedule = random_schedule(
+        kRows * kCols, 4, max_steps, bits,
+        [](std::size_t w) { return w / kCols == 1; }, rng);
     std::vector<std::int64_t> biases(kRows);
     for (auto& b : biases) b = rng.next_in(-1000, 1000);
     const DenseLayerPlan built = DenseLayerPlan::build_asm(
-        kRows, kCols, 4, std::move(weights), std::move(steps),
-        std::move(biases));
+        kRows, kCols, 4, schedule.weights, schedule.steps, biases);
     expect_tile_matches_scalar(
         built, 50 + static_cast<std::uint64_t>(max_steps),
         "bits=" + std::to_string(bits) +
-            " planes=" + std::to_string(built.planes));
+            " planes=" + std::to_string(built.planes),
+        &schedule);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
                          ::testing::Values(8, 12));
+
+// The conv twin of the hand-built dense check: random schedules of up
+// to 1-4 steps per weight (one all-zero filter) on a two-channel 3×3
+// kernel over a non-square input (18 columns, so a padded tail),
+// through every backend's accumulate_conv, against the AoS walk with
+// patch elements computed here rather than read from the plan.
+TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
+  constexpr int kOc = 3;
+  constexpr int kIc = 2;
+  constexpr int kKernel = 3;
+  constexpr int kIh = 6;
+  constexpr int kIw = 9;
+  constexpr int kLanes = 4;
+  constexpr int kCols = kIc * kKernel * kKernel;
+  man::util::Rng rng(610);
+  for (int max_steps = 1; max_steps <= 4; ++max_steps) {
+    const Schedule schedule = random_schedule(
+        kOc * kCols, kLanes, max_steps, 12,
+        [](std::size_t w) { return w / kCols == 2; }, rng);
+    std::vector<std::int64_t> biases(kOc);
+    for (auto& b : biases) b = rng.next_in(-1000, 1000);
+    const ConvLayerPlan plan = ConvLayerPlan::build_asm(
+        kOc, kIc, kKernel, kIh, kIw, kLanes, schedule.weights, schedule.steps,
+        biases);
+    // Lane-major multiples; the zero region stays 0.
+    std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
+    for (std::size_t s = 0; s < plan.zero_base; ++s) {
+      multiples[s] = rng.next_in(-2048, 2047);
+    }
+
+    const std::size_t elems = kIc * kIh * kIw;
+    std::vector<std::int64_t> expected;
+    for (int r = 0; r < kOc; ++r) {
+      for (int oy = 0; oy < plan.oh; ++oy) {
+        for (int ox = 0; ox < plan.ow; ++ox) {
+          std::int64_t acc = biases[static_cast<std::size_t>(r)];
+          for (int c = 0; c < kCols; ++c) {
+            const int channel = c / (kKernel * kKernel);
+            const int ky = c / kKernel % kKernel;
+            const int kx = c % kKernel;
+            const auto elem = static_cast<std::size_t>(
+                (channel * kIh + oy + ky) * kIw + ox + kx);
+            acc += aos_product(schedule,
+                               static_cast<std::size_t>(r) * kCols + c,
+                               &multiples[elem], elems);
+          }
+          expected.push_back(acc);
+        }
+      }
+    }
+    for (const auto* backend : all_backends()) {
+      std::vector<std::int64_t> out(expected.size(), -7);
+      backend->accumulate_conv(plan, multiples.data(), out.data());
+      EXPECT_EQ(out, expected) << "planes=" << plan.planes
+                               << " backend=" << backend->name();
+    }
+  }
+}
 
 TEST(BackendBatchRunner, BackendsAgreeAndStatsRecordTheChoice) {
   EnvGuard guard;

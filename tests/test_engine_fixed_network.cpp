@@ -3,6 +3,7 @@
 // and activity statistics.
 #include <gtest/gtest.h>
 
+#include "man/backend/kernel_backend.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
 #include "man/nn/conv2d.h"
@@ -51,9 +52,21 @@ std::vector<float> random_pixels(std::size_t n, man::util::Rng& rng) {
   return pixels;
 }
 
+/// One sample through `engine` on an explicit kernel backend.
+std::vector<std::int64_t> infer_raw(const FixedNetwork& engine,
+                                    const std::vector<float>& pixels,
+                                    const man::backend::KernelBackend& kernel) {
+  auto scratch = engine.make_scratch();
+  auto stats = engine.make_stats();
+  std::vector<std::int64_t> raw(engine.output_size());
+  engine.infer_into(pixels, raw, stats, scratch, kernel);
+  return raw;
+}
+
 // THE core engine property: with weights projected to an alphabet set,
 // the ASM engine and the conventional engine are BIT-IDENTICAL — all
-// approximation lives in the projection, none in the datapath.
+// approximation lives in the projection, none in the datapath. The ASM
+// engine runs on every kernel backend, the scalar reference included.
 class DatapathEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -76,8 +89,12 @@ TEST_P(DatapathEquivalence, AsmMatchesExactOnProjectedWeights) {
   man::util::Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto pixels = random_pixels(16, rng);
-    EXPECT_EQ(exact.forward_raw(pixels), asm_engine.forward_raw(pixels))
-        << "bits=" << bits << " n=" << n_alphabets;
+    const auto expected = exact.forward_raw(pixels);
+    for (const auto* backend : man::backend::all_backends()) {
+      EXPECT_EQ(infer_raw(asm_engine, pixels, *backend), expected)
+          << "bits=" << bits << " n=" << n_alphabets
+          << " backend=" << backend->name();
+    }
   }
 }
 
@@ -113,7 +130,11 @@ TEST(FixedNetwork, CnnPathsAgreeToo) {
   man::util::Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {
     const auto pixels = random_pixels(64, rng);
-    EXPECT_EQ(exact.forward_raw(pixels), asm_engine.forward_raw(pixels));
+    const auto expected = exact.forward_raw(pixels);
+    for (const auto* backend : man::backend::all_backends()) {
+      EXPECT_EQ(infer_raw(asm_engine, pixels, *backend), expected)
+          << "backend=" << backend->name();
+    }
   }
 }
 
@@ -206,11 +227,23 @@ TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
   const std::uint64_t macs =
       static_cast<std::uint64_t>(conv_plan.oc) * positions * conv_plan.cols;
   man::core::OpCounts expected;
-  for (const auto& w : conv_plan.asm_weights) {
-    expected.selects += w.step_count * positions;
-    expected.shifts += w.step_count * positions;
-    if (w.step_count > 1) expected.adds += (w.step_count - 1) * positions;
-    if (w.negative) expected.negates += positions;
+  // A weight's steps are its plane entries before the first one that
+  // reads the zero region; its sign mask is -1 when it is negative.
+  for (int r = 0; r < conv_plan.oc; ++r) {
+    for (int c = 0; c < conv_plan.cols; ++c) {
+      const std::size_t cell =
+          static_cast<std::size_t>(r) * conv_plan.cols_padded + c;
+      std::uint64_t steps = 0;
+      while (steps < static_cast<std::uint64_t>(conv_plan.planes) &&
+             conv_plan.idx[steps * conv_plan.plane_stride() + cell] !=
+                 conv_plan.zero_base) {
+        ++steps;
+      }
+      expected.selects += steps * positions;
+      expected.shifts += steps * positions;
+      if (steps > 1) expected.adds += (steps - 1) * positions;
+      if (conv_plan.sign_masks[cell] == -1) expected.negates += positions;
+    }
   }
   expected.adds += macs;  // accumulator adds
   const std::uint64_t groups =

@@ -242,6 +242,26 @@ TEST(InferenceServer, PredictionsUseSharedArgmax) {
   EXPECT_EQ(server.stats().inferences, 6u);
 }
 
+// Regression: the dispatcher counts a batch and refreshes the stats
+// snapshot before it delivers the batch's results, so stats() and
+// metrics() read right after a result arrives already include it —
+// every time, not just eventually.
+TEST(InferenceServer, StatsCountEveryDeliveredResult) {
+  const FixedNetwork engine = make_engine(9, 8, 6, 3, AlphabetSet::two());
+  InferenceServer server(engine);
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    InferenceRequest request;
+    request.payload = random_samples(1, engine.input_size(), 60 + i);
+    ASSERT_TRUE(server.submit(std::move(request)).get().ok());
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.inferences, i);
+    EXPECT_EQ(stats.tier, "full");
+    const auto metrics = server.metrics();
+    EXPECT_EQ(metrics.tier_batches.at(0), i);
+    EXPECT_EQ(metrics.tier_samples.at(0), i);
+  }
+}
+
 // Acceptance: two models ("digit" 16->4 and "face" 25->2) served from
 // one process on one shared pool, hammered by concurrent clients with
 // interleaved single-sample and batch requests — every response must
