@@ -1,15 +1,16 @@
 // AVX-512 kernel: 8-wide int64 over the quartet planes — the AVX2
 // backend's structure at twice the vector width (zmm position tiles
-// for conv, 8-lane gathers for one dense sample, two zmm per plan
-// entry for a dense batch tile) plus the deeper register file
-// (32 zmm) that makes taller row tiles profitable, plus lane masking
-// for ragged row tails (no scalar remainder). Bit-identical to
-// the scalar reference for the same reason the AVX2 kernel is: every
-// operation (logical left shift, two's-complement negation, wrapping
-// add) matches the scalar op exactly; only the commutative summation
-// order differs. AVX-512VNNI is deliberately not used: it accelerates
-// int8/int16 dot products, and the CSHM datapath is int64 shift-add —
-// there is no multiply to fuse.
+// for conv, 8-lane gathers for one dense sample, one zmm of 16 int32
+// lanes per plan entry for a dense batch tile) plus the deeper
+// register file (32 zmm) that makes taller row tiles profitable, plus
+// lane masking for ragged row tails (no scalar remainder).
+// Bit-identical to the scalar reference for the same reason the AVX2
+// kernel is: every operation (logical left shift, two's-complement
+// negation, wrapping add) matches the scalar op exactly, the int32
+// tile lanes never leave int32 (int32_tile_bound()), and only the
+// commutative summation order differs. AVX-512VNNI is deliberately
+// not used: it accelerates int8/int16 dot products, and the CSHM
+// datapath is shift-add — there is no multiply to fuse.
 //
 // Compile-time gate: this translation unit is built with -mavx512f
 // -mavx512vl and MAN_HAVE_AVX512 only when the build enables it
@@ -104,16 +105,16 @@ void accumulate_planes_avx512(const DenseLayerPlan& plan,
   }
 }
 
-/// zmm vectors per kDenseTile-sample lane group.
-inline constexpr int kTileVecs512 = kDenseTile / kZmmLanes;
-
-// Batch-tiled dense kernel — dense_tile_avx2 at zmm width (see
-// there for the layout and the Σ(p ^ s) − Σs sign argument): one row
-// at a time, kTileVecs512 zmm accumulators, one scalar idx and one
-// broadcast shift per plan entry driving plain contiguous loads.
+// Batch-tiled dense kernel — dense_tile_avx2 at zmm width (see there
+// for the layout, the Σ(p ^ s) − Σs sign argument and the int32
+// proof): kDenseTile int32 sample lanes are exactly one zmm, so a plan
+// entry is one scalar idx and one uniform shift count driving a single
+// plain load, and each row is one accumulator widened to two int64
+// zmm at the end.
 template <int P>
-void dense_tile_avx512(const DenseLayerPlan& plan, const std::int64_t* tile,
+void dense_tile_avx512(const DenseLayerPlan& plan, const std::int32_t* tile,
                        std::int64_t* out) {
+  static_assert(kDenseTile == 16, "one zmm of int32 lanes per tile");
   const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
@@ -121,45 +122,37 @@ void dense_tile_avx512(const DenseLayerPlan& plan, const std::int64_t* tile,
   const std::int64_t* signs = plan.sign_masks.data();
   for (int r = 0; r < plan.rows; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m512i acc[kTileVecs512];
-    for (int v = 0; v < kTileVecs512; ++v) acc[v] = _mm512_setzero_si512();
+    __m512i acc = _mm512_setzero_si512();
     std::int64_t sign_sum = 0;
     for (int c = 0; c < plan.cols; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m512i product[kTileVecs512];
-      for (int v = 0; v < kTileVecs512; ++v) {
-        product[v] = _mm512_setzero_si512();
-      }
+      __m512i product = _mm512_setzero_si512();
       for (int q = 0; q < planes; ++q) {
         const std::size_t pc = q * stride + cell;
-        const std::int64_t* src = tile + std::size_t{idx[pc]} * kDenseTile;
-        const __m512i sh = _mm512_set1_epi64(shifts[pc]);
-        for (int v = 0; v < kTileVecs512; ++v) {
-          product[v] = _mm512_add_epi64(
-              product[v],
-              _mm512_sllv_epi64(_mm512_loadu_si512(src + v * kZmmLanes), sh));
-        }
+        const std::int32_t* src = tile + std::size_t{idx[pc]} * kDenseTile;
+        const __m512i lanes = _mm512_loadu_si512(src);
+        const __m128i sh = _mm_cvtsi64_si128(shifts[pc]);
+        product = _mm512_add_epi32(product, _mm512_sll_epi32(lanes, sh));
       }
       const std::int64_t sign = signs[cell];
-      const __m512i vsign = _mm512_set1_epi64(sign);
-      for (int v = 0; v < kTileVecs512; ++v) {
-        acc[v] = _mm512_add_epi64(acc[v], _mm512_xor_si512(product[v], vsign));
-      }
+      const __m512i vsign = _mm512_set1_epi32(static_cast<int>(sign));
+      acc = _mm512_add_epi32(acc, _mm512_xor_si512(product, vsign));
       sign_sum += sign;
     }
     const __m512i bias = _mm512_set1_epi64(
         plan.biases[static_cast<std::size_t>(r)] - sign_sum);
     std::int64_t* dst = out + static_cast<std::size_t>(r) * kDenseTile;
-    for (int v = 0; v < kTileVecs512; ++v) {
-      _mm512_storeu_si512(dst + v * kZmmLanes, _mm512_add_epi64(acc[v], bias));
-    }
+    const __m512i lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
+    const __m512i hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc, 1));
+    _mm512_storeu_si512(dst, _mm512_add_epi64(lo, bias));
+    _mm512_storeu_si512(dst + kZmmLanes, _mm512_add_epi64(hi, bias));
   }
 }
 
 /// Plane count → compile-time unrolled plane loop (8- and 12-bit
 /// weights have at most 2 and 3 quartets).
 void accumulate_planes_tile_avx512(const DenseLayerPlan& plan,
-                                   const std::int64_t* tile,
+                                   const std::int32_t* tile,
                                    std::int64_t* out) {
   switch (plan.planes) {
     case 1: dense_tile_avx512<1>(plan, tile, out); break;
@@ -472,7 +465,7 @@ class Avx512Backend final : public KernelBackend {
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int64_t* tile,
+                             const std::int32_t* tile,
                              std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
     if (avx512_) {

@@ -28,7 +28,7 @@ class BlockedBackend final : public KernelBackend {
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int64_t* tile,
+                             const std::int32_t* tile,
                              std::int64_t* out) const override {
     accumulate_planes_tile(plan, tile, out);
   }

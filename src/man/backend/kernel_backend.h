@@ -64,16 +64,21 @@ class KernelBackend {
                                 std::int64_t* out) const = 0;
 
   /// accumulate_dense over a tile of kDenseTile samples at once, laid
-  /// out sample-minor: slot s of sample b lives at tile[s·kDenseTile +
-  /// b] (plan.padded_multiples() × kDenseTile values; the zero slot's
-  /// kDenseTile lanes must be 0), and row r of sample b lands at
-  /// out[r·kDenseTile + b]. Each plan entry is read once per tile and
-  /// drives kDenseTile contiguous lanes, so the plan indices stay
-  /// unchanged (the kernel scales them by kDenseTile) and vector
-  /// kernels use plain loads where the per-sample kernel gathers.
+  /// out sample-minor in int32 lanes: slot s of sample b lives at
+  /// tile[s·kDenseTile + b] (plan.padded_multiples() × kDenseTile
+  /// values; the zero slot's kDenseTile lanes must be 0), and row r of
+  /// sample b lands at out[r·kDenseTile + b]. Each plan entry is read
+  /// once per tile and drives kDenseTile contiguous lanes — one zmm or
+  /// two ymm — so the plan indices stay unchanged (the kernel scales
+  /// them by kDenseTile) and vector kernels use plain loads where the
+  /// per-sample kernel gathers. Products and Σ (p ^ sign) accumulate in
+  /// int32; each row is widened to int64 before the bias and −Σ sign
+  /// are added. Callers must hold int32_tile_bound(plan, ...) ≤
+  /// INT32_MAX for the staged inputs (FixedNetwork tiles only such
+  /// plans); the scalar reference accumulates in int64 regardless.
   /// Bit-identical to kDenseTile accumulate_dense calls.
   virtual void accumulate_dense_tile(const DenseLayerPlan& plan,
-                                     const std::int64_t* tile,
+                                     const std::int32_t* tile,
                                      std::int64_t* out) const = 0;
 
   /// Conventional exact dense stage:

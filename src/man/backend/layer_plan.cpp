@@ -1,5 +1,6 @@
 #include "man/backend/layer_plan.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -68,6 +69,54 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
     }
   }
   return plan;
+}
+
+std::int64_t int32_tile_bound(const DenseLayerPlan& plan,
+                              std::span<const std::uint8_t> alphabets) {
+  constexpr std::int64_t kMax = kInt32TileOverflow - 1;
+  const auto k = static_cast<std::size_t>(plan.k);
+  if (plan.exact || !plan.has_input_range() || k < 1 || alphabets.size() != k ||
+      plan.in_min_raw < -kMax || plan.in_max_raw > kMax) {
+    return kInt32TileOverflow;
+  }
+  const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);
+  // X · a(slot) for every staged slot, the zero slot's 0 last.
+  std::vector<std::int64_t> staged(plan.padded_multiples(), 0);
+  std::int64_t bound = 0;
+  for (std::size_t slot = 0; slot < plan.zero_slot; ++slot) {
+    staged[slot] = x * alphabets[slot % k];
+    bound = std::max(bound, staged[slot]);
+  }
+  if (bound > kMax) return kInt32TileOverflow;
+
+  // Row sums: one per negative weight, then plane by plane, so each
+  // plane streams once.
+  const std::size_t stride = plan.plane_stride();
+  std::vector<std::int64_t> sums(static_cast<std::size_t>(plan.rows), 0);
+  for (std::size_t r = 0; r < sums.size(); ++r) {
+    for (int c = 0; c < plan.cols; ++c) {
+      sums[r] += plan.sign_masks[r * plan.cols_padded + c] != 0 ? 1 : 0;
+    }
+  }
+  for (std::size_t q = 0; q < static_cast<std::size_t>(plan.planes); ++q) {
+    for (std::size_t r = 0; r < sums.size(); ++r) {
+      const std::size_t row = q * stride + r * plan.cols_padded;
+      for (int c = 0; c < plan.cols; ++c) {
+        const std::size_t pc = row + static_cast<std::size_t>(c);
+        const std::int64_t shift = plan.shifts[pc];
+        const std::uint32_t slot = plan.idx[pc];
+        // The tile kernels shift every entry, the zero slot's too.
+        if (shift < 0 || shift > 30 || slot > plan.zero_slot ||
+            staged[slot] > (kMax >> shift)) {
+          return kInt32TileOverflow;
+        }
+        sums[r] += staged[slot] << shift;
+      }
+      if (sums[r] > kMax) return kInt32TileOverflow;
+    }
+  }
+  for (const std::int64_t sum : sums) bound = std::max(bound, sum);
+  return bound;
 }
 
 namespace {

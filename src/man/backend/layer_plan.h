@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -133,9 +134,14 @@ struct AsmWeight {
 inline constexpr int kLaneWidth = 4;
 
 /// Samples per batch tile of the dense tile kernels
-/// (KernelBackend::accumulate_dense_tile): every plan entry is read
-/// once per tile and applied to this many contiguous int64 lanes —
-/// two zmm or four ymm vectors. A fixed constant, not a knob.
+/// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
+/// slot s of sample b sits at tile[s·kDenseTile + b] as an int32
+/// (int32_tile_bound() proves the plan's sums fit), so every plan
+/// entry is read once per tile and applied to kDenseTile contiguous
+/// lanes — one zmm, two ymm, one 64-byte line. Rows come out int64 at
+/// out[r·kDenseTile + b]. A fixed constant, not a knob: serving
+/// micro-batches shard into 16-sample ranges, which a wider tile
+/// would stop tiling.
 inline constexpr int kDenseTile = 16;
 
 /// Largest register-blocking tile the vectorized conv kernels
@@ -227,6 +233,26 @@ struct DenseLayerPlan {
       int rows, int cols, int k, std::vector<AsmWeight> asm_weights,
       std::vector<AsmStep> steps, std::vector<std::int64_t> biases);
 };
+
+/// What int32_tile_bound() saturates at: one past INT32_MAX.
+inline constexpr std::int64_t kInt32TileOverflow = std::int64_t{1} << 31;
+
+/// The no-overflow proof behind the int32 batch-tile kernels
+/// (KernelBackend::accumulate_dense_tile). Lane l of the stage's bank
+/// stages alphabets[l] · x, so slot idx holds a(idx) · x with
+/// a(idx) = alphabets[idx % k] (the zero slot holds 0), and every
+/// input x lies in the staging window, |x| ≤ X = max(|in_min_raw|,
+/// |in_max_raw|). Row r's bound is
+///   B_r = Σ_c Σ_q X · a(idx) << shift  +  (negative weights in row r).
+/// Every shifted multiple, weight product p and partial Σ (p ^ sign)
+/// of row r lies in [-B_r, B_r] (p ^ -1 = -p - 1 adds at most one per
+/// negative weight). Returns the largest B_r, or X · a when a staged
+/// slot is larger, saturated at kInt32TileOverflow; exact plans, plans
+/// without a staging window and shifts outside [0, 30] give
+/// kInt32TileOverflow. A plan fits int32 lanes when the result is at
+/// most INT32_MAX. O(plan entries); derived, never serialized.
+[[nodiscard]] std::int64_t int32_tile_bound(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 
 /// Self-contained plan for one valid-padding stride-1 conv stage —
 /// the dense plan generalized by one degree of freedom: the filter

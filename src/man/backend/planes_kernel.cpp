@@ -15,11 +15,13 @@ namespace {
 constexpr int kConvTile = 64;
 
 /// accumulate_planes_tile for a compile-time plane count (P > 0; 0
-/// reads the plan's). The fixed-width inner loops are what the
-/// auto-vectorizer turns into plain vector loads. The column padding
-/// is skipped (it reads the zero slot under sign 0).
+/// reads the plan's). The fixed-width int32 inner loops are what the
+/// auto-vectorizer turns into plain vector loads and uniform shifts.
+/// The column padding is skipped (it reads the zero slot under sign
+/// 0), and the sign is applied as Σ (p ^ s) − Σ s, the second term a
+/// per-row scalar added after widening.
 template <int P>
-void planes_tile(const DenseLayerPlan& plan, const std::int64_t* tile,
+void planes_tile(const DenseLayerPlan& plan, const std::int32_t* tile,
                  std::int64_t* out) {
   constexpr std::size_t kTile = kDenseTile;
   const int planes = P > 0 ? P : plan.planes;
@@ -29,26 +31,25 @@ void planes_tile(const DenseLayerPlan& plan, const std::int64_t* tile,
   const std::int64_t* signs = plan.sign_masks.data();
   for (int r = 0; r < plan.rows; ++r) {
     const std::size_t base = static_cast<std::size_t>(r) * plan.cols_padded;
-    std::int64_t acc[kTile];
-    for (std::size_t b = 0; b < kTile; ++b) {
-      acc[b] = plan.biases[static_cast<std::size_t>(r)];
-    }
+    std::int32_t acc[kTile] = {};
+    std::int64_t sign_sum = 0;
     for (int c = 0; c < plan.cols; ++c) {
       const std::size_t cell = base + static_cast<std::size_t>(c);
-      std::int64_t product[kTile] = {};
+      std::int32_t product[kTile] = {};
       for (int q = 0; q < planes; ++q) {
         const std::size_t pc = q * stride + cell;
-        const std::int64_t* src = tile + std::size_t{idx[pc]} * kTile;
-        const std::int64_t sh = shifts[pc];
+        const std::int32_t* src = tile + std::size_t{idx[pc]} * kTile;
+        const auto sh = static_cast<int>(shifts[pc]);
         for (std::size_t b = 0; b < kTile; ++b) product[b] += src[b] << sh;
       }
-      const std::int64_t sign = signs[cell];
-      for (std::size_t b = 0; b < kTile; ++b) {
-        acc[b] += (product[b] ^ sign) - sign;
-      }
+      const auto sign = static_cast<std::int32_t>(signs[cell]);
+      for (std::size_t b = 0; b < kTile; ++b) acc[b] += product[b] ^ sign;
+      sign_sum += sign;
     }
+    const std::int64_t bias =
+        plan.biases[static_cast<std::size_t>(r)] - sign_sum;
     for (std::size_t b = 0; b < kTile; ++b) {
-      out[static_cast<std::size_t>(r) * kTile + b] = acc[b];
+      out[static_cast<std::size_t>(r) * kTile + b] = bias + acc[b];
     }
   }
 }
@@ -79,7 +80,7 @@ void accumulate_planes(const DenseLayerPlan& plan,
 }
 
 void accumulate_planes_tile(const DenseLayerPlan& plan,
-                            const std::int64_t* tile, std::int64_t* out) {
+                            const std::int32_t* tile, std::int64_t* out) {
   // 8- and 12-bit weights have at most 2 and 3 quartets; a fixed plane
   // count unrolls the plane loop.
   switch (plan.planes) {

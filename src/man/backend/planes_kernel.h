@@ -29,10 +29,11 @@ void accumulate_planes(const DenseLayerPlan& plan,
                        const std::int64_t* multiples, std::int64_t* out);
 
 /// Batch-tiled plane walk (accumulate_dense_tile): the same per-entry
-/// arithmetic as accumulate_planes, applied to kDenseTile contiguous
-/// sample lanes at tile + idx·kDenseTile.
+/// arithmetic as accumulate_planes on kDenseTile contiguous int32
+/// sample lanes at tile + idx·kDenseTile, each row widened to int64
+/// for the bias.
 void accumulate_planes_tile(const DenseLayerPlan& plan,
-                            const std::int64_t* tile, std::int64_t* out);
+                            const std::int32_t* tile, std::int64_t* out);
 
 /// Exact dense with kLaneWidth independent accumulators per row (the
 /// blocked shape; integer addition commutes, so the result is

@@ -8,21 +8,22 @@ namespace man::backend::detail {
 
 namespace {
 
-/// One weight's signed product: its steps are packed from plane 0, so
-/// the walk stops at the first entry that reads `absent` (the plan's
-/// zero slot or zero-region base). Step q reads
-/// src[(idx + base) · scale] — `base` is the conv position offset,
-/// `scale` the tile's slot stride.
-template <typename Plan>
+/// One weight's signed product, in int64 whatever the slot width: its
+/// steps are packed from plane 0, so the walk stops at the first entry
+/// that reads `absent` (the plan's zero slot or zero-region base).
+/// Step q reads src[(idx + base) · scale] — `base` is the conv
+/// position offset, `scale` the tile's slot stride.
+template <typename Plan, typename Slot>
 std::int64_t weight_product(const Plan& plan, std::size_t cell,
-                            std::uint32_t absent, const std::int64_t* src,
+                            std::uint32_t absent, const Slot* src,
                             std::size_t base, std::size_t scale) {
   const std::size_t stride = plan.plane_stride();
   std::int64_t product = 0;
   for (int q = 0; q < plan.planes; ++q) {
     const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
     if (plan.idx[pc] == absent) break;
-    product += src[(plan.idx[pc] + base) * scale] << plan.shifts[pc];
+    product += std::int64_t{src[(plan.idx[pc] + base) * scale]}
+               << plan.shifts[pc];
   }
   return plan.sign_masks[cell] == -1 ? -product : product;
 }
@@ -55,9 +56,10 @@ class ScalarBackend final : public KernelBackend {
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int64_t* tile,
+                             const std::int32_t* tile,
                              std::int64_t* out) const override {
-    // The same walk, each slot read at stride kDenseTile.
+    // The same walk, each int32 slot read at stride kDenseTile and
+    // accumulated in int64 — the oracle needs no overflow proof.
     constexpr std::size_t kTile = kDenseTile;
     for (int o = 0; o < plan.rows; ++o) {
       const std::size_t row = static_cast<std::size_t>(o) * plan.cols_padded;

@@ -1,10 +1,12 @@
 // Explicit SIMD kernel: 4-wide int64 AVX2 over the quartet planes —
-// gather the selected pre-computer multiples (or, for a dense batch
-// tile, load each entry's contiguous sample lanes), variable-shift them
-// into place, apply the sign masks with xor/sub, accumulate. Bit-identical
-// to the scalar reference because every operation (logical left shift,
-// two's-complement negation, wrapping add) matches the scalar op
-// exactly; only the (commutative) summation order differs.
+// gather the selected pre-computer multiples, variable-shift them into
+// place, apply the sign masks with xor/sub, accumulate; a dense batch
+// tile instead loads each entry's contiguous int32 sample lanes, 8 per
+// ymm. Bit-identical to the scalar reference because every operation
+// (logical left shift, two's-complement negation, wrapping add)
+// matches the scalar op exactly — on the int32 tile lanes because
+// int32_tile_bound() proves no value leaves int32 — and only the
+// (commutative) summation order differs.
 //
 // Compile-time gate: this translation unit is built with -mavx2 and
 // MAN_HAVE_AVX2 only when the build enables it (MAN_ENABLE_AVX2, on by
@@ -74,19 +76,23 @@ void accumulate_planes_avx2(const DenseLayerPlan& plan,
   }
 }
 
-/// ymm vectors per kDenseTile-sample lane group.
-inline constexpr int kTileVecs = kDenseTile / kLaneWidth;
+/// int32 lanes of one ymm vector, and ymm vectors per
+/// kDenseTile-sample tile.
+inline constexpr int kYmmInt32Lanes = 8;
+inline constexpr int kTileVecs = kDenseTile / kYmmInt32Lanes;
 
-// Batch-tiled dense kernel: one row at a time, its kDenseTile sample
-// lanes in kTileVecs ymm accumulators. A plan entry is one scalar idx
-// plus one broadcast shift driving kTileVecs contiguous loads from the
-// sample-minor tile — no gather. The sign is applied as Σ(p ^ s) − Σs:
-// (p ^ s) − s summed over the columns is exactly that in wrapping
-// arithmetic, and Σs is a per-row scalar, so each weight costs an xor
-// and an add per vector instead of three ops. P > 0 fixes the plane
-// count at compile time so the plane loop unrolls.
+// Batch-tiled dense kernel: one row at a time, its kDenseTile int32
+// sample lanes in kTileVecs ymm accumulators. A plan entry is one
+// scalar idx plus one uniform shift count driving kTileVecs contiguous
+// loads from the sample-minor tile — no gather. The sign is applied as
+// Σ(p ^ s) − Σs: (p ^ s) − s summed over the columns is exactly that,
+// and Σs is a per-row scalar, so each weight costs an xor and an add
+// per vector instead of three ops. int32_tile_bound() proves no lane
+// sum leaves int32; the row is widened to int64 before the bias and
+// −Σs are added. P > 0 fixes the plane count at compile time so the
+// plane loop unrolls.
 template <int P>
-void dense_tile_avx2(const DenseLayerPlan& plan, const std::int64_t* tile,
+void dense_tile_avx2(const DenseLayerPlan& plan, const std::int32_t* tile,
                      std::int64_t* out) {
   const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
@@ -106,16 +112,16 @@ void dense_tile_avx2(const DenseLayerPlan& plan, const std::int64_t* tile,
         const std::size_t pc = q * stride + cell;
         const auto* src = reinterpret_cast<const __m256i*>(
             tile + std::size_t{idx[pc]} * kDenseTile);
-        const __m256i sh = _mm256_set1_epi64x(shifts[pc]);
+        const __m128i sh = _mm_cvtsi64_si128(shifts[pc]);
         for (int v = 0; v < kTileVecs; ++v) {
-          product[v] = _mm256_add_epi64(
-              product[v], _mm256_sllv_epi64(_mm256_loadu_si256(src + v), sh));
+          product[v] = _mm256_add_epi32(
+              product[v], _mm256_sll_epi32(_mm256_loadu_si256(src + v), sh));
         }
       }
       const std::int64_t sign = signs[cell];
-      const __m256i vsign = _mm256_set1_epi64x(sign);
+      const __m256i vsign = _mm256_set1_epi32(static_cast<int>(sign));
       for (int v = 0; v < kTileVecs; ++v) {
-        acc[v] = _mm256_add_epi64(acc[v], _mm256_xor_si256(product[v], vsign));
+        acc[v] = _mm256_add_epi32(acc[v], _mm256_xor_si256(product[v], vsign));
       }
       sign_sum += sign;
     }
@@ -124,7 +130,11 @@ void dense_tile_avx2(const DenseLayerPlan& plan, const std::int64_t* tile,
     auto* dst = reinterpret_cast<__m256i*>(
         out + static_cast<std::size_t>(r) * kDenseTile);
     for (int v = 0; v < kTileVecs; ++v) {
-      _mm256_storeu_si256(dst + v, _mm256_add_epi64(acc[v], bias));
+      const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[v]));
+      const __m128i upper = _mm256_extracti128_si256(acc[v], 1);
+      const __m256i hi = _mm256_cvtepi32_epi64(upper);
+      _mm256_storeu_si256(dst + 2 * v, _mm256_add_epi64(lo, bias));
+      _mm256_storeu_si256(dst + 2 * v + 1, _mm256_add_epi64(hi, bias));
     }
   }
 }
@@ -132,7 +142,7 @@ void dense_tile_avx2(const DenseLayerPlan& plan, const std::int64_t* tile,
 /// Plane count → compile-time unrolled plane loop (8- and 12-bit
 /// weights have at most 2 and 3 quartets).
 void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
-                                 const std::int64_t* tile, std::int64_t* out) {
+                                 const std::int32_t* tile, std::int64_t* out) {
   switch (plan.planes) {
     case 1: dense_tile_avx2<1>(plan, tile, out); break;
     case 2: dense_tile_avx2<2>(plan, tile, out); break;
@@ -368,7 +378,7 @@ class SimdBackend final : public KernelBackend {
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int64_t* tile,
+                             const std::int32_t* tile,
                              std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
     if (avx2_) {

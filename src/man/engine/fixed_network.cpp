@@ -92,27 +92,30 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
 // lane l of that element lands at multiples[(i·k + l)·T + b], so the
 // T sample lanes of one plan slot sit contiguously — the layout
 // accumulate_dense_tile reads. Same flat-table lookups as the
-// per-sample path, hence the same bank outputs.
+// per-sample path, hence the same bank outputs; the slots are int32,
+// which int32_tile_bound() proves every tiled stage's multiples fit.
 void stage_multiples_tile(std::span<const std::int64_t> values, std::size_t k,
                           man::core::PrecomputerCache& cache,
-                          std::int64_t* multiples) {
+                          std::int32_t* multiples) {
   constexpr std::size_t kTile = man::backend::kDenseTile;
   OpCounts discard;
   const std::size_t elements = values.size() / kTile;
   for (std::size_t i = 0; i < elements; ++i) {
-    std::int64_t* dest = multiples + i * k * kTile;
+    std::int32_t* dest = multiples + i * k * kTile;
     for (std::size_t b = 0; b < kTile; ++b) {
       const std::int64_t* row = cache.lookup(values[i * kTile + b], discard);
-      for (std::size_t l = 0; l < k; ++l) dest[l * kTile + b] = row[l];
+      for (std::size_t l = 0; l < k; ++l) {
+        dest[l * kTile + b] = static_cast<std::int32_t>(row[l]);
+      }
     }
   }
 }
 
-// int64 slots per 64-byte cache line, and how many slots past `p` the
+// int32 slots per 64-byte cache line, and how many slots past `p` the
 // next line starts.
-constexpr std::size_t kLineSlots = 64 / sizeof(std::int64_t);
-std::size_t line_offset(const std::int64_t* p) {
-  const auto slot = reinterpret_cast<std::uintptr_t>(p) / sizeof(std::int64_t);
+constexpr std::size_t kLineSlots = 64 / sizeof(std::int32_t);
+std::size_t line_offset(const std::int32_t* p) {
+  const auto slot = reinterpret_cast<std::uintptr_t>(p) / sizeof(std::int32_t);
   return (kLineSlots - slot % kLineSlots) % kLineSlots;
 }
 
@@ -199,6 +202,7 @@ FixedNetwork::FixedNetwork(man::nn::Network& network,
 
   link_stages();
   compile_plan();
+  plan_tile();
   default_kernel_ = &man::backend::resolve();
 }
 
@@ -236,16 +240,37 @@ void FixedNetwork::link_stages() {
     }
   }
   output_size_ = current;
+}
 
-  // Where a batch tile forms: the first ASM dense stage of the longest
-  // trailing run of ASM dense and LUT stages (the MLP's whole network,
-  // LeNet's fully connected tail). Exact stages and everything before
-  // the run stay per sample.
+bool FixedNetwork::input_in_window(std::size_t stage_index) const {
+  // Quantized pixels and LUT outputs are activation-format values;
+  // a pool averages its inputs, so it keeps them in range; dense and
+  // conv stages emit raw product-scale accumulators.
+  if (stage_index == 0) return true;
+  const Stage& prev = stages_[stage_index - 1];
+  if (std::holds_alternative<LutStage>(prev)) return true;
+  return std::holds_alternative<PoolStage>(prev) &&
+         input_in_window(stage_index - 1);
+}
+
+void FixedNetwork::plan_tile() {
+  // Where a batch tile forms: the first dense stage of the longest
+  // trailing run of LUT stages and ASM dense stages whose plans fit
+  // int32 lanes (the MLP's whole network, LeNet's fully connected
+  // tail; exact plans never fit). The proof assumes every input lies
+  // in the staging window, so a dense stage fed raw accumulators ends
+  // the run too. Everything before the run stays per sample on the
+  // int64 kernels.
   tile_begin_ = stages_.size();
   for (std::size_t i = stages_.size(); i-- > 0;) {
     const auto* dense = std::get_if<DenseStage>(&stages_[i]);
-    if (dense != nullptr &&
-        dense->synapse.scheme.multiplier != MultiplierKind::kExact) {
+    if (dense != nullptr) {
+      const auto& plan = plans_[static_cast<std::size_t>(dense->plan_index)];
+      const std::int64_t bound = man::backend::int32_tile_bound(
+          plan, dense->synapse.bank.alphabet_set().alphabets());
+      if (bound >= man::backend::kInt32TileOverflow || !input_in_window(i)) {
+        break;
+      }
       tile_begin_ = i;
     } else if (!std::holds_alternative<LutStage>(stages_[i])) {
       break;
@@ -366,8 +391,25 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
     throw std::invalid_argument(
         "FixedNetwork: plan count disagrees with stage descriptors");
   }
+  // compile_plan() gives every plan the activation format's window;
+  // the int32 tile proof bounds the staged inputs by it.
+  const auto window = staging_window();
+  const auto check_window = [&](std::int64_t in_min, std::int64_t in_max) {
+    if (in_min != window.first || in_max != window.second) {
+      throw std::invalid_argument(
+          "FixedNetwork: plan staging window disagrees with the activation "
+          "format");
+    }
+  };
+  for (const auto& plan : plans_) {
+    check_window(plan.in_min_raw, plan.in_max_raw);
+  }
+  for (const auto& plan : conv_plans_) {
+    check_window(plan.in_min_raw, plan.in_max_raw);
+  }
 
   link_stages();
+  plan_tile();
   // Plans saved on a host without live vector backends arrive with
   // untuned tiles; finish the pick here (no-op when already tuned,
   // exact, or tiny).
@@ -840,13 +882,14 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
   for (std::size_t si = tile_begin_; si < stages_.size(); ++si) {
     const Stage& stage = stages_[si];
     if (const auto* dense = std::get_if<DenseStage>(&stage)) {
-      // Every dense stage from tile_begin_ on is ASM (link_stages).
+      // Every dense stage from tile_begin_ on is ASM and fits int32
+      // lanes (plan_tile).
       const man::backend::DenseLayerPlan& plan =
           plans_[static_cast<std::size_t>(dense->plan_index)];
       // The tile starts on a cache line (the buffer carries the slack),
-      // so no vector load of a slot's lanes straddles two lines.
-      std::vector<std::int64_t>& buffer = scratch.multiples;
-      std::int64_t* multiples = nullptr;
+      // so each slot's kDenseTile int32 lanes are exactly one line.
+      std::vector<std::int32_t>& buffer = scratch.tile_multiples;
+      std::int32_t* multiples = nullptr;
       timed_phase(profile, &PhaseProfile::staging_s, [&] {
         buffer.resize(plan.padded_multiples() * kTile + kLineSlots - 1);
         multiples = buffer.data() + line_offset(buffer.data());

@@ -168,6 +168,9 @@ class FixedNetwork {
     /// (element i of sample b at [i·kDenseTile + b]); see infer_batch.
     std::vector<std::int64_t> tile;
     std::vector<std::int64_t> tile_next;
+    /// A tile stage's bank outputs, sample-minor in int32 lanes (slot s
+    /// of sample b at [s·kDenseTile + b], from a cache-line boundary).
+    std::vector<std::int32_t> tile_multiples;
     /// Output staging for callers that loop infer_into per sample
     /// (e.g. BatchRunner's Example path) without re-allocating.
     std::vector<std::int64_t> raw_out;
@@ -205,12 +208,12 @@ class FixedNetwork {
   /// Forward pass over `pixels.size() / input_size()` samples stored
   /// contiguously, writing each sample's accumulators to its slot of
   /// `out` (count × output_size()); infer_into() is its one-sample
-  /// case. Stages before the network's trailing run of ASM dense and
-  /// LUT stages run one sample at a time. When that run exists, every
-  /// full tile of kDenseTile samples is staged sample-minor into
-  /// scratch.tile and runs the run on accumulate_dense_tile; the
-  /// count % kDenseTile remainder runs per sample. Outputs and stats
-  /// are bit-identical to `count` infer_into() calls.
+  /// case. Stages before tile_begin() run one sample at a time. When
+  /// a tile forms, every full tile of kDenseTile samples is staged
+  /// sample-minor into scratch.tile and runs the remaining stages on
+  /// the int32 accumulate_dense_tile; the count % kDenseTile remainder
+  /// runs per sample. Outputs and stats are bit-identical to `count`
+  /// infer_into() calls.
   void infer_batch(std::span<const float> pixels, std::span<std::int64_t> out,
                    EngineStats& stats, InferScratch& scratch,
                    const man::backend::KernelBackend& kernel) const;
@@ -252,6 +255,12 @@ class FixedNetwork {
       const noexcept {
     return conv_plans_;
   }
+
+  /// First stage of the batch tile: the start of the trailing run of
+  /// LUT stages and ASM dense stages whose plans fit int32 lanes
+  /// (man::backend::int32_tile_bound) and whose inputs lie in the
+  /// staging window; the stage count when no tile forms.
+  [[nodiscard]] std::size_t tile_begin() const noexcept { return tile_begin_; }
 
   /// The kernel backend infer_into() uses when none is passed
   /// explicitly (resolved once at construction).
@@ -316,6 +325,12 @@ class FixedNetwork {
   /// that consecutive stages agree on activation counts and records
   /// input_size_/output_size_.
   void link_stages();
+  /// Sets tile_begin_/tile_synapse_begin_ from the compiled plans
+  /// (both constructors, once the plans exist).
+  void plan_tile();
+  /// True when stage `stage_index`'s inputs are activation-format
+  /// values: quantized pixels, LUT outputs, or pools of those.
+  [[nodiscard]] bool input_in_window(std::size_t stage_index) const;
   [[nodiscard]] const SynapseData& synapse_at(std::size_t stage_index) const;
 
   /// Adds `samples` inferences' worth of one synapse stage's static
@@ -354,7 +369,7 @@ class FixedNetwork {
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
   /// First stage of the batch tile (stages_.size() when no tile forms)
-  /// and the synapse index it starts at; set by link_stages().
+  /// and the synapse index it starts at; set by plan_tile().
   std::size_t tile_begin_ = 0;
   std::size_t tile_synapse_begin_ = 0;
   EngineStats stats_;

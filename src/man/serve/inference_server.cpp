@@ -33,22 +33,6 @@ InferenceResult make_rejection(Status status, std::string message,
 
 }  // namespace
 
-ServeConfig ServerOptions::to_config() const {
-  ServeConfig config;
-  config.max_batch = max_batch;
-  config.max_wait = max_wait;
-  config.workers = batch.workers;
-  config.min_samples_per_worker = batch.min_samples_per_worker;
-  config.backend = batch.backend;
-  config.pool = batch.pool;
-  // The legacy API had no admission control; keep its queue
-  // effectively unbounded (but still >= max_batch so validate()
-  // holds for huge legacy max_batch settings).
-  config.queue_capacity = std::max<std::size_t>(std::size_t{1} << 20,
-                                                max_batch);
-  return config;
-}
-
 void InferenceServer::Pending::deliver(InferenceResult&& result) {
   if (callback) {
     callback(std::move(result));
@@ -158,10 +142,6 @@ std::size_t InferenceServer::pick_tier(std::chrono::nanoseconds estimated_delay,
   return std::max(tier, floor_tier);
 }
 
-InferenceServer::InferenceServer(const man::engine::FixedNetwork& engine,
-                                 const ServerOptions& options)
-    : InferenceServer(engine, options.to_config()) {}
-
 InferenceServer::~InferenceServer() { shutdown(); }
 
 bool InferenceServer::try_enqueue(Pending&& pending,
@@ -267,51 +247,6 @@ void InferenceServer::submit_async(InferenceRequest request,
     // success.
     pending.callback(std::move(rejection));
   }
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    std::vector<float> pixels, Clock::time_point deadline) {
-  const std::size_t in_size = engine_->input_size();
-  if (pixels.empty()) {
-    throw std::invalid_argument("InferenceServer: empty request");
-  }
-  if (pixels.size() % in_size != 0) {
-    throw std::invalid_argument(
-        "InferenceServer: request of " + std::to_string(pixels.size()) +
-        " floats is not a whole number of " + std::to_string(in_size) +
-        "-pixel samples");
-  }
-
-  Pending pending;
-  const auto now = Clock::now();
-  pending.count = pixels.size() / in_size;
-  pending.pixels = std::move(pixels);
-  // Legacy semantics: the deadline is a flush hint only (an expired
-  // one means "flush now", the request is still served) — so it
-  // becomes flush_at and the hard deadline stays unset.
-  pending.flush_at = deadline;
-  pending.hard_deadline = Clock::time_point::max();
-  pending.enqueued_at = now;
-  std::future<InferenceResult> future = pending.promise.get_future();
-
-  InferenceResult rejection;
-  if (!try_enqueue(std::move(pending), rejection)) {
-    if (rejection.status == Status::kShutdown) {
-      throw std::runtime_error("InferenceServer: submit after shutdown");
-    }
-    // Overload on the legacy path (possible only with a deliberately
-    // tiny queue_capacity): resolve through the future, as the typed
-    // path does.
-    std::promise<InferenceResult> rejected;
-    future = rejected.get_future();
-    rejected.set_value(std::move(rejection));
-  }
-  return future;
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    std::vector<float> pixels) {
-  return submit(std::move(pixels), Clock::now() + config_.max_wait);
 }
 
 void InferenceServer::shutdown() {
@@ -494,9 +429,8 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
 
   if (error) {
     // An engine failure is not expressible as a per-request Status
-    // beyond "cannot serve": promise holders get the exception (the
-    // legacy contract), callback holders a kShutdown result carrying
-    // the reason.
+    // beyond "cannot serve": promise holders get the exception,
+    // callback holders a kShutdown result carrying the reason.
     for (Pending& pending : batch) {
       if (pending.callback) {
         pending.callback(make_rejection(Status::kShutdown, reason));

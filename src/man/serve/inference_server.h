@@ -1,4 +1,4 @@
-// Async serving front-end over the batched fixed-point runtime, now
+// Async serving front-end over the batched fixed-point runtime,
 // speaking the typed request/response API (serve_types.h): submit()
 // takes an InferenceRequest{payload, deadline, priority} and resolves
 // an InferenceResult whose Status can express success, an exceeded
@@ -38,20 +38,6 @@
 #include "man/serve/serve_types.h"
 
 namespace man::serve {
-
-/// DEPRECATED legacy knobs, kept so pre-typed-API call sites compile;
-/// new code passes ServeConfig. The nested BatchOptions duplication
-/// (workers/pool/backend one level removed from the batching knobs)
-/// is exactly what ServeConfig flattened away.
-struct ServerOptions {
-  std::size_t max_batch = 64;
-  std::chrono::microseconds max_wait{500};
-  man::engine::BatchOptions batch;
-
-  /// The equivalent consolidated config (admission-control fields at
-  /// their defaults, matching the legacy unbounded-ish behaviour).
-  [[nodiscard]] ServeConfig to_config() const;
-};
 
 /// Deadline-aware micro-batching front-end for one compiled engine —
 /// or, given a TieredEngine, for a ladder of precision variants of
@@ -103,7 +89,8 @@ class InferenceServer {
   /// nonsense configs throw std::invalid_argument, as does a config
   /// carrying a QoS ladder (single-engine servers are untiered; pass
   /// a TieredEngine to serve a ladder).
-  InferenceServer(const man::engine::FixedNetwork& engine, ServeConfig config);
+  explicit InferenceServer(const man::engine::FixedNetwork& engine,
+                           ServeConfig config = {});
 
   /// Tiered flavour: serves `tiered` (validated; tier 0 = full
   /// precision), picking a tier per micro-batch from deadline
@@ -112,11 +99,6 @@ class InferenceServer {
   /// from); config.qos_min_tier pins the minimum degradation rung.
   /// The server keeps the tier engines alive (shared ownership).
   InferenceServer(TieredEngine tiered, ServeConfig config);
-
-  /// DEPRECATED: legacy-options constructor (and the default), kept
-  /// for pre-typed-API call sites.
-  explicit InferenceServer(const man::engine::FixedNetwork& engine,
-                           const ServerOptions& options = {});
 
   /// Graceful: drains every accepted request, then stops.
   ~InferenceServer();
@@ -136,24 +118,6 @@ class InferenceServer {
   /// callers (the HTTP front-end's epoll loop must not block on
   /// futures). Same Status semantics as submit().
   void submit_async(InferenceRequest request, Callback callback);
-
-  /// DEPRECATED legacy submit: `deadline` is a co-batching hint only
-  /// (an expired one means "flush now" — the request is still
-  /// served), and malformed payloads / post-shutdown submits throw
-  /// (std::invalid_argument / std::runtime_error) as they always did.
-  std::future<InferenceResult> submit(std::vector<float> pixels,
-                                      Clock::time_point deadline);
-
-  /// Same, with the default co-batching deadline now + max_wait.
-  std::future<InferenceResult> submit(std::vector<float> pixels);
-
-  /// Braced-list flavour of the legacy submit. Also what keeps
-  /// `submit({})` unambiguous (and throwing, as it always did) now
-  /// that the typed InferenceRequest overload exists: in list-init
-  /// contexts an initializer_list parameter outranks both.
-  std::future<InferenceResult> submit(std::initializer_list<float> pixels) {
-    return submit(std::vector<float>(pixels));
-  }
 
   /// Stops accepting requests, serves everything already queued, and
   /// joins the dispatcher. Idempotent; also run by the destructor.
@@ -204,10 +168,9 @@ class InferenceServer {
   struct Pending {
     std::vector<float> pixels;
     std::size_t count = 0;
-    /// Co-batching flush trigger (≤ hard_deadline on the typed path).
+    /// Co-batching flush trigger (≤ hard_deadline).
     Clock::time_point flush_at;
-    /// Typed-path hard deadline; time_point::max() on the legacy
-    /// path, whose deadline was only ever a flush hint.
+    /// Compute must start by this instant (time_point::max(): never).
     Clock::time_point hard_deadline;
     int priority = 0;
     Clock::time_point enqueued_at;

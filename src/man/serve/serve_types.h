@@ -3,9 +3,8 @@
 // 1:1 onto wire status codes), a typed InferenceRequest carrying the
 // payload plus per-request deadline and priority, a typed
 // InferenceResult that can express rejection and overload — not just
-// success — and one consolidated ServeConfig replacing the knobs that
-// were previously split (and partly duplicated) across ServerOptions
-// and BatchOptions.
+// success — and one ServeConfig holding every serving knob, the
+// BatchOptions slice included.
 #ifndef MAN_SERVE_SERVE_TYPES_H
 #define MAN_SERVE_SERVE_TYPES_H
 
@@ -136,8 +135,7 @@ struct InferenceResult {
 
 /// Every serving knob in one composable config: micro-batching,
 /// worker pool, kernel backend, and the admission-control bounds the
-/// HTTP front-end enforces. Replaces the ServerOptions/BatchOptions
-/// split where workers/backend/pool lived one level removed from the
+/// HTTP front-end enforces; workers/backend/pool sit next to the
 /// batching knobs they interact with.
 struct ServeConfig {
   // --- micro-batching -------------------------------------------------

@@ -319,8 +319,10 @@ PlanFields locate(const ArtifactBytes& bytes, const Plan& plan,
 // checks, inference on such a plan writes past the multiples buffer
 // (zero slot), reads past a buffer (plane indices, exact patch
 // offsets, pool windows, a conv plan without planes, an alphabet count
-// beyond the bank's), shifts by 64 or by a negative amount (UB), or
-// lets the backends disagree (unpacked steps, sign masks).
+// beyond the bank's), shifts by 64 or by a negative amount (UB), lets
+// the backends disagree (unpacked steps, sign masks), or feeds the
+// int32 tile proof a staging window other than the activation
+// format's.
 TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
   using Patch = std::function<void(ArtifactBytes&, const PlanFields&)>;
   struct Case {
@@ -390,6 +392,15 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
       {"dense sign mask", &mlp,
        [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int64_t>(f.signs, 1);
+       }},
+      {"dense staging window", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         // in_min_raw, in_max_raw follow the zero slot.
+         b.put<std::int64_t>(f.zero + 12, dense.in_max_raw + 1);
+       }},
+      {"conv staging window", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.zero + 4, conv.in_min_raw - 1);
        }},
       {"conv zero base", &cnn,
        [&](ArtifactBytes& b, const PlanFields& f) {

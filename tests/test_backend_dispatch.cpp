@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -313,19 +314,24 @@ std::int64_t aos_product(const Schedule& schedule, std::size_t w,
 
 // kDenseTile samples' worth of signed bank outputs for `plan`, staged
 // per sample (k-strided, zero slot last) and transposed into the
-// sample-minor tile; `expected` gets the scalar per-sample kernel's
-// rows in the tile's output layout, checked against the AoS walk over
-// `oracle` when the plan was built from one.
+// sample-minor int32 tile; `expected` gets the scalar per-sample
+// kernel's rows in the tile's output layout, checked against the AoS
+// walk over `oracle` when the plan was built from one. Samples 0 and 1
+// sit on the window's edges and sample 2 alternates between them, so
+// the largest products the int32 proof admits are staged; the rest are
+// random across the window.
 void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
-                const Schedule* oracle, std::vector<std::int64_t>& tile,
+                const Schedule* oracle, std::vector<std::int32_t>& tile,
                 std::vector<std::int64_t>& expected) {
   constexpr std::size_t kTile = kDenseTile;
-  const man::core::PrecomputerBank bank(
-      AlphabetSet::first_n(static_cast<std::size_t>(plan.k)));
-  // Signed activations across the stage's window (the whole signed
-  // 10-bit range for hand-built plans without one).
-  const std::int64_t lo = plan.has_input_range() ? plan.in_min_raw : -512;
-  const std::int64_t hi = plan.has_input_range() ? plan.in_max_raw : 511;
+  const auto k = static_cast<std::size_t>(plan.k);
+  const AlphabetSet set = AlphabetSet::first_n(k);
+  const man::core::PrecomputerBank bank(set);
+  ASSERT_TRUE(plan.has_input_range());
+  ASSERT_LE(int32_tile_bound(plan, set.alphabets()),
+            std::numeric_limits<std::int32_t>::max());
+  const std::int64_t lo = plan.in_min_raw;
+  const std::int64_t hi = plan.in_max_raw;
   ASSERT_LT(lo, 0);
   man::util::Rng rng(seed);
   man::core::OpCounts discard;
@@ -335,8 +341,10 @@ void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
   std::vector<std::int64_t> rows(static_cast<std::size_t>(plan.rows));
   for (std::size_t b = 0; b < kTile; ++b) {
     for (int c = 0; c < plan.cols; ++c) {
-      bank.compute_into(rng.next_in(lo, hi),
-                        &multiples[static_cast<std::size_t>(c) * plan.k],
+      std::int64_t x = rng.next_in(lo, hi);
+      if (b == 0 || (b == 2 && c % 2 == 0)) x = lo;
+      if (b == 1 || (b == 2 && c % 2 == 1)) x = hi;
+      bank.compute_into(x, &multiples[static_cast<std::size_t>(c) * k],
                         discard);
     }
     backend_for(BackendKind::kScalar)
@@ -352,7 +360,7 @@ void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
           << "row " << r << " sample " << b;
     }
     for (std::size_t s = 0; s < multiples.size(); ++s) {
-      tile[s * kTile + b] = multiples[s];
+      tile[s * kTile + b] = static_cast<std::int32_t>(multiples[s]);
     }
     for (std::size_t r = 0; r < rows.size(); ++r) {
       expected[r * kTile + b] = rows[r];
@@ -363,7 +371,7 @@ void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
 void expect_tile_matches_scalar(const DenseLayerPlan& plan, std::uint64_t seed,
                                 const std::string& label,
                                 const Schedule* oracle = nullptr) {
-  std::vector<std::int64_t> tile;
+  std::vector<std::int32_t> tile;
   std::vector<std::int64_t> expected;
   stage_tile(plan, seed, oracle, tile, expected);
   for (const auto* backend : all_backends()) {
@@ -373,8 +381,9 @@ void expect_tile_matches_scalar(const DenseLayerPlan& plan, std::uint64_t seed,
   }
 }
 
-// The batch-tiled dense kernel contract: every backend's
-// accumulate_dense_tile equals kDenseTile scalar per-sample
+// The batch-tiled dense kernel contract: every backend's int32
+// accumulate_dense_tile, fed activations on and inside the staging
+// window, equals kDenseTile scalar per-sample int64
 // accumulate_dense calls, on compiled plans at both paper widths (13
 // columns: cols % 8 != 0 and a padded tail; one all-zero row; more
 // than one quartet plane) and on hand-built plans with 1-4 planes, so
@@ -417,8 +426,10 @@ TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
         [](std::size_t w) { return w / kCols == 1; }, rng);
     std::vector<std::int64_t> biases(kRows);
     for (auto& b : biases) b = rng.next_in(-1000, 1000);
-    const DenseLayerPlan built = DenseLayerPlan::build_asm(
+    DenseLayerPlan built = DenseLayerPlan::build_asm(
         kRows, kCols, 4, schedule.weights, schedule.steps, biases);
+    built.in_min_raw = -512;  // a signed 10-bit window
+    built.in_max_raw = 511;
     expect_tile_matches_scalar(
         built, 50 + static_cast<std::uint64_t>(max_steps),
         "bits=" + std::to_string(bits) +

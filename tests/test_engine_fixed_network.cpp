@@ -3,6 +3,8 @@
 // and activity statistics.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "man/backend/kernel_backend.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
@@ -299,6 +301,199 @@ TEST(FixedNetwork, RejectsWrongInputSize) {
                       LayerAlphabetPlan::conventional(2));
   const std::vector<float> too_small(7, 0.5f);
   EXPECT_THROW((void)engine.predict(too_small), std::invalid_argument);
+}
+
+// ---------------------------------------------- int32 tile proof boundary
+
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
+/// A hand-built MAN ({1}) dense plan over activations |x| ≤ X whose
+/// row 0 has int32 tile bound exactly INT32_MAX: n = INT32_MAX mod X
+/// negative single-step weights (shift 0) plus one positive
+/// single-step weight per set bit of (INT32_MAX − n)/X − n, so
+/// Σ X·2^shift + n = INT32_MAX. One more column carries no steps: a
+/// positive weight, or with `over` a negative one, which adds the
+/// single unit that puts the plan past the proof. Row 1 is small.
+struct BoundaryPlan {
+  man::backend::DenseLayerPlan plan;
+  std::vector<bool> negative;  ///< row 0's weight signs, per column
+};
+
+BoundaryPlan boundary_plan(const QuantSpec& spec, bool over) {
+  using man::backend::AsmStep;
+  using man::backend::AsmWeight;
+  const std::int64_t x = spec.activation_format.max_raw();
+  const std::int64_t n = kInt32Max % x;
+  const std::int64_t positive_sum = (kInt32Max - n) / x - n;
+  std::vector<std::uint8_t> shifts;
+  for (std::uint8_t bit = 0; bit < 31; ++bit) {
+    if ((positive_sum >> bit) & 1) shifts.push_back(bit);
+  }
+  const int cols = static_cast<int>(n) + static_cast<int>(shifts.size()) + 1;
+  BoundaryPlan out;
+  std::vector<AsmWeight> weights;
+  std::vector<AsmStep> steps;
+  const auto add_weight = [&](bool negative, int step_count,
+                              std::uint8_t shift) {
+    AsmWeight w;
+    w.step_begin = static_cast<std::uint32_t>(steps.size());
+    w.step_count = static_cast<std::uint8_t>(step_count);
+    w.negative = negative;
+    weights.push_back(w);
+    if (step_count > 0) steps.push_back(AsmStep{0, shift});
+  };
+  for (std::int64_t i = 0; i < n; ++i) add_weight(true, 1, 0);
+  for (const std::uint8_t shift : shifts) add_weight(false, 1, shift);
+  add_weight(over, 0, 0);
+  for (const AsmWeight& w : weights) out.negative.push_back(w.negative);
+  for (int c = 0; c < cols; ++c) add_weight(c % 3 == 0, c % 2, 1);  // row 1
+  out.plan = man::backend::DenseLayerPlan::build_asm(
+      2, cols, 1, std::move(weights), std::move(steps), {5, -3});
+  out.plan.in_min_raw = spec.activation_format.min_raw();
+  out.plan.in_max_raw = spec.activation_format.max_raw();
+  return out;
+}
+
+CompiledSynapse man_synapse(const std::string& name) {
+  CompiledSynapse synapse;
+  synapse.scheme.multiplier = MultiplierKind::kMan;
+  synapse.name = name;
+  return synapse;
+}
+
+/// The boundary plan alone, or followed by a sigmoid LUT and a small
+/// MAN dense stage (2 → 3) that always fits.
+FixedNetwork boundary_engine(const BoundaryPlan& boundary, bool tail) {
+  const QuantSpec spec = QuantSpec::bits8();
+  CompiledModel model;
+  model.spec = spec;
+  const auto& head = boundary.plan;
+  model.stages.emplace_back(
+      CompiledDenseStage{head.cols, head.rows, man_synapse("boundary")});
+  std::vector<man::backend::DenseLayerPlan> plans{head};
+  if (tail) {
+    model.stages.emplace_back(
+        CompiledLutStage{man::core::ActivationKind::kSigmoid});
+    model.stages.emplace_back(CompiledDenseStage{2, 3, man_synapse("tail")});
+    std::vector<man::backend::AsmWeight> weights(6);
+    std::vector<man::backend::AsmStep> steps;
+    for (std::uint8_t w = 0; w < 6; ++w) {
+      weights[w].step_begin = w;
+      weights[w].step_count = 1;
+      weights[w].negative = w % 2 == 1;
+      steps.push_back(man::backend::AsmStep{0, w});
+    }
+    plans.push_back(man::backend::DenseLayerPlan::build_asm(
+        3, 2, 1, std::move(weights), std::move(steps), {1, 2, 3}));
+    plans.back().in_min_raw = head.in_min_raw;
+    plans.back().in_max_raw = head.in_max_raw;
+  }
+  return FixedNetwork(model, std::move(plans), {}, nullptr);
+}
+
+/// 2·kDenseTile + 3 samples: sample 0 drives row 0's kernel sum to
+/// −INT32_MAX (x = −X under positive weights, +X under negative ones),
+/// sample 1 to the mirror image, the rest random over the window.
+std::vector<float> boundary_pixels(const BoundaryPlan& boundary) {
+  const std::size_t cols = boundary.negative.size();
+  man::util::Rng rng(808);
+  std::vector<float> pixels;
+  for (int s = 0; s < 2 * man::backend::kDenseTile + 3; ++s) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const float edge = boundary.negative[c] ? 2.0f : -2.0f;  // saturates
+      float pixel = static_cast<float>(rng.next_double() * 2 - 1);
+      if (s == 0) pixel = edge;
+      if (s == 1) pixel = -edge;
+      pixels.push_back(pixel);
+    }
+  }
+  return pixels;
+}
+
+/// infer_batch on every backend equals per-sample scalar infer_into.
+std::vector<std::int64_t> expect_batch_matches_scalar(
+    const FixedNetwork& engine, const std::vector<float>& pixels) {
+  const std::size_t in = engine.input_size();
+  const std::size_t out = engine.output_size();
+  const std::size_t count = pixels.size() / in;
+  const auto& scalar =
+      man::backend::backend_for(man::backend::BackendKind::kScalar);
+  std::vector<std::int64_t> expected(count * out);
+  const std::span<const float> all(pixels);
+  const std::span<std::int64_t> rows(expected);
+  auto scratch = engine.make_scratch();
+  auto stats = engine.make_stats();
+  for (std::size_t s = 0; s < count; ++s) {
+    engine.infer_into(all.subspan(s * in, in), rows.subspan(s * out, out),
+                      stats, scratch, scalar);
+  }
+  for (const auto* backend : man::backend::all_backends()) {
+    std::vector<std::int64_t> batch(expected.size());
+    engine.infer_batch(pixels, batch, stats, scratch, *backend);
+    EXPECT_EQ(batch, expected) << "backend=" << backend->name();
+  }
+  return expected;
+}
+
+// A plan whose worst row reaches exactly INT32_MAX fits: it tiles, and
+// with activations on the window's edges the int32 lanes reach
+// −INT32_MAX bit-identically to the int64 scalar reference.
+TEST(Int32TileProof, PlanAtInt32MaxTiles) {
+  const BoundaryPlan boundary = boundary_plan(QuantSpec::bits8(), false);
+  const auto alphabets = AlphabetSet::man().alphabets();
+  ASSERT_EQ(man::backend::int32_tile_bound(boundary.plan, alphabets),
+            kInt32Max);
+  const auto pixels = boundary_pixels(boundary);
+  const FixedNetwork alone = boundary_engine(boundary, false);
+  EXPECT_EQ(alone.tile_begin(), 0u);
+  const auto raw = expect_batch_matches_scalar(alone, pixels);
+  // Row 0 of sample 0: bias 5 plus Σ of the real products, which is
+  // the kernel sum −INT32_MAX plus the n negative weights' −Σ sign.
+  const std::int64_t x = QuantSpec::bits8().activation_format.max_raw();
+  EXPECT_EQ(raw[0], 5 - kInt32Max + kInt32Max % x);
+  EXPECT_EQ(raw[2], 5 + kInt32Max - kInt32Max % x);
+  const FixedNetwork tailed = boundary_engine(boundary, true);
+  EXPECT_EQ(tailed.tile_begin(), 0u);
+  expect_batch_matches_scalar(tailed, pixels);
+}
+
+// One unit over: the plan stays on the per-sample int64 kernels, the
+// tile starts past it (at the tail stage that fits), and outputs still
+// match the scalar reference.
+TEST(Int32TileProof, PlanOneUnitOverRunsPerSample) {
+  const BoundaryPlan boundary = boundary_plan(QuantSpec::bits8(), true);
+  const auto alphabets = AlphabetSet::man().alphabets();
+  ASSERT_EQ(man::backend::int32_tile_bound(boundary.plan, alphabets),
+            man::backend::kInt32TileOverflow);
+  const auto pixels = boundary_pixels(boundary);
+  const FixedNetwork alone = boundary_engine(boundary, false);
+  EXPECT_EQ(alone.tile_begin(), 1u);  // no tile
+  expect_batch_matches_scalar(alone, pixels);
+  const FixedNetwork tailed = boundary_engine(boundary, true);
+  EXPECT_EQ(tailed.tile_begin(), 2u);
+  expect_batch_matches_scalar(tailed, pixels);
+}
+
+// The proof bounds a stage's inputs by the staging window, which raw
+// accumulators are not in: a dense stage fed straight from another
+// dense stage never tiles, and the batch still matches the scalar
+// reference with large 12-bit weights whose second-stage multiples
+// leave int32.
+TEST(Int32TileProof, DenseFedRawAccumulatorsRunsPerSample) {
+  man::util::Rng rng(77);
+  Network net;
+  for (auto* dense : {&net.add<Dense>(16, 8), &net.add<Dense>(8, 4)}) {
+    for (float& w : dense->weights()) {
+      w = rng.next_double() < 0.5 ? -1.5f : 1.5f;
+    }
+  }
+  const QuantSpec spec = QuantSpec::bits12();
+  const AlphabetSet& set = AlphabetSet::full();
+  const FixedNetwork engine(net, spec, LayerAlphabetPlan::uniform_asm(2, set));
+  EXPECT_EQ(engine.tile_begin(), 2u);
+  std::vector<float> pixels(35 * engine.input_size());
+  for (float& p : pixels) p = rng.next_double() < 0.5 ? -2.0f : 2.0f;
+  expect_batch_matches_scalar(engine, pixels);
 }
 
 TEST(LayerAlphabetPlan, LabelsAreInformative) {

@@ -1,5 +1,5 @@
-// The serving front-end: deadline and queue edge cases (expired
-// deadline, oversized request, empty input, shutdown drain) and the
+// The serving front-end: deadline and queue edge cases (deadline
+// flushes, oversized request, shutdown drain) and the
 // acceptance property — server responses bit-identical to sequential
 // FixedNetwork::infer_into for interleaved mixed-model traffic from
 // concurrent clients, at any worker count.
@@ -83,52 +83,26 @@ std::vector<std::int64_t> sequential_raw(const FixedNetwork& engine,
 
 TEST(InferenceServer, RejectsInvalidOptions) {
   const FixedNetwork engine = make_engine(1, 8, 6, 3, AlphabetSet::man());
-  ServerOptions zero_batch;
+  ServeConfig zero_batch;
   zero_batch.max_batch = 0;
   EXPECT_THROW(InferenceServer(engine, zero_batch), std::invalid_argument);
-  ServerOptions negative_wait;
+  ServeConfig negative_wait;
   negative_wait.max_wait = -1us;
   EXPECT_THROW(InferenceServer(engine, negative_wait), std::invalid_argument);
-}
-
-TEST(InferenceServer, RejectsEmptyAndRaggedRequests) {
-  const FixedNetwork engine = make_engine(2, 8, 6, 3, AlphabetSet::man());
-  InferenceServer server(engine);
-  EXPECT_THROW((void)server.submit({}), std::invalid_argument);
-  std::vector<float> ragged(engine.input_size() + 1, 0.5f);
-  EXPECT_THROW((void)server.submit(ragged), std::invalid_argument);
-}
-
-// A deadline already in the past is a flush-now hint, not a drop: the
-// request is still served, promptly and correctly.
-TEST(InferenceServer, ExpiredDeadlineIsServedImmediately) {
-  const FixedNetwork engine = make_engine(3, 8, 6, 3, AlphabetSet::two());
-  ServerOptions options;
-  options.max_batch = 64;      // far from full
-  options.max_wait = 10s;      // default deadline would be far away
-  InferenceServer server(engine, options);
-
-  const auto pixels = random_samples(1, engine.input_size(), 30);
-  auto future = server.submit(
-      pixels, InferenceServer::Clock::now() - 1s);
-  ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
-  const InferenceResult result = future.get();
-  EXPECT_EQ(result.samples, 1u);
-  EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
 }
 
 // A request larger than max_batch is never split or rejected: it is
 // dispatched alone as one oversized batch.
 TEST(InferenceServer, OversizedRequestDispatchedWhole) {
   const FixedNetwork engine = make_engine(4, 8, 6, 3, AlphabetSet::two());
-  ServerOptions options;
-  options.max_batch = 4;
-  options.max_wait = 1ms;
-  InferenceServer server(engine, options);
+  ServeConfig config;
+  config.max_batch = 4;
+  config.max_wait = 1ms;
+  InferenceServer server(engine, config);
 
   const std::size_t count = 11;  // ~3x max_batch
   const auto pixels = random_samples(count, engine.input_size(), 31);
-  const InferenceResult result = server.submit(pixels).get();
+  const InferenceResult result = server.submit({.payload = pixels}).get();
 
   EXPECT_EQ(result.samples, count);
   EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
@@ -142,16 +116,16 @@ TEST(InferenceServer, OversizedRequestDispatchedWhole) {
 // size trigger.
 TEST(InferenceServer, FullBatchFlushesBeforeDeadline) {
   const FixedNetwork engine = make_engine(5, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 8;
-  options.max_wait = 1h;
-  InferenceServer server(engine, options);
+  ServeConfig config;
+  config.max_batch = 8;
+  config.max_wait = 1h;
+  InferenceServer server(engine, config);
 
   std::vector<std::future<InferenceResult>> pending;
   std::vector<std::vector<float>> inputs;
-  for (std::size_t i = 0; i < options.max_batch; ++i) {
+  for (std::size_t i = 0; i < config.max_batch; ++i) {
     inputs.push_back(random_samples(1, engine.input_size(), 100 + i));
-    pending.push_back(server.submit(inputs.back()));
+    pending.push_back(server.submit({.payload = inputs.back()}));
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
     ASSERT_EQ(pending[i].wait_for(30s), std::future_status::ready) << i;
@@ -159,19 +133,20 @@ TEST(InferenceServer, FullBatchFlushesBeforeDeadline) {
   }
   const auto metrics = server.metrics();
   EXPECT_GE(metrics.size_flushes, 1u);
-  EXPECT_EQ(metrics.samples, options.max_batch);
+  EXPECT_EQ(metrics.samples, config.max_batch);
 }
 
 // A lone request in a huge-batch server is released by its deadline.
 TEST(InferenceServer, DeadlineFlushesPartialBatch) {
   const FixedNetwork engine = make_engine(6, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 1u << 20;
-  options.max_wait = 2ms;
-  InferenceServer server(engine, options);
+  ServeConfig config;
+  config.max_batch = 1u << 20;
+  config.queue_capacity = config.max_batch;
+  config.max_wait = 2ms;
+  InferenceServer server(engine, config);
 
   const auto pixels = random_samples(1, engine.input_size(), 40);
-  auto future = server.submit(pixels);
+  auto future = server.submit({.payload = pixels});
   ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
   EXPECT_EQ(future.get().raw, sequential_raw(engine, pixels));
   EXPECT_GE(server.metrics().deadline_flushes, 1u);
@@ -182,47 +157,50 @@ TEST(InferenceServer, DeadlineFlushesPartialBatch) {
 // front request could wait an hour.
 TEST(InferenceServer, EarlierDeadlineDeepInQueueTriggersFlush) {
   const FixedNetwork engine = make_engine(9, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 1u << 20;  // size never triggers
-  options.max_wait = 1h;
-  InferenceServer server(engine, options);
+  ServeConfig config;
+  config.max_batch = 1u << 20;  // size never triggers
+  config.queue_capacity = config.max_batch;
+  config.max_wait = 1h;
+  InferenceServer server(engine, config);
 
   const auto patient_pixels = random_samples(1, engine.input_size(), 60);
-  const auto urgent_pixels = random_samples(1, engine.input_size(), 61);
-  auto patient = server.submit(patient_pixels,
-                               InferenceServer::Clock::now() + 1h);
-  auto urgent = server.submit(urgent_pixels,
-                              InferenceServer::Clock::now() + 2ms);
+  auto patient = server.submit({.payload = patient_pixels});
+  InferenceRequest urgent_request;
+  urgent_request.payload = random_samples(1, engine.input_size(), 61);
+  urgent_request.deadline = InferenceServer::Clock::now() + 2ms;
+  auto urgent = server.submit(std::move(urgent_request));
 
   // The urgent deadline releases both: batches close oldest-first, so
-  // the patient request ships in the same flush.
+  // the patient request ships in the same flush. (The urgent request
+  // itself closes at its own hard deadline, so it may expire.)
   ASSERT_EQ(urgent.wait_for(30s), std::future_status::ready);
   ASSERT_EQ(patient.wait_for(30s), std::future_status::ready);
-  EXPECT_EQ(urgent.get().raw, sequential_raw(engine, urgent_pixels));
   EXPECT_EQ(patient.get().raw, sequential_raw(engine, patient_pixels));
   EXPECT_GE(server.metrics().deadline_flushes, 1u);
 }
 
 TEST(InferenceServer, ShutdownDrainsPendingAndRejectsNewWork) {
   const FixedNetwork engine = make_engine(7, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 1u << 20;  // only the drain can release these
-  options.max_wait = 1h;
-  InferenceServer server(engine, options);
+  ServeConfig config;
+  config.max_batch = 1u << 20;  // only the drain can release these
+  config.queue_capacity = config.max_batch;
+  config.max_wait = 1h;
+  InferenceServer server(engine, config);
 
   std::vector<std::future<InferenceResult>> pending;
   std::vector<std::vector<float>> inputs;
   for (int i = 0; i < 5; ++i) {
     inputs.push_back(random_samples(1, engine.input_size(), 200 + i));
-    pending.push_back(server.submit(inputs[static_cast<std::size_t>(i)]));
+    pending.push_back(server.submit({.payload = inputs.back()}));
   }
   server.shutdown();
   for (std::size_t i = 0; i < pending.size(); ++i) {
     ASSERT_EQ(pending[i].wait_for(0s), std::future_status::ready) << i;
     EXPECT_EQ(pending[i].get().raw, sequential_raw(engine, inputs[i])) << i;
   }
-  EXPECT_THROW((void)server.submit(random_samples(1, engine.input_size(), 9)),
-               std::runtime_error);
+  InferenceRequest late;
+  late.payload = random_samples(1, engine.input_size(), 9);
+  EXPECT_EQ(server.submit(std::move(late)).get().status, Status::kShutdown);
   server.shutdown();  // idempotent
 }
 
@@ -230,7 +208,7 @@ TEST(InferenceServer, PredictionsUseSharedArgmax) {
   const FixedNetwork engine = make_engine(8, 8, 6, 3, AlphabetSet::two());
   InferenceServer server(engine);
   const auto pixels = random_samples(6, engine.input_size(), 50);
-  const InferenceResult result = server.submit(pixels).get();
+  const InferenceResult result = server.submit({.payload = pixels}).get();
   ASSERT_EQ(result.predictions.size(), 6u);
   for (std::size_t s = 0; s < result.samples; ++s) {
     EXPECT_EQ(result.predictions[s],
@@ -275,14 +253,14 @@ TEST_P(MixedTrafficBitIdentity, ServerMatchesSequentialEngine) {
   const FixedNetwork face = make_engine(11, 25, 6, 2, AlphabetSet::man());
 
   const auto pool = std::make_shared<ThreadPool>(workers);
-  ServerOptions options;
-  options.max_batch = 16;
-  options.max_wait = 200us;
-  options.batch.workers = workers;
-  options.batch.pool = pool;
-  options.batch.min_samples_per_worker = 1;
-  InferenceServer digit_server(digit, options);
-  InferenceServer face_server(face, options);
+  ServeConfig config;
+  config.max_batch = 16;
+  config.max_wait = 200us;
+  config.workers = workers;
+  config.pool = pool;
+  config.min_samples_per_worker = 1;
+  InferenceServer digit_server(digit, config);
+  InferenceServer face_server(face, config);
 
   struct Exchange {
     const FixedNetwork* engine;
@@ -307,7 +285,7 @@ TEST_P(MixedTrafficBitIdentity, ServerMatchesSequentialEngine) {
         const std::size_t count = 1 + rng.next_below(3);  // 1..3 samples
         std::vector<float> pixels(count * engine.input_size());
         for (float& p : pixels) p = static_cast<float>(rng.next_double());
-        auto future = server.submit(pixels);
+        auto future = server.submit({.payload = pixels});
         log.push_back(Exchange{&engine, std::move(pixels), future.get()});
       }
     });

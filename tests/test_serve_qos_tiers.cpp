@@ -258,7 +258,7 @@ TEST(TieredServer, ClearQueueServesTierZero) {
   InferenceServer server(make_ladder(40), config);
   for (int r = 0; r < 4; ++r) {
     const auto pixels = random_samples(2, 8, 400 + static_cast<unsigned>(r));
-    const InferenceResult result = server.submit(pixels).get();
+    const InferenceResult result = server.submit({.payload = pixels}).get();
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.tier, 0u);
     EXPECT_EQ(result.tier_name, "asm4");
@@ -272,7 +272,7 @@ TEST(TieredServer, UntieredServerReportsFullTier) {
   const auto engine = make_asm_engine(41, 8, 6, 3, AlphabetSet::man());
   InferenceServer server(*engine);
   const auto pixels = random_samples(1, 8, 410);
-  const InferenceResult result = server.submit(pixels).get();
+  const InferenceResult result = server.submit({.payload = pixels}).get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.tier, 0u);
   EXPECT_EQ(result.tier_name, "full");
@@ -303,7 +303,7 @@ TEST_P(TierBitIdentityAcrossBackends, EachRungMatchesItsSequentialEngine) {
       const std::size_t count = 1 + rng.next_below(3);
       const auto pixels =
           random_samples(count, 8, 5000 + pin * 100 + static_cast<unsigned>(r));
-      const InferenceResult result = server.submit(pixels).get();
+      const InferenceResult result = server.submit({.payload = pixels}).get();
       ASSERT_TRUE(result.ok()) << "pin " << pin << " request " << r;
       EXPECT_EQ(result.tier, pin);
       EXPECT_EQ(result.tier_name, expected_name[pin]);

@@ -1,8 +1,7 @@
 // The typed serving API: ServeConfig validation, the Status
 // vocabulary and its HTTP mapping, and every non-kOk path through the
 // typed InferenceServer submit (kBadRequest / kRejectedOverload /
-// kDeadlineExceeded / kShutdown) — none of which throws, unlike the
-// deprecated legacy submit whose throw semantics are pinned here too.
+// kDeadlineExceeded / kShutdown) — none of which throws.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -110,21 +109,6 @@ TEST(ServeConfig, ConstructorValidates) {
   EXPECT_THROW(InferenceServer(engine, config), std::invalid_argument);
 }
 
-// The legacy options map onto an effectively unbounded queue so no
-// pre-typed-API call site can suddenly see admission rejections.
-TEST(ServeConfig, LegacyOptionsMapToUnboundedishQueue) {
-  ServerOptions options;
-  options.max_batch = 1u << 22;
-  options.max_wait = 7ms;
-  options.batch.workers = 3;
-  const ServeConfig config = options.to_config();
-  EXPECT_EQ(config.max_batch, options.max_batch);
-  EXPECT_EQ(config.max_wait, options.max_wait);
-  EXPECT_EQ(config.workers, 3);
-  EXPECT_GE(config.queue_capacity, options.max_batch);
-  EXPECT_NO_THROW(config.validate());
-}
-
 TEST(TypedSubmit, ServesWithFullResultMetadata) {
   const FixedNetwork engine = make_engine(2, 8, 6, 3);
   ServeConfig config;
@@ -182,8 +166,7 @@ TEST(TypedSubmit, OverloadRejectionIsImmediateWithRetryAfter) {
   EXPECT_EQ(server.metrics().rejected_overload, 1u);
 }
 
-// An expired hard deadline on the typed path is a real drop (unlike
-// the legacy flush-hint deadline, pinned below).
+// An expired hard deadline is a real drop, not a flush hint.
 TEST(TypedSubmit, ExpiredHardDeadlineResolvesDeadlineExceeded) {
   const FixedNetwork engine = make_engine(5, 8, 6, 3);
   ServeConfig config;
@@ -201,20 +184,7 @@ TEST(TypedSubmit, ExpiredHardDeadlineResolvesDeadlineExceeded) {
   EXPECT_EQ(server.metrics().deadline_expired, 1u);
 }
 
-TEST(TypedSubmit, LegacyExpiredDeadlineIsStillServed) {
-  const FixedNetwork engine = make_engine(6, 8, 6, 3);
-  ServerOptions options;
-  options.max_wait = 10s;
-  InferenceServer server(engine, options);
-
-  const auto pixels = random_samples(1, engine.input_size(), 11);
-  const InferenceResult result =
-      server.submit(pixels, InferenceServer::Clock::now() - 1s).get();
-  EXPECT_EQ(result.status, Status::kOk);
-  EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
-}
-
-TEST(TypedSubmit, ShutdownResolvesStatusButLegacyThrows) {
+TEST(TypedSubmit, ShutdownResolvesStatus) {
   const FixedNetwork engine = make_engine(7, 8, 6, 3);
   InferenceServer server(engine);
   server.shutdown();
@@ -224,9 +194,6 @@ TEST(TypedSubmit, ShutdownResolvesStatusButLegacyThrows) {
   EXPECT_EQ(server.submit(std::move(request)).get().status,
             Status::kShutdown);
   EXPECT_EQ(server.metrics().rejected_shutdown, 1u);
-
-  const auto pixels = random_samples(1, engine.input_size(), 13);
-  EXPECT_THROW((void)server.submit(pixels), std::runtime_error);
 }
 
 // submit_async: rejections call back inline, successes from the
