@@ -114,8 +114,9 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
 
   // One sample at a time through infer_into with one scratch: never a
   // batch tile, so this runs a backend's per-sample kernels (what
-  // serving runs at micro-batches near 1). The first pass warms the
-  // caches and pages in the plan; the second is timed.
+  // serving runs at micro-batches near 1). The first pass sizes the
+  // scratch buffers and pages in the plan and staging tables; the
+  // second is timed.
   const auto per_sample = [&](const man::backend::KernelBackend& kernel,
                               std::vector<std::int64_t>& raw,
                               man::engine::EngineStats& stats) {
@@ -187,7 +188,7 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
   std::cout << backends_table.to_string();
 
   // Per-element phase attribution: where a single-thread inference
-  // spends its wall clock — CSHM staging (flat-table fill + copy),
+  // spends its wall clock — CSHM staging (table reads + copy),
   // the activation LUT sweep, the kernel accumulation, pooling, and
   // input quantization. Recorded in the bench JSON so a regression in
   // the backend-shared staging/LUT paths is attributable to its

@@ -195,15 +195,15 @@ struct DenseLayerPlan {
   /// Index of the always-zero multiples slot (== cols * k).
   std::uint32_t zero_slot = 0;
 
-  /// Staging window: every activation fed to this stage is known to
-  /// lie in [in_min_raw, in_max_raw] (raw units of the stage's input
-  /// format — quantized pixels, LUT outputs, and pool averages all
-  /// stay inside the activation QFormat's range). Set by
-  /// FixedNetwork::compile_plan(); the staging paths arm the
-  /// PrecomputerCache's flat direct-mapped table with it, so filling
-  /// the multiples buffer does no per-element hashing. min > max
-  /// (the default) means unknown: staging falls back to the hash
-  /// memo, bit-identically.
+  /// Staging window: the activation QFormat's raw range
+  /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
+  /// pool averages stay inside. Set by FixedNetwork::compile_plan() on
+  /// every plan and checked again at load. A stage whose inputs lie in
+  /// it stages from the engine's table of bank outputs over the
+  /// window, and int32_tile_bound() bounds the inputs by it; a stage
+  /// fed raw accumulators (no LUT in front) stages straight from its
+  /// bank and never tiles. min > max (the default, hand-built plans
+  /// only) means no window: such a plan never tiles.
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
   [[nodiscard]] bool has_input_range() const noexcept {
@@ -308,9 +308,8 @@ struct ConvLayerPlan {
   /// First slot of the always-zero region (== k · ic·ih·iw).
   std::uint32_t zero_base = 0;
 
-  /// Staging window, exactly as in DenseLayerPlan: the raw input
-  /// range the lane-major staging arms the flat CSHM table with.
-  /// min > max (the default) means unknown (hash fallback).
+  /// Staging window, exactly as in DenseLayerPlan: the activation
+  /// format's raw range (min > max, the default, means none).
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
 

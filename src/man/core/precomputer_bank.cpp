@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace man::core {
 
@@ -174,35 +175,23 @@ void PrecomputerCache::configure_range(std::int64_t min_raw,
         "PrecomputerCache: range spans " + std::to_string(span) +
         " values, cap is " + std::to_string(kMaxFlatSpan));
   }
-  flat_min_ = min_raw;
-  flat_span_ = span;
-  flat_k_ = bank_->alphabet_set().size();
-  flat_.assign(static_cast<std::size_t>(span) * flat_k_, 0);
-  flat_filled_.assign(static_cast<std::size_t>(span), 0);
-  flat_entries_ = 0;
+  const std::size_t k = bank_->alphabet_set().size();
+  std::vector<std::int64_t> table(static_cast<std::size_t>(span) * k);
+  OpCounts discard;
+  for (std::uint64_t offset = 0; offset < span; ++offset) {
+    bank_->compute_into(min_raw + static_cast<std::int64_t>(offset),
+                        table.data() + offset * k, discard);
+  }
+  table_ = std::move(table);
+  min_raw_ = min_raw;
+  span_ = span;
+  k_ = k;
 }
 
-const std::int64_t* PrecomputerCache::lookup_fallback(std::int64_t input,
-                                                      OpCounts& counts) {
-  if (bank_ == nullptr) {
-    throw std::logic_error("PrecomputerCache: lookup on unbound cache");
-  }
-  if (const auto it = index_.find(input); it != index_.end()) {
-    ++hits_;
-    return pool_.data() + it->second;
-  }
-  ++misses_;
-  const std::size_t k = bank_->alphabet_set().size();
-  if (index_.size() >= kMaxHashEntries) {
-    overflow_.resize(k);
-    bank_->compute_into(input, overflow_.data(), counts);
-    return overflow_.data();
-  }
-  const std::size_t offset = pool_.size();
-  pool_.resize(offset + k);
-  bank_->compute_into(input, pool_.data() + offset, counts);
-  index_.emplace(input, offset);
-  return pool_.data() + offset;
+void PrecomputerCache::throw_out_of_window(std::int64_t input) const {
+  throw std::out_of_range(
+      "PrecomputerCache: input " + std::to_string(input) +
+      " outside the table window of " + std::to_string(span_) + " values");
 }
 
 }  // namespace man::core

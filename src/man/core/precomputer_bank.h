@@ -14,9 +14,7 @@
 #ifndef MAN_CORE_PRECOMPUTER_BANK_H
 #define MAN_CORE_PRECOMPUTER_BANK_H
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "man/core/alphabet_set.h"
@@ -50,7 +48,8 @@ class PrecomputerBank {
                                                   OpCounts& counts) const;
 
   /// Allocation-free variant: writes alphabet_set().size() multiples
-  /// into `out` (caller-sized). The workhorse behind PrecomputerCache.
+  /// into `out` (caller-sized). The workhorse behind PrecomputerCache
+  /// and the engine's staging of raw-accumulator inputs.
   void compute_into(std::int64_t input, std::int64_t* out,
                     OpCounts& counts) const;
 
@@ -84,161 +83,57 @@ class PrecomputerBank {
   std::vector<PrecomputeStep> steps_;
 };
 
-/// Memoized view of one bank: the multiples of each distinct input
-/// value are evaluated once and replayed on later lookups, modelling a
-/// CSHM bank whose outputs stay latched while the input repeats. One
-/// cache per worker/shard gives re-entrant reuse without locking; call
-/// reset() to drop the memo (e.g. between batches whose value
-/// distributions differ). Structural adder activity is charged to
-/// `counts` only on misses. Note: FixedNetwork's EngineStats do NOT
-/// use these dynamic counts — the engine bills the static
-/// every-unit-fires activity per inference so that recorded stats
-/// stay bit-identical between cached, uncached, and sharded runs; the
-/// miss-only accounting here serves emulation-level studies (and the
-/// hit/miss counters quantify the memoization itself).
-///
-/// Two staging regimes back the memo:
-///  * a **flat direct-mapped table** over a configured raw input
-///    window [min_raw, max_raw] — the faithful CSHM model: a bounded
-///    quantized activation range maps 1:1 onto latch rows, so a
-///    lookup is a subtract, a bounds check, and an indexed load (no
-///    hashing). configure_range() arms it; the engine derives the
-///    window from the stage's activation QFormat.
-///  * the original **hash map**, demoted to a fallback for inputs
-///    outside the window (or when no window is configured), capped at
-///    kMaxHashEntries after which multiples are recomputed into a
-///    scratch row per lookup.
+/// Read-only table of one bank's outputs over a raw input window
+/// [min_raw, max_raw], modelling a CSHM bank whose inputs are bounded
+/// quantized activations: configure_range() evaluates the bank once
+/// per value of the window, after which a lookup is a subtract, a
+/// bounds check and an indexed load. FixedNetwork builds one per ASM
+/// synapse stage at construction and every worker reads it at once
+/// (lookups are const and write nothing). The adder activity of the
+/// fill is not billed per lookup: the engine charges the static
+/// every-unit-fires activity per inference instead, so its stats do
+/// not depend on how staging is arranged.
 class PrecomputerCache {
  public:
   PrecomputerCache() = default;
+  /// The bank must outlive configure_range(); lookups never read it,
+  /// so a filled table may be copied or moved away from its bank.
   explicit PrecomputerCache(const PrecomputerBank& bank) : bank_(&bank) {}
 
-  /// Re-targets the cache at `bank` (clears the memo and any
-  /// configured flat window — the alphabet count may differ). The
-  /// bank must outlive the cache.
-  void bind(const PrecomputerBank& bank) {
-    bank_ = &bank;
-    drop_range();
-    reset();
-  }
-
-  /// Drops every memoized entry and the hit/miss counters. A
-  /// configured flat window stays configured (its rows are marked
-  /// unfilled, the allocation is reused).
-  void reset() noexcept {
-    index_.clear();
-    pool_.clear();
-    std::fill(flat_filled_.begin(), flat_filled_.end(), std::uint8_t{0});
-    flat_entries_ = 0;
-    hits_ = 0;
-    misses_ = 0;
-  }
-
-  /// Arms the direct-mapped table for inputs in [min_raw, max_raw]
-  /// (inclusive). Existing flat rows are dropped; the hash memo is
-  /// untouched. Throws std::logic_error on an unbound cache and
+  /// Fills the table with the bank's multiples of every input in
+  /// [min_raw, max_raw] (inclusive), replacing any earlier window.
+  /// Throws std::logic_error on an unbound cache and
   /// std::invalid_argument when min_raw > max_raw or the window spans
   /// more than kMaxFlatSpan values (the table is meant for bounded
   /// quantized activation ranges, not arbitrary 64-bit streams).
   void configure_range(std::int64_t min_raw, std::int64_t max_raw);
 
-  /// configure_range(), but a no-op when the same window is already
-  /// armed — the staging paths call this per batch.
-  void ensure_range(std::int64_t min_raw, std::int64_t max_raw) {
-    // Wrap-safe span, as in configure_range (min > max falls through
-    // to its validation).
-    const std::uint64_t span = static_cast<std::uint64_t>(max_raw) -
-                               static_cast<std::uint64_t>(min_raw) + 1;
-    if (flat_span_ != 0 && flat_min_ == min_raw && flat_span_ == span &&
-        min_raw <= max_raw) {
-      return;
-    }
-    configure_range(min_raw, max_raw);
-  }
-
-  /// Drops the flat window (lookups fall back to the hash memo).
-  void drop_range() noexcept {
-    flat_.clear();
-    flat_filled_.clear();
-    flat_min_ = 0;
-    flat_span_ = 0;
-    flat_entries_ = 0;
-  }
-
-  [[nodiscard]] bool has_range() const noexcept { return flat_span_ != 0; }
-  [[nodiscard]] std::int64_t range_min() const noexcept { return flat_min_; }
-  [[nodiscard]] std::int64_t range_max() const noexcept {
-    return flat_min_ + static_cast<std::int64_t>(flat_span_) - 1;
-  }
-
-  /// Pointer to bank().alphabet_set().size() multiples of `input`;
-  /// valid until the next lookup()/reset()/bind()/configure_range().
-  /// In-window inputs are a direct table index; everything else takes
-  /// the hash fallback.
+  /// Pointer to the bank's alphabet_set().size() multiples of `input`,
+  /// valid until the next configure_range(). Throws std::out_of_range
+  /// when `input` lies outside the window (or none is configured).
+  /// Charges nothing to `counts`: the bank ran when the table filled.
   [[nodiscard]] const std::int64_t* lookup(std::int64_t input,
-                                           OpCounts& counts) {
+                                           OpCounts& /*counts*/) const {
     // Subtraction in uint64 is wrap-safe for any input; a wrapped
-    // offset fails the span check and falls through.
+    // offset fails the span check.
     const std::uint64_t offset = static_cast<std::uint64_t>(input) -
-                                 static_cast<std::uint64_t>(flat_min_);
-    if (offset < flat_span_) {
-      std::int64_t* row = flat_.data() + offset * flat_k_;
-      if (flat_filled_[offset] != 0) {
-        ++hits_;
-        return row;
-      }
-      ++misses_;
-      // Marked filled only after the bank succeeds, so a throwing
-      // bank cannot poison the row with zeros (matches the hash
-      // path's memoize-after-compute ordering).
-      bank_->compute_into(input, row, counts);
-      flat_filled_[offset] = 1;
-      ++flat_entries_;
-      return row;
-    }
-    return lookup_fallback(input, counts);
+                                 static_cast<std::uint64_t>(min_raw_);
+    if (offset >= span_) throw_out_of_window(input);
+    return table_.data() + offset * k_;
   }
 
-  [[nodiscard]] const PrecomputerBank* bank() const noexcept { return bank_; }
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  /// Distinct memoized inputs across both regimes (flat + hash).
-  [[nodiscard]] std::size_t entries() const noexcept {
-    return flat_entries_ + index_.size();
-  }
-  /// Hash-fallback entries only (flat rows excluded).
-  [[nodiscard]] std::size_t hash_entries() const noexcept {
-    return index_.size();
-  }
-
-  /// Hash-memo cap: quantized activations span a few thousand
-  /// distinct values at most, so this is never hit in practice; it
-  /// bounds memory if someone streams arbitrary 64-bit inputs
-  /// through. Past the cap, lookups recompute into a scratch row.
-  static constexpr std::size_t kMaxHashEntries = std::size_t{1} << 16;
-  /// Widest flat window configure_range() accepts (64 MiB of rows at
+  /// Widest window configure_range() accepts (64 MiB of rows at
   /// k = 8) — far above any quantized activation format's span.
   static constexpr std::uint64_t kMaxFlatSpan = std::uint64_t{1} << 20;
 
  private:
-  /// Out-of-line slow path: hash memo, capped, overflow scratch.
-  [[nodiscard]] const std::int64_t* lookup_fallback(std::int64_t input,
-                                                    OpCounts& counts);
+  [[noreturn]] void throw_out_of_window(std::int64_t input) const;
 
   const PrecomputerBank* bank_ = nullptr;
-  // Flat direct-mapped window (armed by configure_range):
-  std::vector<std::int64_t> flat_;         ///< span × k multiples
-  std::vector<std::uint8_t> flat_filled_;  ///< per-row valid flag
-  std::int64_t flat_min_ = 0;
-  std::uint64_t flat_span_ = 0;  ///< 0 = window not armed
-  std::size_t flat_k_ = 0;       ///< bank alphabet count, cached
-  std::size_t flat_entries_ = 0;
-  // Hash fallback:
-  std::unordered_map<std::int64_t, std::size_t> index_;  ///< input -> offset
-  std::vector<std::int64_t> pool_;      ///< memoized multiples, k-strided
-  std::vector<std::int64_t> overflow_;  ///< scratch once the cap is hit
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  std::vector<std::int64_t> table_;  ///< span_ rows of k_ multiples
+  std::int64_t min_raw_ = 0;
+  std::uint64_t span_ = 0;  ///< 0 = no window configured
+  std::size_t k_ = 0;
 };
 
 }  // namespace man::core

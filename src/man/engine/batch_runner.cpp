@@ -44,8 +44,8 @@ void BatchRunner::run_sharded(
   const std::size_t shards = std::min<std::size_t>(
       static_cast<std::size_t>(workers_),
       (count + min_samples_per_worker_ - 1) / min_samples_per_worker_);
-  // Default-constructed slots are bound to the engine by its first
-  // infer call (FixedNetwork re-binds foreign or empty scratch caches).
+  // Default-constructed slots serve as they are: a scratch holds only
+  // buffers, which the first infer call sizes.
   if (scratches_.size() < shards) scratches_.resize(shards);
 
   if (shards <= 1) {

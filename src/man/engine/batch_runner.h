@@ -1,11 +1,12 @@
 // Batched, multi-threaded driver for the fixed-point engine: shards a
 // batch of inputs across a persistent worker pool, hands each shard its
 // whole sample range in one FixedNetwork::infer_batch call (so dense
-// batch tiles form inside it), keeps one InferScratch per shard slot
-// across calls (so the CSHM pre-computer outputs stay memoized instead
-// of rebuilt per sample — the amortization the shared bank exists for,
-// paper §III), and reduces the per-shard EngineStats into one
-// aggregate with per-layer activity preserved.
+// batch tiles form inside it), keeps one InferScratch of buffers per
+// shard slot across calls, and reduces the per-shard EngineStats into
+// one aggregate with per-layer activity preserved. Every shard stages
+// from the engine's one read-only CSHM table per synapse stage (the
+// pre-computer outputs computed once and broadcast to every lane,
+// paper §III).
 //
 // Results are bit-identical to the sequential path for any worker
 // count: every sample's output lands in its own slot, and the
@@ -113,8 +114,9 @@ class BatchRunner {
  private:
   /// Splits [0, count) into contiguous shards, runs fn(begin, end,
   /// stats, scratch) once per shard across the pool, then merges shard
-  /// stats (in shard order) into stats_. Rethrows the first shard
-  /// exception after every shard has finished.
+  /// stats (in shard order) into stats_. Shards share only the
+  /// engine, read-only; stats and scratch are per shard. Rethrows the
+  /// first shard exception after every shard has finished.
   void run_sharded(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t, EngineStats&,
@@ -127,7 +129,7 @@ class BatchRunner {
   std::shared_ptr<man::serve::ThreadPool> pool_;
   /// One scratch per shard slot, kept across calls (the runner is not
   /// re-entrant, so slot w belongs to shard w of the current call):
-  /// buffers and CSHM caches are sized and filled once, not per call.
+  /// its buffers are sized once, not per call.
   /// Each slot owns its cache lines: the hot loops write the vector
   /// headers, which would otherwise falsely share with a neighbour's.
   struct alignas(128) ScratchSlot {

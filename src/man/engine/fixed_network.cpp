@@ -29,35 +29,58 @@ man::fixed::QFormat accumulator_format(const man::nn::QuantSpec& spec) {
       30, spec.weight_format.frac_bits() + spec.activation_format.frac_bits());
 }
 
-// Arms the cache's flat direct-mapped table with the plan's staging
-// window (a no-op when already armed — the usual case, since
-// make_scratch() pre-arms every cache). Plans without a range leave
-// the cache in hash-fallback mode, bit-identically.
-void arm_staging_window(man::core::PrecomputerCache& cache,
-                        std::int64_t in_min_raw, std::int64_t in_max_raw) {
-  if (in_min_raw <= in_max_raw) {
-    cache.ensure_range(in_min_raw, in_max_raw);
+// Every ASM stage fed activation-format values stages from a table
+// over the format's raw range, so that range must fit one.
+void require_table_window(const man::nn::QuantSpec& spec) {
+  const auto& afmt = spec.activation_format;
+  const auto span =
+      static_cast<std::uint64_t>(afmt.max_raw() - afmt.min_raw()) + 1;
+  if (span > man::core::PrecomputerCache::kMaxFlatSpan) {
+    throw std::invalid_argument(
+        "FixedNetwork: activation format spans " + std::to_string(span) +
+        " raw values, the staging table holds at most " +
+        std::to_string(man::core::PrecomputerCache::kMaxFlatSpan));
   }
 }
 
+// The bank outputs of one synapse stage's input values: a row of the
+// stage's table when its inputs are proven to lie in the staging
+// window, else the bank's multiples computed into a stack row, as the
+// hardware bank does (a stage fed raw accumulators). A row stays valid
+// until the next call.
+class BankRows {
+ public:
+  BankRows(const std::optional<man::core::PrecomputerCache>& table,
+           const man::core::PrecomputerBank& bank)
+      : table_(table ? &*table : nullptr), bank_(&bank) {}
+
+  const std::int64_t* operator()(std::int64_t input) {
+    if (table_ != nullptr) return table_->lookup(input, discard_);
+    bank_->compute_into(input, row_, discard_);
+    return row_;
+  }
+
+ private:
+  const man::core::PrecomputerCache* table_;
+  const man::core::PrecomputerBank* bank_;
+  OpCounts discard_;
+  std::int64_t row_[(AlphabetSet::kMaxAlphabetValue + 1) / 2];
+};
+
 // Stages the CSHM bank outputs of every input element, k-strided
 // element-major, into `multiples` (values.size() × k slots) — the
-// dense path's staging loop. In-window values resolve through the
-// cache's flat table (subtract + indexed load, no hashing);
-// consecutive repeated values (long background runs in images,
-// saturated LUT outputs) replay the row just written without even
-// that.
+// dense path's staging loop. Consecutive repeated values (long
+// background runs in images, saturated LUT outputs) replay the row
+// just written.
 void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
-                     man::core::PrecomputerCache& cache,
-                     std::int64_t* multiples) {
-  OpCounts discard;
+                     BankRows rows, std::int64_t* multiples) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     std::int64_t* dest = multiples + i * k;
     if (i > 0 && values[i] == values[i - 1]) {
       std::copy(dest - k, dest, dest);
       continue;
     }
-    const std::int64_t* row = cache.lookup(values[i], discard);
+    const std::int64_t* row = rows(values[i]);
     std::copy(row, row + k, dest);
   }
 }
@@ -65,13 +88,10 @@ void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
 // Lane-major variant for the conv path: lane l's multiple of element i
 // lands at multiples[l · values.size() + i], so consecutive output
 // positions of one conv weight read consecutive slots (the layout
-// ConvLayerPlan::idx indexes). Same flat-table and repeated-value
-// fast paths.
+// ConvLayerPlan::idx indexes). Same repeated-value fast path.
 void stage_multiples_lane_major(std::span<const std::int64_t> values,
-                                std::size_t k,
-                                man::core::PrecomputerCache& cache,
+                                std::size_t k, BankRows rows,
                                 std::int64_t* multiples) {
-  OpCounts discard;
   const std::size_t stride = values.size();
   for (std::size_t i = 0; i < stride; ++i) {
     if (i > 0 && values[i] == values[i - 1]) {
@@ -80,7 +100,7 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
       }
       continue;
     }
-    const std::int64_t* row = cache.lookup(values[i], discard);
+    const std::int64_t* row = rows(values[i]);
     for (std::size_t l = 0; l < k; ++l) {
       multiples[l * stride + i] = row[l];
     }
@@ -91,19 +111,17 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
 // samples per element (element i of sample b at values[i·T + b]), and
 // lane l of that element lands at multiples[(i·k + l)·T + b], so the
 // T sample lanes of one plan slot sit contiguously — the layout
-// accumulate_dense_tile reads. Same flat-table lookups as the
-// per-sample path, hence the same bank outputs; the slots are int32,
-// which int32_tile_bound() proves every tiled stage's multiples fit.
+// accumulate_dense_tile reads. Same bank outputs as the per-sample
+// path; the slots are int32, which int32_tile_bound() proves every
+// tiled stage's multiples fit.
 void stage_multiples_tile(std::span<const std::int64_t> values, std::size_t k,
-                          man::core::PrecomputerCache& cache,
-                          std::int32_t* multiples) {
+                          BankRows rows, std::int32_t* multiples) {
   constexpr std::size_t kTile = man::backend::kDenseTile;
-  OpCounts discard;
   const std::size_t elements = values.size() / kTile;
   for (std::size_t i = 0; i < elements; ++i) {
     std::int32_t* dest = multiples + i * k * kTile;
     for (std::size_t b = 0; b < kTile; ++b) {
-      const std::int64_t* row = cache.lookup(values[i * kTile + b], discard);
+      const std::int64_t* row = rows(values[i * kTile + b]);
       for (std::size_t l = 0; l < k; ++l) {
         dest[l * kTile + b] = static_cast<std::int32_t>(row[l]);
       }
@@ -142,6 +160,7 @@ FixedNetwork::FixedNetwork(man::nn::Network& network,
   if (lanes_ < 1) {
     throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
   }
+  require_table_window(spec_);
   if (plan_.size() != network.num_weight_layers()) {
     throw std::invalid_argument(
         "FixedNetwork: plan has " + std::to_string(plan_.size()) +
@@ -203,6 +222,7 @@ FixedNetwork::FixedNetwork(man::nn::Network& network,
   link_stages();
   compile_plan();
   plan_tile();
+  build_tables();
   default_kernel_ = &man::backend::resolve();
 }
 
@@ -282,6 +302,24 @@ void FixedNetwork::plan_tile() {
                     [&](std::size_t idx) { return idx < tile_begin_; }));
 }
 
+void FixedNetwork::build_tables() {
+  const auto [in_min, in_max] = staging_window();
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    SynapseData* syn = nullptr;
+    if (auto* dense = std::get_if<DenseStage>(&stages_[i])) {
+      syn = &dense->synapse;
+    } else if (auto* conv = std::get_if<ConvStage>(&stages_[i])) {
+      syn = &conv->synapse;
+    }
+    if (syn == nullptr || syn->scheme.multiplier == MultiplierKind::kExact ||
+        !input_in_window(i)) {
+      continue;
+    }
+    syn->table.emplace(syn->bank);
+    syn->table->configure_range(in_min, in_max);
+  }
+}
+
 namespace {
 
 std::vector<LayerScheme> synapse_schemes(const CompiledModel& model) {
@@ -311,6 +349,7 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   if (lanes_ < 1) {
     throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
   }
+  require_table_window(spec_);
   const auto acc_format = accumulator_format(spec_);
   const auto restore_synapse = [](SynapseData& syn,
                                   const CompiledSynapse& cs) {
@@ -416,6 +455,7 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   for (auto& plan : conv_plans_) {
     if (!plan.tiles_tuned) man::backend::autotune_conv_plan(plan);
   }
+  build_tables();
   default_kernel_ = &man::backend::resolve();
 }
 
@@ -453,13 +493,9 @@ CompiledModel FixedNetwork::compiled_model() const {
 }
 
 void FixedNetwork::compile_plan() {
-  // Every synapse stage's inputs are quantized pixels, LUT outputs,
-  // or pool averages of those — all confined to the activation
-  // format's raw range. The plans carry that window so staging can
-  // arm the flat direct-mapped CSHM table (no per-element hashing).
-  // A format too wide for the flat table (impossible for the paper
-  // specs, whose activations are 9-bit) leaves the plans without a
-  // window: staging then runs on the hash memo, bit-identically.
+  // Every plan carries the activation format's raw range: the window
+  // the inputs of a stage fed quantized pixels, LUT outputs or pools
+  // of those lie in, which the int32 tile proof bounds them by.
   const auto window = staging_window();
   const std::int64_t in_min = window.first;
   const std::int64_t in_max = window.second;
@@ -511,38 +547,14 @@ void FixedNetwork::compile_plan() {
   }
 }
 
-const FixedNetwork::SynapseData& FixedNetwork::synapse_at(
-    std::size_t stage_index) const {
-  const Stage& stage = stages_[stage_index];
-  if (const auto* dense = std::get_if<DenseStage>(&stage)) {
-    return dense->synapse;
-  }
-  return std::get<ConvStage>(stage).synapse;
-}
-
 std::pair<std::int64_t, std::int64_t> FixedNetwork::staging_window() const {
-  const std::int64_t in_min = spec_.activation_format.min_raw();
-  const std::int64_t in_max = spec_.activation_format.max_raw();
-  const auto span = static_cast<std::uint64_t>(in_max - in_min) + 1;
-  if (span > man::core::PrecomputerCache::kMaxFlatSpan) {
-    return {0, -1};  // unknown: staging falls back to the hash memo
-  }
-  return {in_min, in_max};
+  return {spec_.activation_format.min_raw(),
+          spec_.activation_format.max_raw()};
 }
 
 FixedNetwork::InferScratch FixedNetwork::make_scratch() const {
   InferScratch scratch;
-  const auto window = staging_window();
   scratch.buffer.reserve(input_size_);
-  scratch.caches.reserve(synapse_stage_indices_.size());
-  for (std::size_t idx : synapse_stage_indices_) {
-    scratch.caches.emplace_back(synapse_at(idx).bank);
-    // Pre-arm the flat staging window so the first sample already
-    // skips the hash path.
-    if (window.first <= window.second) {
-      scratch.caches.back().configure_range(window.first, window.second);
-    }
-  }
   return scratch;
 }
 
@@ -684,18 +696,6 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
         "FixedNetwork: output span has " + std::to_string(out.size()) +
         " slots, engine produces " + std::to_string(count * output_size_));
   }
-  // Re-bind the caches of a scratch that is default-constructed or was
-  // made by a different engine (they would serve another bank's
-  // multiples). Only the caches are replaced: `out` may alias
-  // scratch.raw_out, so the buffers must stay put.
-  bool scratch_matches =
-      scratch.caches.size() == synapse_stage_indices_.size();
-  for (std::size_t si = 0; scratch_matches && si < scratch.caches.size();
-       ++si) {
-    scratch_matches = scratch.caches[si].bank() ==
-                      &synapse_at(synapse_stage_indices_[si]).bank;
-  }
-  if (!scratch_matches) scratch.caches = make_scratch().caches;
   if (stats.layers.empty()) stats = make_stats();
   if (stats.layers.size() != stats_.layers.size()) {
     throw std::invalid_argument(
@@ -779,19 +779,16 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
           kernel.exact_dense(plan, buffer.data(), next.data());
         });
       } else {
-        // Pre-computer bank outputs for every input value (computed
-        // once per distinct value per shard, shared across lanes —
-        // CSHM; in-window values resolve via the flat direct-mapped
-        // table the plan's range arms), staged k-strided plus the
-        // trailing zero slot the quartet planes point absent entries
-        // at.
+        // Pre-computer bank outputs for every input value (one bank
+        // row per value, shared across lanes — CSHM), staged k-strided
+        // plus the trailing zero slot the quartet planes point absent
+        // entries at.
         std::vector<std::int64_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          arm_staging_window(scratch.caches[synapse_counter],
-                             plan.in_min_raw, plan.in_max_raw);
           stage_multiples(buffer, static_cast<std::size_t>(plan.k),
-                          scratch.caches[synapse_counter], multiples.data());
+                          BankRows(dense->synapse.table, dense->synapse.bank),
+                          multiples.data());
           multiples[plan.zero_slot] = 0;
         });
         if (profile != nullptr) profile->staged_values += buffer.size();
@@ -820,12 +817,10 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         std::vector<std::int64_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          arm_staging_window(scratch.caches[synapse_counter],
-                             plan.in_min_raw, plan.in_max_raw);
-          stage_multiples_lane_major(buffer,
-                                     static_cast<std::size_t>(plan.k),
-                                     scratch.caches[synapse_counter],
-                                     multiples.data());
+          stage_multiples_lane_major(
+              buffer, static_cast<std::size_t>(plan.k),
+              BankRows(conv->synapse.table, conv->synapse.bank),
+              multiples.data());
           std::fill(multiples.begin() + plan.zero_base, multiples.end(), 0);
         });
         if (profile != nullptr) profile->staged_values += buffer.size();
@@ -893,10 +888,9 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
       timed_phase(profile, &PhaseProfile::staging_s, [&] {
         buffer.resize(plan.padded_multiples() * kTile + kLineSlots - 1);
         multiples = buffer.data() + line_offset(buffer.data());
-        arm_staging_window(scratch.caches[synapse_counter], plan.in_min_raw,
-                           plan.in_max_raw);
-        stage_multiples_tile(tile, static_cast<std::size_t>(plan.k),
-                             scratch.caches[synapse_counter], multiples);
+        stage_multiples_tile(
+            tile, static_cast<std::size_t>(plan.k),
+            BankRows(dense->synapse.table, dense->synapse.bank), multiples);
         std::fill_n(multiples + plan.zero_slot * kTile, kTile, 0);
       });
       if (profile != nullptr) profile->staged_values += tile.size();

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -49,8 +50,8 @@ namespace man::engine {
 }
 
 /// Wall-clock attribution of the per-element phases inside one
-/// infer_into() call, accumulated across calls: CSHM staging (flat
-/// table fill + copy into the multiples buffer), the activation LUT
+/// infer_into() call, accumulated across calls: CSHM staging (bank
+/// output rows copied into the multiples buffer), the activation LUT
 /// sweep, the kernel-backend accumulation, pooling, and input
 /// quantization. Attach to InferScratch::profile to collect;
 /// bench_fig9_energy uses it to emit the per-element breakdown that
@@ -151,19 +152,16 @@ class FixedNetwork {
     return output_size_;
   }
 
-  /// Per-worker mutable state for the re-entrant forward path: the
-  /// activation ping-pong buffers plus one PrecomputerCache per
-  /// synapse stage, so the CSHM bank outputs computed for one sample
-  /// are reused across every later sample fed through the same
-  /// scratch (a shard). Obtain via make_scratch(); the engine must
-  /// outlive it.
+  /// Per-worker buffers for the re-entrant forward path; the CSHM bank
+  /// outputs they are staged from live in the engine, read-only. Any
+  /// scratch works with any engine (buffers are resized per call), so
+  /// make_scratch() only saves the first call's allocations.
   struct InferScratch {
     std::vector<std::int64_t> buffer;  ///< current stage activations
     std::vector<std::int64_t> next;    ///< next stage activations
     /// Bank outputs: k-strided element-major for dense stages,
     /// lane-major (plus zero region) for conv stages.
     std::vector<std::int64_t> multiples;
-    std::vector<man::core::PrecomputerCache> caches;  ///< per synapse stage
     /// Batch tile activations and the next tile stage's, sample-minor
     /// (element i of sample b at [i·kDenseTile + b]); see infer_batch.
     std::vector<std::int64_t> tile;
@@ -188,9 +186,9 @@ class FixedNetwork {
   /// Re-entrant forward pass: quantizes `pixels`, runs every stage,
   /// and writes the final-layer raw accumulators (pre-activation,
   /// product scale) into `out` (size output_size()). Activity is
-  /// accumulated into `stats`; `scratch` carries the buffers and the
-  /// CSHM caches between calls. Safe to call concurrently from many
-  /// threads as long as each thread owns its `stats` and `scratch`.
+  /// accumulated into `stats`; `scratch` carries the buffers between
+  /// calls. Safe to call concurrently from many threads as long as
+  /// each thread owns its `stats` and `scratch`.
   /// Synapse stages (dense and conv) run on this engine's default
   /// kernel backend (resolved from MAN_BACKEND / CPU detection at
   /// construction).
@@ -218,8 +216,7 @@ class FixedNetwork {
                    EngineStats& stats, InferScratch& scratch,
                    const man::backend::KernelBackend& kernel) const;
 
-  /// Convenience overload with throwaway scratch (no cross-sample
-  /// bank reuse).
+  /// Convenience overload with throwaway scratch.
   void infer_into(std::span<const float> pixels, std::span<std::int64_t> out,
                   EngineStats& stats) const;
 
@@ -285,6 +282,10 @@ class FixedNetwork {
     std::vector<AsmWeight> asm_weights;
     std::vector<Step> steps;
     man::core::PrecomputerBank bank{man::core::AlphabetSet::man()};
+    /// The bank's outputs over the staging window, filled once by
+    /// build_tables() and read by every worker; empty for exact stages
+    /// and for stages fed raw accumulators, which stage from `bank`.
+    std::optional<man::core::PrecomputerCache> table;
     // Static per-inference activity (precomputed at build time):
     std::uint64_t macs = 0;
     std::uint64_t bank_activations = 0;
@@ -328,10 +329,13 @@ class FixedNetwork {
   /// Sets tile_begin_/tile_synapse_begin_ from the compiled plans
   /// (both constructors, once the plans exist).
   void plan_tile();
+  /// Fills the staging table of every ASM synapse stage whose inputs
+  /// lie in the staging window (both constructors, last, once stages_
+  /// is final).
+  void build_tables();
   /// True when stage `stage_index`'s inputs are activation-format
   /// values: quantized pixels, LUT outputs, or pools of those.
   [[nodiscard]] bool input_in_window(std::size_t stage_index) const;
-  [[nodiscard]] const SynapseData& synapse_at(std::size_t stage_index) const;
 
   /// Adds `samples` inferences' worth of one synapse stage's static
   /// activity to `layer`.
@@ -349,9 +353,10 @@ class FixedNetwork {
   void forward_tile(EngineStats& stats, InferScratch& scratch,
                     const man::backend::KernelBackend& kernel) const;
 
-  /// The staging window every synapse stage's inputs lie in (the
-  /// activation format's raw range), or {0, -1} when the format is
-  /// too wide for the flat table (staging then hash-falls-back).
+  /// The staging window: the activation format's raw range, which
+  /// quantized pixels, LUT outputs and pools of those lie in. Both
+  /// constructors reject formats wider than
+  /// PrecomputerCache::kMaxFlatSpan.
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> staging_window() const;
 
   man::nn::QuantSpec spec_;

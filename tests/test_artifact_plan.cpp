@@ -22,6 +22,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "man/backend/kernel_backend.h"
@@ -490,6 +491,43 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
     EXPECT_EQ(infer_raw(*load_engine(file, "key"), pixels,
                         backend_for(BackendKind::kScalar)),
               infer_raw(*engine, pixels, backend_for(BackendKind::kScalar)));
+  }
+}
+
+// An artifact declaring a 24-bit activation format (2^24 - 1 raw
+// values, past PrecomputerCache::kMaxFlatSpan) is rejected with
+// SerializationError, whether its plans carry the matching 24-bit
+// window or the unknown window {0, -1} older engines saved for formats
+// the staging table could not cover.
+TEST_F(PlanArtifactTest, ActivationFormatWiderThanTheStagingTableRejected) {
+  man::util::Rng rng(7);
+  Network net;
+  net.add<Dense>(16, 4).init_xavier(rng);
+  const FixedNetwork engine(compile(std::move(net), 8, 4));
+  const auto& spec = engine.quant_spec();
+  const man::fixed::QFormat wide(24, spec.activation_format.frac_bits());
+  const auto& plan = engine.plans()[0];
+  const std::pair<std::int64_t, std::int64_t> windows[] = {
+      {wide.min_raw(), wide.max_raw()}, {0, -1}};
+  for (const auto& [in_min, in_max] : windows) {
+    const std::string file = path("wide.plan");
+    save_engine(engine, file, "key");
+    ArtifactBytes bytes(file);
+    // weight bits, weight frac, act bits, act frac, lanes.
+    const std::int32_t formats[] = {spec.weight_format.total_bits(),
+                                    spec.weight_format.frac_bits(),
+                                    spec.activation_format.total_bits(),
+                                    spec.activation_format.frac_bits(),
+                                    engine.lanes()};
+    bytes.put<std::int32_t>(bytes.find(formats, sizeof formats) + 8, 24);
+    const PlanFields f =
+        locate(bytes, plan, {plan.rows, plan.cols, plan.cols_padded});
+    // in_min_raw, in_max_raw follow the zero slot.
+    bytes.put<std::int64_t>(f.zero + 4, in_min);
+    bytes.put<std::int64_t>(f.zero + 12, in_max);
+    bytes.save();
+    EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
+        << "window [" << in_min << ", " << in_max << "]";
   }
 }
 

@@ -6,7 +6,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
+#include "man/fixed/qformat.h"
 #include "man/util/rng.h"
 
 namespace man::core {
@@ -73,178 +76,75 @@ TEST(PrecomputerBank, CountsAdderActivations) {
   EXPECT_EQ(counts.precomputer_adds, 3u);
 }
 
-// --- PrecomputerCache: flat direct-mapped window + hash fallback ---
+// --- PrecomputerCache: eagerly filled read-only table ---
 
-TEST(PrecomputerCacheFlat, InWindowLookupsMatchBankWithoutHashEntries) {
-  const PrecomputerBank bank(AlphabetSet::four());
-  PrecomputerCache cache(bank);
-  cache.configure_range(-255, 255);
-  EXPECT_TRUE(cache.has_range());
-  EXPECT_EQ(cache.range_min(), -255);
-  EXPECT_EQ(cache.range_max(), 255);
-
-  OpCounts counts;
-  for (int round = 0; round < 2; ++round) {
-    for (std::int64_t input = -255; input <= 255; ++input) {
-      const std::int64_t* row = cache.lookup(input, counts);
-      const auto expected = bank.compute(input);
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(row[i], expected[i]) << "input " << input;
-      }
+// Every row of the table over the paper's activation window equals
+// the bank's own multiples, for every alphabet-set size.
+TEST(PrecomputerCacheTable, RowsMatchBankOverTheActivationWindow) {
+  const man::fixed::QFormat window = man::fixed::QFormat::input8();
+  for (std::size_t n = 1; n <= 8; ++n) {
+    const PrecomputerBank bank(AlphabetSet::first_n(n));
+    PrecomputerCache table(bank);
+    table.configure_range(window.min_raw(), window.max_raw());
+    OpCounts counts;
+    for (std::int64_t v = window.min_raw(); v <= window.max_raw(); ++v) {
+      const std::int64_t* row = table.lookup(v, counts);
+      const auto expected = bank.compute(v);
+      ASSERT_EQ(std::vector<std::int64_t>(row, row + n), expected)
+          << "n=" << n << " input " << v;
     }
+    // The bank ran when the table filled, not per lookup.
+    EXPECT_EQ(counts.precomputer_adds, 0u);
   }
-  EXPECT_EQ(cache.entries(), 511u);
-  EXPECT_EQ(cache.hash_entries(), 0u);  // no lookup touched the hash
-  EXPECT_EQ(cache.misses(), 511u);
-  EXPECT_EQ(cache.hits(), 511u);
-  // Structural adds charged once per distinct value.
-  EXPECT_EQ(counts.precomputer_adds,
-            511u * static_cast<std::uint64_t>(bank.adder_count()));
 }
 
-TEST(PrecomputerCacheFlat, OutOfWindowInputsTakeTheHashFallback) {
+TEST(PrecomputerCacheTable, OutOfWindowLookupThrows) {
   const PrecomputerBank bank(AlphabetSet::two());
-  PrecomputerCache cache(bank);
-  cache.configure_range(-10, 10);
-
   OpCounts counts;
-  for (int round = 0; round < 3; ++round) {
-    for (std::int64_t input : {-500LL, 11LL, 4096LL, -11LL}) {
-      const std::int64_t* row = cache.lookup(input, counts);
-      EXPECT_EQ(row[0], input);
-      EXPECT_EQ(row[1], 3 * input);
-    }
-    const std::int64_t* in_window = cache.lookup(7, counts);
-    EXPECT_EQ(in_window[1], 21);
+  const PrecomputerCache unconfigured(bank);
+  EXPECT_THROW((void)unconfigured.lookup(0, counts), std::out_of_range);
+
+  PrecomputerCache table(bank);
+  table.configure_range(-10, 10);
+  EXPECT_EQ(table.lookup(-10, counts)[1], -30);
+  EXPECT_EQ(table.lookup(10, counts)[1], 30);
+  // Extreme inputs must not wrap into the window.
+  for (const std::int64_t input :
+       {std::int64_t{-11}, std::int64_t{11},
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()}) {
+    EXPECT_THROW((void)table.lookup(input, counts), std::out_of_range)
+        << "input " << input;
   }
-  EXPECT_EQ(cache.hash_entries(), 4u);  // the out-of-window values
-  EXPECT_EQ(cache.entries(), 5u);       // plus the flat row for 7
-  EXPECT_EQ(cache.misses(), 5u);
-  EXPECT_EQ(cache.hits(), 10u);
 }
 
-TEST(PrecomputerCacheFlat, ResetKeepsTheWindowAndDropsTheMemo) {
-  const PrecomputerBank bank(AlphabetSet::four());
-  PrecomputerCache cache(bank);
-  cache.configure_range(0, 100);
-  OpCounts counts;
-  (void)cache.lookup(5, counts);
-  (void)cache.lookup(5, counts);
-  (void)cache.lookup(1000, counts);  // hash fallback
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
-
-  cache.reset();
-  EXPECT_TRUE(cache.has_range());  // window survives reset
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  // Rows refill on demand after the reset.
-  const std::int64_t* row = cache.lookup(5, counts);
-  EXPECT_EQ(row[0], 5);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(PrecomputerCacheFlat, BindDropsWindowAndCounters) {
-  const PrecomputerBank four(AlphabetSet::four());
-  const PrecomputerBank two(AlphabetSet::two());
-  PrecomputerCache cache(four);
-  cache.configure_range(-5, 5);
-  OpCounts counts;
-  (void)cache.lookup(3, counts);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  cache.bind(two);  // different alphabet count: window must not leak
-  EXPECT_EQ(cache.bank(), &two);
-  EXPECT_FALSE(cache.has_range());
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  // Unarmed lookups run on the hash path against the new bank.
-  const std::int64_t* row = cache.lookup(3, counts);
-  EXPECT_EQ(row[1], 9);
-  EXPECT_EQ(cache.hash_entries(), 1u);
-
-  cache.configure_range(-5, 5);
-  const std::int64_t* flat_row = cache.lookup(3, counts);
-  EXPECT_EQ(flat_row[1], 9);
-  EXPECT_EQ(cache.entries(), 2u);  // hash entry + fresh flat row
-}
-
-TEST(PrecomputerCacheFlat, EnsureRangeIsIdempotentAndRearms) {
-  const PrecomputerBank bank(AlphabetSet::four());
-  PrecomputerCache cache(bank);
-  cache.ensure_range(-255, 255);
-  OpCounts counts;
-  (void)cache.lookup(0, counts);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.ensure_range(-255, 255);  // no-op: the filled row survives
-  (void)cache.lookup(0, counts);
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.ensure_range(-127, 127);  // different window: re-armed
-  (void)cache.lookup(0, counts);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PrecomputerCacheFlat, RejectsBadWindows) {
+TEST(PrecomputerCacheTable, RejectsBadWindows) {
   const PrecomputerBank bank(AlphabetSet::four());
   PrecomputerCache unbound;
   EXPECT_THROW(unbound.configure_range(0, 1), std::logic_error);
-  PrecomputerCache cache(bank);
-  EXPECT_THROW(cache.configure_range(1, 0), std::invalid_argument);
+  PrecomputerCache table(bank);
+  EXPECT_THROW(table.configure_range(1, 0), std::invalid_argument);
   EXPECT_THROW(
-      cache.configure_range(
+      table.configure_range(
           0, static_cast<std::int64_t>(PrecomputerCache::kMaxFlatSpan)),
       std::invalid_argument);
-  // Extreme inputs against an armed window must not wrap into it.
-  cache.configure_range(-10, 10);
-  OpCounts counts;
-  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 16;
-  const std::int64_t* row = cache.lookup(big, counts);
-  EXPECT_EQ(row[0], big);
-  EXPECT_EQ(cache.hash_entries(), 1u);
 }
 
-TEST(PrecomputerCacheFallback, HashCapSaturatesIntoOverflowScratch) {
-  const PrecomputerBank bank(AlphabetSet::two());
-  PrecomputerCache cache(bank);
-  cache.configure_range(0, 7);  // tiny window; the stream lands outside
-
-  OpCounts counts;
-  const auto cap =
-      static_cast<std::int64_t>(PrecomputerCache::kMaxHashEntries);
-  for (std::int64_t input = 1; input <= cap; ++input) {
-    (void)cache.lookup(-input, counts);
+// Lookups never read the bank, so a filled table copied away from it
+// keeps serving after the bank is gone (what copying or moving an
+// engine does to its stage tables).
+TEST(PrecomputerCacheTable, FilledTableOutlivesItsBank) {
+  PrecomputerCache copy;
+  {
+    const PrecomputerBank bank(AlphabetSet::full());
+    PrecomputerCache table(bank);
+    table.configure_range(-3, 3);
+    copy = table;
   }
-  EXPECT_EQ(cache.hash_entries(), PrecomputerCache::kMaxHashEntries);
-  EXPECT_EQ(cache.misses(), PrecomputerCache::kMaxHashEntries);
-
-  // Past the cap: values are still served correctly (recomputed into
-  // the overflow scratch) but never memoized — every lookup is a miss
-  // and the entry count stays pinned at the cap.
-  for (int round = 0; round < 3; ++round) {
-    const std::int64_t* row = cache.lookup(-(cap + 1), counts);
-    EXPECT_EQ(row[0], -(cap + 1));
-    EXPECT_EQ(row[1], 3 * -(cap + 1));
-  }
-  EXPECT_EQ(cache.hash_entries(), PrecomputerCache::kMaxHashEntries);
-  EXPECT_EQ(cache.misses(), PrecomputerCache::kMaxHashEntries + 3);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // Pre-cap entries and the flat window still replay from the memo.
-  (void)cache.lookup(-1, counts);
-  EXPECT_EQ(cache.hits(), 1u);
-  (void)cache.lookup(3, counts);
-  (void)cache.lookup(3, counts);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.entries(), PrecomputerCache::kMaxHashEntries + 1);
-}
-
-TEST(PrecomputerCacheFallback, UnboundLookupThrows) {
-  PrecomputerCache cache;
   OpCounts counts;
-  EXPECT_THROW((void)cache.lookup(1, counts), std::logic_error);
+  const std::int64_t* row = copy.lookup(-3, counts);
+  EXPECT_EQ(row[0], -3);
+  EXPECT_EQ(row[7], -45);
 }
 
 TEST(CshmUnit, SharesOneBankActivationAcrossLanes) {

@@ -166,6 +166,21 @@ TEST(FixedNetwork, PlanSizeMustMatchNetwork) {
                std::invalid_argument);
 }
 
+// Staging reads a table over the activation format's raw range, so a
+// format wider than the table's cap is rejected at construction (the
+// ASM and the exact plan alike: every engine carries the window).
+TEST(FixedNetwork, RejectsActivationFormatWiderThanTheStagingTable) {
+  QuantSpec spec = QuantSpec::bits8();
+  spec.activation_format = man::fixed::QFormat(24, 8);  // 2^24 - 1 values
+  Network net = make_mlp(61);
+  EXPECT_THROW(FixedNetwork(net, spec,
+                            LayerAlphabetPlan::uniform_asm(
+                                2, AlphabetSet::full())),
+               std::invalid_argument);
+  EXPECT_THROW(FixedNetwork(net, spec, LayerAlphabetPlan::conventional(2)),
+               std::invalid_argument);
+}
+
 TEST(FixedNetwork, StatsCountMacsAndBankActivations) {
   Network net = make_mlp(62);  // 16->8->4
   const QuantSpec spec = QuantSpec::bits8();
