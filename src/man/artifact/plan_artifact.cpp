@@ -182,9 +182,10 @@ ConvTileShape read_tile(SpanReader& dir) {
 //
 // The checksum proves the bytes are what some writer produced, not
 // that a compiler could have produced them. Everything a kernel or the
-// staging indexes with is checked here, so a hostile artifact with a
-// recomputed checksum throws SerializationError instead of reading or
-// writing out of bounds.
+// staging indexes with is checked here or by the engine constructor
+// (stage geometry), so a hostile artifact with a recomputed checksum
+// throws SerializationError instead of reading or writing out of
+// bounds.
 
 /// Most quartet planes a plan can have: one step per weight bit at
 /// most, and QFormat caps weights at 31 bits.
@@ -411,7 +412,7 @@ class MappedBlob {
 
 void save_engine(const man::engine::FixedNetwork& engine,
                  const std::string& path, const std::string& config_key) {
-  const CompiledModel model = engine.compiled_model();
+  const CompiledModel& model = engine.compiled_model();
   BlobWriter arrays;
   BlobWriter dir;
 
@@ -572,23 +573,12 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         stage.window = dir.read_i32();
         stage.oh = dir.read_i32();
         stage.ow = dir.read_i32();
-        // The AvgPool2D identities: every window read stays in its
-        // channel's ih × iw input.
-        if (stage.c < 1 || stage.window < 1 || stage.ih < 0 ||
-            stage.iw < 0 || stage.ih % stage.window != 0 ||
-            stage.iw % stage.window != 0 ||
-            stage.oh != stage.ih / stage.window ||
-            stage.ow != stage.iw / stage.window) {
-          reject("bad pool geometry");
-        }
         model.stages.emplace_back(stage);
       } else if (tag == kTagLut) {
-        const std::int32_t kind = dir.read_i32();
-        if (kind < 0 || kind > 3) {
-          throw SerializationError("plan artifact: bad activation kind");
-        }
-        model.stages.emplace_back(
-            CompiledLutStage{static_cast<man::core::ActivationKind>(kind)});
+        // Pool geometry and the activation kind are checked by the
+        // engine constructor.
+        model.stages.emplace_back(CompiledLutStage{
+            static_cast<man::core::ActivationKind>(dir.read_i32())});
       } else {
         throw SerializationError("plan artifact: unknown stage tag " +
                                  std::to_string(tag));

@@ -2,9 +2,10 @@
 // kernels: every ConvTileShape is bit-identical to the scalar
 // reference (the kernels only differ in how many output positions one
 // plan pass feeds), so the best shape for a given conv geometry is
-// purely a speed question — answered once per plan, at
-// FixedNetwork::compile_plan() time, by a microbench over a synthetic
-// multiples buffer, and recorded on the plan for dispatch to read.
+// purely a speed question — answered once per plan, when the
+// FixedNetwork constructor first sees it untuned, by a microbench over
+// a synthetic multiples buffer, and recorded on the plan for dispatch
+// to read.
 #ifndef MAN_BACKEND_CONV_AUTOTUNE_H
 #define MAN_BACKEND_CONV_AUTOTUNE_H
 

@@ -25,7 +25,7 @@
 namespace man::backend {
 
 /// Contiguous read-mostly plan storage with two modes: *owned* (a
-/// plain vector, as compile_plan() builds it) or *borrowed* (a raw
+/// plain vector, as the builders fill it) or *borrowed* (a raw
 /// pointer into storage someone else keeps alive — an mmap'ed
 /// artifact blob). Kernels only ever read through data()/operator[]
 /// const, so they cannot tell the modes apart; mutation (assign and
@@ -139,9 +139,11 @@ inline constexpr int kLaneWidth = 4;
 /// (int32_tile_bound() proves the plan's sums fit), so every plan
 /// entry is read once per tile and applied to kDenseTile contiguous
 /// lanes — one zmm, two ymm, one 64-byte line. Rows come out int64 at
-/// out[r·kDenseTile + b]. A fixed constant, not a knob: serving
-/// micro-batches shard into 16-sample ranges, which a wider tile
-/// would stop tiling.
+/// out[r·kDenseTile + b]. A fixed constant, not a knob: a wider tile
+/// would tile even fewer serving micro-batches, of which only a full
+/// 64-sample batch on 4 workers shards into 16-sample ranges
+/// (BatchRunner::run_sharded splits 32 samples into 4 × 8 and 48 into
+/// 4 × 12).
 inline constexpr int kDenseTile = 16;
 
 /// Largest register-blocking tile the vectorized conv kernels
@@ -156,7 +158,7 @@ inline constexpr int kMaxConvColVecs = 2;
 /// tile, or (weight_stationary) one plan entry broadcast-held in
 /// registers while every output position streams past it. Zero
 /// fields mean "kernel default". Picked per plan geometry by
-/// autotune_conv_plan() at compile_plan() time (or forced via
+/// autotune_conv_plan() when an engine is built (or forced via
 /// MAN_CONV_TILE) and recorded on ConvLayerPlan; every shape is
 /// bit-identical to the scalar reference — only speed differs.
 struct ConvTileShape {
@@ -166,11 +168,10 @@ struct ConvTileShape {
 };
 
 /// Self-contained per-layer plan consumed by KernelBackend
-/// implementations. Built once per dense stage by
-/// FixedNetwork::compile_plan() (owned arrays — it cannot dangle into
-/// engine internals) or reconstructed from an mmap'ed plan artifact
-/// (borrowed arrays pointing into the mapping, which the loading
-/// engine keeps alive).
+/// implementations. Built once per dense layer when a network is
+/// lowered (owned arrays — it cannot dangle into engine internals) or
+/// reconstructed from an mmap'ed plan artifact (borrowed arrays
+/// pointing into the mapping, which the loading engine keeps alive).
 struct DenseLayerPlan {
   int rows = 0;         ///< output neurons
   int cols = 0;         ///< input features
@@ -197,10 +198,11 @@ struct DenseLayerPlan {
 
   /// Staging window: the activation QFormat's raw range
   /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
-  /// pool averages stay inside. Set by FixedNetwork::compile_plan() on
-  /// every plan and checked again at load. A stage whose inputs lie in
-  /// it stages from the engine's table of bank outputs over the
-  /// window, and int32_tile_bound() bounds the inputs by it; a stage
+  /// pool averages stay inside. Set on every plan when a network is
+  /// lowered and checked by the FixedNetwork constructor. A stage
+  /// whose inputs lie in it stages from the engine's table of bank
+  /// outputs over the window, and int32_tile_bound() bounds the
+  /// inputs by it; a stage
   /// fed raw accumulators (no LUT in front) stages straight from its
   /// bank and never tiles. min > max (the default, hand-built plans
   /// only) means no window: such a plan never tiles.
@@ -316,7 +318,7 @@ struct ConvLayerPlan {
   /// Register-blocking tile shapes the vectorized kernels dispatch
   /// on, one per ISA (the portable/blocked kernels ignore them).
   /// Default-constructed shapes mean "kernel default"; filled in by
-  /// autotune_conv_plan() during FixedNetwork::compile_plan().
+  /// autotune_conv_plan() when the FixedNetwork is built.
   ConvTileShape tile_avx2;
   ConvTileShape tile_avx512;
   /// True once autotune_conv_plan() measured (or was forced to) a

@@ -1,10 +1,10 @@
 #include "man/engine/fixed_network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "man/backend/conv_autotune.h"
-#include "man/core/asm_multiplier.h"
 #include "man/core/quartet.h"
 #include "man/core/weight_constraint.h"
 #include "man/nn/activation_layer.h"
@@ -151,471 +151,66 @@ void timed_phase(PhaseProfile* profile, double PhaseProfile::*field,
   profile->*field += watch.seconds();
 }
 
-}  // namespace
-
-FixedNetwork::FixedNetwork(man::nn::Network& network,
-                           man::nn::QuantSpec spec, LayerAlphabetPlan plan,
-                           int lanes)
-    : spec_(spec), plan_(std::move(plan)), lanes_(lanes) {
-  if (lanes_ < 1) {
-    throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
-  }
-  require_table_window(spec_);
-  if (plan_.size() != network.num_weight_layers()) {
-    throw std::invalid_argument(
-        "FixedNetwork: plan has " + std::to_string(plan_.size()) +
-        " schemes for " + std::to_string(network.num_weight_layers()) +
-        " synapse layers");
-  }
-
-  const auto acc_format = accumulator_format(spec_);
-  std::size_t synapse_index = 0;
-  for (std::size_t li = 0; li < network.num_layers(); ++li) {
-    man::nn::Layer& layer = network.layer(li);
-    if (auto* dense = dynamic_cast<man::nn::Dense*>(&layer)) {
-      DenseStage stage;
-      stage.in = dense->in_features();
-      stage.out = dense->out_features();
-      stage.synapse.scheme = plan_.scheme(synapse_index++);
-      compile_synapse(stage.synapse, dense->weights(), dense->biases(),
-                      static_cast<std::uint64_t>(stage.in) * stage.out,
-                      stage.out);
-      synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{dense->name(), 0, 0, {}});
-      stages_.emplace_back(std::move(stage));
-    } else if (auto* conv = dynamic_cast<man::nn::Conv2D*>(&layer)) {
-      ConvStage stage;
-      stage.ic = conv->in_channels();
-      stage.oc = conv->out_channels();
-      stage.k = conv->kernel();
-      stage.ih = conv->in_height();
-      stage.iw = conv->in_width();
-      stage.oh = conv->out_height();
-      stage.ow = conv->out_width();
-      stage.synapse.scheme = plan_.scheme(synapse_index++);
-      compile_synapse(stage.synapse, conv->weights(),
-                      std::span<const float>(conv->biases().data(),
-                                             conv->biases().size()),
-                      conv->macs_per_inference(), stage.oc);
-      synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{conv->name(), 0, 0, {}});
-      stages_.emplace_back(std::move(stage));
-    } else if (auto* pool = dynamic_cast<man::nn::AvgPool2D*>(&layer)) {
-      PoolStage stage;
-      stage.c = pool->channels();
-      stage.ih = pool->in_height();
-      stage.iw = pool->in_width();
-      stage.window = pool->window();
-      stage.oh = pool->out_height();
-      stage.ow = pool->out_width();
-      stages_.emplace_back(stage);
-    } else if (auto* act =
-                   dynamic_cast<man::nn::ActivationLayer*>(&layer)) {
-      stages_.emplace_back(LutStage{man::core::FixedActivationLut(
-          act->kind(), acc_format, spec_.activation_format)});
-    } else {
-      throw std::invalid_argument("FixedNetwork: unsupported layer type: " +
-                                  layer.name());
-    }
-  }
-
-  link_stages();
-  compile_plan();
-  plan_tile();
-  build_tables();
-  default_kernel_ = &man::backend::resolve();
+bool is_exact(const CompiledSynapse& syn) {
+  return syn.scheme.multiplier == MultiplierKind::kExact;
 }
 
-void FixedNetwork::link_stages() {
-  // Static stage-graph geometry: records input/output sizes (span
-  // validation, batch buffer pre-allocation) and rejects mis-chained
-  // networks up front — infer_into() itself no longer re-checks every
-  // stage boundary per sample.
-  std::size_t current = 0;  // 0 until the first size-defining stage
-  const auto check_chain = [&](std::size_t expected, const char* kind) {
-    if (current != 0 && current != expected) {
-      throw std::invalid_argument(
-          std::string("FixedNetwork: ") + kind + " stage expects " +
-          std::to_string(expected) + " inputs but previous stage produces " +
-          std::to_string(current));
-    }
-  };
-  for (const Stage& stage : stages_) {
-    if (const auto* dense = std::get_if<DenseStage>(&stage)) {
-      check_chain(static_cast<std::size_t>(dense->in), "dense");
-      if (input_size_ == 0) input_size_ = static_cast<std::size_t>(dense->in);
-      current = static_cast<std::size_t>(dense->out);
-    } else if (const auto* conv = std::get_if<ConvStage>(&stage)) {
-      const auto conv_in =
-          static_cast<std::size_t>(conv->ic) * conv->ih * conv->iw;
-      check_chain(conv_in, "conv");
-      if (input_size_ == 0) input_size_ = conv_in;
-      current = static_cast<std::size_t>(conv->oc) * conv->oh * conv->ow;
-    } else if (const auto* pool = std::get_if<PoolStage>(&stage)) {
-      const auto pool_in =
-          static_cast<std::size_t>(pool->c) * pool->ih * pool->iw;
-      check_chain(pool_in, "pool");
-      if (input_size_ == 0) input_size_ = pool_in;
-      current = static_cast<std::size_t>(pool->c) * pool->oh * pool->ow;
-    }
-  }
-  output_size_ = current;
-}
+// One synapse layer, lowered: quantized weights for an exact plan, or
+// each weight's select/shift schedule for build_asm(), which consumes
+// it; biases at product scale. Transient: lower() builds the layer's
+// plan from it before it lowers the next layer.
+struct SynapseSchedule {
+  std::vector<std::int32_t> quantized;  ///< exact schemes only
+  std::vector<man::backend::AsmWeight> encoded;
+  std::vector<man::backend::AsmStep> steps;
+  std::vector<std::int64_t> biases;
+};
 
-bool FixedNetwork::input_in_window(std::size_t stage_index) const {
-  // Quantized pixels and LUT outputs are activation-format values;
-  // a pool averages its inputs, so it keeps them in range; dense and
-  // conv stages emit raw product-scale accumulators.
-  if (stage_index == 0) return true;
-  const Stage& prev = stages_[stage_index - 1];
-  if (std::holds_alternative<LutStage>(prev)) return true;
-  return std::holds_alternative<PoolStage>(prev) &&
-         input_in_window(stage_index - 1);
-}
-
-void FixedNetwork::plan_tile() {
-  // Where a batch tile forms: the first dense stage of the longest
-  // trailing run of LUT stages and ASM dense stages whose plans fit
-  // int32 lanes (the MLP's whole network, LeNet's fully connected
-  // tail; exact plans never fit). The proof assumes every input lies
-  // in the staging window, so a dense stage fed raw accumulators ends
-  // the run too. Everything before the run stays per sample on the
-  // int64 kernels.
-  tile_begin_ = stages_.size();
-  for (std::size_t i = stages_.size(); i-- > 0;) {
-    const auto* dense = std::get_if<DenseStage>(&stages_[i]);
-    if (dense != nullptr) {
-      const auto& plan = plans_[static_cast<std::size_t>(dense->plan_index)];
-      const std::int64_t bound = man::backend::int32_tile_bound(
-          plan, dense->synapse.bank.alphabet_set().alphabets());
-      if (bound >= man::backend::kInt32TileOverflow || !input_in_window(i)) {
-        break;
-      }
-      tile_begin_ = i;
-    } else if (!std::holds_alternative<LutStage>(stages_[i])) {
-      break;
-    }
-  }
-  tile_synapse_begin_ = static_cast<std::size_t>(
-      std::count_if(synapse_stage_indices_.begin(),
-                    synapse_stage_indices_.end(),
-                    [&](std::size_t idx) { return idx < tile_begin_; }));
-}
-
-void FixedNetwork::build_tables() {
-  const auto [in_min, in_max] = staging_window();
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    SynapseData* syn = nullptr;
-    if (auto* dense = std::get_if<DenseStage>(&stages_[i])) {
-      syn = &dense->synapse;
-    } else if (auto* conv = std::get_if<ConvStage>(&stages_[i])) {
-      syn = &conv->synapse;
-    }
-    if (syn == nullptr || syn->scheme.multiplier == MultiplierKind::kExact ||
-        !input_in_window(i)) {
-      continue;
-    }
-    syn->table.emplace(syn->bank);
-    syn->table->configure_range(in_min, in_max);
-  }
-}
-
-namespace {
-
-std::vector<LayerScheme> synapse_schemes(const CompiledModel& model) {
-  std::vector<LayerScheme> schemes;
-  for (const CompiledStage& stage : model.stages) {
-    if (const auto* dense = std::get_if<CompiledDenseStage>(&stage)) {
-      schemes.push_back(dense->synapse.scheme);
-    } else if (const auto* conv = std::get_if<CompiledConvStage>(&stage)) {
-      schemes.push_back(conv->synapse.scheme);
-    }
-  }
-  return schemes;
-}
-
-}  // namespace
-
-FixedNetwork::FixedNetwork(const CompiledModel& model,
-                           std::vector<man::backend::DenseLayerPlan> plans,
-                           std::vector<man::backend::ConvLayerPlan> conv_plans,
-                           std::shared_ptr<const void> storage)
-    : spec_(model.spec),
-      plan_(LayerAlphabetPlan(synapse_schemes(model))),
-      lanes_(model.lanes),
-      plans_(std::move(plans)),
-      conv_plans_(std::move(conv_plans)),
-      storage_(std::move(storage)) {
-  if (lanes_ < 1) {
-    throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
-  }
-  require_table_window(spec_);
-  const auto acc_format = accumulator_format(spec_);
-  const auto restore_synapse = [](SynapseData& syn,
-                                  const CompiledSynapse& cs) {
-    syn.scheme = cs.scheme;
-    // Banks are cheap deterministic functions of the alphabet set —
-    // rebuilt here instead of serialized.
-    syn.bank = man::core::PrecomputerBank(cs.scheme.effective_alphabets());
-    syn.macs = cs.macs;
-    syn.bank_activations = cs.bank_activations;
-    syn.ops_per_inference = cs.ops_per_inference;
-  };
-
-  std::size_t dense_count = 0;
-  std::size_t conv_count = 0;
-  for (const CompiledStage& cs : model.stages) {
-    if (const auto* d = std::get_if<CompiledDenseStage>(&cs)) {
-      if (dense_count >= plans_.size()) {
-        throw std::invalid_argument(
-            "FixedNetwork: more dense stages than dense plans");
-      }
-      const auto& plan = plans_[dense_count];
-      const bool exact =
-          d->synapse.scheme.multiplier == MultiplierKind::kExact;
-      if (plan.rows != d->out || plan.cols != d->in || plan.exact != exact) {
-        throw std::invalid_argument(
-            "FixedNetwork: dense plan disagrees with its stage descriptor");
-      }
-      DenseStage stage;
-      stage.in = d->in;
-      stage.out = d->out;
-      stage.plan_index = static_cast<int>(dense_count++);
-      restore_synapse(stage.synapse, d->synapse);
-      synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{d->synapse.name, 0, 0, {}});
-      stages_.emplace_back(std::move(stage));
-    } else if (const auto* c = std::get_if<CompiledConvStage>(&cs)) {
-      if (conv_count >= conv_plans_.size()) {
-        throw std::invalid_argument(
-            "FixedNetwork: more conv stages than conv plans");
-      }
-      const auto& plan = conv_plans_[conv_count];
-      const bool exact =
-          c->synapse.scheme.multiplier == MultiplierKind::kExact;
-      if (plan.oc != c->oc || plan.ic != c->ic || plan.kernel != c->k ||
-          plan.ih != c->ih || plan.iw != c->iw || plan.oh != c->oh ||
-          plan.ow != c->ow || plan.exact != exact) {
-        throw std::invalid_argument(
-            "FixedNetwork: conv plan disagrees with its stage descriptor");
-      }
-      ConvStage stage;
-      stage.ic = c->ic;
-      stage.oc = c->oc;
-      stage.k = c->k;
-      stage.ih = c->ih;
-      stage.iw = c->iw;
-      stage.oh = c->oh;
-      stage.ow = c->ow;
-      stage.plan_index = static_cast<int>(conv_count++);
-      restore_synapse(stage.synapse, c->synapse);
-      synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{c->synapse.name, 0, 0, {}});
-      stages_.emplace_back(std::move(stage));
-    } else if (const auto* p = std::get_if<CompiledPoolStage>(&cs)) {
-      PoolStage stage;
-      stage.c = p->c;
-      stage.ih = p->ih;
-      stage.iw = p->iw;
-      stage.window = p->window;
-      stage.oh = p->oh;
-      stage.ow = p->ow;
-      stages_.emplace_back(stage);
-    } else if (const auto* l = std::get_if<CompiledLutStage>(&cs)) {
-      stages_.emplace_back(LutStage{man::core::FixedActivationLut(
-          l->kind, acc_format, spec_.activation_format)});
-    }
-  }
-  if (dense_count != plans_.size() || conv_count != conv_plans_.size()) {
-    throw std::invalid_argument(
-        "FixedNetwork: plan count disagrees with stage descriptors");
-  }
-  // compile_plan() gives every plan the activation format's window;
-  // the int32 tile proof bounds the staged inputs by it.
-  const auto window = staging_window();
-  const auto check_window = [&](std::int64_t in_min, std::int64_t in_max) {
-    if (in_min != window.first || in_max != window.second) {
-      throw std::invalid_argument(
-          "FixedNetwork: plan staging window disagrees with the activation "
-          "format");
-    }
-  };
-  for (const auto& plan : plans_) {
-    check_window(plan.in_min_raw, plan.in_max_raw);
-  }
-  for (const auto& plan : conv_plans_) {
-    check_window(plan.in_min_raw, plan.in_max_raw);
-  }
-
-  link_stages();
-  plan_tile();
-  // Plans saved on a host without live vector backends arrive with
-  // untuned tiles; finish the pick here (no-op when already tuned,
-  // exact, or tiny).
-  for (auto& plan : conv_plans_) {
-    if (!plan.tiles_tuned) man::backend::autotune_conv_plan(plan);
-  }
-  build_tables();
-  default_kernel_ = &man::backend::resolve();
-}
-
-CompiledModel FixedNetwork::compiled_model() const {
-  CompiledModel model;
-  model.spec = spec_;
-  model.lanes = lanes_;
-  model.stages.reserve(stages_.size());
-  std::size_t synapse_counter = 0;
-  const auto export_synapse = [&](const SynapseData& syn) {
-    CompiledSynapse cs;
-    cs.scheme = syn.scheme;
-    cs.name = stats_.layers[synapse_counter++].name;
-    cs.macs = syn.macs;
-    cs.bank_activations = syn.bank_activations;
-    cs.ops_per_inference = syn.ops_per_inference;
-    return cs;
-  };
-  for (const Stage& stage : stages_) {
-    if (const auto* dense = std::get_if<DenseStage>(&stage)) {
-      model.stages.emplace_back(CompiledDenseStage{
-          dense->in, dense->out, export_synapse(dense->synapse)});
-    } else if (const auto* conv = std::get_if<ConvStage>(&stage)) {
-      model.stages.emplace_back(CompiledConvStage{
-          conv->ic, conv->oc, conv->k, conv->ih, conv->iw, conv->oh,
-          conv->ow, export_synapse(conv->synapse)});
-    } else if (const auto* pool = std::get_if<PoolStage>(&stage)) {
-      model.stages.emplace_back(CompiledPoolStage{
-          pool->c, pool->ih, pool->iw, pool->window, pool->oh, pool->ow});
-    } else if (const auto* lut = std::get_if<LutStage>(&stage)) {
-      model.stages.emplace_back(CompiledLutStage{lut->lut.kind()});
-    }
-  }
-  return model;
-}
-
-void FixedNetwork::compile_plan() {
-  // Every plan carries the activation format's raw range: the window
-  // the inputs of a stage fed quantized pixels, LUT outputs or pools
-  // of those lie in, which the int32 tile proof bounds them by.
-  const auto window = staging_window();
-  const std::int64_t in_min = window.first;
-  const std::int64_t in_max = window.second;
-
-  // The synapse runtime paths read only the plans from here on, so the
-  // schedules move instead of copy — no weight is resident twice.
-  for (Stage& stage : stages_) {
-    if (auto* dense = std::get_if<DenseStage>(&stage)) {
-      SynapseData& syn = dense->synapse;
-      dense->plan_index = static_cast<int>(plans_.size());
-      if (syn.scheme.multiplier == MultiplierKind::kExact) {
-        plans_.push_back(man::backend::DenseLayerPlan::build_exact(
-            dense->out, dense->in, std::move(syn.weights_raw),
-            std::move(syn.biases_raw)));
-      } else {
-        syn.weights_raw.clear();
-        syn.weights_raw.shrink_to_fit();
-        plans_.push_back(man::backend::DenseLayerPlan::build_asm(
-            dense->out, dense->in,
-            static_cast<int>(syn.bank.alphabet_set().size()),
-            std::move(syn.asm_weights), std::move(syn.steps),
-            std::move(syn.biases_raw)));
-      }
-      plans_.back().in_min_raw = in_min;
-      plans_.back().in_max_raw = in_max;
-    } else if (auto* conv = std::get_if<ConvStage>(&stage)) {
-      SynapseData& syn = conv->synapse;
-      conv->plan_index = static_cast<int>(conv_plans_.size());
-      if (syn.scheme.multiplier == MultiplierKind::kExact) {
-        conv_plans_.push_back(man::backend::ConvLayerPlan::build_exact(
-            conv->oc, conv->ic, conv->k, conv->ih, conv->iw,
-            std::move(syn.weights_raw), std::move(syn.biases_raw)));
-      } else {
-        syn.weights_raw.clear();
-        syn.weights_raw.shrink_to_fit();
-        conv_plans_.push_back(man::backend::ConvLayerPlan::build_asm(
-            conv->oc, conv->ic, conv->k, conv->ih, conv->iw,
-            static_cast<int>(syn.bank.alphabet_set().size()),
-            std::move(syn.asm_weights), std::move(syn.steps),
-            std::move(syn.biases_raw)));
-      }
-      conv_plans_.back().in_min_raw = in_min;
-      conv_plans_.back().in_max_raw = in_max;
-      // One-shot register-blocking microbench: pick the vector
-      // kernels' tile shapes for this geometry (construction is
-      // single-threaded; the plan is immutable afterwards).
-      man::backend::autotune_conv_plan(conv_plans_.back());
-    }
-  }
-}
-
-std::pair<std::int64_t, std::int64_t> FixedNetwork::staging_window() const {
-  return {spec_.activation_format.min_raw(),
-          spec_.activation_format.max_raw()};
-}
-
-FixedNetwork::InferScratch FixedNetwork::make_scratch() const {
-  InferScratch scratch;
-  scratch.buffer.reserve(input_size_);
-  return scratch;
-}
-
-EngineStats FixedNetwork::make_stats() const {
-  EngineStats stats;
-  stats.layers.reserve(stats_.layers.size());
-  for (const LayerStats& layer : stats_.layers) {
-    stats.layers.push_back(LayerStats{layer.name, 0, 0, {}});
-  }
-  return stats;
-}
-
-void FixedNetwork::compile_synapse(SynapseData& synapse,
-                                   std::span<const float> weights,
-                                   std::span<const float> biases,
-                                   std::uint64_t macs, int out_neurons) {
-  const auto& wfmt = spec_.weight_format;
+// Quantizes (and, under an ASM scheme, constrains) every weight of one
+// synapse layer and encodes it into quartet steps, pricing `syn`'s
+// static per-inference activity from the schedule as it goes.
+SynapseSchedule lower_synapse(CompiledSynapse& syn,
+                              const man::nn::QuantSpec& spec, int lanes,
+                              std::span<const float> weights,
+                              std::span<const float> biases,
+                              std::uint64_t macs, int out_neurons) {
+  const auto& wfmt = spec.weight_format;
   const QuartetLayout layout(wfmt.total_bits());
-  const AlphabetSet& set = synapse.scheme.effective_alphabets();
-  const bool is_asm = synapse.scheme.multiplier != MultiplierKind::kExact;
-
-  synapse.macs = macs;
-  synapse.bank = man::core::PrecomputerBank(set);
-
-  // Quantize (and constrain, for ASM schemes) every weight.
-  synapse.weights_raw.reserve(weights.size());
-  std::unique_ptr<WeightConstraint> constraint;
-  if (is_asm) constraint = std::make_unique<WeightConstraint>(layout, set);
-  for (float w : weights) {
-    std::int32_t raw = wfmt.quantize(static_cast<double>(w));
-    if (constraint) raw = constraint->constrain(raw);
-    synapse.weights_raw.push_back(raw);
-  }
+  const AlphabetSet& set = syn.scheme.effective_alphabets();
+  SynapseSchedule schedule;
+  syn.macs = macs;
 
   // Biases live at product scale: value·2^(wfrac+afrac).
-  const int bias_shift =
-      wfmt.frac_bits() + spec_.activation_format.frac_bits();
-  synapse.biases_raw.reserve(biases.size());
+  const int bias_shift = wfmt.frac_bits() + spec.activation_format.frac_bits();
+  schedule.biases.reserve(biases.size());
   for (float b : biases) {
     const double scaled = static_cast<double>(b) * std::pow(2.0, bias_shift);
-    synapse.biases_raw.push_back(static_cast<std::int64_t>(
+    schedule.biases.push_back(static_cast<std::int64_t>(
         scaled >= 0 ? scaled + 0.5 : scaled - 0.5));
   }
 
   // Static per-inference op counts (the accumulator add per MAC).
-  OpCounts& ops = synapse.ops_per_inference;
-  const std::uint64_t fires_per_weight =
-      weights.empty() ? 0 : macs / weights.size();
-
-  if (!is_asm) {
-    ops.adds = macs;  // accumulator adds; multiplier priced structurally
-    synapse.bank_activations = 0;
-    return;
+  OpCounts& ops = syn.ops_per_inference;
+  ops.adds = macs;
+  if (is_exact(syn)) {
+    // The multiplier is priced structurally; the bank never fires.
+    schedule.quantized.reserve(weights.size());
+    for (float w : weights) {
+      schedule.quantized.push_back(wfmt.quantize(static_cast<double>(w)));
+    }
+    return schedule;
   }
 
-  // Compile the select/shift schedule of every weight.
+  const WeightConstraint constraint(layout, set);
   const auto alphabets = set.alphabets();
-  synapse.asm_weights.reserve(synapse.weights_raw.size());
-  for (std::int32_t raw : synapse.weights_raw) {
-    AsmWeight compiled;
-    compiled.step_begin = static_cast<std::uint32_t>(synapse.steps.size());
+  const std::uint64_t fires_per_weight =
+      weights.empty() ? 0 : macs / weights.size();
+  schedule.encoded.reserve(weights.size());
+  for (float w : weights) {
+    const std::int32_t raw =
+        constraint.constrain(wfmt.quantize(static_cast<double>(w)));
+    man::backend::AsmWeight compiled;
+    compiled.step_begin = static_cast<std::uint32_t>(schedule.steps.size());
     const man::core::SignMagnitude sm =
         man::core::to_sign_magnitude(raw, layout);
     compiled.negative = sm.negative;
@@ -631,12 +226,12 @@ void FixedNetwork::compile_synapse(SynapseData& synapse,
       }
       std::uint8_t lane = 0;
       while (alphabets[lane] != enc->alphabet) ++lane;
-      synapse.steps.push_back(Step{
+      schedule.steps.push_back(man::backend::AsmStep{
           lane,
           static_cast<std::uint8_t>(enc->shift + layout.quartet_shift(q))});
       ++compiled.step_count;
     }
-    synapse.asm_weights.push_back(compiled);
+    schedule.encoded.push_back(compiled);
 
     // Per-fire activity of this weight.
     ops.selects += compiled.step_count * fires_per_weight;
@@ -646,18 +241,353 @@ void FixedNetwork::compile_synapse(SynapseData& synapse,
     }
     if (compiled.negative) ops.negates += fires_per_weight;
   }
-  ops.adds += macs;  // accumulator adds
 
-  // Hardware bank firings: the bank serves `lanes_` neurons at a time,
+  // Hardware bank firings: the bank serves `lanes` neurons at a time,
   // re-streaming the inputs for each neuron group (Fig 3).
   const std::uint64_t groups =
-      (static_cast<std::uint64_t>(out_neurons) + lanes_ - 1) / lanes_;
+      (static_cast<std::uint64_t>(out_neurons) + lanes - 1) / lanes;
   const std::uint64_t inputs_per_group =
       out_neurons == 0 ? 0 : macs / out_neurons;
-  synapse.bank_activations = groups * inputs_per_group;
+  syn.bank_activations = groups * inputs_per_group;
   ops.precomputer_adds =
-      synapse.bank_activations *
-      static_cast<std::uint64_t>(synapse.bank.adder_count());
+      syn.bank_activations *
+      static_cast<std::uint64_t>(man::core::PrecomputerBank(set).adder_count());
+  return schedule;
+}
+
+// Every plan carries the activation format's raw range: the window the
+// inputs of a stage fed quantized pixels, LUT outputs or pools of
+// those lie in, which the int32 tile proof bounds them by.
+template <typename Plan>
+Plan with_window(Plan plan, const man::nn::QuantSpec& spec) {
+  plan.in_min_raw = spec.activation_format.min_raw();
+  plan.in_max_raw = spec.activation_format.max_raw();
+  return plan;
+}
+
+// The synapse descriptor of a dense or conv stage; null otherwise.
+const CompiledSynapse* synapse_of(const CompiledStage& stage) {
+  if (const auto* dense = std::get_if<CompiledDenseStage>(&stage)) {
+    return &dense->synapse;
+  }
+  if (const auto* conv = std::get_if<CompiledConvStage>(&stage)) {
+    return &conv->synapse;
+  }
+  return nullptr;
+}
+
+std::vector<LayerScheme> synapse_schemes(const CompiledModel& model) {
+  std::vector<LayerScheme> schemes;
+  for (const CompiledStage& stage : model.stages) {
+    if (const CompiledSynapse* syn = synapse_of(stage)) {
+      schemes.push_back(syn->scheme);
+    }
+  }
+  return schemes;
+}
+
+void require_lanes(int lanes) {
+  if (lanes < 1) {
+    throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
+  }
+}
+
+}  // namespace
+
+struct FixedNetwork::Lowered {
+  CompiledModel model;
+  std::vector<man::backend::DenseLayerPlan> plans;
+  std::vector<man::backend::ConvLayerPlan> conv_plans;
+};
+
+FixedNetwork::Lowered FixedNetwork::lower(man::nn::Network& network,
+                                          const man::nn::QuantSpec& spec,
+                                          const LayerAlphabetPlan& plan,
+                                          int lanes) {
+  require_lanes(lanes);  // bank firings divide by it
+  if (plan.size() != network.num_weight_layers()) {
+    throw std::invalid_argument(
+        "FixedNetwork: plan has " + std::to_string(plan.size()) +
+        " schemes for " + std::to_string(network.num_weight_layers()) +
+        " synapse layers");
+  }
+  Lowered out;
+  out.model.spec = spec;
+  out.model.lanes = lanes;
+  std::size_t synapse_index = 0;
+  const auto next_synapse = [&](const man::nn::Layer& layer) {
+    return CompiledSynapse{plan.scheme(synapse_index++), layer.name(), 0, 0,
+                           {}};
+  };
+  const auto alphabet_count = [](const CompiledSynapse& syn) {
+    return static_cast<int>(syn.scheme.effective_alphabets().size());
+  };
+  for (std::size_t li = 0; li < network.num_layers(); ++li) {
+    man::nn::Layer& layer = network.layer(li);
+    if (auto* dense = dynamic_cast<man::nn::Dense*>(&layer)) {
+      CompiledDenseStage stage{dense->in_features(), dense->out_features(),
+                               next_synapse(layer)};
+      SynapseSchedule s = lower_synapse(
+          stage.synapse, spec, lanes, dense->weights(), dense->biases(),
+          static_cast<std::uint64_t>(stage.in) * stage.out, stage.out);
+      using man::backend::DenseLayerPlan;
+      out.plans.push_back(with_window(
+          is_exact(stage.synapse)
+              ? DenseLayerPlan::build_exact(stage.out, stage.in,
+                                            std::move(s.quantized),
+                                            std::move(s.biases))
+              : DenseLayerPlan::build_asm(
+                    stage.out, stage.in, alphabet_count(stage.synapse),
+                    std::move(s.encoded), std::move(s.steps),
+                    std::move(s.biases)),
+          spec));
+      out.model.stages.emplace_back(std::move(stage));
+    } else if (auto* conv = dynamic_cast<man::nn::Conv2D*>(&layer)) {
+      CompiledConvStage stage{conv->in_channels(), conv->out_channels(),
+                              conv->kernel(),      conv->in_height(),
+                              conv->in_width(),    conv->out_height(),
+                              conv->out_width(),   next_synapse(layer)};
+      SynapseSchedule s = lower_synapse(
+          stage.synapse, spec, lanes, conv->weights(), conv->biases(),
+          conv->macs_per_inference(), stage.oc);
+      using man::backend::ConvLayerPlan;
+      out.conv_plans.push_back(with_window(
+          is_exact(stage.synapse)
+              ? ConvLayerPlan::build_exact(stage.oc, stage.ic, stage.k,
+                                           stage.ih, stage.iw,
+                                           std::move(s.quantized),
+                                           std::move(s.biases))
+              : ConvLayerPlan::build_asm(
+                    stage.oc, stage.ic, stage.k, stage.ih, stage.iw,
+                    alphabet_count(stage.synapse), std::move(s.encoded),
+                    std::move(s.steps), std::move(s.biases)),
+          spec));
+      out.model.stages.emplace_back(std::move(stage));
+    } else if (auto* pool = dynamic_cast<man::nn::AvgPool2D*>(&layer)) {
+      out.model.stages.emplace_back(CompiledPoolStage{
+          pool->channels(), pool->in_height(), pool->in_width(),
+          pool->window(), pool->out_height(), pool->out_width()});
+    } else if (auto* act = dynamic_cast<man::nn::ActivationLayer*>(&layer)) {
+      out.model.stages.emplace_back(CompiledLutStage{act->kind()});
+    } else {
+      throw std::invalid_argument("FixedNetwork: unsupported layer type: " +
+                                  layer.name());
+    }
+  }
+  return out;
+}
+
+FixedNetwork::FixedNetwork(man::nn::Network& network,
+                           man::nn::QuantSpec spec, LayerAlphabetPlan plan,
+                           int lanes)
+    : FixedNetwork(lower(network, spec, plan, lanes)) {}
+
+FixedNetwork::FixedNetwork(Lowered&& lowered)
+    : FixedNetwork(lowered.model, std::move(lowered.plans),
+                   std::move(lowered.conv_plans), nullptr) {}
+
+FixedNetwork::FixedNetwork(const CompiledModel& model,
+                           std::vector<man::backend::DenseLayerPlan> plans,
+                           std::vector<man::backend::ConvLayerPlan> conv_plans,
+                           std::shared_ptr<const void> storage)
+    : model_(model),
+      plan_(synapse_schemes(model)),
+      plans_(std::move(plans)),
+      conv_plans_(std::move(conv_plans)),
+      storage_(std::move(storage)) {
+  require_lanes(model_.lanes);
+  require_table_window(model_.spec);
+  const auto acc_format = accumulator_format(model_.spec);
+  // Lowering gives every plan the activation format's window; the
+  // int32 tile proof bounds the staged inputs by it.
+  const auto window = staging_window();
+  const auto check_plan = [&](const auto& plan, const CompiledSynapse& syn,
+                              bool geometry_matches, const char* kind) {
+    if (!geometry_matches || plan.exact != is_exact(syn)) {
+      throw std::invalid_argument(std::string("FixedNetwork: ") + kind +
+                                  " plan disagrees with its stage descriptor");
+    }
+    if (plan.in_min_raw != window.first || plan.in_max_raw != window.second) {
+      throw std::invalid_argument(
+          "FixedNetwork: plan staging window disagrees with the activation "
+          "format");
+    }
+  };
+  const auto add_synapse = [&](const CompiledSynapse& syn,
+                               std::size_t plan_index) {
+    stats_.layers.push_back(LayerStats{syn.name, 0, 0, {}});
+    stages_.emplace_back(SynapseStage{
+        plan_index,
+        man::core::PrecomputerBank(syn.scheme.effective_alphabets()),
+        std::nullopt});
+  };
+
+  std::size_t dense_count = 0;
+  std::size_t conv_count = 0;
+  stages_.reserve(model_.stages.size());
+  for (const CompiledStage& cs : model_.stages) {
+    if (const auto* d = std::get_if<CompiledDenseStage>(&cs)) {
+      if (dense_count >= plans_.size()) {
+        throw std::invalid_argument(
+            "FixedNetwork: more dense stages than dense plans");
+      }
+      const auto& plan = plans_[dense_count];
+      check_plan(plan, d->synapse, plan.rows == d->out && plan.cols == d->in,
+                 "dense");
+      add_synapse(d->synapse, dense_count++);
+    } else if (const auto* c = std::get_if<CompiledConvStage>(&cs)) {
+      if (conv_count >= conv_plans_.size()) {
+        throw std::invalid_argument(
+            "FixedNetwork: more conv stages than conv plans");
+      }
+      const auto& plan = conv_plans_[conv_count];
+      check_plan(plan, c->synapse,
+                 plan.oc == c->oc && plan.ic == c->ic && plan.kernel == c->k &&
+                     plan.ih == c->ih && plan.iw == c->iw &&
+                     plan.oh == c->oh && plan.ow == c->ow,
+                 "conv");
+      add_synapse(c->synapse, conv_count++);
+    } else if (const auto* p = std::get_if<CompiledPoolStage>(&cs)) {
+      // The AvgPool2D identities: every window read stays in its
+      // channel's ih × iw input.
+      if (p->c < 1 || p->window < 1 || p->ih < 0 || p->iw < 0 ||
+          p->ih % p->window != 0 || p->iw % p->window != 0 ||
+          p->oh != p->ih / p->window || p->ow != p->iw / p->window) {
+        throw std::invalid_argument("FixedNetwork: bad pool geometry");
+      }
+      stages_.emplace_back(std::monostate{});
+    } else if (const auto* l = std::get_if<CompiledLutStage>(&cs)) {
+      const auto kind = static_cast<int>(l->kind);
+      if (kind < static_cast<int>(man::core::ActivationKind::kIdentity) ||
+          kind > static_cast<int>(man::core::ActivationKind::kRelu)) {
+        throw std::invalid_argument("FixedNetwork: bad activation kind " +
+                                    std::to_string(kind));
+      }
+      stages_.emplace_back(LutStage{man::core::FixedActivationLut(
+          l->kind, acc_format, model_.spec.activation_format)});
+    }
+  }
+  if (dense_count != plans_.size() || conv_count != conv_plans_.size()) {
+    throw std::invalid_argument(
+        "FixedNetwork: plan count disagrees with stage descriptors");
+  }
+
+  link_stages();
+  plan_tile();
+  // One-shot register-blocking microbench: pick the vector kernels'
+  // tile shapes for each conv geometry (no-op when exact or tiny).
+  // Lowered plans and plans saved on a host without live vector
+  // backends arrive untuned.
+  for (auto& plan : conv_plans_) {
+    if (!plan.tiles_tuned) man::backend::autotune_conv_plan(plan);
+  }
+  build_tables();
+  default_kernel_ = &man::backend::resolve();
+}
+
+void FixedNetwork::link_stages() {
+  // Static stage-graph geometry: records input/output sizes (span
+  // validation, batch buffer pre-allocation) and rejects mis-chained
+  // networks up front — infer_into() itself no longer re-checks every
+  // stage boundary per sample.
+  std::size_t current = 0;  // 0 until the first size-defining stage
+  const auto chain = [&](std::size_t in, std::size_t out, const char* kind) {
+    if (current != 0 && current != in) {
+      throw std::invalid_argument(
+          std::string("FixedNetwork: ") + kind + " stage expects " +
+          std::to_string(in) + " inputs but previous stage produces " +
+          std::to_string(current));
+    }
+    if (input_size_ == 0) input_size_ = in;
+    current = out;
+  };
+  for (const CompiledStage& stage : model_.stages) {
+    if (const auto* dense = std::get_if<CompiledDenseStage>(&stage)) {
+      chain(static_cast<std::size_t>(dense->in),
+            static_cast<std::size_t>(dense->out), "dense");
+    } else if (const auto* conv = std::get_if<CompiledConvStage>(&stage)) {
+      chain(static_cast<std::size_t>(conv->ic) * conv->ih * conv->iw,
+            static_cast<std::size_t>(conv->oc) * conv->oh * conv->ow, "conv");
+    } else if (const auto* pool = std::get_if<CompiledPoolStage>(&stage)) {
+      chain(static_cast<std::size_t>(pool->c) * pool->ih * pool->iw,
+            static_cast<std::size_t>(pool->c) * pool->oh * pool->ow, "pool");
+    }
+  }
+  output_size_ = current;
+}
+
+bool FixedNetwork::input_in_window(std::size_t stage_index) const {
+  // Quantized pixels and LUT outputs are activation-format values;
+  // a pool averages its inputs, so it keeps them in range; dense and
+  // conv stages emit raw product-scale accumulators.
+  if (stage_index == 0) return true;
+  const CompiledStage& prev = model_.stages[stage_index - 1];
+  if (std::holds_alternative<CompiledLutStage>(prev)) return true;
+  return std::holds_alternative<CompiledPoolStage>(prev) &&
+         input_in_window(stage_index - 1);
+}
+
+void FixedNetwork::plan_tile() {
+  // Where a batch tile forms: the first dense stage of the longest
+  // trailing run of LUT stages and ASM dense stages whose plans fit
+  // int32 lanes (the MLP's whole network, LeNet's fully connected
+  // tail; exact plans never fit). The proof assumes every input lies
+  // in the staging window, so a dense stage fed raw accumulators ends
+  // the run too. Everything before the run stays per sample on the
+  // int64 kernels.
+  tile_begin_ = stages_.size();
+  for (std::size_t i = stages_.size(); i-- > 0;) {
+    if (std::holds_alternative<CompiledDenseStage>(model_.stages[i])) {
+      const auto& syn = std::get<SynapseStage>(stages_[i]);
+      const std::int64_t bound = man::backend::int32_tile_bound(
+          plans_[syn.plan_index], syn.bank.alphabet_set().alphabets());
+      if (bound >= man::backend::kInt32TileOverflow || !input_in_window(i)) {
+        break;
+      }
+      tile_begin_ = i;
+    } else if (!std::holds_alternative<LutStage>(stages_[i])) {
+      break;
+    }
+  }
+  tile_synapse_begin_ = static_cast<std::size_t>(std::count_if(
+      stages_.begin(),
+      stages_.begin() + static_cast<std::ptrdiff_t>(tile_begin_),
+      [](const Stage& stage) {
+        return std::holds_alternative<SynapseStage>(stage);
+      }));
+}
+
+void FixedNetwork::build_tables() {
+  const auto [in_min, in_max] = staging_window();
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    auto* syn = std::get_if<SynapseStage>(&stages_[i]);
+    if (syn == nullptr || is_exact(*synapse_of(model_.stages[i])) ||
+        !input_in_window(i)) {
+      continue;
+    }
+    syn->table.emplace(syn->bank);
+    syn->table->configure_range(in_min, in_max);
+  }
+}
+
+std::pair<std::int64_t, std::int64_t> FixedNetwork::staging_window() const {
+  return {model_.spec.activation_format.min_raw(),
+          model_.spec.activation_format.max_raw()};
+}
+
+FixedNetwork::InferScratch FixedNetwork::make_scratch() const {
+  InferScratch scratch;
+  scratch.buffer.reserve(input_size_);
+  return scratch;
+}
+
+EngineStats FixedNetwork::make_stats() const {
+  EngineStats stats;
+  stats.layers.reserve(stats_.layers.size());
+  for (const LayerStats& layer : stats_.layers) {
+    stats.layers.push_back(LayerStats{layer.name, 0, 0, {}});
+  }
+  return stats;
 }
 
 void FixedNetwork::infer_into(std::span<const float> pixels,
@@ -710,8 +640,8 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
   if (tile_begin_ < stages_.size()) {
     // Full tiles: each sample runs the stages before the tile alone,
     // then lands in its lane of the sample-minor tile.
-    const auto width =
-        static_cast<std::size_t>(std::get<DenseStage>(stages_[tile_begin_]).in);
+    const auto width = static_cast<std::size_t>(
+        std::get<CompiledDenseStage>(model_.stages[tile_begin_]).in);
     for (; s + kTile <= count; s += kTile) {
       scratch.tile.resize(width * kTile);
       for (std::size_t b = 0; b < kTile; ++b) {
@@ -740,7 +670,8 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
   }
 }
 
-void FixedNetwork::charge_synapse(LayerStats& layer, const SynapseData& syn,
+void FixedNetwork::charge_synapse(LayerStats& layer,
+                                  const CompiledSynapse& syn,
                                   std::uint64_t samples) {
   layer.macs += syn.macs * samples;
   layer.bank_activations += syn.bank_activations * samples;
@@ -754,7 +685,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
                                   InferScratch& scratch,
                                   const man::backend::KernelBackend& kernel)
     const {
-  const auto& afmt = spec_.activation_format;
+  const auto& afmt = model_.spec.activation_format;
   PhaseProfile* const profile = scratch.profile;
   std::vector<std::int64_t>& buffer = scratch.buffer;
   timed_phase(profile, &PhaseProfile::quantize_s, [&] {
@@ -767,12 +698,12 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
 
   std::size_t synapse_counter = 0;
   for (std::size_t si = 0; si < stage_end; ++si) {
-    const Stage& stage = stages_[si];
-    if (const auto* dense = std::get_if<DenseStage>(&stage)) {
+    const CompiledStage& desc = model_.stages[si];
+    if (const auto* dense = std::get_if<CompiledDenseStage>(&desc)) {
+      const auto& syn = std::get<SynapseStage>(stages_[si]);
       std::vector<std::int64_t>& next = scratch.next;
       next.assign(static_cast<std::size_t>(dense->out), 0);
-      const man::backend::DenseLayerPlan& plan =
-          plans_[static_cast<std::size_t>(dense->plan_index)];
+      const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
 
       if (plan.exact) {
         timed_phase(profile, &PhaseProfile::kernel_s, [&] {
@@ -787,8 +718,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
           stage_multiples(buffer, static_cast<std::size_t>(plan.k),
-                          BankRows(dense->synapse.table, dense->synapse.bank),
-                          multiples.data());
+                          BankRows(syn.table, syn.bank), multiples.data());
           multiples[plan.zero_slot] = 0;
         });
         if (profile != nullptr) profile->staged_values += buffer.size();
@@ -799,11 +729,11 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
 
       charge_synapse(stats.layers[synapse_counter++], dense->synapse, 1);
       std::swap(buffer, next);
-    } else if (const auto* conv = std::get_if<ConvStage>(&stage)) {
+    } else if (const auto* conv = std::get_if<CompiledConvStage>(&desc)) {
+      const auto& syn = std::get<SynapseStage>(stages_[si]);
       std::vector<std::int64_t>& next = scratch.next;
       next.resize(static_cast<std::size_t>(conv->oc) * conv->oh * conv->ow);
-      const man::backend::ConvLayerPlan& plan =
-          conv_plans_[static_cast<std::size_t>(conv->plan_index)];
+      const man::backend::ConvLayerPlan& plan = conv_plans_[syn.plan_index];
 
       if (plan.exact) {
         timed_phase(profile, &PhaseProfile::kernel_s, [&] {
@@ -817,10 +747,9 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         std::vector<std::int64_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          stage_multiples_lane_major(
-              buffer, static_cast<std::size_t>(plan.k),
-              BankRows(conv->synapse.table, conv->synapse.bank),
-              multiples.data());
+          stage_multiples_lane_major(buffer, static_cast<std::size_t>(plan.k),
+                                     BankRows(syn.table, syn.bank),
+                                     multiples.data());
           std::fill(multiples.begin() + plan.zero_base, multiples.end(), 0);
         });
         if (profile != nullptr) profile->staged_values += buffer.size();
@@ -831,7 +760,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
 
       charge_synapse(stats.layers[synapse_counter++], conv->synapse, 1);
       std::swap(buffer, next);
-    } else if (const auto* pool = std::get_if<PoolStage>(&stage)) {
+    } else if (const auto* pool = std::get_if<CompiledPoolStage>(&desc)) {
       std::vector<std::int64_t>& next = scratch.next;
       next.assign(static_cast<std::size_t>(pool->c) * pool->oh * pool->ow, 0);
       const int n = pool->window * pool->window;
@@ -858,7 +787,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         }
       });
       std::swap(buffer, next);
-    } else if (const auto* lut = std::get_if<LutStage>(&stage)) {
+    } else if (const auto* lut = std::get_if<LutStage>(&stages_[si])) {
       timed_phase(profile, &PhaseProfile::lut_s, [&] {
         for (std::int64_t& v : buffer) v = lut->lut.apply_raw(v);
       });
@@ -875,12 +804,12 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
   std::vector<std::int64_t>& tile = scratch.tile;
   std::size_t synapse_counter = tile_synapse_begin_;
   for (std::size_t si = tile_begin_; si < stages_.size(); ++si) {
-    const Stage& stage = stages_[si];
-    if (const auto* dense = std::get_if<DenseStage>(&stage)) {
+    if (const auto* dense =
+            std::get_if<CompiledDenseStage>(&model_.stages[si])) {
       // Every dense stage from tile_begin_ on is ASM and fits int32
       // lanes (plan_tile).
-      const man::backend::DenseLayerPlan& plan =
-          plans_[static_cast<std::size_t>(dense->plan_index)];
+      const auto& syn = std::get<SynapseStage>(stages_[si]);
+      const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
       // The tile starts on a cache line (the buffer carries the slack),
       // so each slot's kDenseTile int32 lanes are exactly one line.
       std::vector<std::int32_t>& buffer = scratch.tile_multiples;
@@ -888,9 +817,8 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
       timed_phase(profile, &PhaseProfile::staging_s, [&] {
         buffer.resize(plan.padded_multiples() * kTile + kLineSlots - 1);
         multiples = buffer.data() + line_offset(buffer.data());
-        stage_multiples_tile(
-            tile, static_cast<std::size_t>(plan.k),
-            BankRows(dense->synapse.table, dense->synapse.bank), multiples);
+        stage_multiples_tile(tile, static_cast<std::size_t>(plan.k),
+                             BankRows(syn.table, syn.bank), multiples);
         std::fill_n(multiples + plan.zero_slot * kTile, kTile, 0);
       });
       if (profile != nullptr) profile->staged_values += tile.size();
@@ -901,7 +829,7 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
       });
       charge_synapse(stats.layers[synapse_counter++], dense->synapse, kTile);
       std::swap(tile, next);
-    } else if (const auto* lut = std::get_if<LutStage>(&stage)) {
+    } else if (const auto* lut = std::get_if<LutStage>(&stages_[si])) {
       timed_phase(profile, &PhaseProfile::lut_s, [&] {
         for (std::int64_t& v : tile) v = lut->lut.apply_raw(v);
       });
@@ -942,12 +870,9 @@ double FixedNetwork::evaluate(std::span<const man::data::Example> examples) {
 
 std::vector<std::uint64_t> FixedNetwork::macs_per_inference() const {
   std::vector<std::uint64_t> macs;
-  macs.reserve(synapse_stage_indices_.size());
-  for (std::size_t idx : synapse_stage_indices_) {
-    if (const auto* dense = std::get_if<DenseStage>(&stages_[idx])) {
-      macs.push_back(dense->synapse.macs);
-    } else if (const auto* conv = std::get_if<ConvStage>(&stages_[idx])) {
-      macs.push_back(conv->synapse.macs);
+  for (const CompiledStage& stage : model_.stages) {
+    if (const CompiledSynapse* syn = synapse_of(stage)) {
+      macs.push_back(syn->macs);
     }
   }
   return macs;

@@ -66,10 +66,10 @@ struct PhaseProfile {
   std::uint64_t lut_values = 0;     ///< values run through apply_raw
 };
 
-/// Everything compile_plan() distilled out of one synapse stage
-/// besides its plan: the scheme (to rebuild the pre-computer bank),
-/// the stats label, and the static per-inference activity. Part of
-/// the CompiledModel export the artifact layer serializes.
+/// Everything lowering distils out of one synapse layer besides its
+/// plan: the scheme (to rebuild the pre-computer bank), the stats
+/// label, and the static per-inference activity. Part of the
+/// CompiledModel the artifact layer serializes.
 struct CompiledSynapse {
   LayerScheme scheme;
   std::string name;  ///< stats layer label
@@ -96,10 +96,9 @@ using CompiledStage = std::variant<CompiledDenseStage, CompiledConvStage,
                                    CompiledPoolStage, CompiledLutStage>;
 
 /// Post-compilation engine description: with plans()/conv_plans()
-/// this is everything needed to reconstruct a serving-equivalent
-/// FixedNetwork with zero train/compile work — banks and LUT tables
-/// are cheap deterministic functions of the descriptors, so they are
-/// rebuilt at load instead of being serialized.
+/// this is everything a FixedNetwork is built from — banks and LUT
+/// tables are cheap deterministic functions of the descriptors, so
+/// the engine rebuilds them instead of storing or serializing them.
 struct CompiledModel {
   man::nn::QuantSpec spec;
   int lanes = 4;
@@ -109,39 +108,45 @@ struct CompiledModel {
 /// Bit-accurate fixed-point inference engine.
 class FixedNetwork {
  public:
-  /// Compiles `network` under `spec` and `plan`. The plan must have
+  /// Compiles `network` under `spec` and `plan`: lowers it to a
+  /// CompiledModel plus plans, then builds the engine from those
+  /// exactly as the descriptor constructor does. The plan must have
   /// exactly one scheme per synapse (dense/conv) layer. `lanes` is the
   /// CSHM sharing degree (paper: 4). Weights not representable under a
   /// layer's alphabet set are constrained to the nearest representable
-  /// value (Algorithm 1 semantics) during compilation.
+  /// value (Algorithm 1 semantics) during lowering.
   FixedNetwork(man::nn::Network& network, man::nn::QuantSpec spec,
                LayerAlphabetPlan plan, int lanes = 4);
 
-  /// Reconstructs an engine from an exported CompiledModel plus its
-  /// compiled plans, in stage order (the artifact loader's path): no
-  /// float network, no training, no projection — pre-computer banks
-  /// and activation LUTs are rebuilt deterministically from the
-  /// descriptors, and the result is bit-identical to the engine the
-  /// model was exported from. `storage` (may be null) is pinned for
-  /// the engine's lifetime; plans with borrowed arrays point into it.
-  /// Throws std::invalid_argument when plans and descriptors disagree
-  /// (count, geometry, or exact/ASM mode).
+  /// Builds an engine from a CompiledModel plus its plans, in stage
+  /// order — the one construction body, which the compile route and
+  /// the artifact loader both reach: pre-computer banks, staging
+  /// tables and activation LUTs are rebuilt deterministically from the
+  /// descriptors, and conv plans not yet tuned are autotuned here.
+  /// `storage` (may be null) is pinned for the engine's lifetime;
+  /// plans with borrowed arrays point into it. Throws
+  /// std::invalid_argument on a descriptor that would read past its
+  /// input (pool geometry, activation kind, lanes, activation format)
+  /// or when plans and descriptors disagree (count, geometry, staging
+  /// window, or exact/ASM mode).
   FixedNetwork(const CompiledModel& model,
                std::vector<man::backend::DenseLayerPlan> plans,
                std::vector<man::backend::ConvLayerPlan> conv_plans,
                std::shared_ptr<const void> storage);
 
-  /// Stage descriptors of this engine — the serializable complement
-  /// of plans()/conv_plans() (see CompiledModel).
-  [[nodiscard]] CompiledModel compiled_model() const;
+  /// The stage descriptors this engine was built from — the
+  /// serializable complement of plans()/conv_plans().
+  [[nodiscard]] const CompiledModel& compiled_model() const noexcept {
+    return model_;
+  }
 
   [[nodiscard]] const man::nn::QuantSpec& quant_spec() const noexcept {
-    return spec_;
+    return model_.spec;
   }
   [[nodiscard]] const LayerAlphabetPlan& plan() const noexcept {
     return plan_;
   }
-  [[nodiscard]] int lanes() const noexcept { return lanes_; }
+  [[nodiscard]] int lanes() const noexcept { return model_.lanes; }
 
   /// Pixels per input image / accumulators per output (fixed by the
   /// compiled stage graph).
@@ -267,71 +272,41 @@ class FixedNetwork {
   }
 
  private:
-  // Flattened select/shift schedule: steps[begin..end) per weight —
-  // compile-time input only. compile_plan() hands it to build_asm(),
-  // which turns it into the plan's quartet planes and frees it.
-  using AsmWeight = man::backend::AsmWeight;
-  using Step = man::backend::AsmStep;
+  /// A lowered float network: what the compile route hands the one
+  /// descriptor constructor (defined in fixed_network.cpp).
+  struct Lowered;
+  explicit FixedNetwork(Lowered&& lowered);
+  /// Walks `network` and lowers each synapse layer straight to its
+  /// plan (quantize, constrain, encode quartets, build), recording its
+  /// stage descriptor; each layer's schedule is freed before the next.
+  static Lowered lower(man::nn::Network& network,
+                       const man::nn::QuantSpec& spec,
+                       const LayerAlphabetPlan& plan, int lanes);
 
-  /// Shared machinery for dense and conv synapse stages.
-  struct SynapseData {
-    LayerScheme scheme;
-    std::vector<std::int32_t> weights_raw;  // quantized (+constrained)
-    std::vector<std::int64_t> biases_raw;   // product scale
-    // ASM compilation (empty for conventional scheme):
-    std::vector<AsmWeight> asm_weights;
-    std::vector<Step> steps;
-    man::core::PrecomputerBank bank{man::core::AlphabetSet::man()};
+  /// Run-time state of a dense or conv stage beyond its descriptor
+  /// and plan.
+  struct SynapseStage {
+    std::size_t plan_index = 0;  ///< into plans_ or conv_plans_
+    man::core::PrecomputerBank bank;
     /// The bank's outputs over the staging window, filled once by
     /// build_tables() and read by every worker; empty for exact stages
     /// and for stages fed raw accumulators, which stage from `bank`.
     std::optional<man::core::PrecomputerCache> table;
-    // Static per-inference activity (precomputed at build time):
-    std::uint64_t macs = 0;
-    std::uint64_t bank_activations = 0;
-    man::core::OpCounts ops_per_inference;
-  };
-
-  struct DenseStage {
-    int in = 0, out = 0;
-    int plan_index = -1;  ///< into plans_ once compile_plan() has run
-    SynapseData synapse;
-  };
-  struct ConvStage {
-    int ic = 0, oc = 0, k = 0, ih = 0, iw = 0, oh = 0, ow = 0;
-    int plan_index = -1;  ///< into conv_plans_ once compile_plan() has run
-    SynapseData synapse;
-  };
-  struct PoolStage {
-    int c = 0, ih = 0, iw = 0, window = 0, oh = 0, ow = 0;
   };
   struct LutStage {
     man::core::FixedActivationLut lut;
   };
-  using Stage = std::variant<DenseStage, ConvStage, PoolStage, LutStage>;
+  /// stages_[i] belongs to model_.stages[i]; a pool needs nothing
+  /// beyond its descriptor (monostate).
+  using Stage = std::variant<std::monostate, SynapseStage, LutStage>;
 
-  void compile_synapse(SynapseData& synapse, std::span<const float> weights,
-                       std::span<const float> biases, std::uint64_t macs,
-                       int out_neurons);
-
-  /// One-time lowering of every synapse stage to a structure-of-arrays
-  /// backend plan (contiguous quartet planes + sign masks): dense
-  /// stages to DenseLayerPlan, conv stages to ConvLayerPlan. Run once
-  /// at the end of construction; the schedules are moved out of
-  /// SynapseData into the plans — every synapse hot path runs on the
-  /// kernel backends.
-  void compile_plan();
-
-  /// Static stage-graph pass shared by both constructors: validates
-  /// that consecutive stages agree on activation counts and records
-  /// input_size_/output_size_.
+  /// Static stage-graph pass: validates that consecutive stages agree
+  /// on activation counts and records input_size_/output_size_.
   void link_stages();
-  /// Sets tile_begin_/tile_synapse_begin_ from the compiled plans
-  /// (both constructors, once the plans exist).
+  /// Sets tile_begin_/tile_synapse_begin_ from the plans.
   void plan_tile();
   /// Fills the staging table of every ASM synapse stage whose inputs
-  /// lie in the staging window (both constructors, last, once stages_
-  /// is final).
+  /// lie in the staging window (last, once stages_ is final).
   void build_tables();
   /// True when stage `stage_index`'s inputs are activation-format
   /// values: quantized pixels, LUT outputs, or pools of those.
@@ -339,7 +314,7 @@ class FixedNetwork {
 
   /// Adds `samples` inferences' worth of one synapse stage's static
   /// activity to `layer`.
-  static void charge_synapse(LayerStats& layer, const SynapseData& syn,
+  static void charge_synapse(LayerStats& layer, const CompiledSynapse& syn,
                              std::uint64_t samples);
 
   /// One sample through stages [0, stage_end): quantizes `pixels` into
@@ -354,16 +329,14 @@ class FixedNetwork {
                     const man::backend::KernelBackend& kernel) const;
 
   /// The staging window: the activation format's raw range, which
-  /// quantized pixels, LUT outputs and pools of those lie in. Both
-  /// constructors reject formats wider than
+  /// quantized pixels, LUT outputs and pools of those lie in. The
+  /// constructor rejects formats wider than
   /// PrecomputerCache::kMaxFlatSpan.
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> staging_window() const;
 
-  man::nn::QuantSpec spec_;
-  LayerAlphabetPlan plan_;
-  int lanes_;
+  CompiledModel model_;
+  LayerAlphabetPlan plan_;  ///< model_'s synapse schemes, for plan()
   std::vector<Stage> stages_;
-  std::vector<std::size_t> synapse_stage_indices_;
   std::vector<man::backend::DenseLayerPlan> plans_;
   std::vector<man::backend::ConvLayerPlan> conv_plans_;
   /// Keeps the backing storage of borrowed plan arrays (an mmap'ed

@@ -137,9 +137,10 @@ TEST(ConvTileShapes, ForcedShapeIsRecordedOnEveryPlan) {
   EXPECT_TRUE(ws_engine.conv_plans()[0].tile_avx512.weight_stationary);
 }
 
-// With no override, compile_plan() runs the microbench: plans above
-// the size threshold come out tuned on hosts where a vector kernel is
-// live, and whatever won must be a shape the kernels can dispatch.
+// With no override, building the engine runs the microbench: plans
+// above the size threshold come out tuned on hosts where a vector
+// kernel is live, and whatever won must be a shape the kernels can
+// dispatch.
 TEST(ConvTileShapes, AutotunerRecordsValidWinnersPerIsa) {
   TileEnvGuard guard;
   guard.unset();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 
 #include "man/backend/kernel_backend.h"
 #include "man/engine/fixed_network.h"
@@ -509,6 +510,145 @@ TEST(Int32TileProof, DenseFedRawAccumulatorsRunsPerSample) {
   std::vector<float> pixels(35 * engine.input_size());
   for (float& p : pixels) p = rng.next_double() < 0.5 ? -2.0f : 2.0f;
   expect_batch_matches_scalar(engine, pixels);
+}
+
+// ------------------------------------------- the descriptor constructor
+
+/// Every field of a compiled model, spelled out, so two models compare
+/// as strings and a mismatch prints both.
+std::string describe(const CompiledModel& model) {
+  std::ostringstream out;
+  const auto format = [&](const man::fixed::QFormat& f) {
+    out << f.total_bits() << '.' << f.frac_bits() << ' ';
+  };
+  format(model.spec.weight_format);
+  format(model.spec.activation_format);
+  out << "lanes=" << model.lanes << '\n';
+  const auto synapse = [&](const CompiledSynapse& s) {
+    const auto& ops = s.ops_per_inference;
+    out << ' ' << s.name << ' ' << s.scheme.label() << " macs=" << s.macs
+        << " bank=" << s.bank_activations << " ops=" << ops.precomputer_adds
+        << ',' << ops.selects << ',' << ops.shifts << ',' << ops.adds << ','
+        << ops.negates << '\n';
+  };
+  for (const CompiledStage& stage : model.stages) {
+    if (const auto* d = std::get_if<CompiledDenseStage>(&stage)) {
+      out << "dense " << d->in << "->" << d->out;
+      synapse(d->synapse);
+    } else if (const auto* c = std::get_if<CompiledConvStage>(&stage)) {
+      out << "conv " << c->ic << ',' << c->oc << ',' << c->k << ',' << c->ih
+          << ',' << c->iw << ',' << c->oh << ',' << c->ow;
+      synapse(c->synapse);
+    } else if (const auto* p = std::get_if<CompiledPoolStage>(&stage)) {
+      out << "pool " << p->c << ',' << p->ih << ',' << p->iw << ','
+          << p->window << ',' << p->oh << ',' << p->ow << '\n';
+    } else if (const auto* l = std::get_if<CompiledLutStage>(&stage)) {
+      out << "lut " << static_cast<int>(l->kind) << '\n';
+    }
+  }
+  return out.str();
+}
+
+void expect_stats_eq(const EngineStats& a, const EngineStats& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.inferences, b.inferences) << where;
+  ASSERT_EQ(a.layers.size(), b.layers.size()) << where;
+  for (std::size_t i = 0; i < a.layers.size(); ++i) {
+    EXPECT_EQ(a.layers[i].name, b.layers[i].name) << where << " layer " << i;
+    EXPECT_EQ(a.layers[i].macs, b.layers[i].macs) << where << " layer " << i;
+    EXPECT_EQ(a.layers[i].bank_activations, b.layers[i].bank_activations)
+        << where << " layer " << i;
+    EXPECT_EQ(a.layers[i].ops, b.layers[i].ops) << where << " layer " << i;
+  }
+}
+
+// An engine rebuilt from its own descriptors and plans is the engine:
+// same tile, same descriptors and layer names, and bit-identical
+// outputs and stats on every backend — for an MLP, a CNN, and a
+// Dense→Dense engine whose second stage is fed raw accumulators (so it
+// stages from its bank, with no table).
+TEST(FixedNetwork, DescriptorRebuildMatchesCompiledEngine) {
+  const QuantSpec spec = QuantSpec::bits8();
+  const AlphabetSet set = AlphabetSet::four();
+  Network mlp = make_mlp(90);
+  Network cnn = make_cnn(91);
+  ProjectionPlan(spec, set, 2).project_network(mlp);
+  ProjectionPlan(spec, set, 2).project_network(cnn);
+  man::util::Rng rng(92);
+  Network raw_fed;
+  raw_fed.add<Dense>(16, 8).init_xavier(rng);
+  raw_fed.add<Dense>(8, 4).init_xavier(rng);
+  struct Case {
+    const char* label;
+    Network* net;
+  };
+  for (const Case& c : {Case{"mlp", &mlp}, Case{"cnn", &cnn},
+                        Case{"dense->dense", &raw_fed}}) {
+    const FixedNetwork compiled(*c.net, spec,
+                                LayerAlphabetPlan::uniform_asm(2, set));
+    const FixedNetwork rebuilt(compiled.compiled_model(), compiled.plans(),
+                               compiled.conv_plans(), nullptr);
+    EXPECT_EQ(rebuilt.tile_begin(), compiled.tile_begin()) << c.label;
+    EXPECT_EQ(describe(rebuilt.compiled_model()),
+              describe(compiled.compiled_model()))
+        << c.label;
+
+    const auto pixels = random_pixels(
+        (2 * man::backend::kDenseTile + 3) * compiled.input_size(), rng);
+    for (const auto* backend : man::backend::all_backends()) {
+      const std::string where =
+          std::string(c.label) + " backend=" + backend->name();
+      std::vector<std::int64_t> outputs[2];
+      EngineStats stats[2];
+      const FixedNetwork* engines[] = {&compiled, &rebuilt};
+      for (int e = 0; e < 2; ++e) {
+        auto scratch = engines[e]->make_scratch();
+        stats[e] = engines[e]->make_stats();
+        outputs[e].resize(pixels.size() / compiled.input_size() *
+                          compiled.output_size());
+        engines[e]->infer_batch(pixels, outputs[e], stats[e], scratch,
+                                *backend);
+      }
+      EXPECT_EQ(outputs[1], outputs[0]) << where;
+      expect_stats_eq(stats[1], stats[0], where);
+    }
+  }
+}
+
+// The descriptor constructor checks every pool against the AvgPool2D
+// identities and every LUT's activation kind: a 3-wide window over a
+// 4 × 4 input would read element 25 of a 16-element buffer.
+TEST(FixedNetwork, RejectsPoolWindowPastItsInput) {
+  const QuantSpec spec = QuantSpec::bits8();
+  auto plan = man::backend::DenseLayerPlan::build_exact(
+      16, 2, std::vector<std::int32_t>(32, 1),
+      std::vector<std::int64_t>(16, 0));
+  plan.in_min_raw = spec.activation_format.min_raw();
+  plan.in_max_raw = spec.activation_format.max_raw();
+  const auto engine_with = [&](CompiledStage tail) {
+    CompiledModel model;
+    model.spec = spec;
+    model.stages.emplace_back(CompiledDenseStage{2, 16, {}});
+    model.stages.push_back(tail);
+    return FixedNetwork(model, {plan}, {}, nullptr);
+  };
+  EXPECT_EQ(engine_with(CompiledPoolStage{1, 4, 4, 2, 2, 2}).output_size(),
+            4u);
+  const CompiledPoolStage bad_pools[] = {
+      {1, 4, 4, 3, 2, 2},  // window 3 does not tile 4
+      {1, 4, 4, 2, 3, 2},  // rows past the input
+      {1, 4, 4, 2, 2, 3},  // columns past the input
+      {0, 4, 4, 2, 2, 2},  // no channels
+      {1, 4, 4, 0, 0, 0},  // no window
+  };
+  for (const CompiledPoolStage& pool : bad_pools) {
+    EXPECT_THROW((void)engine_with(pool), std::invalid_argument)
+        << "window " << pool.window << " out " << pool.oh << 'x' << pool.ow;
+  }
+  EXPECT_THROW(
+      (void)engine_with(CompiledLutStage{
+          static_cast<man::core::ActivationKind>(7)}),
+      std::invalid_argument);
 }
 
 TEST(LayerAlphabetPlan, LabelsAreInformative) {
