@@ -17,6 +17,10 @@
 #include <fstream>
 #include <iostream>
 #include <span>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "bench_common.h"
 #include "man/artifact/plan_artifact.h"
@@ -87,6 +91,8 @@ struct ReplayResult {
   man::engine::PhaseProfile phases;
   std::size_t phase_samples = 0;
   std::string phase_backend;
+  /// (layer name, "int32"/"int64") for every conv layer, in order.
+  std::vector<std::pair<std::string, std::string>> conv_lanes;
 
   /// A runner time against the scalar backend's own one-worker runner,
   /// which tiles like every other runner row: the ratio is the
@@ -96,6 +102,24 @@ struct ReplayResult {
     return seconds > 0 ? scalar_runner_s / seconds : 0.0;
   }
 };
+
+/// The lane width each synapse layer's conv kernel runs on ("int32"
+/// or "int64"; empty for dense layers), in EngineStats layer order.
+std::vector<std::string> conv_layer_lanes(
+    const man::engine::FixedNetwork& engine) {
+  std::vector<std::string> lanes;
+  std::size_t conv_index = 0;
+  for (const auto& stage : engine.compiled_model().stages) {
+    if (std::holds_alternative<man::engine::CompiledConvStage>(stage)) {
+      lanes.emplace_back(engine.conv_int32_lanes(conv_index++) ? "int32"
+                                                                : "int64");
+    } else if (std::holds_alternative<man::engine::CompiledDenseStage>(
+                   stage)) {
+      lanes.emplace_back();
+    }
+  }
+  return lanes;
+}
 
 /// Replays `samples` random inferences through every registered
 /// kernel backend (single worker) and through the multi-worker
@@ -248,8 +272,9 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
 
   const auto& par_stats = parallel.stats();
   result.par_backend = par_stats.backend;
-  man::util::Table replay({"Layer", "MACs", "Bank firings", "Total ops",
-                           "Matches sequential"});
+  const std::vector<std::string> layer_lanes = conv_layer_lanes(engine);
+  man::util::Table replay({"Layer", "Conv lanes", "MACs", "Bank firings",
+                           "Total ops", "Matches sequential"});
   for (std::size_t i = 0; i < seq_stats.layers.size(); ++i) {
     const auto& seq_layer = seq_stats.layers[i];
     const auto& par_layer = par_stats.layers[i];
@@ -258,7 +283,10 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
                                  par_layer.bank_activations &&
                              seq_layer.ops == par_layer.ops;
     result.identical = result.identical && layer_match;
-    replay.add_row({par_layer.name, std::to_string(par_layer.macs),
+    const std::string& lanes = layer_lanes[i];
+    if (!lanes.empty()) result.conv_lanes.emplace_back(par_layer.name, lanes);
+    replay.add_row({par_layer.name, lanes.empty() ? "-" : lanes,
+                    std::to_string(par_layer.macs),
                     std::to_string(par_layer.bank_activations),
                     std::to_string(par_layer.ops.total()),
                     layer_match ? "yes" : "NO"});
@@ -342,7 +370,15 @@ void emit_json_section(std::ofstream& out, const char* name,
                  ? result.scalar_s * 1e3 / static_cast<double>(result.samples)
                  : 0.0,
              4)
-      << ",\n    \"backends\": {\n";
+      << ",\n    \"conv_lanes\": {";
+  // Conv layers only, keyed by layer name: which lane width served
+  // each one, so a CI log shows a silent int64 fallback.
+  const char* separator = "";
+  for (const auto& [layer, lanes] : result.conv_lanes) {
+    out << separator << "\"" << layer << "\": \"" << lanes << "\"";
+    separator = ", ";
+  }
+  out << "},\n    \"backends\": {\n";
   for (std::size_t i = 0; i < result.backends.size(); ++i) {
     const BackendResult& row = result.backends[i];
     out << "      \"" << row.name << "\": {\"ms\": "

@@ -1,16 +1,17 @@
-// AVX-512 kernel: 8-wide int64 over the quartet planes — the AVX2
-// backend's structure at twice the vector width (zmm position tiles
-// for conv, 8-lane gathers for one dense sample, one zmm of 16 int32
-// lanes per plan entry for a dense batch tile) plus the deeper
-// register file (32 zmm) that makes taller row tiles profitable, plus
-// lane masking for ragged row tails (no scalar remainder).
-// Bit-identical to the scalar reference for the same reason the AVX2
-// kernel is: every operation (logical left shift, two's-complement
-// negation, wrapping add) matches the scalar op exactly, the int32
-// tile lanes never leave int32 (int32_tile_bound()), and only the
-// commutative summation order differs. AVX-512VNNI is deliberately
-// not used: it accelerates int8/int16 dot products, and the CSHM
-// datapath is shift-add — there is no multiply to fuse.
+// AVX-512 kernel: the AVX2 backend's structure at twice the vector
+// width — 8-lane int64 gathers for one dense sample, one zmm of 16
+// int32 lanes per plan entry for a dense batch tile, and 16 int32
+// output positions per zmm for a conv plan that fits int32 lanes —
+// plus the deeper register file (32 zmm) that makes taller row tiles
+// profitable, plus lane masking for ragged column groups and row tails
+// (no scalar remainder). Conv plans that do not fit run the portable
+// int64 plane loop. Bit-identical to the scalar reference for the same
+// reason the AVX2 kernel is: every operation (logical left shift,
+// two's-complement negation, wrapping add) matches the scalar op
+// exactly, the int32 lanes never leave int32 (int32_row_bound()), and
+// only the commutative summation order differs. AVX-512VNNI is
+// deliberately not used: it accelerates int8/int16 dot products, and
+// the CSHM datapath is shift-add — there is no multiply to fuse.
 //
 // Compile-time gate: this translation unit is built with -mavx512f
 // -mavx512vl and MAN_HAVE_AVX512 only when the build enables it
@@ -162,180 +163,119 @@ void accumulate_planes_tile_avx512(const DenseLayerPlan& plan,
   }
 }
 
-/// Default conv tile when the plan carries no autotuned shape: with
-/// 32 zmm registers a deeper row tile than the AVX2 default pays for
-/// itself before the autotuner has spoken.
-inline constexpr int kConvRowTile512 = 6;
+/// int32 lanes of one 512-bit vector: output positions per conv
+/// column group.
+inline constexpr int kZmmInt32Lanes = 16;
 
-/// One vectorized tile: RN output rows × CN 8-lane column groups
-/// starting at (oy0, ox), every filter — conv_tile_avx2 at zmm width.
-template <int RN, int CN>
+/// Default conv tile when the plan carries no autotuned shape: 5
+/// output rows × 2 column groups (32 zmm registers carry a deeper row
+/// tile than the AVX2 default). On both LeNet conv plans it was among
+/// the fastest fixed shapes (3–7 rows within ≈ 10 % of each other);
+/// one group was up to 1.3× slower on the 28-column layer.
+inline constexpr int kConvRowTile512 = 5;
+inline constexpr int kConvColVecs512 = 2;
+
+/// One vectorized tile: RN output rows × CN 16-lane int32 column
+/// groups starting at (oy0, ox), every filter — conv_tile_avx2 at zmm
+/// width (see there for the layout, the Σ(p ^ s) − Σs sign form and
+/// the int32 proof). The last column group is lane-masked to the
+/// positions set in `last`, so a row of any width needs no tail
+/// kernel: masked-out lanes are neither read nor written, and active
+/// lanes run the exact same ops.
+template <int RN, int CN, int P>
 void conv_tile_avx512(const ConvLayerPlan& plan,
-                      const std::int64_t* multiples, std::int64_t* out,
-                      int oy0, int ox) {
+                      const std::int32_t* multiples, std::int64_t* out,
+                      int oy0, int ox, __mmask16 last) {
+  const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
   const std::int64_t* shifts = plan.shifts.data();
   const std::int64_t* signs = plan.sign_masks.data();
   const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
+  const auto store_lo = static_cast<__mmask8>(last & 0xFFu);
+  const auto store_hi = static_cast<__mmask8>(last >> 8);
   for (int r = 0; r < plan.oc; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
     __m512i acc[RN * CN];
-    const __m512i bias =
-        _mm512_set1_epi64(plan.biases[static_cast<std::size_t>(r)]);
-    for (int t = 0; t < RN * CN; ++t) acc[t] = bias;
-    for (int c = 0; c < plan.cols_padded; ++c) {
+    for (int t = 0; t < RN * CN; ++t) acc[t] = _mm512_setzero_si512();
+    std::int64_t sign_sum = 0;
+    for (int c = 0; c < plan.cols; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
       __m512i product[RN * CN];
       for (int t = 0; t < RN * CN; ++t) product[t] = _mm512_setzero_si512();
-      for (int q = 0; q < plan.planes; ++q) {
+      for (int q = 0; q < planes; ++q) {
         const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
         const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int64_t* src = multiples + cell_idx + ebase0;
+        const std::int32_t* src = multiples + idx[pc] + ebase0;
         for (int ty = 0; ty < RN; ++ty) {
           for (int tx = 0; tx < CN; ++tx) {
-            const __m512i m = _mm512_loadu_si512(
+            const std::int32_t* p =
                 src + static_cast<std::size_t>(ty) * plan.iw +
-                static_cast<std::size_t>(tx) * kZmmLanes);
-            product[ty * CN + tx] = _mm512_add_epi64(
-                product[ty * CN + tx], _mm512_sll_epi64(m, sh));
+                static_cast<std::size_t>(tx) * kZmmInt32Lanes;
+            const __m512i m = tx == CN - 1 ? _mm512_maskz_loadu_epi32(last, p)
+                                           : _mm512_loadu_si512(p);
+            product[ty * CN + tx] = _mm512_add_epi32(
+                product[ty * CN + tx], _mm512_sll_epi32(m, sh));
           }
         }
       }
-      const __m512i sign = _mm512_set1_epi64(signs[cell]);
+      const std::int64_t sign = signs[cell];
+      const __m512i vsign = _mm512_set1_epi32(static_cast<int>(sign));
       for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm512_add_epi64(
-            acc[t],
-            _mm512_sub_epi64(_mm512_xor_si512(product[t], sign), sign));
+        acc[t] = _mm512_add_epi32(acc[t], _mm512_xor_si512(product[t], vsign));
       }
+      sign_sum += sign;
     }
+    const __m512i bias = _mm512_set1_epi64(
+        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
     for (int ty = 0; ty < RN; ++ty) {
       for (int tx = 0; tx < CN; ++tx) {
-        _mm512_storeu_si512(
-            out + static_cast<std::size_t>(r) * positions +
-                static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
-                static_cast<std::size_t>(tx) * kZmmLanes,
-            acc[ty * CN + tx]);
-      }
-    }
-  }
-}
-
-/// Masked tail tile: RN output rows × one partial 8-lane column group
-/// covering the final ow % 8 positions of each row — the arithmetic
-/// of conv_tile_avx512<RN, 1> with lane masking standing in for the
-/// scalar tail the narrower ISAs need (the AVX2 kernel loses up to 3
-/// positions per row to scalar code; lane masking loses none).
-/// Bit-identity is untouched: masked-out lanes are neither read nor
-/// written, and active lanes run the exact same ops.
-template <int RN>
-void conv_tile_tail_avx512(const ConvLayerPlan& plan,
-                           const std::int64_t* multiples, std::int64_t* out,
-                           int oy0, int ox, __mmask8 mask) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
-  for (int r = 0; r < plan.oc; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m512i acc[RN];
-    const __m512i bias =
-        _mm512_set1_epi64(plan.biases[static_cast<std::size_t>(r)]);
-    for (int ty = 0; ty < RN; ++ty) acc[ty] = bias;
-    for (int c = 0; c < plan.cols_padded; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      __m512i product[RN];
-      for (int ty = 0; ty < RN; ++ty) product[ty] = _mm512_setzero_si512();
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int64_t* src = multiples + cell_idx + ebase0;
-        for (int ty = 0; ty < RN; ++ty) {
-          const __m512i m = _mm512_maskz_loadu_epi64(
-              mask, src + static_cast<std::size_t>(ty) * plan.iw);
-          product[ty] =
-              _mm512_add_epi64(product[ty], _mm512_sll_epi64(m, sh));
+        std::int64_t* dst = out + static_cast<std::size_t>(r) * positions +
+                            static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
+                            static_cast<std::size_t>(tx) * kZmmInt32Lanes;
+        const __m512i a = acc[ty * CN + tx];
+        const __m512i lo = _mm512_add_epi64(
+            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(a)), bias);
+        const __m512i hi = _mm512_add_epi64(
+            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(a, 1)), bias);
+        if (tx == CN - 1) {
+          _mm512_mask_storeu_epi64(dst, store_lo, lo);
+          _mm512_mask_storeu_epi64(dst + kZmmLanes, store_hi, hi);
+        } else {
+          _mm512_storeu_si512(dst, lo);
+          _mm512_storeu_si512(dst + kZmmLanes, hi);
         }
       }
-      const __m512i sign = _mm512_set1_epi64(signs[cell]);
-      for (int ty = 0; ty < RN; ++ty) {
-        acc[ty] = _mm512_add_epi64(
-            acc[ty],
-            _mm512_sub_epi64(_mm512_xor_si512(product[ty], sign), sign));
-      }
-    }
-    for (int ty = 0; ty < RN; ++ty) {
-      _mm512_mask_storeu_epi64(
-          out + static_cast<std::size_t>(r) * positions +
-              static_cast<std::size_t>(oy0 + ty) * plan.ow + ox,
-          mask, acc[ty]);
     }
   }
 }
 
-/// Runtime row count → compile-time RN dispatch for one column width.
-template <int CN>
+/// Runtime row count → compile-time RN for one column width: the
+/// deepest instantiated tile that is not deeper than `rn`.
+template <int CN, int P, int RN = kMaxConvRowTile>
 void conv_tile_rows_avx512(const ConvLayerPlan& plan,
-                           const std::int64_t* multiples, std::int64_t* out,
-                           int oy0, int ox, int rn) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
-  switch (rn) {
-    case 8: conv_tile_avx512<8, CN>(plan, multiples, out, oy0, ox); break;
-    case 7: conv_tile_avx512<7, CN>(plan, multiples, out, oy0, ox); break;
-    case 6: conv_tile_avx512<6, CN>(plan, multiples, out, oy0, ox); break;
-    case 5: conv_tile_avx512<5, CN>(plan, multiples, out, oy0, ox); break;
-    case 4: conv_tile_avx512<4, CN>(plan, multiples, out, oy0, ox); break;
-    case 3: conv_tile_avx512<3, CN>(plan, multiples, out, oy0, ox); break;
-    case 2: conv_tile_avx512<2, CN>(plan, multiples, out, oy0, ox); break;
-    default: conv_tile_avx512<1, CN>(plan, multiples, out, oy0, ox); break;
+                           const std::int32_t* multiples, std::int64_t* out,
+                           int oy0, int ox, int rn, __mmask16 last) {
+  if constexpr (RN > 1) {
+    if (rn < RN) {
+      conv_tile_rows_avx512<CN, P, RN - 1>(plan, multiples, out, oy0, ox, rn,
+                                           last);
+      return;
+    }
   }
+  conv_tile_avx512<RN, CN, P>(plan, multiples, out, oy0, ox, last);
 }
 
-/// The same dispatch for the masked tail tile.
-void conv_tile_tail_rows_avx512(const ConvLayerPlan& plan,
-                                const std::int64_t* multiples,
-                                std::int64_t* out, int oy0, int ox, int rn,
-                                __mmask8 mask) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
-  switch (rn) {
-    case 8:
-      conv_tile_tail_avx512<8>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 7:
-      conv_tile_tail_avx512<7>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 6:
-      conv_tile_tail_avx512<6>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 5:
-      conv_tile_tail_avx512<5>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 4:
-      conv_tile_tail_avx512<4>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 3:
-      conv_tile_tail_avx512<3>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 2:
-      conv_tile_tail_avx512<2>(plan, multiples, out, oy0, ox, mask);
-      break;
-    default:
-      conv_tile_tail_avx512<1>(plan, multiples, out, oy0, ox, mask);
-  }
+/// The first `n` (1..16) lanes of a zmm of int32.
+__mmask16 first_lanes(int n) {
+  return static_cast<__mmask16>((1u << n) - 1u);
 }
 
 // Weight-stationary variant at zmm width — see conv_ws_avx2 for the
-// shape and the per-term sign-distribution bit-exactness argument.
-void conv_ws_avx512(const ConvLayerPlan& plan, const std::int64_t* multiples,
+// shape and the per-term sign-distribution bit-exactness argument. The
+// row tail is one lane-masked vector.
+void conv_ws_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
                     std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
@@ -344,46 +284,40 @@ void conv_ws_avx512(const ConvLayerPlan& plan, const std::int64_t* multiples,
   const std::int64_t* signs = plan.sign_masks.data();
   for (int r = 0; r < plan.oc; ++r) {
     std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
-    const __m512i vbias = _mm512_set1_epi64(bias);
-    std::size_t p = 0;
-    for (; p + kZmmLanes <= positions; p += kZmmLanes) {
-      _mm512_storeu_si512(dst + p, vbias);
-    }
-    for (; p < positions; ++p) dst[p] = bias;
+    std::fill_n(dst, positions, plan.biases[static_cast<std::size_t>(r)]);
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    for (int c = 0; c < plan.cols_padded; ++c) {
+    for (int c = 0; c < plan.cols; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      const std::int64_t sign = signs[cell];
-      const __m512i vsign = _mm512_set1_epi64(sign);
+      const __m512i vsign = _mm512_set1_epi32(static_cast<int>(signs[cell]));
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
         if (cell_idx == plan.zero_base) break;  // steps are packed
-        const std::int64_t shift = shifts[pc];
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
+        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
         for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int64_t* src =
+          const std::int32_t* src =
               multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
           std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
-          int ox = 0;
-          for (; ox + kZmmLanes <= plan.ow; ox += kZmmLanes) {
-            const __m512i m = _mm512_loadu_si512(src + ox);
-            __m512i t = _mm512_sll_epi64(m, sh);
-            t = _mm512_sub_epi64(_mm512_xor_si512(t, vsign), vsign);
-            const __m512i d = _mm512_loadu_si512(drow + ox);
-            _mm512_storeu_si512(drow + ox, _mm512_add_epi64(d, t));
-          }
-          if (ox < plan.ow) {  // lane-masked row tail
-            const __mmask8 mask =
-                static_cast<__mmask8>((1u << (plan.ow - ox)) - 1u);
-            const __m512i m = _mm512_maskz_loadu_epi64(mask, src + ox);
-            __m512i t = _mm512_sll_epi64(m, sh);
-            t = _mm512_sub_epi64(_mm512_xor_si512(t, vsign), vsign);
-            const __m512i d = _mm512_maskz_loadu_epi64(mask, drow + ox);
-            _mm512_mask_storeu_epi64(drow + ox, mask,
-                                     _mm512_add_epi64(d, t));
+          for (int ox = 0; ox < plan.ow; ox += kZmmInt32Lanes) {
+            const __mmask16 mask =
+                first_lanes(std::min(plan.ow - ox, kZmmInt32Lanes));
+            const auto mask_lo = static_cast<__mmask8>(mask & 0xFFu);
+            const auto mask_hi = static_cast<__mmask8>(mask >> 8);
+            __m512i t = _mm512_sll_epi32(
+                _mm512_maskz_loadu_epi32(mask, src + ox), sh);
+            t = _mm512_sub_epi32(_mm512_xor_si512(t, vsign), vsign);
+            std::int64_t* d = drow + ox;
+            const __m512i lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(t));
+            const __m512i hi =
+                _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(t, 1));
+            _mm512_mask_storeu_epi64(
+                d, mask_lo,
+                _mm512_add_epi64(_mm512_maskz_loadu_epi64(mask_lo, d), lo));
+            _mm512_mask_storeu_epi64(
+                d + kZmmLanes, mask_hi,
+                _mm512_add_epi64(
+                    _mm512_maskz_loadu_epi64(mask_hi, d + kZmmLanes), hi));
           }
         }
       }
@@ -391,8 +325,33 @@ void conv_ws_avx512(const ConvLayerPlan& plan, const std::int64_t* multiples,
   }
 }
 
+/// Every row tile and column group of one plan, at a compile-time
+/// plane count P (0: the plan's).
+template <int P>
+void conv_tiles_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
+                       std::int64_t* out, int row_tile, int col_vecs) {
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
+    const int rn = std::min(row_tile, plan.oh - oy0);
+    int ox = 0;
+    // Two groups while more than one group's positions remain; the
+    // second (or the lone last) group is masked to what is left.
+    if (col_vecs >= 2) {
+      for (; plan.ow - ox > kZmmInt32Lanes; ox += 2 * kZmmInt32Lanes) {
+        const __mmask16 last = first_lanes(
+            std::min(plan.ow - ox - kZmmInt32Lanes, kZmmInt32Lanes));
+        conv_tile_rows_avx512<2, P>(plan, multiples, out, oy0, ox, rn, last);
+      }
+    }
+    for (; ox < plan.ow; ox += kZmmInt32Lanes) {
+      const __mmask16 last =
+          first_lanes(std::min(plan.ow - ox, kZmmInt32Lanes));
+      conv_tile_rows_avx512<1, P>(plan, multiples, out, oy0, ox, rn, last);
+    }
+  }
+}
+
 void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
-                                   const std::int64_t* multiples,
+                                   const std::int32_t* multiples,
                                    std::int64_t* out,
                                    const ConvTileShape& shape) {
   if (shape.weight_stationary) {
@@ -402,25 +361,24 @@ void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
   const int row_tile = shape.row_tile > 0
                            ? std::min(shape.row_tile, kMaxConvRowTile)
                            : kConvRowTile512;
-  const int col_vecs =
-      shape.col_vecs > 0 ? std::min(shape.col_vecs, kMaxConvColVecs) : 1;
-  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
-    const int rn = std::min(row_tile, plan.oh - oy0);
-    int ox = 0;
-    if (col_vecs >= 2) {
-      for (; ox + 2 * kZmmLanes <= plan.ow; ox += 2 * kZmmLanes) {
-        conv_tile_rows_avx512<2>(plan, multiples, out, oy0, ox, rn);
-      }
-    }
-    for (; ox + kZmmLanes <= plan.ow; ox += kZmmLanes) {
-      conv_tile_rows_avx512<1>(plan, multiples, out, oy0, ox, rn);
-    }
-    // Row tail (ow % 8 positions): one lane-masked partial vector.
-    if (ox < plan.ow) {
-      const __mmask8 mask =
-          static_cast<__mmask8>((1u << (plan.ow - ox)) - 1u);
-      conv_tile_tail_rows_avx512(plan, multiples, out, oy0, ox, rn, mask);
-    }
+  const int col_vecs = shape.col_vecs > 0
+                           ? std::min(shape.col_vecs, kMaxConvColVecs)
+                           : kConvColVecs512;
+  // Plane count → compile-time unrolled plane loop (8- and 12-bit
+  // weights have at most 2 and 3 quartets).
+  switch (plan.planes) {
+    case 1:
+      conv_tiles_avx512<1>(plan, multiples, out, row_tile, col_vecs);
+      break;
+    case 2:
+      conv_tiles_avx512<2>(plan, multiples, out, row_tile, col_vecs);
+      break;
+    case 3:
+      conv_tiles_avx512<3>(plan, multiples, out, row_tile, col_vecs);
+      break;
+    default:
+      conv_tiles_avx512<0>(plan, multiples, out, row_tile, col_vecs);
+      break;
   }
 }
 
@@ -442,7 +400,7 @@ class Avx512Backend final : public KernelBackend {
   }
   [[nodiscard]] const char* description() const noexcept override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
-    return avx512_ ? "AVX-512F/VL 8-lane position tiles over SoA planes"
+    return avx512_ ? "AVX-512F/VL 16-lane int32 position tiles over SoA planes"
                    : "portable fallback (CPU lacks AVX-512F/VL)";
 #else
     return "portable fallback (built without AVX-512)";
@@ -487,6 +445,13 @@ class Avx512Backend final : public KernelBackend {
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
+    // Plans that do not fit int32 lanes: the portable int64 loop.
+    accumulate_conv_planes(plan, multiples, out);
+  }
+
+  void accumulate_conv_int32(const ConvLayerPlan& plan,
+                             const std::int32_t* multiples,
+                             std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
     if (avx512_) {
       accumulate_conv_avx512_shaped(plan, multiples, out, plan.tile_avx512);
@@ -515,7 +480,7 @@ const KernelBackend& avx512_backend() {
 }
 
 bool conv_run_shaped_avx512(const ConvLayerPlan& plan,
-                            const std::int64_t* multiples, std::int64_t* out,
+                            const std::int32_t* multiples, std::int64_t* out,
                             const ConvTileShape& shape) {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
   if (avx512_backend().accelerated()) {

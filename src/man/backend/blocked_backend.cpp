@@ -45,6 +45,12 @@ class BlockedBackend final : public KernelBackend {
     accumulate_conv_planes(plan, multiples, out);
   }
 
+  void accumulate_conv_int32(const ConvLayerPlan& plan,
+                             const std::int32_t* multiples,
+                             std::int64_t* out) const override {
+    accumulate_conv_planes(plan, multiples, out);
+  }
+
   void exact_conv(const ConvLayerPlan& plan,
                   const std::int64_t* activations,
                   std::int64_t* out) const override {

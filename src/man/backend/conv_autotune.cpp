@@ -42,7 +42,7 @@ constexpr std::size_t kMinPositions = 32;
 
 using Clock = std::chrono::steady_clock;
 
-using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int64_t*,
+using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int32_t*,
                            std::int64_t*, const ConvTileShape&);
 
 [[nodiscard]] bool valid_shape(const ConvTileShape& shape) {
@@ -53,7 +53,7 @@ using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int64_t*,
 
 /// Best-of-3 average time of `iters` kernel passes, in nanoseconds.
 double measure(ShapedRun run, const ConvLayerPlan& plan,
-               const std::int64_t* multiples, std::int64_t* out,
+               const std::int32_t* multiples, std::int64_t* out,
                const ConvTileShape& shape, int iters) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
@@ -71,7 +71,7 @@ double measure(ShapedRun run, const ConvLayerPlan& plan,
 }
 
 ConvTileShape tune_isa(ShapedRun run, const ConvLayerPlan& plan,
-                       const std::int64_t* multiples, std::int64_t* out) {
+                       const std::int32_t* multiples, std::int64_t* out) {
   // Calibrate the repetition count off one warm default-shape pass so
   // small plans average enough runs to beat timer noise while big
   // plans stay cheap (the whole sweep targets low single-digit
@@ -141,12 +141,14 @@ void autotune_conv_plan(ConvLayerPlan& plan) {
   const bool avx512 = detail::avx512_backend().accelerated();
   if (!avx2 && !avx512) return;
 
-  // Synthetic staging buffer: kernel time depends on the plan
-  // geometry, not the staged values, so any small integers do. The
-  // zero region stays genuinely zero, matching real staging.
-  std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
+  // Synthetic int32 staging buffer: kernel time depends on the plan
+  // geometry, not the staged values, so any small integers do (the
+  // vector kernels wrap, so even a plan outside the int32 proof could
+  // not misbehave here). The zero region stays genuinely zero,
+  // matching real staging.
+  std::vector<std::int32_t> multiples(plan.padded_multiples(), 0);
   for (std::size_t i = 0; i < plan.zero_base; ++i) {
-    multiples[i] = static_cast<std::int64_t>(i % 251) - 125;
+    multiples[i] = static_cast<std::int32_t>(i % 251) - 125;
   }
   std::vector<std::int64_t> out(static_cast<std::size_t>(plan.oc) *
                                 plan.positions());

@@ -1,11 +1,11 @@
-// One-shot register-blocking autotuner for the vectorized conv
-// kernels: every ConvTileShape is bit-identical to the scalar
-// reference (the kernels only differ in how many output positions one
-// plan pass feeds), so the best shape for a given conv geometry is
-// purely a speed question — answered once per plan, when the
-// FixedNetwork constructor first sees it untuned, by a microbench over
-// a synthetic multiples buffer, and recorded on the plan for dispatch
-// to read.
+// One-shot register-blocking autotuner for the vectorized int32 conv
+// kernels (KernelBackend::accumulate_conv_int32): every ConvTileShape
+// is bit-identical to the scalar reference (the kernels only differ in
+// how many output positions one plan pass feeds), so the best shape
+// for a given conv geometry is purely a speed question — answered once
+// per plan, when the FixedNetwork constructor first sees an untuned
+// plan that takes int32 lanes, by a microbench over a synthetic int32
+// multiples buffer, and recorded on the plan for dispatch to read.
 #ifndef MAN_BACKEND_CONV_AUTOTUNE_H
 #define MAN_BACKEND_CONV_AUTOTUNE_H
 
@@ -33,7 +33,8 @@ namespace man::backend {
 /// plan.tile_avx512 and setting plan.tiles_tuned. No-op for exact
 /// plans, for geometries too small to time reliably (the kernel
 /// defaults already serve them), and for builds/CPUs where no vector
-/// kernel is live.
+/// kernel is live. FixedNetwork calls it only for plans that take
+/// int32 lanes: the int64 accumulate_conv ignores tile shapes.
 void autotune_conv_plan(ConvLayerPlan& plan);
 
 /// Diagnostic spelling of a shape ("4x1", "8x2", "ws", "default").

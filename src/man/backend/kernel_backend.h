@@ -30,9 +30,9 @@ enum class BackendKind {
   kBlocked,  ///< branch-free blocked-scalar loop over the SoA planes
   kSimd,     ///< AVX2 intrinsics (portable plane loop when not compiled
              ///< with AVX2 or the CPU lacks it)
-  kAvx512,   ///< AVX-512F/VL intrinsics, 8-lane position tiles
-             ///< (portable plane loop when not compiled with AVX-512
-             ///< or the CPU lacks it)
+  kAvx512,   ///< AVX-512F/VL intrinsics, 16-lane int32 position
+             ///< tiles for conv (portable plane loop when not
+             ///< compiled with AVX-512 or the CPU lacks it)
 };
 
 /// One implementation of the inner accumulation loops. Stateless and
@@ -73,7 +73,7 @@ class KernelBackend {
   /// them by kDenseTile) and vector kernels use plain loads where the
   /// per-sample kernel gathers. Products and Σ (p ^ sign) accumulate in
   /// int32; each row is widened to int64 before the bias and −Σ sign
-  /// are added. Callers must hold int32_tile_bound(plan, ...) ≤
+  /// are added. Callers must hold int32_row_bound(plan, ...) ≤
   /// INT32_MAX for the staged inputs (FixedNetwork tiles only such
   /// plans); the scalar reference accumulates in int64 regardless.
   /// Bit-identical to kDenseTile accumulate_dense calls.
@@ -95,9 +95,24 @@ class KernelBackend {
   /// strides by elements, not by k). `multiples` holds
   /// plan.padded_multiples() slots — k planes of ic·ih·iw bank
   /// outputs plus the trailing zero region, which must be 0.
+  /// FixedNetwork calls it only for plans that do not fit int32
+  /// lanes; the vector backends run the portable plane loop here.
   virtual void accumulate_conv(const ConvLayerPlan& plan,
                                const std::int64_t* multiples,
                                std::int64_t* out) const = 0;
+
+  /// accumulate_conv over int32 multiples: the same lane-major layout,
+  /// zero region and output. Vector kernels run 8 (ymm) or 16 (zmm)
+  /// consecutive output positions per vector, accumulate products and
+  /// Σ (p ^ sign) in int32, and widen each output to int64 where the
+  /// bias and −Σ sign are added; they tile positions by the plan's
+  /// per-ISA ConvTileShape. Callers must hold int32_row_bound(plan,
+  /// ...) ≤ INT32_MAX for the staged inputs (FixedNetwork routes only
+  /// such plans here); the scalar reference accumulates in int64
+  /// regardless. Bit-identical to accumulate_conv on the same values.
+  virtual void accumulate_conv_int32(const ConvLayerPlan& plan,
+                                     const std::int32_t* multiples,
+                                     std::int64_t* out) const = 0;
 
   /// Conventional exact conv stage over the degenerate single-multiple
   /// plane: out[r·P + p] = biases[r] + Σ_c weights[r][c] ·

@@ -71,54 +71,6 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
   return plan;
 }
 
-std::int64_t int32_tile_bound(const DenseLayerPlan& plan,
-                              std::span<const std::uint8_t> alphabets) {
-  constexpr std::int64_t kMax = kInt32TileOverflow - 1;
-  const auto k = static_cast<std::size_t>(plan.k);
-  if (plan.exact || !plan.has_input_range() || k < 1 || alphabets.size() != k ||
-      plan.in_min_raw < -kMax || plan.in_max_raw > kMax) {
-    return kInt32TileOverflow;
-  }
-  const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);
-  // X · a(slot) for every staged slot, the zero slot's 0 last.
-  std::vector<std::int64_t> staged(plan.padded_multiples(), 0);
-  std::int64_t bound = 0;
-  for (std::size_t slot = 0; slot < plan.zero_slot; ++slot) {
-    staged[slot] = x * alphabets[slot % k];
-    bound = std::max(bound, staged[slot]);
-  }
-  if (bound > kMax) return kInt32TileOverflow;
-
-  // Row sums: one per negative weight, then plane by plane, so each
-  // plane streams once.
-  const std::size_t stride = plan.plane_stride();
-  std::vector<std::int64_t> sums(static_cast<std::size_t>(plan.rows), 0);
-  for (std::size_t r = 0; r < sums.size(); ++r) {
-    for (int c = 0; c < plan.cols; ++c) {
-      sums[r] += plan.sign_masks[r * plan.cols_padded + c] != 0 ? 1 : 0;
-    }
-  }
-  for (std::size_t q = 0; q < static_cast<std::size_t>(plan.planes); ++q) {
-    for (std::size_t r = 0; r < sums.size(); ++r) {
-      const std::size_t row = q * stride + r * plan.cols_padded;
-      for (int c = 0; c < plan.cols; ++c) {
-        const std::size_t pc = row + static_cast<std::size_t>(c);
-        const std::int64_t shift = plan.shifts[pc];
-        const std::uint32_t slot = plan.idx[pc];
-        // The tile kernels shift every entry, the zero slot's too.
-        if (shift < 0 || shift > 30 || slot > plan.zero_slot ||
-            staged[slot] > (kMax >> shift)) {
-          return kInt32TileOverflow;
-        }
-        sums[r] += staged[slot] << shift;
-      }
-      if (sums[r] > kMax) return kInt32TileOverflow;
-    }
-  }
-  for (const std::int64_t sum : sums) bound = std::max(bound, sum);
-  return bound;
-}
-
 namespace {
 
 /// Shared geometry setup: validates the valid-padding stride-1 shape
@@ -232,6 +184,99 @@ ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
     }
   }
   return plan;
+}
+
+namespace {
+
+// Slot layout of the two plan kinds, for the row bound: the absent
+// slot (zero slot or zero-region base), the alphabet lane a staged
+// slot holds, and whether every read through a slot stays in that
+// lane. Dense slots are k-strided (lane = slot % k) and read once.
+// Conv slots are lane-major (lane = slot / (ic·ih·iw)) and read at
+// slot + oy·iw + ox, which stays in the slot's lane when its element
+// plus the largest position base does.
+std::uint32_t absent_slot(const DenseLayerPlan& plan) { return plan.zero_slot; }
+std::uint32_t absent_slot(const ConvLayerPlan& plan) { return plan.zero_base; }
+std::size_t row_count(const DenseLayerPlan& plan) {
+  return static_cast<std::size_t>(plan.rows);
+}
+std::size_t row_count(const ConvLayerPlan& plan) {
+  return static_cast<std::size_t>(plan.oc);
+}
+std::size_t lane_of(const DenseLayerPlan& plan, std::uint32_t slot) {
+  return slot % static_cast<std::size_t>(plan.k);
+}
+std::size_t lane_of(const ConvLayerPlan& plan, std::uint32_t slot) {
+  return slot / plan.input_elems();
+}
+bool reads_in_lane(const DenseLayerPlan& /*plan*/, std::uint32_t /*slot*/) {
+  return true;
+}
+bool reads_in_lane(const ConvLayerPlan& plan, std::uint32_t slot) {
+  return slot % plan.input_elems() + plan.max_position_base() <
+         plan.input_elems();
+}
+
+template <typename Plan>
+std::int64_t row_bound(const Plan& plan,
+                       std::span<const std::uint8_t> alphabets) {
+  constexpr std::int64_t kMax = kInt32RowOverflow - 1;
+  const auto k = static_cast<std::size_t>(plan.k);
+  if (plan.exact || !plan.has_input_range() || k < 1 ||
+      alphabets.size() != k || plan.in_min_raw < -kMax ||
+      plan.in_max_raw > kMax) {
+    return kInt32RowOverflow;
+  }
+  const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);
+  // Every staged slot holds X · a, which the int32 lanes store as is.
+  std::int64_t bound =
+      x * *std::max_element(alphabets.begin(), alphabets.end());
+  if (bound > kMax) return kInt32RowOverflow;
+
+  // Row sums: one per negative weight, then plane by plane, so each
+  // plane streams once.
+  const std::uint32_t absent = absent_slot(plan);
+  const std::size_t stride = plan.plane_stride();
+  std::vector<std::int64_t> sums(row_count(plan), 0);
+  for (std::size_t r = 0; r < sums.size(); ++r) {
+    for (int c = 0; c < plan.cols; ++c) {
+      sums[r] += plan.sign_masks[r * plan.cols_padded + c] != 0 ? 1 : 0;
+    }
+  }
+  for (std::size_t q = 0; q < static_cast<std::size_t>(plan.planes); ++q) {
+    for (std::size_t r = 0; r < sums.size(); ++r) {
+      const std::size_t row = q * stride + r * plan.cols_padded;
+      for (int c = 0; c < plan.cols; ++c) {
+        const std::size_t pc = row + static_cast<std::size_t>(c);
+        const std::int64_t shift = plan.shifts[pc];
+        const std::uint32_t slot = plan.idx[pc];
+        // The int32 kernels shift every entry, absent ones too.
+        if (shift < 0 || shift > 30 || slot > absent ||
+            (slot < absent && !reads_in_lane(plan, slot))) {
+          return kInt32RowOverflow;
+        }
+        const std::int64_t staged =
+            slot == absent ? 0 : x * alphabets[lane_of(plan, slot)];
+        if (staged > (kMax >> shift)) return kInt32RowOverflow;
+        sums[r] += staged << shift;
+      }
+      if (sums[r] > kMax) return kInt32RowOverflow;
+    }
+  }
+  for (const std::int64_t sum : sums) bound = std::max(bound, sum);
+  return bound;
+}
+
+}  // namespace
+
+std::int64_t int32_row_bound(const DenseLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets) {
+  return row_bound(plan, alphabets);
+}
+
+std::int64_t int32_row_bound(const ConvLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets) {
+  return row_bound(plan, alphabets);
 }
 
 }  // namespace man::backend

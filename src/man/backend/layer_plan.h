@@ -136,7 +136,7 @@ inline constexpr int kLaneWidth = 4;
 /// Samples per batch tile of the dense tile kernels
 /// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
 /// slot s of sample b sits at tile[s·kDenseTile + b] as an int32
-/// (int32_tile_bound() proves the plan's sums fit), so every plan
+/// (int32_row_bound() proves the plan's sums fit), so every plan
 /// entry is read once per tile and applied to kDenseTile contiguous
 /// lanes — one zmm, two ymm, one 64-byte line. Rows come out int64 at
 /// out[r·kDenseTile + b]. A fixed constant, not a knob: a wider tile
@@ -153,14 +153,18 @@ inline constexpr int kDenseTile = 16;
 inline constexpr int kMaxConvRowTile = 8;
 inline constexpr int kMaxConvColVecs = 2;
 
-/// Register-blocking shape of one vectorized conv kernel pass:
-/// row_tile output rows × col_vecs vector-width column groups per
-/// tile, or (weight_stationary) one plan entry broadcast-held in
-/// registers while every output position streams past it. Zero
-/// fields mean "kernel default". Picked per plan geometry by
-/// autotune_conv_plan() when an engine is built (or forced via
-/// MAN_CONV_TILE) and recorded on ConvLayerPlan; every shape is
-/// bit-identical to the scalar reference — only speed differs.
+/// Register-blocking shape of one vectorized int32 conv kernel pass
+/// (KernelBackend::accumulate_conv_int32): row_tile output rows ×
+/// col_vecs column groups of int32 lanes per tile (8 per ymm, 16 per
+/// zmm; the last group of a row is lane-masked on AVX-512 and AVX2),
+/// or (weight_stationary) one plan entry broadcast-held in registers
+/// while every output position streams past it. Zero fields mean
+/// "kernel default". Picked per plan geometry by autotune_conv_plan()
+/// when an engine is built (or forced via MAN_CONV_TILE) and recorded
+/// on ConvLayerPlan; every shape is bit-identical to the scalar
+/// reference — only speed differs. Shapes recorded in artifacts by
+/// builds whose conv kernels ran int64 lanes stay valid, but were
+/// tuned for those widths.
 struct ConvTileShape {
   int row_tile = 0;  ///< output rows per tile (1..kMaxConvRowTile)
   int col_vecs = 0;  ///< vector column groups per tile (1..kMaxConvColVecs)
@@ -201,11 +205,11 @@ struct DenseLayerPlan {
   /// pool averages stay inside. Set on every plan when a network is
   /// lowered and checked by the FixedNetwork constructor. A stage
   /// whose inputs lie in it stages from the engine's table of bank
-  /// outputs over the window, and int32_tile_bound() bounds the
-  /// inputs by it; a stage
-  /// fed raw accumulators (no LUT in front) stages straight from its
-  /// bank and never tiles. min > max (the default, hand-built plans
-  /// only) means no window: such a plan never tiles.
+  /// outputs over the window, and int32_row_bound() bounds the
+  /// inputs by it; a stage fed raw accumulators (no LUT in front)
+  /// stages straight from its bank and never runs int32 lanes. min >
+  /// max (the default, hand-built plans only) means no window: such a
+  /// plan never runs int32 lanes.
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
   [[nodiscard]] bool has_input_range() const noexcept {
@@ -235,26 +239,6 @@ struct DenseLayerPlan {
       int rows, int cols, int k, std::vector<AsmWeight> asm_weights,
       std::vector<AsmStep> steps, std::vector<std::int64_t> biases);
 };
-
-/// What int32_tile_bound() saturates at: one past INT32_MAX.
-inline constexpr std::int64_t kInt32TileOverflow = std::int64_t{1} << 31;
-
-/// The no-overflow proof behind the int32 batch-tile kernels
-/// (KernelBackend::accumulate_dense_tile). Lane l of the stage's bank
-/// stages alphabets[l] · x, so slot idx holds a(idx) · x with
-/// a(idx) = alphabets[idx % k] (the zero slot holds 0), and every
-/// input x lies in the staging window, |x| ≤ X = max(|in_min_raw|,
-/// |in_max_raw|). Row r's bound is
-///   B_r = Σ_c Σ_q X · a(idx) << shift  +  (negative weights in row r).
-/// Every shifted multiple, weight product p and partial Σ (p ^ sign)
-/// of row r lies in [-B_r, B_r] (p ^ -1 = -p - 1 adds at most one per
-/// negative weight). Returns the largest B_r, or X · a when a staged
-/// slot is larger, saturated at kInt32TileOverflow; exact plans, plans
-/// without a staging window and shifts outside [0, 30] give
-/// kInt32TileOverflow. A plan fits int32 lanes when the result is at
-/// most INT32_MAX. O(plan entries); derived, never serialized.
-[[nodiscard]] std::int64_t int32_tile_bound(
-    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 
 /// Self-contained plan for one valid-padding stride-1 conv stage —
 /// the dense plan generalized by one degree of freedom: the filter
@@ -311,19 +295,23 @@ struct ConvLayerPlan {
   std::uint32_t zero_base = 0;
 
   /// Staging window, exactly as in DenseLayerPlan: the activation
-  /// format's raw range (min > max, the default, means none).
+  /// format's raw range (min > max, the default, means none). A stage
+  /// whose inputs lie in it and whose plan passes int32_row_bound()
+  /// stages int32 multiples and runs accumulate_conv_int32.
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
 
-  /// Register-blocking tile shapes the vectorized kernels dispatch
-  /// on, one per ISA (the portable/blocked kernels ignore them).
+  /// Register-blocking tile shapes the vectorized int32 kernels
+  /// dispatch on, one per ISA (the portable/blocked kernels and the
+  /// int64 accumulate_conv ignore them).
   /// Default-constructed shapes mean "kernel default"; filled in by
   /// autotune_conv_plan() when the FixedNetwork is built.
   ConvTileShape tile_avx2;
   ConvTileShape tile_avx512;
   /// True once autotune_conv_plan() measured (or was forced to) a
-  /// shape for this plan — false for exact plans, tiny geometries,
-  /// and builds where no vector kernel is live.
+  /// shape for this plan — false for exact plans, plans that run
+  /// int64 lanes, tiny geometries, and builds where no vector kernel
+  /// is live.
   bool tiles_tuned = false;
   [[nodiscard]] bool has_input_range() const noexcept {
     return in_min_raw <= in_max_raw;
@@ -372,6 +360,34 @@ struct ConvLayerPlan {
       std::vector<AsmWeight> asm_weights, std::vector<AsmStep> steps,
       std::vector<std::int64_t> biases);
 };
+
+/// What int32_row_bound() saturates at: one past INT32_MAX.
+inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
+
+/// The no-overflow proof behind the int32 kernels: the dense batch
+/// tile (KernelBackend::accumulate_dense_tile) and int32 conv lanes
+/// (KernelBackend::accumulate_conv_int32). Lane l of the stage's bank
+/// stages alphabets[l] · x, and every input x lies in the staging
+/// window, |x| ≤ X = max(|in_min_raw|, |in_max_raw|). Slot idx then
+/// holds a(idx) · x, with a(idx) = alphabets[idx % k] in the dense
+/// plan's k-strided layout and alphabets[idx / (ic·ih·iw)] in the conv
+/// plan's lane-major one; the zero slot or zero region holds 0. A conv
+/// read adds the position base oy·iw + ox, which keeps it in its
+/// slot's lane (checked), so one row bound covers every output
+/// position. Row r's bound is
+///   B_r = Σ_c Σ_q X · a(idx) << shift  +  (negative weights in row r).
+/// Every shifted multiple, weight product p and partial Σ (p ^ sign)
+/// of row r lies in [-B_r, B_r] (p ^ -1 = -p - 1 adds at most one per
+/// negative weight). Returns the largest B_r, or X · max(alphabets)
+/// when a staged slot is larger, saturated at kInt32RowOverflow;
+/// exact plans, plans without a staging window, shifts outside
+/// [0, 30] and slots past the zero slot/region base give
+/// kInt32RowOverflow. A plan fits int32 lanes when the result is at
+/// most INT32_MAX. O(plan entries); derived, never serialized.
+[[nodiscard]] std::int64_t int32_row_bound(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);
+[[nodiscard]] std::int64_t int32_row_bound(
+    const ConvLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 
 }  // namespace man::backend
 

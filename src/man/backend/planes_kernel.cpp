@@ -114,6 +114,8 @@ void exact_dense_blocked(const DenseLayerPlan& plan,
   }
 }
 
+namespace {
+
 // The tile covers up to kConvTile output positions, arranged as several
 // output rows × a run of columns: a conv weight fires once per output
 // position with the same idx/shift/sign, so each plan entry is loaded
@@ -126,8 +128,11 @@ void exact_dense_blocked(const DenseLayerPlan& plan,
 // packed from plane 0, so the first absent cell ends the weight —
 // skipped weights contribute exactly the zero the padded walk would
 // have added, keeping the result bit-identical to the scalar reference.
-void accumulate_conv_planes(const ConvLayerPlan& plan,
-                            const std::int64_t* multiples, std::int64_t* out) {
+// Sums run in the slot type: int64, or int32 for a plan that passed
+// int32_row_bound(), widened where the bias is added.
+template <typename Slot>
+void conv_planes(const ConvLayerPlan& plan, const Slot* multiples,
+                 std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
@@ -135,7 +140,7 @@ void accumulate_conv_planes(const ConvLayerPlan& plan,
   const std::int64_t* signs = plan.sign_masks.data();
   const int cn = std::min(plan.ow, kConvTile);       // tile columns
   const int rn_max = std::max(1, kConvTile / cn);    // tile rows
-  std::int64_t tmp[kConvTile];
+  Slot tmp[kConvTile];
   for (int oy0 = 0; oy0 < plan.oh; oy0 += rn_max) {
     const int rn = std::min(rn_max, plan.oh - oy0);
     for (int ox0 = 0; ox0 < plan.ow; ox0 += cn) {
@@ -153,41 +158,28 @@ void accumulate_conv_planes(const ConvLayerPlan& plan,
           const std::uint32_t first_idx = idx[cell];
           if (first_idx == plan.zero_base) continue;  // zero-step weight
           const std::int64_t sign = signs[cell];
-          if (sign == 0) {
-            // Positive weight: accumulate the shifted multiples
-            // straight into the tile.
-            for (int q = 0; q < plan.planes; ++q) {
-              const std::size_t pc = q * stride + cell;
-              const std::uint32_t cell_idx = idx[pc];
-              if (cell_idx == plan.zero_base) break;  // steps are packed
-              const std::int64_t sh = shifts[pc];
-              for (int ty = 0; ty < rn; ++ty) {
-                const std::int64_t* src = multiples + cell_idx + ebase0 +
-                                          static_cast<std::size_t>(ty) *
-                                              plan.iw;
-                std::int64_t* dst = tmp + ty * tc;
-                for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
-              }
-            }
-          } else {
-            // Negative weight: form the per-position product first,
-            // then subtract — two's complement makes
-            // (product ^ -1) - (-1) == -product exactly.
-            std::int64_t prod[kConvTile];
+          // A positive weight accumulates its shifted multiples
+          // straight into the tile; a negative one forms the
+          // per-position product first, then subtracts it — two's
+          // complement makes (product ^ -1) - (-1) == -product exactly.
+          Slot prod[kConvTile];
+          Slot* dst_tile = sign == 0 ? tmp : prod;
+          if (sign != 0) {
             for (int t = 0; t < rn * tc; ++t) prod[t] = 0;
-            for (int q = 0; q < plan.planes; ++q) {
-              const std::size_t pc = q * stride + cell;
-              const std::uint32_t cell_idx = idx[pc];
-              if (cell_idx == plan.zero_base) break;  // steps are packed
-              const std::int64_t sh = shifts[pc];
-              for (int ty = 0; ty < rn; ++ty) {
-                const std::int64_t* src = multiples + cell_idx + ebase0 +
-                                          static_cast<std::size_t>(ty) *
-                                              plan.iw;
-                std::int64_t* dst = prod + ty * tc;
-                for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
-              }
+          }
+          for (int q = 0; q < plan.planes; ++q) {
+            const std::size_t pc = q * stride + cell;
+            const std::uint32_t cell_idx = idx[pc];
+            if (cell_idx == plan.zero_base) break;  // steps are packed
+            const auto sh = static_cast<int>(shifts[pc]);
+            for (int ty = 0; ty < rn; ++ty) {
+              const Slot* src = multiples + cell_idx + ebase0 +
+                                static_cast<std::size_t>(ty) * plan.iw;
+              Slot* dst = dst_tile + ty * tc;
+              for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
             }
+          }
+          if (sign != 0) {
             for (int t = 0; t < rn * tc; ++t) tmp[t] -= prod[t];
           }
         }
@@ -196,7 +188,7 @@ void accumulate_conv_planes(const ConvLayerPlan& plan,
                                   static_cast<std::size_t>(oy0 + ty) *
                                       plan.ow +
                                   ox0;
-          const std::int64_t* src = tmp + ty * tc;
+          const Slot* src = tmp + ty * tc;
           for (int t = 0; t < tc; ++t) out_row[t] = bias + src[t];
         }
       }
@@ -204,39 +196,16 @@ void accumulate_conv_planes(const ConvLayerPlan& plan,
   }
 }
 
-void conv_positions_scalar(const ConvLayerPlan& plan,
-                           const std::int64_t* multiples, std::int64_t* out,
-                           int oy0, int rn, int ox0) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int ox = ox0; ox < plan.ow; ++ox) {
-    for (int ty = 0; ty < rn; ++ty) {
-      const std::size_t base = static_cast<std::size_t>(oy0 + ty) * plan.iw +
-                               static_cast<std::size_t>(ox);
-      const std::size_t p = static_cast<std::size_t>(oy0 + ty) * plan.ow +
-                            static_cast<std::size_t>(ox);
-      for (int r = 0; r < plan.oc; ++r) {
-        const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-        std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
-        for (int c = 0; c < plan.cols_padded; ++c) {
-          const std::size_t cell = row + static_cast<std::size_t>(c);
-          std::int64_t product = 0;
-          for (int q = 0; q < plan.planes; ++q) {
-            const std::size_t pc = q * stride + cell;
-            const std::uint32_t cell_idx = idx[pc];
-            if (cell_idx == plan.zero_base) break;  // steps are packed
-            product += multiples[cell_idx + base] << shifts[pc];
-          }
-          const std::int64_t sign = signs[cell];
-          acc += (product ^ sign) - sign;
-        }
-        out[static_cast<std::size_t>(r) * positions + p] = acc;
-      }
-    }
-  }
+}  // namespace
+
+void accumulate_conv_planes(const ConvLayerPlan& plan,
+                            const std::int64_t* multiples, std::int64_t* out) {
+  conv_planes(plan, multiples, out);
+}
+
+void accumulate_conv_planes(const ConvLayerPlan& plan,
+                            const std::int32_t* multiples, std::int64_t* out) {
+  conv_planes(plan, multiples, out);
 }
 
 void exact_conv_blocked(const ConvLayerPlan& plan,

@@ -43,16 +43,13 @@ void exact_dense_blocked(const DenseLayerPlan& plan,
 
 /// Conv variant of the plane walk, blocked over 2-D tiles of output
 /// positions so each plan entry is loaded once per tile and streamed
-/// over every tile position (see planes_kernel.cpp).
+/// over every tile position (see planes_kernel.cpp). The int32
+/// overload (accumulate_conv_int32) sums in int32 lanes and widens at
+/// the bias; its caller holds int32_row_bound() ≤ INT32_MAX.
 void accumulate_conv_planes(const ConvLayerPlan& plan,
                             const std::int64_t* multiples, std::int64_t* out);
-
-/// Scalar row tail of the AVX2 conv kernel: output positions
-/// [ox0, ow) of rows [oy0, oy0 + rn), every filter, via the exact
-/// per-position reference walk.
-void conv_positions_scalar(const ConvLayerPlan& plan,
-                           const std::int64_t* multiples, std::int64_t* out,
-                           int oy0, int rn, int ox0);
+void accumulate_conv_planes(const ConvLayerPlan& plan,
+                            const std::int32_t* multiples, std::int64_t* out);
 
 /// Exact conv with kLaneWidth independent accumulators per filter and
 /// the degenerate single-multiple plane gather (integer addition

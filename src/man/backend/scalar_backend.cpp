@@ -28,6 +28,32 @@ std::int64_t weight_product(const Plan& plan, std::size_t cell,
   return plan.sign_masks[cell] == -1 ? -product : product;
 }
 
+/// The original 6-deep ConvStage reference loop, re-expressed over
+/// the plan's patch columns: column c of filter r at position (oy, ox)
+/// reads its steps' lane-major slots plus oy·iw + ox, in the same
+/// (ic, ky, kx) order the hand-rolled loop visited.
+template <typename Slot>
+void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
+               std::int64_t* out) {
+  const std::size_t positions = plan.positions();
+  for (int r = 0; r < plan.oc; ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+    for (int oy = 0; oy < plan.oh; ++oy) {
+      for (int ox = 0; ox < plan.ow; ++ox) {
+        const std::size_t elem_base =
+            static_cast<std::size_t>(oy) * plan.iw + ox;
+        std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+        for (int c = 0; c < plan.cols; ++c) {
+          acc += weight_product(plan, row + static_cast<std::size_t>(c),
+                                plan.zero_base, multiples, elem_base, 1);
+        }
+        out[static_cast<std::size_t>(r) * positions +
+            static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
+      }
+    }
+  }
+}
+
 class ScalarBackend final : public KernelBackend {
  public:
   [[nodiscard]] BackendKind kind() const noexcept override {
@@ -92,27 +118,15 @@ class ScalarBackend final : public KernelBackend {
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
-    // The original 6-deep ConvStage reference loop, re-expressed over
-    // the plan's patch columns: column c of filter r at position
-    // (oy, ox) reads its steps' lane-major slots plus oy·iw + ox, in
-    // the same (ic, ky, kx) order the hand-rolled loop visited.
-    const std::size_t positions = plan.positions();
-    for (int r = 0; r < plan.oc; ++r) {
-      const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-      for (int oy = 0; oy < plan.oh; ++oy) {
-        for (int ox = 0; ox < plan.ow; ++ox) {
-          const std::size_t elem_base =
-              static_cast<std::size_t>(oy) * plan.iw + ox;
-          std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
-          for (int c = 0; c < plan.cols; ++c) {
-            acc += weight_product(plan, row + static_cast<std::size_t>(c),
-                                  plan.zero_base, multiples, elem_base, 1);
-          }
-          out[static_cast<std::size_t>(r) * positions +
-              static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
-        }
-      }
-    }
+    conv_walk(plan, multiples, out);
+  }
+
+  void accumulate_conv_int32(const ConvLayerPlan& plan,
+                             const std::int32_t* multiples,
+                             std::int64_t* out) const override {
+    // The same walk over int32 slots, accumulated in int64 — the oracle
+    // needs no overflow proof.
+    conv_walk(plan, multiples, out);
   }
 
   void exact_conv(const ConvLayerPlan& plan,

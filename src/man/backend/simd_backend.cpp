@@ -1,12 +1,14 @@
-// Explicit SIMD kernel: 4-wide int64 AVX2 over the quartet planes —
-// gather the selected pre-computer multiples, variable-shift them into
-// place, apply the sign masks with xor/sub, accumulate; a dense batch
-// tile instead loads each entry's contiguous int32 sample lanes, 8 per
-// ymm. Bit-identical to the scalar reference because every operation
-// (logical left shift, two's-complement negation, wrapping add)
-// matches the scalar op exactly — on the int32 tile lanes because
-// int32_tile_bound() proves no value leaves int32 — and only the
-// (commutative) summation order differs.
+// Explicit SIMD kernel: AVX2 over the quartet planes. One dense sample
+// runs 4-wide int64 — gather the selected pre-computer multiples,
+// variable-shift them into place, apply the sign masks with xor/sub,
+// accumulate. A dense batch tile loads each entry's contiguous int32
+// sample lanes, 8 per ymm, and a conv plan that fits int32 lanes loads
+// 8 consecutive output positions' int32 multiples per ymm. Conv plans
+// that do not fit run the portable int64 plane loop. Bit-identical to
+// the scalar reference because every operation (logical left shift,
+// two's-complement negation, wrapping add) matches the scalar op
+// exactly — on int32 lanes because int32_row_bound() proves no value
+// leaves int32 — and only the (commutative) summation order differs.
 //
 // Compile-time gate: this translation unit is built with -mavx2 and
 // MAN_HAVE_AVX2 only when the build enables it (MAN_ENABLE_AVX2, on by
@@ -87,7 +89,7 @@ inline constexpr int kTileVecs = kDenseTile / kYmmInt32Lanes;
 // loads from the sample-minor tile — no gather. The sign is applied as
 // Σ(p ^ s) − Σs: (p ^ s) − s summed over the columns is exactly that,
 // and Σs is a per-row scalar, so each weight costs an xor and an add
-// per vector instead of three ops. int32_tile_bound() proves no lane
+// per vector instead of three ops. int32_row_bound() proves no lane
 // sum leaves int32; the row is widened to int64 before the bias and
 // −Σs are added. P > 0 fixes the plane count at compile time so the
 // plane loop unrolls.
@@ -151,103 +153,125 @@ void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
   }
 }
 
-/// Default conv tile when the plan carries no autotuned shape: 4
-/// output rows × one 4-lane column group per pass (the PR 5 shape).
-inline constexpr int kConvRowTile = 4;
+/// Default conv tile when the plan carries no autotuned shape: 3
+/// output rows × 2 column groups, the fastest fixed shape on both
+/// LeNet conv plans (two groups at 2–7 rows were within ≈ 10 % of it;
+/// one group was up to 1.4× slower).
+inline constexpr int kConvRowTile = 3;
+inline constexpr int kConvColVecs = 2;
 
 // Conv kernel vectorized over output *positions*, not weight columns:
 // a conv weight fires at every position with the same idx/shift/sign,
-// so consecutive positions of one output row share one broadcast
-// plan entry — and in the lane-major multiples layout their reads are
-// *contiguous*, so the inner step is a plain 256-bit load plus one
-// broadcast-count shift (_mm256_sll_epi64); no gather at all. Each
-// plan entry additionally feeds a register-blocked grid of RN output
-// rows × CN column groups (one vector accumulator each) before the
-// walk moves on, so the (often L1-exceeding) plan streams through
-// RN·CN·4 times less often. Packed quartet steps let whole absent
-// planes (and zero-step weights) skip without touching memory.
-// Positions left of a 4-lane row boundary run the same math scalar
-// (conv_positions_scalar), so every output is bit-identical to the
-// reference regardless of ow % 4.
-/// One vectorized tile: RN output rows × CN 4-lane column groups
-/// starting at (oy0, ox), every filter. RN/CN are compile-time
-/// constants so the accumulator/product arrays live in ymm registers
-/// (shapes near the kMaxConvRowTile × kMaxConvColVecs corner spill;
-/// the autotuner simply measures them and moves on).
-template <int RN, int CN>
-void conv_tile_avx2(const ConvLayerPlan& plan,
-                    const std::int64_t* multiples, std::int64_t* out,
-                    int oy0, int ox) {
+// so consecutive positions of one output row share one broadcast plan
+// entry — and in the lane-major multiples layout their reads are
+// *contiguous*, so the inner step is a plain load of 8 int32 lanes
+// plus one broadcast-count shift (_mm256_sll_epi32); no gather at all.
+// Each plan entry feeds a register-blocked grid of RN output rows × CN
+// column groups (one accumulator each) before the walk moves on, so
+// the (often L1-exceeding) plan streams through RN·CN·8 times less
+// often. Every weight walks all P planes (P fixed at compile time, as
+// in dense_tile_avx2): an absent step reads the zero region, which is
+// 0 under any shift and any position base, so the walk has no
+// data-dependent branch — stopping at each weight's step count instead
+// mispredicted enough to cost ≈ 1.4× on LeNet's second conv plan. The
+// sign is applied as
+// Σ(p ^ s) − Σs, as in dense_tile_avx2; int32_row_bound() proves no
+// lane sum leaves int32, and each output is widened to int64 where the
+// bias and −Σs are added. The last column group is lane-masked to
+// `last` positions (1..8), so a row of any width needs no scalar tail:
+// masked-out lanes are neither read nor written.
+// RN/CN are compile-time constants so the accumulator/product arrays
+// live in ymm registers (shapes near the kMaxConvRowTile ×
+// kMaxConvColVecs corner spill; the autotuner simply measures them).
+template <int RN, int CN, int P>
+void conv_tile_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
+                    std::int64_t* out, int oy0, int ox, int last) {
+  const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
   const std::int64_t* shifts = plan.shifts.data();
   const std::int64_t* signs = plan.sign_masks.data();
   const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
+  const __m256i load_mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(last), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i quad = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i store_lo = _mm256_cmpgt_epi64(_mm256_set1_epi64x(last), quad);
+  const __m256i store_hi =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(last - 4), quad);
   for (int r = 0; r < plan.oc; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
     __m256i acc[RN * CN];
-    const __m256i bias =
-        _mm256_set1_epi64x(plan.biases[static_cast<std::size_t>(r)]);
-    for (int t = 0; t < RN * CN; ++t) acc[t] = bias;
-    for (int c = 0; c < plan.cols_padded; ++c) {
+    for (int t = 0; t < RN * CN; ++t) acc[t] = _mm256_setzero_si256();
+    std::int64_t sign_sum = 0;
+    for (int c = 0; c < plan.cols; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
       __m256i product[RN * CN];
       for (int t = 0; t < RN * CN; ++t) product[t] = _mm256_setzero_si256();
-      for (int q = 0; q < plan.planes; ++q) {
+      for (int q = 0; q < planes; ++q) {
         const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
         const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int64_t* src = multiples + cell_idx + ebase0;
+        const std::int32_t* src = multiples + idx[pc] + ebase0;
         for (int ty = 0; ty < RN; ++ty) {
           for (int tx = 0; tx < CN; ++tx) {
-            const __m256i m = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(
-                    src + static_cast<std::size_t>(ty) * plan.iw +
-                    static_cast<std::size_t>(tx) * kLaneWidth));
-            product[ty * CN + tx] = _mm256_add_epi64(
-                product[ty * CN + tx], _mm256_sll_epi64(m, sh));
+            const std::int32_t* p =
+                src + static_cast<std::size_t>(ty) * plan.iw +
+                static_cast<std::size_t>(tx) * kYmmInt32Lanes;
+            const __m256i m =
+                tx == CN - 1
+                    ? _mm256_maskload_epi32(p, load_mask)
+                    : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+            product[ty * CN + tx] = _mm256_add_epi32(
+                product[ty * CN + tx], _mm256_sll_epi32(m, sh));
           }
         }
       }
-      const __m256i sign = _mm256_set1_epi64x(signs[cell]);
+      const std::int64_t sign = signs[cell];
+      const __m256i vsign = _mm256_set1_epi32(static_cast<int>(sign));
       for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm256_add_epi64(
-            acc[t],
-            _mm256_sub_epi64(_mm256_xor_si256(product[t], sign), sign));
+        acc[t] = _mm256_add_epi32(acc[t], _mm256_xor_si256(product[t], vsign));
       }
+      sign_sum += sign;
     }
+    const __m256i bias = _mm256_set1_epi64x(
+        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
     for (int ty = 0; ty < RN; ++ty) {
       for (int tx = 0; tx < CN; ++tx) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(
-                out + static_cast<std::size_t>(r) * positions +
-                static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
-                static_cast<std::size_t>(tx) * kLaneWidth),
-            acc[ty * CN + tx]);
+        auto* dst = reinterpret_cast<long long*>(
+            out + static_cast<std::size_t>(r) * positions +
+            static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
+            static_cast<std::size_t>(tx) * kYmmInt32Lanes);
+        const __m256i a = acc[ty * CN + tx];
+        const __m256i lo = _mm256_add_epi64(
+            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(a)), bias);
+        const __m256i hi = _mm256_add_epi64(
+            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(a, 1)), bias);
+        if (tx == CN - 1) {
+          _mm256_maskstore_epi64(dst, store_lo, lo);
+          _mm256_maskstore_epi64(dst + 4, store_hi, hi);
+        } else {
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), lo);
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 4), hi);
+        }
       }
     }
   }
 }
 
-/// Runtime row count → compile-time RN dispatch for one column width.
-template <int CN>
+/// Runtime row count → compile-time RN for one column width: the
+/// deepest instantiated tile that is not deeper than `rn`.
+template <int CN, int P, int RN = kMaxConvRowTile>
 void conv_tile_rows_avx2(const ConvLayerPlan& plan,
-                         const std::int64_t* multiples, std::int64_t* out,
-                         int oy0, int ox, int rn) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
-  switch (rn) {
-    case 8: conv_tile_avx2<8, CN>(plan, multiples, out, oy0, ox); break;
-    case 7: conv_tile_avx2<7, CN>(plan, multiples, out, oy0, ox); break;
-    case 6: conv_tile_avx2<6, CN>(plan, multiples, out, oy0, ox); break;
-    case 5: conv_tile_avx2<5, CN>(plan, multiples, out, oy0, ox); break;
-    case 4: conv_tile_avx2<4, CN>(plan, multiples, out, oy0, ox); break;
-    case 3: conv_tile_avx2<3, CN>(plan, multiples, out, oy0, ox); break;
-    case 2: conv_tile_avx2<2, CN>(plan, multiples, out, oy0, ox); break;
-    default: conv_tile_avx2<1, CN>(plan, multiples, out, oy0, ox); break;
+                         const std::int32_t* multiples, std::int64_t* out,
+                         int oy0, int ox, int rn, int last) {
+  if constexpr (RN > 1) {
+    if (rn < RN) {
+      conv_tile_rows_avx2<CN, P, RN - 1>(plan, multiples, out, oy0, ox, rn,
+                                         last);
+      return;
+    }
   }
+  conv_tile_avx2<RN, CN, P>(plan, multiples, out, oy0, ox, last);
 }
 
 // Weight-stationary variant: instead of keeping a tile of output
@@ -255,11 +279,12 @@ void conv_tile_rows_avx2(const ConvLayerPlan& plan,
 // plan entry (idx/shift/sign broadcasts) in registers and stream
 // *every* output position past it — the plan is read exactly once
 // per pass and the output rows become the streaming dimension
-// (profitable when the plan dwarfs the output tile). Applying the
-// sign per *term* instead of per product is exact: two's-complement
-// negation distributes over the wrapping sum, so the accumulated
-// bits match the scalar reference.
-void conv_ws_avx2(const ConvLayerPlan& plan, const std::int64_t* multiples,
+// (profitable when the plan dwarfs the output tile). Each term is
+// shifted and signed in int32 lanes, then widened and added to the
+// int64 output. Applying the sign per *term* instead of per product is
+// exact: two's-complement negation distributes over the wrapping sum,
+// so the accumulated bits match the scalar reference.
+void conv_ws_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
                   std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
@@ -268,19 +293,13 @@ void conv_ws_avx2(const ConvLayerPlan& plan, const std::int64_t* multiples,
   const std::int64_t* signs = plan.sign_masks.data();
   for (int r = 0; r < plan.oc; ++r) {
     std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
-    const __m256i vbias = _mm256_set1_epi64x(bias);
-    std::size_t p = 0;
-    for (; p + kLaneWidth <= positions; p += kLaneWidth) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + p), vbias);
-    }
-    for (; p < positions; ++p) dst[p] = bias;
+    std::fill_n(dst, positions, plan.biases[static_cast<std::size_t>(r)]);
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    for (int c = 0; c < plan.cols_padded; ++c) {
+    for (int c = 0; c < plan.cols; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       if (idx[cell] == plan.zero_base) continue;  // zero-step weight
       const std::int64_t sign = signs[cell];
-      const __m256i vsign = _mm256_set1_epi64x(sign);
+      const __m256i vsign = _mm256_set1_epi32(static_cast<int>(sign));
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
@@ -288,22 +307,25 @@ void conv_ws_avx2(const ConvLayerPlan& plan, const std::int64_t* multiples,
         const std::int64_t shift = shifts[pc];
         const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
         for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int64_t* src =
+          const std::int32_t* src =
               multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
           std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
           int ox = 0;
-          for (; ox + kLaneWidth <= plan.ow; ox += kLaneWidth) {
+          for (; ox + kYmmInt32Lanes <= plan.ow; ox += kYmmInt32Lanes) {
             const __m256i m = _mm256_loadu_si256(
                 reinterpret_cast<const __m256i*>(src + ox));
-            __m256i t = _mm256_sll_epi64(m, sh);
-            t = _mm256_sub_epi64(_mm256_xor_si256(t, vsign), vsign);
-            __m256i d = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(drow + ox));
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(drow + ox),
-                                _mm256_add_epi64(d, t));
+            __m256i t = _mm256_sll_epi32(m, sh);
+            t = _mm256_sub_epi32(_mm256_xor_si256(t, vsign), vsign);
+            auto* d = reinterpret_cast<__m256i*>(drow + ox);
+            const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(t));
+            const __m256i hi =
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(t, 1));
+            _mm256_storeu_si256(d, _mm256_add_epi64(_mm256_loadu_si256(d), lo));
+            _mm256_storeu_si256(
+                d + 1, _mm256_add_epi64(_mm256_loadu_si256(d + 1), hi));
           }
           for (; ox < plan.ow; ++ox) {
-            const std::int64_t t = src[ox] << shift;
+            const std::int64_t t = std::int64_t{src[ox]} << shift;
             drow[ox] += (t ^ sign) - sign;
           }
         }
@@ -312,8 +334,32 @@ void conv_ws_avx2(const ConvLayerPlan& plan, const std::int64_t* multiples,
   }
 }
 
+/// Every row tile and column group of one plan, at a compile-time
+/// plane count P (0: the plan's).
+template <int P>
+void conv_tiles_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
+                     std::int64_t* out, int row_tile, int col_vecs) {
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
+    const int rn = std::min(row_tile, plan.oh - oy0);
+    int ox = 0;
+    // Two groups while more than one group's positions remain; the
+    // second (or the lone last) group is masked to what is left.
+    if (col_vecs >= 2) {
+      for (; plan.ow - ox > kYmmInt32Lanes; ox += 2 * kYmmInt32Lanes) {
+        const int last =
+            std::min(plan.ow - ox - kYmmInt32Lanes, kYmmInt32Lanes);
+        conv_tile_rows_avx2<2, P>(plan, multiples, out, oy0, ox, rn, last);
+      }
+    }
+    for (; ox < plan.ow; ox += kYmmInt32Lanes) {
+      const int last = std::min(plan.ow - ox, kYmmInt32Lanes);
+      conv_tile_rows_avx2<1, P>(plan, multiples, out, oy0, ox, rn, last);
+    }
+  }
+}
+
 void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
-                                 const std::int64_t* multiples,
+                                 const std::int32_t* multiples,
                                  std::int64_t* out,
                                  const ConvTileShape& shape) {
   if (shape.weight_stationary) {
@@ -323,21 +369,24 @@ void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
   const int row_tile = shape.row_tile > 0
                            ? std::min(shape.row_tile, kMaxConvRowTile)
                            : kConvRowTile;
-  const int col_vecs =
-      shape.col_vecs > 0 ? std::min(shape.col_vecs, kMaxConvColVecs) : 1;
-  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
-    const int rn = std::min(row_tile, plan.oh - oy0);
-    int ox = 0;
-    if (col_vecs >= 2) {
-      for (; ox + 2 * kLaneWidth <= plan.ow; ox += 2 * kLaneWidth) {
-        conv_tile_rows_avx2<2>(plan, multiples, out, oy0, ox, rn);
-      }
-    }
-    for (; ox + kLaneWidth <= plan.ow; ox += kLaneWidth) {
-      conv_tile_rows_avx2<1>(plan, multiples, out, oy0, ox, rn);
-    }
-    // Row tail (ow % 4 positions): same walk, one position at a time.
-    conv_positions_scalar(plan, multiples, out, oy0, rn, ox);
+  const int col_vecs = shape.col_vecs > 0
+                           ? std::min(shape.col_vecs, kMaxConvColVecs)
+                           : kConvColVecs;
+  // Plane count → compile-time unrolled plane loop (8- and 12-bit
+  // weights have at most 2 and 3 quartets).
+  switch (plan.planes) {
+    case 1:
+      conv_tiles_avx2<1>(plan, multiples, out, row_tile, col_vecs);
+      break;
+    case 2:
+      conv_tiles_avx2<2>(plan, multiples, out, row_tile, col_vecs);
+      break;
+    case 3:
+      conv_tiles_avx2<3>(plan, multiples, out, row_tile, col_vecs);
+      break;
+    default:
+      conv_tiles_avx2<0>(plan, multiples, out, row_tile, col_vecs);
+      break;
   }
 }
 
@@ -400,6 +449,13 @@ class SimdBackend final : public KernelBackend {
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
+    // Plans that do not fit int32 lanes: the portable int64 loop.
+    accumulate_conv_planes(plan, multiples, out);
+  }
+
+  void accumulate_conv_int32(const ConvLayerPlan& plan,
+                             const std::int32_t* multiples,
+                             std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
     if (avx2_) {
       accumulate_conv_avx2_shaped(plan, multiples, out, plan.tile_avx2);
@@ -428,7 +484,7 @@ const KernelBackend& simd_backend() {
 }
 
 bool conv_run_shaped_avx2(const ConvLayerPlan& plan,
-                          const std::int64_t* multiples, std::int64_t* out,
+                          const std::int32_t* multiples, std::int64_t* out,
                           const ConvTileShape& shape) {
 #if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
   if (simd_backend().accelerated()) {

@@ -76,6 +76,7 @@ void FixedActivationLut::build_integer_path() {
   //    significant bit; the int64 product then also has ≤ 62 bits).
   // Then for raw ∈ (-C, C)
   //   index = floor(((raw + C)·(N-1) + C) / 2C)
+  //         = ((raw + C)·(N-1) + C) >> log2(2C)   (numerator > 0)
   // matches lround's round-half-up bit for bit, and raw ≤ -C / ≥ +C
   // land on the table edges. The derivation is additionally
   // probe-verified at every bucket seam ±1 and the clamp edges; any
@@ -97,6 +98,7 @@ void FixedActivationLut::build_integer_path() {
   if (clip_log2 + 1 + address_bits > 53) return;
 
   clip_raw_ = clip_raw;
+  index_shift_ = clip_log2 + 1;
   index_scale_ = static_cast<std::int64_t>(table_.size()) - 1;
   raw_clamp_lo_ = -clip_raw;
   raw_clamp_hi_ = clip_raw;

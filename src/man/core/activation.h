@@ -78,10 +78,12 @@ class FixedActivationLut {
       if (accumulator_raw <= raw_clamp_lo_) return table_.front();
       if (accumulator_raw >= raw_clamp_hi_) return table_.back();
       // round-half-up of (raw + C)·(N-1) / 2C, all exact in int64 —
-      // the bit-for-bit image of lround(position · (N-1)).
+      // the bit-for-bit image of lround(position · (N-1)). 2C is a
+      // power of two and the numerator is positive inside the clamp,
+      // so the division is a shift.
       const std::int64_t index =
-          ((accumulator_raw + clip_raw_) * index_scale_ + clip_raw_) /
-          (2 * clip_raw_);
+          ((accumulator_raw + clip_raw_) * index_scale_ + clip_raw_) >>
+          index_shift_;
       return table_[static_cast<std::size_t>(index)];
     }
     return apply_raw_reference(accumulator_raw);
@@ -125,6 +127,7 @@ class FixedActivationLut {
   // Integer fast path (valid when integer_path_):
   bool integer_path_ = false;
   std::int64_t clip_raw_ = 0;      ///< C = clip · 2^frac (exact)
+  int index_shift_ = 0;            ///< log2(2C)
   std::int64_t index_scale_ = 0;   ///< N - 1
   std::int64_t raw_clamp_lo_ = 0;  ///< -C
   std::int64_t raw_clamp_hi_ = 0;  ///< +C

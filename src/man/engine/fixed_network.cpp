@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "man/backend/conv_autotune.h"
 #include "man/core/quartet.h"
@@ -88,10 +89,13 @@ void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
 // Lane-major variant for the conv path: lane l's multiple of element i
 // lands at multiples[l · values.size() + i], so consecutive output
 // positions of one conv weight read consecutive slots (the layout
-// ConvLayerPlan::idx indexes). Same repeated-value fast path.
+// ConvLayerPlan::idx indexes). Same repeated-value fast path. Slots are
+// int64, or int32 for a stage whose plan passed int32_row_bound(),
+// which proves every staged multiple fits.
+template <typename Slot>
 void stage_multiples_lane_major(std::span<const std::int64_t> values,
                                 std::size_t k, BankRows rows,
-                                std::int64_t* multiples) {
+                                Slot* multiples) {
   const std::size_t stride = values.size();
   for (std::size_t i = 0; i < stride; ++i) {
     if (i > 0 && values[i] == values[i - 1]) {
@@ -102,7 +106,7 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
     }
     const std::int64_t* row = rows(values[i]);
     for (std::size_t l = 0; l < k; ++l) {
-      multiples[l * stride + i] = row[l];
+      multiples[l * stride + i] = static_cast<Slot>(row[l]);
     }
   }
 }
@@ -112,7 +116,7 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
 // lane l of that element lands at multiples[(i·k + l)·T + b], so the
 // T sample lanes of one plan slot sit contiguously — the layout
 // accumulate_dense_tile reads. Same bank outputs as the per-sample
-// path; the slots are int32, which int32_tile_bound() proves every
+// path; the slots are int32, which int32_row_bound() proves every
 // tiled stage's multiples fit.
 void stage_multiples_tile(std::span<const std::int64_t> values, std::size_t k,
                           BankRows rows, std::int32_t* multiples) {
@@ -473,13 +477,15 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   }
 
   link_stages();
-  plan_tile();
-  // One-shot register-blocking microbench: pick the vector kernels'
-  // tile shapes for each conv geometry (no-op when exact or tiny).
-  // Lowered plans and plans saved on a host without live vector
-  // backends arrive untuned.
-  for (auto& plan : conv_plans_) {
-    if (!plan.tiles_tuned) man::backend::autotune_conv_plan(plan);
+  plan_int32_lanes();
+  // One-shot register-blocking microbench: pick the int32 vector
+  // kernels' tile shapes for each conv geometry that runs them (no-op
+  // when tiny). Lowered plans and plans saved on a host without live
+  // vector backends arrive untuned.
+  for (std::size_t i = 0; i < conv_plans_.size(); ++i) {
+    if (conv_int32_lanes_[i] && !conv_plans_[i].tiles_tuned) {
+      man::backend::autotune_conv_plan(conv_plans_[i]);
+    }
   }
   build_tables();
   default_kernel_ = &man::backend::resolve();
@@ -527,7 +533,7 @@ bool FixedNetwork::input_in_window(std::size_t stage_index) const {
          input_in_window(stage_index - 1);
 }
 
-void FixedNetwork::plan_tile() {
+void FixedNetwork::plan_int32_lanes() {
   // Where a batch tile forms: the first dense stage of the longest
   // trailing run of LUT stages and ASM dense stages whose plans fit
   // int32 lanes (the MLP's whole network, LeNet's fully connected
@@ -539,9 +545,9 @@ void FixedNetwork::plan_tile() {
   for (std::size_t i = stages_.size(); i-- > 0;) {
     if (std::holds_alternative<CompiledDenseStage>(model_.stages[i])) {
       const auto& syn = std::get<SynapseStage>(stages_[i]);
-      const std::int64_t bound = man::backend::int32_tile_bound(
+      const std::int64_t bound = man::backend::int32_row_bound(
           plans_[syn.plan_index], syn.bank.alphabet_set().alphabets());
-      if (bound >= man::backend::kInt32TileOverflow || !input_in_window(i)) {
+      if (bound >= man::backend::kInt32RowOverflow || !input_in_window(i)) {
         break;
       }
       tile_begin_ = i;
@@ -555,6 +561,21 @@ void FixedNetwork::plan_tile() {
       [](const Stage& stage) {
         return std::holds_alternative<SynapseStage>(stage);
       }));
+
+  // A conv stage runs int32 lanes under the same proof and the same
+  // window condition; any other conv plan stays on int64 lanes.
+  conv_int32_lanes_.assign(conv_plans_.size(), false);
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    if (!std::holds_alternative<CompiledConvStage>(model_.stages[i])) {
+      continue;
+    }
+    const auto& syn = std::get<SynapseStage>(stages_[i]);
+    conv_int32_lanes_[syn.plan_index] =
+        input_in_window(i) &&
+        man::backend::int32_row_bound(conv_plans_[syn.plan_index],
+                                      syn.bank.alphabet_set().alphabets()) <
+            man::backend::kInt32RowOverflow;
+  }
 }
 
 void FixedNetwork::build_tables() {
@@ -743,19 +764,33 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         // Lane-major staging (consecutive positions read consecutive
         // slots), plus the zero *region* the conv planes point absent
         // quartets at (wide enough to stay zero under every
-        // per-position base offset).
-        std::vector<std::int64_t>& multiples = scratch.multiples;
-        timed_phase(profile, &PhaseProfile::staging_s, [&] {
-          multiples.resize(plan.padded_multiples());
-          stage_multiples_lane_major(buffer, static_cast<std::size_t>(plan.k),
-                                     BankRows(syn.table, syn.bank),
-                                     multiples.data());
-          std::fill(multiples.begin() + plan.zero_base, multiples.end(), 0);
-        });
-        if (profile != nullptr) profile->staged_values += buffer.size();
-        timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-          kernel.accumulate_conv(plan, multiples.data(), next.data());
-        });
+        // per-position base offset) — in int32 slots when the plan
+        // fits int32 lanes, reusing the tile's int32 buffer.
+        const auto run = [&](auto& multiples) {
+          timed_phase(profile, &PhaseProfile::staging_s, [&] {
+            multiples.resize(plan.padded_multiples());
+            stage_multiples_lane_major(
+                buffer, static_cast<std::size_t>(plan.k),
+                BankRows(syn.table, syn.bank), multiples.data());
+            std::fill(multiples.begin() + plan.zero_base, multiples.end(),
+                      0);
+          });
+          if (profile != nullptr) profile->staged_values += buffer.size();
+          timed_phase(profile, &PhaseProfile::kernel_s, [&] {
+            if constexpr (std::is_same_v<decltype(multiples.data()),
+                                         std::int32_t*>) {
+              kernel.accumulate_conv_int32(plan, multiples.data(),
+                                           next.data());
+            } else {
+              kernel.accumulate_conv(plan, multiples.data(), next.data());
+            }
+          });
+        };
+        if (conv_int32_lanes_[syn.plan_index]) {
+          run(scratch.tile_multiples);
+        } else {
+          run(scratch.multiples);
+        }
       }
 
       charge_synapse(stats.layers[synapse_counter++], conv->synapse, 1);
@@ -807,7 +842,7 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
     if (const auto* dense =
             std::get_if<CompiledDenseStage>(&model_.stages[si])) {
       // Every dense stage from tile_begin_ on is ASM and fits int32
-      // lanes (plan_tile).
+      // lanes (plan_int32_lanes).
       const auto& syn = std::get<SynapseStage>(stages_[si]);
       const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
       // The tile starts on a cache line (the buffer carries the slack),

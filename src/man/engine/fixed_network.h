@@ -165,14 +165,15 @@ class FixedNetwork {
     std::vector<std::int64_t> buffer;  ///< current stage activations
     std::vector<std::int64_t> next;    ///< next stage activations
     /// Bank outputs: k-strided element-major for dense stages,
-    /// lane-major (plus zero region) for conv stages.
+    /// lane-major (plus zero region) for conv stages on int64 lanes.
     std::vector<std::int64_t> multiples;
     /// Batch tile activations and the next tile stage's, sample-minor
     /// (element i of sample b at [i·kDenseTile + b]); see infer_batch.
     std::vector<std::int64_t> tile;
     std::vector<std::int64_t> tile_next;
     /// A tile stage's bank outputs, sample-minor in int32 lanes (slot s
-    /// of sample b at [s·kDenseTile + b], from a cache-line boundary).
+    /// of sample b at [s·kDenseTile + b], from a cache-line boundary);
+    /// also an int32-lane conv stage's lane-major bank outputs.
     std::vector<std::int32_t> tile_multiples;
     /// Output staging for callers that loop infer_into per sample
     /// (e.g. BatchRunner's Example path) without re-allocating.
@@ -260,9 +261,18 @@ class FixedNetwork {
 
   /// First stage of the batch tile: the start of the trailing run of
   /// LUT stages and ASM dense stages whose plans fit int32 lanes
-  /// (man::backend::int32_tile_bound) and whose inputs lie in the
+  /// (man::backend::int32_row_bound) and whose inputs lie in the
   /// staging window; the stage count when no tile forms.
   [[nodiscard]] std::size_t tile_begin() const noexcept { return tile_begin_; }
+
+  /// Whether conv_plans()[conv_index] runs on int32 lanes
+  /// (KernelBackend::accumulate_conv_int32): an ASM plan whose rows
+  /// fit int32 (man::backend::int32_row_bound) and whose inputs lie in
+  /// the staging window. Other conv plans run the int64
+  /// accumulate_conv.
+  [[nodiscard]] bool conv_int32_lanes(std::size_t conv_index) const {
+    return conv_int32_lanes_.at(conv_index);
+  }
 
   /// The kernel backend infer_into() uses when none is passed
   /// explicitly (resolved once at construction).
@@ -303,8 +313,9 @@ class FixedNetwork {
   /// Static stage-graph pass: validates that consecutive stages agree
   /// on activation counts and records input_size_/output_size_.
   void link_stages();
-  /// Sets tile_begin_/tile_synapse_begin_ from the plans.
-  void plan_tile();
+  /// Sets tile_begin_/tile_synapse_begin_ and conv_int32_lanes_ from
+  /// the plans.
+  void plan_int32_lanes();
   /// Fills the staging table of every ASM synapse stage whose inputs
   /// lie in the staging window (last, once stages_ is final).
   void build_tables();
@@ -347,9 +358,11 @@ class FixedNetwork {
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
   /// First stage of the batch tile (stages_.size() when no tile forms)
-  /// and the synapse index it starts at; set by plan_tile().
+  /// and the synapse index it starts at; set by plan_int32_lanes().
   std::size_t tile_begin_ = 0;
   std::size_t tile_synapse_begin_ = 0;
+  /// Per conv plan: runs on int32 lanes; set by plan_int32_lanes().
+  std::vector<bool> conv_int32_lanes_;
   EngineStats stats_;
 };
 

@@ -60,9 +60,9 @@ class TileEnvGuard {
 };
 
 // Wide single-conv network: 18 output columns exercise the two-vector
-// column tiles at both lane widths (2×4 and 2×8 lanes) plus a ragged
-// scalar tail, and 180 output positions clear the autotuner's
-// minimum-size threshold.
+// column tiles at the ymm width (2×8 int32 lanes, then a masked
+// 2-lane group) and one full plus one masked zmm group, and 180 output
+// positions clear the autotuner's minimum-size threshold.
 Network make_wide_cnn(std::uint64_t seed) {
   man::util::Rng rng(seed);
   Network net;
@@ -78,6 +78,22 @@ FixedNetwork make_engine(Network& net, const QuantSpec& spec,
   projection.project_network(net);
   return FixedNetwork(
       net, spec, LayerAlphabetPlan::uniform_asm(net.num_weight_layers(), set));
+}
+
+/// One sample through every backend equals the scalar reference.
+void expect_backends_match_scalar(const FixedNetwork& engine,
+                                  const std::vector<float>& pixels,
+                                  const std::string& label) {
+  auto scratch = engine.make_scratch();
+  auto stats = engine.make_stats();
+  std::vector<std::int64_t> reference(engine.output_size());
+  engine.infer_into(pixels, reference, stats, scratch,
+                    backend_for(BackendKind::kScalar));
+  for (const auto* backend : all_backends()) {
+    std::vector<std::int64_t> raw(engine.output_size());
+    engine.infer_into(pixels, raw, stats, scratch, *backend);
+    EXPECT_EQ(raw, reference) << label << " backend=" << backend->name();
+  }
 }
 
 // The forced-tile twin of ConvBackendBitIdentity: every candidate
@@ -99,17 +115,37 @@ TEST(ConvTileShapes, EveryCandidateShapeMatchesScalarReference) {
     guard.set(to_string(shape));
     Network net = make_wide_cnn(71);
     FixedNetwork engine = make_engine(net, spec, set);
+    expect_backends_match_scalar(engine, pixels, "tile=" + to_string(shape));
+  }
+}
 
-    auto scratch = engine.make_scratch();
-    auto stats = engine.make_stats();
-    std::vector<std::int64_t> reference(engine.output_size());
-    engine.infer_into(pixels, reference, stats, scratch,
-                      backend_for(BackendKind::kScalar));
-    for (const auto* backend : all_backends()) {
-      std::vector<std::int64_t> raw(engine.output_size());
-      engine.infer_into(pixels, raw, stats, scratch, *backend);
-      EXPECT_EQ(raw, reference) << "tile=" << to_string(shape)
-                                << " backend=" << backend->name();
+// Ragged widths: the int32 conv kernels lane-mask the last column
+// group of every row (8 int32 lanes per ymm, 16 per zmm), so every
+// output width must stay bit-identical — ow = 1..34 covers every
+// residue mod 8 and mod 16, one and two column groups, and one past
+// kMaxConvColVecs × 16 — for every candidate shape, forced, on every
+// backend. Nine output rows leave a partial row tile for every
+// candidate row depth.
+TEST(ConvTileShapes, RaggedWidthsMatchScalarReference) {
+  TileEnvGuard guard;
+  const QuantSpec spec = QuantSpec::bits8();
+  const AlphabetSet set = AlphabetSet::four();
+  constexpr int kMaxWidth = kMaxConvColVecs * 16 + 2;
+  man::util::Rng rng(43);
+  for (const ConvTileShape& shape : conv_tile_candidates()) {
+    guard.set(to_string(shape));
+    for (int ow = 1; ow <= kMaxWidth; ++ow) {
+      Network net;
+      net.add<Conv2D>(2, 3, 3, 11, ow + 2).init_xavier(rng);  // 3 @ 9×ow
+      FixedNetwork engine = make_engine(net, spec, set);
+      ASSERT_TRUE(engine.conv_int32_lanes(0)) << "ow=" << ow;
+      std::vector<float> pixels(engine.input_size());
+      for (float& p : pixels) {
+        p = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+      }
+      expect_backends_match_scalar(
+          engine, pixels,
+          "tile=" + to_string(shape) + " ow=" + std::to_string(ow));
     }
   }
 }

@@ -328,7 +328,7 @@ void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
   const AlphabetSet set = AlphabetSet::first_n(k);
   const man::core::PrecomputerBank bank(set);
   ASSERT_TRUE(plan.has_input_range());
-  ASSERT_LE(int32_tile_bound(plan, set.alphabets()),
+  ASSERT_LE(int32_row_bound(plan, set.alphabets()),
             std::numeric_limits<std::int32_t>::max());
   const std::int64_t lo = plan.in_min_raw;
   const std::int64_t hi = plan.in_max_raw;
@@ -444,8 +444,9 @@ INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
 // The conv twin of the hand-built dense check: random schedules of up
 // to 1-4 steps per weight (one all-zero filter) on a two-channel 3×3
 // kernel over a non-square input (18 columns, so a padded tail),
-// through every backend's accumulate_conv, against the AoS walk with
-// patch elements computed here rather than read from the plan.
+// through every backend's accumulate_conv and accumulate_conv_int32,
+// against the AoS walk with patch elements computed here rather than
+// read from the plan.
 TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
   constexpr int kOc = 3;
   constexpr int kIc = 2;
@@ -461,14 +462,23 @@ TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
         [](std::size_t w) { return w / kCols == 2; }, rng);
     std::vector<std::int64_t> biases(kOc);
     for (auto& b : biases) b = rng.next_in(-1000, 1000);
-    const ConvLayerPlan plan = ConvLayerPlan::build_asm(
+    ConvLayerPlan plan = ConvLayerPlan::build_asm(
         kOc, kIc, kKernel, kIh, kIw, kLanes, schedule.weights, schedule.steps,
         biases);
-    // Lane-major multiples; the zero region stays 0.
+    // Lane-major multiples; the zero region stays 0. Every slot lies
+    // in [-2048, 2047], which is what the row bound sees for a window
+    // of ±2048 under unit alphabets: the int32 twin must fit.
     std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
     for (std::size_t s = 0; s < plan.zero_base; ++s) {
       multiples[s] = rng.next_in(-2048, 2047);
     }
+    plan.in_min_raw = -2048;
+    plan.in_max_raw = 2048;
+    const std::vector<std::uint8_t> unit(kLanes, 1);
+    ASSERT_LE(int32_row_bound(plan, unit),
+              std::numeric_limits<std::int32_t>::max());
+    const std::vector<std::int32_t> multiples32(multiples.begin(),
+                                                multiples.end());
 
     const std::size_t elems = kIc * kIh * kIw;
     std::vector<std::int64_t> expected;
@@ -495,6 +505,10 @@ TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
       backend->accumulate_conv(plan, multiples.data(), out.data());
       EXPECT_EQ(out, expected) << "planes=" << plan.planes
                                << " backend=" << backend->name();
+      std::vector<std::int64_t> out32(expected.size(), -7);
+      backend->accumulate_conv_int32(plan, multiples32.data(), out32.data());
+      EXPECT_EQ(out32, expected) << "int32 planes=" << plan.planes
+                                 << " backend=" << backend->name();
     }
   }
 }

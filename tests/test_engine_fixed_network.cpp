@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "man/apps/app_registry.h"
 #include "man/backend/kernel_backend.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
@@ -323,19 +324,21 @@ TEST(FixedNetwork, RejectsWrongInputSize) {
 
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
-/// A hand-built MAN ({1}) dense plan over activations |x| ≤ X whose
-/// row 0 has int32 tile bound exactly INT32_MAX: n = INT32_MAX mod X
+/// A hand-built MAN ({1}) schedule over activations |x| ≤ X whose row
+/// 0 has int32 row bound exactly INT32_MAX: n = INT32_MAX mod X
 /// negative single-step weights (shift 0) plus one positive
 /// single-step weight per set bit of (INT32_MAX − n)/X − n, so
 /// Σ X·2^shift + n = INT32_MAX. One more column carries no steps: a
 /// positive weight, or with `over` a negative one, which adds the
 /// single unit that puts the plan past the proof. Row 1 is small.
-struct BoundaryPlan {
-  man::backend::DenseLayerPlan plan;
+struct BoundarySchedule {
+  int cols = 0;
+  std::vector<man::backend::AsmWeight> weights;  ///< 2 rows × cols
+  std::vector<man::backend::AsmStep> steps;
   std::vector<bool> negative;  ///< row 0's weight signs, per column
 };
 
-BoundaryPlan boundary_plan(const QuantSpec& spec, bool over) {
+BoundarySchedule boundary_schedule(const QuantSpec& spec, bool over) {
   using man::backend::AsmStep;
   using man::backend::AsmWeight;
   const std::int64_t x = spec.activation_format.max_raw();
@@ -345,26 +348,38 @@ BoundaryPlan boundary_plan(const QuantSpec& spec, bool over) {
   for (std::uint8_t bit = 0; bit < 31; ++bit) {
     if ((positive_sum >> bit) & 1) shifts.push_back(bit);
   }
-  const int cols = static_cast<int>(n) + static_cast<int>(shifts.size()) + 1;
-  BoundaryPlan out;
-  std::vector<AsmWeight> weights;
-  std::vector<AsmStep> steps;
+  BoundarySchedule out;
+  out.cols = static_cast<int>(n) + static_cast<int>(shifts.size()) + 1;
   const auto add_weight = [&](bool negative, int step_count,
                               std::uint8_t shift) {
     AsmWeight w;
-    w.step_begin = static_cast<std::uint32_t>(steps.size());
+    w.step_begin = static_cast<std::uint32_t>(out.steps.size());
     w.step_count = static_cast<std::uint8_t>(step_count);
     w.negative = negative;
-    weights.push_back(w);
-    if (step_count > 0) steps.push_back(AsmStep{0, shift});
+    out.weights.push_back(w);
+    if (step_count > 0) out.steps.push_back(AsmStep{0, shift});
   };
   for (std::int64_t i = 0; i < n; ++i) add_weight(true, 1, 0);
   for (const std::uint8_t shift : shifts) add_weight(false, 1, shift);
   add_weight(over, 0, 0);
-  for (const AsmWeight& w : weights) out.negative.push_back(w.negative);
-  for (int c = 0; c < cols; ++c) add_weight(c % 3 == 0, c % 2, 1);  // row 1
+  for (const AsmWeight& w : out.weights) out.negative.push_back(w.negative);
+  for (int c = 0; c < out.cols; ++c) add_weight(c % 3 == 0, c % 2, 1);  // row 1
+  return out;
+}
+
+/// The boundary schedule as a dense plan over the spec's window.
+struct BoundaryPlan {
+  man::backend::DenseLayerPlan plan;
+  std::vector<bool> negative;  ///< row 0's weight signs, per column
+};
+
+BoundaryPlan boundary_plan(const QuantSpec& spec, bool over) {
+  BoundarySchedule schedule = boundary_schedule(spec, over);
+  BoundaryPlan out;
+  out.negative = schedule.negative;
   out.plan = man::backend::DenseLayerPlan::build_asm(
-      2, cols, 1, std::move(weights), std::move(steps), {5, -3});
+      2, schedule.cols, 1, std::move(schedule.weights),
+      std::move(schedule.steps), {5, -3});
   out.plan.in_min_raw = spec.activation_format.min_raw();
   out.plan.in_max_raw = spec.activation_format.max_raw();
   return out;
@@ -457,7 +472,7 @@ std::vector<std::int64_t> expect_batch_matches_scalar(
 TEST(Int32TileProof, PlanAtInt32MaxTiles) {
   const BoundaryPlan boundary = boundary_plan(QuantSpec::bits8(), false);
   const auto alphabets = AlphabetSet::man().alphabets();
-  ASSERT_EQ(man::backend::int32_tile_bound(boundary.plan, alphabets),
+  ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
             kInt32Max);
   const auto pixels = boundary_pixels(boundary);
   const FixedNetwork alone = boundary_engine(boundary, false);
@@ -479,8 +494,8 @@ TEST(Int32TileProof, PlanAtInt32MaxTiles) {
 TEST(Int32TileProof, PlanOneUnitOverRunsPerSample) {
   const BoundaryPlan boundary = boundary_plan(QuantSpec::bits8(), true);
   const auto alphabets = AlphabetSet::man().alphabets();
-  ASSERT_EQ(man::backend::int32_tile_bound(boundary.plan, alphabets),
-            man::backend::kInt32TileOverflow);
+  ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
+            man::backend::kInt32RowOverflow);
   const auto pixels = boundary_pixels(boundary);
   const FixedNetwork alone = boundary_engine(boundary, false);
   EXPECT_EQ(alone.tile_begin(), 1u);  // no tile
@@ -510,6 +525,145 @@ TEST(Int32TileProof, DenseFedRawAccumulatorsRunsPerSample) {
   std::vector<float> pixels(35 * engine.input_size());
   for (float& p : pixels) p = rng.next_double() < 0.5 ? -2.0f : 2.0f;
   expect_batch_matches_scalar(engine, pixels);
+}
+
+// ------------------------------------------- int32 conv proof boundary
+
+/// The boundary schedule as a 1×1 MAN conv over `cols` channels of a
+/// 3 × 19 image: filter 0's column c reads channel c at every output
+/// position, so every position of filter 0 has the dense row's bound.
+/// 19 columns leave a ragged last column group at both vector widths.
+constexpr int kBoundaryIh = 3;
+constexpr int kBoundaryIw = 19;
+
+struct BoundaryConv {
+  man::backend::ConvLayerPlan plan;
+  std::vector<bool> negative;  ///< filter 0's weight signs, per channel
+};
+
+BoundaryConv boundary_conv(const QuantSpec& spec, bool over) {
+  BoundarySchedule schedule = boundary_schedule(spec, over);
+  BoundaryConv out;
+  out.negative = schedule.negative;
+  out.plan = man::backend::ConvLayerPlan::build_asm(
+      2, schedule.cols, 1, kBoundaryIh, kBoundaryIw, 1,
+      std::move(schedule.weights), std::move(schedule.steps), {5, -3});
+  out.plan.in_min_raw = spec.activation_format.min_raw();
+  out.plan.in_max_raw = spec.activation_format.max_raw();
+  return out;
+}
+
+FixedNetwork boundary_conv_engine(const BoundaryConv& boundary) {
+  CompiledModel model;
+  model.spec = QuantSpec::bits8();
+  const auto& plan = boundary.plan;
+  model.stages.emplace_back(CompiledConvStage{
+      plan.ic, plan.oc, plan.kernel, plan.ih, plan.iw, plan.oh, plan.ow,
+      man_synapse("boundary")});
+  return FixedNetwork(model, {}, {plan}, nullptr);
+}
+
+/// 5 samples: sample 0 drives every position of filter 0 to a kernel
+/// sum of −INT32_MAX (each channel on the window edge that makes its
+/// product −X·2^shift), sample 1 to the mirror image, the rest random
+/// over the window.
+std::vector<float> boundary_conv_pixels(const BoundaryConv& boundary) {
+  constexpr int kPositions = kBoundaryIh * kBoundaryIw;
+  man::util::Rng rng(809);
+  std::vector<float> pixels;
+  for (int s = 0; s < 5; ++s) {
+    for (const bool negative : boundary.negative) {
+      const float edge = negative ? 2.0f : -2.0f;  // saturates
+      for (int p = 0; p < kPositions; ++p) {
+        float pixel = static_cast<float>(rng.next_double() * 2 - 1);
+        if (s == 0) pixel = edge;
+        if (s == 1) pixel = -edge;
+        pixels.push_back(pixel);
+      }
+    }
+  }
+  return pixels;
+}
+
+// A conv plan whose worst row reaches exactly INT32_MAX fits: it runs
+// int32 lanes, and with window-edge inputs every position of filter 0
+// reaches −INT32_MAX bit-identically to the scalar reference on every
+// backend.
+TEST(Int32ConvProof, PlanAtInt32MaxTakesInt32Lanes) {
+  const BoundaryConv boundary = boundary_conv(QuantSpec::bits8(), false);
+  const auto alphabets = AlphabetSet::man().alphabets();
+  ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
+            kInt32Max);
+  const FixedNetwork engine = boundary_conv_engine(boundary);
+  EXPECT_TRUE(engine.conv_int32_lanes(0));
+  const auto raw =
+      expect_batch_matches_scalar(engine, boundary_conv_pixels(boundary));
+  // Filter 0 of samples 0 and 1: bias 5 plus Σ of the real products,
+  // which is the kernel sum ∓INT32_MAX plus the n negative weights'
+  // −Σ sign.
+  const std::int64_t x = QuantSpec::bits8().activation_format.max_raw();
+  const std::size_t positions = boundary.plan.positions();
+  for (std::size_t p = 0; p < positions; ++p) {
+    EXPECT_EQ(raw[p], 5 - kInt32Max + kInt32Max % x) << "position " << p;
+    EXPECT_EQ(raw[engine.output_size() + p], 5 + kInt32Max - kInt32Max % x)
+        << "position " << p;
+  }
+}
+
+// One unit over: the plan runs int64 lanes, and outputs still match
+// the scalar reference.
+TEST(Int32ConvProof, PlanOneUnitOverRunsInt64) {
+  const BoundaryConv boundary = boundary_conv(QuantSpec::bits8(), true);
+  const auto alphabets = AlphabetSet::man().alphabets();
+  ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
+            man::backend::kInt32RowOverflow);
+  const FixedNetwork engine = boundary_conv_engine(boundary);
+  EXPECT_FALSE(engine.conv_int32_lanes(0));
+  expect_batch_matches_scalar(engine, boundary_conv_pixels(boundary));
+}
+
+// The proof bounds a stage's inputs by the staging window: a conv fed
+// straight from another conv runs int64 lanes, and the batch still
+// matches the scalar reference with large 12-bit weights whose
+// second-stage multiples leave int32. The first conv, fed pixels,
+// takes int32 lanes.
+TEST(Int32ConvProof, ConvFedRawAccumulatorsRunsInt64) {
+  man::util::Rng rng(78);
+  Network net;
+  for (auto* conv : {&net.add<Conv2D>(1, 2, 3, 8, 9),
+                     &net.add<Conv2D>(2, 2, 3, 6, 7)}) {
+    for (float& w : conv->weights()) {
+      w = rng.next_double() < 0.5 ? -1.5f : 1.5f;
+    }
+  }
+  const FixedNetwork engine(net, QuantSpec::bits12(),
+                            LayerAlphabetPlan::uniform_asm(
+                                2, AlphabetSet::full()));
+  EXPECT_TRUE(engine.conv_int32_lanes(0));
+  EXPECT_FALSE(engine.conv_int32_lanes(1));
+  std::vector<float> pixels(9 * engine.input_size());
+  for (float& p : pixels) p = rng.next_double() < 0.5 ? -2.0f : 2.0f;
+  expect_batch_matches_scalar(engine, pixels);
+}
+
+// Bit identity cannot see a conv stage silently falling back to int64
+// lanes, only its speed can: both LeNet conv stages must run int32
+// lanes at every ASM alphabet count.
+TEST(Int32ConvProof, LeNetConvStagesTakeInt32Lanes) {
+  const auto& app = man::apps::get_app(man::apps::AppId::kDigitCnn12);
+  for (const std::size_t alphabets : {1u, 2u, 4u, 8u}) {
+    Network net = app.build_network(/*seed=*/21);
+    const AlphabetSet set = AlphabetSet::first_n(alphabets);
+    const ProjectionPlan projection(app.quant(), set,
+                                    net.num_weight_layers());
+    projection.project_network(net);
+    const FixedNetwork engine(
+        net, app.quant(),
+        LayerAlphabetPlan::uniform_asm(net.num_weight_layers(), set));
+    ASSERT_EQ(engine.conv_plans().size(), 2u);
+    EXPECT_TRUE(engine.conv_int32_lanes(0)) << "ASM-" << alphabets;
+    EXPECT_TRUE(engine.conv_int32_lanes(1)) << "ASM-" << alphabets;
+  }
 }
 
 // ------------------------------------------- the descriptor constructor
