@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""ISA-leak lint: AVX code must stay inside the two intrinsics files.
+"""ISA-leak lint: AVX code must stay inside the tagged kernels.
 
-CMakeLists.txt compiles simd_backend.cpp with -mavx2 and
-avx512_backend.cpp with -mavx512f -mavx512vl; every other object in
-libman.a is built for the baseline x86-64 ISA, and both backends check
-CPUID before they enter their vector kernels, so the library runs on
-any x86-64 CPU. A function defined in a header (inline or a template)
-and compiled inside one of the two AVX files breaks that silently: the
-compiler vectorizes it for that ISA and emits it as a weak symbol, and
-the linker keeps a single copy for every caller, possibly the AVX one,
-so portable code executes AVX instructions and dies with SIGILL on a
-CPU without them.
+Every object in libman.a is built for the baseline x86-64 ISA. Only
+the intrinsic kernels in simd_backend.cpp and avx512_backend.cpp carry
+a per-function target("avx2") or target("avx512f,avx512vl") attribute,
+and both backends check CPUID before they call them, so the library
+runs on any x86-64 CPU. The rule the lint guards: AVX code appears
+only in those two objects and never in a weak symbol. A weak symbol
+holding AVX code is the dangerous case: the linker keeps a single copy
+for every caller, so portable code would execute AVX instructions and
+die with SIGILL on a CPU without them. That happens if a target
+attribute (or a per-file -m flag) ever reaches a header-defined
+function (inline or a template).
 
 The lint disassembles the archive and fails when a weak symbol, or any
-function outside the two AVX files, contains a VEX- or EVEX-encoded
-instruction (AT&T mnemonics starting with "v", or the AVX-512 mask
-instructions starting with "k").
+function outside the two backend objects, contains a VEX- or
+EVEX-encoded instruction (AT&T mnemonics starting with "v", or the
+AVX-512 mask instructions starting with "k").
 
 Usage: python3 scripts/check_isa_leak.py build/libman.a
 Exit 0 when clean, 1 with a report, 2 on bad usage.
@@ -25,7 +26,7 @@ import re
 import subprocess
 import sys
 
-# The objects CMakeLists.txt compiles with AVX flags.
+# The objects whose kernels carry AVX target attributes.
 AVX_OBJECTS = {"simd_backend.cpp.o", "avx512_backend.cpp.o"}
 
 # nm types of weak and unique-global definitions.
@@ -80,7 +81,7 @@ def main(argv):
                             f"callers")
         elif member not in AVX_OBJECTS:
             failures.append(f"{member}: {symbol} holds AVX code outside "
-                            f"the AVX translation units")
+                            f"the tagged kernels' objects")
     if failures:
         print("ISA leak:\n  " + "\n  ".join(failures))
         return 1

@@ -13,50 +13,58 @@
 // deliberately not used: it accelerates int8/int16 dot products, and
 // the CSHM datapath is shift-add — there is no multiply to fuse.
 //
-// Compile-time gate: this translation unit is built with -mavx512f
-// -mavx512vl and MAN_HAVE_AVX512 only when the build enables it
-// (MAN_ENABLE_AVX512, on by default, and the compiler supports the
-// flags). Without it — or on a CPU whose CPUID lacks AVX-512F/VL at
-// runtime — the backend stays registered and runs the portable plane
-// loop (shared with the blocked backend), so MAN_BACKEND=avx512 is
-// always safe and always bit-identical.
+// ISA: this file is built at the default ISA like every other. Only
+// the intrinsic kernels carry MAN_TARGET_AVX512 (a per-function
+// target("avx512f,avx512vl") attribute), and they exist only under the
+// platform gate MAN_X86_KERNELS (x86-64, GCC or Clang). The backend
+// methods stay untagged, because they also run on CPUs without
+// AVX-512, and each makes one call into tagged code after the CPUID
+// check. Without the gate, or on a CPU that lacks AVX-512F/VL,
+// the backend stays registered and runs the portable plane loop
+// (shared with the blocked backend), so MAN_BACKEND=avx512 is always
+// safe and always bit-identical.
 #include <algorithm>
 
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
 
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+#if MAN_X86_KERNELS
+// GCC's own avx512fintrin.h trips -Wmaybe-uninitialized through
+// _mm512_undefined_epi32 (GCC PR105593); silence it for the header.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 namespace man::backend::detail {
 
 namespace {
 
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+#if MAN_X86_KERNELS
 
 /// int64 lanes of one 512-bit vector.
 inline constexpr int kZmmLanes = 8;
 
 bool cpu_has_avx512() {
-#if defined(__GNUC__) || defined(__clang__)
   return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512vl") != 0;
-#else
-  return false;
-#endif
 }
 
-std::int64_t hsum_epi64_256(__m256i v) {
+MAN_TARGET_AVX512 std::int64_t hsum_epi64_256(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
   const __m128i sum = _mm_add_epi64(lo, hi);
   return _mm_extract_epi64(sum, 0) + _mm_extract_epi64(sum, 1);
 }
 
-void accumulate_planes_avx512(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples,
-                              std::int64_t* out) {
+MAN_TARGET_AVX512 void accumulate_planes_avx512(const DenseLayerPlan& plan,
+                                                const std::int64_t* multiples,
+                                                std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
   const std::int64_t* shifts = plan.shifts.data();
@@ -113,8 +121,9 @@ void accumulate_planes_avx512(const DenseLayerPlan& plan,
 // plain load, and each row is one accumulator widened to two int64
 // zmm at the end.
 template <int P>
-void dense_tile_avx512(const DenseLayerPlan& plan, const std::int32_t* tile,
-                       std::int64_t* out) {
+MAN_TARGET_AVX512 void dense_tile_avx512(const DenseLayerPlan& plan,
+                                         const std::int32_t* tile,
+                                         std::int64_t* out) {
   static_assert(kDenseTile == 16, "one zmm of int32 lanes per tile");
   const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
@@ -152,9 +161,8 @@ void dense_tile_avx512(const DenseLayerPlan& plan, const std::int32_t* tile,
 
 /// Plane count → compile-time unrolled plane loop (8- and 12-bit
 /// weights have at most 2 and 3 quartets).
-void accumulate_planes_tile_avx512(const DenseLayerPlan& plan,
-                                   const std::int32_t* tile,
-                                   std::int64_t* out) {
+MAN_TARGET_AVX512 void accumulate_planes_tile_avx512(
+    const DenseLayerPlan& plan, const std::int32_t* tile, std::int64_t* out) {
   switch (plan.planes) {
     case 1: dense_tile_avx512<1>(plan, tile, out); break;
     case 2: dense_tile_avx512<2>(plan, tile, out); break;
@@ -183,9 +191,10 @@ inline constexpr int kConvColVecs512 = 2;
 /// kernel: masked-out lanes are neither read nor written, and active
 /// lanes run the exact same ops.
 template <int RN, int CN, int P>
-void conv_tile_avx512(const ConvLayerPlan& plan,
-                      const std::int32_t* multiples, std::int64_t* out,
-                      int oy0, int ox, __mmask16 last) {
+MAN_TARGET_AVX512 void conv_tile_avx512(const ConvLayerPlan& plan,
+                                        const std::int32_t* multiples,
+                                        std::int64_t* out, int oy0, int ox,
+                                        __mmask16 last) {
   const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
@@ -254,9 +263,10 @@ void conv_tile_avx512(const ConvLayerPlan& plan,
 /// Runtime row count → compile-time RN for one column width: the
 /// deepest instantiated tile that is not deeper than `rn`.
 template <int CN, int P, int RN = kMaxConvRowTile>
-void conv_tile_rows_avx512(const ConvLayerPlan& plan,
-                           const std::int32_t* multiples, std::int64_t* out,
-                           int oy0, int ox, int rn, __mmask16 last) {
+MAN_TARGET_AVX512 void conv_tile_rows_avx512(const ConvLayerPlan& plan,
+                                             const std::int32_t* multiples,
+                                             std::int64_t* out, int oy0,
+                                             int ox, int rn, __mmask16 last) {
   if constexpr (RN > 1) {
     if (rn < RN) {
       conv_tile_rows_avx512<CN, P, RN - 1>(plan, multiples, out, oy0, ox, rn,
@@ -275,8 +285,9 @@ __mmask16 first_lanes(int n) {
 // Weight-stationary variant at zmm width — see conv_ws_avx2 for the
 // shape and the per-term sign-distribution bit-exactness argument. The
 // row tail is one lane-masked vector.
-void conv_ws_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
-                    std::int64_t* out) {
+MAN_TARGET_AVX512 void conv_ws_avx512(const ConvLayerPlan& plan,
+                                      const std::int32_t* multiples,
+                                      std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
@@ -328,8 +339,10 @@ void conv_ws_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
 /// Every row tile and column group of one plan, at a compile-time
 /// plane count P (0: the plan's).
 template <int P>
-void conv_tiles_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
-                       std::int64_t* out, int row_tile, int col_vecs) {
+MAN_TARGET_AVX512 void conv_tiles_avx512(const ConvLayerPlan& plan,
+                                         const std::int32_t* multiples,
+                                         std::int64_t* out, int row_tile,
+                                         int col_vecs) {
   for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
     const int rn = std::min(row_tile, plan.oh - oy0);
     int ox = 0;
@@ -350,10 +363,9 @@ void conv_tiles_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
   }
 }
 
-void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
-                                   const std::int32_t* multiples,
-                                   std::int64_t* out,
-                                   const ConvTileShape& shape) {
+MAN_TARGET_AVX512 void accumulate_conv_avx512_shaped(
+    const ConvLayerPlan& plan, const std::int32_t* multiples, std::int64_t* out,
+    const ConvTileShape& shape) {
   if (shape.weight_stationary) {
     conv_ws_avx512(plan, multiples, out);
     return;
@@ -382,15 +394,14 @@ void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
   }
 }
 
-#endif  // MAN_HAVE_AVX512 && __AVX512F__ && __AVX512VL__
+#else
+
+bool cpu_has_avx512() { return false; }
+
+#endif  // MAN_X86_KERNELS
 
 class Avx512Backend final : public KernelBackend {
  public:
-  Avx512Backend() {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
-    avx512_ = cpu_has_avx512();
-#endif
-  }
 
   [[nodiscard]] BackendKind kind() const noexcept override {
     return BackendKind::kAvx512;
@@ -399,12 +410,8 @@ class Avx512Backend final : public KernelBackend {
     return "avx512";
   }
   [[nodiscard]] const char* description() const noexcept override {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
     return avx512_ ? "AVX-512F/VL 16-lane int32 position tiles over SoA planes"
                    : "portable fallback (CPU lacks AVX-512F/VL)";
-#else
-    return "portable fallback (built without AVX-512)";
-#endif
   }
   [[nodiscard]] bool accelerated() const noexcept override {
     return avx512_;
@@ -413,7 +420,7 @@ class Avx512Backend final : public KernelBackend {
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+#if MAN_X86_KERNELS
     if (avx512_) {
       accumulate_planes_avx512(plan, multiples, out);
       return;
@@ -425,7 +432,7 @@ class Avx512Backend final : public KernelBackend {
   void accumulate_dense_tile(const DenseLayerPlan& plan,
                              const std::int32_t* tile,
                              std::int64_t* out) const override {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+#if MAN_X86_KERNELS
     if (avx512_) {
       accumulate_planes_tile_avx512(plan, tile, out);
       return;
@@ -452,7 +459,7 @@ class Avx512Backend final : public KernelBackend {
   void accumulate_conv_int32(const ConvLayerPlan& plan,
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+#if MAN_X86_KERNELS
     if (avx512_) {
       accumulate_conv_avx512_shaped(plan, multiples, out, plan.tile_avx512);
       return;
@@ -469,7 +476,7 @@ class Avx512Backend final : public KernelBackend {
   }
 
  private:
-  bool avx512_ = false;
+  const bool avx512_ = cpu_has_avx512();
 };
 
 }  // namespace
@@ -482,7 +489,7 @@ const KernelBackend& avx512_backend() {
 bool conv_run_shaped_avx512(const ConvLayerPlan& plan,
                             const std::int32_t* multiples, std::int64_t* out,
                             const ConvTileShape& shape) {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+#if MAN_X86_KERNELS
   if (avx512_backend().accelerated()) {
     accumulate_conv_avx512_shaped(plan, multiples, out, shape);
     return true;

@@ -32,8 +32,8 @@ namespace man::backend {
 /// one conv plan, recording the per-ISA winners on plan.tile_avx2 /
 /// plan.tile_avx512 and setting plan.tiles_tuned. No-op for exact
 /// plans, for geometries too small to time reliably (the kernel
-/// defaults already serve them), and for builds/CPUs where no vector
-/// kernel is live. FixedNetwork calls it only for plans that take
+/// defaults already serve them), and on platforms/CPUs where no
+/// vector kernel is live. FixedNetwork calls it only for plans that take
 /// int32 lanes: the int64 accumulate_conv ignores tile shapes.
 void autotune_conv_plan(ConvLayerPlan& plan);
 

@@ -28,11 +28,11 @@ enum class BackendKind {
   kScalar,   ///< extracted reference loop, one weight at a time
              ///< over the SoA planes
   kBlocked,  ///< branch-free blocked-scalar loop over the SoA planes
-  kSimd,     ///< AVX2 intrinsics (portable plane loop when not compiled
-             ///< with AVX2 or the CPU lacks it)
+  kSimd,     ///< AVX2 intrinsics (portable plane loop off x86-64 or
+             ///< when the CPU lacks AVX2)
   kAvx512,   ///< AVX-512F/VL intrinsics, 16-lane int32 position
-             ///< tiles for conv (portable plane loop when not
-             ///< compiled with AVX-512 or the CPU lacks it)
+             ///< tiles for conv (portable plane loop off x86-64 or
+             ///< when the CPU lacks AVX-512F/VL)
 };
 
 /// One implementation of the inner accumulation loops. Stateless and
@@ -48,7 +48,7 @@ class KernelBackend {
   /// label.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
   /// Human-readable variant description (e.g. which SIMD path is
-  /// live on this CPU/build).
+  /// live on this CPU).
   [[nodiscard]] virtual const char* description() const noexcept = 0;
   /// True when this backend runs its accelerated code path (the SIMD
   /// backend reports false when it falls back to the portable loop).
@@ -129,7 +129,7 @@ class KernelBackend {
 /// the SIMD/AVX-512 entries may be running their portable fallback).
 [[nodiscard]] std::span<const KernelBackend* const> all_backends();
 
-/// Best backend for this CPU/build: AVX-512 when its accelerated path
+/// Best backend for this CPU: AVX-512 when its accelerated path
 /// is live, else SIMD when accelerated, blocked otherwise.
 [[nodiscard]] BackendKind detect_best_backend();
 

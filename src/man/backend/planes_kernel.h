@@ -1,16 +1,9 @@
 // Portable branch-free kernels over the SoA quartet planes: the
 // blocked backend's implementation, and the fallback the SIMD and
-// AVX-512 backends run when their ISA is compiled out or missing from
-// the CPU, so "simd without AVX2" and "blocked" are the same
-// (bit-identical) code. Internal to man::backend.
-//
-// The definitions live in planes_kernel.cpp, which is built at the
-// default ISA. A body in this header would be compiled again inside
-// simd_backend.cpp (-mavx2) and avx512_backend.cpp (-mavx512f), where
-// the auto-vectorizer turns it into ymm/zmm code: the "portable"
-// fallback would then execute AVX instructions on exactly the CPUs it
-// exists for, and as a weak symbol the linker could hand that copy to
-// the blocked backend too.
+// AVX-512 backends run off x86-64 or on a CPU that lacks their ISA, so
+// "simd without AVX2" and "blocked" are the same (bit-identical) code.
+// Internal to man::backend; the definitions live in planes_kernel.cpp,
+// one copy shared by all three backends.
 #ifndef MAN_BACKEND_PLANES_KERNEL_H
 #define MAN_BACKEND_PLANES_KERNEL_H
 

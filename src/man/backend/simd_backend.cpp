@@ -10,10 +10,13 @@
 // exactly — on int32 lanes because int32_row_bound() proves no value
 // leaves int32 — and only the (commutative) summation order differs.
 //
-// Compile-time gate: this translation unit is built with -mavx2 and
-// MAN_HAVE_AVX2 only when the build enables it (MAN_ENABLE_AVX2, on by
-// default, and the compiler supports the flag). Without it — or on a
-// CPU whose CPUID lacks AVX2 at runtime — the backend stays registered
+// ISA: this file is built at the default ISA like every other. Only
+// the intrinsic kernels carry MAN_TARGET_AVX2 (a per-function
+// target("avx2") attribute), and they exist only under the platform
+// gate MAN_X86_KERNELS (x86-64, GCC or Clang). The backend methods stay
+// untagged, because they also run on CPUs without AVX2, and each makes
+// one call into tagged code after the CPUID check. Without
+// the gate, or on a CPU that lacks AVX2, the backend stays registered
 // and runs the portable plane loop (shared with the blocked backend),
 // so MAN_BACKEND=simd is always safe and always bit-identical.
 #include <algorithm>
@@ -21,7 +24,7 @@
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
 
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+#if MAN_X86_KERNELS
 #include <immintrin.h>
 #endif
 
@@ -29,26 +32,20 @@ namespace man::backend::detail {
 
 namespace {
 
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+#if MAN_X86_KERNELS
 
-bool cpu_has_avx2() {
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
+bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 
-std::int64_t hsum_epi64(__m256i v) {
+MAN_TARGET_AVX2 std::int64_t hsum_epi64(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
   const __m128i sum = _mm_add_epi64(lo, hi);
   return _mm_extract_epi64(sum, 0) + _mm_extract_epi64(sum, 1);
 }
 
-void accumulate_planes_avx2(const DenseLayerPlan& plan,
-                            const std::int64_t* multiples,
-                            std::int64_t* out) {
+MAN_TARGET_AVX2 void accumulate_planes_avx2(const DenseLayerPlan& plan,
+                                            const std::int64_t* multiples,
+                                            std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
   const std::int64_t* shifts = plan.shifts.data();
@@ -94,8 +91,9 @@ inline constexpr int kTileVecs = kDenseTile / kYmmInt32Lanes;
 // −Σs are added. P > 0 fixes the plane count at compile time so the
 // plane loop unrolls.
 template <int P>
-void dense_tile_avx2(const DenseLayerPlan& plan, const std::int32_t* tile,
-                     std::int64_t* out) {
+MAN_TARGET_AVX2 void dense_tile_avx2(const DenseLayerPlan& plan,
+                                     const std::int32_t* tile,
+                                     std::int64_t* out) {
   const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
@@ -143,8 +141,9 @@ void dense_tile_avx2(const DenseLayerPlan& plan, const std::int32_t* tile,
 
 /// Plane count → compile-time unrolled plane loop (8- and 12-bit
 /// weights have at most 2 and 3 quartets).
-void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
-                                 const std::int32_t* tile, std::int64_t* out) {
+MAN_TARGET_AVX2 void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
+                                                 const std::int32_t* tile,
+                                                 std::int64_t* out) {
   switch (plan.planes) {
     case 1: dense_tile_avx2<1>(plan, tile, out); break;
     case 2: dense_tile_avx2<2>(plan, tile, out); break;
@@ -184,8 +183,10 @@ inline constexpr int kConvColVecs = 2;
 // live in ymm registers (shapes near the kMaxConvRowTile ×
 // kMaxConvColVecs corner spill; the autotuner simply measures them).
 template <int RN, int CN, int P>
-void conv_tile_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
-                    std::int64_t* out, int oy0, int ox, int last) {
+MAN_TARGET_AVX2 void conv_tile_avx2(const ConvLayerPlan& plan,
+                                    const std::int32_t* multiples,
+                                    std::int64_t* out, int oy0, int ox,
+                                    int last) {
   const int planes = P > 0 ? P : plan.planes;
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
@@ -261,9 +262,10 @@ void conv_tile_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
 /// Runtime row count → compile-time RN for one column width: the
 /// deepest instantiated tile that is not deeper than `rn`.
 template <int CN, int P, int RN = kMaxConvRowTile>
-void conv_tile_rows_avx2(const ConvLayerPlan& plan,
-                         const std::int32_t* multiples, std::int64_t* out,
-                         int oy0, int ox, int rn, int last) {
+MAN_TARGET_AVX2 void conv_tile_rows_avx2(const ConvLayerPlan& plan,
+                                         const std::int32_t* multiples,
+                                         std::int64_t* out, int oy0, int ox,
+                                         int rn, int last) {
   if constexpr (RN > 1) {
     if (rn < RN) {
       conv_tile_rows_avx2<CN, P, RN - 1>(plan, multiples, out, oy0, ox, rn,
@@ -284,8 +286,9 @@ void conv_tile_rows_avx2(const ConvLayerPlan& plan,
 // int64 output. Applying the sign per *term* instead of per product is
 // exact: two's-complement negation distributes over the wrapping sum,
 // so the accumulated bits match the scalar reference.
-void conv_ws_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
-                  std::int64_t* out) {
+MAN_TARGET_AVX2 void conv_ws_avx2(const ConvLayerPlan& plan,
+                                  const std::int32_t* multiples,
+                                  std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
@@ -337,8 +340,10 @@ void conv_ws_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
 /// Every row tile and column group of one plan, at a compile-time
 /// plane count P (0: the plan's).
 template <int P>
-void conv_tiles_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
-                     std::int64_t* out, int row_tile, int col_vecs) {
+MAN_TARGET_AVX2 void conv_tiles_avx2(const ConvLayerPlan& plan,
+                                     const std::int32_t* multiples,
+                                     std::int64_t* out, int row_tile,
+                                     int col_vecs) {
   for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
     const int rn = std::min(row_tile, plan.oh - oy0);
     int ox = 0;
@@ -358,10 +363,10 @@ void conv_tiles_avx2(const ConvLayerPlan& plan, const std::int32_t* multiples,
   }
 }
 
-void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
-                                 const std::int32_t* multiples,
-                                 std::int64_t* out,
-                                 const ConvTileShape& shape) {
+MAN_TARGET_AVX2 void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
+                                                 const std::int32_t* multiples,
+                                                 std::int64_t* out,
+                                                 const ConvTileShape& shape) {
   if (shape.weight_stationary) {
     conv_ws_avx2(plan, multiples, out);
     return;
@@ -390,34 +395,29 @@ void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
   }
 }
 
-#endif  // MAN_HAVE_AVX2 && __AVX2__
+#else
+
+bool cpu_has_avx2() { return false; }
+
+#endif  // MAN_X86_KERNELS
 
 class SimdBackend final : public KernelBackend {
  public:
-  SimdBackend() {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
-    avx2_ = cpu_has_avx2();
-#endif
-  }
 
   [[nodiscard]] BackendKind kind() const noexcept override {
     return BackendKind::kSimd;
   }
   [[nodiscard]] const char* name() const noexcept override { return "simd"; }
   [[nodiscard]] const char* description() const noexcept override {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
     return avx2_ ? "AVX2 gather/sllv over SoA quartet planes"
                  : "portable fallback (CPU lacks AVX2)";
-#else
-    return "portable fallback (built without AVX2)";
-#endif
   }
   [[nodiscard]] bool accelerated() const noexcept override { return avx2_; }
 
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+#if MAN_X86_KERNELS
     if (avx2_) {
       accumulate_planes_avx2(plan, multiples, out);
       return;
@@ -429,7 +429,7 @@ class SimdBackend final : public KernelBackend {
   void accumulate_dense_tile(const DenseLayerPlan& plan,
                              const std::int32_t* tile,
                              std::int64_t* out) const override {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+#if MAN_X86_KERNELS
     if (avx2_) {
       accumulate_planes_tile_avx2(plan, tile, out);
       return;
@@ -456,7 +456,7 @@ class SimdBackend final : public KernelBackend {
   void accumulate_conv_int32(const ConvLayerPlan& plan,
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+#if MAN_X86_KERNELS
     if (avx2_) {
       accumulate_conv_avx2_shaped(plan, multiples, out, plan.tile_avx2);
       return;
@@ -473,7 +473,7 @@ class SimdBackend final : public KernelBackend {
   }
 
  private:
-  bool avx2_ = false;
+  const bool avx2_ = cpu_has_avx2();
 };
 
 }  // namespace
@@ -486,7 +486,7 @@ const KernelBackend& simd_backend() {
 bool conv_run_shaped_avx2(const ConvLayerPlan& plan,
                           const std::int32_t* multiples, std::int64_t* out,
                           const ConvTileShape& shape) {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+#if MAN_X86_KERNELS
   if (simd_backend().accelerated()) {
     accumulate_conv_avx2_shaped(plan, multiples, out, shape);
     return true;

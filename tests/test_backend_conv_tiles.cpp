@@ -191,7 +191,7 @@ TEST(ConvTileShapes, AutotunerRecordsValidWinnersPerIsa) {
   const bool avx512 = detail::avx512_backend().accelerated();
   if (!avx2 && !avx512) {
     EXPECT_FALSE(plan.tiles_tuned);
-    GTEST_SKIP() << "no vector kernel live on this build/CPU";
+    GTEST_SKIP() << "no vector kernel live on this platform/CPU";
   }
   EXPECT_TRUE(plan.tiles_tuned);
   const auto check = [](const ConvTileShape& tile) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "man/backend/backend_impls.h"
 #include "man/backend/kernel_backend.h"
 #include "man/engine/batch_runner.h"
 #include "man/engine/fixed_network.h"
@@ -73,6 +74,17 @@ TEST(BackendRegistry, AllFourKindsAreRegisteredAndDistinct) {
   // Only the SIMD backends may ever report an accelerated code path.
   EXPECT_FALSE(backends[0]->accelerated());
   EXPECT_FALSE(backends[1]->accelerated());
+  // Nothing can compile the vector paths out behind the platform gate:
+  // each is live exactly when CPUID reports its ISA.
+#if MAN_X86_KERNELS
+  EXPECT_EQ(backends[2]->accelerated(), __builtin_cpu_supports("avx2") != 0);
+  EXPECT_EQ(backends[3]->accelerated(),
+            __builtin_cpu_supports("avx512f") != 0 &&
+                __builtin_cpu_supports("avx512vl") != 0);
+#else
+  EXPECT_FALSE(backends[2]->accelerated());
+  EXPECT_FALSE(backends[3]->accelerated());
+#endif
 }
 
 TEST(BackendRegistry, ParseAcceptsKnownSpellingsOnly) {
