@@ -6,17 +6,22 @@ the intrinsic kernels in simd_backend.cpp and avx512_backend.cpp carry
 a per-function target("avx2") or target("avx512f,avx512vl") attribute,
 and both backends check CPUID before they call them, so the library
 runs on any x86-64 CPU. The rule the lint guards: AVX code appears
-only in those two objects and never in a weak symbol. A weak symbol
+only in those two objects, never in a weak symbol, and never in a
+`*Backend::` member function. A weak symbol
 holding AVX code is the dangerous case: the linker keeps a single copy
 for every caller, so portable code would execute AVX instructions and
 die with SIGILL on a CPU without them. That happens if a target
 attribute (or a per-file -m flag) ever reaches a header-defined
-function (inline or a template).
+function (inline or a template). A backend method holding AVX code
+is the other: the methods run before their CPUID check, so an
+inlined kernel could execute AVX instructions (a vmovq, say) on a CPU
+without them; the symbols are local, so the weak rule cannot see it.
 
-The lint disassembles the archive and fails when a weak symbol, or any
-function outside the two backend objects, contains a VEX- or
-EVEX-encoded instruction (AT&T mnemonics starting with "v", or the
-AVX-512 mask instructions starting with "k").
+The lint disassembles the archive with demangled names and fails when
+a weak symbol, a `*Backend::` member function, or any function outside
+the two backend objects contains a VEX- or EVEX-encoded instruction
+(AT&T mnemonics starting with "v", or the AVX-512 mask instructions
+starting with "k"). Its ok line counts the AVX functions per object.
 
 Usage: python3 scripts/check_isa_leak.py build/libman.a
 Exit 0 when clean, 1 with a report, 2 on bad usage.
@@ -25,6 +30,7 @@ Exit 0 when clean, 1 with a report, 2 on bad usage.
 import re
 import subprocess
 import sys
+from collections import Counter
 
 # The objects whose kernels carry AVX target attributes.
 AVX_OBJECTS = {"simd_backend.cpp.o", "avx512_backend.cpp.o"}
@@ -43,19 +49,25 @@ def run(*command):
 
 
 def weak_symbols(archive):
+    """Demangled names of the archive's weak definitions."""
     weak = set()
-    for line in run("nm", "--defined-only", archive).splitlines():
-        fields = line.split()
+    for line in run("nm", "--defined-only", "-C", archive).splitlines():
+        fields = line.split(maxsplit=2)
         if len(fields) == 3 and fields[1] in WEAK_TYPES:
             weak.add(fields[2])
     return weak
+
+
+def backend_method(symbol):
+    """True for a member function of a class named *Backend."""
+    return re.search(r"\w*Backend::~?\w+\(", symbol) is not None
 
 
 def avx_functions(archive):
     """(object, symbol) of every function holding a VEX/EVEX instruction."""
     found = set()
     member = symbol = None
-    disassembly = run("objdump", "-d", "--no-show-raw-insn", archive)
+    disassembly = run("objdump", "-d", "-C", "--no-show-raw-insn", archive)
     for line in disassembly.splitlines():
         if match := MEMBER.match(line):
             member, symbol = match.group(1), None
@@ -79,14 +91,21 @@ def main(argv):
             failures.append(f"{member}: weak symbol {symbol} holds AVX code; "
                             f"the linker may hand this copy to portable "
                             f"callers")
+        elif backend_method(symbol):
+            failures.append(f"{member}: {symbol} holds AVX code; backend "
+                            f"methods run before their CPUID check and must "
+                            f"only call the tagged kernels")
         elif member not in AVX_OBJECTS:
             failures.append(f"{member}: {symbol} holds AVX code outside "
                             f"the tagged kernels' objects")
     if failures:
         print("ISA leak:\n  " + "\n  ".join(failures))
         return 1
-    members = ", ".join(sorted({m for m, _ in found})) or "no object"
-    print(f"ok: {len(found)} functions hold AVX code, all local to {members}")
+    counts = Counter(member for member, _ in found)
+    per_object = ", ".join(f"{member}: {count}"
+                           for member, count in sorted(counts.items()))
+    print(f"ok: {len(found)} functions hold AVX code ({per_object or 'none'}); "
+          f"none is weak or a Backend:: method")
     return 0
 
 

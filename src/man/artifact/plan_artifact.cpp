@@ -22,7 +22,6 @@ namespace man::artifact {
 namespace {
 
 using man::backend::ConvLayerPlan;
-using man::backend::ConvTileShape;
 using man::backend::DenseLayerPlan;
 using man::backend::PlanArray;
 using man::engine::CompiledConvStage;
@@ -77,12 +76,6 @@ void write_synapse(BlobWriter& dir, const CompiledSynapse& synapse) {
   dir.write_u64(synapse.ops_per_inference.negates);
 }
 
-void write_tile(BlobWriter& dir, const ConvTileShape& tile) {
-  dir.write_i32(tile.row_tile);
-  dir.write_i32(tile.col_vecs);
-  dir.write_u32(tile.weight_stationary ? 1 : 0);
-}
-
 void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
                       const DenseLayerPlan& plan) {
   dir.write_i32(plan.rows);
@@ -118,9 +111,6 @@ void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_u32(plan.zero_base);
   dir.write_i64(plan.in_min_raw);
   dir.write_i64(plan.in_max_raw);
-  write_tile(dir, plan.tile_avx2);
-  write_tile(dir, plan.tile_avx512);
-  dir.write_u32(plan.tiles_tuned ? 1 : 0);
   write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
   write_array_ref(dir, arrays, plan.patch_elems);
@@ -168,14 +158,6 @@ CompiledSynapse read_synapse(SpanReader& dir) {
   synapse.ops_per_inference.adds = dir.read_u64();
   synapse.ops_per_inference.negates = dir.read_u64();
   return synapse;
-}
-
-ConvTileShape read_tile(SpanReader& dir) {
-  ConvTileShape tile;
-  tile.row_tile = dir.read_i32();
-  tile.col_vecs = dir.read_i32();
-  tile.weight_stationary = dir.read_u32() != 0;
-  return tile;
 }
 
 // ------------------------------------------------------ load validation
@@ -313,9 +295,6 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
   plan.zero_base = dir.read_u32();
   plan.in_min_raw = dir.read_i64();
   plan.in_max_raw = dir.read_i64();
-  plan.tile_avx2 = read_tile(dir);
-  plan.tile_avx512 = read_tile(dir);
-  plan.tiles_tuned = dir.read_u32() != 0;
   plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
   plan.patch_elems = read_array_ref<std::uint32_t>(dir, file);

@@ -36,8 +36,10 @@
 namespace man::artifact {
 
 /// Artifact format version; readers reject anything else. Since
-/// version 2 a plan's quartet planes are its only schedule layout.
-inline constexpr std::uint32_t kArtifactVersion = 2;
+/// version 2 a plan's quartet planes are its only schedule layout;
+/// version 3 dropped the per-plan conv tile shapes (conv tiles are
+/// fixed per ISA at compile time).
+inline constexpr std::uint32_t kArtifactVersion = 3;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

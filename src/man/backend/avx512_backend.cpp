@@ -175,13 +175,15 @@ MAN_TARGET_AVX512 void accumulate_planes_tile_avx512(
 /// column group.
 inline constexpr int kZmmInt32Lanes = 16;
 
-/// Default conv tile when the plan carries no autotuned shape: 5
-/// output rows × 2 column groups (32 zmm registers carry a deeper row
-/// tile than the AVX2 default). On both LeNet conv plans it was among
-/// the fastest fixed shapes (3–7 rows within ≈ 10 % of each other);
-/// one group was up to 1.3× slower on the 28-column layer.
+/// The conv register tile: 5 output rows × 2 column groups (32 zmm
+/// registers carry a deeper row tile than the AVX2 one). On both LeNet
+/// conv plans it was among the fastest fixed shapes (3–7 rows within
+/// ≈ 10 % of each other); one group was up to 1.3× slower on the
+/// 28-column layer. Fixed at compile time (docs/backends.md, "Conv
+/// register tiles").
 inline constexpr int kConvRowTile512 = 5;
-inline constexpr int kConvColVecs512 = 2;
+static_assert(ConvLayerPlan::tile_avx512.row_tile == kConvRowTile512 &&
+              ConvLayerPlan::tile_avx512.col_vecs == 2);
 
 /// One vectorized tile: RN output rows × CN 16-lane int32 column
 /// groups starting at (oy0, ox), every filter — conv_tile_avx2 at zmm
@@ -260,9 +262,9 @@ MAN_TARGET_AVX512 void conv_tile_avx512(const ConvLayerPlan& plan,
   }
 }
 
-/// Runtime row count → compile-time RN for one column width: the
-/// deepest instantiated tile that is not deeper than `rn`.
-template <int CN, int P, int RN = kMaxConvRowTile>
+/// Runtime row count (1..kConvRowTile512, fewer only in the last row
+/// tile) → compile-time RN for one column width.
+template <int CN, int P, int RN = kConvRowTile512>
 MAN_TARGET_AVX512 void conv_tile_rows_avx512(const ConvLayerPlan& plan,
                                              const std::int32_t* multiples,
                                              std::int64_t* out, int oy0,
@@ -282,115 +284,39 @@ __mmask16 first_lanes(int n) {
   return static_cast<__mmask16>((1u << n) - 1u);
 }
 
-// Weight-stationary variant at zmm width — see conv_ws_avx2 for the
-// shape and the per-term sign-distribution bit-exactness argument. The
-// row tail is one lane-masked vector.
-MAN_TARGET_AVX512 void conv_ws_avx512(const ConvLayerPlan& plan,
-                                      const std::int32_t* multiples,
-                                      std::int64_t* out) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.oc; ++r) {
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    std::fill_n(dst, positions, plan.biases[static_cast<std::size_t>(r)]);
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    for (int c = 0; c < plan.cols; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      const __m512i vsign = _mm512_set1_epi32(static_cast<int>(signs[cell]));
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int32_t* src =
-              multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
-          std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
-          for (int ox = 0; ox < plan.ow; ox += kZmmInt32Lanes) {
-            const __mmask16 mask =
-                first_lanes(std::min(plan.ow - ox, kZmmInt32Lanes));
-            const auto mask_lo = static_cast<__mmask8>(mask & 0xFFu);
-            const auto mask_hi = static_cast<__mmask8>(mask >> 8);
-            __m512i t = _mm512_sll_epi32(
-                _mm512_maskz_loadu_epi32(mask, src + ox), sh);
-            t = _mm512_sub_epi32(_mm512_xor_si512(t, vsign), vsign);
-            std::int64_t* d = drow + ox;
-            const __m512i lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(t));
-            const __m512i hi =
-                _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(t, 1));
-            _mm512_mask_storeu_epi64(
-                d, mask_lo,
-                _mm512_add_epi64(_mm512_maskz_loadu_epi64(mask_lo, d), lo));
-            _mm512_mask_storeu_epi64(
-                d + kZmmLanes, mask_hi,
-                _mm512_add_epi64(
-                    _mm512_maskz_loadu_epi64(mask_hi, d + kZmmLanes), hi));
-          }
-        }
-      }
-    }
-  }
-}
-
 /// Every row tile and column group of one plan, at a compile-time
 /// plane count P (0: the plan's).
 template <int P>
 MAN_TARGET_AVX512 void conv_tiles_avx512(const ConvLayerPlan& plan,
                                          const std::int32_t* multiples,
-                                         std::int64_t* out, int row_tile,
-                                         int col_vecs) {
-  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
-    const int rn = std::min(row_tile, plan.oh - oy0);
+                                         std::int64_t* out) {
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += kConvRowTile512) {
+    const int rn = std::min(kConvRowTile512, plan.oh - oy0);
     int ox = 0;
     // Two groups while more than one group's positions remain; the
     // second (or the lone last) group is masked to what is left.
-    if (col_vecs >= 2) {
-      for (; plan.ow - ox > kZmmInt32Lanes; ox += 2 * kZmmInt32Lanes) {
-        const __mmask16 last = first_lanes(
-            std::min(plan.ow - ox - kZmmInt32Lanes, kZmmInt32Lanes));
-        conv_tile_rows_avx512<2, P>(plan, multiples, out, oy0, ox, rn, last);
-      }
+    for (; plan.ow - ox > kZmmInt32Lanes; ox += 2 * kZmmInt32Lanes) {
+      const __mmask16 last = first_lanes(
+          std::min(plan.ow - ox - kZmmInt32Lanes, kZmmInt32Lanes));
+      conv_tile_rows_avx512<2, P>(plan, multiples, out, oy0, ox, rn, last);
     }
-    for (; ox < plan.ow; ox += kZmmInt32Lanes) {
-      const __mmask16 last =
-          first_lanes(std::min(plan.ow - ox, kZmmInt32Lanes));
-      conv_tile_rows_avx512<1, P>(plan, multiples, out, oy0, ox, rn, last);
+    if (ox < plan.ow) {
+      conv_tile_rows_avx512<1, P>(plan, multiples, out, oy0, ox, rn,
+                                  first_lanes(plan.ow - ox));
     }
   }
 }
 
-MAN_TARGET_AVX512 void accumulate_conv_avx512_shaped(
-    const ConvLayerPlan& plan, const std::int32_t* multiples, std::int64_t* out,
-    const ConvTileShape& shape) {
-  if (shape.weight_stationary) {
-    conv_ws_avx512(plan, multiples, out);
-    return;
-  }
-  const int row_tile = shape.row_tile > 0
-                           ? std::min(shape.row_tile, kMaxConvRowTile)
-                           : kConvRowTile512;
-  const int col_vecs = shape.col_vecs > 0
-                           ? std::min(shape.col_vecs, kMaxConvColVecs)
-                           : kConvColVecs512;
-  // Plane count → compile-time unrolled plane loop (8- and 12-bit
-  // weights have at most 2 and 3 quartets).
+/// Plane count → compile-time unrolled plane loop (8- and 12-bit
+/// weights have at most 2 and 3 quartets).
+MAN_TARGET_AVX512 void accumulate_conv_avx512(const ConvLayerPlan& plan,
+                                              const std::int32_t* multiples,
+                                              std::int64_t* out) {
   switch (plan.planes) {
-    case 1:
-      conv_tiles_avx512<1>(plan, multiples, out, row_tile, col_vecs);
-      break;
-    case 2:
-      conv_tiles_avx512<2>(plan, multiples, out, row_tile, col_vecs);
-      break;
-    case 3:
-      conv_tiles_avx512<3>(plan, multiples, out, row_tile, col_vecs);
-      break;
-    default:
-      conv_tiles_avx512<0>(plan, multiples, out, row_tile, col_vecs);
-      break;
+    case 1: conv_tiles_avx512<1>(plan, multiples, out); break;
+    case 2: conv_tiles_avx512<2>(plan, multiples, out); break;
+    case 3: conv_tiles_avx512<3>(plan, multiples, out); break;
+    default: conv_tiles_avx512<0>(plan, multiples, out); break;
   }
 }
 
@@ -461,7 +387,7 @@ class Avx512Backend final : public KernelBackend {
                              std::int64_t* out) const override {
 #if MAN_X86_KERNELS
     if (avx512_) {
-      accumulate_conv_avx512_shaped(plan, multiples, out, plan.tile_avx512);
+      accumulate_conv_avx512(plan, multiples, out);
       return;
     }
 #endif
@@ -484,23 +410,6 @@ class Avx512Backend final : public KernelBackend {
 const KernelBackend& avx512_backend() {
   static const Avx512Backend backend;
   return backend;
-}
-
-bool conv_run_shaped_avx512(const ConvLayerPlan& plan,
-                            const std::int32_t* multiples, std::int64_t* out,
-                            const ConvTileShape& shape) {
-#if MAN_X86_KERNELS
-  if (avx512_backend().accelerated()) {
-    accumulate_conv_avx512_shaped(plan, multiples, out, shape);
-    return true;
-  }
-#else
-  (void)plan;
-  (void)multiples;
-  (void)out;
-  (void)shape;
-#endif
-  return false;
 }
 
 }  // namespace man::backend::detail

@@ -105,8 +105,8 @@ class KernelBackend {
   /// zero region and output. Vector kernels run 8 (ymm) or 16 (zmm)
   /// consecutive output positions per vector, accumulate products and
   /// Σ (p ^ sign) in int32, and widen each output to int64 where the
-  /// bias and −Σ sign are added; they tile positions by the plan's
-  /// per-ISA ConvTileShape. Callers must hold int32_row_bound(plan,
+  /// bias and −Σ sign are added; they tile positions by one fixed
+  /// register tile per ISA. Callers must hold int32_row_bound(plan,
   /// ...) ≤ INT32_MAX for the staged inputs (FixedNetwork routes only
   /// such plans here); the scalar reference accumulates in int64
   /// regardless. Bit-identical to accumulate_conv on the same values.

@@ -1,5 +1,7 @@
 #include "man/backend/layer_plan.h"
 
+#include "man/backend/conv_autotune.h"
+
 #include <algorithm>
 #include <stdexcept>
 #include <string>
@@ -277,6 +279,10 @@ std::int64_t int32_row_bound(const DenseLayerPlan& plan,
 std::int64_t int32_row_bound(const ConvLayerPlan& plan,
                              std::span<const std::uint8_t> alphabets) {
   return row_bound(plan, alphabets);
+}
+
+std::string to_string(const ConvTileShape& shape) {
+  return std::to_string(shape.row_tile) + "x" + std::to_string(shape.col_vecs);
 }
 
 }  // namespace man::backend

@@ -146,29 +146,15 @@ inline constexpr int kLaneWidth = 4;
 /// 4 × 12).
 inline constexpr int kDenseTile = 16;
 
-/// Largest register-blocking tile the vectorized conv kernels
-/// instantiate: output rows per tile and vector-width column groups
-/// per tile. Shapes beyond these bounds are rejected by
-/// autotune_conv_plan()/MAN_CONV_TILE.
-inline constexpr int kMaxConvRowTile = 8;
-inline constexpr int kMaxConvColVecs = 2;
-
-/// Register-blocking shape of one vectorized int32 conv kernel pass
+/// Register tile of one vectorized int32 conv kernel
 /// (KernelBackend::accumulate_conv_int32): row_tile output rows ×
-/// col_vecs column groups of int32 lanes per tile (8 per ymm, 16 per
-/// zmm; the last group of a row is lane-masked on AVX-512 and AVX2),
-/// or (weight_stationary) one plan entry broadcast-held in registers
-/// while every output position streams past it. Zero fields mean
-/// "kernel default". Picked per plan geometry by autotune_conv_plan()
-/// when an engine is built (or forced via MAN_CONV_TILE) and recorded
-/// on ConvLayerPlan; every shape is bit-identical to the scalar
-/// reference — only speed differs. Shapes recorded in artifacts by
-/// builds whose conv kernels ran int64 lanes stay valid, but were
-/// tuned for those widths.
+/// col_vecs column groups of int32 lanes (8 per ymm, 16 per zmm). Each
+/// ISA runs one compile-time tile (ConvLayerPlan::tile_avx2 /
+/// tile_avx512 report them); every tile is bit-identical to the
+/// scalar reference, only speed differs.
 struct ConvTileShape {
-  int row_tile = 0;  ///< output rows per tile (1..kMaxConvRowTile)
-  int col_vecs = 0;  ///< vector column groups per tile (1..kMaxConvColVecs)
-  bool weight_stationary = false;  ///< sweep positions per plan entry
+  int row_tile = 0;  ///< output rows per tile
+  int col_vecs = 0;  ///< vector column groups per tile
 };
 
 /// Self-contained per-layer plan consumed by KernelBackend
@@ -301,21 +287,18 @@ struct ConvLayerPlan {
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
 
-  /// Register-blocking tile shapes the vectorized int32 kernels
-  /// dispatch on, one per ISA (the portable/blocked kernels and the
-  /// int64 accumulate_conv ignore them).
-  /// Default-constructed shapes mean "kernel default"; filled in by
-  /// autotune_conv_plan() when the FixedNetwork is built.
-  ConvTileShape tile_avx2;
-  ConvTileShape tile_avx512;
-  /// True once autotune_conv_plan() measured (or was forced to) a
-  /// shape for this plan — false for exact plans, plans that run
-  /// int64 lanes, tiny geometries, and builds where no vector kernel
-  /// is live.
-  bool tiles_tuned = false;
   [[nodiscard]] bool has_input_range() const noexcept {
     return in_min_raw <= in_max_raw;
   }
+
+  /// The fixed register tile of the AVX2 and AVX-512 int32 conv
+  /// kernels (each kernel file static_asserts its own against these),
+  /// and tiles_tuned, always false: nothing measures or writes a tile
+  /// at run time. Kept only for perfbench's conv_tiles provenance; they
+  /// go in the next benchmark change, with conv_autotune.h.
+  static constexpr ConvTileShape tile_avx2{3, 2};
+  static constexpr ConvTileShape tile_avx512{5, 2};
+  static constexpr bool tiles_tuned = false;
 
   /// Output positions per filter (out has oc · positions() slots,
   /// channel-major).

@@ -152,12 +152,13 @@ MAN_TARGET_AVX2 void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
   }
 }
 
-/// Default conv tile when the plan carries no autotuned shape: 3
-/// output rows × 2 column groups, the fastest fixed shape on both
-/// LeNet conv plans (two groups at 2–7 rows were within ≈ 10 % of it;
-/// one group was up to 1.4× slower).
+/// The conv register tile: 3 output rows × 2 column groups, the
+/// fastest fixed shape on both LeNet conv plans (two groups at 2–7
+/// rows were within ≈ 10 % of it; one group was up to 1.4× slower).
+/// Fixed at compile time (docs/backends.md, "Conv register tiles").
 inline constexpr int kConvRowTile = 3;
-inline constexpr int kConvColVecs = 2;
+static_assert(ConvLayerPlan::tile_avx2.row_tile == kConvRowTile &&
+              ConvLayerPlan::tile_avx2.col_vecs == 2);
 
 // Conv kernel vectorized over output *positions*, not weight columns:
 // a conv weight fires at every position with the same idx/shift/sign,
@@ -180,8 +181,7 @@ inline constexpr int kConvColVecs = 2;
 // `last` positions (1..8), so a row of any width needs no scalar tail:
 // masked-out lanes are neither read nor written.
 // RN/CN are compile-time constants so the accumulator/product arrays
-// live in ymm registers (shapes near the kMaxConvRowTile ×
-// kMaxConvColVecs corner spill; the autotuner simply measures them).
+// live in ymm registers (a full 3 × 2 tile holds 12 of the 16).
 template <int RN, int CN, int P>
 MAN_TARGET_AVX2 void conv_tile_avx2(const ConvLayerPlan& plan,
                                     const std::int32_t* multiples,
@@ -259,9 +259,9 @@ MAN_TARGET_AVX2 void conv_tile_avx2(const ConvLayerPlan& plan,
   }
 }
 
-/// Runtime row count → compile-time RN for one column width: the
-/// deepest instantiated tile that is not deeper than `rn`.
-template <int CN, int P, int RN = kMaxConvRowTile>
+/// Runtime row count (1..kConvRowTile, fewer only in the last row
+/// tile) → compile-time RN for one column width.
+template <int CN, int P, int RN = kConvRowTile>
 MAN_TARGET_AVX2 void conv_tile_rows_avx2(const ConvLayerPlan& plan,
                                          const std::int32_t* multiples,
                                          std::int64_t* out, int oy0, int ox,
@@ -276,122 +276,38 @@ MAN_TARGET_AVX2 void conv_tile_rows_avx2(const ConvLayerPlan& plan,
   conv_tile_avx2<RN, CN, P>(plan, multiples, out, oy0, ox, last);
 }
 
-// Weight-stationary variant: instead of keeping a tile of output
-// positions in registers and streaming the plan past it, keep one
-// plan entry (idx/shift/sign broadcasts) in registers and stream
-// *every* output position past it — the plan is read exactly once
-// per pass and the output rows become the streaming dimension
-// (profitable when the plan dwarfs the output tile). Each term is
-// shifted and signed in int32 lanes, then widened and added to the
-// int64 output. Applying the sign per *term* instead of per product is
-// exact: two's-complement negation distributes over the wrapping sum,
-// so the accumulated bits match the scalar reference.
-MAN_TARGET_AVX2 void conv_ws_avx2(const ConvLayerPlan& plan,
-                                  const std::int32_t* multiples,
-                                  std::int64_t* out) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.oc; ++r) {
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    std::fill_n(dst, positions, plan.biases[static_cast<std::size_t>(r)]);
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    for (int c = 0; c < plan.cols; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      const std::int64_t sign = signs[cell];
-      const __m256i vsign = _mm256_set1_epi32(static_cast<int>(sign));
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
-        const std::int64_t shift = shifts[pc];
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
-        for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int32_t* src =
-              multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
-          std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
-          int ox = 0;
-          for (; ox + kYmmInt32Lanes <= plan.ow; ox += kYmmInt32Lanes) {
-            const __m256i m = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(src + ox));
-            __m256i t = _mm256_sll_epi32(m, sh);
-            t = _mm256_sub_epi32(_mm256_xor_si256(t, vsign), vsign);
-            auto* d = reinterpret_cast<__m256i*>(drow + ox);
-            const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(t));
-            const __m256i hi =
-                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(t, 1));
-            _mm256_storeu_si256(d, _mm256_add_epi64(_mm256_loadu_si256(d), lo));
-            _mm256_storeu_si256(
-                d + 1, _mm256_add_epi64(_mm256_loadu_si256(d + 1), hi));
-          }
-          for (; ox < plan.ow; ++ox) {
-            const std::int64_t t = std::int64_t{src[ox]} << shift;
-            drow[ox] += (t ^ sign) - sign;
-          }
-        }
-      }
-    }
-  }
-}
-
 /// Every row tile and column group of one plan, at a compile-time
 /// plane count P (0: the plan's).
 template <int P>
 MAN_TARGET_AVX2 void conv_tiles_avx2(const ConvLayerPlan& plan,
                                      const std::int32_t* multiples,
-                                     std::int64_t* out, int row_tile,
-                                     int col_vecs) {
-  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
-    const int rn = std::min(row_tile, plan.oh - oy0);
+                                     std::int64_t* out) {
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += kConvRowTile) {
+    const int rn = std::min(kConvRowTile, plan.oh - oy0);
     int ox = 0;
     // Two groups while more than one group's positions remain; the
     // second (or the lone last) group is masked to what is left.
-    if (col_vecs >= 2) {
-      for (; plan.ow - ox > kYmmInt32Lanes; ox += 2 * kYmmInt32Lanes) {
-        const int last =
-            std::min(plan.ow - ox - kYmmInt32Lanes, kYmmInt32Lanes);
-        conv_tile_rows_avx2<2, P>(plan, multiples, out, oy0, ox, rn, last);
-      }
+    for (; plan.ow - ox > kYmmInt32Lanes; ox += 2 * kYmmInt32Lanes) {
+      const int last = std::min(plan.ow - ox - kYmmInt32Lanes, kYmmInt32Lanes);
+      conv_tile_rows_avx2<2, P>(plan, multiples, out, oy0, ox, rn, last);
     }
-    for (; ox < plan.ow; ox += kYmmInt32Lanes) {
-      const int last = std::min(plan.ow - ox, kYmmInt32Lanes);
-      conv_tile_rows_avx2<1, P>(plan, multiples, out, oy0, ox, rn, last);
+    if (ox < plan.ow) {
+      conv_tile_rows_avx2<1, P>(plan, multiples, out, oy0, ox, rn,
+                                plan.ow - ox);
     }
   }
 }
 
-MAN_TARGET_AVX2 void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
-                                                 const std::int32_t* multiples,
-                                                 std::int64_t* out,
-                                                 const ConvTileShape& shape) {
-  if (shape.weight_stationary) {
-    conv_ws_avx2(plan, multiples, out);
-    return;
-  }
-  const int row_tile = shape.row_tile > 0
-                           ? std::min(shape.row_tile, kMaxConvRowTile)
-                           : kConvRowTile;
-  const int col_vecs = shape.col_vecs > 0
-                           ? std::min(shape.col_vecs, kMaxConvColVecs)
-                           : kConvColVecs;
-  // Plane count → compile-time unrolled plane loop (8- and 12-bit
-  // weights have at most 2 and 3 quartets).
+/// Plane count → compile-time unrolled plane loop (8- and 12-bit
+/// weights have at most 2 and 3 quartets).
+MAN_TARGET_AVX2 void accumulate_conv_avx2(const ConvLayerPlan& plan,
+                                          const std::int32_t* multiples,
+                                          std::int64_t* out) {
   switch (plan.planes) {
-    case 1:
-      conv_tiles_avx2<1>(plan, multiples, out, row_tile, col_vecs);
-      break;
-    case 2:
-      conv_tiles_avx2<2>(plan, multiples, out, row_tile, col_vecs);
-      break;
-    case 3:
-      conv_tiles_avx2<3>(plan, multiples, out, row_tile, col_vecs);
-      break;
-    default:
-      conv_tiles_avx2<0>(plan, multiples, out, row_tile, col_vecs);
-      break;
+    case 1: conv_tiles_avx2<1>(plan, multiples, out); break;
+    case 2: conv_tiles_avx2<2>(plan, multiples, out); break;
+    case 3: conv_tiles_avx2<3>(plan, multiples, out); break;
+    default: conv_tiles_avx2<0>(plan, multiples, out); break;
   }
 }
 
@@ -458,7 +374,7 @@ class SimdBackend final : public KernelBackend {
                              std::int64_t* out) const override {
 #if MAN_X86_KERNELS
     if (avx2_) {
-      accumulate_conv_avx2_shaped(plan, multiples, out, plan.tile_avx2);
+      accumulate_conv_avx2(plan, multiples, out);
       return;
     }
 #endif
@@ -481,23 +397,6 @@ class SimdBackend final : public KernelBackend {
 const KernelBackend& simd_backend() {
   static const SimdBackend backend;
   return backend;
-}
-
-bool conv_run_shaped_avx2(const ConvLayerPlan& plan,
-                          const std::int32_t* multiples, std::int64_t* out,
-                          const ConvTileShape& shape) {
-#if MAN_X86_KERNELS
-  if (simd_backend().accelerated()) {
-    accumulate_conv_avx2_shaped(plan, multiples, out, shape);
-    return true;
-  }
-#else
-  (void)plan;
-  (void)multiples;
-  (void)out;
-  (void)shape;
-#endif
-  return false;
 }
 
 }  // namespace man::backend::detail

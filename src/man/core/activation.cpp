@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace man::core {
 
@@ -60,10 +61,15 @@ FixedActivationLut::FixedActivationLut(ActivationKind kind,
                                   static_cast<double>(entries - 1);
     table_[i] = output_format_.quantize(activate(kind_, x));
   }
-  build_integer_path();
+  if (!build_integer_path()) {
+    throw std::invalid_argument(
+        "FixedActivationLut: integer address path not provable for clip " +
+        std::to_string(clip_) + " over " + input_format_.to_string() +
+        " with " + std::to_string(address_bits) + " address bits");
+  }
 }
 
-void FixedActivationLut::build_integer_path() {
+bool FixedActivationLut::build_integer_path() {
   // The double path computes
   //   index = lround(((clamp(raw·2^-f, -clip, clip) + clip) / 2clip)
   //                  · (N-1))
@@ -79,30 +85,28 @@ void FixedActivationLut::build_integer_path() {
   //         = ((raw + C)·(N-1) + C) >> log2(2C)   (numerator > 0)
   // matches lround's round-half-up bit for bit, and raw ≤ -C / ≥ +C
   // land on the table edges. The derivation is additionally
-  // probe-verified at every bucket seam ±1 and the clamp edges; any
-  // mismatch keeps the reference path.
-  if (table_.size() < 2) return;
-  if (!(clip_ > 0.0) || !std::isfinite(clip_)) return;
+  // probe-verified at every bucket seam ±1 and the clamp edges.
+  if (table_.size() < 2) return false;
+  if (!(clip_ > 0.0) || !std::isfinite(clip_)) return false;
   const double scaled_clip =
       std::ldexp(clip_, input_format_.frac_bits());
   if (scaled_clip < 1.0 || scaled_clip > std::ldexp(1.0, 51) ||
       scaled_clip != std::floor(scaled_clip)) {
-    return;
+    return false;
   }
   const auto clip_raw = static_cast<std::int64_t>(scaled_clip);
-  if ((clip_raw & (clip_raw - 1)) != 0) return;  // not a power of two
+  if ((clip_raw & (clip_raw - 1)) != 0) return false;  // not a power of two
   int clip_log2 = 0;
   while ((std::int64_t{1} << clip_log2) < clip_raw) ++clip_log2;
   int address_bits = 0;
   while ((std::size_t{1} << address_bits) < table_.size()) ++address_bits;
-  if (clip_log2 + 1 + address_bits > 53) return;
+  if (clip_log2 + 1 + address_bits > 53) return false;
 
   clip_raw_ = clip_raw;
   index_shift_ = clip_log2 + 1;
   index_scale_ = static_cast<std::int64_t>(table_.size()) - 1;
   raw_clamp_lo_ = -clip_raw;
   raw_clamp_hi_ = clip_raw;
-  integer_path_ = true;
 
   // Probe the seams: the raw value where lround tips from bucket
   // i-1 to i is near ((2i-1)·C)/(N-1) - C; check ±1 around each, the
@@ -122,7 +126,7 @@ void FixedActivationLut::build_integer_path() {
                      static_cast<double>(clip_raw_)));
     verified = agrees(seam - 1) && agrees(seam) && agrees(seam + 1);
   }
-  integer_path_ = verified;
+  return verified;
 }
 
 std::int32_t FixedActivationLut::apply_raw_reference(

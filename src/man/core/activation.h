@@ -42,19 +42,20 @@ enum class ActivationKind {
 /// hardware LUT introduces, so engine results carry the same error
 /// sources as the RTL.
 ///
-/// Address arithmetic runs on an **integer-only fast path** whenever
-/// exact equivalence with the original double round-trip can be
-/// established at construction (clip·2^frac integral, power-of-two
-/// clip so the position division is exact, and a bit budget keeping
-/// every intermediate double exact — then the derived clamp window +
-/// multiply/divide index formula is additionally probe-verified at
-/// every bucket seam). Otherwise apply_raw() falls back to the
-/// reference double path; either way the returned entries are
-/// bit-identical, which the exhaustive differential test locks down.
+/// Address arithmetic is integer-only: the constructor proves it
+/// equal to the original double round-trip (clip·2^frac a power-of-two
+/// integer, so the position division is exact, and a bit budget that
+/// keeps every intermediate double exact), probes every bucket seam,
+/// and throws std::invalid_argument when either fails. Every LUT the
+/// engine and Neuron build (clip 8.0, 10 address bits) is provable; the
+/// double path survives only as apply_raw_reference(), the test
+/// oracle the exhaustive differential test compares against.
 class FixedActivationLut {
  public:
   /// `address_bits` table entries cover inputs in [-clip, +clip]
-  /// (clip chosen so sigmoid/tanh saturate: 8.0).
+  /// (clip chosen so sigmoid/tanh saturate: 8.0). Throws
+  /// std::invalid_argument when the integer address path cannot be
+  /// proven equal to apply_raw_reference() for these parameters.
   FixedActivationLut(ActivationKind kind, man::fixed::QFormat input_format,
                      man::fixed::QFormat output_format, int address_bits = 10,
                      double clip = 8.0);
@@ -74,35 +75,28 @@ class FixedActivationLut {
   /// allowed to exceed its range — the LUT clips) to the raw output.
   [[nodiscard]] std::int32_t apply_raw(
       std::int64_t accumulator_raw) const noexcept {
-    if (integer_path_) {
-      if (accumulator_raw <= raw_clamp_lo_) return table_.front();
-      if (accumulator_raw >= raw_clamp_hi_) return table_.back();
-      // round-half-up of (raw + C)·(N-1) / 2C, all exact in int64 —
-      // the bit-for-bit image of lround(position · (N-1)). 2C is a
-      // power of two and the numerator is positive inside the clamp,
-      // so the division is a shift.
-      const std::int64_t index =
-          ((accumulator_raw + clip_raw_) * index_scale_ + clip_raw_) >>
-          index_shift_;
-      return table_[static_cast<std::size_t>(index)];
-    }
-    return apply_raw_reference(accumulator_raw);
+    if (accumulator_raw <= raw_clamp_lo_) return table_.front();
+    if (accumulator_raw >= raw_clamp_hi_) return table_.back();
+    // round-half-up of (raw + C)·(N-1) / 2C, all exact in int64 — the
+    // bit-for-bit image of lround(position · (N-1)). 2C is a power of
+    // two and the numerator is positive inside the clamp, so the
+    // division is a shift.
+    const std::int64_t index =
+        ((accumulator_raw + clip_raw_) * index_scale_ + clip_raw_) >>
+        index_shift_;
+    return table_[static_cast<std::size_t>(index)];
   }
 
   /// The original double round-trip (resolution multiply, clamp,
   /// position, lround) — the reference the integer path must equal
-  /// bit for bit. Public so differential tests can compare the two
-  /// paths over the entire reachable accumulator range.
+  /// bit for bit. Test oracle only: public so differential tests can
+  /// compare the two paths over the entire reachable accumulator
+  /// range.
   [[nodiscard]] std::int32_t apply_raw_reference(
       std::int64_t accumulator_raw) const noexcept;
 
-  /// True when apply_raw() runs the integer-only index arithmetic.
-  [[nodiscard]] bool integer_path_enabled() const noexcept {
-    return integer_path_;
-  }
   /// Raw-domain clamp window of the integer path: inputs ≤ lo map to
-  /// table.front(), ≥ hi to table.back(). Meaningful only when
-  /// integer_path_enabled().
+  /// table.front(), ≥ hi to table.back().
   [[nodiscard]] std::int64_t raw_clamp_lo() const noexcept {
     return raw_clamp_lo_;
   }
@@ -115,17 +109,17 @@ class FixedActivationLut {
   [[nodiscard]] double apply(double x) const noexcept;
 
  private:
-  /// Derives the integer index arithmetic and enables it when exact
-  /// equivalence with the double path is provable (and seam-verified).
-  void build_integer_path();
+  /// Derives the integer index arithmetic; false when exact
+  /// equivalence with the double path is not provable or a seam probe
+  /// disagrees.
+  [[nodiscard]] bool build_integer_path();
 
   ActivationKind kind_;
   man::fixed::QFormat input_format_;
   man::fixed::QFormat output_format_;
   double clip_;
   std::vector<std::int32_t> table_;
-  // Integer fast path (valid when integer_path_):
-  bool integer_path_ = false;
+  // Integer address path:
   std::int64_t clip_raw_ = 0;      ///< C = clip · 2^frac (exact)
   int index_shift_ = 0;            ///< log2(2C)
   std::int64_t index_scale_ = 0;   ///< N - 1

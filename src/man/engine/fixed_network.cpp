@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "man/backend/conv_autotune.h"
 #include "man/core/quartet.h"
 #include "man/core/weight_constraint.h"
 #include "man/nn/activation_layer.h"
@@ -478,15 +477,6 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
 
   link_stages();
   plan_int32_lanes();
-  // One-shot register-blocking microbench: pick the int32 vector
-  // kernels' tile shapes for each conv geometry that runs them (no-op
-  // when tiny). Lowered plans and plans saved on a host without live
-  // vector backends arrive untuned.
-  for (std::size_t i = 0; i < conv_plans_.size(); ++i) {
-    if (conv_int32_lanes_[i] && !conv_plans_[i].tiles_tuned) {
-      man::backend::autotune_conv_plan(conv_plans_[i]);
-    }
-  }
   build_tables();
   default_kernel_ = &man::backend::resolve();
 }

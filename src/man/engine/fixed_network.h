@@ -122,7 +122,7 @@ class FixedNetwork {
   /// order — the one construction body, which the compile route and
   /// the artifact loader both reach: pre-computer banks, staging
   /// tables and activation LUTs are rebuilt deterministically from the
-  /// descriptors, and conv plans not yet tuned are autotuned here.
+  /// descriptors.
   /// `storage` (may be null) is pinned for the engine's lifetime;
   /// plans with borrowed arrays point into it. Throws
   /// std::invalid_argument on a descriptor that would read past its

@@ -199,13 +199,13 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
   EXPECT_THROW((void)load_engine(file, "key"), SerializationError);
 }
 
-// Older (e.g. version 1, which still carried the AoS schedule) and
-// newer formats alike.
+// Older (version 1 still carried the AoS schedule, version 2 the
+// per-plan conv tile shapes) and newer formats alike.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
+  static_assert(kArtifactVersion == 3);
   const FixedNetwork engine(compile(make_mlp(3), 8, 4));
   const std::string file = path("engine.plan");
-  for (const std::uint32_t version :
-       {kArtifactVersion - 1, kArtifactVersion + 1}) {
+  for (const std::uint32_t version : {1u, 2u, kArtifactVersion + 1}) {
     save_engine(engine, file, "key");
     {
       // The version field sits at byte 8, right after the magic.
@@ -253,6 +253,8 @@ class ArtifactBytes {
     return find(values.data(), values.size() * sizeof(T));
   }
 
+  [[nodiscard]] const std::vector<char>& bytes() const { return bytes_; }
+
   template <typename T>
   [[nodiscard]] T get(std::size_t at) const {
     T value;
@@ -276,6 +278,23 @@ class ArtifactBytes {
   std::string file_;
   std::vector<char> bytes_;
 };
+
+// An artifact is a function of the network and its compile settings
+// only: two compiles of the same conv network in one process save
+// byte-identical files (nothing timed at build time, such as a
+// measured conv tile, may reach the file).
+TEST_F(PlanArtifactTest, SameNetworkSavesByteIdenticalArtifacts) {
+  const FixedNetwork first(compile(make_cnn(8), 8, 4));
+  const FixedNetwork second(compile(make_cnn(8), 8, 4));
+  ASSERT_EQ(first.conv_plans().size(), 1u);
+  ASSERT_TRUE(first.conv_int32_lanes(0));
+  save_engine(first, path("first.plan"), "key");
+  save_engine(second, path("second.plan"), "key");
+  const ArtifactBytes a(path("first.plan"));
+  const ArtifactBytes b(path("second.plan"));
+  ASSERT_FALSE(a.bytes().empty());
+  EXPECT_TRUE(a.bytes() == b.bytes());
+}
 
 template <typename T>
 std::vector<T> copy_of(const man::backend::PlanArray<T>& array) {

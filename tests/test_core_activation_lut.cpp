@@ -5,13 +5,15 @@
 // clamp window (everything beyond it is saturated and spot-checked
 // out to the extremes) for every activation kind × accumulator
 // QFormat × address_bits combination the registered apps use, plus
-// seam/boundary and fallback coverage for formats outside that set.
+// seam/boundary coverage for formats outside that set and the
+// constructor's rejection of LUTs whose integer path is unprovable.
 #include "man/core/activation.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "man/util/rng.h"
 
@@ -53,8 +55,6 @@ TEST(FixedActivationLutInteger, ExhaustiveOverAppCombinations) {
          {ActivationKind::kTanh, ActivationKind::kSigmoid,
           ActivationKind::kRelu, ActivationKind::kIdentity}) {
       const FixedActivationLut lut(kind, acc, out, /*address_bits=*/10);
-      ASSERT_TRUE(lut.integer_path_enabled())
-          << to_string(kind) << " over " << acc.to_string();
       // The window is [-8·2^frac, +8·2^frac]; sweep a margin past it.
       expect_identical_over(lut, lut.raw_clamp_lo() - 1024,
                             lut.raw_clamp_hi() + 1024);
@@ -70,7 +70,6 @@ TEST(FixedActivationLutInteger, BucketSeamsAndClampEdges) {
   const QFormat out = QFormat::input8();
   for (const QFormat& acc : {acc8(), acc12()}) {
     const FixedActivationLut lut(ActivationKind::kTanh, acc, out, 10);
-    ASSERT_TRUE(lut.integer_path_enabled());
     const std::int64_t c = lut.raw_clamp_hi();
     const auto n_minus_1 =
         static_cast<std::int64_t>(lut.table_size()) - 1;
@@ -102,8 +101,6 @@ TEST(FixedActivationLutInteger, NonDefaultAddressBitsAndFormats) {
          {QFormat(30, 6), QFormat(30, 14), QFormat(16, 10)}) {
       const FixedActivationLut lut(ActivationKind::kSigmoid, acc, out,
                                    address_bits);
-      ASSERT_TRUE(lut.integer_path_enabled())
-          << address_bits << "b over " << acc.to_string();
       const std::int64_t window = lut.raw_clamp_hi() - lut.raw_clamp_lo();
       if (window <= (1 << 16)) {
         expect_identical_over(lut, lut.raw_clamp_lo() - 64,
@@ -121,39 +118,28 @@ TEST(FixedActivationLutInteger, NonDefaultAddressBitsAndFormats) {
   }
 }
 
-// A clip that is not a power of two breaks the exactness proof: the
-// constructor must fall back to the reference path — and apply_raw is
-// then the reference, so the contract (bit-identical outputs) holds
-// trivially.
-TEST(FixedActivationLutInteger, NonPowerOfTwoClipFallsBack) {
-  const FixedActivationLut lut(ActivationKind::kTanh, acc8(),
-                               QFormat::input8(), 10, /*clip=*/6.0);
-  EXPECT_FALSE(lut.integer_path_enabled());
-  man::util::Rng rng(5);
-  for (int probe = 0; probe < 10000; ++probe) {
-    const std::int64_t raw = rng.next_in(-(std::int64_t{1} << 20),
-                                         std::int64_t{1} << 20);
-    ASSERT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw));
-  }
+// A clip that is not a power of two breaks the exactness proof (the
+// position division is no longer a shift): the constructor must
+// reject the LUT rather than run a slower double path in production.
+TEST(FixedActivationLutInteger, NonPowerOfTwoClipIsRejected) {
+  EXPECT_THROW(FixedActivationLut(ActivationKind::kTanh, acc8(),
+                                  QFormat::input8(), 10, /*clip=*/6.0),
+               std::invalid_argument);
 }
 
-// A fractional clip whose raw-domain edge is not an integer must also
-// fall back (e.g. clip·2^frac < 1).
-TEST(FixedActivationLutInteger, SubResolutionClipFallsBack) {
-  const FixedActivationLut lut(ActivationKind::kIdentity, QFormat(8, 0),
-                               QFormat::input8(), 4, /*clip=*/0.25);
-  EXPECT_FALSE(lut.integer_path_enabled());
-  for (std::int64_t raw = -16; raw <= 16; ++raw) {
-    ASSERT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw));
-  }
+// A fractional clip whose raw-domain edge is not an integer
+// (clip·2^frac < 1) is rejected too.
+TEST(FixedActivationLutInteger, SubResolutionClipIsRejected) {
+  EXPECT_THROW(FixedActivationLut(ActivationKind::kIdentity, QFormat(8, 0),
+                                  QFormat::input8(), 4, /*clip=*/0.25),
+               std::invalid_argument);
 }
 
-// Power-of-two clips other than the default 8.0 keep the fast path.
+// Power-of-two clips other than the default 8.0 are provable too.
 TEST(FixedActivationLutInteger, AlternatePowerOfTwoClips) {
   for (double clip : {2.0, 4.0, 16.0}) {
     const FixedActivationLut lut(ActivationKind::kTanh, QFormat(24, 10),
                                  QFormat::input8(), 8, clip);
-    ASSERT_TRUE(lut.integer_path_enabled()) << "clip=" << clip;
     expect_identical_over(lut, lut.raw_clamp_lo() - 256,
                           lut.raw_clamp_hi() + 256);
   }
