@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -80,18 +81,17 @@ void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
                       const DenseLayerPlan& plan) {
   dir.write_i32(plan.rows);
   dir.write_i32(plan.cols);
-  dir.write_i32(plan.cols_padded);
   dir.write_i32(plan.k);
-  dir.write_i32(plan.planes);
   dir.write_u32(plan.exact ? 1 : 0);
-  dir.write_u32(plan.zero_slot);
   dir.write_i64(plan.in_min_raw);
   dir.write_i64(plan.in_max_raw);
   write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
-  write_array_ref(dir, arrays, plan.idx);
+  write_array_ref(dir, arrays, plan.row_groups);
+  write_array_ref(dir, arrays, plan.group_begin);
   write_array_ref(dir, arrays, plan.shifts);
   write_array_ref(dir, arrays, plan.sign_masks);
+  write_array_ref(dir, arrays, plan.idx);
 }
 
 void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
@@ -169,8 +169,8 @@ CompiledSynapse read_synapse(SpanReader& dir) {
 // throws SerializationError instead of reading or writing out of
 // bounds.
 
-/// Most quartet planes a plan can have: one step per weight bit at
-/// most, and QFormat caps weights at 31 bits.
+/// Most quartet planes a conv plan can have: one step per weight bit
+/// at most, and QFormat caps weights at 31 bits.
 constexpr int kMaxPlanes = 32;
 
 [[noreturn]] void reject(const std::string& what) {
@@ -184,7 +184,7 @@ std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
   return product;
 }
 
-/// `cols` rounded up to kLaneWidth, as the ASM and conv builders pad.
+/// `cols` rounded up to kLaneWidth, as the conv builders pad.
 std::int64_t padded(std::int64_t cols) {
   using man::backend::kLaneWidth;
   return (cols + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
@@ -198,14 +198,12 @@ int staged_alphabets(const CompiledSynapse& synapse, bool exact) {
                      synapse.scheme.effective_alphabets().size());
 }
 
-/// Plane contents of an ASM plan (dense rows ≡ conv filters): every
-/// entry reads a slot at or below `absent` — the zero slot, or the
-/// zero region's base, which stays in the buffer under every position
-/// base — each weight's steps are packed from plane 0 and the padding
-/// columns are all absent (so every backend walks the same steps),
-/// shifts are in [0, 64) and sign masks are 0 or -1.
-template <typename Plan>
-void check_planes(const Plan& plan, int rows, std::uint32_t absent) {
+/// Plane contents of an ASM conv plan: every entry reads a slot at or
+/// below the zero region's base, which stays in the buffer under every
+/// position base; each weight's steps are packed from plane 0 and the
+/// padding columns are all absent (so every backend walks the same
+/// steps); shifts are in [0, 64) and sign masks are 0 or -1.
+void check_planes(const ConvLayerPlan& plan) {
   if (plan.planes < 0 || plan.planes > kMaxPlanes) reject("bad plane count");
   const std::size_t stride = plan.plane_stride();
   if (plan.idx.size() != static_cast<std::size_t>(plan.planes) * stride ||
@@ -213,7 +211,7 @@ void check_planes(const Plan& plan, int rows, std::uint32_t absent) {
       plan.sign_masks.size() != stride) {
     reject("plane arrays disagree with plan geometry");
   }
-  for (int r = 0; r < rows; ++r) {
+  for (int r = 0; r < plan.oc; ++r) {
     for (int c = 0; c < plan.cols_padded; ++c) {
       const std::size_t cell =
           static_cast<std::size_t>(r) * plan.cols_padded + c;
@@ -221,15 +219,54 @@ void check_planes(const Plan& plan, int rows, std::uint32_t absent) {
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
         const std::uint32_t slot = plan.idx[pc];
-        if (slot > absent || (ended && slot != absent) ||
+        if (slot > plan.zero_base || (ended && slot != plan.zero_base) ||
             plan.shifts[pc] < 0 || plan.shifts[pc] >= 64) {
           reject("plane entry out of range");
         }
-        ended = ended || slot == absent;
+        ended = ended || slot == plan.zero_base;
       }
       if (plan.sign_masks[cell] != 0 && plan.sign_masks[cell] != -1) {
         reject("bad sign mask");
       }
+    }
+  }
+}
+
+/// Offsets of a grouped dense plan: `offsets` starts at 0, never
+/// decreases and ends at `size`.
+void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
+                   const char* what) {
+  if (offsets.empty() || offsets[0] != 0 ||
+      offsets[offsets.size() - 1] != size ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    reject(std::string("bad ") + what + " offsets");
+  }
+}
+
+/// Groups of an ASM dense plan: rows + 1 row offsets into the groups
+/// and groups + 1 group offsets into the terms, both monotone and
+/// ending at their array sizes; every term index below cols · k;
+/// every shift below kMaxDenseShift; every sign mask 0 or -1.
+void check_groups(const DenseLayerPlan& plan) {
+  const std::size_t groups = plan.shifts.size();
+  if (plan.row_groups.size() != static_cast<std::size_t>(plan.rows) + 1 ||
+      plan.sign_masks.size() != groups ||
+      plan.group_begin.size() != groups + 1) {
+    reject("group arrays disagree with plan geometry");
+  }
+  check_offsets(plan.row_groups, groups, "row group");
+  check_offsets(plan.group_begin, plan.idx.size(), "group term");
+  const std::uint64_t slots = checked_mul(static_cast<std::uint64_t>(plan.cols),
+                                          static_cast<std::uint64_t>(plan.k));
+  for (const std::uint32_t slot : plan.idx) {
+    if (slot >= slots) reject("dense term index out of range");
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (plan.shifts[g] < 0 || plan.shifts[g] >= man::backend::kMaxDenseShift) {
+      reject("dense group shift out of range");
+    }
+    if (plan.sign_masks[g] != 0 && plan.sign_masks[g] != -1) {
+      reject("bad sign mask");
     }
   }
 }
@@ -239,21 +276,19 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
   DenseLayerPlan plan;
   plan.rows = dir.read_i32();
   plan.cols = dir.read_i32();
-  plan.cols_padded = dir.read_i32();
   plan.k = dir.read_i32();
-  plan.planes = dir.read_i32();
   plan.exact = dir.read_u32() != 0;
-  plan.zero_slot = dir.read_u32();
   plan.in_min_raw = dir.read_i64();
   plan.in_max_raw = dir.read_i64();
   plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
-  plan.idx = read_array_ref<std::uint32_t>(dir, file);
+  plan.row_groups = read_array_ref<std::uint32_t>(dir, file);
+  plan.group_begin = read_array_ref<std::uint32_t>(dir, file);
   plan.shifts = read_array_ref<std::int64_t>(dir, file);
   plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
+  plan.idx = read_array_ref<std::uint32_t>(dir, file);
 
   if (plan.rows < 0 || plan.cols < 0 ||
-      plan.cols_padded != (plan.exact ? plan.cols : padded(plan.cols)) ||
       plan.k != staged_alphabets(synapse, plan.exact)) {
     reject("bad dense geometry");
   }
@@ -263,16 +298,14 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
   if (plan.exact) {
     if (plan.weights.size() !=
             static_cast<std::size_t>(plan.rows) * plan.cols ||
+        !plan.row_groups.empty() || !plan.group_begin.empty() ||
+        !plan.shifts.empty() || !plan.sign_masks.empty() ||
         !plan.idx.empty()) {
       reject("dense weights disagree with plan geometry");
     }
   } else {
-    if (!plan.weights.empty() ||
-        plan.zero_slot != checked_mul(static_cast<std::uint64_t>(plan.cols),
-                                      static_cast<std::uint64_t>(plan.k))) {
-      reject("bad dense zero slot");
-    }
-    check_planes(plan, plan.rows, plan.zero_slot);
+    if (!plan.weights.empty()) reject("ASM dense plan with weights");
+    check_groups(plan);
   }
   return plan;
 }
@@ -343,7 +376,7 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
       reject("bad conv zero region");
     }
     // idx ≤ zero_base ⇔ idx + max_position_base() < padded_multiples().
-    check_planes(plan, plan.oc, plan.zero_base);
+    check_planes(plan);
   }
   return plan;
 }

@@ -1,10 +1,11 @@
 // Versioned, checksummed flat-blob artifact of one compiled engine:
 // the CompiledModel stage descriptors plus every Dense/ConvLayerPlan,
 // laid out offset-table style so the reader mmap()s the file
-// read-only and points the plan arrays (quartet planes, weights,
-// biases, conv patch offsets) directly at the mapping — no per-field
-// parse of the bulk data, and N processes loading the same artifact
-// share one physical copy through the page cache.
+// read-only and points the plan arrays (dense groups, conv quartet
+// planes, weights, biases, conv patch offsets) directly at the
+// mapping — no per-field parse of the bulk data, and N processes
+// loading the same artifact share one physical copy through the page
+// cache.
 //
 // File layout (all little-endian):
 //
@@ -22,7 +23,7 @@
 //
 // Every validation failure — truncation, flipped payload byte, wrong
 // version, wrong config key, or (behind a valid checksum) a plan whose
-// geometry, plane indices, shifts or sign masks no compiler could have
+// geometry, offsets, indices, shifts or sign masks no compiler could have
 // produced — throws util::SerializationError, so callers fall back to
 // compiling instead of serving a corrupt plan.
 #ifndef MAN_ARTIFACT_PLAN_ARTIFACT_H
@@ -36,10 +37,11 @@
 namespace man::artifact {
 
 /// Artifact format version; readers reject anything else. Since
-/// version 2 a plan's quartet planes are its only schedule layout;
+/// version 2 a plan's compiled layout is its only schedule layout;
 /// version 3 dropped the per-plan conv tile shapes (conv tiles are
-/// fixed per ISA at compile time).
-inline constexpr std::uint32_t kArtifactVersion = 3;
+/// fixed per ISA at compile time); version 4 replaced the dense
+/// quartet planes with (shift, sign) groups of term indices.
+inline constexpr std::uint32_t kArtifactVersion = 4;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

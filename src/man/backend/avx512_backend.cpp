@@ -1,6 +1,6 @@
 // AVX-512 kernel: the AVX2 backend's structure at twice the vector
-// width — 8-lane int64 gathers for one dense sample, one zmm of 16
-// int32 lanes per plan entry for a dense batch tile, and 16 int32
+// width — 8-lane int64 group gathers for one dense sample, one zmm of
+// 16 int32 lanes per term for a dense batch tile, and 16 int32
 // output positions per zmm for a conv plan that fits int32 lanes —
 // plus the deeper register file (32 zmm) that makes taller row tiles
 // profitable, plus lane masking for ragged column groups and row tails
@@ -20,8 +20,8 @@
 // methods stay untagged, because they also run on CPUs without
 // AVX-512, and each makes one call into tagged code after the CPUID
 // check. Without the gate, or on a CPU that lacks AVX-512F/VL,
-// the backend stays registered and runs the portable plane loop
-// (shared with the blocked backend), so MAN_BACKEND=avx512 is always
+// the backend stays registered and runs the portable loops (shared
+// with the blocked backend), so MAN_BACKEND=avx512 is always
 // safe and always bit-identical.
 #include <algorithm>
 
@@ -55,119 +55,69 @@ bool cpu_has_avx512() {
          __builtin_cpu_supports("avx512vl") != 0;
 }
 
-MAN_TARGET_AVX512 std::int64_t hsum_epi64_256(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return _mm_extract_epi64(sum, 0) + _mm_extract_epi64(sum, 1);
-}
-
-MAN_TARGET_AVX512 void accumulate_planes_avx512(const DenseLayerPlan& plan,
-                                                const std::int64_t* multiples,
-                                                std::int64_t* out) {
-  const std::size_t stride = plan.plane_stride();
+// Per-sample dense kernel — dense_groups_avx2 at zmm width: each
+// group's terms gathered 8 int64 multiples at a time (the last,
+// partial gather lane-masked), shifted once, then added or subtracted.
+MAN_TARGET_AVX512 void dense_groups_avx512(const DenseLayerPlan& plan,
+                                           const std::int64_t* multiples,
+                                           std::int64_t* out) {
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.rows; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m512i acc8 = _mm512_setzero_si512();
-    __m256i acc4 = _mm256_setzero_si256();
-    const int main = plan.cols_padded / kZmmLanes * kZmmLanes;
-    for (int c = 0; c < main; c += kZmmLanes) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m512i product = _mm512_setzero_si512();
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
+  const std::uint32_t* begin = plan.group_begin.data();
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
+    __m512i acc = _mm512_setzero_si512();
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      __m512i sum = _mm512_setzero_si512();
+      std::uint32_t t = begin[g];
+      for (; t + kZmmLanes <= begin[g + 1]; t += kZmmLanes) {
         const __m256i vidx =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + pc));
-        const __m512i m = _mm512_i32gather_epi64(vidx, multiples, 8);
-        const __m512i sh = _mm512_loadu_si512(shifts + pc);
-        product = _mm512_add_epi64(product, _mm512_sllv_epi64(m, sh));
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + t));
+        sum = _mm512_add_epi64(sum,
+                               _mm512_i32gather_epi64(vidx, multiples, 8));
       }
-      const __m512i sign = _mm512_loadu_si512(signs + cell);
-      product = _mm512_sub_epi64(_mm512_xor_si512(product, sign), sign);
-      acc8 = _mm512_add_epi64(acc8, product);
-    }
-    // cols_padded is a multiple of kLaneWidth (4), not 8 — one ymm
-    // pass covers the remainder.
-    for (int c = main; c < plan.cols_padded; c += kLaneWidth) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m256i product = _mm256_setzero_si256();
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const __m128i vidx =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + pc));
-        const __m256i m = _mm256_i32gather_epi64(
-            reinterpret_cast<const long long*>(multiples), vidx, 8);
-        const __m256i sh =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(shifts + pc));
-        product = _mm256_add_epi64(product, _mm256_sllv_epi64(m, sh));
+      if (t < begin[g + 1]) {
+        const auto mask = static_cast<__mmask8>((1u << (begin[g + 1] - t)) - 1);
+        const __m256i vidx = _mm256_maskz_loadu_epi32(mask, idx + t);
+        sum = _mm512_add_epi64(
+            sum, _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), mask,
+                                             vidx, multiples, 8));
       }
-      const __m256i sign =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(signs + cell));
-      product = _mm256_sub_epi64(_mm256_xor_si256(product, sign), sign);
-      acc4 = _mm256_add_epi64(acc4, product);
+      sum = _mm512_sll_epi64(sum, _mm_cvtsi64_si128(plan.shifts[g]));
+      acc = plan.sign_masks[g] != 0 ? _mm512_sub_epi64(acc, sum)
+                                    : _mm512_add_epi64(acc, sum);
     }
-    out[r] = plan.biases[static_cast<std::size_t>(r)] +
-             _mm512_reduce_add_epi64(acc8) + hsum_epi64_256(acc4);
+    out[r] = plan.biases[r] + _mm512_reduce_add_epi64(acc);
   }
 }
 
-// Batch-tiled dense kernel — dense_tile_avx2 at zmm width (see there
-// for the layout, the Σ(p ^ s) − Σs sign argument and the int32
-// proof): kDenseTile int32 sample lanes are exactly one zmm, so a plan
-// entry is one scalar idx and one uniform shift count driving a single
-// plain load, and each row is one accumulator widened to two int64
-// zmm at the end.
-template <int P>
-MAN_TARGET_AVX512 void dense_tile_avx512(const DenseLayerPlan& plan,
-                                         const std::int32_t* tile,
-                                         std::int64_t* out) {
+// Batch-tiled dense kernel — dense_groups_tile_avx2 at zmm width (see
+// there for the layout and the int32 proof): kDenseTile int32 sample
+// lanes are exactly one zmm, so a term is one scalar idx driving one
+// plain load and add, and each row is one accumulator widened to two
+// int64 zmm at the end.
+MAN_TARGET_AVX512 void dense_groups_tile_avx512(const DenseLayerPlan& plan,
+                                                const std::int32_t* tile,
+                                                std::int64_t* out) {
   static_assert(kDenseTile == 16, "one zmm of int32 lanes per tile");
-  const int planes = P > 0 ? P : plan.planes;
-  const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.rows; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+  const std::uint32_t* begin = plan.group_begin.data();
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     __m512i acc = _mm512_setzero_si512();
-    std::int64_t sign_sum = 0;
-    for (int c = 0; c < plan.cols; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m512i product = _mm512_setzero_si512();
-      for (int q = 0; q < planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::int32_t* src = tile + std::size_t{idx[pc]} * kDenseTile;
-        const __m512i lanes = _mm512_loadu_si512(src);
-        const __m128i sh = _mm_cvtsi64_si128(shifts[pc]);
-        product = _mm512_add_epi32(product, _mm512_sll_epi32(lanes, sh));
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      __m512i sum = _mm512_setzero_si512();
+      for (std::uint32_t t = begin[g]; t < begin[g + 1]; ++t) {
+        sum = _mm512_add_epi32(
+            sum, _mm512_loadu_si512(tile + std::size_t{idx[t]} * kDenseTile));
       }
-      const std::int64_t sign = signs[cell];
-      const __m512i vsign = _mm512_set1_epi32(static_cast<int>(sign));
-      acc = _mm512_add_epi32(acc, _mm512_xor_si512(product, vsign));
-      sign_sum += sign;
+      sum = _mm512_sll_epi32(sum, _mm_cvtsi64_si128(plan.shifts[g]));
+      acc = plan.sign_masks[g] != 0 ? _mm512_sub_epi32(acc, sum)
+                                    : _mm512_add_epi32(acc, sum);
     }
-    const __m512i bias = _mm512_set1_epi64(
-        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * kDenseTile;
+    const __m512i bias = _mm512_set1_epi64(plan.biases[r]);
+    std::int64_t* dst = out + r * kDenseTile;
     const __m512i lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
     const __m512i hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc, 1));
     _mm512_storeu_si512(dst, _mm512_add_epi64(lo, bias));
     _mm512_storeu_si512(dst + kZmmLanes, _mm512_add_epi64(hi, bias));
-  }
-}
-
-/// Plane count → compile-time unrolled plane loop (8- and 12-bit
-/// weights have at most 2 and 3 quartets).
-MAN_TARGET_AVX512 void accumulate_planes_tile_avx512(
-    const DenseLayerPlan& plan, const std::int32_t* tile, std::int64_t* out) {
-  switch (plan.planes) {
-    case 1: dense_tile_avx512<1>(plan, tile, out); break;
-    case 2: dense_tile_avx512<2>(plan, tile, out); break;
-    case 3: dense_tile_avx512<3>(plan, tile, out); break;
-    default: dense_tile_avx512<0>(plan, tile, out); break;
   }
 }
 
@@ -336,7 +286,7 @@ class Avx512Backend final : public KernelBackend {
     return "avx512";
   }
   [[nodiscard]] const char* description() const noexcept override {
-    return avx512_ ? "AVX-512F/VL 16-lane int32 position tiles over SoA planes"
+    return avx512_ ? "AVX-512F/VL group gathers and 16-lane int32 tiles"
                    : "portable fallback (CPU lacks AVX-512F/VL)";
   }
   [[nodiscard]] bool accelerated() const noexcept override {
@@ -348,11 +298,11 @@ class Avx512Backend final : public KernelBackend {
                         std::int64_t* out) const override {
 #if MAN_X86_KERNELS
     if (avx512_) {
-      accumulate_planes_avx512(plan, multiples, out);
+      dense_groups_avx512(plan, multiples, out);
       return;
     }
 #endif
-    accumulate_planes(plan, multiples, out);
+    accumulate_groups(plan, multiples, out);
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
@@ -360,11 +310,11 @@ class Avx512Backend final : public KernelBackend {
                              std::int64_t* out) const override {
 #if MAN_X86_KERNELS
     if (avx512_) {
-      accumulate_planes_tile_avx512(plan, tile, out);
+      dense_groups_tile_avx512(plan, tile, out);
       return;
     }
 #endif
-    accumulate_planes_tile(plan, tile, out);
+    accumulate_groups_tile(plan, tile, out);
   }
 
   void exact_dense(const DenseLayerPlan& plan,

@@ -1,6 +1,6 @@
-// Blocked-scalar kernel: branch-free walk over the contiguous quartet
-// planes with padded fixed trip counts — plain C++ the compiler can
-// unroll and auto-vectorize, no intrinsics.
+// Blocked-scalar kernel: branch-free walks over the dense groups and
+// the conv planes — plain C++ the compiler can unroll and
+// auto-vectorize, no intrinsics.
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
 
@@ -17,20 +17,20 @@ class BlockedBackend final : public KernelBackend {
     return "blocked";
   }
   [[nodiscard]] const char* description() const noexcept override {
-    return "branch-free blocked-scalar over SoA quartet planes";
+    return "branch-free blocked-scalar over groups and planes";
   }
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-    accumulate_planes(plan, multiples, out);
+    accumulate_groups(plan, multiples, out);
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
                              const std::int32_t* tile,
                              std::int64_t* out) const override {
-    accumulate_planes_tile(plan, tile, out);
+    accumulate_groups_tile(plan, tile, out);
   }
 
   void exact_dense(const DenseLayerPlan& plan,

@@ -1,8 +1,9 @@
-// Multi-backend quartet accumulation: the inner MAC loop of the
+// Multi-backend ASM accumulation: the inner MAC loop of the
 // fixed-point engine abstracted behind a KernelBackend interface, so
-// the same compiled DenseLayerPlan can run on the extracted scalar
-// reference, an auto-vectorizable blocked-scalar kernel, or explicit
-// AVX2/AVX-512 SIMD kernels — all under one bit-exactness contract
+// the same compiled plans — a dense plan's (shift, sign) groups, a
+// conv plan's quartet planes — run on the extracted scalar reference,
+// an auto-vectorizable blocked-scalar kernel, or explicit AVX2/AVX-512
+// SIMD kernels — all under one bit-exactness contract
 // (every backend must produce accumulators identical to the scalar
 // reference; the Fig 9 replay gate enforces this in CI).
 //
@@ -23,15 +24,15 @@
 
 namespace man::backend {
 
-/// Registered quartet-accumulation kernels.
+/// Registered accumulation kernels.
 enum class BackendKind {
-  kScalar,   ///< extracted reference loop, one weight at a time
-             ///< over the SoA planes
-  kBlocked,  ///< branch-free blocked-scalar loop over the SoA planes
-  kSimd,     ///< AVX2 intrinsics (portable plane loop off x86-64 or
+  kScalar,   ///< extracted reference loop, one row at a time over the
+             ///< dense groups, one weight at a time over the conv planes
+  kBlocked,  ///< branch-free blocked-scalar loops
+  kSimd,     ///< AVX2 intrinsics (portable loops off x86-64 or
              ///< when the CPU lacks AVX2)
   kAvx512,   ///< AVX-512F/VL intrinsics, 16-lane int32 position
-             ///< tiles for conv (portable plane loop off x86-64 or
+             ///< tiles for conv (portable loops off x86-64 or
              ///< when the CPU lacks AVX-512F/VL)
 };
 
@@ -55,10 +56,10 @@ class KernelBackend {
   /// Every registered backend is always *runnable*.
   [[nodiscard]] virtual bool accelerated() const noexcept = 0;
 
-  /// ASM quartet accumulation for one dense stage:
-  /// out[r] = biases[r] + Σ_c sign · Σ_q multiples[idx] << shift.
+  /// ASM accumulation for one dense stage, group by group:
+  /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g].
   /// `multiples` holds plan.padded_multiples() slots (cols × k bank
-  /// outputs plus the trailing zero slot, which must be 0).
+  /// outputs, k-strided).
   virtual void accumulate_dense(const DenseLayerPlan& plan,
                                 const std::int64_t* multiples,
                                 std::int64_t* out) const = 0;
@@ -66,14 +67,14 @@ class KernelBackend {
   /// accumulate_dense over a tile of kDenseTile samples at once, laid
   /// out sample-minor in int32 lanes: slot s of sample b lives at
   /// tile[s·kDenseTile + b] (plan.padded_multiples() × kDenseTile
-  /// values; the zero slot's kDenseTile lanes must be 0), and row r of
-  /// sample b lands at out[r·kDenseTile + b]. Each plan entry is read
-  /// once per tile and drives kDenseTile contiguous lanes — one zmm or
-  /// two ymm — so the plan indices stay unchanged (the kernel scales
-  /// them by kDenseTile) and vector kernels use plain loads where the
-  /// per-sample kernel gathers. Products and Σ (p ^ sign) accumulate in
-  /// int32; each row is widened to int64 before the bias and −Σ sign
-  /// are added. Callers must hold int32_row_bound(plan, ...) ≤
+  /// values), and row r of sample b lands at out[r·kDenseTile + b].
+  /// Each term is read once per tile and adds kDenseTile contiguous
+  /// lanes — one zmm or two ymm — so the plan indices stay unchanged
+  /// (the kernel scales them by kDenseTile) and vector kernels use
+  /// plain loads where the per-sample kernel gathers. Group sums and
+  /// the row accumulate in int32; each group is shifted once, and each
+  /// row is widened to int64 before the bias is added. Callers must
+  /// hold int32_row_bound(plan, ...) ≤
   /// INT32_MAX for the staged inputs (FixedNetwork tiles only such
   /// plans); the scalar reference accumulates in int64 regardless.
   /// Bit-identical to kDenseTile accumulate_dense calls.

@@ -3,6 +3,8 @@
 #include "man/backend/conv_autotune.h"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -19,7 +21,6 @@ DenseLayerPlan DenseLayerPlan::build_exact(int rows, int cols,
   DenseLayerPlan plan;
   plan.rows = rows;
   plan.cols = cols;
-  plan.cols_padded = cols;
   plan.exact = true;
   plan.weights = std::move(weights);
   plan.biases = std::move(biases);
@@ -38,38 +39,74 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
   DenseLayerPlan plan;
   plan.rows = rows;
   plan.cols = cols;
-  plan.cols_padded = (cols + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
   plan.k = k;
-  plan.zero_slot = static_cast<std::uint32_t>(cols) * k;
   plan.biases = std::move(biases);
 
+  // One stable counting pass per row over (shift, sign) buckets, key
+  // shift · 2 + negative: columns arrive in ascending order, so a
+  // bucket is already sorted by idx unless one weight put two steps
+  // into it out of lane order.
+  constexpr std::size_t kBuckets = 2 * kMaxDenseShift;
+  std::vector<std::uint32_t> row_groups{0};
+  std::vector<std::uint32_t> group_begin{0};
+  std::vector<std::int64_t> shifts;
+  std::vector<std::int64_t> sign_masks;
+  std::size_t total = 0;
   for (const AsmWeight& w : asm_weights) {
-    plan.planes = std::max(plan.planes, static_cast<int>(w.step_count));
+    if (w.step_begin + std::size_t{w.step_count} > steps.size()) {
+      throw std::invalid_argument("DenseLayerPlan: schedule past its steps");
+    }
+    total += w.step_count;
   }
-
-  // Quartet planes: every (plane, weight) cell resolves to a padded
-  // multiples offset + shift; cells past a weight's step count and the
-  // column-padding cells read the zero slot, so kernels never branch.
-  const std::size_t stride = plan.plane_stride();
-  plan.idx.assign(static_cast<std::size_t>(plan.planes) * stride,
-                  plan.zero_slot);
-  plan.shifts.assign(static_cast<std::size_t>(plan.planes) * stride, 0);
-  plan.sign_masks.assign(stride, 0);
-  for (int r = 0; r < rows; ++r) {
+  std::vector<std::uint32_t> idx(total);
+  std::size_t terms = 0;
+  row_groups.reserve(static_cast<std::size_t>(rows) + 1);
+  const auto for_each_step = [&](int r, auto&& visit) {
     for (int c = 0; c < cols; ++c) {
-      const AsmWeight& w =
-          asm_weights[static_cast<std::size_t>(r) * cols + c];
-      const std::size_t cell =
-          static_cast<std::size_t>(r) * plan.cols_padded + c;
-      plan.sign_masks[cell] = w.negative ? -1 : 0;
+      const AsmWeight& w = asm_weights[static_cast<std::size_t>(r) * cols + c];
       for (std::uint8_t s = 0; s < w.step_count; ++s) {
         const AsmStep& step = steps[w.step_begin + s];
-        plan.idx[s * stride + cell] =
-            static_cast<std::uint32_t>(c) * k + step.lane;
-        plan.shifts[s * stride + cell] = step.shift;
+        if (step.lane >= k || step.shift >= kMaxDenseShift) {
+          throw std::invalid_argument(
+              "DenseLayerPlan: step lane " + std::to_string(step.lane) +
+              " shift " + std::to_string(step.shift) + " out of range");
+        }
+        visit(step.shift * 2u + (w.negative ? 1u : 0u),
+              static_cast<std::uint32_t>(c) * k + step.lane);
       }
     }
+  };
+  for (int r = 0; r < rows; ++r) {
+    // Bucket key's terms land at terms + [bounds[key], bounds[key+1]).
+    std::array<std::size_t, kBuckets + 1> bounds{};
+    for_each_step(r,
+                  [&](std::size_t key, std::uint32_t) { ++bounds[key + 1]; });
+    std::partial_sum(bounds.begin(), bounds.end(), bounds.begin());
+    std::array<std::size_t, kBuckets> next{};
+    std::copy_n(bounds.begin(), kBuckets, next.begin());
+    for_each_step(r, [&](std::size_t key, std::uint32_t slot) {
+      idx[terms + next[key]++] = slot;
+    });
+    for (std::size_t key = 0; key < kBuckets; ++key) {
+      if (bounds[key] == bounds[key + 1]) continue;
+      const auto first =
+          idx.begin() + static_cast<std::ptrdiff_t>(terms + bounds[key]);
+      const auto last =
+          idx.begin() + static_cast<std::ptrdiff_t>(terms + bounds[key + 1]);
+      if (!std::is_sorted(first, last)) std::sort(first, last);
+      shifts.push_back(static_cast<std::int64_t>(key / 2));
+      sign_masks.push_back(key % 2 == 1 ? -1 : 0);
+      group_begin.push_back(
+          static_cast<std::uint32_t>(terms + bounds[key + 1]));
+    }
+    terms += bounds[kBuckets];
+    row_groups.push_back(static_cast<std::uint32_t>(shifts.size()));
   }
+  plan.row_groups = std::move(row_groups);
+  plan.group_begin = std::move(group_begin);
+  plan.shifts = std::move(shifts);
+  plan.sign_masks = std::move(sign_masks);
+  plan.idx = std::move(idx);
   return plan;
 }
 
@@ -190,56 +227,69 @@ ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
 
 namespace {
 
-// Slot layout of the two plan kinds, for the row bound: the absent
-// slot (zero slot or zero-region base), the alphabet lane a staged
-// slot holds, and whether every read through a slot stays in that
-// lane. Dense slots are k-strided (lane = slot % k) and read once.
-// Conv slots are lane-major (lane = slot / (ic·ih·iw)) and read at
-// slot + oy·iw + ox, which stays in the slot's lane when its element
-// plus the largest position base does.
-std::uint32_t absent_slot(const DenseLayerPlan& plan) { return plan.zero_slot; }
-std::uint32_t absent_slot(const ConvLayerPlan& plan) { return plan.zero_base; }
-std::size_t row_count(const DenseLayerPlan& plan) {
-  return static_cast<std::size_t>(plan.rows);
-}
-std::size_t row_count(const ConvLayerPlan& plan) {
-  return static_cast<std::size_t>(plan.oc);
-}
-std::size_t lane_of(const DenseLayerPlan& plan, std::uint32_t slot) {
-  return slot % static_cast<std::size_t>(plan.k);
-}
-std::size_t lane_of(const ConvLayerPlan& plan, std::uint32_t slot) {
-  return slot / plan.input_elems();
-}
-bool reads_in_lane(const DenseLayerPlan& /*plan*/, std::uint32_t /*slot*/) {
-  return true;
-}
-bool reads_in_lane(const ConvLayerPlan& plan, std::uint32_t slot) {
-  return slot % plan.input_elems() + plan.max_position_base() <
-         plan.input_elems();
-}
+constexpr std::int64_t kMax = kInt32RowOverflow - 1;
 
+/// X · max(alphabets), the largest staged slot, with X the staging
+/// window's bound; kInt32RowOverflow when the plan cannot run int32
+/// lanes at all (exact, no window, alphabets that are not the plan's).
 template <typename Plan>
-std::int64_t row_bound(const Plan& plan,
-                       std::span<const std::uint8_t> alphabets) {
-  constexpr std::int64_t kMax = kInt32RowOverflow - 1;
+std::int64_t slot_bound(const Plan& plan,
+                        std::span<const std::uint8_t> alphabets,
+                        std::int64_t& x) {
   const auto k = static_cast<std::size_t>(plan.k);
   if (plan.exact || !plan.has_input_range() || k < 1 ||
       alphabets.size() != k || plan.in_min_raw < -kMax ||
       plan.in_max_raw > kMax) {
     return kInt32RowOverflow;
   }
-  const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);
-  // Every staged slot holds X · a, which the int32 lanes store as is.
-  std::int64_t bound =
+  x = std::max(-plan.in_min_raw, plan.in_max_raw);
+  const std::int64_t bound =
       x * *std::max_element(alphabets.begin(), alphabets.end());
+  return bound > kMax ? kInt32RowOverflow : bound;
+}
+
+}  // namespace
+
+std::int64_t int32_row_bound(const DenseLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets) {
+  std::int64_t x = 0;
+  std::int64_t bound = slot_bound(plan, alphabets, x);
+  if (bound > kMax) return kInt32RowOverflow;
+  const std::size_t slots = plan.padded_multiples();
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
+    std::int64_t row = 0;
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      const std::int64_t shift = plan.shifts[g];
+      if (shift < 0 || shift > 30) return kInt32RowOverflow;
+      std::int64_t group = 0;
+      for (std::size_t t = plan.group_begin[g]; t < plan.group_begin[g + 1];
+           ++t) {
+        if (plan.idx[t] >= slots) return kInt32RowOverflow;
+        group += x * alphabets[plan.idx[t] % alphabets.size()];
+        if (group > kMax) return kInt32RowOverflow;
+      }
+      if (group > (kMax >> shift)) return kInt32RowOverflow;
+      row += group << shift;
+      if (row > kMax) return kInt32RowOverflow;
+    }
+    bound = std::max(bound, row);
+  }
+  return bound;
+}
+
+std::int64_t int32_row_bound(const ConvLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets) {
+  std::int64_t x = 0;
+  std::int64_t bound = slot_bound(plan, alphabets, x);
   if (bound > kMax) return kInt32RowOverflow;
 
-  // Row sums: one per negative weight, then plane by plane, so each
-  // plane streams once.
-  const std::uint32_t absent = absent_slot(plan);
+  // Filter sums: one per negative weight, then plane by plane, so
+  // each plane streams once. Slots are lane-major (lane = slot /
+  // (ic·ih·iw)) and read at slot + oy·iw + ox, which stays in the
+  // slot's lane when its element plus the largest position base does.
+  const std::size_t elems = plan.input_elems();
   const std::size_t stride = plan.plane_stride();
-  std::vector<std::int64_t> sums(row_count(plan), 0);
+  std::vector<std::int64_t> sums(static_cast<std::size_t>(plan.oc), 0);
   for (std::size_t r = 0; r < sums.size(); ++r) {
     for (int c = 0; c < plan.cols; ++c) {
       sums[r] += plan.sign_masks[r * plan.cols_padded + c] != 0 ? 1 : 0;
@@ -253,12 +303,13 @@ std::int64_t row_bound(const Plan& plan,
         const std::int64_t shift = plan.shifts[pc];
         const std::uint32_t slot = plan.idx[pc];
         // The int32 kernels shift every entry, absent ones too.
-        if (shift < 0 || shift > 30 || slot > absent ||
-            (slot < absent && !reads_in_lane(plan, slot))) {
+        if (shift < 0 || shift > 30 || slot > plan.zero_base ||
+            (slot < plan.zero_base &&
+             slot % elems + plan.max_position_base() >= elems)) {
           return kInt32RowOverflow;
         }
         const std::int64_t staged =
-            slot == absent ? 0 : x * alphabets[lane_of(plan, slot)];
+            slot == plan.zero_base ? 0 : x * alphabets[slot / elems];
         if (staged > (kMax >> shift)) return kInt32RowOverflow;
         sums[r] += staged << shift;
       }
@@ -267,18 +318,6 @@ std::int64_t row_bound(const Plan& plan,
   }
   for (const std::int64_t sum : sums) bound = std::max(bound, sum);
   return bound;
-}
-
-}  // namespace
-
-std::int64_t int32_row_bound(const DenseLayerPlan& plan,
-                             std::span<const std::uint8_t> alphabets) {
-  return row_bound(plan, alphabets);
-}
-
-std::int64_t int32_row_bound(const ConvLayerPlan& plan,
-                             std::span<const std::uint8_t> alphabets) {
-  return row_bound(plan, alphabets);
 }
 
 std::string to_string(const ConvTileShape& shape) {

@@ -1,18 +1,23 @@
-// Structure-of-arrays execution plan for one dense synapse stage: the
-// compiled select/shift schedule as contiguous quartet planes — the
-// plan's one layout, read by every backend (the scalar reference
-// included) and saved as-is in plan artifacts — laid out so the inner
-// accumulation loop is branch-free and SIMD-friendly.
+// Execution plans for the synapse stages: the one layout of each
+// stage kind, read by every backend (the scalar reference included)
+// and saved as-is in plan artifacts.
 //
-// Per quartet plane q and weight w the plan stores
-//   idx[q][w]   : offset into the padded pre-computer multiples array
-//                 (absent quartets point at a trailing always-zero slot)
-//   shift[q][w] : total left shift of that quartet's alphabet multiple
-// and per weight a sign mask m (0 or -1) so the signed contribution is
-// (product ^ m) - m — exact two's-complement negation, no branch.
-// Weight columns are padded to a multiple of kLaneWidth so vector
-// kernels never need a scalar tail; padding entries read the zero slot
-// and carry sign mask 0, contributing nothing.
+// The paper's neuron sums ±(a·x) << s over every weight's quartets.
+// A dense row's shifts and signs take only a few values, so the dense
+// plan adds first and scales once: it groups each row's terms by
+// (shift, sign) and stores
+//   row_groups[r]  : row r's first group (rows + 1 offsets)
+//   group_begin[g] : group g's first term (groups + 1 offsets)
+//   shifts[g], sign_masks[g] : the group's left shift and sign (0/-1)
+//   idx[t]         : term t's slot c·k + lane in the multiples buffer
+// so out[r] = bias[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g]: one
+// load and add per term, one shift and one add or subtract per group,
+// 4 bytes per term and no padding or absent entries.
+//
+// The conv plan keeps quartet planes: per plane q and weight w an
+// offset into the padded multiples buffer (absent quartets point at an
+// always-zero region) and a shift, and per weight a sign mask, padded
+// to a multiple of kLaneWidth columns.
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
@@ -116,7 +121,7 @@ class PlanArray {
 
 /// One select/shift step of a compiled ASM weight (paper Fig 4: one
 /// quartet = one pre-computer lane selected, shifted into place).
-/// build_asm() input only: plans keep the planes built from it.
+/// build_asm() input only: plans keep the layout built from it.
 struct AsmStep {
   std::uint8_t lane;   ///< index into the bank's alphabet outputs
   std::uint8_t shift;  ///< total left shift
@@ -129,16 +134,20 @@ struct AsmWeight {
   bool negative = false;
 };
 
-/// SIMD lane width the planes are padded for (int64 lanes of one
+/// SIMD lane width the conv planes are padded for (int64 lanes of one
 /// 256-bit vector).
 inline constexpr int kLaneWidth = 4;
+
+/// Shifts a dense plan may carry: [0, kMaxDenseShift). Weights are at
+/// most 31 bits wide, so no compiled step shifts further.
+inline constexpr int kMaxDenseShift = 32;
 
 /// Samples per batch tile of the dense tile kernels
 /// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
 /// slot s of sample b sits at tile[s·kDenseTile + b] as an int32
-/// (int32_row_bound() proves the plan's sums fit), so every plan
-/// entry is read once per tile and applied to kDenseTile contiguous
-/// lanes — one zmm, two ymm, one 64-byte line. Rows come out int64 at
+/// (int32_row_bound() proves the plan's sums fit), so every term is
+/// read once per tile and adds kDenseTile contiguous lanes — one zmm,
+/// two ymm, one 64-byte line. Rows come out int64 at
 /// out[r·kDenseTile + b]. A fixed constant, not a knob: a wider tile
 /// would tile even fewer serving micro-batches, of which only a full
 /// 64-sample batch on 4 workers shards into 16-sample ranges
@@ -163,28 +172,27 @@ struct ConvTileShape {
 /// reconstructed from an mmap'ed plan artifact (borrowed arrays
 /// pointing into the mapping, which the loading engine keeps alive).
 struct DenseLayerPlan {
-  int rows = 0;         ///< output neurons
-  int cols = 0;         ///< input features
-  int cols_padded = 0;  ///< cols rounded up to kLaneWidth
-  int k = 0;            ///< alphabet count (bank outputs per input)
-  int planes = 0;       ///< max step count over all weights
-  bool exact = false;   ///< conventional layer: use `weights`, no planes
+  int rows = 0;        ///< output neurons
+  int cols = 0;        ///< input features
+  int k = 0;           ///< alphabet count (bank outputs per input)
+  bool exact = false;  ///< conventional layer: use `weights`, no groups
 
   /// Exact path: quantized weights, row-major rows × cols.
   PlanArray<std::int32_t> weights;
   /// Biases at product scale, one per row (both paths).
   PlanArray<std::int64_t> biases;
 
-  /// ASM path, SoA planes (every backend walks these).
-  /// Plane-major: entry for plane q, row r, column c lives at
-  /// q * rows * cols_padded + r * cols_padded + c. A weight's steps
-  /// are packed from plane 0; its first zero-slot entry ends it.
-  PlanArray<std::uint32_t> idx;
-  PlanArray<std::int64_t> shifts;
-  /// Per-weight sign masks, rows × cols_padded (0 or -1).
-  PlanArray<std::int64_t> sign_masks;
-  /// Index of the always-zero multiples slot (== cols * k).
-  std::uint32_t zero_slot = 0;
+  /// ASM path, grouped terms (every backend walks these). Row r owns
+  /// groups [row_groups[r], row_groups[r+1]), group g owns terms
+  /// [group_begin[g], group_begin[g+1]) and adds
+  /// (Σ multiples[idx[t]]) << shifts[g], subtracted when
+  /// sign_masks[g] is -1. build_asm() orders a row's groups by
+  /// (shift, sign) and a group's terms by idx.
+  PlanArray<std::uint32_t> row_groups;   ///< rows + 1 offsets
+  PlanArray<std::uint32_t> group_begin;  ///< groups + 1 offsets
+  PlanArray<std::int64_t> shifts;        ///< per group, < kMaxDenseShift
+  PlanArray<std::int64_t> sign_masks;    ///< per group, 0 or -1
+  PlanArray<std::uint32_t> idx;          ///< per term, below cols · k
 
   /// Staging window: the activation QFormat's raw range
   /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
@@ -202,15 +210,9 @@ struct DenseLayerPlan {
     return in_min_raw <= in_max_raw;
   }
 
-  /// Slots the multiples buffer must provide: cols × k bank outputs
-  /// plus the trailing zero slot.
+  /// Slots the multiples buffer must provide: cols × k bank outputs.
   [[nodiscard]] std::size_t padded_multiples() const noexcept {
-    return static_cast<std::size_t>(cols) * k + 1;
-  }
-
-  /// Entries per quartet plane.
-  [[nodiscard]] std::size_t plane_stride() const noexcept {
-    return static_cast<std::size_t>(rows) * cols_padded;
+    return static_cast<std::size_t>(cols) * k;
   }
 
   /// Builds the plan for one exact (conventional-multiplier) layer.
@@ -220,27 +222,27 @@ struct DenseLayerPlan {
 
   /// Builds the plan for one ASM layer from the compiled schedule,
   /// which it consumes: `asm_weights` has rows × cols entries whose
-  /// steps index `steps`; `k` is the bank's alphabet count.
+  /// steps index `steps`; `k` is the bank's alphabet count. Throws
+  /// std::invalid_argument on a step whose lane is not below k or
+  /// whose shift is not below kMaxDenseShift.
   [[nodiscard]] static DenseLayerPlan build_asm(
       int rows, int cols, int k, std::vector<AsmWeight> asm_weights,
       std::vector<AsmStep> steps, std::vector<std::int64_t> biases);
 };
 
-/// Self-contained plan for one valid-padding stride-1 conv stage —
-/// the dense plan generalized by one degree of freedom: the filter
-/// patch slides over the input, so every (plane, filter, column)
-/// cell stores the multiples offset of its patch element *at output
-/// position (0,0)* and kernels add a per-position base offset
-/// (oy·iw + ox) to every read. Unlike the dense path's k-strided
-/// element-major staging, the conv multiples buffer is *lane-major*
-/// (all elements' a₀ multiples, then all a₁, ...): a conv weight
-/// fires at every output position with the same lane, so consecutive
-/// positions read consecutive slots — vector kernels use plain loads
-/// where an element-major layout would need gathers. Rather than
-/// branch on absent quartets, their cells point at `zero_base` and
-/// the buffer carries a zero *region* wide enough that zero_base plus
-/// any position base still reads 0 (the dense plan's always-zero-slot
-/// idea, stretched to cover the slide).
+/// Self-contained plan for one valid-padding stride-1 conv stage, in
+/// quartet planes: the filter patch slides over the input, so every
+/// (plane, filter, column) cell stores the multiples offset of its
+/// patch element *at output position (0,0)* and kernels add a
+/// per-position base offset (oy·iw + ox) to every read. Unlike the
+/// dense path's k-strided element-major staging, the conv multiples
+/// buffer is *lane-major* (all elements' a₀ multiples, then all a₁,
+/// ...): a conv weight fires at every output position with the same
+/// lane, so consecutive positions read consecutive slots — vector
+/// kernels use plain loads where an element-major layout would need
+/// gathers. Rather than branch on absent quartets, their cells point
+/// at `zero_base` and the buffer carries a zero *region* wide enough
+/// that zero_base plus any position base still reads 0.
 ///
 /// Exact (conventional-multiplier) convs use a degenerate
 /// single-multiple plane: `patch_elems` indexes the activations
@@ -267,8 +269,7 @@ struct ConvLayerPlan {
   /// read element 0 under weight 0.
   PlanArray<std::uint32_t> patch_elems;
 
-  /// ASM path, SoA planes, laid out exactly like the dense plan with
-  /// rows ≡ oc: entry for plane q, filter r, column c lives at
+  /// ASM path, SoA planes: entry for plane q, filter r, column c lives at
   /// q · oc · cols_padded + r · cols_padded + c. Offsets index the
   /// lane-major multiples buffer (lane · ic·ih·iw + patch element);
   /// kernels add the position base oy·iw + ox. Steps are packed from
@@ -354,17 +355,25 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
 /// window, |x| ≤ X = max(|in_min_raw|, |in_max_raw|). Slot idx then
 /// holds a(idx) · x, with a(idx) = alphabets[idx % k] in the dense
 /// plan's k-strided layout and alphabets[idx / (ic·ih·iw)] in the conv
-/// plan's lane-major one; the zero slot or zero region holds 0. A conv
-/// read adds the position base oy·iw + ox, which keeps it in its
-/// slot's lane (checked), so one row bound covers every output
-/// position. Row r's bound is
-///   B_r = Σ_c Σ_q X · a(idx) << shift  +  (negative weights in row r).
-/// Every shifted multiple, weight product p and partial Σ (p ^ sign)
-/// of row r lies in [-B_r, B_r] (p ^ -1 = -p - 1 adds at most one per
-/// negative weight). Returns the largest B_r, or X · max(alphabets)
-/// when a staged slot is larger, saturated at kInt32RowOverflow;
-/// exact plans, plans without a staging window, shifts outside
-/// [0, 30] and slots past the zero slot/region base give
+/// plan's lane-major one.
+///
+/// Dense row r's bound is
+///   B_r = Σ_g (Σ_{t in g} X · a(idx[t])) << shifts[g].
+/// Every partial sum of a group's terms, that sum shifted, and every
+/// running sum of the row lies in [-B_r, B_r]: the kernels add and
+/// subtract exact values, with no sign trick.
+///
+/// Conv filter r's bound is
+///   B_r = Σ_c Σ_q X · a(idx) << shift  +  (negative weights of r),
+/// since the conv kernels sum Σ (p ^ sign) (p ^ -1 = -p - 1 adds at
+/// most one per negative weight). A conv read adds the position base
+/// oy·iw + ox, which keeps it in its slot's lane (checked), so one row
+/// bound covers every output position; the zero region holds 0.
+///
+/// Returns the largest B_r, or X · max(alphabets) when a staged slot
+/// is larger, saturated at kInt32RowOverflow; exact plans, plans
+/// without a staging window, shifts outside [0, 30] and slots past
+/// cols·k (dense) or the zero region base (conv) give
 /// kInt32RowOverflow. A plan fits int32 lanes when the result is at
 /// most INT32_MAX. O(plan entries); derived, never serialized.
 [[nodiscard]] std::int64_t int32_row_bound(

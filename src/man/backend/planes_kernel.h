@@ -1,9 +1,8 @@
-// Portable branch-free kernels over the SoA quartet planes: the
-// blocked backend's implementation, and the fallback the SIMD and
-// AVX-512 backends run off x86-64 or on a CPU that lacks their ISA, so
-// "simd without AVX2" and "blocked" are the same (bit-identical) code.
-// Internal to man::backend; the definitions live in planes_kernel.cpp,
-// one copy shared by all three backends.
+// Portable kernels: the blocked backend's implementation, and the
+// fallback the SIMD and AVX-512 backends run off x86-64 or on a CPU
+// that lacks their ISA, so "simd without AVX2" and "blocked" are the
+// same (bit-identical) code. Internal to man::backend; the definitions
+// live in planes_kernel.cpp, one copy shared by all three backends.
 #ifndef MAN_BACKEND_PLANES_KERNEL_H
 #define MAN_BACKEND_PLANES_KERNEL_H
 
@@ -13,19 +12,16 @@
 
 namespace man::backend::detail {
 
-/// Branch-free plane walk: for each output row, every padded column
-/// contributes (Σ_q multiples[idx] << shift) ^ sign - sign; absent
-/// quartets and padding columns hit the zero slot and sign mask 0.
-/// Fixed trip counts and contiguous streams — the loop the
-/// auto-vectorizer (and the hand-written AVX2 kernel) feed on.
-void accumulate_planes(const DenseLayerPlan& plan,
+/// Branch-free group walk: for each output row, every (shift, sign)
+/// group contributes ((Σ multiples[idx]) << shift ^ sign) - sign.
+void accumulate_groups(const DenseLayerPlan& plan,
                        const std::int64_t* multiples, std::int64_t* out);
 
-/// Batch-tiled plane walk (accumulate_dense_tile): the same per-entry
-/// arithmetic as accumulate_planes on kDenseTile contiguous int32
-/// sample lanes at tile + idx·kDenseTile, each row widened to int64
-/// for the bias.
-void accumulate_planes_tile(const DenseLayerPlan& plan,
+/// Batch-tiled group walk (accumulate_dense_tile): each term adds
+/// kDenseTile contiguous int32 sample lanes at tile + idx·kDenseTile,
+/// each group is shifted once and added or subtracted, and each row is
+/// widened to int64 for the bias.
+void accumulate_groups_tile(const DenseLayerPlan& plan,
                             const std::int32_t* tile, std::int64_t* out);
 
 /// Exact dense with kLaneWidth independent accumulators per row (the

@@ -1,29 +1,46 @@
-// The sequential reference: FixedNetwork's original dense and conv
-// inner loops — per sample, per row, per weight, summing each step's
-// multiple << shift and then negating — walked over the plan's quartet
-// planes. Every other backend is defined as "bit-identical to this".
+// The sequential reference — per sample, per row — every other
+// backend is defined as "bit-identical to this". A dense row walks its
+// (shift, sign) groups: each group's multiples summed, shifted once,
+// then added or subtracted. A conv output walks its filter's weights
+// in FixedNetwork's original loop order, summing each weight's
+// multiple << shift over its quartet planes and then negating.
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
 
 namespace {
 
-/// One weight's signed product, in int64 whatever the slot width: its
+/// Bias plus row r's groups, in int64 whatever the slot width; term t
+/// reads src[idx[t] · scale] (`scale` is the tile's slot stride).
+template <typename Slot>
+std::int64_t dense_row(const DenseLayerPlan& plan, std::size_t r,
+                       const Slot* src, std::size_t scale) {
+  std::int64_t acc = plan.biases[r];
+  for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+    std::int64_t sum = 0;
+    for (std::size_t t = plan.group_begin[g]; t < plan.group_begin[g + 1];
+         ++t) {
+      sum += std::int64_t{src[plan.idx[t] * scale]};
+    }
+    sum <<= plan.shifts[g];
+    acc += plan.sign_masks[g] == -1 ? -sum : sum;
+  }
+  return acc;
+}
+
+/// One conv weight's signed product over int64 or int32 slots: its
 /// steps are packed from plane 0, so the walk stops at the first entry
-/// that reads `absent` (the plan's zero slot or zero-region base).
-/// Step q reads src[(idx + base) · scale] — `base` is the conv
-/// position offset, `scale` the tile's slot stride.
-template <typename Plan, typename Slot>
-std::int64_t weight_product(const Plan& plan, std::size_t cell,
-                            std::uint32_t absent, const Slot* src,
-                            std::size_t base, std::size_t scale) {
+/// that reads the zero region's base. Step q reads
+/// src[idx + base], `base` the position offset.
+template <typename Slot>
+std::int64_t weight_product(const ConvLayerPlan& plan, std::size_t cell,
+                            const Slot* src, std::size_t base) {
   const std::size_t stride = plan.plane_stride();
   std::int64_t product = 0;
   for (int q = 0; q < plan.planes; ++q) {
     const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
-    if (plan.idx[pc] == absent) break;
-    product += std::int64_t{src[(plan.idx[pc] + base) * scale]}
-               << plan.shifts[pc];
+    if (plan.idx[pc] == plan.zero_base) break;
+    product += std::int64_t{src[plan.idx[pc] + base]} << plan.shifts[pc];
   }
   return plan.sign_masks[cell] == -1 ? -product : product;
 }
@@ -45,7 +62,7 @@ void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
         std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
         for (int c = 0; c < plan.cols; ++c) {
           acc += weight_product(plan, row + static_cast<std::size_t>(c),
-                                plan.zero_base, multiples, elem_base, 1);
+                                multiples, elem_base);
         }
         out[static_cast<std::size_t>(r) * positions +
             static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
@@ -63,21 +80,15 @@ class ScalarBackend final : public KernelBackend {
     return "scalar";
   }
   [[nodiscard]] const char* description() const noexcept override {
-    return "sequential reference (per-weight walk of the quartet planes)";
+    return "sequential reference (per-row walk of groups and planes)";
   }
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-    for (int o = 0; o < plan.rows; ++o) {
-      std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
-      const std::size_t row = static_cast<std::size_t>(o) * plan.cols_padded;
-      for (int i = 0; i < plan.cols; ++i) {
-        acc += weight_product(plan, row + static_cast<std::size_t>(i),
-                              plan.zero_slot, multiples, 0, 1);
-      }
-      out[o] = acc;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
+      out[r] = dense_row(plan, r, multiples, 1);
     }
   }
 
@@ -87,15 +98,9 @@ class ScalarBackend final : public KernelBackend {
     // The same walk, each int32 slot read at stride kDenseTile and
     // accumulated in int64 — the oracle needs no overflow proof.
     constexpr std::size_t kTile = kDenseTile;
-    for (int o = 0; o < plan.rows; ++o) {
-      const std::size_t row = static_cast<std::size_t>(o) * plan.cols_padded;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
       for (std::size_t b = 0; b < kTile; ++b) {
-        std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
-        for (int i = 0; i < plan.cols; ++i) {
-          acc += weight_product(plan, row + static_cast<std::size_t>(i),
-                                plan.zero_slot, tile + b, 0, kTile);
-        }
-        out[static_cast<std::size_t>(o) * kTile + b] = acc;
+        out[r * kTile + b] = dense_row(plan, r, tile + b, kTile);
       }
     }
   }

@@ -1,11 +1,11 @@
-// Explicit SIMD kernel: AVX2 over the quartet planes. One dense sample
-// runs 4-wide int64 — gather the selected pre-computer multiples,
-// variable-shift them into place, apply the sign masks with xor/sub,
-// accumulate. A dense batch tile loads each entry's contiguous int32
-// sample lanes, 8 per ymm, and a conv plan that fits int32 lanes loads
-// 8 consecutive output positions' int32 multiples per ymm. Conv plans
-// that do not fit run the portable int64 plane loop. Bit-identical to
-// the scalar reference because every operation (logical left shift,
+// Explicit SIMD kernel: AVX2. One dense sample walks each (shift,
+// sign) group 4-wide in int64 — gather the group's pre-computer
+// multiples, sum, shift once, apply the sign with xor/sub. A dense
+// batch tile loads each term's contiguous int32 sample lanes, 8 per
+// ymm, and a conv plan that fits int32 lanes loads 8 consecutive
+// output positions' int32 multiples per ymm. Conv plans that do not
+// fit run the portable int64 plane loop. Bit-identical to the scalar
+// reference because every operation (logical left shift,
 // two's-complement negation, wrapping add) matches the scalar op
 // exactly — on int32 lanes because int32_row_bound() proves no value
 // leaves int32 — and only the (commutative) summation order differs.
@@ -17,7 +17,7 @@
 // untagged, because they also run on CPUs without AVX2, and each makes
 // one call into tagged code after the CPUID check. Without
 // the gate, or on a CPU that lacks AVX2, the backend stays registered
-// and runs the portable plane loop (shared with the blocked backend),
+// and runs the portable loops (shared with the blocked backend),
 // so MAN_BACKEND=simd is always safe and always bit-identical.
 #include <algorithm>
 
@@ -43,35 +43,42 @@ MAN_TARGET_AVX2 std::int64_t hsum_epi64(__m256i v) {
   return _mm_extract_epi64(sum, 0) + _mm_extract_epi64(sum, 1);
 }
 
-MAN_TARGET_AVX2 void accumulate_planes_avx2(const DenseLayerPlan& plan,
-                                            const std::int64_t* multiples,
-                                            std::int64_t* out) {
-  const std::size_t stride = plan.plane_stride();
+// Per-sample dense kernel: each group's terms gathered 4 int64
+// multiples at a time (the last, partial gather lane-masked), shifted
+// once, and added with the sign applied as (sum ^ s) − s.
+MAN_TARGET_AVX2 void dense_groups_avx2(const DenseLayerPlan& plan,
+                                       const std::int64_t* multiples,
+                                       std::int64_t* out) {
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::uint32_t* begin = plan.group_begin.data();
   const auto* base = reinterpret_cast<const long long*>(multiples);
-  for (int r = 0; r < plan.rows; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+  const __m128i lanes = _mm_setr_epi32(0, 1, 2, 3);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     __m256i acc = _mm256_setzero_si256();
-    for (int c = 0; c < plan.cols_padded; c += kLaneWidth) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m256i product = _mm256_setzero_si256();
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const __m128i vidx = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(idx + pc));
-        const __m256i m = _mm256_i32gather_epi64(base, vidx, 8);
-        const __m256i sh = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(shifts + pc));
-        product = _mm256_add_epi64(product, _mm256_sllv_epi64(m, sh));
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      __m256i sum = _mm256_setzero_si256();
+      std::uint32_t t = begin[g];
+      for (; t + 4 <= begin[g + 1]; t += 4) {
+        const __m128i vidx =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + t));
+        sum = _mm256_add_epi64(sum, _mm256_i32gather_epi64(base, vidx, 8));
       }
-      const __m256i sign = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(signs + cell));
-      product = _mm256_sub_epi64(_mm256_xor_si256(product, sign), sign);
-      acc = _mm256_add_epi64(acc, product);
+      if (t < begin[g + 1]) {
+        const __m128i mask = _mm_cmpgt_epi32(
+            _mm_set1_epi32(static_cast<int>(begin[g + 1] - t)), lanes);
+        const __m128i vidx =
+            _mm_maskload_epi32(reinterpret_cast<const int*>(idx + t), mask);
+        sum = _mm256_add_epi64(
+            sum, _mm256_mask_i32gather_epi64(_mm256_setzero_si256(), base,
+                                             vidx, _mm256_cvtepi32_epi64(mask),
+                                             8));
+      }
+      sum = _mm256_sll_epi64(sum, _mm_cvtsi64_si128(plan.shifts[g]));
+      const __m256i sign = _mm256_set1_epi64x(plan.sign_masks[g]);
+      acc = _mm256_add_epi64(
+          acc, _mm256_sub_epi64(_mm256_xor_si256(sum, sign), sign));
     }
-    out[r] = plan.biases[static_cast<std::size_t>(r)] + hsum_epi64(acc);
+    out[r] = plan.biases[r] + hsum_epi64(acc);
   }
 }
 
@@ -81,54 +88,38 @@ inline constexpr int kYmmInt32Lanes = 8;
 inline constexpr int kTileVecs = kDenseTile / kYmmInt32Lanes;
 
 // Batch-tiled dense kernel: one row at a time, its kDenseTile int32
-// sample lanes in kTileVecs ymm accumulators. A plan entry is one
-// scalar idx plus one uniform shift count driving kTileVecs contiguous
-// loads from the sample-minor tile — no gather. The sign is applied as
-// Σ(p ^ s) − Σs: (p ^ s) − s summed over the columns is exactly that,
-// and Σs is a per-row scalar, so each weight costs an xor and an add
-// per vector instead of three ops. int32_row_bound() proves no lane
-// sum leaves int32; the row is widened to int64 before the bias and
-// −Σs are added. P > 0 fixes the plane count at compile time so the
-// plane loop unrolls.
-template <int P>
-MAN_TARGET_AVX2 void dense_tile_avx2(const DenseLayerPlan& plan,
-                                     const std::int32_t* tile,
-                                     std::int64_t* out) {
-  const int planes = P > 0 ? P : plan.planes;
-  const std::size_t stride = plan.plane_stride();
+// sample lanes in kTileVecs ymm accumulators. A term is one scalar idx
+// driving kTileVecs plain loads from the sample-minor tile and adds —
+// no gather, no shift; a group is one uniform shift and one add or
+// subtract per vector. int32_row_bound() proves no lane sum leaves
+// int32; the row is widened to int64 before the bias is added.
+MAN_TARGET_AVX2 void dense_groups_tile_avx2(const DenseLayerPlan& plan,
+                                            const std::int32_t* tile,
+                                            std::int64_t* out) {
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.rows; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+  const std::uint32_t* begin = plan.group_begin.data();
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     __m256i acc[kTileVecs];
     for (int v = 0; v < kTileVecs; ++v) acc[v] = _mm256_setzero_si256();
-    std::int64_t sign_sum = 0;
-    for (int c = 0; c < plan.cols; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m256i product[kTileVecs];
-      for (int v = 0; v < kTileVecs; ++v) product[v] = _mm256_setzero_si256();
-      for (int q = 0; q < planes; ++q) {
-        const std::size_t pc = q * stride + cell;
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      __m256i sum[kTileVecs];
+      for (int v = 0; v < kTileVecs; ++v) sum[v] = _mm256_setzero_si256();
+      for (std::uint32_t t = begin[g]; t < begin[g + 1]; ++t) {
         const auto* src = reinterpret_cast<const __m256i*>(
-            tile + std::size_t{idx[pc]} * kDenseTile);
-        const __m128i sh = _mm_cvtsi64_si128(shifts[pc]);
+            tile + std::size_t{idx[t]} * kDenseTile);
         for (int v = 0; v < kTileVecs; ++v) {
-          product[v] = _mm256_add_epi32(
-              product[v], _mm256_sll_epi32(_mm256_loadu_si256(src + v), sh));
+          sum[v] = _mm256_add_epi32(sum[v], _mm256_loadu_si256(src + v));
         }
       }
-      const std::int64_t sign = signs[cell];
-      const __m256i vsign = _mm256_set1_epi32(static_cast<int>(sign));
+      const __m128i sh = _mm_cvtsi64_si128(plan.shifts[g]);
       for (int v = 0; v < kTileVecs; ++v) {
-        acc[v] = _mm256_add_epi32(acc[v], _mm256_xor_si256(product[v], vsign));
+        const __m256i shifted = _mm256_sll_epi32(sum[v], sh);
+        acc[v] = plan.sign_masks[g] != 0 ? _mm256_sub_epi32(acc[v], shifted)
+                                         : _mm256_add_epi32(acc[v], shifted);
       }
-      sign_sum += sign;
     }
-    const __m256i bias = _mm256_set1_epi64x(
-        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
-    auto* dst = reinterpret_cast<__m256i*>(
-        out + static_cast<std::size_t>(r) * kDenseTile);
+    const __m256i bias = _mm256_set1_epi64x(plan.biases[r]);
+    auto* dst = reinterpret_cast<__m256i*>(out + r * kDenseTile);
     for (int v = 0; v < kTileVecs; ++v) {
       const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[v]));
       const __m128i upper = _mm256_extracti128_si256(acc[v], 1);
@@ -136,19 +127,6 @@ MAN_TARGET_AVX2 void dense_tile_avx2(const DenseLayerPlan& plan,
       _mm256_storeu_si256(dst + 2 * v, _mm256_add_epi64(lo, bias));
       _mm256_storeu_si256(dst + 2 * v + 1, _mm256_add_epi64(hi, bias));
     }
-  }
-}
-
-/// Plane count → compile-time unrolled plane loop (8- and 12-bit
-/// weights have at most 2 and 3 quartets).
-MAN_TARGET_AVX2 void accumulate_planes_tile_avx2(const DenseLayerPlan& plan,
-                                                 const std::int32_t* tile,
-                                                 std::int64_t* out) {
-  switch (plan.planes) {
-    case 1: dense_tile_avx2<1>(plan, tile, out); break;
-    case 2: dense_tile_avx2<2>(plan, tile, out); break;
-    case 3: dense_tile_avx2<3>(plan, tile, out); break;
-    default: dense_tile_avx2<0>(plan, tile, out); break;
   }
 }
 
@@ -169,15 +147,16 @@ static_assert(ConvLayerPlan::tile_avx2.row_tile == kConvRowTile &&
 // Each plan entry feeds a register-blocked grid of RN output rows × CN
 // column groups (one accumulator each) before the walk moves on, so
 // the (often L1-exceeding) plan streams through RN·CN·8 times less
-// often. Every weight walks all P planes (P fixed at compile time, as
-// in dense_tile_avx2): an absent step reads the zero region, which is
-// 0 under any shift and any position base, so the walk has no
+// often. Every weight walks all P planes (P fixed at compile time, so
+// the plane loop unrolls): an absent step reads the zero region, which
+// is 0 under any shift and any position base, so the walk has no
 // data-dependent branch — stopping at each weight's step count instead
 // mispredicted enough to cost ≈ 1.4× on LeNet's second conv plan. The
-// sign is applied as
-// Σ(p ^ s) − Σs, as in dense_tile_avx2; int32_row_bound() proves no
-// lane sum leaves int32, and each output is widened to int64 where the
-// bias and −Σs are added. The last column group is lane-masked to
+// sign is applied as Σ(p ^ s) − Σs: (p ^ s) − s summed over the
+// columns is exactly that, and Σs is a per-filter scalar, so each
+// weight costs an xor and an add per vector. int32_row_bound() proves
+// no lane sum leaves int32, and each output is widened to int64 where
+// the bias and −Σs are added. The last column group is lane-masked to
 // `last` positions (1..8), so a row of any width needs no scalar tail:
 // masked-out lanes are neither read nor written.
 // RN/CN are compile-time constants so the accumulator/product arrays
@@ -325,7 +304,7 @@ class SimdBackend final : public KernelBackend {
   }
   [[nodiscard]] const char* name() const noexcept override { return "simd"; }
   [[nodiscard]] const char* description() const noexcept override {
-    return avx2_ ? "AVX2 gather/sllv over SoA quartet planes"
+    return avx2_ ? "AVX2 group gathers and int32 tiles"
                  : "portable fallback (CPU lacks AVX2)";
   }
   [[nodiscard]] bool accelerated() const noexcept override { return avx2_; }
@@ -335,11 +314,11 @@ class SimdBackend final : public KernelBackend {
                         std::int64_t* out) const override {
 #if MAN_X86_KERNELS
     if (avx2_) {
-      accumulate_planes_avx2(plan, multiples, out);
+      dense_groups_avx2(plan, multiples, out);
       return;
     }
 #endif
-    accumulate_planes(plan, multiples, out);
+    accumulate_groups(plan, multiples, out);
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
@@ -347,11 +326,11 @@ class SimdBackend final : public KernelBackend {
                              std::int64_t* out) const override {
 #if MAN_X86_KERNELS
     if (avx2_) {
-      accumulate_planes_tile_avx2(plan, tile, out);
+      dense_groups_tile_avx2(plan, tile, out);
       return;
     }
 #endif
-    accumulate_planes_tile(plan, tile, out);
+    accumulate_groups_tile(plan, tile, out);
   }
 
   void exact_dense(const DenseLayerPlan& plan,

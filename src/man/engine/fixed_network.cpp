@@ -722,15 +722,12 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         });
       } else {
         // Pre-computer bank outputs for every input value (one bank
-        // row per value, shared across lanes — CSHM), staged k-strided
-        // plus the trailing zero slot the quartet planes point absent
-        // entries at.
+        // row per value, shared across lanes — CSHM), staged k-strided.
         std::vector<std::int64_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
           stage_multiples(buffer, static_cast<std::size_t>(plan.k),
                           BankRows(syn.table, syn.bank), multiples.data());
-          multiples[plan.zero_slot] = 0;
         });
         if (profile != nullptr) profile->staged_values += buffer.size();
         timed_phase(profile, &PhaseProfile::kernel_s, [&] {
@@ -844,7 +841,6 @@ void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
         multiples = buffer.data() + line_offset(buffer.data());
         stage_multiples_tile(tile, static_cast<std::size_t>(plan.k),
                              BankRows(syn.table, syn.bank), multiples);
-        std::fill_n(multiples + plan.zero_slot * kTile, kTile, 0);
       });
       if (profile != nullptr) profile->staged_values += tile.size();
       std::vector<std::int64_t>& next = scratch.tile_next;

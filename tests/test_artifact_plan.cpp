@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "man/backend/kernel_backend.h"
+#include "man/engine/batch_runner.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
 #include "man/nn/constraint_projection.h"
@@ -42,6 +43,8 @@ namespace {
 using man::backend::all_backends;
 using man::backend::backend_for;
 using man::backend::BackendKind;
+using man::backend::ConvLayerPlan;
+using man::backend::DenseLayerPlan;
 using man::core::AlphabetSet;
 using man::engine::FixedNetwork;
 using man::engine::LayerAlphabetPlan;
@@ -200,12 +203,13 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
 }
 
 // Older (version 1 still carried the AoS schedule, version 2 the
-// per-plan conv tile shapes) and newer formats alike.
+// per-plan conv tile shapes, version 3 the dense quartet planes) and
+// newer formats alike.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
-  static_assert(kArtifactVersion == 3);
+  static_assert(kArtifactVersion == 4);
   const FixedNetwork engine(compile(make_mlp(3), 8, 4));
   const std::string file = path("engine.plan");
-  for (const std::uint32_t version : {1u, 2u, kArtifactVersion + 1}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, kArtifactVersion + 1}) {
     save_engine(engine, file, "key");
     {
       // The version field sits at byte 8, right after the magic.
@@ -280,20 +284,27 @@ class ArtifactBytes {
 };
 
 // An artifact is a function of the network and its compile settings
-// only: two compiles of the same conv network in one process save
+// only: two compiles of the same network in one process save
 // byte-identical files (nothing timed at build time, such as a
-// measured conv tile, may reach the file).
+// measured conv tile, may reach the file, and the dense groups are
+// ordered deterministically).
 TEST_F(PlanArtifactTest, SameNetworkSavesByteIdenticalArtifacts) {
   const FixedNetwork first(compile(make_cnn(8), 8, 4));
   const FixedNetwork second(compile(make_cnn(8), 8, 4));
   ASSERT_EQ(first.conv_plans().size(), 1u);
   ASSERT_TRUE(first.conv_int32_lanes(0));
-  save_engine(first, path("first.plan"), "key");
-  save_engine(second, path("second.plan"), "key");
-  const ArtifactBytes a(path("first.plan"));
-  const ArtifactBytes b(path("second.plan"));
-  ASSERT_FALSE(a.bytes().empty());
-  EXPECT_TRUE(a.bytes() == b.bytes());
+  const FixedNetwork first_mlp(compile(make_mlp(8), 12, 4));
+  const FixedNetwork second_mlp(compile(make_mlp(8), 12, 4));
+  const std::pair<const FixedNetwork*, const FixedNetwork*> pairs[] = {
+      {&first, &second}, {&first_mlp, &second_mlp}};
+  for (const auto& [a_engine, b_engine] : pairs) {
+    save_engine(*a_engine, path("first.plan"), "key");
+    save_engine(*b_engine, path("second.plan"), "key");
+    const ArtifactBytes a(path("first.plan"));
+    const ArtifactBytes b(path("second.plan"));
+    ASSERT_FALSE(a.bytes().empty());
+    EXPECT_TRUE(a.bytes() == b.bytes());
+  }
 }
 
 template <typename T>
@@ -301,34 +312,69 @@ std::vector<T> copy_of(const man::backend::PlanArray<T>& array) {
   return std::vector<T>(array.begin(), array.end());
 }
 
-/// Where the first plan's fields sit in its artifact: the directory's
-/// scalar block (the plan's leading i32/u32 fields, in format order)
-/// and (ASM plans) the plane arrays.
-struct PlanFields {
+/// Where the first conv plan's fields sit in its artifact: the
+/// directory's scalar block (the plan's leading i32/u32 fields, in
+/// format order) and (ASM plans) the plane arrays.
+struct ConvFields {
   std::size_t scalars = 0;  ///< first geometry field
   std::size_t planes = 0;   ///< the `planes` field
-  std::size_t zero = 0;     ///< zero_slot / zero_base
+  std::size_t zero = 0;     ///< zero_base
   std::size_t idx = 0;
   std::size_t shifts = 0;
   std::size_t signs = 0;
-  std::size_t patch_elems = 0;  ///< conv only
+  std::size_t patch_elems = 0;
 };
 
-template <typename Plan>
-PlanFields locate(const ArtifactBytes& bytes, const Plan& plan,
-                  std::vector<std::int32_t> geometry) {
-  const std::size_t ints = geometry.size();
-  geometry.push_back(plan.k);
-  geometry.push_back(plan.planes);
-  geometry.push_back(plan.exact ? 1 : 0);
-  PlanFields fields;
+ConvFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
+  const std::vector<std::int32_t> geometry = {
+      p.oc, p.ic,   p.kernel,      p.ih, p.iw,     p.oh,
+      p.ow, p.cols, p.cols_padded, p.k,  p.planes, p.exact ? 1 : 0};
+  ConvFields fields;
   fields.scalars = bytes.find(geometry);
-  fields.planes = fields.scalars + (ints + 1) * 4;
-  fields.zero = fields.scalars + (ints + 3) * 4;
-  if (!plan.exact) {
-    fields.idx = bytes.find(copy_of(plan.idx));
-    fields.shifts = bytes.find(copy_of(plan.shifts));
-    fields.signs = bytes.find(copy_of(plan.sign_masks));
+  fields.planes = fields.scalars + 10 * 4;
+  fields.zero = fields.scalars + 12 * 4;
+  fields.patch_elems = bytes.find(copy_of(p.patch_elems));
+  if (!p.exact) {
+    fields.idx = bytes.find(copy_of(p.idx));
+    fields.shifts = bytes.find(copy_of(p.shifts));
+    fields.signs = bytes.find(copy_of(p.sign_masks));
+  }
+  return fields;
+}
+
+/// The arrays of a dense plan, in format order.
+enum DenseArray {
+  kWeights,
+  kBiases,
+  kRowGroups,
+  kGroupBegin,
+  kShifts,
+  kSigns,
+  kIdx,
+  kDenseArrays
+};
+
+/// Where the first dense plan's fields sit in its artifact: the
+/// directory's scalar block (rows, cols, k, exact), the staging window
+/// after it, and each array's first byte and element count, read from
+/// the directory's (offset, count) references that follow.
+struct DenseFields {
+  std::size_t scalars = 0;
+  std::size_t window = 0;  ///< in_min_raw, then in_max_raw
+  std::size_t at[kDenseArrays] = {};
+  std::size_t count[kDenseArrays] = {};
+};
+
+DenseFields locate_dense(const ArtifactBytes& bytes, const DenseLayerPlan& p) {
+  DenseFields fields;
+  fields.scalars = bytes.find(std::vector<std::int32_t>{
+      p.rows, p.cols, p.k, p.exact ? 1 : 0});
+  fields.window = fields.scalars + 16;
+  for (int a = 0; a < kDenseArrays; ++a) {
+    const std::size_t ref =
+        fields.window + 16 + 16 * static_cast<std::size_t>(a);
+    fields.at[a] = bytes.get<std::uint64_t>(ref);
+    fields.count[a] = bytes.get<std::uint64_t>(ref + 8);
   }
   return fields;
 }
@@ -336,130 +382,145 @@ PlanFields locate(const ArtifactBytes& bytes, const Plan& plan,
 // Loader content checks: each field a kernel or the staging indexes
 // with is patched to a value no compiler emits, the checksum is
 // recomputed, and the load must throw SerializationError. Without the
-// checks, inference on such a plan writes past the multiples buffer
-// (zero slot), reads past a buffer (plane indices, exact patch
-// offsets, pool windows, a conv plan without planes, an alphabet count
-// beyond the bank's), shifts by 64 or by a negative amount (UB), lets
-// the backends disagree (unpacked steps, sign masks), or feeds the
-// int32 tile proof a staging window other than the activation
-// format's.
+// checks, inference on such a plan reads past a buffer (dense term
+// indices and group offsets, conv plane indices, exact patch offsets,
+// pool windows, a conv plan without planes, an alphabet count beyond
+// the bank's), writes past the multiples buffer (conv zero region),
+// shifts by 32 or more or by a negative amount (UB in the int32
+// lanes), lets the backends disagree (unpacked conv steps, sign
+// masks), or feeds the int32 proofs a staging window other than the
+// activation format's.
 TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
-  using Patch = std::function<void(ArtifactBytes&, const PlanFields&)>;
   struct Case {
     const char* label;
     const FixedNetwork* engine;
-    Patch patch;
+    std::function<void(ArtifactBytes&, const DenseFields&, const ConvFields&)>
+        patch;
   };
   const FixedNetwork mlp(compile(make_mlp(8), 8, 4));
   const FixedNetwork cnn(compile(make_cnn(9), 8, 4));
   const FixedNetwork cnn_exact(compile(make_cnn(9), 8, 0));
   const auto& dense = mlp.plans().at(0);
   const auto& conv = cnn.conv_plans().at(0);
-  const auto k_dense = static_cast<std::uint32_t>(dense.k);
   const auto k_conv = static_cast<std::uint32_t>(conv.k);
-  // A cell whose weight has a second step: blanking its first makes
-  // the steps unpacked.
+  ASSERT_GE(dense.rows, 2);
+  ASSERT_GE(dense.shifts.size(), 2u);
+  const auto groups = static_cast<std::uint32_t>(dense.shifts.size());
+  const auto terms = static_cast<std::uint32_t>(dense.idx.size());
+  // A conv cell whose weight has a second step: blanking its first
+  // makes the steps unpacked.
   std::size_t two_step = 0;
-  while (dense.idx[dense.plane_stride() + two_step] == dense.zero_slot) {
+  while (conv.idx[conv.plane_stride() + two_step] == conv.zero_base) {
     ++two_step;
   }
-  ASSERT_LT(two_step, dense.plane_stride());
+  ASSERT_LT(two_step, conv.plane_stride());
   const std::uint64_t elems = conv.input_elems();
-  // A new zero slot (or base) value, moved onto every absent entry too,
-  // so only the alphabet count disagrees with the synapse.
-  const auto rezero = [](ArtifactBytes& b, const PlanFields& f,
-                         std::size_t entries, std::uint32_t old_zero,
-                         std::uint32_t new_zero) {
-    b.put<std::uint32_t>(f.zero, new_zero);
-    for (std::size_t i = 0; i < entries; ++i) {
-      if (b.get<std::uint32_t>(f.idx + i * 4) == old_zero) {
-        b.put<std::uint32_t>(f.idx + i * 4, new_zero);
-      }
-    }
+  const auto u32_at = [](const DenseFields& f, DenseArray a, std::size_t i) {
+    return f.at[a] + 4 * i;
+  };
+  const auto i64_at = [](const DenseFields& f, DenseArray a, std::size_t i) {
+    return f.at[a] + 8 * i;
   };
 
   const Case cases[] = {
-      {"dense zero slot", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(f.zero, dense.zero_slot + 1);
-       }},
-      {"dense cols_padded", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::int32_t>(f.scalars + 8, dense.cols_padded + 4);
-       }},
       {"dense alphabet count", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::int32_t>(f.planes - 4, dense.k + 1);
-         rezero(b, f, dense.idx.size(), dense.zero_slot,
-                static_cast<std::uint32_t>(dense.cols) * (k_dense + 1));
-       }},
-      {"dense idx past zero slot", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(f.idx, dense.zero_slot + 1);
-       }},
-      {"dense unpacked steps", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(f.idx + two_step * 4, dense.zero_slot);
-       }},
-      {"dense shift of 64", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::int64_t>(f.shifts, 64);
-       }},
-      {"dense negative shift", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::int64_t>(f.shifts, -1);
-       }},
-      {"dense sign mask", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::int64_t>(f.signs, 1);
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::int32_t>(f.scalars + 8, dense.k + 1);
        }},
       {"dense staging window", &mlp,
-       [&](ArtifactBytes& b, const PlanFields& f) {
-         // in_min_raw, in_max_raw follow the zero slot.
-         b.put<std::int64_t>(f.zero + 12, dense.in_max_raw + 1);
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::int64_t>(f.window + 8, dense.in_max_raw + 1);
+       }},
+      {"dense row groups not monotone", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::uint32_t>(u32_at(f, kRowGroups, 1),
+                              dense.row_groups[2] + 1);
+       }},
+      {"dense row groups end short", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::uint32_t>(u32_at(f, kRowGroups, f.count[kRowGroups] - 1),
+                              groups - 1);
+       }},
+      {"dense group terms not monotone", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::uint32_t>(u32_at(f, kGroupBegin, 1),
+                              dense.group_begin[2] + 1);
+       }},
+      {"dense group terms end past the terms", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::uint32_t>(u32_at(f, kGroupBegin, groups), terms + 1);
+       }},
+      {"dense term index past cols·k", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::uint32_t>(
+             u32_at(f, kIdx, 0),
+             static_cast<std::uint32_t>(dense.cols * dense.k));
+       }},
+      {"dense shift of 32", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::int64_t>(i64_at(f, kShifts, 0), 32);
+       }},
+      {"dense negative shift", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::int64_t>(i64_at(f, kShifts, 1), -1);
+       }},
+      {"dense sign mask", &mlp,
+       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+         b.put<std::int64_t>(i64_at(f, kSigns, 0), 1);
        }},
       {"conv staging window", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::int64_t>(f.zero + 4, conv.in_min_raw - 1);
        }},
       {"conv zero base", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::uint32_t>(f.zero, conv.zero_base + 1);
        }},
       {"conv output width", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::int32_t>(f.scalars + 24, conv.ow + 1);
        }},
       {"conv alphabet count", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
+         // The new zero base goes onto every absent entry too, so only
+         // the alphabet count disagrees with the synapse.
+         const auto zero = static_cast<std::uint32_t>(elems * (k_conv + 1));
          b.put<std::int32_t>(f.planes - 4, conv.k + 1);
-         rezero(b, f, conv.idx.size(), conv.zero_base,
-                static_cast<std::uint32_t>(elems * (k_conv + 1)));
+         b.put<std::uint32_t>(f.zero, zero);
+         for (std::size_t i = 0; i < conv.idx.size(); ++i) {
+           if (b.get<std::uint32_t>(f.idx + i * 4) == conv.zero_base) {
+             b.put<std::uint32_t>(f.idx + i * 4, zero);
+           }
+         }
        }},
       {"conv idx past zero region", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::uint32_t>(f.idx, conv.zero_base + 1);
        }},
+      {"conv unpacked steps", &cnn,
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
+         b.put<std::uint32_t>(f.idx + two_step * 4, conv.zero_base);
+       }},
       {"conv patch element", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::uint32_t>(f.patch_elems,
                               static_cast<std::uint32_t>(elems));
        }},
       {"exact conv patch element", &cnn_exact,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::uint32_t>(f.patch_elems,
                               static_cast<std::uint32_t>(elems));
        }},
       {"conv shift of 64", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::int64_t>(f.shifts, 64);
        }},
       {"conv sign mask", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          b.put<std::int64_t>(f.signs, 2);
        }},
       {"pool rows past its input", &cnn,
-       [&](ArtifactBytes& b, const PlanFields&) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields&) {
          // Tag, c, ih, iw, window, oh, ow of make_cnn's pool; 9 × 1
          // outputs keep the stage chain's 27 values.
          const std::int32_t pool[] = {2, 3, 6, 6, 2, 3, 3};
@@ -468,7 +529,7 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
          b.put<std::int32_t>(at + 24, 1);
        }},
       {"conv without planes", &cnn,
-       [&](ArtifactBytes& b, const PlanFields& f) {
+       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
          // planes = 0 and empty idx/shifts arrays: every size agrees.
          // An array's directory reference is its (offset, count).
          b.put<std::int32_t>(f.planes, 0);
@@ -483,18 +544,14 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
     const std::string file = path("hostile.plan");
     save_engine(*c.engine, file, "key");
     ArtifactBytes bytes(file);
-    PlanFields fields;
-    if (!c.engine->conv_plans().empty()) {
-      const auto& p = c.engine->conv_plans()[0];
-      fields = locate(bytes, p,
-                      {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols,
-                       p.cols_padded});
-      fields.patch_elems = bytes.find(copy_of(p.patch_elems));
+    DenseFields dense_fields;
+    ConvFields conv_fields;
+    if (c.engine->conv_plans().empty()) {
+      dense_fields = locate_dense(bytes, c.engine->plans()[0]);
     } else {
-      const auto& p = c.engine->plans()[0];
-      fields = locate(bytes, p, {p.rows, p.cols, p.cols_padded});
+      conv_fields = locate_conv(bytes, c.engine->conv_plans()[0]);
     }
-    c.patch(bytes, fields);
+    c.patch(bytes, dense_fields, conv_fields);
     bytes.save();
     EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
         << c.label;
@@ -511,6 +568,88 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
                         backend_for(BackendKind::kScalar)),
               infer_raw(*engine, pixels, backend_for(BackendKind::kScalar)));
   }
+}
+
+// Random damage to the dense plan arrays behind a valid checksum: a
+// fixed budget of seeded mutations (one to four random bytes of the
+// first dense plan's offsets, shifts, sign masks, term indices and
+// biases), each restamped. Every mutant must either be rejected with
+// SerializationError or load and serve every backend — per sample and
+// through full batch tiles — bit-identically to its own scalar
+// reference. Run under ASan/UBSan, a mutant that slips past the loader
+// and reads out of bounds or shifts out of range fails loudly.
+TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
+  const FixedNetwork engine(compile(make_mlp(12), 8, 4));
+  const std::string base = path("base.plan");
+  save_engine(engine, base, "key");
+  const DenseFields fields = locate_dense(ArtifactBytes(base),
+                                          engine.plans()[0]);
+  struct Region {
+    std::size_t at;
+    std::size_t bytes;
+  };
+  std::vector<Region> regions;
+  for (const DenseArray a : {kBiases, kRowGroups, kGroupBegin, kShifts,
+                             kSigns, kIdx}) {
+    const std::size_t width = a == kRowGroups || a == kGroupBegin || a == kIdx
+                                  ? sizeof(std::uint32_t)
+                                  : sizeof(std::int64_t);
+    regions.push_back({fields.at[a], fields.count[a] * width});
+  }
+
+  constexpr std::size_t kSamples = 2 * man::backend::kDenseTile + 3;
+  const auto pixels = make_pixels(kSamples * engine.input_size(), 13);
+  man::util::Rng rng(2024);
+  int rejected = 0;
+  int served = 0;
+  for (int mutant = 0; mutant < 300; ++mutant) {
+    const std::string file = path("mutant.plan");
+    std::filesystem::copy_file(
+        base, file, std::filesystem::copy_options::overwrite_existing);
+    ArtifactBytes bytes(file);
+    const auto edits = 1 + rng.next_below(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const Region& region = regions[rng.next_below(regions.size())];
+      const std::size_t at = region.at + rng.next_below(region.bytes);
+      // Mostly small values, the kind that can still pass the checks.
+      const auto value = static_cast<std::uint8_t>(
+          rng.next_below(2) == 0 ? rng.next_below(4) : rng.next_below(256));
+      bytes.put<std::uint8_t>(at, value);
+    }
+    bytes.save();
+    std::shared_ptr<const FixedNetwork> loaded;
+    try {
+      loaded = load_engine(file, "key");
+    } catch (const SerializationError&) {
+      ++rejected;
+      continue;
+    }
+    ++served;
+    const std::size_t outputs = loaded->output_size();
+    std::vector<std::int64_t> reference;
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      const auto first = pixels.begin() + static_cast<std::ptrdiff_t>(
+                                              s * loaded->input_size());
+      const std::vector<float> sample(
+          first, first + static_cast<std::ptrdiff_t>(loaded->input_size()));
+      const auto raw =
+          infer_raw(*loaded, sample, backend_for(BackendKind::kScalar));
+      reference.insert(reference.end(), raw.begin(), raw.end());
+    }
+    for (const auto* backend : all_backends()) {
+      std::vector<std::int64_t> raw(kSamples * outputs);
+      man::engine::BatchRunner runner(
+          *loaded, man::engine::BatchOptions{.workers = 1,
+                                             .backend = backend->kind()});
+      runner.run(pixels, raw);
+      EXPECT_EQ(raw, reference)
+          << "mutant " << mutant << " backend=" << backend->name();
+    }
+  }
+  // Both outcomes occur, so the budget exercises the checks and the
+  // kernels alike.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(served, 0);
 }
 
 // An artifact declaring a 24-bit activation format (2^24 - 1 raw
@@ -539,11 +678,9 @@ TEST_F(PlanArtifactTest, ActivationFormatWiderThanTheStagingTableRejected) {
                                     spec.activation_format.frac_bits(),
                                     engine.lanes()};
     bytes.put<std::int32_t>(bytes.find(formats, sizeof formats) + 8, 24);
-    const PlanFields f =
-        locate(bytes, plan, {plan.rows, plan.cols, plan.cols_padded});
-    // in_min_raw, in_max_raw follow the zero slot.
-    bytes.put<std::int64_t>(f.zero + 4, in_min);
-    bytes.put<std::int64_t>(f.zero + 12, in_max);
+    const DenseFields f = locate_dense(bytes, plan);
+    bytes.put<std::int64_t>(f.window, in_min);
+    bytes.put<std::int64_t>(f.window + 8, in_max);
     bytes.save();
     EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
         << "window [" << in_min << ", " << in_max << "]";

@@ -6,6 +6,7 @@
 // at scale in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -279,18 +280,18 @@ INSTANTIATE_TEST_SUITE_P(PaperWidths, ConvBackendBitIdentity,
 
 /// A hand-built select/shift schedule. build_asm() consumes a copy;
 /// the test keeps this one, in the array-of-structs layout plans do
-/// not carry, as the independent oracle for the plane walks.
+/// not carry, as the independent oracle for the plan walks.
 struct Schedule {
   std::vector<AsmWeight> weights;
   std::vector<AsmStep> steps;
 };
 
 /// `count` weights of 0..max_steps random steps over `k` lanes with
-/// shifts below `bits`, random signs; weights where `empty(w)` get no
-/// steps.
+/// shifts below `shift_limit`, random signs; weights where `empty(w)`
+/// get no steps.
 template <typename Empty>
-Schedule random_schedule(std::size_t count, int k, int max_steps, int bits,
-                         Empty empty, man::util::Rng& rng) {
+Schedule random_schedule(std::size_t count, int k, int max_steps,
+                         int shift_limit, Empty empty, man::util::Rng& rng) {
   Schedule schedule;
   for (std::size_t i = 0; i < count; ++i) {
     AsmWeight w;
@@ -300,11 +301,11 @@ Schedule random_schedule(std::size_t count, int k, int max_steps, int bits,
                                   static_cast<std::uint64_t>(max_steps) + 1));
     w.negative = rng.next_below(2) == 1;
     for (int s = 0; s < w.step_count; ++s) {
-      schedule.steps.push_back(
-          AsmStep{static_cast<std::uint8_t>(
-                      rng.next_below(static_cast<std::uint64_t>(k))),
-                  static_cast<std::uint8_t>(
-                      rng.next_below(static_cast<std::uint64_t>(bits)))});
+      schedule.steps.push_back(AsmStep{
+          static_cast<std::uint8_t>(
+              rng.next_below(static_cast<std::uint64_t>(k))),
+          static_cast<std::uint8_t>(
+              rng.next_below(static_cast<std::uint64_t>(shift_limit)))});
     }
     schedule.weights.push_back(w);
   }
@@ -324,84 +325,92 @@ std::int64_t aos_product(const Schedule& schedule, std::size_t w,
   return weight.negative ? -product : product;
 }
 
-// kDenseTile samples' worth of signed bank outputs for `plan`, staged
-// per sample (k-strided, zero slot last) and transposed into the
-// sample-minor int32 tile; `expected` gets the scalar per-sample
-// kernel's rows in the tile's output layout, checked against the AoS
-// walk over `oracle` when the plan was built from one. Samples 0 and 1
-// sit on the window's edges and sample 2 alternates between them, so
-// the largest products the int32 proof admits are staged; the rest are
-// random across the window.
-void stage_tile(const DenseLayerPlan& plan, std::uint64_t seed,
-                const Schedule* oracle, std::vector<std::int32_t>& tile,
-                std::vector<std::int64_t>& expected) {
-  constexpr std::size_t kTile = kDenseTile;
-  const auto k = static_cast<std::size_t>(plan.k);
-  const AlphabetSet set = AlphabetSet::first_n(k);
-  const man::core::PrecomputerBank bank(set);
-  ASSERT_TRUE(plan.has_input_range());
-  ASSERT_LE(int32_row_bound(plan, set.alphabets()),
-            std::numeric_limits<std::int32_t>::max());
-  const std::int64_t lo = plan.in_min_raw;
-  const std::int64_t hi = plan.in_max_raw;
-  ASSERT_LT(lo, 0);
-  man::util::Rng rng(seed);
-  man::core::OpCounts discard;
-  tile.assign(plan.padded_multiples() * kTile, 0);
-  expected.assign(static_cast<std::size_t>(plan.rows) * kTile, 0);
-  std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
-  std::vector<std::int64_t> rows(static_cast<std::size_t>(plan.rows));
-  for (std::size_t b = 0; b < kTile; ++b) {
+/// Bias plus the AoS walk over every weight of each dense row, for
+/// k-strided multiples `m`.
+std::vector<std::int64_t> aos_dense(const Schedule& schedule,
+                                    const DenseLayerPlan& plan,
+                                    const std::vector<std::int64_t>& m) {
+  std::vector<std::int64_t> rows;
+  for (int r = 0; r < plan.rows; ++r) {
+    std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
     for (int c = 0; c < plan.cols; ++c) {
-      std::int64_t x = rng.next_in(lo, hi);
-      if (b == 0 || (b == 2 && c % 2 == 0)) x = lo;
-      if (b == 1 || (b == 2 && c % 2 == 1)) x = hi;
-      bank.compute_into(x, &multiples[static_cast<std::size_t>(c) * k],
-                        discard);
+      acc += aos_product(schedule, static_cast<std::size_t>(r) * plan.cols + c,
+                         &m[static_cast<std::size_t>(c) * plan.k], 1);
     }
-    backend_for(BackendKind::kScalar)
-        .accumulate_dense(plan, multiples.data(), rows.data());
-    for (int r = 0; oracle != nullptr && r < plan.rows; ++r) {
-      std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
-      for (int c = 0; c < plan.cols; ++c) {
-        acc += aos_product(
-            *oracle, static_cast<std::size_t>(r) * plan.cols + c,
-            &multiples[static_cast<std::size_t>(c) * plan.k], 1);
-      }
-      EXPECT_EQ(rows[static_cast<std::size_t>(r)], acc)
-          << "row " << r << " sample " << b;
-    }
-    for (std::size_t s = 0; s < multiples.size(); ++s) {
-      tile[s * kTile + b] = static_cast<std::int32_t>(multiples[s]);
-    }
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      expected[r * kTile + b] = rows[r];
-    }
+    rows.push_back(acc);
   }
+  return rows;
 }
 
-void expect_tile_matches_scalar(const DenseLayerPlan& plan, std::uint64_t seed,
-                                const std::string& label,
-                                const Schedule* oracle = nullptr) {
-  std::vector<std::int32_t> tile;
-  std::vector<std::int64_t> expected;
-  stage_tile(plan, seed, oracle, tile, expected);
+/// kDenseTile samples of k-strided bank outputs a · x for `plan`, one
+/// input x per column: sample 0 at the window's low edge, sample 1 at
+/// its high edge, sample 2 alternating between them, the rest random.
+std::vector<std::vector<std::int64_t>> window_samples(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets,
+    std::uint64_t seed) {
+  man::util::Rng rng(seed);
+  std::vector<std::vector<std::int64_t>> samples(kDenseTile);
+  for (std::size_t b = 0; b < samples.size(); ++b) {
+    for (int c = 0; c < plan.cols; ++c) {
+      std::int64_t x = rng.next_in(plan.in_min_raw, plan.in_max_raw);
+      if (b == 0 || (b == 2 && c % 2 == 0)) x = plan.in_min_raw;
+      if (b == 1 || (b == 2 && c % 2 == 1)) x = plan.in_max_raw;
+      for (const std::uint8_t a : alphabets) samples[b].push_back(a * x);
+    }
+  }
+  return samples;
+}
+
+/// `samples` (kDenseTile of them) transposed into the sample-minor
+/// int32 tile.
+std::vector<std::int32_t> to_tile(
+    const std::vector<std::vector<std::int64_t>>& samples) {
+  std::vector<std::int32_t> tile(samples[0].size() * kDenseTile);
+  for (std::size_t b = 0; b < kDenseTile; ++b) {
+    for (std::size_t s = 0; s < samples[b].size(); ++s) {
+      tile[s * kDenseTile + b] = static_cast<std::int32_t>(samples[b][s]);
+    }
+  }
+  return tile;
+}
+
+/// Every backend's accumulate_dense on each sample, and (when
+/// `tile_too`) accumulate_dense_tile on all of them, must produce
+/// `expected[b]` for sample b.
+void expect_dense_rows(const DenseLayerPlan& plan,
+                       const std::vector<std::vector<std::int64_t>>& samples,
+                       const std::vector<std::vector<std::int64_t>>& expected,
+                       bool tile_too, const std::string& label) {
+  const auto rows = static_cast<std::size_t>(plan.rows);
+  std::vector<std::int64_t> expected_tile(rows * kDenseTile);
+  for (std::size_t b = 0; b < kDenseTile; ++b) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      expected_tile[r * kDenseTile + b] = expected[b][r];
+    }
+  }
+  const std::vector<std::int32_t> tile = to_tile(samples);
   for (const auto* backend : all_backends()) {
-    std::vector<std::int64_t> out(expected.size(), -7);
-    backend->accumulate_dense_tile(plan, tile.data(), out.data());
-    EXPECT_EQ(out, expected) << label << " backend=" << backend->name();
+    for (std::size_t b = 0; b < kDenseTile; ++b) {
+      std::vector<std::int64_t> out(rows, -7);
+      backend->accumulate_dense(plan, samples[b].data(), out.data());
+      EXPECT_EQ(out, expected[b])
+          << label << " sample " << b << " backend=" << backend->name();
+    }
+    if (tile_too) {
+      std::vector<std::int64_t> out(expected_tile.size(), -7);
+      backend->accumulate_dense_tile(plan, tile.data(), out.data());
+      EXPECT_EQ(out, expected_tile)
+          << label << " tile backend=" << backend->name();
+    }
   }
 }
 
-// The batch-tiled dense kernel contract: every backend's int32
-// accumulate_dense_tile, fed activations on and inside the staging
-// window, equals kDenseTile scalar per-sample int64
-// accumulate_dense calls, on compiled plans at both paper widths (13
-// columns: cols % 8 != 0 and a padded tail; one all-zero row; more
-// than one quartet plane) and on hand-built plans with 1-4 planes, so
-// every compile-time plane specialization and the generic loop run.
-// On the hand-built plans the scalar rows also equal the AoS walk over
-// the schedule the plan was built from.
+// The batch-tiled dense kernel contract on compiled plans at both
+// paper widths: every backend's int32 accumulate_dense_tile, fed
+// activations on and inside the staging window, equals kDenseTile
+// scalar per-sample int64 accumulate_dense calls (13 columns; one
+// all-zero row, which gets no groups; terms from more than one
+// quartet).
 class DenseTileBitIdentity : public ::testing::TestWithParam<int> {};
 
 TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
@@ -417,43 +426,100 @@ TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
   projection.project_network(net);
   FixedNetwork engine(net, spec, LayerAlphabetPlan::uniform_asm(1, set));
   const DenseLayerPlan& plan = engine.plans()[0];
-  ASSERT_GT(plan.planes, 1);
-  ASSERT_NE(plan.cols % 8, 0);
-  for (int q = 0; q < plan.planes; ++q) {
-    for (int c = 0; c < plan.cols; ++c) {
-      ASSERT_EQ(plan.idx[q * plan.plane_stride() +
-                         2 * static_cast<std::size_t>(plan.cols_padded) +
-                         static_cast<std::size_t>(c)],
-                plan.zero_slot);
-    }
-  }
-  expect_tile_matches_scalar(plan, 31, "bits=" + std::to_string(bits));
+  EXPECT_EQ(plan.row_groups[2], plan.row_groups[3]);
+  // Quartet 0 spans shifts 0..3, so a shift of 4 or more comes from a
+  // later quartet.
+  ASSERT_GE(*std::max_element(plan.shifts.begin(), plan.shifts.end()), 4);
+  ASSERT_LE(int32_row_bound(plan, set.alphabets()),
+            std::numeric_limits<std::int32_t>::max());
 
-  for (int max_steps = 1; max_steps <= 4; ++max_steps) {
-    constexpr int kRows = 5;
-    constexpr int kCols = 11;
-    // Row 1 has no steps.
-    const Schedule schedule = random_schedule(
-        kRows * kCols, 4, max_steps, bits,
-        [](std::size_t w) { return w / kCols == 1; }, rng);
-    std::vector<std::int64_t> biases(kRows);
-    for (auto& b : biases) b = rng.next_in(-1000, 1000);
-    DenseLayerPlan built = DenseLayerPlan::build_asm(
-        kRows, kCols, 4, schedule.weights, schedule.steps, biases);
-    built.in_min_raw = -512;  // a signed 10-bit window
-    built.in_max_raw = 511;
-    expect_tile_matches_scalar(
-        built, 50 + static_cast<std::uint64_t>(max_steps),
-        "bits=" + std::to_string(bits) +
-            " planes=" + std::to_string(built.planes),
-        &schedule);
+  const auto samples = window_samples(plan, set.alphabets(), 31);
+  std::vector<std::vector<std::int64_t>> expected;
+  for (const auto& sample : samples) {
+    std::vector<std::int64_t> rows(static_cast<std::size_t>(plan.rows));
+    backend_for(BackendKind::kScalar)
+        .accumulate_dense(plan, sample.data(), rows.data());
+    expected.push_back(rows);
   }
+  expect_dense_rows(plan, samples, expected, true,
+                    "bits=" + std::to_string(bits));
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
                          ::testing::Values(8, 12));
 
-// The conv twin of the hand-built dense check: random schedules of up
+// The grouped dense layout against the schedule it was built from. The
+// scalar reference walks the same groups as every other backend, so it
+// cannot be its own oracle: for k = 1..4 alphabets and weights of up
+// to 1-3 steps, every backend's accumulate_dense and
+// accumulate_dense_tile must equal the AoS walk over a kept copy of
+// the schedule. Row 1 has no steps and row 2 is a single (shift, sign)
+// group. Shifts reach 30 on the per-sample path, whose int64 sums take
+// any of them, and stay below 12 where the tile runs too, so a ±512
+// window fits the tile's int32 proof. A plan with no terms at all
+// yields its biases.
+TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
+  constexpr int kRows = 6;
+  constexpr int kCols = 11;
+  man::util::Rng rng(620);
+  for (int k = 1; k <= 4; ++k) {
+    const AlphabetSet set = AlphabetSet::first_n(static_cast<std::size_t>(k));
+    for (int max_steps = 1; max_steps <= 3; ++max_steps) {
+      for (const int shift_limit : {31, 12}) {
+        Schedule schedule = random_schedule(
+            kRows * kCols, k, max_steps, shift_limit,
+            [](std::size_t w) { return w / kCols == 1; }, rng);
+        for (std::size_t w = 2 * kCols; w < 3 * kCols; ++w) {
+          AsmWeight& weight = schedule.weights[w];
+          weight.negative = true;
+          for (std::uint8_t s = 0; s < weight.step_count; ++s) {
+            schedule.steps[weight.step_begin + s].shift = 5;
+          }
+        }
+        std::vector<std::int64_t> biases(kRows);
+        for (auto& b : biases) b = rng.next_in(-1000, 1000);
+        DenseLayerPlan plan = DenseLayerPlan::build_asm(
+            kRows, kCols, k, schedule.weights, schedule.steps, biases);
+        plan.in_min_raw = -512;
+        plan.in_max_raw = 511;
+        const std::string label = "k=" + std::to_string(k) + " max_steps=" +
+                                  std::to_string(max_steps) + " shifts<" +
+                                  std::to_string(shift_limit);
+        EXPECT_EQ(plan.row_groups[1], plan.row_groups[2]) << label;
+        EXPECT_EQ(plan.row_groups[3] - plan.row_groups[2], 1u) << label;
+        const bool tile = shift_limit <= 12;
+        if (tile) {
+          ASSERT_LE(int32_row_bound(plan, set.alphabets()),
+                    std::numeric_limits<std::int32_t>::max());
+        }
+        const auto samples =
+            window_samples(plan, set.alphabets(), rng.next_below(1000));
+        std::vector<std::vector<std::int64_t>> expected;
+        for (const auto& sample : samples) {
+          expected.push_back(aos_dense(schedule, plan, sample));
+        }
+        expect_dense_rows(plan, samples, expected, tile, label);
+      }
+    }
+  }
+
+  const Schedule none = random_schedule(
+      kRows * kCols, 4, 3, 12, [](std::size_t) { return true; }, rng);
+  const std::vector<std::int64_t> biases = {5, -6, 7, -8, 9, -10};
+  DenseLayerPlan plan = DenseLayerPlan::build_asm(kRows, kCols, 4, none.weights,
+                                                  none.steps, biases);
+  plan.in_min_raw = -512;
+  plan.in_max_raw = 511;
+  EXPECT_TRUE(plan.idx.empty());
+  EXPECT_TRUE(plan.shifts.empty());
+  const auto samples =
+      window_samples(plan, AlphabetSet::four().alphabets(), 7);
+  expect_dense_rows(plan, samples,
+                    std::vector<std::vector<std::int64_t>>(kDenseTile, biases),
+                    true, "no terms");
+}
+
+// The conv twin of DensePlanOracle: random schedules of up
 // to 1-4 steps per weight (one all-zero filter) on a two-channel 3×3
 // kernel over a non-square input (18 columns, so a padded tail),
 // through every backend's accumulate_conv and accumulate_conv_int32,
@@ -576,13 +642,18 @@ TEST(BackendPlans, CompiledPlansCoverEveryDenseStage) {
   EXPECT_EQ(plans[0].cols, 16);
   EXPECT_FALSE(plans[0].exact);
   EXPECT_EQ(plans[0].k, 4);
-  EXPECT_EQ(plans[0].cols_padded % kLaneWidth, 0);
-  EXPECT_GT(plans[0].planes, 0);
-  EXPECT_EQ(plans[0].idx.size(),
-            static_cast<std::size_t>(plans[0].planes) *
-                plans[0].plane_stride());
-  // 8-bit weights decompose into at most two quartets (paper Fig 4).
-  EXPECT_LE(plans[0].planes, 2);
+  ASSERT_EQ(plans[0].row_groups.size(), 9u);
+  EXPECT_EQ(plans[0].row_groups[8], plans[0].shifts.size());
+  EXPECT_EQ(plans[0].sign_masks.size(), plans[0].shifts.size());
+  EXPECT_EQ(plans[0].group_begin.size(), plans[0].shifts.size() + 1);
+  EXPECT_EQ(plans[0].group_begin[plans[0].shifts.size()],
+            plans[0].idx.size());
+  // 8-bit weights decompose into two quartets, 7 magnitude bits (paper
+  // Fig 4): shifts 0..6, so at most 7 shifts × 2 signs per row.
+  for (std::size_t r = 0; r < 8; ++r) {
+    EXPECT_LE(plans[0].row_groups[r + 1] - plans[0].row_groups[r], 14u);
+  }
+  for (const std::int64_t shift : plans[0].shifts) EXPECT_LT(shift, 7);
 }
 
 TEST(BackendPlans, CompiledConvPlansExposeGeometry) {

@@ -325,7 +325,8 @@ TEST(FixedNetwork, RejectsWrongInputSize) {
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
 /// A hand-built MAN ({1}) schedule over activations |x| ≤ X whose row
-/// 0 has int32 row bound exactly INT32_MAX: n = INT32_MAX mod X
+/// 0, as a conv filter (whose proof counts one unit per negative
+/// weight), has int32 row bound exactly INT32_MAX: n = INT32_MAX mod X
 /// negative single-step weights (shift 0) plus one positive
 /// single-step weight per set bit of (INT32_MAX − n)/X − n, so
 /// Σ X·2^shift + n = INT32_MAX. One more column carries no steps: a
@@ -367,14 +368,53 @@ BoundarySchedule boundary_schedule(const QuantSpec& spec, bool over) {
   return out;
 }
 
+/// The boundary plans' format: 2-bit activations, so the staging
+/// window is [-1, 1] and X = 1 — the only X that divides INT32_MAX =
+/// 2^31 − 1, a prime.
+QuantSpec boundary_spec() {
+  QuantSpec spec = QuantSpec::bits8();
+  spec.activation_format = man::fixed::QFormat(2, 1);
+  return spec;
+}
+
+/// The dense twin of boundary_schedule for the grouped dense proof,
+/// which has no sign term: over activations |x| ≤ X = 1, one
+/// single-step weight per shift 0..30, negative at odd shifts, so row
+/// 0's bound Σ X·2^shift is exactly INT32_MAX. With `over`, one more
+/// single-step weight at shift 0 puts the plan one unit past the
+/// proof. Row 1 is small.
+BoundarySchedule dense_boundary_schedule(bool over) {
+  using man::backend::AsmStep;
+  using man::backend::AsmWeight;
+  BoundarySchedule out;
+  out.cols = over ? 32 : 31;
+  const auto add_weight = [&](bool negative, int step_count,
+                              std::uint8_t shift) {
+    AsmWeight w;
+    w.step_begin = static_cast<std::uint32_t>(out.steps.size());
+    w.step_count = static_cast<std::uint8_t>(step_count);
+    w.negative = negative;
+    out.weights.push_back(w);
+    if (step_count > 0) out.steps.push_back(AsmStep{0, shift});
+  };
+  for (std::uint8_t shift = 0; shift <= 30; ++shift) {
+    add_weight(shift % 2 == 1, 1, shift);
+  }
+  if (over) add_weight(false, 1, 0);
+  for (const AsmWeight& w : out.weights) out.negative.push_back(w.negative);
+  for (int c = 0; c < out.cols; ++c) add_weight(c % 3 == 0, c % 2, 1);  // row 1
+  return out;
+}
+
 /// The boundary schedule as a dense plan over the spec's window.
 struct BoundaryPlan {
   man::backend::DenseLayerPlan plan;
   std::vector<bool> negative;  ///< row 0's weight signs, per column
 };
 
-BoundaryPlan boundary_plan(const QuantSpec& spec, bool over) {
-  BoundarySchedule schedule = boundary_schedule(spec, over);
+BoundaryPlan boundary_plan(bool over) {
+  const QuantSpec spec = boundary_spec();
+  BoundarySchedule schedule = dense_boundary_schedule(over);
   BoundaryPlan out;
   out.negative = schedule.negative;
   out.plan = man::backend::DenseLayerPlan::build_asm(
@@ -395,7 +435,7 @@ CompiledSynapse man_synapse(const std::string& name) {
 /// The boundary plan alone, or followed by a sigmoid LUT and a small
 /// MAN dense stage (2 → 3) that always fits.
 FixedNetwork boundary_engine(const BoundaryPlan& boundary, bool tail) {
-  const QuantSpec spec = QuantSpec::bits8();
+  const QuantSpec spec = boundary_spec();
   CompiledModel model;
   model.spec = spec;
   const auto& head = boundary.plan;
@@ -470,7 +510,7 @@ std::vector<std::int64_t> expect_batch_matches_scalar(
 // with activations on the window's edges the int32 lanes reach
 // −INT32_MAX bit-identically to the int64 scalar reference.
 TEST(Int32TileProof, PlanAtInt32MaxTiles) {
-  const BoundaryPlan boundary = boundary_plan(QuantSpec::bits8(), false);
+  const BoundaryPlan boundary = boundary_plan(false);
   const auto alphabets = AlphabetSet::man().alphabets();
   ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
             kInt32Max);
@@ -478,11 +518,9 @@ TEST(Int32TileProof, PlanAtInt32MaxTiles) {
   const FixedNetwork alone = boundary_engine(boundary, false);
   EXPECT_EQ(alone.tile_begin(), 0u);
   const auto raw = expect_batch_matches_scalar(alone, pixels);
-  // Row 0 of sample 0: bias 5 plus Σ of the real products, which is
-  // the kernel sum −INT32_MAX plus the n negative weights' −Σ sign.
-  const std::int64_t x = QuantSpec::bits8().activation_format.max_raw();
-  EXPECT_EQ(raw[0], 5 - kInt32Max + kInt32Max % x);
-  EXPECT_EQ(raw[2], 5 + kInt32Max - kInt32Max % x);
+  // Row 0 of samples 0 and 1: bias 5 plus a kernel sum of ∓INT32_MAX.
+  EXPECT_EQ(raw[0], 5 - kInt32Max);
+  EXPECT_EQ(raw[2], 5 + kInt32Max);
   const FixedNetwork tailed = boundary_engine(boundary, true);
   EXPECT_EQ(tailed.tile_begin(), 0u);
   expect_batch_matches_scalar(tailed, pixels);
@@ -492,7 +530,7 @@ TEST(Int32TileProof, PlanAtInt32MaxTiles) {
 // tile starts past it (at the tail stage that fits), and outputs still
 // match the scalar reference.
 TEST(Int32TileProof, PlanOneUnitOverRunsPerSample) {
-  const BoundaryPlan boundary = boundary_plan(QuantSpec::bits8(), true);
+  const BoundaryPlan boundary = boundary_plan(true);
   const auto alphabets = AlphabetSet::man().alphabets();
   ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
             man::backend::kInt32RowOverflow);

@@ -54,8 +54,8 @@ std::vector<std::int64_t> quantize(std::span<const float> pixels,
   return values;
 }
 
-// The dense staging layout: k-strided element-major plus the trailing
-// always-zero slot (what the engine's stage_multiples produces).
+// The dense staging layout: k-strided element-major (what the
+// engine's stage_multiples produces).
 // `row_of(v)` yields the k bank outputs of v.
 template <typename RowOf>
 std::vector<std::int64_t> stage_dense(const DenseLayerPlan& plan,
@@ -67,7 +67,6 @@ std::vector<std::int64_t> stage_dense(const DenseLayerPlan& plan,
     const auto row = row_of(values[i]);
     for (std::size_t l = 0; l < k; ++l) multiples[i * k + l] = row[l];
   }
-  multiples[plan.zero_slot] = 0;
   return multiples;
 }
 
