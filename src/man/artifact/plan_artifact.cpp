@@ -24,6 +24,7 @@ namespace {
 
 using man::backend::ConvLayerPlan;
 using man::backend::DenseLayerPlan;
+using man::backend::GroupedPlan;
 using man::backend::PlanArray;
 using man::engine::CompiledConvStage;
 using man::engine::CompiledDenseStage;
@@ -77,10 +78,11 @@ void write_synapse(BlobWriter& dir, const CompiledSynapse& synapse) {
   dir.write_u64(synapse.ops_per_inference.negates);
 }
 
-void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
-                      const DenseLayerPlan& plan) {
-  dir.write_i32(plan.rows);
-  dir.write_i32(plan.cols);
+/// The fields both plan kinds share, in format order: alphabet count,
+/// exact flag, staging window, then the weights, biases and group
+/// arrays.
+void write_grouped(BlobWriter& dir, BlobWriter& arrays,
+                   const GroupedPlan& plan) {
   dir.write_i32(plan.k);
   dir.write_u32(plan.exact ? 1 : 0);
   dir.write_i64(plan.in_min_raw);
@@ -94,6 +96,13 @@ void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
   write_array_ref(dir, arrays, plan.idx);
 }
 
+void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
+                      const DenseLayerPlan& plan) {
+  dir.write_i32(plan.rows);
+  dir.write_i32(plan.cols);
+  write_grouped(dir, arrays, plan);
+}
+
 void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
                      const ConvLayerPlan& plan) {
   dir.write_i32(plan.oc);
@@ -104,19 +113,8 @@ void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_i32(plan.oh);
   dir.write_i32(plan.ow);
   dir.write_i32(plan.cols);
-  dir.write_i32(plan.cols_padded);
-  dir.write_i32(plan.k);
-  dir.write_i32(plan.planes);
-  dir.write_u32(plan.exact ? 1 : 0);
-  dir.write_u32(plan.zero_base);
-  dir.write_i64(plan.in_min_raw);
-  dir.write_i64(plan.in_max_raw);
-  write_array_ref(dir, arrays, plan.weights);
-  write_array_ref(dir, arrays, plan.biases);
+  write_grouped(dir, arrays, plan);
   write_array_ref(dir, arrays, plan.patch_elems);
-  write_array_ref(dir, arrays, plan.idx);
-  write_array_ref(dir, arrays, plan.shifts);
-  write_array_ref(dir, arrays, plan.sign_masks);
 }
 
 // ------------------------------------------------------------- reading
@@ -169,10 +167,6 @@ CompiledSynapse read_synapse(SpanReader& dir) {
 // throws SerializationError instead of reading or writing out of
 // bounds.
 
-/// Most quartet planes a conv plan can have: one step per weight bit
-/// at most, and QFormat caps weights at 31 bits.
-constexpr int kMaxPlanes = 32;
-
 [[noreturn]] void reject(const std::string& what) {
   throw SerializationError("plan artifact: " + what);
 }
@@ -184,12 +178,6 @@ std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
   return product;
 }
 
-/// `cols` rounded up to kLaneWidth, as the conv builders pad.
-std::int64_t padded(std::int64_t cols) {
-  using man::backend::kLaneWidth;
-  return (cols + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
-}
-
 /// The bank outputs per input element a plan must stage: the
 /// synapse's alphabet count (0 for exact plans, which stage none).
 int staged_alphabets(const CompiledSynapse& synapse, bool exact) {
@@ -198,42 +186,8 @@ int staged_alphabets(const CompiledSynapse& synapse, bool exact) {
                      synapse.scheme.effective_alphabets().size());
 }
 
-/// Plane contents of an ASM conv plan: every entry reads a slot at or
-/// below the zero region's base, which stays in the buffer under every
-/// position base; each weight's steps are packed from plane 0 and the
-/// padding columns are all absent (so every backend walks the same
-/// steps); shifts are in [0, 64) and sign masks are 0 or -1.
-void check_planes(const ConvLayerPlan& plan) {
-  if (plan.planes < 0 || plan.planes > kMaxPlanes) reject("bad plane count");
-  const std::size_t stride = plan.plane_stride();
-  if (plan.idx.size() != static_cast<std::size_t>(plan.planes) * stride ||
-      plan.shifts.size() != plan.idx.size() ||
-      plan.sign_masks.size() != stride) {
-    reject("plane arrays disagree with plan geometry");
-  }
-  for (int r = 0; r < plan.oc; ++r) {
-    for (int c = 0; c < plan.cols_padded; ++c) {
-      const std::size_t cell =
-          static_cast<std::size_t>(r) * plan.cols_padded + c;
-      bool ended = c >= plan.cols;
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
-        const std::uint32_t slot = plan.idx[pc];
-        if (slot > plan.zero_base || (ended && slot != plan.zero_base) ||
-            plan.shifts[pc] < 0 || plan.shifts[pc] >= 64) {
-          reject("plane entry out of range");
-        }
-        ended = ended || slot == plan.zero_base;
-      }
-      if (plan.sign_masks[cell] != 0 && plan.sign_masks[cell] != -1) {
-        reject("bad sign mask");
-      }
-    }
-  }
-}
-
-/// Offsets of a grouped dense plan: `offsets` starts at 0, never
-/// decreases and ends at `size`.
+/// Offsets of a grouped plan: `offsets` starts at 0, never decreases
+/// and ends at `size`.
 void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
                    const char* what) {
   if (offsets.empty() || offsets[0] != 0 ||
@@ -243,27 +197,28 @@ void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
   }
 }
 
-/// Groups of an ASM dense plan: rows + 1 row offsets into the groups
-/// and groups + 1 group offsets into the terms, both monotone and
-/// ending at their array sizes; every term index below cols · k;
-/// every shift below kMaxDenseShift; every sign mask 0 or -1.
-void check_groups(const DenseLayerPlan& plan) {
+/// Groups of an ASM plan of either kind: rows + 1 row offsets into the
+/// groups and groups + 1 group offsets into the terms, both monotone
+/// and ending at their array sizes; every term index a slot with a
+/// lane (Plan::term_lane: below cols · k for dense, and for conv in
+/// the buffer and in its lane under every position base); every shift
+/// below kMaxShift; every sign mask 0 or -1.
+template <typename Plan>
+void check_groups(const Plan& plan, int rows) {
   const std::size_t groups = plan.shifts.size();
-  if (plan.row_groups.size() != static_cast<std::size_t>(plan.rows) + 1 ||
+  if (plan.row_groups.size() != static_cast<std::size_t>(rows) + 1 ||
       plan.sign_masks.size() != groups ||
       plan.group_begin.size() != groups + 1) {
     reject("group arrays disagree with plan geometry");
   }
   check_offsets(plan.row_groups, groups, "row group");
   check_offsets(plan.group_begin, plan.idx.size(), "group term");
-  const std::uint64_t slots = checked_mul(static_cast<std::uint64_t>(plan.cols),
-                                          static_cast<std::uint64_t>(plan.k));
   for (const std::uint32_t slot : plan.idx) {
-    if (slot >= slots) reject("dense term index out of range");
+    if (plan.term_lane(slot) < 0) reject("term index out of range");
   }
   for (std::size_t g = 0; g < groups; ++g) {
-    if (plan.shifts[g] < 0 || plan.shifts[g] >= man::backend::kMaxDenseShift) {
-      reject("dense group shift out of range");
+    if (plan.shifts[g] < 0 || plan.shifts[g] >= man::backend::kMaxShift) {
+      reject("group shift out of range");
     }
     if (plan.sign_masks[g] != 0 && plan.sign_masks[g] != -1) {
       reject("bad sign mask");
@@ -271,11 +226,9 @@ void check_groups(const DenseLayerPlan& plan) {
   }
 }
 
-DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
-                               const CompiledSynapse& synapse) {
-  DenseLayerPlan plan;
-  plan.rows = dir.read_i32();
-  plan.cols = dir.read_i32();
+/// Reads the fields write_grouped() wrote.
+void read_grouped(SpanReader& dir, const SpanReader& file,
+                  GroupedPlan& plan) {
   plan.k = dir.read_i32();
   plan.exact = dir.read_u32() != 0;
   plan.in_min_raw = dir.read_i64();
@@ -287,26 +240,43 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
   plan.shifts = read_array_ref<std::int64_t>(dir, file);
   plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
   plan.idx = read_array_ref<std::uint32_t>(dir, file);
+}
 
-  if (plan.rows < 0 || plan.cols < 0 ||
-      plan.k != staged_alphabets(synapse, plan.exact)) {
-    reject("bad dense geometry");
+/// The shared fields of a plan with valid geometry (rows × cols): the
+/// synapse's alphabet count, one bias per row, and either exact
+/// weights and no groups or valid groups and no weights.
+template <typename Plan>
+void check_grouped(const Plan& plan, int rows, int cols,
+                   const CompiledSynapse& synapse) {
+  if (plan.k != staged_alphabets(synapse, plan.exact)) {
+    reject("bad alphabet count");
   }
-  if (plan.biases.size() != static_cast<std::size_t>(plan.rows)) {
-    reject("dense biases disagree with plan geometry");
+  if (plan.biases.size() != static_cast<std::size_t>(rows)) {
+    reject("biases disagree with plan geometry");
   }
   if (plan.exact) {
     if (plan.weights.size() !=
-            static_cast<std::size_t>(plan.rows) * plan.cols ||
+            checked_mul(static_cast<std::uint64_t>(rows),
+                        static_cast<std::uint64_t>(cols)) ||
         !plan.row_groups.empty() || !plan.group_begin.empty() ||
         !plan.shifts.empty() || !plan.sign_masks.empty() ||
         !plan.idx.empty()) {
-      reject("dense weights disagree with plan geometry");
+      reject("weights disagree with plan geometry");
     }
   } else {
-    if (!plan.weights.empty()) reject("ASM dense plan with weights");
-    check_groups(plan);
+    if (!plan.weights.empty()) reject("ASM plan with weights");
+    check_groups(plan, rows);
   }
+}
+
+DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
+                               const CompiledSynapse& synapse) {
+  DenseLayerPlan plan;
+  plan.rows = dir.read_i32();
+  plan.cols = dir.read_i32();
+  read_grouped(dir, file, plan);
+  if (plan.rows < 0 || plan.cols < 0) reject("bad dense geometry");
+  check_grouped(plan, plan.rows, plan.cols, synapse);
   return plan;
 }
 
@@ -321,19 +291,8 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
   plan.oh = dir.read_i32();
   plan.ow = dir.read_i32();
   plan.cols = dir.read_i32();
-  plan.cols_padded = dir.read_i32();
-  plan.k = dir.read_i32();
-  plan.planes = dir.read_i32();
-  plan.exact = dir.read_u32() != 0;
-  plan.zero_base = dir.read_u32();
-  plan.in_min_raw = dir.read_i64();
-  plan.in_max_raw = dir.read_i64();
-  plan.weights = read_array_ref<std::int32_t>(dir, file);
-  plan.biases = read_array_ref<std::int64_t>(dir, file);
+  read_grouped(dir, file, plan);
   plan.patch_elems = read_array_ref<std::uint32_t>(dir, file);
-  plan.idx = read_array_ref<std::uint32_t>(dir, file);
-  plan.shifts = read_array_ref<std::int64_t>(dir, file);
-  plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
 
   if (plan.oc < 1 || plan.ic < 1 || plan.kernel < 1 ||
       plan.ih < plan.kernel || plan.iw < plan.kernel ||
@@ -342,18 +301,15 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
       static_cast<std::uint64_t>(plan.cols) !=
           checked_mul(checked_mul(static_cast<std::uint64_t>(plan.ic),
                                   static_cast<std::uint64_t>(plan.kernel)),
-                      static_cast<std::uint64_t>(plan.kernel)) ||
-      plan.cols_padded != padded(plan.cols) ||
-      plan.k != staged_alphabets(synapse, plan.exact)) {
+                      static_cast<std::uint64_t>(plan.kernel))) {
     reject("bad conv geometry");
   }
   const std::uint64_t elems = checked_mul(
       checked_mul(static_cast<std::uint64_t>(plan.ic),
                   static_cast<std::uint64_t>(plan.ih)),
       static_cast<std::uint64_t>(plan.iw));
-  if (plan.biases.size() != static_cast<std::size_t>(plan.oc) ||
-      plan.patch_elems.size() != static_cast<std::size_t>(plan.cols_padded)) {
-    reject("conv arrays disagree with plan geometry");
+  if (plan.patch_elems.size() != static_cast<std::size_t>(plan.cols)) {
+    reject("conv patch elements disagree with plan geometry");
   }
   // Exact kernels read activation patch_elems[c] + oy·iw + ox.
   for (const std::uint32_t elem : plan.patch_elems) {
@@ -361,23 +317,7 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
       reject("conv patch element out of range");
     }
   }
-  if (plan.exact) {
-    if (plan.weights.size() !=
-            static_cast<std::size_t>(plan.oc) * plan.cols_padded ||
-        !plan.idx.empty()) {
-      reject("conv weights disagree with plan geometry");
-    }
-  } else {
-    // Kernels pre-read plane 0, so an ASM conv keeps at least one.
-    if (plan.planes < 1) reject("ASM conv plan without planes");
-    if (!plan.weights.empty() ||
-        plan.zero_base !=
-            checked_mul(elems, static_cast<std::uint64_t>(plan.k))) {
-      reject("bad conv zero region");
-    }
-    // idx ≤ zero_base ⇔ idx + max_position_base() < padded_multiples().
-    check_planes(plan);
-  }
+  check_grouped(plan, plan.oc, plan.cols, synapse);
   return plan;
 }
 

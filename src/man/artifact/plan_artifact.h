@@ -1,11 +1,10 @@
 // Versioned, checksummed flat-blob artifact of one compiled engine:
 // the CompiledModel stage descriptors plus every Dense/ConvLayerPlan,
 // laid out offset-table style so the reader mmap()s the file
-// read-only and points the plan arrays (dense groups, conv quartet
-// planes, weights, biases, conv patch offsets) directly at the
-// mapping — no per-field parse of the bulk data, and N processes
-// loading the same artifact share one physical copy through the page
-// cache.
+// read-only and points the plan arrays ((shift, sign) groups,
+// weights, biases, conv patch offsets) directly at the mapping — no
+// per-field parse of the bulk data, and N processes loading the same
+// artifact share one physical copy through the page cache.
 //
 // File layout (all little-endian):
 //
@@ -40,8 +39,9 @@ namespace man::artifact {
 /// version 2 a plan's compiled layout is its only schedule layout;
 /// version 3 dropped the per-plan conv tile shapes (conv tiles are
 /// fixed per ISA at compile time); version 4 replaced the dense
-/// quartet planes with (shift, sign) groups of term indices.
-inline constexpr std::uint32_t kArtifactVersion = 4;
+/// quartet planes with (shift, sign) groups of term indices, and
+/// version 5 the conv ones.
+inline constexpr std::uint32_t kArtifactVersion = 5;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

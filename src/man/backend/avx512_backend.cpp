@@ -1,11 +1,12 @@
 // AVX-512 kernel: the AVX2 backend's structure at twice the vector
-// width — 8-lane int64 group gathers for one dense sample, one zmm of
-// 16 int32 lanes per term for a dense batch tile, and 16 int32
-// output positions per zmm for a conv plan that fits int32 lanes —
-// plus the deeper register file (32 zmm) that makes taller row tiles
-// profitable, plus lane masking for ragged column groups and row tails
-// (no scalar remainder). Conv plans that do not fit run the portable
-// int64 plane loop. Bit-identical to the scalar reference for the same
+// width, over the (shift, sign) groups of both plan kinds — 8-lane
+// int64 group gathers for one dense sample, one zmm of 16 int32 lanes
+// per term for a dense batch tile, and 16 int32 output positions per
+// zmm for a conv plan that fits int32 lanes — plus the deeper register
+// file (32 zmm) that makes taller row tiles profitable, plus lane
+// masking for ragged column groups and row tails (no scalar
+// remainder). Conv plans that do not fit run the portable int64 group
+// loop. Bit-identical to the scalar reference for the same
 // reason the AVX2 kernel is: every operation (logical left shift,
 // two's-complement negation, wrapping add) matches the scalar op
 // exactly, the int32 lanes never leave int32 (int32_row_bound()), and
@@ -137,38 +138,31 @@ static_assert(ConvLayerPlan::tile_avx512.row_tile == kConvRowTile512 &&
 
 /// One vectorized tile: RN output rows × CN 16-lane int32 column
 /// groups starting at (oy0, ox), every filter — conv_tile_avx2 at zmm
-/// width (see there for the layout, the Σ(p ^ s) − Σs sign form and
-/// the int32 proof). The last column group is lane-masked to the
-/// positions set in `last`, so a row of any width needs no tail
-/// kernel: masked-out lanes are neither read nor written, and active
-/// lanes run the exact same ops.
-template <int RN, int CN, int P>
+/// width (see there for the layout, the group walk and the int32
+/// proof). The last column group is lane-masked to the positions set
+/// in `last`, so a row of any width needs no tail kernel: masked-out
+/// lanes are neither read nor written, and active lanes run the exact
+/// same ops.
+template <int RN, int CN>
 MAN_TARGET_AVX512 void conv_tile_avx512(const ConvLayerPlan& plan,
                                         const std::int32_t* multiples,
                                         std::int64_t* out, int oy0, int ox,
                                         __mmask16 last) {
-  const int planes = P > 0 ? P : plan.planes;
-  const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
+  const std::uint32_t* begin = plan.group_begin.data();
+  const std::int32_t* base =
+      multiples + static_cast<std::size_t>(oy0) * plan.iw + ox;
   const auto store_lo = static_cast<__mmask8>(last & 0xFFu);
   const auto store_hi = static_cast<__mmask8>(last >> 8);
-  for (int r = 0; r < plan.oc; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.oc); ++r) {
     __m512i acc[RN * CN];
-    for (int t = 0; t < RN * CN; ++t) acc[t] = _mm512_setzero_si512();
-    std::int64_t sign_sum = 0;
-    for (int c = 0; c < plan.cols; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m512i product[RN * CN];
-      for (int t = 0; t < RN * CN; ++t) product[t] = _mm512_setzero_si512();
-      for (int q = 0; q < planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int32_t* src = multiples + idx[pc] + ebase0;
+    for (int i = 0; i < RN * CN; ++i) acc[i] = _mm512_setzero_si512();
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      __m512i sum[RN * CN];
+      for (int i = 0; i < RN * CN; ++i) sum[i] = _mm512_setzero_si512();
+      for (std::uint32_t t = begin[g]; t < begin[g + 1]; ++t) {
+        const std::int32_t* src = base + idx[t];
         for (int ty = 0; ty < RN; ++ty) {
           for (int tx = 0; tx < CN; ++tx) {
             const std::int32_t* p =
@@ -176,23 +170,21 @@ MAN_TARGET_AVX512 void conv_tile_avx512(const ConvLayerPlan& plan,
                 static_cast<std::size_t>(tx) * kZmmInt32Lanes;
             const __m512i m = tx == CN - 1 ? _mm512_maskz_loadu_epi32(last, p)
                                            : _mm512_loadu_si512(p);
-            product[ty * CN + tx] = _mm512_add_epi32(
-                product[ty * CN + tx], _mm512_sll_epi32(m, sh));
+            sum[ty * CN + tx] = _mm512_add_epi32(sum[ty * CN + tx], m);
           }
         }
       }
-      const std::int64_t sign = signs[cell];
-      const __m512i vsign = _mm512_set1_epi32(static_cast<int>(sign));
-      for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm512_add_epi32(acc[t], _mm512_xor_si512(product[t], vsign));
+      const __m128i sh = _mm_cvtsi64_si128(plan.shifts[g]);
+      for (int i = 0; i < RN * CN; ++i) {
+        const __m512i shifted = _mm512_sll_epi32(sum[i], sh);
+        acc[i] = plan.sign_masks[g] != 0 ? _mm512_sub_epi32(acc[i], shifted)
+                                         : _mm512_add_epi32(acc[i], shifted);
       }
-      sign_sum += sign;
     }
-    const __m512i bias = _mm512_set1_epi64(
-        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
+    const __m512i bias = _mm512_set1_epi64(plan.biases[r]);
     for (int ty = 0; ty < RN; ++ty) {
       for (int tx = 0; tx < CN; ++tx) {
-        std::int64_t* dst = out + static_cast<std::size_t>(r) * positions +
+        std::int64_t* dst = out + r * positions +
                             static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
                             static_cast<std::size_t>(tx) * kZmmInt32Lanes;
         const __m512i a = acc[ty * CN + tx];
@@ -214,19 +206,19 @@ MAN_TARGET_AVX512 void conv_tile_avx512(const ConvLayerPlan& plan,
 
 /// Runtime row count (1..kConvRowTile512, fewer only in the last row
 /// tile) → compile-time RN for one column width.
-template <int CN, int P, int RN = kConvRowTile512>
+template <int CN, int RN = kConvRowTile512>
 MAN_TARGET_AVX512 void conv_tile_rows_avx512(const ConvLayerPlan& plan,
                                              const std::int32_t* multiples,
                                              std::int64_t* out, int oy0,
                                              int ox, int rn, __mmask16 last) {
   if constexpr (RN > 1) {
     if (rn < RN) {
-      conv_tile_rows_avx512<CN, P, RN - 1>(plan, multiples, out, oy0, ox, rn,
-                                           last);
+      conv_tile_rows_avx512<CN, RN - 1>(plan, multiples, out, oy0, ox, rn,
+                                        last);
       return;
     }
   }
-  conv_tile_avx512<RN, CN, P>(plan, multiples, out, oy0, ox, last);
+  conv_tile_avx512<RN, CN>(plan, multiples, out, oy0, ox, last);
 }
 
 /// The first `n` (1..16) lanes of a zmm of int32.
@@ -234,12 +226,10 @@ __mmask16 first_lanes(int n) {
   return static_cast<__mmask16>((1u << n) - 1u);
 }
 
-/// Every row tile and column group of one plan, at a compile-time
-/// plane count P (0: the plan's).
-template <int P>
-MAN_TARGET_AVX512 void conv_tiles_avx512(const ConvLayerPlan& plan,
-                                         const std::int32_t* multiples,
-                                         std::int64_t* out) {
+/// Every row tile and column group of one plan.
+MAN_TARGET_AVX512 void accumulate_conv_avx512(const ConvLayerPlan& plan,
+                                              const std::int32_t* multiples,
+                                              std::int64_t* out) {
   for (int oy0 = 0; oy0 < plan.oh; oy0 += kConvRowTile512) {
     const int rn = std::min(kConvRowTile512, plan.oh - oy0);
     int ox = 0;
@@ -248,25 +238,12 @@ MAN_TARGET_AVX512 void conv_tiles_avx512(const ConvLayerPlan& plan,
     for (; plan.ow - ox > kZmmInt32Lanes; ox += 2 * kZmmInt32Lanes) {
       const __mmask16 last = first_lanes(
           std::min(plan.ow - ox - kZmmInt32Lanes, kZmmInt32Lanes));
-      conv_tile_rows_avx512<2, P>(plan, multiples, out, oy0, ox, rn, last);
+      conv_tile_rows_avx512<2>(plan, multiples, out, oy0, ox, rn, last);
     }
     if (ox < plan.ow) {
-      conv_tile_rows_avx512<1, P>(plan, multiples, out, oy0, ox, rn,
-                                  first_lanes(plan.ow - ox));
+      conv_tile_rows_avx512<1>(plan, multiples, out, oy0, ox, rn,
+                               first_lanes(plan.ow - ox));
     }
-  }
-}
-
-/// Plane count → compile-time unrolled plane loop (8- and 12-bit
-/// weights have at most 2 and 3 quartets).
-MAN_TARGET_AVX512 void accumulate_conv_avx512(const ConvLayerPlan& plan,
-                                              const std::int32_t* multiples,
-                                              std::int64_t* out) {
-  switch (plan.planes) {
-    case 1: conv_tiles_avx512<1>(plan, multiples, out); break;
-    case 2: conv_tiles_avx512<2>(plan, multiples, out); break;
-    case 3: conv_tiles_avx512<3>(plan, multiples, out); break;
-    default: conv_tiles_avx512<0>(plan, multiples, out); break;
   }
 }
 
@@ -329,7 +306,7 @@ class Avx512Backend final : public KernelBackend {
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
     // Plans that do not fit int32 lanes: the portable int64 loop.
-    accumulate_conv_planes(plan, multiples, out);
+    accumulate_conv_groups(plan, multiples, out);
   }
 
   void accumulate_conv_int32(const ConvLayerPlan& plan,
@@ -341,7 +318,7 @@ class Avx512Backend final : public KernelBackend {
       return;
     }
 #endif
-    accumulate_conv_planes(plan, multiples, out);
+    accumulate_conv_groups(plan, multiples, out);
   }
 
   void exact_conv(const ConvLayerPlan& plan,

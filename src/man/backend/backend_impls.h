@@ -10,7 +10,7 @@
 // those functions, for AVX2 or AVX-512F/VL through a per-function
 // target attribute; every file is built at the default ISA, and
 // runtime CPUID decides whether the kernels run. Elsewhere both
-// backends run their portable plane loops.
+// backends run their portable group loops.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MAN_X86_KERNELS 1
 #define MAN_TARGET_AVX2 __attribute__((target("avx2")))

@@ -1,5 +1,5 @@
-// Blocked-scalar kernel: branch-free walks over the dense groups and
-// the conv planes — plain C++ the compiler can unroll and
+// Blocked-scalar kernel: walks over the (shift, sign) groups of dense
+// and conv plans — plain C++ the compiler can unroll and
 // auto-vectorize, no intrinsics.
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
@@ -17,7 +17,7 @@ class BlockedBackend final : public KernelBackend {
     return "blocked";
   }
   [[nodiscard]] const char* description() const noexcept override {
-    return "branch-free blocked-scalar over groups and planes";
+    return "blocked-scalar over groups";
   }
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
@@ -42,13 +42,13 @@ class BlockedBackend final : public KernelBackend {
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
-    accumulate_conv_planes(plan, multiples, out);
+    accumulate_conv_groups(plan, multiples, out);
   }
 
   void accumulate_conv_int32(const ConvLayerPlan& plan,
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
-    accumulate_conv_planes(plan, multiples, out);
+    accumulate_conv_groups(plan, multiples, out);
   }
 
   void exact_conv(const ConvLayerPlan& plan,

@@ -1,9 +1,9 @@
 // Multi-backend ASM accumulation: the inner MAC loop of the
 // fixed-point engine abstracted behind a KernelBackend interface, so
-// the same compiled plans — a dense plan's (shift, sign) groups, a
-// conv plan's quartet planes — run on the extracted scalar reference,
-// an auto-vectorizable blocked-scalar kernel, or explicit AVX2/AVX-512
-// SIMD kernels — all under one bit-exactness contract
+// the same compiled plans — the (shift, sign) groups of a dense or conv
+// plan — run on the extracted scalar reference, an auto-vectorizable
+// blocked-scalar kernel, or explicit AVX2/AVX-512 SIMD kernels — all
+// under one bit-exactness contract
 // (every backend must produce accumulators identical to the scalar
 // reference; the Fig 9 replay gate enforces this in CI).
 //
@@ -27,7 +27,7 @@ namespace man::backend {
 /// Registered accumulation kernels.
 enum class BackendKind {
   kScalar,   ///< extracted reference loop, one row at a time over the
-             ///< dense groups, one weight at a time over the conv planes
+             ///< groups (a conv row once per output position)
   kBlocked,  ///< branch-free blocked-scalar loops
   kSimd,     ///< AVX2 intrinsics (portable loops off x86-64 or
              ///< when the CPU lacks AVX2)
@@ -88,26 +88,25 @@ class KernelBackend {
                            const std::int64_t* activations,
                            std::int64_t* out) const = 0;
 
-  /// ASM quartet accumulation for one conv stage: for every filter r
-  /// and output position p = (oy, ox),
-  ///   out[r·P + p] = biases[r] + Σ_c sign · Σ_q
-  ///       multiples[idx + oy·iw + ox] << shift
+  /// ASM accumulation for one conv stage, group by group: for every
+  /// filter r and output position p = (oy, ox),
+  ///   out[r·P + p] = biases[r] + Σ_g ±(Σ_t
+  ///       multiples[idx[t] + oy·iw + ox]) << shifts[g]
   /// (the position base is in element units — the lane-major layout
   /// strides by elements, not by k). `multiples` holds
-  /// plan.padded_multiples() slots — k planes of ic·ih·iw bank
-  /// outputs plus the trailing zero region, which must be 0.
-  /// FixedNetwork calls it only for plans that do not fit int32
-  /// lanes; the vector backends run the portable plane loop here.
+  /// plan.padded_multiples() slots — k lanes of ic·ih·iw bank
+  /// outputs. FixedNetwork calls it only for plans that do not fit
+  /// int32 lanes; the vector backends run the portable group loop
+  /// here.
   virtual void accumulate_conv(const ConvLayerPlan& plan,
                                const std::int64_t* multiples,
                                std::int64_t* out) const = 0;
 
-  /// accumulate_conv over int32 multiples: the same lane-major layout,
-  /// zero region and output. Vector kernels run 8 (ymm) or 16 (zmm)
-  /// consecutive output positions per vector, accumulate products and
-  /// Σ (p ^ sign) in int32, and widen each output to int64 where the
-  /// bias and −Σ sign are added; they tile positions by one fixed
-  /// register tile per ISA. Callers must hold int32_row_bound(plan,
+  /// accumulate_conv over int32 multiples: the same lane-major layout
+  /// and output. Vector kernels run 8 (ymm) or 16 (zmm) consecutive
+  /// output positions per vector, sum each group and the filter in
+  /// int32, and widen each output to int64 where the bias is added;
+  /// they tile positions by one fixed register tile per ISA. Callers must hold int32_row_bound(plan,
   /// ...) ≤ INT32_MAX for the staged inputs (FixedNetwork routes only
   /// such plans here); the scalar reference accumulates in int64
   /// regardless. Bit-identical to accumulate_conv on the same values.
@@ -115,9 +114,8 @@ class KernelBackend {
                                      const std::int32_t* multiples,
                                      std::int64_t* out) const = 0;
 
-  /// Conventional exact conv stage over the degenerate single-multiple
-  /// plane: out[r·P + p] = biases[r] + Σ_c weights[r][c] ·
-  /// activations[patch_elems[c] + oy·iw + ox].
+  /// Conventional exact conv stage: out[r·P + p] = biases[r] +
+  /// Σ_c weights[r][c] · activations[patch_elems[c] + oy·iw + ox].
   virtual void exact_conv(const ConvLayerPlan& plan,
                           const std::int64_t* activations,
                           std::int64_t* out) const = 0;

@@ -1,23 +1,21 @@
-// Execution plans for the synapse stages: the one layout of each
-// stage kind, read by every backend (the scalar reference included)
-// and saved as-is in plan artifacts.
+// Execution plans for the synapse stages: one grouped layout for dense
+// and conv stages alike, read by every backend (the scalar reference
+// included) and saved as-is in plan artifacts.
 //
-// The paper's neuron sums ±(a·x) << s over every weight's quartets.
-// A dense row's shifts and signs take only a few values, so the dense
-// plan adds first and scales once: it groups each row's terms by
-// (shift, sign) and stores
+// The paper's neuron sums ±(a·x) << s over every weight's quartets. A
+// row's shifts and signs take only a few values, so a plan adds first
+// and scales once: it groups each row's terms by (shift, sign) and
+// stores
 //   row_groups[r]  : row r's first group (rows + 1 offsets)
 //   group_begin[g] : group g's first term (groups + 1 offsets)
 //   shifts[g], sign_masks[g] : the group's left shift and sign (0/-1)
-//   idx[t]         : term t's slot c·k + lane in the multiples buffer
+//   idx[t]         : term t's slot in the multiples buffer
 // so out[r] = bias[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g]: one
 // load and add per term, one shift and one add or subtract per group,
-// 4 bytes per term and no padding or absent entries.
-//
-// The conv plan keeps quartet planes: per plane q and weight w an
-// offset into the padded multiples buffer (absent quartets point at an
-// always-zero region) and a shift, and per weight a sign mask, padded
-// to a multiple of kLaneWidth columns.
+// 4 bytes per term and no padding or absent entries. A dense row is an
+// output neuron and its slots are c·k + lane; a conv row is a filter,
+// its slots are lane-major patch elements at output position (0,0),
+// and the kernels add each position's base offset to every read.
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
@@ -121,7 +119,7 @@ class PlanArray {
 
 /// One select/shift step of a compiled ASM weight (paper Fig 4: one
 /// quartet = one pre-computer lane selected, shifted into place).
-/// build_asm() input only: plans keep the layout built from it.
+/// build_asm() input only: plans keep the groups built from it.
 struct AsmStep {
   std::uint8_t lane;   ///< index into the bank's alphabet outputs
   std::uint8_t shift;  ///< total left shift
@@ -134,13 +132,9 @@ struct AsmWeight {
   bool negative = false;
 };
 
-/// SIMD lane width the conv planes are padded for (int64 lanes of one
-/// 256-bit vector).
-inline constexpr int kLaneWidth = 4;
-
-/// Shifts a dense plan may carry: [0, kMaxDenseShift). Weights are at
-/// most 31 bits wide, so no compiled step shifts further.
-inline constexpr int kMaxDenseShift = 32;
+/// Shifts a plan may carry: [0, kMaxShift). Weights are at most 31
+/// bits wide, so no compiled step shifts further.
+inline constexpr int kMaxShift = 32;
 
 /// Samples per batch tile of the dense tile kernels
 /// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
@@ -166,14 +160,13 @@ struct ConvTileShape {
   int col_vecs = 0;  ///< vector column groups per tile
 };
 
-/// Self-contained per-layer plan consumed by KernelBackend
-/// implementations. Built once per dense layer when a network is
-/// lowered (owned arrays — it cannot dangle into engine internals) or
-/// reconstructed from an mmap'ed plan artifact (borrowed arrays
-/// pointing into the mapping, which the loading engine keeps alive).
-struct DenseLayerPlan {
-  int rows = 0;        ///< output neurons
-  int cols = 0;        ///< input features
+/// What both plan kinds share: the exact path's weights, the biases,
+/// the ASM path's (shift, sign) groups and the staging window. Plans
+/// are built once per layer when a network is lowered (owned arrays —
+/// they cannot dangle into engine internals) or reconstructed from an
+/// mmap'ed plan artifact (borrowed arrays pointing into the mapping,
+/// which the loading engine keeps alive).
+struct GroupedPlan {
   int k = 0;           ///< alphabet count (bank outputs per input)
   bool exact = false;  ///< conventional layer: use `weights`, no groups
 
@@ -190,9 +183,9 @@ struct DenseLayerPlan {
   /// (shift, sign) and a group's terms by idx.
   PlanArray<std::uint32_t> row_groups;   ///< rows + 1 offsets
   PlanArray<std::uint32_t> group_begin;  ///< groups + 1 offsets
-  PlanArray<std::int64_t> shifts;        ///< per group, < kMaxDenseShift
+  PlanArray<std::int64_t> shifts;        ///< per group, < kMaxShift
   PlanArray<std::int64_t> sign_masks;    ///< per group, 0 or -1
-  PlanArray<std::uint32_t> idx;          ///< per term, below cols · k
+  PlanArray<std::uint32_t> idx;          ///< per term, a multiples slot
 
   /// Staging window: the activation QFormat's raw range
   /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
@@ -209,10 +202,23 @@ struct DenseLayerPlan {
   [[nodiscard]] bool has_input_range() const noexcept {
     return in_min_raw <= in_max_raw;
   }
+};
+
+/// Plan of one dense stage: row r is output neuron r, and term slots
+/// are k-strided, c·k + lane for input c.
+struct DenseLayerPlan : GroupedPlan {
+  int rows = 0;  ///< output neurons
+  int cols = 0;  ///< input features
 
   /// Slots the multiples buffer must provide: cols × k bank outputs.
   [[nodiscard]] std::size_t padded_multiples() const noexcept {
     return static_cast<std::size_t>(cols) * k;
+  }
+
+  /// The bank lane term slot `slot` reads (slot % k), or -1 when it
+  /// lies past the multiples buffer.
+  [[nodiscard]] int term_lane(std::uint32_t slot) const noexcept {
+    return slot < padded_multiples() ? static_cast<int>(slot % k) : -1;
   }
 
   /// Builds the plan for one exact (conventional-multiplier) layer.
@@ -224,73 +230,37 @@ struct DenseLayerPlan {
   /// which it consumes: `asm_weights` has rows × cols entries whose
   /// steps index `steps`; `k` is the bank's alphabet count. Throws
   /// std::invalid_argument on a step whose lane is not below k or
-  /// whose shift is not below kMaxDenseShift.
+  /// whose shift is not below kMaxShift.
   [[nodiscard]] static DenseLayerPlan build_asm(
       int rows, int cols, int k, std::vector<AsmWeight> asm_weights,
       std::vector<AsmStep> steps, std::vector<std::int64_t> biases);
 };
 
-/// Self-contained plan for one valid-padding stride-1 conv stage, in
-/// quartet planes: the filter patch slides over the input, so every
-/// (plane, filter, column) cell stores the multiples offset of its
-/// patch element *at output position (0,0)* and kernels add a
-/// per-position base offset (oy·iw + ox) to every read. Unlike the
-/// dense path's k-strided element-major staging, the conv multiples
-/// buffer is *lane-major* (all elements' a₀ multiples, then all a₁,
-/// ...): a conv weight fires at every output position with the same
-/// lane, so consecutive positions read consecutive slots — vector
-/// kernels use plain loads where an element-major layout would need
-/// gathers. Rather than branch on absent quartets, their cells point
-/// at `zero_base` and the buffer carries a zero *region* wide enough
-/// that zero_base plus any position base still reads 0.
+/// Plan of one valid-padding stride-1 conv stage: row r is filter r,
+/// its columns are the ic·K·K patch elements. The filter slides over
+/// the input, so a term slot is a patch element *at output position
+/// (0,0)* and kernels add the position base oy·iw + ox to every read.
+/// Unlike the dense path's k-strided element-major staging, the conv
+/// multiples buffer is *lane-major* (all elements' a₀ multiples, then
+/// all a₁, ...): slot lane·ic·ih·iw + element. A conv term fires at
+/// every output position with the same lane, so consecutive positions
+/// read consecutive slots — vector kernels use plain loads where an
+/// element-major layout would need gathers.
 ///
-/// Exact (conventional-multiplier) convs use a degenerate
-/// single-multiple plane: `patch_elems` indexes the activations
-/// themselves (one "multiple" per element, no shift), and kernels
-/// multiply by the quantized weight instead of walking quartets.
-struct ConvLayerPlan {
-  int oc = 0;           ///< filters / output channels
-  int ic = 0;           ///< input channels
-  int kernel = 0;       ///< square kernel size K
-  int ih = 0, iw = 0;   ///< input geometry (per channel)
-  int oh = 0, ow = 0;   ///< output geometry (= ih-K+1, iw-K+1)
-  int cols = 0;         ///< patch size ic·K·K
-  int cols_padded = 0;  ///< cols rounded up to kLaneWidth
-  int k = 0;            ///< alphabet count (bank outputs per element)
-  int planes = 0;       ///< max step count over all weights
-  bool exact = false;   ///< conventional layer: weights × gathered acts
+/// Exact (conventional-multiplier) convs multiply quantized weights
+/// (oc × cols) by the activations at `patch_elems` plus the position
+/// base.
+struct ConvLayerPlan : GroupedPlan {
+  int oc = 0;          ///< filters / output channels
+  int ic = 0;          ///< input channels
+  int kernel = 0;      ///< square kernel size K
+  int ih = 0, iw = 0;  ///< input geometry (per channel)
+  int oh = 0, ow = 0;  ///< output geometry (= ih-K+1, iw-K+1)
+  int cols = 0;        ///< patch size ic·K·K
 
-  /// Exact path: quantized weights, oc × cols_padded (padding 0).
-  PlanArray<std::int32_t> weights;
-  /// Biases at product scale, one per filter (both paths).
-  PlanArray<std::int64_t> biases;
-  /// Degenerate single-multiple plane: input element offset of each
-  /// padded patch column at output position (0,0); padding columns
-  /// read element 0 under weight 0.
+  /// Input element offset of each patch column at output position
+  /// (0,0), in (ic, ky, kx) order.
   PlanArray<std::uint32_t> patch_elems;
-
-  /// ASM path, SoA planes: entry for plane q, filter r, column c lives at
-  /// q · oc · cols_padded + r · cols_padded + c. Offsets index the
-  /// lane-major multiples buffer (lane · ic·ih·iw + patch element);
-  /// kernels add the position base oy·iw + ox. Steps are packed from
-  /// plane 0; a weight's first zero_base entry ends it.
-  PlanArray<std::uint32_t> idx;
-  PlanArray<std::int64_t> shifts;
-  /// Per-weight sign masks, oc × cols_padded (0 or -1).
-  PlanArray<std::int64_t> sign_masks;
-  /// First slot of the always-zero region (== k · ic·ih·iw).
-  std::uint32_t zero_base = 0;
-
-  /// Staging window, exactly as in DenseLayerPlan: the activation
-  /// format's raw range (min > max, the default, means none). A stage
-  /// whose inputs lie in it and whose plan passes int32_row_bound()
-  /// stages int32 multiples and runs accumulate_conv_int32.
-  std::int64_t in_min_raw = 0;
-  std::int64_t in_max_raw = -1;
-
-  [[nodiscard]] bool has_input_range() const noexcept {
-    return in_min_raw <= in_max_raw;
-  }
 
   /// The fixed register tile of the AVX2 and AVX-512 int32 conv
   /// kernels (each kernel file static_asserts its own against these),
@@ -318,16 +288,21 @@ struct ConvLayerPlan {
     return static_cast<std::size_t>(oh - 1) * iw + (ow - 1);
   }
 
-  /// Slots the lane-major multiples buffer must provide: k planes of
-  /// ic·ih·iw bank outputs plus a zero region covering zero_base +
-  /// every position base.
+  /// Slots the lane-major multiples buffer must provide: k lanes of
+  /// ic·ih·iw bank outputs.
   [[nodiscard]] std::size_t padded_multiples() const noexcept {
-    return zero_base + max_position_base() + 1;
+    return input_elems() * k;
   }
 
-  /// Entries per quartet plane.
-  [[nodiscard]] std::size_t plane_stride() const noexcept {
-    return static_cast<std::size_t>(oc) * cols_padded;
+  /// The bank lane term slot `slot` reads (slot / (ic·ih·iw)), or -1
+  /// when a read at slot + oy·iw + ox would leave that lane for some
+  /// output position.
+  [[nodiscard]] int term_lane(std::uint32_t slot) const noexcept {
+    const std::size_t elems = input_elems();
+    return slot < padded_multiples() &&
+                   slot % elems + max_position_base() < elems
+               ? static_cast<int>(slot / elems)
+               : -1;
   }
 
   /// Builds the plan for one exact (conventional-multiplier) conv.
@@ -338,7 +313,8 @@ struct ConvLayerPlan {
 
   /// Builds the plan for one ASM conv from the compiled schedule,
   /// which it consumes: `asm_weights` has oc × ic·K·K entries whose
-  /// steps index `steps`; `k` is the bank's alphabet count.
+  /// steps index `steps`; `k` is the bank's alphabet count. Throws
+  /// like DenseLayerPlan::build_asm.
   [[nodiscard]] static ConvLayerPlan build_asm(
       int oc, int ic, int kernel, int ih, int iw, int k,
       std::vector<AsmWeight> asm_weights, std::vector<AsmStep> steps,
@@ -353,29 +329,23 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
 /// (KernelBackend::accumulate_conv_int32). Lane l of the stage's bank
 /// stages alphabets[l] · x, and every input x lies in the staging
 /// window, |x| ≤ X = max(|in_min_raw|, |in_max_raw|). Slot idx then
-/// holds a(idx) · x, with a(idx) = alphabets[idx % k] in the dense
-/// plan's k-strided layout and alphabets[idx / (ic·ih·iw)] in the conv
-/// plan's lane-major one.
+/// holds a(idx) · x, with a(idx) = alphabets[term_lane(idx)].
 ///
-/// Dense row r's bound is
+/// Row r's bound is
 ///   B_r = Σ_g (Σ_{t in g} X · a(idx[t])) << shifts[g].
 /// Every partial sum of a group's terms, that sum shifted, and every
 /// running sum of the row lies in [-B_r, B_r]: the kernels add and
-/// subtract exact values, with no sign trick.
-///
-/// Conv filter r's bound is
-///   B_r = Σ_c Σ_q X · a(idx) << shift  +  (negative weights of r),
-/// since the conv kernels sum Σ (p ^ sign) (p ^ -1 = -p - 1 adds at
-/// most one per negative weight). A conv read adds the position base
-/// oy·iw + ox, which keeps it in its slot's lane (checked), so one row
-/// bound covers every output position; the zero region holds 0.
+/// subtract exact values, with no sign trick. A conv read adds the
+/// position base oy·iw + ox, which keeps it in its slot's lane
+/// (term_lane() checks), so one row bound covers every output
+/// position.
 ///
 /// Returns the largest B_r, or X · max(alphabets) when a staged slot
 /// is larger, saturated at kInt32RowOverflow; exact plans, plans
-/// without a staging window, shifts outside [0, 30] and slots past
-/// cols·k (dense) or the zero region base (conv) give
-/// kInt32RowOverflow. A plan fits int32 lanes when the result is at
-/// most INT32_MAX. O(plan entries); derived, never serialized.
+/// without a staging window, shifts outside [0, 30] and slots without
+/// a lane give kInt32RowOverflow. A plan fits int32 lanes when the
+/// result is at most INT32_MAX. O(plan terms); derived, never
+/// serialized.
 [[nodiscard]] std::int64_t int32_row_bound(
     const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 [[nodiscard]] std::int64_t int32_row_bound(

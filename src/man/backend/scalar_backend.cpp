@@ -1,9 +1,8 @@
 // The sequential reference — per sample, per row — every other
-// backend is defined as "bit-identical to this". A dense row walks its
-// (shift, sign) groups: each group's multiples summed, shifted once,
-// then added or subtracted. A conv output walks its filter's weights
-// in FixedNetwork's original loop order, summing each weight's
-// multiple << shift over its quartet planes and then negating.
+// backend is defined as "bit-identical to this". A row (a dense output
+// neuron, or a conv filter at one output position) walks its (shift,
+// sign) groups: each group's multiples summed, shifted once, then
+// added or subtracted.
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
@@ -11,9 +10,10 @@ namespace man::backend::detail {
 namespace {
 
 /// Bias plus row r's groups, in int64 whatever the slot width; term t
-/// reads src[idx[t] · scale] (`scale` is the tile's slot stride).
+/// reads src[idx[t] · scale] (`scale` is the tile's slot stride; a
+/// conv caller passes src at its position's base offset).
 template <typename Slot>
-std::int64_t dense_row(const DenseLayerPlan& plan, std::size_t r,
+std::int64_t group_row(const GroupedPlan& plan, std::size_t r,
                        const Slot* src, std::size_t scale) {
   std::int64_t acc = plan.biases[r];
   for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
@@ -28,44 +28,19 @@ std::int64_t dense_row(const DenseLayerPlan& plan, std::size_t r,
   return acc;
 }
 
-/// One conv weight's signed product over int64 or int32 slots: its
-/// steps are packed from plane 0, so the walk stops at the first entry
-/// that reads the zero region's base. Step q reads
-/// src[idx + base], `base` the position offset.
-template <typename Slot>
-std::int64_t weight_product(const ConvLayerPlan& plan, std::size_t cell,
-                            const Slot* src, std::size_t base) {
-  const std::size_t stride = plan.plane_stride();
-  std::int64_t product = 0;
-  for (int q = 0; q < plan.planes; ++q) {
-    const std::size_t pc = static_cast<std::size_t>(q) * stride + cell;
-    if (plan.idx[pc] == plan.zero_base) break;
-    product += std::int64_t{src[plan.idx[pc] + base]} << plan.shifts[pc];
-  }
-  return plan.sign_masks[cell] == -1 ? -product : product;
-}
-
-/// The original 6-deep ConvStage reference loop, re-expressed over
-/// the plan's patch columns: column c of filter r at position (oy, ox)
-/// reads its steps' lane-major slots plus oy·iw + ox, in the same
-/// (ic, ky, kx) order the hand-rolled loop visited.
+/// Every filter at every output position (oy, ox), reading the
+/// lane-major slots plus oy·iw + ox.
 template <typename Slot>
 void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
                std::int64_t* out) {
   const std::size_t positions = plan.positions();
-  for (int r = 0; r < plan.oc; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.oc); ++r) {
     for (int oy = 0; oy < plan.oh; ++oy) {
       for (int ox = 0; ox < plan.ow; ++ox) {
-        const std::size_t elem_base =
-            static_cast<std::size_t>(oy) * plan.iw + ox;
-        std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
-        for (int c = 0; c < plan.cols; ++c) {
-          acc += weight_product(plan, row + static_cast<std::size_t>(c),
-                                multiples, elem_base);
-        }
-        out[static_cast<std::size_t>(r) * positions +
-            static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
+        out[r * positions + static_cast<std::size_t>(oy) * plan.ow + ox] =
+            group_row(plan, r,
+                      multiples + static_cast<std::size_t>(oy) * plan.iw + ox,
+                      1);
       }
     }
   }
@@ -80,7 +55,7 @@ class ScalarBackend final : public KernelBackend {
     return "scalar";
   }
   [[nodiscard]] const char* description() const noexcept override {
-    return "sequential reference (per-row walk of groups and planes)";
+    return "sequential reference (per-row walk of groups)";
   }
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
@@ -88,7 +63,7 @@ class ScalarBackend final : public KernelBackend {
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
     for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-      out[r] = dense_row(plan, r, multiples, 1);
+      out[r] = group_row(plan, r, multiples, 1);
     }
   }
 
@@ -100,7 +75,7 @@ class ScalarBackend final : public KernelBackend {
     constexpr std::size_t kTile = kDenseTile;
     for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
       for (std::size_t b = 0; b < kTile; ++b) {
-        out[r * kTile + b] = dense_row(plan, r, tile + b, kTile);
+        out[r * kTile + b] = group_row(plan, r, tile + b, kTile);
       }
     }
   }
@@ -140,7 +115,7 @@ class ScalarBackend final : public KernelBackend {
     const std::size_t positions = plan.positions();
     for (int r = 0; r < plan.oc; ++r) {
       const std::int32_t* wrow =
-          &plan.weights[static_cast<std::size_t>(r) * plan.cols_padded];
+          &plan.weights[static_cast<std::size_t>(r) * plan.cols];
       for (int oy = 0; oy < plan.oh; ++oy) {
         for (int ox = 0; ox < plan.ow; ++ox) {
           const std::size_t elem_base =

@@ -1,10 +1,11 @@
-// Explicit SIMD kernel: AVX2. One dense sample walks each (shift,
-// sign) group 4-wide in int64 — gather the group's pre-computer
-// multiples, sum, shift once, apply the sign with xor/sub. A dense
-// batch tile loads each term's contiguous int32 sample lanes, 8 per
-// ymm, and a conv plan that fits int32 lanes loads 8 consecutive
-// output positions' int32 multiples per ymm. Conv plans that do not
-// fit run the portable int64 plane loop. Bit-identical to the scalar
+// Explicit SIMD kernel: AVX2, over the (shift, sign) groups of both
+// plan kinds. One dense sample walks each group 4-wide in int64 —
+// gather the group's pre-computer multiples, sum, shift once, apply
+// the sign with xor/sub. A dense batch tile loads each term's
+// contiguous int32 sample lanes, 8 per ymm, and a conv plan that fits
+// int32 lanes loads 8 consecutive output positions' int32 multiples
+// per ymm. Conv plans that do not fit run the portable int64 group
+// loop. Bit-identical to the scalar
 // reference because every operation (logical left shift,
 // two's-complement negation, wrapping add) matches the scalar op
 // exactly — on int32 lanes because int32_row_bound() proves no value
@@ -138,60 +139,46 @@ inline constexpr int kConvRowTile = 3;
 static_assert(ConvLayerPlan::tile_avx2.row_tile == kConvRowTile &&
               ConvLayerPlan::tile_avx2.col_vecs == 2);
 
-// Conv kernel vectorized over output *positions*, not weight columns:
-// a conv weight fires at every position with the same idx/shift/sign,
-// so consecutive positions of one output row share one broadcast plan
-// entry — and in the lane-major multiples layout their reads are
-// *contiguous*, so the inner step is a plain load of 8 int32 lanes
-// plus one broadcast-count shift (_mm256_sll_epi32); no gather at all.
-// Each plan entry feeds a register-blocked grid of RN output rows × CN
-// column groups (one accumulator each) before the walk moves on, so
-// the (often L1-exceeding) plan streams through RN·CN·8 times less
-// often. Every weight walks all P planes (P fixed at compile time, so
-// the plane loop unrolls): an absent step reads the zero region, which
-// is 0 under any shift and any position base, so the walk has no
-// data-dependent branch — stopping at each weight's step count instead
-// mispredicted enough to cost ≈ 1.4× on LeNet's second conv plan. The
-// sign is applied as Σ(p ^ s) − Σs: (p ^ s) − s summed over the
-// columns is exactly that, and Σs is a per-filter scalar, so each
-// weight costs an xor and an add per vector. int32_row_bound() proves
-// no lane sum leaves int32, and each output is widened to int64 where
-// the bias and −Σs are added. The last column group is lane-masked to
-// `last` positions (1..8), so a row of any width needs no scalar tail:
-// masked-out lanes are neither read nor written.
-// RN/CN are compile-time constants so the accumulator/product arrays
-// live in ymm registers (a full 3 × 2 tile holds 12 of the 16).
-template <int RN, int CN, int P>
+// Conv kernel vectorized over output *positions*, not patch columns:
+// a conv term fires at every position with the same slot, so
+// consecutive positions of one output row share one scalar idx — and
+// in the lane-major multiples layout their reads are *contiguous*, so
+// a term is a plain load of 8 int32 lanes and an add; no gather, no
+// shift. Each term feeds a register-blocked grid of RN output rows ×
+// CN column groups before the walk moves on, so the plan streams
+// through RN·CN·8 times less often. A group's sums are shifted once
+// (_mm256_sll_epi32) and added to or subtracted from the row's
+// accumulators. int32_row_bound() proves no lane sum leaves int32, and
+// each output is widened to int64 where the bias is added. The last
+// column group is lane-masked to `last` positions (1..8), so a row of
+// any width needs no scalar tail: masked-out lanes are neither read
+// nor written. RN/CN are compile-time constants so the accumulator and
+// group-sum arrays live in ymm registers (a full 3 × 2 tile holds 12
+// of the 16).
+template <int RN, int CN>
 MAN_TARGET_AVX2 void conv_tile_avx2(const ConvLayerPlan& plan,
                                     const std::int32_t* multiples,
                                     std::int64_t* out, int oy0, int ox,
                                     int last) {
-  const int planes = P > 0 ? P : plan.planes;
-  const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
+  const std::uint32_t* begin = plan.group_begin.data();
+  const std::int32_t* base =
+      multiples + static_cast<std::size_t>(oy0) * plan.iw + ox;
   const __m256i load_mask = _mm256_cmpgt_epi32(
       _mm256_set1_epi32(last), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   const __m256i quad = _mm256_setr_epi64x(0, 1, 2, 3);
   const __m256i store_lo = _mm256_cmpgt_epi64(_mm256_set1_epi64x(last), quad);
   const __m256i store_hi =
       _mm256_cmpgt_epi64(_mm256_set1_epi64x(last - 4), quad);
-  for (int r = 0; r < plan.oc; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.oc); ++r) {
     __m256i acc[RN * CN];
-    for (int t = 0; t < RN * CN; ++t) acc[t] = _mm256_setzero_si256();
-    std::int64_t sign_sum = 0;
-    for (int c = 0; c < plan.cols; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m256i product[RN * CN];
-      for (int t = 0; t < RN * CN; ++t) product[t] = _mm256_setzero_si256();
-      for (int q = 0; q < planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int32_t* src = multiples + idx[pc] + ebase0;
+    for (int i = 0; i < RN * CN; ++i) acc[i] = _mm256_setzero_si256();
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      __m256i sum[RN * CN];
+      for (int i = 0; i < RN * CN; ++i) sum[i] = _mm256_setzero_si256();
+      for (std::uint32_t t = begin[g]; t < begin[g + 1]; ++t) {
+        const std::int32_t* src = base + idx[t];
         for (int ty = 0; ty < RN; ++ty) {
           for (int tx = 0; tx < CN; ++tx) {
             const std::int32_t* p =
@@ -201,24 +188,22 @@ MAN_TARGET_AVX2 void conv_tile_avx2(const ConvLayerPlan& plan,
                 tx == CN - 1
                     ? _mm256_maskload_epi32(p, load_mask)
                     : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-            product[ty * CN + tx] = _mm256_add_epi32(
-                product[ty * CN + tx], _mm256_sll_epi32(m, sh));
+            sum[ty * CN + tx] = _mm256_add_epi32(sum[ty * CN + tx], m);
           }
         }
       }
-      const std::int64_t sign = signs[cell];
-      const __m256i vsign = _mm256_set1_epi32(static_cast<int>(sign));
-      for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm256_add_epi32(acc[t], _mm256_xor_si256(product[t], vsign));
+      const __m128i sh = _mm_cvtsi64_si128(plan.shifts[g]);
+      for (int i = 0; i < RN * CN; ++i) {
+        const __m256i shifted = _mm256_sll_epi32(sum[i], sh);
+        acc[i] = plan.sign_masks[g] != 0 ? _mm256_sub_epi32(acc[i], shifted)
+                                         : _mm256_add_epi32(acc[i], shifted);
       }
-      sign_sum += sign;
     }
-    const __m256i bias = _mm256_set1_epi64x(
-        plan.biases[static_cast<std::size_t>(r)] - sign_sum);
+    const __m256i bias = _mm256_set1_epi64x(plan.biases[r]);
     for (int ty = 0; ty < RN; ++ty) {
       for (int tx = 0; tx < CN; ++tx) {
         auto* dst = reinterpret_cast<long long*>(
-            out + static_cast<std::size_t>(r) * positions +
+            out + r * positions +
             static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
             static_cast<std::size_t>(tx) * kYmmInt32Lanes);
         const __m256i a = acc[ty * CN + tx];
@@ -240,27 +225,25 @@ MAN_TARGET_AVX2 void conv_tile_avx2(const ConvLayerPlan& plan,
 
 /// Runtime row count (1..kConvRowTile, fewer only in the last row
 /// tile) → compile-time RN for one column width.
-template <int CN, int P, int RN = kConvRowTile>
+template <int CN, int RN = kConvRowTile>
 MAN_TARGET_AVX2 void conv_tile_rows_avx2(const ConvLayerPlan& plan,
                                          const std::int32_t* multiples,
                                          std::int64_t* out, int oy0, int ox,
                                          int rn, int last) {
   if constexpr (RN > 1) {
     if (rn < RN) {
-      conv_tile_rows_avx2<CN, P, RN - 1>(plan, multiples, out, oy0, ox, rn,
-                                         last);
+      conv_tile_rows_avx2<CN, RN - 1>(plan, multiples, out, oy0, ox, rn,
+                                      last);
       return;
     }
   }
-  conv_tile_avx2<RN, CN, P>(plan, multiples, out, oy0, ox, last);
+  conv_tile_avx2<RN, CN>(plan, multiples, out, oy0, ox, last);
 }
 
-/// Every row tile and column group of one plan, at a compile-time
-/// plane count P (0: the plan's).
-template <int P>
-MAN_TARGET_AVX2 void conv_tiles_avx2(const ConvLayerPlan& plan,
-                                     const std::int32_t* multiples,
-                                     std::int64_t* out) {
+/// Every row tile and column group of one plan.
+MAN_TARGET_AVX2 void accumulate_conv_avx2(const ConvLayerPlan& plan,
+                                          const std::int32_t* multiples,
+                                          std::int64_t* out) {
   for (int oy0 = 0; oy0 < plan.oh; oy0 += kConvRowTile) {
     const int rn = std::min(kConvRowTile, plan.oh - oy0);
     int ox = 0;
@@ -268,25 +251,12 @@ MAN_TARGET_AVX2 void conv_tiles_avx2(const ConvLayerPlan& plan,
     // second (or the lone last) group is masked to what is left.
     for (; plan.ow - ox > kYmmInt32Lanes; ox += 2 * kYmmInt32Lanes) {
       const int last = std::min(plan.ow - ox - kYmmInt32Lanes, kYmmInt32Lanes);
-      conv_tile_rows_avx2<2, P>(plan, multiples, out, oy0, ox, rn, last);
+      conv_tile_rows_avx2<2>(plan, multiples, out, oy0, ox, rn, last);
     }
     if (ox < plan.ow) {
-      conv_tile_rows_avx2<1, P>(plan, multiples, out, oy0, ox, rn,
-                                plan.ow - ox);
+      conv_tile_rows_avx2<1>(plan, multiples, out, oy0, ox, rn,
+                             plan.ow - ox);
     }
-  }
-}
-
-/// Plane count → compile-time unrolled plane loop (8- and 12-bit
-/// weights have at most 2 and 3 quartets).
-MAN_TARGET_AVX2 void accumulate_conv_avx2(const ConvLayerPlan& plan,
-                                          const std::int32_t* multiples,
-                                          std::int64_t* out) {
-  switch (plan.planes) {
-    case 1: conv_tiles_avx2<1>(plan, multiples, out); break;
-    case 2: conv_tiles_avx2<2>(plan, multiples, out); break;
-    case 3: conv_tiles_avx2<3>(plan, multiples, out); break;
-    default: conv_tiles_avx2<0>(plan, multiples, out); break;
   }
 }
 
@@ -345,7 +315,7 @@ class SimdBackend final : public KernelBackend {
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
     // Plans that do not fit int32 lanes: the portable int64 loop.
-    accumulate_conv_planes(plan, multiples, out);
+    accumulate_conv_groups(plan, multiples, out);
   }
 
   void accumulate_conv_int32(const ConvLayerPlan& plan,
@@ -357,7 +327,7 @@ class SimdBackend final : public KernelBackend {
       return;
     }
 #endif
-    accumulate_conv_planes(plan, multiples, out);
+    accumulate_conv_groups(plan, multiples, out);
   }
 
   void exact_conv(const ConvLayerPlan& plan,

@@ -749,18 +749,14 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         });
       } else {
         // Lane-major staging (consecutive positions read consecutive
-        // slots), plus the zero *region* the conv planes point absent
-        // quartets at (wide enough to stay zero under every
-        // per-position base offset) — in int32 slots when the plan
-        // fits int32 lanes, reusing the tile's int32 buffer.
+        // slots) — in int32 slots when the plan fits int32 lanes,
+        // reusing the tile's int32 buffer.
         const auto run = [&](auto& multiples) {
           timed_phase(profile, &PhaseProfile::staging_s, [&] {
             multiples.resize(plan.padded_multiples());
             stage_multiples_lane_major(
                 buffer, static_cast<std::size_t>(plan.k),
                 BankRows(syn.table, syn.bank), multiples.data());
-            std::fill(multiples.begin() + plan.zero_base, multiples.end(),
-                      0);
           });
           if (profile != nullptr) profile->staged_values += buffer.size();
           timed_phase(profile, &PhaseProfile::kernel_s, [&] {

@@ -165,7 +165,7 @@ class FixedNetwork {
     std::vector<std::int64_t> buffer;  ///< current stage activations
     std::vector<std::int64_t> next;    ///< next stage activations
     /// Bank outputs: k-strided element-major for dense stages,
-    /// lane-major (plus zero region) for conv stages on int64 lanes.
+    /// lane-major for conv stages on int64 lanes.
     std::vector<std::int64_t> multiples;
     /// Batch tile activations and the next tile stage's, sample-minor
     /// (element i of sample b at [i·kDenseTile + b]); see infer_batch.

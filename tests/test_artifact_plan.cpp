@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "man/apps/app_registry.h"
 #include "man/backend/kernel_backend.h"
 #include "man/engine/batch_runner.h"
 #include "man/engine/fixed_network.h"
@@ -203,13 +204,13 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
 }
 
 // Older (version 1 still carried the AoS schedule, version 2 the
-// per-plan conv tile shapes, version 3 the dense quartet planes) and
-// newer formats alike.
+// per-plan conv tile shapes, version 3 the dense quartet planes,
+// version 4 the conv ones) and newer formats alike.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
-  static_assert(kArtifactVersion == 4);
+  static_assert(kArtifactVersion == 5);
   const FixedNetwork engine(compile(make_mlp(3), 8, 4));
   const std::string file = path("engine.plan");
-  for (const std::uint32_t version : {1u, 2u, 3u, kArtifactVersion + 1}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, kArtifactVersion + 1}) {
     save_engine(engine, file, "key");
     {
       // The version field sits at byte 8, right after the magic.
@@ -307,43 +308,9 @@ TEST_F(PlanArtifactTest, SameNetworkSavesByteIdenticalArtifacts) {
   }
 }
 
-template <typename T>
-std::vector<T> copy_of(const man::backend::PlanArray<T>& array) {
-  return std::vector<T>(array.begin(), array.end());
-}
-
-/// Where the first conv plan's fields sit in its artifact: the
-/// directory's scalar block (the plan's leading i32/u32 fields, in
-/// format order) and (ASM plans) the plane arrays.
-struct ConvFields {
-  std::size_t scalars = 0;  ///< first geometry field
-  std::size_t planes = 0;   ///< the `planes` field
-  std::size_t zero = 0;     ///< zero_base
-  std::size_t idx = 0;
-  std::size_t shifts = 0;
-  std::size_t signs = 0;
-  std::size_t patch_elems = 0;
-};
-
-ConvFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
-  const std::vector<std::int32_t> geometry = {
-      p.oc, p.ic,   p.kernel,      p.ih, p.iw,     p.oh,
-      p.ow, p.cols, p.cols_padded, p.k,  p.planes, p.exact ? 1 : 0};
-  ConvFields fields;
-  fields.scalars = bytes.find(geometry);
-  fields.planes = fields.scalars + 10 * 4;
-  fields.zero = fields.scalars + 12 * 4;
-  fields.patch_elems = bytes.find(copy_of(p.patch_elems));
-  if (!p.exact) {
-    fields.idx = bytes.find(copy_of(p.idx));
-    fields.shifts = bytes.find(copy_of(p.shifts));
-    fields.signs = bytes.find(copy_of(p.sign_masks));
-  }
-  return fields;
-}
-
-/// The arrays of a dense plan, in format order.
-enum DenseArray {
+/// The arrays of a plan, in format order: the shared ones of both
+/// kinds, then a conv plan's patch elements.
+enum Array {
   kWeights,
   kBiases,
   kRowGroups,
@@ -351,26 +318,28 @@ enum DenseArray {
   kShifts,
   kSigns,
   kIdx,
-  kDenseArrays
+  kPatchElems,
+  kPlanArrays
 };
 
-/// Where the first dense plan's fields sit in its artifact: the
-/// directory's scalar block (rows, cols, k, exact), the staging window
-/// after it, and each array's first byte and element count, read from
-/// the directory's (offset, count) references that follow.
-struct DenseFields {
+/// Where one plan's fields sit in its artifact: the directory's scalar
+/// block (the plan's leading i32/u32 fields, in format order), the
+/// staging window after it, and each array's first byte and element
+/// count, read from the directory's (offset, count) references that
+/// follow.
+struct PlanFields {
   std::size_t scalars = 0;
   std::size_t window = 0;  ///< in_min_raw, then in_max_raw
-  std::size_t at[kDenseArrays] = {};
-  std::size_t count[kDenseArrays] = {};
+  std::size_t at[kPlanArrays] = {};
+  std::size_t count[kPlanArrays] = {};
 };
 
-DenseFields locate_dense(const ArtifactBytes& bytes, const DenseLayerPlan& p) {
-  DenseFields fields;
-  fields.scalars = bytes.find(std::vector<std::int32_t>{
-      p.rows, p.cols, p.k, p.exact ? 1 : 0});
-  fields.window = fields.scalars + 16;
-  for (int a = 0; a < kDenseArrays; ++a) {
+PlanFields locate(const ArtifactBytes& bytes,
+                  const std::vector<std::int32_t>& scalars, int arrays) {
+  PlanFields fields;
+  fields.scalars = bytes.find(scalars);
+  fields.window = fields.scalars + 4 * scalars.size();
+  for (int a = 0; a < arrays; ++a) {
     const std::size_t ref =
         fields.window + 16 + 16 * static_cast<std::size_t>(a);
     fields.at[a] = bytes.get<std::uint64_t>(ref);
@@ -379,148 +348,149 @@ DenseFields locate_dense(const ArtifactBytes& bytes, const DenseLayerPlan& p) {
   return fields;
 }
 
+PlanFields locate_dense(const ArtifactBytes& bytes, const DenseLayerPlan& p) {
+  return locate(bytes, {p.rows, p.cols, p.k, p.exact ? 1 : 0}, kIdx + 1);
+}
+
+PlanFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
+  return locate(bytes,
+                {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols, p.k,
+                 p.exact ? 1 : 0},
+                kPlanArrays);
+}
+
 // Loader content checks: each field a kernel or the staging indexes
 // with is patched to a value no compiler emits, the checksum is
 // recomputed, and the load must throw SerializationError. Without the
-// checks, inference on such a plan reads past a buffer (dense term
-// indices and group offsets, conv plane indices, exact patch offsets,
-// pool windows, a conv plan without planes, an alphabet count beyond
-// the bank's), writes past the multiples buffer (conv zero region),
+// checks, inference on such a plan reads past a buffer (term indices
+// and group offsets, a conv term whose reads leave its lane, exact
+// patch offsets, pool windows, an alphabet count beyond the bank's),
 // shifts by 32 or more or by a negative amount (UB in the int32
-// lanes), lets the backends disagree (unpacked conv steps, sign
-// masks), or feeds the int32 proofs a staging window other than the
-// activation format's.
+// lanes), lets the backends disagree (sign masks), or feeds the int32
+// proofs a staging window other than the activation format's.
 TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
   struct Case {
     const char* label;
     const FixedNetwork* engine;
-    std::function<void(ArtifactBytes&, const DenseFields&, const ConvFields&)>
-        patch;
+    std::function<void(ArtifactBytes&, const PlanFields&)> patch;
   };
   const FixedNetwork mlp(compile(make_mlp(8), 8, 4));
   const FixedNetwork cnn(compile(make_cnn(9), 8, 4));
   const FixedNetwork cnn_exact(compile(make_cnn(9), 8, 0));
   const auto& dense = mlp.plans().at(0);
   const auto& conv = cnn.conv_plans().at(0);
-  const auto k_conv = static_cast<std::uint32_t>(conv.k);
   ASSERT_GE(dense.rows, 2);
   ASSERT_GE(dense.shifts.size(), 2u);
+  ASSERT_GE(conv.shifts.size(), 2u);
   const auto groups = static_cast<std::uint32_t>(dense.shifts.size());
   const auto terms = static_cast<std::uint32_t>(dense.idx.size());
-  // A conv cell whose weight has a second step: blanking its first
-  // makes the steps unpacked.
-  std::size_t two_step = 0;
-  while (conv.idx[conv.plane_stride() + two_step] == conv.zero_base) {
-    ++two_step;
-  }
-  ASSERT_LT(two_step, conv.plane_stride());
-  const std::uint64_t elems = conv.input_elems();
-  const auto u32_at = [](const DenseFields& f, DenseArray a, std::size_t i) {
+  const auto elems = static_cast<std::uint32_t>(conv.input_elems());
+  const auto u32_at = [](const PlanFields& f, Array a, std::size_t i) {
     return f.at[a] + 4 * i;
   };
-  const auto i64_at = [](const DenseFields& f, DenseArray a, std::size_t i) {
+  const auto i64_at = [](const PlanFields& f, Array a, std::size_t i) {
     return f.at[a] + 8 * i;
   };
 
   const Case cases[] = {
       {"dense alphabet count", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int32_t>(f.scalars + 8, dense.k + 1);
        }},
       {"dense staging window", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int64_t>(f.window + 8, dense.in_max_raw + 1);
        }},
       {"dense row groups not monotone", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(u32_at(f, kRowGroups, 1),
                               dense.row_groups[2] + 1);
        }},
       {"dense row groups end short", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(u32_at(f, kRowGroups, f.count[kRowGroups] - 1),
                               groups - 1);
        }},
       {"dense group terms not monotone", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(u32_at(f, kGroupBegin, 1),
                               dense.group_begin[2] + 1);
        }},
       {"dense group terms end past the terms", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(u32_at(f, kGroupBegin, groups), terms + 1);
        }},
       {"dense term index past cols·k", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(
              u32_at(f, kIdx, 0),
              static_cast<std::uint32_t>(dense.cols * dense.k));
        }},
       {"dense shift of 32", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int64_t>(i64_at(f, kShifts, 0), 32);
        }},
       {"dense negative shift", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int64_t>(i64_at(f, kShifts, 1), -1);
        }},
       {"dense sign mask", &mlp,
-       [&](ArtifactBytes& b, const DenseFields& f, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int64_t>(i64_at(f, kSigns, 0), 1);
        }},
       {"conv staging window", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::int64_t>(f.zero + 4, conv.in_min_raw - 1);
-       }},
-      {"conv zero base", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::uint32_t>(f.zero, conv.zero_base + 1);
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(f.window, conv.in_min_raw - 1);
        }},
       {"conv output width", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
+       [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int32_t>(f.scalars + 24, conv.ow + 1);
        }},
       {"conv alphabet count", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         // The new zero base goes onto every absent entry too, so only
-         // the alphabet count disagrees with the synapse.
-         const auto zero = static_cast<std::uint32_t>(elems * (k_conv + 1));
-         b.put<std::int32_t>(f.planes - 4, conv.k + 1);
-         b.put<std::uint32_t>(f.zero, zero);
-         for (std::size_t i = 0; i < conv.idx.size(); ++i) {
-           if (b.get<std::uint32_t>(f.idx + i * 4) == conv.zero_base) {
-             b.put<std::uint32_t>(f.idx + i * 4, zero);
-           }
-         }
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int32_t>(f.scalars + 32, conv.k + 1);
        }},
-      {"conv idx past zero region", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::uint32_t>(f.idx, conv.zero_base + 1);
+      {"conv term leaves its lane", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         // Element + max_position_base() = ic·ih·iw: the last output
+         // position would read lane 1's first slot.
+         b.put<std::uint32_t>(
+             u32_at(f, kIdx, 0),
+             elems - static_cast<std::uint32_t>(conv.max_position_base()));
        }},
-      {"conv unpacked steps", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::uint32_t>(f.idx + two_step * 4, conv.zero_base);
+      {"conv term index k·ic·ih·iw", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(u32_at(f, kIdx, 0),
+                              static_cast<std::uint32_t>(conv.k) * elems);
        }},
-      {"conv patch element", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::uint32_t>(f.patch_elems,
-                              static_cast<std::uint32_t>(elems));
+      {"conv row groups not monotone", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(u32_at(f, kRowGroups, 1),
+                              conv.row_groups[2] + 1);
        }},
-      {"exact conv patch element", &cnn_exact,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::uint32_t>(f.patch_elems,
-                              static_cast<std::uint32_t>(elems));
+      {"conv group terms not monotone", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(u32_at(f, kGroupBegin, 1),
+                              conv.group_begin[2] + 1);
        }},
-      {"conv shift of 64", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::int64_t>(f.shifts, 64);
+      {"conv shift of 32", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(i64_at(f, kShifts, 0), 32);
        }},
       {"conv sign mask", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         b.put<std::int64_t>(f.signs, 2);
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::int64_t>(i64_at(f, kSigns, 0), 2);
+       }},
+      {"conv patch element", &cnn,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(u32_at(f, kPatchElems, 0), elems);
+       }},
+      {"exact conv patch element", &cnn_exact,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint32_t>(u32_at(f, kPatchElems, 0), elems);
        }},
       {"pool rows past its input", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields&) {
+       [&](ArtifactBytes& b, const PlanFields&) {
          // Tag, c, ih, iw, window, oh, ow of make_cnn's pool; 9 × 1
          // outputs keep the stage chain's 27 values.
          const std::int32_t pool[] = {2, 3, 6, 6, 2, 3, 3};
@@ -528,30 +498,17 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
          b.put<std::int32_t>(at + 20, 9);
          b.put<std::int32_t>(at + 24, 1);
        }},
-      {"conv without planes", &cnn,
-       [&](ArtifactBytes& b, const DenseFields&, const ConvFields& f) {
-         // planes = 0 and empty idx/shifts arrays: every size agrees.
-         // An array's directory reference is its (offset, count).
-         b.put<std::int32_t>(f.planes, 0);
-         for (const std::size_t at : {f.idx, f.shifts}) {
-           const std::uint64_t ref[2] = {at, conv.idx.size()};
-           b.put<std::uint64_t>(b.find(ref, sizeof ref) + 8, 0);
-         }
-       }},
   };
 
   for (const Case& c : cases) {
     const std::string file = path("hostile.plan");
     save_engine(*c.engine, file, "key");
     ArtifactBytes bytes(file);
-    DenseFields dense_fields;
-    ConvFields conv_fields;
-    if (c.engine->conv_plans().empty()) {
-      dense_fields = locate_dense(bytes, c.engine->plans()[0]);
-    } else {
-      conv_fields = locate_conv(bytes, c.engine->conv_plans()[0]);
-    }
-    c.patch(bytes, dense_fields, conv_fields);
+    const PlanFields fields =
+        c.engine->conv_plans().empty()
+            ? locate_dense(bytes, c.engine->plans()[0])
+            : locate_conv(bytes, c.engine->conv_plans()[0]);
+    c.patch(bytes, fields);
     bytes.save();
     EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
         << c.label;
@@ -570,40 +527,44 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
   }
 }
 
-// Random damage to the dense plan arrays behind a valid checksum: a
-// fixed budget of seeded mutations (one to four random bytes of the
-// first dense plan's offsets, shifts, sign masks, term indices and
-// biases), each restamped. Every mutant must either be rejected with
-// SerializationError or load and serve every backend — per sample and
-// through full batch tiles — bit-identically to its own scalar
-// reference. Run under ASan/UBSan, a mutant that slips past the loader
-// and reads out of bounds or shifts out of range fails loudly.
-TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
-  const FixedNetwork engine(compile(make_mlp(12), 8, 4));
-  const std::string base = path("base.plan");
-  save_engine(engine, base, "key");
-  const DenseFields fields = locate_dense(ArtifactBytes(base),
-                                          engine.plans()[0]);
-  struct Region {
-    std::size_t at;
-    std::size_t bytes;
-  };
-  std::vector<Region> regions;
-  for (const DenseArray a : {kBiases, kRowGroups, kGroupBegin, kShifts,
-                             kSigns, kIdx}) {
+/// A byte range of an artifact.
+struct Region {
+  std::size_t at;
+  std::size_t bytes;
+};
+
+/// The byte ranges of a plan's biases, group offsets, shifts, sign
+/// masks and term indices.
+void add_group_regions(const PlanFields& fields, std::vector<Region>& out) {
+  for (const Array a :
+       {kBiases, kRowGroups, kGroupBegin, kShifts, kSigns, kIdx}) {
     const std::size_t width = a == kRowGroups || a == kGroupBegin || a == kIdx
                                   ? sizeof(std::uint32_t)
                                   : sizeof(std::int64_t);
-    regions.push_back({fields.at[a], fields.count[a] * width});
+    out.push_back({fields.at[a], fields.count[a] * width});
   }
+}
 
-  constexpr std::size_t kSamples = 2 * man::backend::kDenseTile + 3;
-  const auto pixels = make_pixels(kSamples * engine.input_size(), 13);
-  man::util::Rng rng(2024);
+/// Random damage to plan arrays behind a valid checksum: `mutants`
+/// seeded copies of the artifact at `base` (saved under "key"), each
+/// with one to four random bytes of `regions` overwritten and
+/// restamped, written to `file`. Every mutant must either be rejected
+/// with SerializationError or load and serve `samples` samples on every
+/// backend through a one-worker BatchRunner bit-identically to its own
+/// per-sample scalar reference. Run under ASan/UBSan, a mutant that
+/// slips past the loader and reads out of bounds, shifts out of range
+/// or overflows an int32 lane fails loudly. Returns how many were
+/// rejected and how many served.
+std::pair<int, int> run_mutants(const std::string& base,
+                                const std::string& file,
+                                const std::vector<Region>& regions,
+                                std::size_t input_size, std::size_t samples,
+                                int mutants, std::uint64_t seed) {
+  const auto pixels = make_pixels(samples * input_size, 13);
+  man::util::Rng rng(seed);
   int rejected = 0;
   int served = 0;
-  for (int mutant = 0; mutant < 300; ++mutant) {
-    const std::string file = path("mutant.plan");
+  for (int mutant = 0; mutant < mutants; ++mutant) {
     std::filesystem::copy_file(
         base, file, std::filesystem::copy_options::overwrite_existing);
     ArtifactBytes bytes(file);
@@ -625,19 +586,18 @@ TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
       continue;
     }
     ++served;
-    const std::size_t outputs = loaded->output_size();
     std::vector<std::int64_t> reference;
-    for (std::size_t s = 0; s < kSamples; ++s) {
-      const auto first = pixels.begin() + static_cast<std::ptrdiff_t>(
-                                              s * loaded->input_size());
+    for (std::size_t s = 0; s < samples; ++s) {
+      const auto first =
+          pixels.begin() + static_cast<std::ptrdiff_t>(s * input_size);
       const std::vector<float> sample(
-          first, first + static_cast<std::ptrdiff_t>(loaded->input_size()));
+          first, first + static_cast<std::ptrdiff_t>(input_size));
       const auto raw =
           infer_raw(*loaded, sample, backend_for(BackendKind::kScalar));
       reference.insert(reference.end(), raw.begin(), raw.end());
     }
     for (const auto* backend : all_backends()) {
-      std::vector<std::int64_t> raw(kSamples * outputs);
+      std::vector<std::int64_t> raw(reference.size());
       man::engine::BatchRunner runner(
           *loaded, man::engine::BatchOptions{.workers = 1,
                                              .backend = backend->kind()});
@@ -646,8 +606,50 @@ TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
           << "mutant " << mutant << " backend=" << backend->name();
     }
   }
+  return {rejected, served};
+}
+
+// The first dense plan's arrays, over 2·kDenseTile + 3 samples so
+// served mutants run full batch tiles too.
+TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
+  const FixedNetwork engine(compile(make_mlp(12), 8, 4));
+  const std::string base = path("base.plan");
+  save_engine(engine, base, "key");
+  std::vector<Region> regions;
+  add_group_regions(locate_dense(ArtifactBytes(base), engine.plans()[0]),
+                    regions);
+  const auto [rejected, served] =
+      run_mutants(base, path("mutant.plan"), regions, engine.input_size(),
+                  2 * man::backend::kDenseTile + 3, 300, 2024);
   // Both outcomes occur, so the budget exercises the checks and the
   // kernels alike.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(served, 0);
+}
+
+// Both conv plans of the LeNet CNN (ASM-4, seed-21 weights), whose
+// stages run int32 lanes unless a mutant breaks their proof.
+TEST_F(PlanArtifactTest, MutatedConvPlansRejectedOrServedBitIdentically) {
+  const auto& app = man::apps::get_app(man::apps::AppId::kDigitCnn12);
+  Network net = app.build_network(/*seed=*/21);
+  const AlphabetSet set = AlphabetSet::four();
+  ProjectionPlan(app.quant(), set, net.num_weight_layers())
+      .project_network(net);
+  const FixedNetwork engine(
+      net, app.quant(),
+      LayerAlphabetPlan::uniform_asm(net.num_weight_layers(), set));
+  ASSERT_EQ(engine.conv_plans().size(), 2u);
+  ASSERT_TRUE(engine.conv_int32_lanes(0));
+  ASSERT_TRUE(engine.conv_int32_lanes(1));
+  const std::string base = path("base.plan");
+  save_engine(engine, base, "key");
+  const ArtifactBytes bytes(base);
+  std::vector<Region> regions;
+  for (const ConvLayerPlan& plan : engine.conv_plans()) {
+    add_group_regions(locate_conv(bytes, plan), regions);
+  }
+  const auto [rejected, served] = run_mutants(
+      base, path("mutant.plan"), regions, engine.input_size(), 3, 300, 2025);
   EXPECT_GT(rejected, 0);
   EXPECT_GT(served, 0);
 }
@@ -678,7 +680,7 @@ TEST_F(PlanArtifactTest, ActivationFormatWiderThanTheStagingTableRejected) {
                                     spec.activation_format.frac_bits(),
                                     engine.lanes()};
     bytes.put<std::int32_t>(bytes.find(formats, sizeof formats) + 8, 24);
-    const DenseFields f = locate_dense(bytes, plan);
+    const PlanFields f = locate_dense(bytes, plan);
     bytes.put<std::int64_t>(f.window, in_min);
     bytes.put<std::int64_t>(f.window + 8, in_max);
     bytes.save();

@@ -11,6 +11,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "man/backend/backend_impls.h"
 #include "man/backend/kernel_backend.h"
@@ -519,74 +520,87 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
                     true, "no terms");
 }
 
-// The conv twin of DensePlanOracle: random schedules of up
-// to 1-4 steps per weight (one all-zero filter) on a two-channel 3×3
-// kernel over a non-square input (18 columns, so a padded tail),
-// through every backend's accumulate_conv and accumulate_conv_int32,
-// against the AoS walk with patch elements computed here rather than
-// read from the plan.
+// The conv twin of DensePlanOracle: random schedules of up to 1-4
+// steps per weight on a two-channel 3×3 kernel, through every
+// backend's accumulate_conv and accumulate_conv_int32, against the AoS
+// walk with patch elements computed here rather than read from the
+// plan. Filter 1 is a single (shift, sign) group and filter 2 has no
+// terms. Two geometries: a 4 × 7 output, and a 7 × 35 one, whose
+// width runs two column groups and a masked tail and whose height
+// leaves a short row tile at both vector ISAs' tiles (3 and 5 rows).
 TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
   constexpr int kOc = 3;
   constexpr int kIc = 2;
   constexpr int kKernel = 3;
-  constexpr int kIh = 6;
-  constexpr int kIw = 9;
   constexpr int kLanes = 4;
   constexpr int kCols = kIc * kKernel * kKernel;
   man::util::Rng rng(610);
-  for (int max_steps = 1; max_steps <= 4; ++max_steps) {
-    const Schedule schedule = random_schedule(
-        kOc * kCols, kLanes, max_steps, 12,
-        [](std::size_t w) { return w / kCols == 2; }, rng);
-    std::vector<std::int64_t> biases(kOc);
-    for (auto& b : biases) b = rng.next_in(-1000, 1000);
-    ConvLayerPlan plan = ConvLayerPlan::build_asm(
-        kOc, kIc, kKernel, kIh, kIw, kLanes, schedule.weights, schedule.steps,
-        biases);
-    // Lane-major multiples; the zero region stays 0. Every slot lies
-    // in [-2048, 2047], which is what the row bound sees for a window
-    // of ±2048 under unit alphabets: the int32 twin must fit.
-    std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
-    for (std::size_t s = 0; s < plan.zero_base; ++s) {
-      multiples[s] = rng.next_in(-2048, 2047);
-    }
-    plan.in_min_raw = -2048;
-    plan.in_max_raw = 2048;
-    const std::vector<std::uint8_t> unit(kLanes, 1);
-    ASSERT_LE(int32_row_bound(plan, unit),
-              std::numeric_limits<std::int32_t>::max());
-    const std::vector<std::int32_t> multiples32(multiples.begin(),
-                                                multiples.end());
-
-    const std::size_t elems = kIc * kIh * kIw;
-    std::vector<std::int64_t> expected;
-    for (int r = 0; r < kOc; ++r) {
-      for (int oy = 0; oy < plan.oh; ++oy) {
-        for (int ox = 0; ox < plan.ow; ++ox) {
-          std::int64_t acc = biases[static_cast<std::size_t>(r)];
-          for (int c = 0; c < kCols; ++c) {
-            const int channel = c / (kKernel * kKernel);
-            const int ky = c / kKernel % kKernel;
-            const int kx = c % kKernel;
-            const auto elem = static_cast<std::size_t>(
-                (channel * kIh + oy + ky) * kIw + ox + kx);
-            acc += aos_product(schedule,
-                               static_cast<std::size_t>(r) * kCols + c,
-                               &multiples[elem], elems);
-          }
-          expected.push_back(acc);
+  for (const auto [ih, iw] : {std::pair{6, 9}, std::pair{9, 37}}) {
+    for (int max_steps = 1; max_steps <= 4; ++max_steps) {
+      Schedule schedule = random_schedule(
+          kOc * kCols, kLanes, max_steps, 12,
+          [](std::size_t w) { return w / kCols == 2; }, rng);
+      for (std::size_t w = kCols; w < 2 * kCols; ++w) {
+        AsmWeight& weight = schedule.weights[w];
+        weight.negative = true;
+        for (std::uint8_t s = 0; s < weight.step_count; ++s) {
+          schedule.steps[weight.step_begin + s].shift = 5;
         }
       }
-    }
-    for (const auto* backend : all_backends()) {
-      std::vector<std::int64_t> out(expected.size(), -7);
-      backend->accumulate_conv(plan, multiples.data(), out.data());
-      EXPECT_EQ(out, expected) << "planes=" << plan.planes
-                               << " backend=" << backend->name();
-      std::vector<std::int64_t> out32(expected.size(), -7);
-      backend->accumulate_conv_int32(plan, multiples32.data(), out32.data());
-      EXPECT_EQ(out32, expected) << "int32 planes=" << plan.planes
-                                 << " backend=" << backend->name();
+      std::vector<std::int64_t> biases(kOc);
+      for (auto& b : biases) b = rng.next_in(-1000, 1000);
+      ConvLayerPlan plan = ConvLayerPlan::build_asm(
+          kOc, kIc, kKernel, ih, iw, kLanes, schedule.weights, schedule.steps,
+          biases);
+      const std::string label = std::to_string(plan.oh) + "x" +
+                                std::to_string(plan.ow) +
+                                " max_steps=" + std::to_string(max_steps);
+      EXPECT_EQ(plan.row_groups[2] - plan.row_groups[1], 1u) << label;
+      EXPECT_EQ(plan.row_groups[2], plan.row_groups[3]) << label;
+      // Lane-major multiples. Every slot lies in [-2048, 2047], which is
+      // what the row bound sees for a window of ±2048 under unit
+      // alphabets: the int32 twin must fit.
+      std::vector<std::int64_t> multiples(plan.padded_multiples());
+      for (auto& m : multiples) m = rng.next_in(-2048, 2047);
+      plan.in_min_raw = -2048;
+      plan.in_max_raw = 2048;
+      const std::vector<std::uint8_t> unit(kLanes, 1);
+      ASSERT_LE(int32_row_bound(plan, unit),
+                std::numeric_limits<std::int32_t>::max())
+          << label;
+      const std::vector<std::int32_t> multiples32(multiples.begin(),
+                                                  multiples.end());
+
+      const auto elems = static_cast<std::size_t>(kIc * ih * iw);
+      std::vector<std::int64_t> expected;
+      for (int r = 0; r < kOc; ++r) {
+        for (int oy = 0; oy < plan.oh; ++oy) {
+          for (int ox = 0; ox < plan.ow; ++ox) {
+            std::int64_t acc = biases[static_cast<std::size_t>(r)];
+            for (int c = 0; c < kCols; ++c) {
+              const int channel = c / (kKernel * kKernel);
+              const int ky = c / kKernel % kKernel;
+              const int kx = c % kKernel;
+              const auto elem = static_cast<std::size_t>(
+                  (channel * ih + oy + ky) * iw + ox + kx);
+              acc += aos_product(schedule,
+                                 static_cast<std::size_t>(r) * kCols + c,
+                                 &multiples[elem], elems);
+            }
+            expected.push_back(acc);
+          }
+        }
+      }
+      for (const auto* backend : all_backends()) {
+        std::vector<std::int64_t> out(expected.size(), -7);
+        backend->accumulate_conv(plan, multiples.data(), out.data());
+        EXPECT_EQ(out, expected) << label << " backend=" << backend->name();
+        std::vector<std::int64_t> out32(expected.size(), -7);
+        backend->accumulate_conv_int32(plan, multiples32.data(),
+                                       out32.data());
+        EXPECT_EQ(out32, expected)
+            << label << " int32 backend=" << backend->name();
+      }
     }
   }
 }
@@ -680,29 +694,27 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   EXPECT_EQ(c1.oh, 3);
   EXPECT_EQ(c1.ow, 5);
   EXPECT_EQ(c1.cols, 2 * 3 * 3);
-  EXPECT_EQ(c1.cols_padded % kLaneWidth, 0);
-  EXPECT_GE(c1.cols_padded, c1.cols);
   EXPECT_EQ(c1.k, 4);
-  EXPECT_GT(c1.planes, 0);
-  EXPECT_LE(c1.planes, 2);  // 8-bit: at most two quartets
   EXPECT_EQ(c1.positions(), 15u);
   EXPECT_EQ(c1.input_elems(), 70u);
-  EXPECT_EQ(c1.zero_base, 70u * 4);
-  // The zero region must absorb the largest position base (element
-  // units — the conv multiples buffer is lane-major).
-  EXPECT_EQ(c1.padded_multiples(), c1.zero_base + (2u * 7 + 4) + 1);
-  EXPECT_EQ(c1.idx.size(),
-            static_cast<std::size_t>(c1.planes) * c1.plane_stride());
-  EXPECT_EQ(c1.sign_masks.size(), c1.plane_stride());
+  // Lane-major slots: k lanes of ic·ih·iw elements, nothing more.
+  EXPECT_EQ(c1.padded_multiples(), 70u * 4);
+  ASSERT_EQ(c1.row_groups.size(), 4u);
+  EXPECT_EQ(c1.row_groups[3], c1.shifts.size());
+  EXPECT_EQ(c1.sign_masks.size(), c1.shifts.size());
+  ASSERT_EQ(c1.group_begin.size(), c1.shifts.size() + 1);
+  EXPECT_EQ(c1.group_begin[c1.shifts.size()], c1.idx.size());
+  // 8-bit weights: two quartets, 7 magnitude bits, so shifts 0..6.
+  for (const std::int64_t shift : c1.shifts) EXPECT_LT(shift, 7);
   // Patch offsets follow the (ic, ky, kx) element layout: column 0 is
   // element 0, the first column of channel 1 is element ih·iw.
-  ASSERT_EQ(c1.patch_elems.size(),
-            static_cast<std::size_t>(c1.cols_padded));
+  ASSERT_EQ(c1.patch_elems.size(), static_cast<std::size_t>(c1.cols));
   EXPECT_EQ(c1.patch_elems[0], 0u);
   EXPECT_EQ(c1.patch_elems[9], 5u * 7);
-  // Every in-range gather (idx + max base) stays inside the buffer.
-  for (std::uint32_t offset : c1.idx) {
-    EXPECT_LT(offset + c1.max_position_base(), c1.padded_multiples());
+  // Every read (idx + any position base) stays in its slot's lane.
+  for (const std::uint32_t slot : c1.idx) {
+    EXPECT_LT(slot % 70 + c1.max_position_base(), 70u);
+    EXPECT_EQ(c1.term_lane(slot), static_cast<int>(slot / 70));
   }
 
   const ConvLayerPlan& c3 = plans[1];
@@ -711,26 +723,20 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   EXPECT_EQ(c3.oh, 2);
   EXPECT_EQ(c3.ow, 4);
 
-  // The conventional engine gets exact conv plans with padded weights.
+  // The conventional engine gets exact conv plans: oc × cols weights
+  // and no groups.
   FixedNetwork exact_engine(
       net, spec, LayerAlphabetPlan::conventional(net.num_weight_layers()));
   const ConvLayerPlan& e1 = exact_engine.conv_plans()[0];
   EXPECT_TRUE(e1.exact);
-  EXPECT_EQ(e1.weights.size(),
-            static_cast<std::size_t>(e1.oc) * e1.cols_padded);
-  for (int r = 0; r < e1.oc; ++r) {
-    for (int c = e1.cols; c < e1.cols_padded; ++c) {
-      EXPECT_EQ(e1.weights[static_cast<std::size_t>(r) * e1.cols_padded + c],
-                0);
-    }
-  }
+  EXPECT_EQ(e1.weights.size(), static_cast<std::size_t>(e1.oc) * e1.cols);
+  EXPECT_TRUE(e1.row_groups.empty());
+  EXPECT_TRUE(e1.idx.empty());
 }
 
-// Regression: a conv layer whose weights all quantize to zero ASM
-// steps compiles to a degenerate plan that must still carry one
-// (all-absent) quartet plane — the blocked/SIMD kernels pre-read
-// plane 0 for their zero-step skip, which would index an empty idx
-// array otherwise. Every backend must agree (outputs are pure biases).
+// A conv layer whose weights all quantize to zero ASM steps compiles
+// to a plan with no groups and no terms; every backend must agree
+// (outputs are pure biases).
 TEST(BackendPlans, AllZeroWeightConvRunsOnEveryBackend) {
   man::util::Rng rng(5);
   Network net;
@@ -744,7 +750,8 @@ TEST(BackendPlans, AllZeroWeightConvRunsOnEveryBackend) {
       LayerAlphabetPlan::uniform_asm(net.num_weight_layers(),
                                      AlphabetSet::four()));
   ASSERT_EQ(engine.conv_plans().size(), 1u);
-  EXPECT_EQ(engine.conv_plans()[0].planes, 1);
+  EXPECT_TRUE(engine.conv_plans()[0].shifts.empty());
+  EXPECT_TRUE(engine.conv_plans()[0].idx.empty());
 
   std::vector<float> pixels(engine.input_size());
   for (float& p : pixels) p = static_cast<float>(rng.next_double());

@@ -8,6 +8,7 @@
 
 #include "man/apps/app_registry.h"
 #include "man/backend/kernel_backend.h"
+#include "man/core/quartet.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
 #include "man/nn/conv2d.h"
@@ -228,7 +229,10 @@ TEST(FixedNetwork, ConventionalEngineHasNoBankActivity) {
 // dense path: per-inference counts derived from the compiled schedule
 // (each weight fires once per output position), so Fig 8/9 energy
 // replays account CNN stages correctly. Recomputed here from the
-// compiled ConvLayerPlan and checked against the recorded LayerStats.
+// conventional engine's quantized weights of the same projected
+// network — one step per nonzero quartet, one negate per negative
+// weight — and checked against the ASM plan's terms and the recorded
+// LayerStats.
 TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
   Network net = make_cnn(81);
   const QuantSpec spec = QuantSpec::bits8();
@@ -237,33 +241,34 @@ TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
   plan.project_network(net);
   FixedNetwork engine(net, spec,
                       LayerAlphabetPlan::uniform_asm(2, set));
+  const FixedNetwork exact(net, spec, LayerAlphabetPlan::conventional(2));
 
   man::util::Rng rng(19);
   (void)engine.predict(random_pixels(engine.input_size(), rng));
 
   const auto& conv_plan = engine.conv_plans().at(0);
+  const auto& weights = exact.conv_plans().at(0).weights;
   const std::uint64_t positions = conv_plan.positions();
   const std::uint64_t macs =
       static_cast<std::uint64_t>(conv_plan.oc) * positions * conv_plan.cols;
+  ASSERT_EQ(weights.size(), macs / positions);
+  const man::core::QuartetLayout layout(spec.weight_format.total_bits());
   man::core::OpCounts expected;
-  // A weight's steps are its plane entries before the first one that
-  // reads the zero region; its sign mask is -1 when it is negative.
-  for (int r = 0; r < conv_plan.oc; ++r) {
-    for (int c = 0; c < conv_plan.cols; ++c) {
-      const std::size_t cell =
-          static_cast<std::size_t>(r) * conv_plan.cols_padded + c;
-      std::uint64_t steps = 0;
-      while (steps < static_cast<std::uint64_t>(conv_plan.planes) &&
-             conv_plan.idx[steps * conv_plan.plane_stride() + cell] !=
-                 conv_plan.zero_base) {
-        ++steps;
-      }
-      expected.selects += steps * positions;
-      expected.shifts += steps * positions;
-      if (steps > 1) expected.adds += (steps - 1) * positions;
-      if (conv_plan.sign_masks[cell] == -1) expected.negates += positions;
+  std::uint64_t terms = 0;
+  for (const std::int32_t w : weights) {
+    const auto sm = man::core::to_sign_magnitude(w, layout);
+    std::uint64_t steps = 0;
+    for (int q = 0; q < layout.num_quartets(); ++q) {
+      const int mask = (1 << layout.quartet_width(q)) - 1;
+      if ((sm.magnitude >> layout.quartet_shift(q)) & mask) ++steps;
     }
+    terms += steps;
+    expected.selects += steps * positions;
+    expected.shifts += steps * positions;
+    if (steps > 1) expected.adds += (steps - 1) * positions;
+    if (sm.negative) expected.negates += positions;
   }
+  EXPECT_EQ(conv_plan.idx.size(), terms);
   expected.adds += macs;  // accumulator adds
   const std::uint64_t groups =
       (static_cast<std::uint64_t>(conv_plan.oc) + engine.lanes() - 1) /
@@ -324,49 +329,17 @@ TEST(FixedNetwork, RejectsWrongInputSize) {
 
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
-/// A hand-built MAN ({1}) schedule over activations |x| ≤ X whose row
-/// 0, as a conv filter (whose proof counts one unit per negative
-/// weight), has int32 row bound exactly INT32_MAX: n = INT32_MAX mod X
-/// negative single-step weights (shift 0) plus one positive
-/// single-step weight per set bit of (INT32_MAX − n)/X − n, so
-/// Σ X·2^shift + n = INT32_MAX. One more column carries no steps: a
-/// positive weight, or with `over` a negative one, which adds the
-/// single unit that puts the plan past the proof. Row 1 is small.
+/// A hand-built MAN ({1}) schedule of two rows over activations
+/// |x| ≤ X = 1 (boundary_spec): row 0 has one single-step weight per
+/// shift 0..30, negative at odd shifts, so its bound Σ X·2^shift is
+/// exactly INT32_MAX. With `over`, one more single-step weight at
+/// shift 0 puts the plan one unit past the proof. Row 1 is small.
 struct BoundarySchedule {
   int cols = 0;
   std::vector<man::backend::AsmWeight> weights;  ///< 2 rows × cols
   std::vector<man::backend::AsmStep> steps;
   std::vector<bool> negative;  ///< row 0's weight signs, per column
 };
-
-BoundarySchedule boundary_schedule(const QuantSpec& spec, bool over) {
-  using man::backend::AsmStep;
-  using man::backend::AsmWeight;
-  const std::int64_t x = spec.activation_format.max_raw();
-  const std::int64_t n = kInt32Max % x;
-  const std::int64_t positive_sum = (kInt32Max - n) / x - n;
-  std::vector<std::uint8_t> shifts;
-  for (std::uint8_t bit = 0; bit < 31; ++bit) {
-    if ((positive_sum >> bit) & 1) shifts.push_back(bit);
-  }
-  BoundarySchedule out;
-  out.cols = static_cast<int>(n) + static_cast<int>(shifts.size()) + 1;
-  const auto add_weight = [&](bool negative, int step_count,
-                              std::uint8_t shift) {
-    AsmWeight w;
-    w.step_begin = static_cast<std::uint32_t>(out.steps.size());
-    w.step_count = static_cast<std::uint8_t>(step_count);
-    w.negative = negative;
-    out.weights.push_back(w);
-    if (step_count > 0) out.steps.push_back(AsmStep{0, shift});
-  };
-  for (std::int64_t i = 0; i < n; ++i) add_weight(true, 1, 0);
-  for (const std::uint8_t shift : shifts) add_weight(false, 1, shift);
-  add_weight(over, 0, 0);
-  for (const AsmWeight& w : out.weights) out.negative.push_back(w.negative);
-  for (int c = 0; c < out.cols; ++c) add_weight(c % 3 == 0, c % 2, 1);  // row 1
-  return out;
-}
 
 /// The boundary plans' format: 2-bit activations, so the staging
 /// window is [-1, 1] and X = 1 — the only X that divides INT32_MAX =
@@ -377,13 +350,7 @@ QuantSpec boundary_spec() {
   return spec;
 }
 
-/// The dense twin of boundary_schedule for the grouped dense proof,
-/// which has no sign term: over activations |x| ≤ X = 1, one
-/// single-step weight per shift 0..30, negative at odd shifts, so row
-/// 0's bound Σ X·2^shift is exactly INT32_MAX. With `over`, one more
-/// single-step weight at shift 0 puts the plan one unit past the
-/// proof. Row 1 is small.
-BoundarySchedule dense_boundary_schedule(bool over) {
+BoundarySchedule boundary_schedule(bool over) {
   using man::backend::AsmStep;
   using man::backend::AsmWeight;
   BoundarySchedule out;
@@ -414,7 +381,7 @@ struct BoundaryPlan {
 
 BoundaryPlan boundary_plan(bool over) {
   const QuantSpec spec = boundary_spec();
-  BoundarySchedule schedule = dense_boundary_schedule(over);
+  BoundarySchedule schedule = boundary_schedule(over);
   BoundaryPlan out;
   out.negative = schedule.negative;
   out.plan = man::backend::DenseLayerPlan::build_asm(
@@ -579,8 +546,9 @@ struct BoundaryConv {
   std::vector<bool> negative;  ///< filter 0's weight signs, per channel
 };
 
-BoundaryConv boundary_conv(const QuantSpec& spec, bool over) {
-  BoundarySchedule schedule = boundary_schedule(spec, over);
+BoundaryConv boundary_conv(bool over) {
+  const QuantSpec spec = boundary_spec();
+  BoundarySchedule schedule = boundary_schedule(over);
   BoundaryConv out;
   out.negative = schedule.negative;
   out.plan = man::backend::ConvLayerPlan::build_asm(
@@ -593,7 +561,7 @@ BoundaryConv boundary_conv(const QuantSpec& spec, bool over) {
 
 FixedNetwork boundary_conv_engine(const BoundaryConv& boundary) {
   CompiledModel model;
-  model.spec = QuantSpec::bits8();
+  model.spec = boundary_spec();
   const auto& plan = boundary.plan;
   model.stages.emplace_back(CompiledConvStage{
       plan.ic, plan.oc, plan.kernel, plan.ih, plan.iw, plan.oh, plan.ow,
@@ -628,7 +596,7 @@ std::vector<float> boundary_conv_pixels(const BoundaryConv& boundary) {
 // reaches −INT32_MAX bit-identically to the scalar reference on every
 // backend.
 TEST(Int32ConvProof, PlanAtInt32MaxTakesInt32Lanes) {
-  const BoundaryConv boundary = boundary_conv(QuantSpec::bits8(), false);
+  const BoundaryConv boundary = boundary_conv(false);
   const auto alphabets = AlphabetSet::man().alphabets();
   ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
             kInt32Max);
@@ -636,14 +604,12 @@ TEST(Int32ConvProof, PlanAtInt32MaxTakesInt32Lanes) {
   EXPECT_TRUE(engine.conv_int32_lanes(0));
   const auto raw =
       expect_batch_matches_scalar(engine, boundary_conv_pixels(boundary));
-  // Filter 0 of samples 0 and 1: bias 5 plus Σ of the real products,
-  // which is the kernel sum ∓INT32_MAX plus the n negative weights'
-  // −Σ sign.
-  const std::int64_t x = QuantSpec::bits8().activation_format.max_raw();
+  // Filter 0 of samples 0 and 1: bias 5 plus a kernel sum of
+  // ∓INT32_MAX.
   const std::size_t positions = boundary.plan.positions();
   for (std::size_t p = 0; p < positions; ++p) {
-    EXPECT_EQ(raw[p], 5 - kInt32Max + kInt32Max % x) << "position " << p;
-    EXPECT_EQ(raw[engine.output_size() + p], 5 + kInt32Max - kInt32Max % x)
+    EXPECT_EQ(raw[p], 5 - kInt32Max) << "position " << p;
+    EXPECT_EQ(raw[engine.output_size() + p], 5 + kInt32Max)
         << "position " << p;
   }
 }
@@ -651,7 +617,7 @@ TEST(Int32ConvProof, PlanAtInt32MaxTakesInt32Lanes) {
 // One unit over: the plan runs int64 lanes, and outputs still match
 // the scalar reference.
 TEST(Int32ConvProof, PlanOneUnitOverRunsInt64) {
-  const BoundaryConv boundary = boundary_conv(QuantSpec::bits8(), true);
+  const BoundaryConv boundary = boundary_conv(true);
   const auto alphabets = AlphabetSet::man().alphabets();
   ASSERT_EQ(man::backend::int32_row_bound(boundary.plan, alphabets),
             man::backend::kInt32RowOverflow);

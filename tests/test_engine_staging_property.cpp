@@ -70,8 +70,8 @@ std::vector<std::int64_t> stage_dense(const DenseLayerPlan& plan,
   return multiples;
 }
 
-// The conv staging layout: lane-major planes plus the zero region
-// (what stage_multiples_lane_major + the zero fill produce).
+// The conv staging layout: lane-major (what
+// stage_multiples_lane_major produces).
 template <typename RowOf>
 std::vector<std::int64_t> stage_conv(const ConvLayerPlan& plan,
                                      std::span<const std::int64_t> values,
@@ -83,7 +83,6 @@ std::vector<std::int64_t> stage_conv(const ConvLayerPlan& plan,
     const auto row = row_of(values[i]);
     for (std::size_t l = 0; l < k; ++l) multiples[l * stride + i] = row[l];
   }
-  std::fill(multiples.begin() + plan.zero_base, multiples.end(), 0);
   return multiples;
 }
 
