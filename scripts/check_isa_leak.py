@@ -2,24 +2,26 @@
 """ISA-leak lint: AVX code must stay inside the tagged kernels.
 
 Every object in libman.a is built for the baseline x86-64 ISA. Only
-the intrinsic kernels in simd_backend.cpp and avx512_backend.cpp carry
-a per-function target("avx2") or target("avx512f,avx512vl") attribute,
-and both backends check CPUID before they call them, so the library
-runs on any x86-64 CPU. The rule the lint guards: AVX code appears
-only in those two objects, never in a weak symbol, and never in a
+the AVX2 and AVX-512 tier kernels in vector_kernels.cpp carry a
+per-function target("avx2") or target("avx512f,avx512vl") attribute,
+and the vector backends pick a tier only after a CPUID check, so the
+library runs on any x86-64 CPU. The rule the lint guards: AVX code
+appears only in that object, never in a weak symbol, and never in a
 `*Backend::` member function. A weak symbol
 holding AVX code is the dangerous case: the linker keeps a single copy
 for every caller, so portable code would execute AVX instructions and
 die with SIGILL on a CPU without them. That happens if a target
 attribute (or a per-file -m flag) ever reaches a header-defined
-function (inline or a template). A backend method holding AVX code
-is the other: the methods run before their CPUID check, so an
+function with external linkage (inline or a template); the kernel
+templates in vector_kernels.h have internal linkage for that reason.
+A backend method holding AVX code
+is the other: the methods run on every CPU, so an
 inlined kernel could execute AVX instructions (a vmovq, say) on a CPU
 without them; the symbols are local, so the weak rule cannot see it.
 
 The lint disassembles the archive with demangled names and fails when
 a weak symbol, a `*Backend::` member function, or any function outside
-the two backend objects contains a VEX- or EVEX-encoded instruction
+the kernels' object contains a VEX- or EVEX-encoded instruction
 (AT&T mnemonics starting with "v", or the AVX-512 mask instructions
 starting with "k"). Its ok line counts the AVX functions per object.
 
@@ -32,8 +34,8 @@ import subprocess
 import sys
 from collections import Counter
 
-# The objects whose kernels carry AVX target attributes.
-AVX_OBJECTS = {"simd_backend.cpp.o", "avx512_backend.cpp.o"}
+# The object whose kernels carry AVX target attributes.
+AVX_OBJECTS = {"vector_kernels.cpp.o"}
 
 # nm types of weak and unique-global definitions.
 WEAK_TYPES = {"W", "V", "u"}

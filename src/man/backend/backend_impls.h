@@ -1,16 +1,18 @@
-// Singleton accessors for the concrete kernels, internal to the
-// registry (callers go through backend_for()/resolve()).
+// The concrete kernels behind the registry, internal to man::backend
+// (callers go through backend_for()/resolve()).
 #ifndef MAN_BACKEND_BACKEND_IMPLS_H
 #define MAN_BACKEND_BACKEND_IMPLS_H
+
+#include <cstdint>
 
 #include "man/backend/kernel_backend.h"
 
 // The one compile-time ISA switch. On x86-64 under GCC or Clang, the
-// simd and avx512 backends compile their intrinsic kernels, and only
-// those functions, for AVX2 or AVX-512F/VL through a per-function
-// target attribute; every file is built at the default ISA, and
-// runtime CPUID decides whether the kernels run. Elsewhere both
-// backends run their portable group loops.
+// 32- and 64-byte vector tiers compile their kernels, and only those
+// functions, for AVX2 or AVX-512F/VL through a per-function target
+// attribute; every file is built at the default ISA, and runtime CPUID
+// decides whether the kernels run. Elsewhere only the 16-byte tier
+// exists.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MAN_X86_KERNELS 1
 #define MAN_TARGET_AVX2 __attribute__((target("avx2")))
@@ -21,10 +23,27 @@
 
 namespace man::backend::detail {
 
+/// One vector tier's kernels (vector_kernels.cpp): the generic-vector
+/// loops of vector_kernels.h instantiated at `bytes`-wide vectors.
+struct VectorKernels {
+  int bytes;                ///< 16 (portable), 32 (AVX2), 64 (AVX-512)
+  const char* description;  ///< KernelBackend::description()
+  void (*dense)(const DenseLayerPlan&, const std::int64_t*, std::int64_t*);
+  void (*dense_tile)(const DenseLayerPlan&, const std::int32_t*,
+                     std::int64_t*);
+  void (*conv)(const ConvLayerPlan&, const std::int64_t*, std::int64_t*);
+  void (*conv_int32)(const ConvLayerPlan&, const std::int32_t*,
+                     std::int64_t*);
+};
+
+/// The widest tier at most `cap_bytes` wide that this CPU runs: 64
+/// when CPUID reports AVX-512F/VL, 32 with AVX2, 16 otherwise and
+/// without MAN_X86_KERNELS.
+[[nodiscard]] const VectorKernels& vector_kernels(int cap_bytes);
+
 [[nodiscard]] const KernelBackend& scalar_backend();
-[[nodiscard]] const KernelBackend& blocked_backend();
-[[nodiscard]] const KernelBackend& simd_backend();
-[[nodiscard]] const KernelBackend& avx512_backend();
+/// The vector backend capped by `cap`: kBlocked, kSimd or kAvx512.
+[[nodiscard]] const KernelBackend& vector_backend(BackendKind cap);
 
 }  // namespace man::backend::detail
 

@@ -13,26 +13,31 @@ const KernelBackend& backend_for(BackendKind kind) {
     case BackendKind::kScalar:
       return detail::scalar_backend();
     case BackendKind::kBlocked:
-      return detail::blocked_backend();
     case BackendKind::kSimd:
-      return detail::simd_backend();
     case BackendKind::kAvx512:
-      return detail::avx512_backend();
+      return detail::vector_backend(kind);
   }
   throw std::invalid_argument("backend_for: unknown BackendKind");
 }
 
 std::span<const KernelBackend* const> all_backends() {
   static const std::array<const KernelBackend*, 4> backends = {
-      &detail::scalar_backend(), &detail::blocked_backend(),
-      &detail::simd_backend(), &detail::avx512_backend()};
+      &detail::scalar_backend(),
+      &detail::vector_backend(BackendKind::kBlocked),
+      &detail::vector_backend(BackendKind::kSimd),
+      &detail::vector_backend(BackendKind::kAvx512)};
   return backends;
 }
 
 BackendKind detect_best_backend() {
-  if (detail::avx512_backend().accelerated()) return BackendKind::kAvx512;
-  return detail::simd_backend().accelerated() ? BackendKind::kSimd
-                                              : BackendKind::kBlocked;
+  switch (detail::vector_kernels(64).bytes) {
+    case 64:
+      return BackendKind::kAvx512;
+    case 32:
+      return BackendKind::kSimd;
+    default:
+      return BackendKind::kBlocked;
+  }
 }
 
 BackendKind parse_backend(std::string_view name) {

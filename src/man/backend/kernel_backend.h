@@ -1,17 +1,17 @@
 // Multi-backend ASM accumulation: the inner MAC loop of the
 // fixed-point engine abstracted behind a KernelBackend interface, so
 // the same compiled plans — the (shift, sign) groups of a dense or conv
-// plan — run on the extracted scalar reference, an auto-vectorizable
-// blocked-scalar kernel, or explicit AVX2/AVX-512 SIMD kernels — all
-// under one bit-exactness contract
-// (every backend must produce accumulators identical to the scalar
-// reference; the Fig 9 replay gate enforces this in CI).
+// plan — run on the extracted scalar reference or on the vector
+// backend, all under one bit-exactness contract (every backend must
+// produce accumulators identical to the scalar reference; the Fig 9
+// replay gate enforces this in CI). The vector backend writes each
+// loop once over a generic vector type and instantiates it per vector
+// width: 16 bytes at the default ISA, 32 for AVX2, 64 for AVX-512.
 //
 // Selection: resolve() picks, in precedence order, a programmatic
 // override (BatchOptions::backend), the MAN_BACKEND environment
 // variable (scalar|blocked|simd|avx512; auto/unset defers), then CPU
-// feature detection (AVX-512 when live, else AVX2-accelerated SIMD,
-// blocked otherwise).
+// feature detection (the widest vector tier CPUID reports).
 #ifndef MAN_BACKEND_KERNEL_BACKEND_H
 #define MAN_BACKEND_KERNEL_BACKEND_H
 
@@ -24,16 +24,17 @@
 
 namespace man::backend {
 
-/// Registered accumulation kernels.
+/// Registered accumulation kernels. The three vector kinds are caps:
+/// each runs the widest vector tier at or below its cap that CPUID
+/// reports.
 enum class BackendKind {
   kScalar,   ///< extracted reference loop, one row at a time over the
              ///< groups (a conv row once per output position)
-  kBlocked,  ///< branch-free blocked-scalar loops
-  kSimd,     ///< AVX2 intrinsics (portable loops off x86-64 or
-             ///< when the CPU lacks AVX2)
-  kAvx512,   ///< AVX-512F/VL intrinsics, 16-lane int32 position
-             ///< tiles for conv (portable loops off x86-64 or
-             ///< when the CPU lacks AVX-512F/VL)
+  kBlocked,  ///< the portable tier: 16-byte vectors at the default
+             ///< ISA, the only vector code that runs off x86-64
+  kSimd,     ///< AVX2's 32-byte vectors (portable without AVX2)
+  kAvx512,   ///< AVX-512F/VL's 64-byte vectors (AVX2's without
+             ///< AVX-512F/VL, portable without either)
 };
 
 /// One implementation of the inner accumulation loops. Stateless and
@@ -48,12 +49,11 @@ class KernelBackend {
   /// "avx512") — the MAN_BACKEND spelling and the EngineStats backend
   /// label.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
-  /// Human-readable variant description (e.g. which SIMD path is
-  /// live on this CPU).
+  /// Human-readable variant description (for a vector backend, the
+  /// tier live on this CPU under its cap).
   [[nodiscard]] virtual const char* description() const noexcept = 0;
-  /// True when this backend runs its accelerated code path (the SIMD
-  /// backend reports false when it falls back to the portable loop).
-  /// Every registered backend is always *runnable*.
+  /// True when this backend runs a vector tier above the portable one
+  /// (AVX2 or AVX-512). Every registered backend is always *runnable*.
   [[nodiscard]] virtual bool accelerated() const noexcept = 0;
 
   /// ASM accumulation for one dense stage, group by group:
@@ -69,7 +69,8 @@ class KernelBackend {
   /// tile[s·kDenseTile + b] (plan.padded_multiples() × kDenseTile
   /// values), and row r of sample b lands at out[r·kDenseTile + b].
   /// Each term is read once per tile and adds kDenseTile contiguous
-  /// lanes — one zmm or two ymm — so the plan indices stay unchanged
+  /// lanes — one 64-byte vector, two 32-byte or four 16-byte ones — so
+  /// the plan indices stay unchanged
   /// (the kernel scales them by kDenseTile) and vector kernels use
   /// plain loads where the per-sample kernel gathers. Group sums and
   /// the row accumulate in int32; each group is shifted once, and each
@@ -96,17 +97,19 @@ class KernelBackend {
   /// strides by elements, not by k). `multiples` holds
   /// plan.padded_multiples() slots — k lanes of ic·ih·iw bank
   /// outputs. FixedNetwork calls it only for plans that do not fit
-  /// int32 lanes; the vector backends run the portable group loop
-  /// here.
+  /// int32 lanes. The vector backend runs accumulate_conv_int32's
+  /// register tiles over int64 lanes here: one template serves both.
   virtual void accumulate_conv(const ConvLayerPlan& plan,
                                const std::int64_t* multiples,
                                std::int64_t* out) const = 0;
 
   /// accumulate_conv over int32 multiples: the same lane-major layout
-  /// and output. Vector kernels run 8 (ymm) or 16 (zmm) consecutive
-  /// output positions per vector, sum each group and the filter in
-  /// int32, and widen each output to int64 where the bias is added;
-  /// they tile positions by one fixed register tile per ISA. Callers must hold int32_row_bound(plan,
+  /// and output. The vector backend runs 4, 8 or 16 consecutive output
+  /// positions per vector (by tier), sums each group and the filter in
+  /// int32, and widens each output to int64 where the bias is added;
+  /// it tiles positions by one fixed register tile per tier, and a
+  /// row's last vector ends at ow, overlapping the one before it, so
+  /// no read leaves the row. Callers must hold int32_row_bound(plan,
   /// ...) ≤ INT32_MAX for the staged inputs (FixedNetwork routes only
   /// such plans here); the scalar reference accumulates in int64
   /// regardless. Bit-identical to accumulate_conv on the same values.
@@ -125,11 +128,12 @@ class KernelBackend {
 [[nodiscard]] const KernelBackend& backend_for(BackendKind kind);
 
 /// Every registered backend (all four kinds are always registered;
-/// the SIMD/AVX-512 entries may be running their portable fallback).
+/// simd and avx512 may run a narrower tier than their cap).
 [[nodiscard]] std::span<const KernelBackend* const> all_backends();
 
-/// Best backend for this CPU: AVX-512 when its accelerated path
-/// is live, else SIMD when accelerated, blocked otherwise.
+/// Best backend for this CPU: the cap of the widest tier CPUID
+/// reports — avx512 with AVX-512F/VL, else simd with AVX2, blocked
+/// otherwise.
 [[nodiscard]] BackendKind detect_best_backend();
 
 /// Parses a MAN_BACKEND spelling ("scalar", "blocked", "simd",

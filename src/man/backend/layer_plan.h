@@ -140,8 +140,8 @@ inline constexpr int kMaxShift = 32;
 /// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
 /// slot s of sample b sits at tile[s·kDenseTile + b] as an int32
 /// (int32_row_bound() proves the plan's sums fit), so every term is
-/// read once per tile and adds kDenseTile contiguous lanes — one zmm,
-/// two ymm, one 64-byte line. Rows come out int64 at
+/// read once per tile and adds kDenseTile contiguous lanes — one
+/// 64-byte line and vector. Rows come out int64 at
 /// out[r·kDenseTile + b]. A fixed constant, not a knob: a wider tile
 /// would tile even fewer serving micro-batches, of which only a full
 /// 64-sample batch on 4 workers shards into 16-sample ranges
@@ -149,11 +149,12 @@ inline constexpr int kMaxShift = 32;
 /// 4 × 12).
 inline constexpr int kDenseTile = 16;
 
-/// Register tile of one vectorized int32 conv kernel
-/// (KernelBackend::accumulate_conv_int32): row_tile output rows ×
-/// col_vecs column groups of int32 lanes (8 per ymm, 16 per zmm). Each
-/// ISA runs one compile-time tile (ConvLayerPlan::tile_avx2 /
-/// tile_avx512 report them); every tile is bit-identical to the
+/// Register tile of one vectorized conv kernel
+/// (KernelBackend::accumulate_conv_int32 and accumulate_conv):
+/// row_tile output rows × col_vecs column groups of one vector each.
+/// Each vector tier runs one compile-time tile
+/// (ConvLayerPlan::tile_avx2 reports the 16- and 32-byte tiers',
+/// tile_avx512 the 64-byte tier's); every tile is bit-identical to the
 /// scalar reference, only speed differs.
 struct ConvTileShape {
   int row_tile = 0;  ///< output rows per tile
@@ -262,8 +263,8 @@ struct ConvLayerPlan : GroupedPlan {
   /// (0,0), in (ic, ky, kx) order.
   PlanArray<std::uint32_t> patch_elems;
 
-  /// The fixed register tile of the AVX2 and AVX-512 int32 conv
-  /// kernels (each kernel file static_asserts its own against these),
+  /// The fixed register tiles of the vector conv kernels
+  /// (vector_kernels.cpp static_asserts its own against these),
   /// and tiles_tuned, always false: nothing measures or writes a tile
   /// at run time. Kept only for perfbench's conv_tiles provenance; they
   /// go in the next benchmark change, with conv_autotune.h.

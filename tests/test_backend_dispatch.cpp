@@ -11,6 +11,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "man/backend/backend_impls.h"
@@ -73,20 +74,32 @@ TEST(BackendRegistry, AllFourKindsAreRegisteredAndDistinct) {
     EXPECT_EQ(std::string_view(backend->name()), to_string(backend->kind()));
     EXPECT_NE(backend->description(), nullptr);
   }
-  // Only the SIMD backends may ever report an accelerated code path.
+  // Each vector backend caps the vector tier it runs: blocked the
+  // portable one, simd AVX2 when CPUID reports it, avx512 AVX-512F/VL
+  // when CPUID reports it, else AVX2. accelerated() is true exactly
+  // when a tier above the portable one is live, and description()
+  // names the live tier.
+#if MAN_X86_KERNELS
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  const bool avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+                      __builtin_cpu_supports("avx512vl") != 0;
+#else
+  const bool avx2 = false;
+  const bool avx512 = false;
+#endif
   EXPECT_FALSE(backends[0]->accelerated());
   EXPECT_FALSE(backends[1]->accelerated());
-  // Nothing can compile the vector paths out behind the platform gate:
-  // each is live exactly when CPUID reports its ISA.
-#if MAN_X86_KERNELS
-  EXPECT_EQ(backends[2]->accelerated(), __builtin_cpu_supports("avx2") != 0);
-  EXPECT_EQ(backends[3]->accelerated(),
-            __builtin_cpu_supports("avx512f") != 0 &&
-                __builtin_cpu_supports("avx512vl") != 0);
-#else
-  EXPECT_FALSE(backends[2]->accelerated());
-  EXPECT_FALSE(backends[3]->accelerated());
-#endif
+  EXPECT_EQ(backends[2]->accelerated(), avx2);
+  EXPECT_EQ(backends[3]->accelerated(), avx2 || avx512);
+  const auto names = [](const KernelBackend* backend, const char* tier) {
+    return std::string_view(backend->description()).find(tier) !=
+           std::string_view::npos;
+  };
+  EXPECT_TRUE(names(backends[1], "portable"));
+  EXPECT_TRUE(names(backends[2], avx2 ? "AVX2" : "portable"));
+  EXPECT_TRUE(names(backends[3], avx512 ? "AVX-512"
+                                 : avx2 ? "AVX2"
+                                        : "portable"));
 }
 
 TEST(BackendRegistry, ParseAcceptsKnownSpellingsOnly) {
@@ -525,9 +538,14 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
 // backend's accumulate_conv and accumulate_conv_int32, against the AoS
 // walk with patch elements computed here rather than read from the
 // plan. Filter 1 is a single (shift, sign) group and filter 2 has no
-// terms. Two geometries: a 4 × 7 output, and a 7 × 35 one, whose
-// width runs two column groups and a masked tail and whose height
-// leaves a short row tile at both vector ISAs' tiles (3 and 5 rows).
+// terms. Output widths 1, 3, 7, 11, 16, 21 and 35 run every path of
+// the vector kernels at every tier, in int64 lanes (2, 4 or 8 per
+// vector) and int32 lanes (4, 8 or 16): rows narrower than a vector
+// (halved, down to one position per lane), a single group, pairs whose
+// last group overlaps the first, and odd last groups that overlap the
+// pair before them. Heights 1 to 7 leave short row tiles at both tile
+// heights (3 and 5 rows). The multiples buffers are exactly
+// padded_multiples() long, so ASan sees any read past them.
 TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
   constexpr int kOc = 3;
   constexpr int kIc = 2;
@@ -535,7 +553,9 @@ TEST(ConvPlanOracle, EveryBackendMatchesTheAosWalk) {
   constexpr int kLanes = 4;
   constexpr int kCols = kIc * kKernel * kKernel;
   man::util::Rng rng(610);
-  for (const auto [ih, iw] : {std::pair{6, 9}, std::pair{9, 37}}) {
+  for (const auto [ih, iw] :
+       {std::pair{3, 3}, std::pair{4, 5}, std::pair{6, 9}, std::pair{5, 13},
+        std::pair{3, 18}, std::pair{6, 23}, std::pair{9, 37}}) {
     for (int max_steps = 1; max_steps <= 4; ++max_steps) {
       Schedule schedule = random_schedule(
           kOc * kCols, kLanes, max_steps, 12,
