@@ -94,6 +94,16 @@ struct ReplayResult {
   /// (layer name, "int32"/"int64") for every conv layer, in order.
   std::vector<std::pair<std::string, std::string>> conv_lanes;
 
+  /// Share of the profiled single-thread time spent outside the
+  /// kernels: the fused epilogue sweeps (quantize + staging + LUT +
+  /// pool) over all five phases, one process's ratio.
+  [[nodiscard]] double epilogue_share() const {
+    const double epilogue =
+        phases.quantize_s + phases.staging_s + phases.lut_s + phases.pool_s;
+    const double total = epilogue + phases.kernel_s;
+    return total > 0 ? epilogue / total : 0.0;
+  }
+
   /// A runner time against the scalar backend's own one-worker runner,
   /// which tiles like every other runner row: the ratio is the
   /// kernels' alone, so a backend that fell back to scalar speed reads
@@ -253,7 +263,9 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
          man::util::format_double(result.phases.quantize_s * 1e3, 2), "-"});
     std::cout << "Per-element phase breakdown ("
               << result.phase_samples << " samples, 1 thread):\n"
-              << phase_table.to_string();
+              << phase_table.to_string() << "Epilogue share (outside the "
+              << "kernels): "
+              << man::util::format_double(result.epilogue_share(), 3) << "\n";
   }
 
   // Batched runtime on the auto backend: outputs and the per-layer
@@ -370,6 +382,8 @@ void emit_json_section(std::ofstream& out, const char* name,
                  ? result.scalar_s * 1e3 / static_cast<double>(result.samples)
                  : 0.0,
              4)
+      << ",\n    \"epilogue_share\": "
+      << man::util::format_double(result.epilogue_share(), 4)
       << ",\n    \"conv_lanes\": {";
   // Conv layers only, keyed by layer name: which lane width served
   // each one, so a CI log shows a silent int64 fallback.

@@ -25,6 +25,10 @@ bench/baseline.json:
     flap them, and they catch a backend silently degrading to the
     scalar path (the hard bit-exactness gate stays the bench's own
     exit code);
+  * fig9_cnn_replay's epilogue_share (the share of its profiled
+    single-thread time spent outside the kernels: the fused
+    quantize/staging/LUT/pool sweeps, a ratio measured in one process)
+    above the baseline's max_epilogue_share ceiling fails the job;
   * artifact_cold_start (the plan-artifact mmap-load vs in-process
     build comparison) must be bit-identical and its load-vs-build
     speedup must meet the baseline's min_speedup floor;
@@ -304,6 +308,27 @@ def check_replay(name, fig9, baseline, failures, warnings):
             failures.append(
                 f"{name} backend {backend} has a min_speedup floor "
                 f"({expected:.2f}x) but recorded no result")
+
+    # Ceiling on the time outside the kernels, as a share of the
+    # replay's profiled time: it catches the epilogue sweeps slowing
+    # down relative to the kernels on any runner.
+    ceiling = base.get("max_epilogue_share") if isinstance(base, dict) else None
+    if ceiling is not None:
+        share = replay.get("epilogue_share")
+        if not usable_number(ceiling) or ceiling >= 1:
+            failures.append(f"baseline {name}.max_epilogue_share is unusable "
+                            f"({ceiling!r})")
+        elif not usable_number(share):
+            failures.append(f"{name} has no usable epilogue_share "
+                            f"({share!r}) - the max_epilogue_share "
+                            f"ceiling ({ceiling:.3f}) cannot be enforced")
+        else:
+            line = (f"{name} epilogue share: {share:.3f} of the profiled "
+                    f"time")
+            if share > ceiling:
+                failures.append(f"{line} exceeds the ceiling {ceiling:.3f}")
+            else:
+                print(line)
 
     # Informational cross-PR tracking: single-thread scalar time per
     # sample vs the recorded reference measurement. Stored in the

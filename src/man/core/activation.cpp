@@ -105,8 +105,6 @@ bool FixedActivationLut::build_integer_path() {
   clip_raw_ = clip_raw;
   index_shift_ = clip_log2 + 1;
   index_scale_ = static_cast<std::int64_t>(table_.size()) - 1;
-  raw_clamp_lo_ = -clip_raw;
-  raw_clamp_hi_ = clip_raw;
 
   // Probe the seams: the raw value where lround tips from bucket
   // i-1 to i is near ((2i-1)·C)/(N-1) - C; check ±1 around each, the
@@ -116,8 +114,8 @@ bool FixedActivationLut::build_integer_path() {
   };
   bool verified = true;
   for (std::int64_t delta = -2; verified && delta <= 2; ++delta) {
-    verified = agrees(raw_clamp_lo_ + delta) &&
-               agrees(raw_clamp_hi_ + delta) && agrees(delta);
+    verified = agrees(-clip_raw_ + delta) && agrees(clip_raw_ + delta) &&
+               agrees(delta);
   }
   for (std::int64_t i = 1; verified && i <= index_scale_; ++i) {
     const auto seam = static_cast<std::int64_t>(

@@ -6,6 +6,7 @@
 #ifndef MAN_CORE_ACTIVATION_H
 #define MAN_CORE_ACTIVATION_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -71,20 +72,40 @@ class FixedActivationLut {
     return table_.size();
   }
 
+  /// The integer address path by value: apply_raw()'s arithmetic over
+  /// a pointer to the table, for loops that keep it in registers
+  /// (stores through an int32 or int64 pointer cannot alias a copy).
+  /// Valid while the LUT lives.
+  struct RawPath {
+    const std::int32_t* table;
+    std::int64_t clip_raw;     ///< C = clip · 2^frac (exact)
+    std::int64_t index_scale;  ///< N - 1
+    int index_shift;           ///< log2(2C)
+
+    [[nodiscard]] std::int32_t operator()(
+        std::int64_t accumulator_raw) const noexcept {
+      // Branch-free clamp to [-C, +C]: the edges index 0 and N-1
+      // exactly, as the saturated inputs beyond them must.
+      const std::int64_t clamped =
+          std::min(std::max(accumulator_raw, -clip_raw), clip_raw);
+      // round-half-up of (raw + C)·(N-1) / 2C, all exact in int64 —
+      // the bit-for-bit image of lround(position · (N-1)). 2C is a
+      // power of two and the numerator is non-negative inside the
+      // clamp, so the division is a shift.
+      const std::int64_t index =
+          ((clamped + clip_raw) * index_scale + clip_raw) >> index_shift;
+      return table[index];
+    }
+  };
+  [[nodiscard]] RawPath raw_path() const noexcept {
+    return RawPath{table_.data(), clip_raw_, index_scale_, index_shift_};
+  }
+
   /// Maps a raw accumulator value (in input_format scaling, but
   /// allowed to exceed its range — the LUT clips) to the raw output.
   [[nodiscard]] std::int32_t apply_raw(
       std::int64_t accumulator_raw) const noexcept {
-    if (accumulator_raw <= raw_clamp_lo_) return table_.front();
-    if (accumulator_raw >= raw_clamp_hi_) return table_.back();
-    // round-half-up of (raw + C)·(N-1) / 2C, all exact in int64 — the
-    // bit-for-bit image of lround(position · (N-1)). 2C is a power of
-    // two and the numerator is positive inside the clamp, so the
-    // division is a shift.
-    const std::int64_t index =
-        ((accumulator_raw + clip_raw_) * index_scale_ + clip_raw_) >>
-        index_shift_;
-    return table_[static_cast<std::size_t>(index)];
+    return raw_path()(accumulator_raw);
   }
 
   /// The original double round-trip (resolution multiply, clamp,
@@ -98,10 +119,10 @@ class FixedActivationLut {
   /// Raw-domain clamp window of the integer path: inputs ≤ lo map to
   /// table.front(), ≥ hi to table.back().
   [[nodiscard]] std::int64_t raw_clamp_lo() const noexcept {
-    return raw_clamp_lo_;
+    return -clip_raw_;
   }
   [[nodiscard]] std::int64_t raw_clamp_hi() const noexcept {
-    return raw_clamp_hi_;
+    return clip_raw_;
   }
   [[nodiscard]] double clip() const noexcept { return clip_; }
 
@@ -123,8 +144,6 @@ class FixedActivationLut {
   std::int64_t clip_raw_ = 0;      ///< C = clip · 2^frac (exact)
   int index_shift_ = 0;            ///< log2(2C)
   std::int64_t index_scale_ = 0;   ///< N - 1
-  std::int64_t raw_clamp_lo_ = 0;  ///< -C
-  std::int64_t raw_clamp_hi_ = 0;  ///< +C
 };
 
 }  // namespace man::core

@@ -1,10 +1,13 @@
 #include "man/engine/batch_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <future>
 #include <stdexcept>
 #include <thread>
+
+#include "man/backend/layer_plan.h"
 
 namespace man::engine {
 
@@ -61,21 +64,40 @@ void BatchRunner::run_sharded(
     pool_ = std::make_shared<man::serve::ThreadPool>(workers_);
   }
 
-  // Contiguous shards: shard w takes [w*per + min(w, extra) ...), so
-  // shard sizes differ by at most one sample.
+  // Contiguous shards (shard w takes [w*per + min(w, extra) ...), so
+  // shard sizes differ by at most one sample), each cut into ranges of
+  // one dense tile, the last range taking the shard's remainder: the
+  // ranges form the same tiles as one call per shard. Every worker
+  // claims the next unclaimed range until none is left. On a quiet
+  // machine each runs about one shard's worth; when the scheduler
+  // starts a worker late or puts two on one CPU, the others take its
+  // ranges instead of the call waiting on a straggler's whole shard.
   const std::size_t per = count / shards;
   const std::size_t extra = count % shards;
+  const auto tile = static_cast<std::size_t>(man::backend::kDenseTile);
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t w = 0; w < shards; ++w) {
+    const std::size_t end = bounds.back() + per + (w < extra ? 1 : 0);
+    while (end - bounds.back() >= 2 * tile) {
+      bounds.push_back(bounds.back() + tile);
+    }
+    bounds.push_back(end);
+  }
+  const std::size_t ranges = bounds.size() - 1;
+  std::atomic<std::size_t> next_range{0};
 
   std::vector<EngineStats> shard_stats(shards);
   std::vector<std::future<void>> pending;
   pending.reserve(shards);
 
   for (std::size_t w = 0; w < shards; ++w) {
-    const std::size_t begin = w * per + std::min(w, extra);
-    const std::size_t end = begin + per + (w < extra ? 1 : 0);
-    pending.push_back(pool_->submit([&, w, begin, end] {
+    pending.push_back(pool_->submit([&, w] {
       EngineStats local = network_->make_stats();
-      fn(begin, end, local, scratches_[w].scratch);
+      for (std::size_t r;
+           (r = next_range.fetch_add(1, std::memory_order_relaxed)) <
+           ranges;) {
+        fn(bounds[r], bounds[r + 1], local, scratches_[w].scratch);
+      }
       shard_stats[w] = std::move(local);
     }));
   }
@@ -105,8 +127,8 @@ void BatchRunner::run(std::span<const float> inputs,
         std::to_string(out_size));
   }
 
-  // Each shard's whole sample range goes to the engine in one call, so
-  // full batch tiles form inside it.
+  // Each range goes to the engine in one call, so its full batch tiles
+  // form inside it.
   run_sharded(count, [&](std::size_t begin, std::size_t end,
                          EngineStats& stats,
                          FixedNetwork::InferScratch& scratch) {

@@ -1,9 +1,11 @@
 // Batched, multi-threaded driver for the fixed-point engine: shards a
-// batch of inputs across a persistent worker pool, hands each shard its
-// whole sample range in one FixedNetwork::infer_batch call (so dense
-// batch tiles form inside it), keeps one InferScratch of buffers per
-// shard slot across calls, and reduces the per-shard EngineStats into
-// one aggregate with per-layer activity preserved. Every shard stages
+// batch of inputs across a persistent worker pool, cuts each shard
+// into ranges of one dense batch tile (the last taking the shard's
+// remainder) that the workers claim in turn, hands each range to the
+// engine in one FixedNetwork::infer_batch call (so the tiles form
+// inside it), keeps one InferScratch of buffers per shard slot across
+// calls, and reduces the per-shard EngineStats into one aggregate with
+// per-layer activity preserved. Every shard stages
 // from the engine's one read-only CSHM table per synapse stage (the
 // pre-computer outputs computed once and broadcast to every lane,
 // paper §III).
@@ -112,11 +114,14 @@ class BatchRunner {
   void reset_stats() noexcept { stats_.reset(); }
 
  private:
-  /// Splits [0, count) into contiguous shards, runs fn(begin, end,
-  /// stats, scratch) once per shard across the pool, then merges shard
-  /// stats (in shard order) into stats_. Shards share only the
-  /// engine, read-only; stats and scratch are per shard. Rethrows the
-  /// first shard exception after every shard has finished.
+  /// Splits [0, count) into contiguous shards and each shard into
+  /// ranges of one dense tile (the last range of a shard takes its
+  /// remainder), runs one task per shard on the pool that calls
+  /// fn(begin, end, stats, scratch) on the next unclaimed range until
+  /// none is left, then merges the tasks' stats (in shard order) into
+  /// stats_. Tasks share only the engine, read-only; stats and scratch
+  /// are per task. Rethrows the first task exception after every task
+  /// has finished.
   void run_sharded(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t, EngineStats&,

@@ -1,9 +1,9 @@
 #include "man/engine/fixed_network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "man/core/quartet.h"
 #include "man/core/weight_constraint.h"
@@ -54,7 +54,7 @@ class BankRows {
            const man::core::PrecomputerBank& bank)
       : table_(table ? &*table : nullptr), bank_(&bank) {}
 
-  const std::int64_t* operator()(std::int64_t input) {
+  [[gnu::always_inline]] const std::int64_t* operator()(std::int64_t input) {
     if (table_ != nullptr) return table_->lookup(input, discard_);
     bank_->compute_into(input, row_, discard_);
     return row_;
@@ -64,71 +64,195 @@ class BankRows {
   const man::core::PrecomputerCache* table_;
   const man::core::PrecomputerBank* bank_;
   OpCounts discard_;
-  std::int64_t row_[(AlphabetSet::kMaxAlphabetValue + 1) / 2];
+  std::int64_t row_[(AlphabetSet::kMaxAlphabetValue + 1) / 2] = {};
 };
 
-// Stages the CSHM bank outputs of every input element, k-strided
-// element-major, into `multiples` (values.size() × k slots) — the
-// dense path's staging loop. Consecutive repeated values (long
-// background runs in images, saturated LUT outputs) replay the row
-// just written.
-void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
-                     BankRows rows, std::int64_t* multiples) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    std::int64_t* dest = multiples + i * k;
-    if (i > 0 && values[i] == values[i - 1]) {
-      std::copy(dest - k, dest, dest);
-      continue;
-    }
-    const std::int64_t* row = rows(values[i]);
-    std::copy(row, row + k, dest);
-  }
-}
+constexpr std::size_t kTile = man::backend::kDenseTile;
 
-// Lane-major variant for the conv path: lane l's multiple of element i
-// lands at multiples[l · values.size() + i], so consecutive output
-// positions of one conv weight read consecutive slots (the layout
-// ConvLayerPlan::idx indexes). Same repeated-value fast path. Slots are
-// int64, or int32 for a stage whose plan passed int32_row_bound(),
-// which proves every staged multiple fits.
+// ------------------------------------------------------------ epilogues
+//
+// An epilogue sweep reads a boundary's inputs through a Source, applies
+// its segment's LUTs and pool, and hands each value on to a Sink: the
+// next stage's staged bank outputs in that stage's layout, or int64
+// activations.
+
+// The input image, quantized to the activation format as it is read
+// (the format by value, so no store of the sweep can alias it).
+struct PixelSource {
+  const float* pixels;
+  man::fixed::QFormat format;
+  [[gnu::always_inline]] std::int64_t operator()(std::size_t i) const {
+    return format.quantize(static_cast<double>(pixels[i]));
+  }
+};
+
+// int64 accumulators (or activations handed on by an earlier segment).
+struct ValueSource {
+  const std::int64_t* values;
+  [[gnu::always_inline]] std::int64_t operator()(std::size_t i) const {
+    return values[i];
+  }
+};
+
+// int64 activations at their own index: an exact stage's input, a
+// segment hand-off or one sample's output.
+struct ValueSink {
+  std::int64_t* out;
+  [[gnu::always_inline]] void operator()(std::size_t o,
+                                         std::int64_t v) const {
+    out[o] = v;
+  }
+};
+
+// A tile's outputs: value o = r·kTile + b is row r of sample b, which
+// lands in sample b's `rows`-wide output slot.
+struct TileOutputSink {
+  std::int64_t* out;
+  std::size_t rows;
+  [[gnu::always_inline]] void operator()(std::size_t o,
+                                         std::int64_t v) const {
+    out[(o % kTile) * rows + o / kTile] = v;
+  }
+};
+
+// Dense staging: element o's k bank outputs at [o·k, o·k + k) — the
+// per-sample accumulate_dense layout.
+struct DenseSink {
+  BankRows rows;
+  std::int64_t* multiples;
+  std::size_t k;
+  [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
+    const std::int64_t* row = rows(v);
+    std::copy(row, row + k, multiples + o * k);
+  }
+};
+
+// Conv staging, lane-major: lane l of element o at [l·stride + o], so
+// consecutive output positions of one conv weight read consecutive
+// slots (the layout ConvLayerPlan::idx indexes). Slots are int64, or
+// int32 for a stage whose plan passed int32_row_bound(), which proves
+// every staged multiple fits.
 template <typename Slot>
-void stage_multiples_lane_major(std::span<const std::int64_t> values,
-                                std::size_t k, BankRows rows,
-                                Slot* multiples) {
-  const std::size_t stride = values.size();
-  for (std::size_t i = 0; i < stride; ++i) {
-    if (i > 0 && values[i] == values[i - 1]) {
-      for (std::size_t l = 0; l < k; ++l) {
-        multiples[l * stride + i] = multiples[l * stride + i - 1];
-      }
-      continue;
-    }
-    const std::int64_t* row = rows(values[i]);
+struct LaneMajorSink {
+  BankRows rows;
+  Slot* multiples;
+  std::size_t k;
+  std::size_t stride;
+  [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
+    const std::int64_t* row = rows(v);
     for (std::size_t l = 0; l < k; ++l) {
-      multiples[l * stride + i] = static_cast<Slot>(row[l]);
+      multiples[l * stride + o] = static_cast<Slot>(row[l]);
+    }
+  }
+};
+
+// Tile staging, sample-minor: lane l of element i of sample b at
+// [(i·k + l)·kTile + b], so the kTile sample lanes of one plan slot
+// sit contiguously — the layout accumulate_dense_tile reads, in int32
+// slots, which int32_row_bound() proves every tiled stage's multiples
+// fit. Fed one sample at a time (o is the element, b fixed) or a whole
+// tile's sample-minor values (kSampleMinor: o = i·kTile + b).
+template <bool kSampleMinor>
+struct TileSink {
+  BankRows rows;
+  std::int32_t* multiples;
+  std::size_t k;
+  std::size_t b = 0;
+  [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
+    const std::size_t i = kSampleMinor ? o / kTile : o;
+    const std::size_t lane = kSampleMinor ? o % kTile : b;
+    std::int32_t* dest = multiples + i * k * kTile + lane;
+    const std::int64_t* row = rows(v);
+    for (std::size_t l = 0; l < k; ++l) {
+      dest[l * kTile] = static_cast<std::int32_t>(row[l]);
+    }
+  }
+};
+
+// What one segment applies, resolved from its stage indices.
+struct SegmentOps {
+  const man::core::FixedActivationLut* pre = nullptr;
+  const CompiledPoolStage* pool = nullptr;
+  const man::core::FixedActivationLut* post = nullptr;
+};
+
+// A source read through the segment's pre-pool LUT.
+template <typename Source>
+struct LutSource {
+  Source source;
+  man::core::FixedActivationLut::RawPath lut;
+  [[gnu::always_inline]] std::int64_t operator()(std::size_t i) const {
+    return lut(source(i));
+  }
+};
+
+// Sums each pool window and rounds the average to nearest, half away
+// from zero: the magnitude is rounded and the sign restored. A
+// power-of-two window² divides by a shift (hardware: add tree +
+// shift). Pool windows tile their input (the constructor checks the
+// AvgPool2D identities), so each input is read once. kWindow > 0 fixes
+// the window at compile time; 0 reads it from the descriptor.
+template <int kWindow, typename Source, typename Sink>
+void pool_sweep(const CompiledPoolStage& pool,
+                const man::core::FixedActivationLut* post_lut, Source source,
+                Sink sink) {
+  const auto post = post_lut != nullptr
+                        ? post_lut->raw_path()
+                        : man::core::FixedActivationLut::RawPath{};
+  const auto window =
+      static_cast<std::size_t>(kWindow > 0 ? kWindow : pool.window);
+  const auto iw = static_cast<std::size_t>(pool.iw);
+  const auto n = static_cast<std::int64_t>(window * window);
+  const std::int64_t half = n / 2;
+  const int shift = (n & (n - 1)) == 0
+                        ? std::countr_zero(static_cast<std::uint64_t>(n))
+                        : -1;
+  const std::size_t rows = static_cast<std::size_t>(pool.c) * pool.oh;
+  std::size_t o = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t row = r * window * iw;
+    for (std::size_t x = 0; x < iw; x += window, ++o) {
+      std::int64_t sum = 0;
+      for (std::size_t wy = 0; wy < window; ++wy) {
+        for (std::size_t wx = 0; wx < window; ++wx) {
+          sum += source(row + wy * iw + x + wx);
+        }
+      }
+      const std::int64_t sign = sum >> 63;  // 0 or -1
+      const std::int64_t magnitude = (sum ^ sign) - sign;
+      const std::int64_t rounded = shift >= 0 ? (magnitude + half) >> shift
+                                              : (magnitude + half) / n;
+      const std::int64_t v = (rounded ^ sign) - sign;
+      sink(o, post.table != nullptr ? post(v) : v);
     }
   }
 }
 
-// Sample-minor variant for the batch tile: `values` holds kDenseTile
-// samples per element (element i of sample b at values[i·T + b]), and
-// lane l of that element lands at multiples[(i·k + l)·T + b], so the
-// T sample lanes of one plan slot sit contiguously — the layout
-// accumulate_dense_tile reads. Same bank outputs as the per-sample
-// path; the slots are int32, which int32_row_bound() proves every
-// tiled stage's multiples fit.
-void stage_multiples_tile(std::span<const std::int64_t> values, std::size_t k,
-                          BankRows rows, std::int32_t* multiples) {
-  constexpr std::size_t kTile = man::backend::kDenseTile;
-  const std::size_t elements = values.size() / kTile;
-  for (std::size_t i = 0; i < elements; ++i) {
-    std::int32_t* dest = multiples + i * k * kTile;
-    for (std::size_t b = 0; b < kTile; ++b) {
-      const std::int64_t* row = rows(values[i * kTile + b]);
-      for (std::size_t l = 0; l < k; ++l) {
-        dest[l * kTile + b] = static_cast<std::int32_t>(row[l]);
-      }
-    }
+// One segment's sweep over `count` values (the input count; a pool
+// segment reads its descriptor's geometry, one sample at a time).
+template <typename Source, typename Sink>
+void sweep_source(const SegmentOps& ops, std::size_t count, Source source,
+                  Sink sink) {
+  if (ops.pool == nullptr) {
+    for (std::size_t i = 0; i < count; ++i) sink(i, source(i));
+  } else if (ops.pool->window == 2) {
+    pool_sweep<2>(*ops.pool, ops.post, source, sink);
+  } else {
+    pool_sweep<0>(*ops.pool, ops.post, source, sink);
+  }
+}
+
+// One segment: every input through `pre`, each pool window summed and
+// rounded, the result through `post`, and on to `sink` in output
+// order.
+template <typename Source, typename Sink>
+void sweep(const SegmentOps& ops, std::size_t count, Source source,
+           Sink sink) {
+  if (ops.pre != nullptr) {
+    sweep_source(ops, count, LutSource<Source>{source, ops.pre->raw_path()},
+                 sink);
+  } else {
+    sweep_source(ops, count, source, sink);
   }
 }
 
@@ -138,6 +262,25 @@ constexpr std::size_t kLineSlots = 64 / sizeof(std::int32_t);
 std::size_t line_offset(const std::int32_t* p) {
   const auto slot = reinterpret_cast<std::uintptr_t>(p) / sizeof(std::int32_t);
   return (kLineSlots - slot % kLineSlots) % kLineSlots;
+}
+
+// `buffer` grown to hold at least `n` values. Scratch buffers never
+// shrink: every reader reads only values its stage wrote, so the zero
+// fill of a regrowth between a wide and a narrow stage would be waste.
+template <typename T>
+T* sized(std::vector<T>& buffer, std::size_t n) {
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
+
+// `slots` sample-minor tile slots of `buffer`, starting on a cache line
+// (the buffer carries the slack), so each slot's kTile int32 lanes are
+// exactly one line. Until the buffer grows, it returns the same
+// pointer.
+std::int32_t* tile_slots(std::vector<std::int32_t>& buffer,
+                         std::size_t slots) {
+  std::int32_t* data = sized(buffer, slots * kTile + kLineSlots - 1);
+  return data + line_offset(data);
 }
 
 // Phase timing shim: runs `fn` and charges its wall clock to the given
@@ -476,6 +619,7 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   }
 
   link_stages();
+  link_epilogues();
   plan_int32_lanes();
   build_tables();
   default_kernel_ = &man::backend::resolve();
@@ -510,6 +654,69 @@ void FixedNetwork::link_stages() {
     }
   }
   output_size_ = current;
+}
+
+void FixedNetwork::link_epilogues() {
+  constexpr std::size_t kNone = Segment::kNoStage;
+  epilogues_.clear();
+  std::size_t size = input_size_;  // values crossing the boundary so far
+  Epilogue epilogue;
+  Segment segment{kNone, kNone, kNone, size, size};
+  const auto close_segment = [&] {
+    epilogue.segments.push_back(segment);
+    segment = Segment{kNone, kNone, kNone, size, size};
+  };
+  // A LUT before the segment's pool applies to its inputs, one after
+  // it to the pooled values.
+  const auto lut_slot = [&]() -> std::size_t& {
+    return segment.pool == kNone ? segment.pre : segment.post;
+  };
+  const auto close_epilogue = [&](std::size_t stage) {
+    close_segment();
+    epilogue.stage = stage;
+    epilogue.out_size = size;
+    bool pools = false;
+    for (const Segment& seg : epilogue.segments) {
+      if (seg.pre != kNone) epilogue.lut_values += seg.in_size;
+      if (seg.post != kNone) epilogue.lut_values += seg.out_size;
+      pools = pools || seg.pool != kNone;
+    }
+    epilogue.stages = stage < model_.stages.size() &&
+                      !is_exact(*synapse_of(model_.stages[stage]));
+    if (pools) {
+      epilogue.phase = &PhaseProfile::pool_s;
+    } else if (epilogue.lut_values > 0) {
+      epilogue.phase = &PhaseProfile::lut_s;
+    } else if (epilogue.stages || !epilogues_.empty()) {
+      epilogue.phase = &PhaseProfile::staging_s;
+    } else {
+      epilogue.phase = &PhaseProfile::quantize_s;  // an exact first stage
+    }
+    epilogues_.push_back(std::move(epilogue));
+    epilogue = Epilogue{};
+  };
+  for (std::size_t si = 0; si < model_.stages.size(); ++si) {
+    const CompiledStage& stage = model_.stages[si];
+    if (const auto* pool = std::get_if<CompiledPoolStage>(&stage)) {
+      if (segment.pool != kNone) close_segment();
+      segment.pool = si;
+      size = static_cast<std::size_t>(pool->c) * pool->oh * pool->ow;
+      segment.out_size = size;
+    } else if (std::holds_alternative<CompiledLutStage>(stage)) {
+      if (lut_slot() != kNone) close_segment();  // two LUTs in a row
+      lut_slot() = si;
+    } else {
+      close_epilogue(si);
+      if (const auto* dense = std::get_if<CompiledDenseStage>(&stage)) {
+        size = static_cast<std::size_t>(dense->out);
+      } else {
+        const auto& conv = std::get<CompiledConvStage>(stage);
+        size = static_cast<std::size_t>(conv.oc) * conv.oh * conv.ow;
+      }
+      segment = Segment{kNone, kNone, kNone, size, size};
+    }
+  }
+  close_epilogue(stages_.size());
 }
 
 bool FixedNetwork::input_in_window(std::size_t stage_index) const {
@@ -587,9 +794,7 @@ std::pair<std::int64_t, std::int64_t> FixedNetwork::staging_window() const {
 }
 
 FixedNetwork::InferScratch FixedNetwork::make_scratch() const {
-  InferScratch scratch;
-  scratch.buffer.reserve(input_size_);
-  return scratch;
+  return InferScratch{};
 }
 
 EngineStats FixedNetwork::make_stats() const {
@@ -646,37 +851,36 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
   const auto sample = [&](std::size_t s) {
     return pixels.subspan(s * input_size_, input_size_);
   };
-  constexpr std::size_t kTile = man::backend::kDenseTile;
+  const std::size_t synapses = epilogues_.size() - 1;
   std::size_t s = 0;
-  if (tile_begin_ < stages_.size()) {
+  if (tile_synapse_begin_ < synapses) {
     // Full tiles: each sample runs the stages before the tile alone,
-    // then lands in its lane of the sample-minor tile.
-    const auto width = static_cast<std::size_t>(
-        std::get<CompiledDenseStage>(model_.stages[tile_begin_]).in);
+    // and its epilogue stages it into its lane of the sample-minor
+    // tile.
+    const std::size_t j = tile_synapse_begin_;
+    const auto& syn = std::get<SynapseStage>(stages_[epilogues_[j].stage]);
+    const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
+    const auto k = static_cast<std::size_t>(plan.k);
     for (; s + kTile <= count; s += kTile) {
-      scratch.tile.resize(width * kTile);
+      std::int32_t* multiples =
+          tile_slots(scratch.tile_multiples, plan.padded_multiples());
       for (std::size_t b = 0; b < kTile; ++b) {
-        forward_sample(sample(s + b), tile_begin_, stats, scratch, kernel);
-        for (std::size_t i = 0; i < width; ++i) {
-          scratch.tile[i * kTile + b] = scratch.buffer[i];
-        }
+        forward_sample(sample(s + b), j, stats, scratch, kernel);
+        feed(j, sample(s + b),
+             TileSink<false>{BankRows(syn.table, syn.bank), multiples, k, b},
+             scratch);
       }
-      forward_tile(stats, scratch, kernel);
-      for (std::size_t b = 0; b < kTile; ++b) {
-        std::int64_t* dst = out.data() + (s + b) * output_size_;
-        for (std::size_t r = 0; r < output_size_; ++r) {
-          dst[r] = scratch.tile[r * kTile + b];
-        }
-      }
+      forward_tile(out.subspan(s * output_size_, kTile * output_size_), stats,
+                   scratch, kernel);
       stats.inferences += kTile;
     }
   }
   // The remainder (and every sample of an engine without a tile) runs
   // the whole network one sample at a time.
   for (; s < count; ++s) {
-    forward_sample(sample(s), stages_.size(), stats, scratch, kernel);
-    std::copy(scratch.buffer.begin(), scratch.buffer.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(s * output_size_));
+    forward_sample(sample(s), synapses, stats, scratch, kernel);
+    feed(synapses, sample(s), ValueSink{out.data() + s * output_size_},
+         scratch);
     stats.inferences += 1;
   }
 }
@@ -691,166 +895,169 @@ void FixedNetwork::charge_synapse(LayerStats& layer,
   }
 }
 
+template <typename Source, typename Sink>
+void FixedNetwork::run_epilogue(std::size_t j, std::size_t samples,
+                                Source source, Sink sink,
+                                InferScratch& scratch) const {
+  const Epilogue& epilogue = epilogues_[j];
+  const auto lut = [&](std::size_t stage) {
+    return stage == Segment::kNoStage
+               ? nullptr
+               : &std::get<LutStage>(stages_[stage]).lut;
+  };
+  const auto ops = [&](const Segment& seg) {
+    const CompiledPoolStage* pool =
+        seg.pool == Segment::kNoStage
+            ? nullptr
+            : &std::get<CompiledPoolStage>(model_.stages[seg.pool]);
+    return SegmentOps{lut(seg.pre), pool, lut(seg.post)};
+  };
+  PhaseProfile* const profile = scratch.profile;
+  timed_phase(profile, epilogue.phase, [&] {
+    const std::vector<Segment>& segments = epilogue.segments;
+    const Segment& last = segments.back();
+    if (segments.size() == 1) {
+      sweep(ops(last), last.in_size * samples, source, sink);
+      return;
+    }
+    // Every segment but the last hands its int64 values on through the
+    // two hop buffers in turn.
+    std::vector<std::int64_t>* hops = scratch.hops;
+    sweep(ops(segments[0]), segments[0].in_size * samples, source,
+          ValueSink{sized(hops[0], segments[0].out_size * samples)});
+    std::size_t from = 0;
+    for (std::size_t g = 1; g + 1 < segments.size(); ++g, from ^= 1) {
+      sweep(ops(segments[g]), segments[g].in_size * samples,
+            ValueSource{hops[from].data()},
+            ValueSink{sized(hops[from ^ 1], segments[g].out_size * samples)});
+    }
+    sweep(ops(last), last.in_size * samples, ValueSource{hops[from].data()},
+          sink);
+  });
+  if (profile != nullptr) {
+    profile->lut_values += epilogue.lut_values * samples;
+    if (epilogue.stages) profile->staged_values += epilogue.out_size * samples;
+  }
+}
+
+template <typename Sink>
+void FixedNetwork::feed(std::size_t j, std::span<const float> pixels,
+                        Sink sink, InferScratch& scratch) const {
+  if (j == 0) {
+    run_epilogue(j, 1,
+                 PixelSource{pixels.data(), model_.spec.activation_format},
+                 sink, scratch);
+  } else {
+    run_epilogue(j, 1, ValueSource{scratch.acc.data()}, sink, scratch);
+  }
+}
+
 void FixedNetwork::forward_sample(std::span<const float> pixels,
-                                  std::size_t stage_end, EngineStats& stats,
+                                  std::size_t synapse_end, EngineStats& stats,
                                   InferScratch& scratch,
                                   const man::backend::KernelBackend& kernel)
     const {
-  const auto& afmt = model_.spec.activation_format;
   PhaseProfile* const profile = scratch.profile;
-  std::vector<std::int64_t>& buffer = scratch.buffer;
-  timed_phase(profile, &PhaseProfile::quantize_s, [&] {
-    buffer.clear();
-    buffer.reserve(pixels.size());
-    for (float p : pixels) {
-      buffer.push_back(afmt.quantize(static_cast<double>(p)));
-    }
-  });
-
-  std::size_t synapse_counter = 0;
-  for (std::size_t si = 0; si < stage_end; ++si) {
-    const CompiledStage& desc = model_.stages[si];
-    if (const auto* dense = std::get_if<CompiledDenseStage>(&desc)) {
-      const auto& syn = std::get<SynapseStage>(stages_[si]);
-      std::vector<std::int64_t>& next = scratch.next;
-      next.assign(static_cast<std::size_t>(dense->out), 0);
+  std::vector<std::int64_t>& acc = scratch.acc;
+  for (std::size_t j = 0; j < synapse_end; ++j) {
+    const std::size_t si = epilogues_[j].stage;
+    const auto& syn = std::get<SynapseStage>(stages_[si]);
+    const BankRows rows(syn.table, syn.bank);
+    // The epilogue reads acc and stages this stage's input; the kernel
+    // then overwrites acc.
+    if (const auto* dense =
+            std::get_if<CompiledDenseStage>(&model_.stages[si])) {
       const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
-
       if (plan.exact) {
-        timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-          kernel.exact_dense(plan, buffer.data(), next.data());
-        });
+        feed(j, pixels,
+             ValueSink{sized(scratch.values, epilogues_[j].out_size)},
+             scratch);
       } else {
-        // Pre-computer bank outputs for every input value (one bank
-        // row per value, shared across lanes — CSHM), staged k-strided.
-        std::vector<std::int64_t>& multiples = scratch.multiples;
-        timed_phase(profile, &PhaseProfile::staging_s, [&] {
-          multiples.resize(plan.padded_multiples());
-          stage_multiples(buffer, static_cast<std::size_t>(plan.k),
-                          BankRows(syn.table, syn.bank), multiples.data());
-        });
-        if (profile != nullptr) profile->staged_values += buffer.size();
-        timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-          kernel.accumulate_dense(plan, multiples.data(), next.data());
-        });
+        feed(j, pixels,
+             DenseSink{rows,
+                       sized(scratch.multiples, plan.padded_multiples()),
+                       static_cast<std::size_t>(plan.k)},
+             scratch);
       }
-
-      charge_synapse(stats.layers[synapse_counter++], dense->synapse, 1);
-      std::swap(buffer, next);
-    } else if (const auto* conv = std::get_if<CompiledConvStage>(&desc)) {
-      const auto& syn = std::get<SynapseStage>(stages_[si]);
-      std::vector<std::int64_t>& next = scratch.next;
-      next.resize(static_cast<std::size_t>(conv->oc) * conv->oh * conv->ow);
-      const man::backend::ConvLayerPlan& plan = conv_plans_[syn.plan_index];
-
-      if (plan.exact) {
-        timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-          kernel.exact_conv(plan, buffer.data(), next.data());
-        });
-      } else {
-        // Lane-major staging (consecutive positions read consecutive
-        // slots) — in int32 slots when the plan fits int32 lanes,
-        // reusing the tile's int32 buffer.
-        const auto run = [&](auto& multiples) {
-          timed_phase(profile, &PhaseProfile::staging_s, [&] {
-            multiples.resize(plan.padded_multiples());
-            stage_multiples_lane_major(
-                buffer, static_cast<std::size_t>(plan.k),
-                BankRows(syn.table, syn.bank), multiples.data());
-          });
-          if (profile != nullptr) profile->staged_values += buffer.size();
-          timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-            if constexpr (std::is_same_v<decltype(multiples.data()),
-                                         std::int32_t*>) {
-              kernel.accumulate_conv_int32(plan, multiples.data(),
-                                           next.data());
-            } else {
-              kernel.accumulate_conv(plan, multiples.data(), next.data());
-            }
-          });
-        };
-        if (conv_int32_lanes_[syn.plan_index]) {
-          run(scratch.tile_multiples);
+      std::int64_t* out = sized(acc, static_cast<std::size_t>(dense->out));
+      timed_phase(profile, &PhaseProfile::kernel_s, [&] {
+        if (plan.exact) {
+          kernel.exact_dense(plan, scratch.values.data(), out);
         } else {
-          run(scratch.multiples);
+          kernel.accumulate_dense(plan, scratch.multiples.data(), out);
         }
+      });
+      charge_synapse(stats.layers[j], dense->synapse, 1);
+    } else {
+      const auto& conv = std::get<CompiledConvStage>(model_.stages[si]);
+      const man::backend::ConvLayerPlan& plan = conv_plans_[syn.plan_index];
+      const auto k = static_cast<std::size_t>(plan.k);
+      const std::size_t stride = epilogues_[j].out_size;
+      const std::size_t slots = plan.padded_multiples();
+      if (plan.exact) {
+        feed(j, pixels, ValueSink{sized(scratch.values, stride)}, scratch);
+      } else if (conv_int32_lanes_[syn.plan_index]) {
+        feed(j, pixels,
+             LaneMajorSink<std::int32_t>{
+                 rows, sized(scratch.multiples32, slots), k, stride},
+             scratch);
+      } else {
+        feed(j, pixels,
+             LaneMajorSink<std::int64_t>{rows, sized(scratch.multiples, slots),
+                                         k, stride},
+             scratch);
       }
-
-      charge_synapse(stats.layers[synapse_counter++], conv->synapse, 1);
-      std::swap(buffer, next);
-    } else if (const auto* pool = std::get_if<CompiledPoolStage>(&desc)) {
-      std::vector<std::int64_t>& next = scratch.next;
-      next.assign(static_cast<std::size_t>(pool->c) * pool->oh * pool->ow, 0);
-      const int n = pool->window * pool->window;
-      timed_phase(profile, &PhaseProfile::pool_s, [&] {
-        for (int c = 0; c < pool->c; ++c) {
-          for (int oy = 0; oy < pool->oh; ++oy) {
-            for (int ox = 0; ox < pool->ow; ++ox) {
-              std::int64_t acc = 0;
-              for (int wy = 0; wy < pool->window; ++wy) {
-                for (int wx = 0; wx < pool->window; ++wx) {
-                  acc += buffer[static_cast<std::size_t>(
-                      (c * pool->ih + oy * pool->window + wy) * pool->iw +
-                      ox * pool->window + wx)];
-                }
-              }
-              // Round-to-nearest average (hardware: add tree + shift
-              // for power-of-two windows).
-              const std::int64_t rounded =
-                  acc >= 0 ? (acc + n / 2) / n : -((-acc + n / 2) / n);
-              next[static_cast<std::size_t>((c * pool->oh + oy) * pool->ow +
-                                            ox)] = rounded;
-            }
-          }
+      std::int64_t* out =
+          sized(acc, static_cast<std::size_t>(conv.oc) * conv.oh * conv.ow);
+      timed_phase(profile, &PhaseProfile::kernel_s, [&] {
+        if (plan.exact) {
+          kernel.exact_conv(plan, scratch.values.data(), out);
+        } else if (conv_int32_lanes_[syn.plan_index]) {
+          kernel.accumulate_conv_int32(plan, scratch.multiples32.data(), out);
+        } else {
+          kernel.accumulate_conv(plan, scratch.multiples.data(), out);
         }
       });
-      std::swap(buffer, next);
-    } else if (const auto* lut = std::get_if<LutStage>(&stages_[si])) {
-      timed_phase(profile, &PhaseProfile::lut_s, [&] {
-        for (std::int64_t& v : buffer) v = lut->lut.apply_raw(v);
-      });
-      if (profile != nullptr) profile->lut_values += buffer.size();
+      charge_synapse(stats.layers[j], conv.synapse, 1);
     }
   }
 }
 
-void FixedNetwork::forward_tile(EngineStats& stats, InferScratch& scratch,
+void FixedNetwork::forward_tile(std::span<std::int64_t> out,
+                                EngineStats& stats, InferScratch& scratch,
                                 const man::backend::KernelBackend& kernel)
     const {
-  constexpr std::size_t kTile = man::backend::kDenseTile;
   PhaseProfile* const profile = scratch.profile;
-  std::vector<std::int64_t>& tile = scratch.tile;
-  std::size_t synapse_counter = tile_synapse_begin_;
-  for (std::size_t si = tile_begin_; si < stages_.size(); ++si) {
-    if (const auto* dense =
-            std::get_if<CompiledDenseStage>(&model_.stages[si])) {
-      // Every dense stage from tile_begin_ on is ASM and fits int32
-      // lanes (plan_int32_lanes).
-      const auto& syn = std::get<SynapseStage>(stages_[si]);
-      const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
-      // The tile starts on a cache line (the buffer carries the slack),
-      // so each slot's kDenseTile int32 lanes are exactly one line.
-      std::vector<std::int32_t>& buffer = scratch.tile_multiples;
-      std::int32_t* multiples = nullptr;
-      timed_phase(profile, &PhaseProfile::staging_s, [&] {
-        buffer.resize(plan.padded_multiples() * kTile + kLineSlots - 1);
-        multiples = buffer.data() + line_offset(buffer.data());
-        stage_multiples_tile(tile, static_cast<std::size_t>(plan.k),
-                             BankRows(syn.table, syn.bank), multiples);
-      });
-      if (profile != nullptr) profile->staged_values += tile.size();
-      std::vector<std::int64_t>& next = scratch.tile_next;
-      next.resize(static_cast<std::size_t>(dense->out) * kTile);
-      timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-        kernel.accumulate_dense_tile(plan, multiples, next.data());
-      });
-      charge_synapse(stats.layers[synapse_counter++], dense->synapse, kTile);
-      std::swap(tile, next);
-    } else if (const auto* lut = std::get_if<LutStage>(&stages_[si])) {
-      timed_phase(profile, &PhaseProfile::lut_s, [&] {
-        for (std::int64_t& v : tile) v = lut->lut.apply_raw(v);
-      });
-      if (profile != nullptr) profile->lut_values += tile.size();
+  const std::size_t synapses = epilogues_.size() - 1;
+  for (std::size_t j = tile_synapse_begin_; j < synapses; ++j) {
+    // Every synapse stage from the tile on is an ASM dense stage that
+    // fits int32 lanes, fed from the staging window
+    // (plan_int32_lanes), so its epilogue holds LUTs and no pool.
+    const std::size_t si = epilogues_[j].stage;
+    const auto& dense = std::get<CompiledDenseStage>(model_.stages[si]);
+    const auto& plan =
+        plans_[std::get<SynapseStage>(stages_[si]).plan_index];
+    const std::int32_t* multiples =
+        tile_slots(scratch.tile_multiples, plan.padded_multiples());
+    std::int64_t* acc =
+        sized(scratch.tile_acc, static_cast<std::size_t>(dense.out) * kTile);
+    timed_phase(profile, &PhaseProfile::kernel_s, [&] {
+      kernel.accumulate_dense_tile(plan, multiples, acc);
+    });
+    charge_synapse(stats.layers[j], dense.synapse, kTile);
+    if (j + 1 == synapses) {
+      run_epilogue(j + 1, kTile, ValueSource{acc},
+                   TileOutputSink{out.data(), output_size_}, scratch);
+    } else {
+      const std::size_t next = epilogues_[j + 1].stage;
+      const auto& syn = std::get<SynapseStage>(stages_[next]);
+      const auto& next_plan = plans_[syn.plan_index];
+      run_epilogue(j + 1, kTile, ValueSource{acc},
+                   TileSink<true>{BankRows(syn.table, syn.bank),
+                                  tile_slots(scratch.tile_multiples,
+                                             next_plan.padded_multiples()),
+                                  static_cast<std::size_t>(next_plan.k)},
+                   scratch);
     }
   }
 }

@@ -49,13 +49,16 @@ namespace man::engine {
   return best;
 }
 
-/// Wall-clock attribution of the per-element phases inside one
-/// infer_into() call, accumulated across calls: CSHM staging (bank
-/// output rows copied into the multiples buffer), the activation LUT
-/// sweep, the kernel-backend accumulation, pooling, and input
-/// quantization. Attach to InferScratch::profile to collect;
-/// bench_fig9_energy uses it to emit the per-element breakdown that
-/// makes staging/LUT regressions attributable.
+/// Wall-clock attribution of one infer_into() call's phases,
+/// accumulated across calls. The kernel-backend accumulation goes to
+/// kernel_s; everything between two kernels runs as one fused
+/// epilogue sweep per stage boundary, charged whole to one field: a
+/// sweep that pools to pool_s, else one that applies a LUT to lut_s,
+/// else one that stages bank outputs (input quantization included) to
+/// staging_s, and the input quantization of an engine whose first
+/// stage is exact to quantize_s. So the five fields cover the whole
+/// forward pass. Attach to InferScratch::profile to collect;
+/// bench_fig9_energy and perfbench print the split.
 struct PhaseProfile {
   double quantize_s = 0.0;
   double staging_s = 0.0;
@@ -159,27 +162,32 @@ class FixedNetwork {
 
   /// Per-worker buffers for the re-entrant forward path; the CSHM bank
   /// outputs they are staged from live in the engine, read-only. Any
-  /// scratch works with any engine (buffers are resized per call), so
-  /// make_scratch() only saves the first call's allocations.
+  /// scratch works with any engine: buffers are sized on first use.
   struct InferScratch {
-    std::vector<std::int64_t> buffer;  ///< current stage activations
-    std::vector<std::int64_t> next;    ///< next stage activations
-    /// Bank outputs: k-strided element-major for dense stages,
-    /// lane-major for conv stages on int64 lanes.
+    /// The last synapse stage's accumulators, per sample.
+    std::vector<std::int64_t> acc;
+    /// int64 activations: an exact stage's input.
+    std::vector<std::int64_t> values;
+    /// Hand-off between the segments of a boundary with more than one
+    /// pool or two LUTs in a row (see Epilogue).
+    std::vector<std::int64_t> hops[2];
+    /// An ASM stage's bank outputs in int64 slots: k-strided
+    /// element-major for dense stages, lane-major for conv stages on
+    /// int64 lanes.
     std::vector<std::int64_t> multiples;
-    /// Batch tile activations and the next tile stage's, sample-minor
-    /// (element i of sample b at [i·kDenseTile + b]); see infer_batch.
-    std::vector<std::int64_t> tile;
-    std::vector<std::int64_t> tile_next;
+    /// An int32-lane conv stage's lane-major bank outputs.
+    std::vector<std::int32_t> multiples32;
     /// A tile stage's bank outputs, sample-minor in int32 lanes (slot s
-    /// of sample b at [s·kDenseTile + b], from a cache-line boundary);
-    /// also an int32-lane conv stage's lane-major bank outputs.
+    /// of sample b at [s·kDenseTile + b], from a cache-line boundary),
+    /// and its accumulators (row r of sample b at [r·kDenseTile + b]).
     std::vector<std::int32_t> tile_multiples;
+    std::vector<std::int64_t> tile_acc;
     /// Output staging for callers that loop infer_into per sample
     /// (e.g. BatchRunner's Example path) without re-allocating.
     std::vector<std::int64_t> raw_out;
-    /// Non-null: infer_into() times its per-element phases into this
-    /// (adds two clock reads per stage — leave null on hot paths).
+    /// Non-null: infer_into() times its phases into this (adds two
+    /// clock reads per kernel and per stage boundary — leave null on
+    /// hot paths).
     PhaseProfile* profile = nullptr;
   };
   [[nodiscard]] InferScratch make_scratch() const;
@@ -213,11 +221,11 @@ class FixedNetwork {
   /// contiguously, writing each sample's accumulators to its slot of
   /// `out` (count × output_size()); infer_into() is its one-sample
   /// case. Stages before tile_begin() run one sample at a time. When
-  /// a tile forms, every full tile of kDenseTile samples is staged
-  /// sample-minor into scratch.tile and runs the remaining stages on
-  /// the int32 accumulate_dense_tile; the count % kDenseTile remainder
-  /// runs per sample. Outputs and stats are bit-identical to `count`
-  /// infer_into() calls.
+  /// a tile forms, each sample of a full tile of kDenseTile samples
+  /// is staged into its lane of the sample-minor tile, and the tile
+  /// runs the remaining stages on the int32 accumulate_dense_tile; the
+  /// count % kDenseTile remainder runs per sample. Outputs and stats
+  /// are bit-identical to `count` infer_into() calls.
   void infer_batch(std::span<const float> pixels, std::span<std::int64_t> out,
                    EngineStats& stats, InferScratch& scratch,
                    const man::backend::KernelBackend& kernel) const;
@@ -310,9 +318,41 @@ class FixedNetwork {
   /// beyond its descriptor (monostate).
   using Stage = std::variant<std::monostate, SynapseStage, LutStage>;
 
+  /// One sweep of an epilogue: an optional LUT on every input, an
+  /// optional pool, an optional LUT on every pooled value (stage
+  /// indices, kNoStage when absent).
+  struct Segment {
+    static constexpr std::size_t kNoStage = static_cast<std::size_t>(-1);
+    std::size_t pre = kNoStage;
+    std::size_t pool = kNoStage;
+    std::size_t post = kNoStage;
+    std::size_t in_size = 0;   ///< values read per sample
+    std::size_t out_size = 0;  ///< values written per sample
+  };
+  /// The LUT and pool stages between two synapse stages (or before the
+  /// first, or after the last), run as one pass from the producer's
+  /// accumulators (or the input pixels, quantized) straight into the
+  /// consumer's input layout: its staged bank outputs, an exact
+  /// stage's int64 activations, or the output. A run holding two pools
+  /// or two LUTs in a row splits into several segments, handed on
+  /// through InferScratch::hops; every model the apps build has one.
+  struct Epilogue {
+    /// The synapse stage it feeds; stages_.size() for the output.
+    std::size_t stage = 0;
+    std::vector<Segment> segments;  ///< at least one
+    std::size_t out_size = 0;       ///< values handed on per sample
+    std::uint64_t lut_values = 0;   ///< apply_raw calls per sample
+    bool stages = false;            ///< feeds an ASM stage's staging
+    /// The one PhaseProfile field the sweep is charged to.
+    double PhaseProfile::*phase = nullptr;
+  };
+
   /// Static stage-graph pass: validates that consecutive stages agree
   /// on activation counts and records input_size_/output_size_.
   void link_stages();
+  /// Groups the LUT and pool stages into epilogues_ (after
+  /// link_stages()).
+  void link_epilogues();
   /// Sets tile_begin_/tile_synapse_begin_ and conv_int32_lanes_ from
   /// the plans.
   void plan_int32_lanes();
@@ -328,16 +368,30 @@ class FixedNetwork {
   static void charge_synapse(LayerStats& layer, const CompiledSynapse& syn,
                              std::uint64_t samples);
 
-  /// One sample through stages [0, stage_end): quantizes `pixels` into
-  /// scratch.buffer and leaves that stage range's output there.
-  void forward_sample(std::span<const float> pixels, std::size_t stage_end,
+  /// One sample through synapse stages [0, synapse_end), each fed by
+  /// its epilogue: leaves the last one's accumulators in scratch.acc.
+  void forward_sample(std::span<const float> pixels, std::size_t synapse_end,
                       EngineStats& stats, InferScratch& scratch,
                       const man::backend::KernelBackend& kernel) const;
 
-  /// One full tile through stages [tile_begin_, end): reads and leaves
-  /// its activations in scratch.tile, sample-minor.
-  void forward_tile(EngineStats& stats, InferScratch& scratch,
+  /// One full tile through synapse stages [tile_synapse_begin_, end),
+  /// whose first stage's input is staged in scratch.tile_multiples;
+  /// writes the tile's outputs to `out` (kDenseTile × output_size()).
+  void forward_tile(std::span<std::int64_t> out, EngineStats& stats,
+                    InferScratch& scratch,
                     const man::backend::KernelBackend& kernel) const;
+
+  /// The sweeps of epilogues_[j] over `samples` sample-minor samples
+  /// (only pool-free epilogues run more than one) from `source` into
+  /// `sink`, timed and counted into scratch.profile.
+  template <typename Source, typename Sink>
+  void run_epilogue(std::size_t j, std::size_t samples, Source source,
+                    Sink sink, InferScratch& scratch) const;
+  /// run_epilogue() for one sample: from `pixels` when j is 0, else
+  /// from scratch.acc.
+  template <typename Sink>
+  void feed(std::size_t j, std::span<const float> pixels, Sink sink,
+            InferScratch& scratch) const;
 
   /// The staging window: the activation format's raw range, which
   /// quantized pixels, LUT outputs and pools of those lie in. The
@@ -363,6 +417,8 @@ class FixedNetwork {
   std::size_t tile_synapse_begin_ = 0;
   /// Per conv plan: runs on int32 lanes; set by plan_int32_lanes().
   std::vector<bool> conv_int32_lanes_;
+  /// One per synapse stage, in order, plus the output's last.
+  std::vector<Epilogue> epilogues_;
   EngineStats stats_;
 };
 

@@ -13,6 +13,7 @@
 #ifndef MAN_FIXED_QFORMAT_H
 #define MAN_FIXED_QFORMAT_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -55,8 +56,16 @@ class QFormat {
   [[nodiscard]] double resolution() const noexcept { return 1.0 / scale_; }
 
   /// Quantizes a real value: round-to-nearest (ties away from zero),
-  /// saturating to the representable range.
-  [[nodiscard]] std::int32_t quantize(double value) const noexcept;
+  /// saturating to the representable range; NaN maps to 0. Clamping
+  /// first keeps scaled ± 0.5 inside int32, so the truncating
+  /// conversion equals floor(scaled + 0.5) / ceil(scaled - 0.5) bit
+  /// for bit without a libm call (the engine quantizes every pixel).
+  [[nodiscard]] std::int32_t quantize(double value) const noexcept {
+    if (value != value) return 0;  // NaN
+    const double limit = static_cast<double>(max_raw_);
+    const double scaled = std::clamp(value * scale_, -limit, limit);
+    return static_cast<std::int32_t>(scaled + (scaled >= 0.0 ? 0.5 : -0.5));
+  }
 
   /// Reconstructs the real value of a stored integer.
   [[nodiscard]] double dequantize(std::int32_t raw) const noexcept {

@@ -91,6 +91,37 @@ TEST(FixedActivationLutInteger, BucketSeamsAndClampEdges) {
   }
 }
 
+// The branch-free clamp: -C indexes entry 0 and +C entry N-1, so
+// everything beyond them (one past each edge, and the int64 extremes,
+// where an unclamped index would overflow) saturates exactly as the
+// double path does.
+TEST(FixedActivationLutInteger, ClampSaturatesAtTheInt64Extremes) {
+  const QFormat out = QFormat::input8();
+  for (const ActivationKind kind :
+       {ActivationKind::kTanh, ActivationKind::kSigmoid,
+        ActivationKind::kRelu, ActivationKind::kIdentity}) {
+    for (const QFormat& acc : {acc8(), acc12()}) {
+      const FixedActivationLut lut(kind, acc, out, 10);
+      const std::int64_t c = lut.raw_clamp_hi();
+      ASSERT_EQ(lut.raw_clamp_lo(), -c);
+      const std::int32_t low = lut.apply_raw_reference(-c);
+      const std::int32_t high = lut.apply_raw_reference(c);
+      for (const std::int64_t raw :
+           {std::numeric_limits<std::int64_t>::min(), -(c + 1), -c}) {
+        EXPECT_EQ(lut.apply_raw(raw), low) << "raw=" << raw;
+        EXPECT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw))
+            << "raw=" << raw;
+      }
+      for (const std::int64_t raw :
+           {c, c + 1, std::numeric_limits<std::int64_t>::max()}) {
+        EXPECT_EQ(lut.apply_raw(raw), high) << "raw=" << raw;
+        EXPECT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw))
+            << "raw=" << raw;
+      }
+    }
+  }
+}
+
 // Non-default address widths and coarse/fine fraction counts stay
 // bit-identical too (exhaustive where the window is small, seam-dense
 // sampling otherwise).

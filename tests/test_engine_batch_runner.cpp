@@ -254,7 +254,8 @@ std::vector<std::unique_ptr<FixedNetwork>> tiling_engines() {
 
 // Batch tiles: sample counts below, at and around kDenseTile (16) and
 // multiples of it, on one and three workers, so a shard holds no tile,
-// exactly one, tiles plus a remainder, or only a remainder. Outputs
+// exactly one, tiles plus a remainder, or only a remainder, and (100,
+// 200 on three workers) is cut into several claimed ranges. Outputs
 // and merged stats must equal sequential infer_into on the MLP (the
 // whole network tiles) and the CNN (only its dense tail tiles).
 class BatchTileIdentity
@@ -281,7 +282,7 @@ TEST_P(BatchTileIdentity, MatchesSequentialInferInto) {
 
 INSTANTIATE_TEST_SUITE_P(
     Counts, BatchTileIdentity,
-    ::testing::Combine(::testing::Values(1, 15, 16, 17, 33, 53),
+    ::testing::Combine(::testing::Values(1, 15, 16, 17, 33, 53, 100, 200),
                        ::testing::Values(1, 3)));
 
 // The runner keeps one scratch per shard slot across run() calls: a

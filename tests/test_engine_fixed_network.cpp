@@ -7,7 +7,10 @@
 #include <sstream>
 
 #include "man/apps/app_registry.h"
+#include "man/engine/batch_runner.h"
 #include "man/backend/kernel_backend.h"
+#include "man/core/activation.h"
+#include "man/core/precomputer_bank.h"
 #include "man/core/quartet.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
@@ -667,6 +670,318 @@ TEST(Int32ConvProof, LeNetConvStagesTakeInt32Lanes) {
     ASSERT_EQ(engine.conv_plans().size(), 2u);
     EXPECT_TRUE(engine.conv_int32_lanes(0)) << "ASM-" << alphabets;
     EXPECT_TRUE(engine.conv_int32_lanes(1)) << "ASM-" << alphabets;
+  }
+}
+
+// ------------------------------------------------ unfused reference
+
+/// Counts, over a reference run, the pool sums that are negative and
+/// exactly half-way between two averages — where rounding half away
+/// from zero differs from a plain arithmetic shift.
+struct PoolHalves {
+  std::size_t negative = 0;
+};
+
+/// The forward pass as separate passes that share nothing with the
+/// engine's runtime but its compiled descriptors and plans: pixels
+/// quantized into an int64 buffer; every ASM stage's inputs staged
+/// from a bank built here (int64 slots, k-strided or lane-major); the
+/// scalar backend's int64 kernels; apply_raw_reference() of a LUT built
+/// here; and the pool's rounded division.
+std::vector<std::int64_t> unfused_reference(const FixedNetwork& engine,
+                                            std::span<const float> pixels,
+                                            PoolHalves& halves) {
+  const CompiledModel& model = engine.compiled_model();
+  const auto& scalar =
+      man::backend::backend_for(man::backend::BackendKind::kScalar);
+  const auto& afmt = model.spec.activation_format;
+  const man::fixed::QFormat acc_format(
+      30, model.spec.weight_format.frac_bits() + afmt.frac_bits());
+  std::vector<std::int64_t> values;
+  for (const float p : pixels) {
+    values.push_back(afmt.quantize(static_cast<double>(p)));
+  }
+  const auto staged = [&](const CompiledSynapse& syn, bool lane_major) {
+    const man::core::PrecomputerBank bank(syn.scheme.effective_alphabets());
+    const std::size_t k = bank.alphabet_set().size();
+    const std::size_t n = values.size();
+    std::vector<std::int64_t> multiples(n * k);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<std::int64_t> row = bank.compute(values[i]);
+      for (std::size_t l = 0; l < k; ++l) {
+        multiples[lane_major ? l * n + i : i * k + l] = row[l];
+      }
+    }
+    return multiples;
+  };
+  std::size_t dense_index = 0;
+  std::size_t conv_index = 0;
+  for (const CompiledStage& stage : model.stages) {
+    std::vector<std::int64_t> next;
+    if (const auto* d = std::get_if<CompiledDenseStage>(&stage)) {
+      const auto& plan = engine.plans().at(dense_index++);
+      next.resize(static_cast<std::size_t>(d->out));
+      if (plan.exact) {
+        scalar.exact_dense(plan, values.data(), next.data());
+      } else {
+        scalar.accumulate_dense(plan, staged(d->synapse, false).data(),
+                                next.data());
+      }
+    } else if (const auto* c = std::get_if<CompiledConvStage>(&stage)) {
+      const auto& plan = engine.conv_plans().at(conv_index++);
+      next.resize(static_cast<std::size_t>(c->oc) * c->oh * c->ow);
+      if (plan.exact) {
+        scalar.exact_conv(plan, values.data(), next.data());
+      } else {
+        scalar.accumulate_conv(plan, staged(c->synapse, true).data(),
+                               next.data());
+      }
+    } else if (const auto* p = std::get_if<CompiledPoolStage>(&stage)) {
+      const std::int64_t n = p->window * p->window;
+      for (int ch = 0; ch < p->c; ++ch) {
+        for (int oy = 0; oy < p->oh; ++oy) {
+          for (int ox = 0; ox < p->ow; ++ox) {
+            std::int64_t sum = 0;
+            for (int wy = 0; wy < p->window; ++wy) {
+              for (int wx = 0; wx < p->window; ++wx) {
+                sum += values.at(static_cast<std::size_t>(
+                    (ch * p->ih + oy * p->window + wy) * p->iw +
+                    ox * p->window + wx));
+              }
+            }
+            if (sum < 0 && n % 2 == 0 && (-sum) % n == n / 2) {
+              ++halves.negative;
+            }
+            next.push_back(sum >= 0 ? (sum + n / 2) / n
+                                    : -((-sum + n / 2) / n));
+          }
+        }
+      }
+    } else {
+      const man::core::FixedActivationLut lut(
+          std::get<CompiledLutStage>(stage).kind, acc_format, afmt);
+      for (const std::int64_t v : values) {
+        next.push_back(lut.apply_raw_reference(v));
+      }
+    }
+    values = std::move(next);
+  }
+  return values;
+}
+
+/// conv → tanh → pool → conv → tanh → pool → dense → sigmoid → dense,
+/// both pools `window` wide. `wide`: a 16-bit activation format and
+/// ±1.5 second-conv weights over 6 channels, whose int32 row bound
+/// (54 terms × 1536 × 32767) forces that conv onto int64 lanes.
+struct PooledCnn {
+  Network net;
+  QuantSpec spec;
+};
+
+PooledCnn make_pooled_cnn(int window, bool wide, std::uint64_t seed) {
+  man::util::Rng rng(seed);
+  const int h2 = 2 * window;            // second conv's output rows
+  const int w2 = 3 * window;            // and columns
+  const int h1 = window * (h2 + 2);     // first conv's output rows
+  const int w1 = window * (w2 + 2);     // and columns
+  const int c1 = wide ? 6 : 2;
+  const int c2 = 3;
+  PooledCnn out;
+  out.spec = QuantSpec::bits12();
+  if (wide) out.spec.activation_format = man::fixed::QFormat(16, 8);
+  Network& net = out.net;
+  net.add<Conv2D>(1, c1, 3, h1 + 2, w1 + 2).init_xavier(rng);
+  net.add<ActivationLayer>(man::core::ActivationKind::kTanh);
+  net.add<AvgPool2D>(c1, h1, w1, window);
+  auto& conv2 = net.add<Conv2D>(c1, c2, 3, h2 + 2, w2 + 2);
+  conv2.init_xavier(rng);
+  if (wide) {
+    for (float& w : conv2.weights()) {
+      w = rng.next_double() < 0.5 ? -1.5f : 1.5f;
+    }
+  }
+  net.add<ActivationLayer>(man::core::ActivationKind::kTanh);
+  net.add<AvgPool2D>(c2, h2, w2, window);
+  net.add<Dense>(c2 * 2 * 3, 6).init_xavier(rng);
+  net.add<ActivationLayer>(man::core::ActivationKind::kSigmoid);
+  net.add<Dense>(6, 4).init_xavier(rng);
+  return out;
+}
+
+/// 2·kDenseTile + 3 random samples over [-1, 1) through the unfused
+/// reference, then through every route into `engine` on every backend:
+/// infer_into per sample, infer_batch over full tiles plus the
+/// remainder, and a two-worker BatchRunner. Returns the reference's
+/// pool counts.
+PoolHalves expect_every_route_matches_reference(const FixedNetwork& engine,
+                                                std::uint64_t seed,
+                                                const std::string& label) {
+  const std::size_t in = engine.input_size();
+  const std::size_t out = engine.output_size();
+  const std::size_t count = 2 * man::backend::kDenseTile + 3;
+  man::util::Rng rng(seed);
+  std::vector<float> pixels(count * in);
+  for (float& p : pixels) p = static_cast<float>(rng.next_double() * 2 - 1);
+  const std::span<const float> all(pixels);
+
+  PoolHalves halves;
+  std::vector<std::int64_t> expected;
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto raw = unfused_reference(engine, all.subspan(s * in, in), halves);
+    EXPECT_EQ(raw.size(), out) << label;
+    expected.insert(expected.end(), raw.begin(), raw.end());
+  }
+  for (const auto* backend : man::backend::all_backends()) {
+    const std::string where = label + " backend=" + backend->name();
+    auto scratch = engine.make_scratch();
+    auto stats = engine.make_stats();
+    std::vector<std::int64_t> per_sample(expected.size());
+    const std::span<std::int64_t> rows(per_sample);
+    for (std::size_t s = 0; s < count; ++s) {
+      engine.infer_into(all.subspan(s * in, in), rows.subspan(s * out, out),
+                        stats, scratch, *backend);
+    }
+    EXPECT_EQ(per_sample, expected) << where << " infer_into";
+
+    std::vector<std::int64_t> batch(expected.size());
+    engine.infer_batch(pixels, batch, stats, scratch, *backend);
+    EXPECT_EQ(batch, expected) << where << " infer_batch";
+
+    BatchRunner runner(engine,
+                       BatchOptions{.workers = 2, .backend = backend->kind()});
+    std::vector<std::int64_t> run(expected.size());
+    runner.run(pixels, run);
+    EXPECT_EQ(run, expected) << where << " BatchRunner";
+  }
+  return halves;
+}
+
+// The engine fuses each boundary's LUT, pool and staging into one
+// sweep; the unfused reference above runs them as the separate passes
+// they stand for. Every route into the engine — infer_into per
+// sample, infer_batch over full tiles plus a remainder, and a
+// two-worker BatchRunner — must match it on every backend, at pool
+// windows 1 to 4 (shifted and divided rounding), under ASM and exact
+// schemes, on int32 and int64 conv lanes, and over pool sums that
+// are negative exact halves.
+class FusedEpilogue
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+TEST_P(FusedEpilogue, MatchesTheUnfusedReference) {
+  const auto [window, asm_scheme, wide] = GetParam();
+  PooledCnn cnn = make_pooled_cnn(
+      window, wide, 500 + static_cast<std::uint64_t>(window));
+  const LayerAlphabetPlan schemes =
+      asm_scheme ? LayerAlphabetPlan::uniform_asm(4, AlphabetSet::four())
+                 : LayerAlphabetPlan::conventional(4);
+  const FixedNetwork engine(cnn.net, cnn.spec, schemes);
+  if (asm_scheme) {
+    EXPECT_TRUE(engine.conv_int32_lanes(0));
+    EXPECT_EQ(engine.conv_int32_lanes(1), !wide);
+    EXPECT_EQ(engine.tile_begin(), 6u);  // the first dense stage
+  } else {
+    EXPECT_EQ(engine.tile_begin(), engine.compiled_model().stages.size());
+  }
+
+  const PoolHalves halves = expect_every_route_matches_reference(
+      engine, 600 + static_cast<std::uint64_t>(window),
+      "window " + std::to_string(window));
+  if (window % 2 == 0) EXPECT_GT(halves.negative, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowsSchemesLanes, FusedEpilogue,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4), ::testing::Bool(),
+                       ::testing::Bool()));
+
+// Boundaries the apps never build still run as fused sweeps: a pool
+// and a LUT on the input pixels, two pools and three LUTs between two
+// synapse stages (several segments handed on through int64 hops), a
+// dense stage fed raw accumulators (staged from its bank), two LUTs
+// inside the batch tile, and a LUT after the last stage.
+TEST(FusedEpilogue, UnusualChainsMatchTheUnfusedReference) {
+  using man::core::ActivationKind;
+  man::util::Rng rng(700);
+  Network pooled;
+  pooled.add<AvgPool2D>(1, 12, 12, 2);
+  pooled.add<ActivationLayer>(ActivationKind::kTanh);
+  pooled.add<Conv2D>(1, 2, 3, 6, 6).init_xavier(rng);
+  pooled.add<AvgPool2D>(2, 4, 4, 2);
+  pooled.add<ActivationLayer>(ActivationKind::kTanh);
+  pooled.add<AvgPool2D>(2, 2, 2, 2);
+  pooled.add<ActivationLayer>(ActivationKind::kSigmoid);
+  pooled.add<ActivationLayer>(ActivationKind::kTanh);
+  pooled.add<Dense>(2, 5).init_xavier(rng);
+  pooled.add<Dense>(5, 3).init_xavier(rng);
+  pooled.add<ActivationLayer>(ActivationKind::kSigmoid);
+  Network chained;
+  chained.add<ActivationLayer>(ActivationKind::kSigmoid);
+  chained.add<Dense>(16, 8).init_xavier(rng);
+  chained.add<ActivationLayer>(ActivationKind::kTanh);
+  chained.add<ActivationLayer>(ActivationKind::kSigmoid);
+  chained.add<Dense>(8, 4).init_xavier(rng);
+  chained.add<ActivationLayer>(ActivationKind::kTanh);
+
+  struct Case {
+    const char* label;
+    Network* net;
+    int synapses;
+  };
+  for (const Case& c :
+       {Case{"pooled", &pooled, 3}, Case{"chained", &chained, 2}}) {
+    for (const bool asm_scheme : {true, false}) {
+      const FixedNetwork engine(
+          *c.net, QuantSpec::bits8(),
+          asm_scheme ? LayerAlphabetPlan::uniform_asm(c.synapses,
+                                                      AlphabetSet::two())
+                     : LayerAlphabetPlan::conventional(c.synapses));
+      const std::string where =
+          std::string(c.label) + (asm_scheme ? " asm" : " exact");
+      if (asm_scheme && c.net == &chained) {
+        EXPECT_EQ(engine.tile_begin(), 1u) << where;
+      }
+      expect_every_route_matches_reference(engine, 701, where);
+    }
+  }
+}
+
+// The profile counts every value staged into a bank-output layout and
+// every apply_raw call, whichever sweep performs them, and charges
+// each sweep to one phase: LeNet-style conv → LUT → pool → dense
+// stages its 64 pixels and 27 pooled values and runs 108 LUT lookups
+// per sample; the pooling sweep goes to pool_s, quantize + staging to
+// staging_s, and nothing to lut_s or quantize_s. The MLP's tile stages
+// 16 + 8 values and looks up 8 per sample, in full tiles and
+// remainder alike.
+TEST(FusedEpilogue, PhaseProfileCountsStagedAndLutValues) {
+  const QuantSpec spec = QuantSpec::bits8();
+  Network cnn = make_cnn(95);
+  Network mlp = make_mlp(96);
+  struct Case {
+    Network* net;
+    std::uint64_t staged, luts;
+    bool pools;
+  };
+  man::util::Rng rng(97);
+  for (const Case& c : {Case{&cnn, 64 + 27, 108, true},
+                        Case{&mlp, 16 + 8, 8, false}}) {
+    const FixedNetwork engine(
+        *c.net, spec, LayerAlphabetPlan::uniform_asm(2, AlphabetSet::four()));
+    const std::size_t count = man::backend::kDenseTile + 3;
+    const auto pixels = random_pixels(count * engine.input_size(), rng);
+    std::vector<std::int64_t> raw(count * engine.output_size());
+    auto stats = engine.make_stats();
+    auto scratch = engine.make_scratch();
+    PhaseProfile profile;
+    scratch.profile = &profile;
+    engine.infer_batch(pixels, raw, stats, scratch, engine.default_kernel());
+    EXPECT_EQ(profile.staged_values, c.staged * count);
+    EXPECT_EQ(profile.lut_values, c.luts * count);
+    EXPECT_GT(profile.kernel_s, 0.0);
+    EXPECT_GT(profile.staging_s, 0.0);
+    EXPECT_EQ(profile.quantize_s, 0.0);
+    EXPECT_EQ(profile.pool_s > 0.0, c.pools);
+    EXPECT_EQ(profile.lut_s > 0.0, !c.pools);
   }
 }
 

@@ -55,7 +55,7 @@ std::vector<std::int64_t> quantize(std::span<const float> pixels,
 }
 
 // The dense staging layout: k-strided element-major (what the
-// engine's stage_multiples produces).
+// engine's epilogue writes for a per-sample dense stage).
 // `row_of(v)` yields the k bank outputs of v.
 template <typename RowOf>
 std::vector<std::int64_t> stage_dense(const DenseLayerPlan& plan,
@@ -70,8 +70,8 @@ std::vector<std::int64_t> stage_dense(const DenseLayerPlan& plan,
   return multiples;
 }
 
-// The conv staging layout: lane-major (what
-// stage_multiples_lane_major produces).
+// The conv staging layout: lane-major (what the engine's epilogue
+// writes for a conv stage).
 template <typename RowOf>
 std::vector<std::int64_t> stage_conv(const ConvLayerPlan& plan,
                                      std::span<const std::int64_t> values,

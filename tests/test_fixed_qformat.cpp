@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "man/util/rng.h"
 
 namespace man::fixed {
 namespace {
@@ -49,6 +54,60 @@ TEST(QFormat, QuantizeSaturates) {
   EXPECT_EQ(fmt.quantize(100.0), 127);
   EXPECT_EQ(fmt.quantize(-100.0), -127);
   EXPECT_EQ(fmt.quantize(std::nan("")), 0);
+}
+
+// The quantizer before it dropped libm: floor/ceil of scaled ± 0.5,
+// then saturation. QFormat::quantize clamps first and truncates; the
+// two must agree bit for bit on every double.
+std::int32_t quantize_with_floor(const QFormat& fmt, double value) {
+  if (std::isnan(value)) return 0;
+  const double scaled = std::ldexp(value, fmt.frac_bits());
+  const double rounded = scaled >= 0.0 ? std::floor(scaled + 0.5)
+                                       : std::ceil(scaled - 0.5);
+  if (rounded >= static_cast<double>(fmt.max_raw())) return fmt.max_raw();
+  if (rounded <= static_cast<double>(fmt.min_raw())) return fmt.min_raw();
+  return static_cast<std::int32_t>(rounded);
+}
+
+TEST(QFormat, QuantizeMatchesTheFloorCeilFormula) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const QFormat& fmt : {QFormat(8, 6), QFormat(12, 10), QFormat(16, 8),
+                             QFormat::input8()}) {
+    const double step = fmt.resolution();
+    std::vector<double> values = {0.0,  -0.0, std::nan(""), inf,
+                                  -inf, 1e300, -1e300,
+                                  0.49999999999999994, -0.49999999999999994,
+                                  0.49999999999999994 * step,
+                                  -0.49999999999999994 * step};
+    // Ties at ±k.5 steps, across and past the range.
+    for (int k = 0; k <= fmt.max_raw() + 2; ++k) {
+      values.push_back((k + 0.5) * step);
+      values.push_back(-(k + 0.5) * step);
+    }
+    // The nextafter neighbours of ±0.5 steps and of both range edges.
+    for (const double edge : {0.5, 1.5, fmt.max_raw() - 0.5,
+                              fmt.max_raw() + 0.5}) {
+      for (const double sign : {1.0, -1.0}) {
+        const double mid = sign * edge * step;
+        values.push_back(std::nextafter(mid, inf));
+        values.push_back(std::nextafter(mid, -inf));
+        values.push_back(mid);
+      }
+    }
+    man::util::Rng rng(2024 + static_cast<std::uint64_t>(fmt.total_bits()));
+    const double span = 1.5 * fmt.max_value();
+    for (int i = 0; i < 1'000'000; ++i) {
+      values.push_back(rng.next_double_in(-span, span));
+    }
+    for (const double value : values) {
+      ASSERT_EQ(fmt.quantize(value), quantize_with_floor(fmt, value))
+          << fmt.to_string() << " value=" << value;
+    }
+  }
+  // The largest double below half a step: scaled + 0.5 rounds up to
+  // 1.0 in double, so it quantizes to 1 under both formulas.
+  EXPECT_EQ(QFormat(8, 6).quantize(0.49999999999999994 / 64.0), 1);
+  EXPECT_EQ(QFormat(8, 6).quantize(-0.49999999999999994 / 64.0), -1);
 }
 
 TEST(QFormat, RoundTripIsIdentityOnGrid) {
