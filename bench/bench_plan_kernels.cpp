@@ -1,15 +1,21 @@
 // Grouped plan kernels layer by layer, on the scalar reference and on
 // every vector tier this CPU runs (blocked, simd when AVX2 is live,
 // avx512 when AVX-512F/VL is; plus the resolved backend when MAN_BACKEND
-// caps one that is not live at its own tier), each over seed-21
-// weights projected onto ASM 4 {1,3,5,7}:
+// caps one that is not live at its own tier), under two schemes over
+// seed-21 weights: ASM 4 {1,3,5,7} (weights projected onto it) and the
+// conventional multiplier (unprojected weights, compiled over the full
+// set {1,3,…,15}: 8 bank lanes and alphabets up to 15 in the row
+// bounds). Per scheme:
 //   - the SVHN MLP's (8-bit) dense plans, one accumulate_dense_tile
-//     call over a staged 16-sample tile;
+//     call over a staged 16-sample tile (plans that fit int32 lanes,
+//     as the engine tiles them);
 //   - the same plans, one accumulate_dense call over one sample's
 //     staged int64 multiples (the per-sample kernel: a gather on
 //     avx512, the portable group loop below it);
 //   - the LeNet CNN's (12-bit) conv plans, one accumulate_conv_int32
-//     call over one sample's staged lane-major multiples.
+//     or accumulate_conv call over one sample's staged lane-major
+//     multiples, on the lane width the engine gives the layer (named
+//     in its label).
 // Prints per layer the plan's terms, (shift, sign) groups and bytes,
 // and µs per call on each backend; exits 1 if any layer's output
 // differs from the scalar reference by a single bit.
@@ -37,16 +43,21 @@ using man::util::format_double;
 
 const man::core::AlphabetSet kSet = man::core::AlphabetSet::four();
 
-/// The app's ASM-4 engine over seed-21 weights.
-man::engine::FixedNetwork build_engine(man::apps::AppId id) {
+/// The app's engine over seed-21 weights: ASM 4 over weights projected
+/// onto it, or the conventional baseline over the weights as built.
+man::engine::FixedNetwork build_engine(man::apps::AppId id,
+                                       bool conventional) {
   const auto& app = man::apps::get_app(id);
   man::nn::Network net = app.build_network(/*seed=*/21);
-  man::nn::ProjectionPlan(app.quant(), kSet, net.num_weight_layers())
-      .project_network(net);
+  const std::size_t layers = net.num_weight_layers();
+  if (conventional) {
+    return man::engine::FixedNetwork(
+        net, app.quant(), man::engine::LayerAlphabetPlan::conventional(layers));
+  }
+  man::nn::ProjectionPlan(app.quant(), kSet, layers).project_network(net);
   return man::engine::FixedNetwork(
       net, app.quant(),
-      man::engine::LayerAlphabetPlan::uniform_asm(net.num_weight_layers(),
-                                                  kSet));
+      man::engine::LayerAlphabetPlan::uniform_asm(layers, kSet));
 }
 
 /// Bytes of every array the ASM kernels read.
@@ -193,19 +204,25 @@ std::string versus(const std::vector<const KernelBackend*>& backends) {
   return text;
 }
 
-}  // namespace
-
-int main() {
-  const auto backends = timed_backends();
-
-  man::bench::print_banner(
-      "Dense batch tiles: SVHN MLP (8-bit) ASM 4 {1,3,5,7}, " +
-      std::to_string(kDenseTile) + "-sample tile, " + versus(backends));
-  const auto svhn = build_engine(man::apps::AppId::kSvhnMlp8);
+/// The three tables of one scheme; false on any mismatch.
+bool report_scheme(bool conventional,
+                   const std::vector<const KernelBackend*>& backends) {
+  const std::string scheme =
+      conventional ? "conventional (full set, k = 8)" : "ASM 4 {1,3,5,7}";
+  man::bench::print_banner("Dense batch tiles: SVHN MLP (8-bit) " + scheme +
+                           ", " + std::to_string(kDenseTile) +
+                           "-sample tile, " + versus(backends));
+  const auto svhn = build_engine(man::apps::AppId::kSvhnMlp8, conventional);
   Report dense(backends);
   for (std::size_t i = 0; i < svhn.plans().size(); ++i) {
     const DenseLayerPlan& plan = svhn.plans()[i];
     const auto k = static_cast<std::size_t>(plan.k);
+    if (man::backend::int32_row_bound(
+            plan, man::core::AlphabetSet::first_n(k).alphabets()) >=
+        man::backend::kInt32RowOverflow) {
+      std::cout << dense_label(i, plan) << " does not fit int32 lanes\n";
+      continue;
+    }
     // Input c of sample b, lane l: tile[(c·k + l)·kDenseTile + b].
     const auto tile = stage(
         plan, static_cast<std::size_t>(plan.cols) * kDenseTile,
@@ -221,10 +238,8 @@ int main() {
   }
   bool identical = dense.print();
 
-  man::bench::print_banner(
-      "Dense per sample: SVHN MLP (8-bit) ASM 4 {1,3,5,7}, one sample per "
-      "call, " +
-      versus(backends));
+  man::bench::print_banner("Dense per sample: SVHN MLP (8-bit) " + scheme +
+                           ", one sample per call, " + versus(backends));
   Report sample(backends);
   for (std::size_t i = 0; i < svhn.plans().size(); ++i) {
     const DenseLayerPlan& plan = svhn.plans()[i];
@@ -241,29 +256,51 @@ int main() {
   }
   identical = sample.print() && identical;
 
-  man::bench::print_banner(
-      "Conv int32 lanes: LeNet CNN (12-bit) ASM 4 {1,3,5,7}, one sample "
-      "per call, " +
-      versus(backends));
-  const auto lenet = build_engine(man::apps::AppId::kDigitCnn12);
+  man::bench::print_banner("Conv: LeNet CNN (12-bit) " + scheme +
+                           ", one sample per call, " + versus(backends));
+  const auto lenet = build_engine(man::apps::AppId::kDigitCnn12, conventional);
   Report conv(backends);
   for (std::size_t i = 0; i < lenet.conv_plans().size(); ++i) {
     const ConvLayerPlan& plan = lenet.conv_plans()[i];
     const std::size_t elems = plan.input_elems();
-    const auto multiples = stage(
-        plan, elems, plan.padded_multiples(), 950 + i,
-        [&](std::size_t n, std::size_t l) { return l * elems + n; });
-    conv.add("L" + std::to_string(i) + " " + std::to_string(plan.ic) + "x" +
-                 std::to_string(plan.ih) + "x" + std::to_string(plan.iw) +
-                 "->" + std::to_string(plan.oc) + "x" +
-                 std::to_string(plan.oh) + "x" + std::to_string(plan.ow),
-             plan, static_cast<std::size_t>(plan.oc) * plan.positions(),
-             [&](const KernelBackend& backend, std::int64_t* out) {
-               backend.accumulate_conv_int32(plan, multiples.data(), out);
-             });
+    const auto slot = [&](std::size_t n, std::size_t l) {
+      return l * elems + n;
+    };
+    const bool int32_lanes = lenet.conv_int32_lanes(i);
+    const std::string label =
+        "L" + std::to_string(i) + " " + std::to_string(plan.ic) + "x" +
+        std::to_string(plan.ih) + "x" + std::to_string(plan.iw) + "->" +
+        std::to_string(plan.oc) + "x" + std::to_string(plan.oh) + "x" +
+        std::to_string(plan.ow) + (int32_lanes ? " int32" : " int64");
+    const std::size_t outputs =
+        static_cast<std::size_t>(plan.oc) * plan.positions();
+    if (int32_lanes) {
+      const auto multiples =
+          stage(plan, elems, plan.padded_multiples(), 950 + i, slot);
+      conv.add(label, plan, outputs,
+               [&](const KernelBackend& backend, std::int64_t* out) {
+                 backend.accumulate_conv_int32(plan, multiples.data(), out);
+               });
+    } else {
+      const auto multiples = stage<std::int64_t>(
+          plan, elems, plan.padded_multiples(), 950 + i, slot);
+      conv.add(label, plan, outputs,
+               [&](const KernelBackend& backend, std::int64_t* out) {
+                 backend.accumulate_conv(plan, multiples.data(), out);
+               });
+    }
   }
-  identical = conv.print() && identical;
+  return conv.print() && identical;
+}
 
+}  // namespace
+
+int main() {
+  const auto backends = timed_backends();
+  bool identical = true;
+  for (const bool conventional : {false, true}) {
+    identical = report_scheme(conventional, backends) && identical;
+  }
   if (!identical) {
     std::cerr << "plan kernel outputs diverge from the scalar reference\n";
     return 1;

@@ -23,12 +23,14 @@
 //     energy-efficient ASM engine the paper argues for; under
 //     deadline pressure the dispatcher steps down to cheaper staging
 //     (asm2) and finally to the conventional-multiplier engine
-//     (exact), which on CPU backends is ~2x faster per sample —
-//     trading the paper's energy savings for throughput instead of
-//     shedding (ASM planes cost the same kernel work regardless of
-//     alphabet count, so asm-to-asm rungs buy little CPU time; the
-//     exact fallback is the big rung). Emits the degradation curve
-//     (per-tier 200 mix and shed rate per step, tallied from the
+//     (exact). A conventional engine runs the same grouped plans over
+//     the full alphabet set, staging 8 bank lanes to asm4's 4, so on
+//     CPU backends it costs about 1.1-1.5x asm4 per sample, one sample
+//     at a time or batched (docs/serving.md): the exact rung no longer
+//     buys throughput, and the asm-to-asm step is small, since kernel
+//     work follows the plan's terms, not its alphabet count. Emits the
+//     degradation curve (per-tier 200 mix and shed rate per step,
+//     tallied from the
 //     X-Man-Accuracy-Tier response header) plus a shed-only 2C
 //     reference on an untiered tier-0 server with the identical
 //     config — the gate being that degrading under overload sheds

@@ -79,15 +79,12 @@ void write_synapse(BlobWriter& dir, const CompiledSynapse& synapse) {
 }
 
 /// The fields both plan kinds share, in format order: alphabet count,
-/// exact flag, staging window, then the weights, biases and group
-/// arrays.
+/// staging window, then the bias and group arrays.
 void write_grouped(BlobWriter& dir, BlobWriter& arrays,
                    const GroupedPlan& plan) {
   dir.write_i32(plan.k);
-  dir.write_u32(plan.exact ? 1 : 0);
   dir.write_i64(plan.in_min_raw);
   dir.write_i64(plan.in_max_raw);
-  write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
   write_array_ref(dir, arrays, plan.row_groups);
   write_array_ref(dir, arrays, plan.group_begin);
@@ -114,7 +111,6 @@ void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_i32(plan.ow);
   dir.write_i32(plan.cols);
   write_grouped(dir, arrays, plan);
-  write_array_ref(dir, arrays, plan.patch_elems);
 }
 
 // ------------------------------------------------------------- reading
@@ -178,14 +174,6 @@ std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
   return product;
 }
 
-/// The bank outputs per input element a plan must stage: the
-/// synapse's alphabet count (0 for exact plans, which stage none).
-int staged_alphabets(const CompiledSynapse& synapse, bool exact) {
-  return exact ? 0
-               : static_cast<int>(
-                     synapse.scheme.effective_alphabets().size());
-}
-
 /// Offsets of a grouped plan: `offsets` starts at 0, never decreases
 /// and ends at `size`.
 void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
@@ -197,7 +185,7 @@ void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
   }
 }
 
-/// Groups of an ASM plan of either kind: rows + 1 row offsets into the
+/// Groups of a plan of either kind: rows + 1 row offsets into the
 /// groups and groups + 1 group offsets into the terms, both monotone
 /// and ending at their array sizes; every term index a slot with a
 /// lane (Plan::term_lane: below cols · k for dense, and for conv in
@@ -230,10 +218,8 @@ void check_groups(const Plan& plan, int rows) {
 void read_grouped(SpanReader& dir, const SpanReader& file,
                   GroupedPlan& plan) {
   plan.k = dir.read_i32();
-  plan.exact = dir.read_u32() != 0;
   plan.in_min_raw = dir.read_i64();
   plan.in_max_raw = dir.read_i64();
-  plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
   plan.row_groups = read_array_ref<std::uint32_t>(dir, file);
   plan.group_begin = read_array_ref<std::uint32_t>(dir, file);
@@ -242,46 +228,28 @@ void read_grouped(SpanReader& dir, const SpanReader& file,
   plan.idx = read_array_ref<std::uint32_t>(dir, file);
 }
 
-/// The shared fields of a plan with valid geometry (rows × cols): the
-/// synapse's alphabet count, one bias per row, and either exact
-/// weights and no groups or valid groups and no weights.
+/// The shared fields of a plan with valid geometry: one bias per row
+/// and valid groups. The engine constructor checks the alphabet count
+/// k against the synapse's bank.
 template <typename Plan>
-void check_grouped(const Plan& plan, int rows, int cols,
-                   const CompiledSynapse& synapse) {
-  if (plan.k != staged_alphabets(synapse, plan.exact)) {
-    reject("bad alphabet count");
-  }
+void check_grouped(const Plan& plan, int rows) {
   if (plan.biases.size() != static_cast<std::size_t>(rows)) {
     reject("biases disagree with plan geometry");
   }
-  if (plan.exact) {
-    if (plan.weights.size() !=
-            checked_mul(static_cast<std::uint64_t>(rows),
-                        static_cast<std::uint64_t>(cols)) ||
-        !plan.row_groups.empty() || !plan.group_begin.empty() ||
-        !plan.shifts.empty() || !plan.sign_masks.empty() ||
-        !plan.idx.empty()) {
-      reject("weights disagree with plan geometry");
-    }
-  } else {
-    if (!plan.weights.empty()) reject("ASM plan with weights");
-    check_groups(plan, rows);
-  }
+  check_groups(plan, rows);
 }
 
-DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file,
-                               const CompiledSynapse& synapse) {
+DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
   DenseLayerPlan plan;
   plan.rows = dir.read_i32();
   plan.cols = dir.read_i32();
   read_grouped(dir, file, plan);
   if (plan.rows < 0 || plan.cols < 0) reject("bad dense geometry");
-  check_grouped(plan, plan.rows, plan.cols, synapse);
+  check_grouped(plan, plan.rows);
   return plan;
 }
 
-ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
-                             const CompiledSynapse& synapse) {
+ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
   ConvLayerPlan plan;
   plan.oc = dir.read_i32();
   plan.ic = dir.read_i32();
@@ -292,7 +260,6 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
   plan.ow = dir.read_i32();
   plan.cols = dir.read_i32();
   read_grouped(dir, file, plan);
-  plan.patch_elems = read_array_ref<std::uint32_t>(dir, file);
 
   if (plan.oc < 1 || plan.ic < 1 || plan.kernel < 1 ||
       plan.ih < plan.kernel || plan.iw < plan.kernel ||
@@ -304,20 +271,7 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file,
                       static_cast<std::uint64_t>(plan.kernel))) {
     reject("bad conv geometry");
   }
-  const std::uint64_t elems = checked_mul(
-      checked_mul(static_cast<std::uint64_t>(plan.ic),
-                  static_cast<std::uint64_t>(plan.ih)),
-      static_cast<std::uint64_t>(plan.iw));
-  if (plan.patch_elems.size() != static_cast<std::size_t>(plan.cols)) {
-    reject("conv patch elements disagree with plan geometry");
-  }
-  // Exact kernels read activation patch_elems[c] + oy·iw + ox.
-  for (const std::uint32_t elem : plan.patch_elems) {
-    if (elem + plan.max_position_base() >= elems) {
-      reject("conv patch element out of range");
-    }
-  }
-  check_grouped(plan, plan.oc, plan.cols, synapse);
+  check_grouped(plan, plan.oc);
   return plan;
 }
 
@@ -503,7 +457,7 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         stage.in = dir.read_i32();
         stage.out = dir.read_i32();
         stage.synapse = read_synapse(dir);
-        plans.push_back(read_dense_plan(dir, file, stage.synapse));
+        plans.push_back(read_dense_plan(dir, file));
         model.stages.emplace_back(std::move(stage));
       } else if (tag == kTagConv) {
         CompiledConvStage stage;
@@ -515,7 +469,7 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         stage.oh = dir.read_i32();
         stage.ow = dir.read_i32();
         stage.synapse = read_synapse(dir);
-        conv_plans.push_back(read_conv_plan(dir, file, stage.synapse));
+        conv_plans.push_back(read_conv_plan(dir, file));
         model.stages.emplace_back(std::move(stage));
       } else if (tag == kTagPool) {
         CompiledPoolStage stage;

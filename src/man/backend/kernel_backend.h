@@ -83,12 +83,6 @@ class KernelBackend {
                                      const std::int32_t* tile,
                                      std::int64_t* out) const = 0;
 
-  /// Conventional exact dense stage:
-  /// out[r] = biases[r] + Σ_c weights[r][c] · activations[c].
-  virtual void exact_dense(const DenseLayerPlan& plan,
-                           const std::int64_t* activations,
-                           std::int64_t* out) const = 0;
-
   /// ASM accumulation for one conv stage, group by group: for every
   /// filter r and output position p = (oy, ox),
   ///   out[r·P + p] = biases[r] + Σ_g ±(Σ_t
@@ -116,12 +110,6 @@ class KernelBackend {
   virtual void accumulate_conv_int32(const ConvLayerPlan& plan,
                                      const std::int32_t* multiples,
                                      std::int64_t* out) const = 0;
-
-  /// Conventional exact conv stage: out[r·P + p] = biases[r] +
-  /// Σ_c weights[r][c] · activations[patch_elems[c] + oy·iw + ox].
-  virtual void exact_conv(const ConvLayerPlan& plan,
-                          const std::int64_t* activations,
-                          std::int64_t* out) const = 0;
 };
 
 /// The process-wide instance of one backend kind.

@@ -99,19 +99,6 @@ void build_groups(GroupedPlan& plan, int rows, int cols,
 
 }  // namespace
 
-DenseLayerPlan DenseLayerPlan::build_exact(int rows, int cols,
-                                           std::vector<std::int32_t> weights,
-                                           std::vector<std::int64_t> biases) {
-  check_count(weights.size(), rows, cols, "DenseLayerPlan weights");
-  DenseLayerPlan plan;
-  plan.rows = rows;
-  plan.cols = cols;
-  plan.exact = true;
-  plan.weights = std::move(weights);
-  plan.biases = std::move(biases);
-  return plan;
-}
-
 DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
                                          std::vector<AsmWeight> asm_weights,
                                          std::vector<AsmStep> steps,
@@ -129,12 +116,11 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
   return plan;
 }
 
-namespace {
-
-/// Shared geometry setup: validates the valid-padding stride-1 shape
-/// and fills the patch-element offsets (input element of patch column
-/// c at output position (0,0)).
-ConvLayerPlan conv_geometry(int oc, int ic, int kernel, int ih, int iw) {
+ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
+                                       int iw, int k,
+                                       std::vector<AsmWeight> asm_weights,
+                                       std::vector<AsmStep> steps,
+                                       std::vector<std::int64_t> biases) {
   if (oc < 1 || ic < 1 || kernel < 1 || ih < kernel || iw < kernel) {
     throw std::invalid_argument(
         "ConvLayerPlan: bad geometry " + std::to_string(oc) + "x" +
@@ -150,46 +136,19 @@ ConvLayerPlan conv_geometry(int oc, int ic, int kernel, int ih, int iw) {
   plan.oh = ih - kernel + 1;
   plan.ow = iw - kernel + 1;
   plan.cols = ic * kernel * kernel;
-  std::vector<std::uint32_t> patch_elems(static_cast<std::size_t>(plan.cols));
-  for (int c = 0; c < plan.cols; ++c) {
-    const int channel = c / (kernel * kernel);
-    const int ky = (c / kernel) % kernel;
-    const int kx = c % kernel;
-    patch_elems[static_cast<std::size_t>(c)] =
-        static_cast<std::uint32_t>((channel * ih + ky) * iw + kx);
-  }
-  plan.patch_elems = std::move(patch_elems);
-  return plan;
-}
-
-}  // namespace
-
-ConvLayerPlan ConvLayerPlan::build_exact(int oc, int ic, int kernel, int ih,
-                                         int iw,
-                                         std::vector<std::int32_t> weights,
-                                         std::vector<std::int64_t> biases) {
-  ConvLayerPlan plan = conv_geometry(oc, ic, kernel, ih, iw);
-  check_count(weights.size(), oc, plan.cols, "ConvLayerPlan weights");
-  plan.exact = true;
-  plan.weights = std::move(weights);
-  plan.biases = std::move(biases);
-  return plan;
-}
-
-ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
-                                       int iw, int k,
-                                       std::vector<AsmWeight> asm_weights,
-                                       std::vector<AsmStep> steps,
-                                       std::vector<std::int64_t> biases) {
-  ConvLayerPlan plan = conv_geometry(oc, ic, kernel, ih, iw);
   check_count(asm_weights.size(), oc, plan.cols, "ConvLayerPlan schedules");
   plan.k = k;
   plan.biases = std::move(biases);
+  // Patch column c, in (ic, ky, kx) order, reads input element
+  // (channel · ih + ky) · iw + kx at output position (0,0).
   const auto elems = static_cast<std::uint32_t>(plan.input_elems());
   build_groups(plan, oc, plan.cols, asm_weights, steps,
                [&](int c, std::uint8_t lane) {
-                 return lane * elems +
-                        plan.patch_elems[static_cast<std::size_t>(c)];
+                 const int channel = c / (kernel * kernel);
+                 const int ky = (c / kernel) % kernel;
+                 const int kx = c % kernel;
+                 return lane * elems + static_cast<std::uint32_t>(
+                                           (channel * ih + ky) * iw + kx);
                });
   return plan;
 }
@@ -203,9 +162,8 @@ template <typename Plan>
 std::int64_t group_bound(const Plan& plan, int rows,
                          std::span<const std::uint8_t> alphabets) {
   const auto k = static_cast<std::size_t>(plan.k);
-  if (plan.exact || !plan.has_input_range() || k < 1 ||
-      alphabets.size() != k || plan.in_min_raw < -kMax ||
-      plan.in_max_raw > kMax) {
+  if (!plan.has_input_range() || k < 1 || alphabets.size() != k ||
+      plan.in_min_raw < -kMax || plan.in_max_raw > kMax) {
     return kInt32RowOverflow;
   }
   // X · max(alphabets), the largest staged slot.

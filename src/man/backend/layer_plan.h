@@ -161,23 +161,22 @@ struct ConvTileShape {
   int col_vecs = 0;  ///< vector column groups per tile
 };
 
-/// What both plan kinds share: the exact path's weights, the biases,
-/// the ASM path's (shift, sign) groups and the staging window. Plans
-/// are built once per layer when a network is lowered (owned arrays —
+/// What both plan kinds share: the alphabet count, the biases, the
+/// (shift, sign) groups and the staging window. Every synapse stage
+/// has one: a conventional (exact-multiplier) layer is an ASM layer
+/// over the full alphabet set, which encodes every quartet. Plans are
+/// built once per layer when a network is lowered (owned arrays —
 /// they cannot dangle into engine internals) or reconstructed from an
 /// mmap'ed plan artifact (borrowed arrays pointing into the mapping,
 /// which the loading engine keeps alive).
 struct GroupedPlan {
-  int k = 0;           ///< alphabet count (bank outputs per input)
-  bool exact = false;  ///< conventional layer: use `weights`, no groups
+  int k = 0;  ///< alphabet count (bank outputs per input)
 
-  /// Exact path: quantized weights, row-major rows × cols.
-  PlanArray<std::int32_t> weights;
-  /// Biases at product scale, one per row (both paths).
+  /// Biases at product scale, one per row.
   PlanArray<std::int64_t> biases;
 
-  /// ASM path, grouped terms (every backend walks these). Row r owns
-  /// groups [row_groups[r], row_groups[r+1]), group g owns terms
+  /// Grouped terms (every backend walks these). Row r owns groups
+  /// [row_groups[r], row_groups[r+1]), group g owns terms
   /// [group_begin[g], group_begin[g+1]) and adds
   /// (Σ multiples[idx[t]]) << shifts[g], subtracted when
   /// sign_masks[g] is -1. build_asm() orders a row's groups by
@@ -222,11 +221,6 @@ struct DenseLayerPlan : GroupedPlan {
     return slot < padded_multiples() ? static_cast<int>(slot % k) : -1;
   }
 
-  /// Builds the plan for one exact (conventional-multiplier) layer.
-  [[nodiscard]] static DenseLayerPlan build_exact(
-      int rows, int cols, std::vector<std::int32_t> weights,
-      std::vector<std::int64_t> biases);
-
   /// Builds the plan for one ASM layer from the compiled schedule,
   /// which it consumes: `asm_weights` has rows × cols entries whose
   /// steps index `steps`; `k` is the bank's alphabet count. Throws
@@ -247,10 +241,6 @@ struct DenseLayerPlan : GroupedPlan {
 /// every output position with the same lane, so consecutive positions
 /// read consecutive slots — vector kernels use plain loads where an
 /// element-major layout would need gathers.
-///
-/// Exact (conventional-multiplier) convs multiply quantized weights
-/// (oc × cols) by the activations at `patch_elems` plus the position
-/// base.
 struct ConvLayerPlan : GroupedPlan {
   int oc = 0;          ///< filters / output channels
   int ic = 0;          ///< input channels
@@ -258,10 +248,6 @@ struct ConvLayerPlan : GroupedPlan {
   int ih = 0, iw = 0;  ///< input geometry (per channel)
   int oh = 0, ow = 0;  ///< output geometry (= ih-K+1, iw-K+1)
   int cols = 0;        ///< patch size ic·K·K
-
-  /// Input element offset of each patch column at output position
-  /// (0,0), in (ic, ky, kx) order.
-  PlanArray<std::uint32_t> patch_elems;
 
   /// The fixed register tiles of the vector conv kernels
   /// (vector_kernels.cpp static_asserts its own against these),
@@ -306,12 +292,6 @@ struct ConvLayerPlan : GroupedPlan {
                : -1;
   }
 
-  /// Builds the plan for one exact (conventional-multiplier) conv.
-  /// `weights` is oc × ic × K × K row-major (the Conv2D layout).
-  [[nodiscard]] static ConvLayerPlan build_exact(
-      int oc, int ic, int kernel, int ih, int iw,
-      std::vector<std::int32_t> weights, std::vector<std::int64_t> biases);
-
   /// Builds the plan for one ASM conv from the compiled schedule,
   /// which it consumes: `asm_weights` has oc × ic·K·K entries whose
   /// steps index `steps`; `k` is the bank's alphabet count. Throws
@@ -342,10 +322,10 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
 /// position.
 ///
 /// Returns the largest B_r, or X · max(alphabets) when a staged slot
-/// is larger, saturated at kInt32RowOverflow; exact plans, plans
-/// without a staging window, shifts outside [0, 30] and slots without
-/// a lane give kInt32RowOverflow. A plan fits int32 lanes when the
-/// result is at most INT32_MAX. O(plan terms); derived, never
+/// is larger, saturated at kInt32RowOverflow; plans without a staging
+/// window, shifts outside [0, 30] and slots without a lane give
+/// kInt32RowOverflow. A plan fits int32 lanes when the result is at
+/// most INT32_MAX. O(plan terms); derived, never
 /// serialized.
 [[nodiscard]] std::int64_t int32_row_bound(
     const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);

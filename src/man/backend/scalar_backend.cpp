@@ -80,21 +80,6 @@ class ScalarBackend final : public KernelBackend {
     }
   }
 
-  void exact_dense(const DenseLayerPlan& plan,
-                   const std::int64_t* activations,
-                   std::int64_t* out) const override {
-    for (int o = 0; o < plan.rows; ++o) {
-      const std::int32_t* wrow =
-          &plan.weights[static_cast<std::size_t>(o) * plan.cols];
-      std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
-      for (int i = 0; i < plan.cols; ++i) {
-        acc += static_cast<std::int64_t>(wrow[i]) *
-               activations[static_cast<std::size_t>(i)];
-      }
-      out[o] = acc;
-    }
-  }
-
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
@@ -107,30 +92,6 @@ class ScalarBackend final : public KernelBackend {
     // The same walk over int32 slots, accumulated in int64 — the oracle
     // needs no overflow proof.
     conv_walk(plan, multiples, out);
-  }
-
-  void exact_conv(const ConvLayerPlan& plan,
-                  const std::int64_t* activations,
-                  std::int64_t* out) const override {
-    const std::size_t positions = plan.positions();
-    for (int r = 0; r < plan.oc; ++r) {
-      const std::int32_t* wrow =
-          &plan.weights[static_cast<std::size_t>(r) * plan.cols];
-      for (int oy = 0; oy < plan.oh; ++oy) {
-        for (int ox = 0; ox < plan.ow; ++ox) {
-          const std::size_t elem_base =
-              static_cast<std::size_t>(oy) * plan.iw + ox;
-          std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
-          for (int c = 0; c < plan.cols; ++c) {
-            acc += static_cast<std::int64_t>(wrow[c]) *
-                   activations[plan.patch_elems[static_cast<std::size_t>(c)] +
-                               elem_base];
-          }
-          out[static_cast<std::size_t>(r) * positions +
-              static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
-        }
-      }
-    }
   }
 };
 

@@ -4,36 +4,12 @@
 // CPUID reports it; avx512 runs AVX-512F/VL, else AVX2. Each picks the
 // widest tier at or below its cap that the CPU runs (vector_kernels())
 // once, and each method is one call into that tier's kernels, so no
-// method runs AVX code before the CPUID check. The exact paths run the
-// blocked loops below on every tier.
+// method runs AVX code before the CPUID check.
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
 
 namespace {
-
-/// Σ_c weights[c] · value(c) over `cols` columns in four independent
-/// accumulators, which the compiler can keep in one vector (integer
-/// addition commutes, so the result is bit-identical to the
-/// sequential reference).
-template <typename Value>
-std::int64_t blocked_dot(const std::int32_t* weights, int cols,
-                         Value value) {
-  constexpr int kBlock = 4;
-  std::int64_t lanes[kBlock] = {};
-  const int main = cols / kBlock * kBlock;
-  for (int c = 0; c < main; c += kBlock) {
-    for (int l = 0; l < kBlock; ++l) {
-      lanes[l] += static_cast<std::int64_t>(weights[c + l]) * value(c + l);
-    }
-  }
-  std::int64_t acc = 0;
-  for (const std::int64_t lane : lanes) acc += lane;
-  for (int c = main; c < cols; ++c) {
-    acc += static_cast<std::int64_t>(weights[c]) * value(c);
-  }
-  return acc;
-}
 
 class VectorBackend final : public KernelBackend {
  public:
@@ -61,16 +37,6 @@ class VectorBackend final : public KernelBackend {
     kernels_.dense_tile(plan, tile, out);
   }
 
-  void exact_dense(const DenseLayerPlan& plan,
-                   const std::int64_t* activations,
-                   std::int64_t* out) const override {
-    for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-      out[r] = plan.biases[r] +
-               blocked_dot(&plan.weights[r * plan.cols], plan.cols,
-                           [&](int c) { return activations[c]; });
-    }
-  }
-
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
@@ -81,25 +47,6 @@ class VectorBackend final : public KernelBackend {
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
     kernels_.conv_int32(plan, multiples, out);
-  }
-
-  void exact_conv(const ConvLayerPlan& plan,
-                  const std::int64_t* activations,
-                  std::int64_t* out) const override {
-    const std::size_t positions = plan.positions();
-    const std::uint32_t* elems = plan.patch_elems.data();
-    for (int oy = 0; oy < plan.oh; ++oy) {
-      for (int ox = 0; ox < plan.ow; ++ox) {
-        const std::size_t base = static_cast<std::size_t>(oy) * plan.iw + ox;
-        const std::size_t p = static_cast<std::size_t>(oy) * plan.ow + ox;
-        for (std::size_t r = 0; r < static_cast<std::size_t>(plan.oc); ++r) {
-          out[r * positions + p] =
-              plan.biases[r] +
-              blocked_dot(&plan.weights[r * plan.cols], plan.cols,
-                          [&](int c) { return activations[elems[c] + base]; });
-        }
-      }
-    }
   }
 
  private:

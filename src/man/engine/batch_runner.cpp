@@ -41,19 +41,19 @@ BatchRunner::BatchRunner(const FixedNetwork& network, BatchOptions options)
 void BatchRunner::run_sharded(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t, EngineStats&,
-                             FixedNetwork::InferScratch&)>& fn) {
+                             ScratchSlot&)>& fn) {
   if (count == 0) return;
 
   const std::size_t shards = std::min<std::size_t>(
       static_cast<std::size_t>(workers_),
       (count + min_samples_per_worker_ - 1) / min_samples_per_worker_);
-  // Default-constructed slots serve as they are: a scratch holds only
-  // buffers, which the first infer call sizes.
+  // Default-constructed slots serve as they are: a slot holds only
+  // buffers, which the first call sizes.
   if (scratches_.size() < shards) scratches_.resize(shards);
 
   if (shards <= 1) {
     EngineStats local = network_->make_stats();
-    fn(0, count, local, scratches_[0].scratch);
+    fn(0, count, local, scratches_[0]);
     stats_.merge(local);
     return;
   }
@@ -96,7 +96,7 @@ void BatchRunner::run_sharded(
       for (std::size_t r;
            (r = next_range.fetch_add(1, std::memory_order_relaxed)) <
            ranges;) {
-        fn(bounds[r], bounds[r + 1], local, scratches_[w].scratch);
+        fn(bounds[r], bounds[r + 1], local, scratches_[w]);
       }
       shard_stats[w] = std::move(local);
     }));
@@ -130,12 +130,11 @@ void BatchRunner::run(std::span<const float> inputs,
   // Each range goes to the engine in one call, so its full batch tiles
   // form inside it.
   run_sharded(count, [&](std::size_t begin, std::size_t end,
-                         EngineStats& stats,
-                         FixedNetwork::InferScratch& scratch) {
+                         EngineStats& stats, ScratchSlot& slot) {
     network_->infer_batch(
         inputs.subspan(begin * in_size, (end - begin) * in_size),
         outputs.subspan(begin * out_size, (end - begin) * out_size), stats,
-        scratch, *kernel_);
+        slot.scratch, *kernel_);
   });
 }
 
@@ -160,16 +159,31 @@ std::vector<int> BatchRunner::predict(std::span<const float> inputs) {
 
 std::vector<int> BatchRunner::predict(
     std::span<const man::data::Example> examples) {
+  const std::size_t in_size = network_->input_size();
   const std::size_t out_size = network_->output_size();
+  for (const man::data::Example& example : examples) {
+    if (example.pixels.size() != in_size) {
+      throw std::invalid_argument(
+          "BatchRunner: example has " + std::to_string(example.pixels.size()) +
+          " pixels, engine expects " + std::to_string(in_size));
+    }
+  }
   std::vector<int> predictions(examples.size());
   run_sharded(examples.size(), [&](std::size_t begin, std::size_t end,
-                                   EngineStats& stats,
-                                   FixedNetwork::InferScratch& scratch) {
-    scratch.raw_out.resize(out_size);  // per-shard, reused across samples
+                                   EngineStats& stats, ScratchSlot& slot) {
+    // The range's pixels, contiguous, so it runs as run() would.
+    slot.pixels.clear();
     for (std::size_t i = begin; i < end; ++i) {
-      network_->infer_into(examples[i].pixels, scratch.raw_out, stats,
-                           scratch, *kernel_);
-      predictions[i] = argmax_raw(scratch.raw_out);
+      slot.pixels.insert(slot.pixels.end(), examples[i].pixels.begin(),
+                         examples[i].pixels.end());
+    }
+    slot.raw.resize((end - begin) * out_size);
+    network_->infer_batch(slot.pixels, slot.raw, stats, slot.scratch,
+                          *kernel_);
+    const std::span<const std::int64_t> raw(slot.raw);
+    for (std::size_t i = begin; i < end; ++i) {
+      predictions[i] =
+          argmax_raw(raw.subspan((i - begin) * out_size, out_size));
     }
   });
   return predictions;

@@ -100,7 +100,9 @@ class BatchRunner {
   /// Argmax predictions for a contiguous batch.
   [[nodiscard]] std::vector<int> predict(std::span<const float> inputs);
 
-  /// Argmax predictions for a dataset split (one sample per Example).
+  /// Argmax predictions for a dataset split (one sample per Example):
+  /// each range's pixels are gathered contiguously and run like run()'s,
+  /// so its full batch tiles form.
   [[nodiscard]] std::vector<int> predict(
       std::span<const man::data::Example> examples);
 
@@ -114,32 +116,37 @@ class BatchRunner {
   void reset_stats() noexcept { stats_.reset(); }
 
  private:
+  /// One shard slot's buffers, kept across calls (the runner is not
+  /// re-entrant, so slot w belongs to shard w of the current call):
+  /// they are sized once, not per call. Each slot owns its cache
+  /// lines: the hot loops write the vector headers, which would
+  /// otherwise falsely share with a neighbour's.
+  struct alignas(128) ScratchSlot {
+    FixedNetwork::InferScratch scratch;
+    /// A range of Examples' pixels gathered contiguously, and the
+    /// range's outputs (the Example path).
+    std::vector<float> pixels;
+    std::vector<std::int64_t> raw;
+  };
+
   /// Splits [0, count) into contiguous shards and each shard into
   /// ranges of one dense tile (the last range of a shard takes its
   /// remainder), runs one task per shard on the pool that calls
-  /// fn(begin, end, stats, scratch) on the next unclaimed range until
+  /// fn(begin, end, stats, slot) on the next unclaimed range until
   /// none is left, then merges the tasks' stats (in shard order) into
-  /// stats_. Tasks share only the engine, read-only; stats and scratch
+  /// stats_. Tasks share only the engine, read-only; stats and slot
   /// are per task. Rethrows the first task exception after every task
   /// has finished.
   void run_sharded(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t, EngineStats&,
-                               FixedNetwork::InferScratch&)>& fn);
+                               ScratchSlot&)>& fn);
 
   const FixedNetwork* network_;
   const man::backend::KernelBackend* kernel_;
   int workers_;
   std::size_t min_samples_per_worker_;
   std::shared_ptr<man::serve::ThreadPool> pool_;
-  /// One scratch per shard slot, kept across calls (the runner is not
-  /// re-entrant, so slot w belongs to shard w of the current call):
-  /// its buffers are sized once, not per call.
-  /// Each slot owns its cache lines: the hot loops write the vector
-  /// headers, which would otherwise falsely share with a neighbour's.
-  struct alignas(128) ScratchSlot {
-    FixedNetwork::InferScratch scratch;
-  };
   std::vector<ScratchSlot> scratches_;
   EngineStats stats_;
 };

@@ -29,7 +29,7 @@ man::fixed::QFormat accumulator_format(const man::nn::QuantSpec& spec) {
       30, spec.weight_format.frac_bits() + spec.activation_format.frac_bits());
 }
 
-// Every ASM stage fed activation-format values stages from a table
+// Every synapse stage fed activation-format values stages from a table
 // over the format's raw range, so that range must fit one.
 void require_table_window(const man::nn::QuantSpec& spec) {
   const auto& afmt = spec.activation_format;
@@ -73,8 +73,8 @@ constexpr std::size_t kTile = man::backend::kDenseTile;
 //
 // An epilogue sweep reads a boundary's inputs through a Source, applies
 // its segment's LUTs and pool, and hands each value on to a Sink: the
-// next stage's staged bank outputs in that stage's layout, or int64
-// activations.
+// next stage's staged bank outputs in that stage's layout, a segment
+// hand-off, or the output.
 
 // The input image, quantized to the activation format as it is read
 // (the format by value, so no store of the sweep can alias it).
@@ -94,8 +94,8 @@ struct ValueSource {
   }
 };
 
-// int64 activations at their own index: an exact stage's input, a
-// segment hand-off or one sample's output.
+// int64 values at their own index: a segment hand-off or one sample's
+// output.
 struct ValueSink {
   std::int64_t* out;
   [[gnu::always_inline]] void operator()(std::size_t o,
@@ -297,24 +297,23 @@ void timed_phase(PhaseProfile* profile, double PhaseProfile::*field,
   profile->*field += watch.seconds();
 }
 
-bool is_exact(const CompiledSynapse& syn) {
-  return syn.scheme.multiplier == MultiplierKind::kExact;
-}
-
-// One synapse layer, lowered: quantized weights for an exact plan, or
-// each weight's select/shift schedule for build_asm(), which consumes
-// it; biases at product scale. Transient: lower() builds the layer's
-// plan from it before it lowers the next layer.
+// One synapse layer, lowered: each weight's select/shift schedule for
+// build_asm(), which consumes it; biases at product scale. Transient:
+// lower() builds the layer's plan from it before it lowers the next
+// layer.
 struct SynapseSchedule {
-  std::vector<std::int32_t> quantized;  ///< exact schemes only
   std::vector<man::backend::AsmWeight> encoded;
   std::vector<man::backend::AsmStep> steps;
   std::vector<std::int64_t> biases;
 };
 
-// Quantizes (and, under an ASM scheme, constrains) every weight of one
-// synapse layer and encodes it into quartet steps, pricing `syn`'s
-// static per-inference activity from the schedule as it goes.
+// Quantizes and constrains every weight of one synapse layer and
+// encodes it into quartet steps, pricing `syn`'s static per-inference
+// activity from the schedule as it goes. A conventional layer encodes
+// over the full set, under which the constraint is the identity and
+// every quartet has an alphabet, so its plan computes W·I exactly; it
+// is priced structurally as the multiplier it stands for: accumulator
+// adds only, and the bank never fires.
 SynapseSchedule lower_synapse(CompiledSynapse& syn,
                               const man::nn::QuantSpec& spec, int lanes,
                               std::span<const float> weights,
@@ -338,14 +337,7 @@ SynapseSchedule lower_synapse(CompiledSynapse& syn,
   // Static per-inference op counts (the accumulator add per MAC).
   OpCounts& ops = syn.ops_per_inference;
   ops.adds = macs;
-  if (is_exact(syn)) {
-    // The multiplier is priced structurally; the bank never fires.
-    schedule.quantized.reserve(weights.size());
-    for (float w : weights) {
-      schedule.quantized.push_back(wfmt.quantize(static_cast<double>(w)));
-    }
-    return schedule;
-  }
+  const bool exact = syn.scheme.multiplier == MultiplierKind::kExact;
 
   const WeightConstraint constraint(layout, set);
   const auto alphabets = set.alphabets();
@@ -378,6 +370,7 @@ SynapseSchedule lower_synapse(CompiledSynapse& syn,
       ++compiled.step_count;
     }
     schedule.encoded.push_back(compiled);
+    if (exact) continue;
 
     // Per-fire activity of this weight.
     ops.selects += compiled.step_count * fires_per_weight;
@@ -387,6 +380,7 @@ SynapseSchedule lower_synapse(CompiledSynapse& syn,
     }
     if (compiled.negative) ops.negates += fires_per_weight;
   }
+  if (exact) return schedule;
 
   // Hardware bank firings: the bank serves `lanes` neurons at a time,
   // re-streaming the inputs for each neuron group (Fig 3).
@@ -476,16 +470,10 @@ FixedNetwork::Lowered FixedNetwork::lower(man::nn::Network& network,
       SynapseSchedule s = lower_synapse(
           stage.synapse, spec, lanes, dense->weights(), dense->biases(),
           static_cast<std::uint64_t>(stage.in) * stage.out, stage.out);
-      using man::backend::DenseLayerPlan;
       out.plans.push_back(with_window(
-          is_exact(stage.synapse)
-              ? DenseLayerPlan::build_exact(stage.out, stage.in,
-                                            std::move(s.quantized),
-                                            std::move(s.biases))
-              : DenseLayerPlan::build_asm(
-                    stage.out, stage.in, alphabet_count(stage.synapse),
-                    std::move(s.encoded), std::move(s.steps),
-                    std::move(s.biases)),
+          man::backend::DenseLayerPlan::build_asm(
+              stage.out, stage.in, alphabet_count(stage.synapse),
+              std::move(s.encoded), std::move(s.steps), std::move(s.biases)),
           spec));
       out.model.stages.emplace_back(std::move(stage));
     } else if (auto* conv = dynamic_cast<man::nn::Conv2D*>(&layer)) {
@@ -496,17 +484,11 @@ FixedNetwork::Lowered FixedNetwork::lower(man::nn::Network& network,
       SynapseSchedule s = lower_synapse(
           stage.synapse, spec, lanes, conv->weights(), conv->biases(),
           conv->macs_per_inference(), stage.oc);
-      using man::backend::ConvLayerPlan;
       out.conv_plans.push_back(with_window(
-          is_exact(stage.synapse)
-              ? ConvLayerPlan::build_exact(stage.oc, stage.ic, stage.k,
-                                           stage.ih, stage.iw,
-                                           std::move(s.quantized),
-                                           std::move(s.biases))
-              : ConvLayerPlan::build_asm(
-                    stage.oc, stage.ic, stage.k, stage.ih, stage.iw,
-                    alphabet_count(stage.synapse), std::move(s.encoded),
-                    std::move(s.steps), std::move(s.biases)),
+          man::backend::ConvLayerPlan::build_asm(
+              stage.oc, stage.ic, stage.k, stage.ih, stage.iw,
+              alphabet_count(stage.synapse), std::move(s.encoded),
+              std::move(s.steps), std::move(s.biases)),
           spec));
       out.model.stages.emplace_back(std::move(stage));
     } else if (auto* pool = dynamic_cast<man::nn::AvgPool2D*>(&layer)) {
@@ -547,11 +529,20 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   // Lowering gives every plan the activation format's window; the
   // int32 tile proof bounds the staged inputs by it.
   const auto window = staging_window();
+  // A plan stages k bank outputs per input, one per lane of its
+  // synapse's bank, whose table rows are that many lanes wide.
   const auto check_plan = [&](const auto& plan, const CompiledSynapse& syn,
                               bool geometry_matches, const char* kind) {
-    if (!geometry_matches || plan.exact != is_exact(syn)) {
+    if (!geometry_matches) {
       throw std::invalid_argument(std::string("FixedNetwork: ") + kind +
                                   " plan disagrees with its stage descriptor");
+    }
+    if (static_cast<std::size_t>(plan.k) !=
+        syn.scheme.effective_alphabets().size()) {
+      throw std::invalid_argument(
+          std::string("FixedNetwork: ") + kind + " plan stages " +
+          std::to_string(plan.k) + " alphabets, its bank has " +
+          std::to_string(syn.scheme.effective_alphabets().size()));
     }
     if (plan.in_min_raw != window.first || plan.in_max_raw != window.second) {
       throw std::invalid_argument(
@@ -681,16 +672,12 @@ void FixedNetwork::link_epilogues() {
       if (seg.post != kNone) epilogue.lut_values += seg.out_size;
       pools = pools || seg.pool != kNone;
     }
-    epilogue.stages = stage < model_.stages.size() &&
-                      !is_exact(*synapse_of(model_.stages[stage]));
     if (pools) {
       epilogue.phase = &PhaseProfile::pool_s;
     } else if (epilogue.lut_values > 0) {
       epilogue.phase = &PhaseProfile::lut_s;
-    } else if (epilogue.stages || !epilogues_.empty()) {
-      epilogue.phase = &PhaseProfile::staging_s;
     } else {
-      epilogue.phase = &PhaseProfile::quantize_s;  // an exact first stage
+      epilogue.phase = &PhaseProfile::staging_s;
     }
     epilogues_.push_back(std::move(epilogue));
     epilogue = Epilogue{};
@@ -732,12 +719,11 @@ bool FixedNetwork::input_in_window(std::size_t stage_index) const {
 
 void FixedNetwork::plan_int32_lanes() {
   // Where a batch tile forms: the first dense stage of the longest
-  // trailing run of LUT stages and ASM dense stages whose plans fit
-  // int32 lanes (the MLP's whole network, LeNet's fully connected
-  // tail; exact plans never fit). The proof assumes every input lies
-  // in the staging window, so a dense stage fed raw accumulators ends
-  // the run too. Everything before the run stays per sample on the
-  // int64 kernels.
+  // trailing run of LUT stages and dense stages whose plans fit int32
+  // lanes (the MLP's whole network, LeNet's fully connected tail). The
+  // proof assumes every input lies in the staging window, so a dense
+  // stage fed raw accumulators ends the run too. Everything before the
+  // run stays per sample on the int64 kernels.
   tile_begin_ = stages_.size();
   for (std::size_t i = stages_.size(); i-- > 0;) {
     if (std::holds_alternative<CompiledDenseStage>(model_.stages[i])) {
@@ -779,10 +765,7 @@ void FixedNetwork::build_tables() {
   const auto [in_min, in_max] = staging_window();
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     auto* syn = std::get_if<SynapseStage>(&stages_[i]);
-    if (syn == nullptr || is_exact(*synapse_of(model_.stages[i])) ||
-        !input_in_window(i)) {
-      continue;
-    }
+    if (syn == nullptr || !input_in_window(i)) continue;
     syn->table.emplace(syn->bank);
     syn->table->configure_range(in_min, in_max);
   }
@@ -936,7 +919,9 @@ void FixedNetwork::run_epilogue(std::size_t j, std::size_t samples,
   });
   if (profile != nullptr) {
     profile->lut_values += epilogue.lut_values * samples;
-    if (epilogue.stages) profile->staged_values += epilogue.out_size * samples;
+    if (epilogue.stage < stages_.size()) {  // feeds a stage's staging
+      profile->staged_values += epilogue.out_size * samples;
+    }
   }
 }
 
@@ -968,24 +953,13 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
     if (const auto* dense =
             std::get_if<CompiledDenseStage>(&model_.stages[si])) {
       const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
-      if (plan.exact) {
-        feed(j, pixels,
-             ValueSink{sized(scratch.values, epilogues_[j].out_size)},
-             scratch);
-      } else {
-        feed(j, pixels,
-             DenseSink{rows,
-                       sized(scratch.multiples, plan.padded_multiples()),
-                       static_cast<std::size_t>(plan.k)},
-             scratch);
-      }
+      feed(j, pixels,
+           DenseSink{rows, sized(scratch.multiples, plan.padded_multiples()),
+                     static_cast<std::size_t>(plan.k)},
+           scratch);
       std::int64_t* out = sized(acc, static_cast<std::size_t>(dense->out));
       timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-        if (plan.exact) {
-          kernel.exact_dense(plan, scratch.values.data(), out);
-        } else {
-          kernel.accumulate_dense(plan, scratch.multiples.data(), out);
-        }
+        kernel.accumulate_dense(plan, scratch.multiples.data(), out);
       });
       charge_synapse(stats.layers[j], dense->synapse, 1);
     } else {
@@ -994,9 +968,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
       const auto k = static_cast<std::size_t>(plan.k);
       const std::size_t stride = epilogues_[j].out_size;
       const std::size_t slots = plan.padded_multiples();
-      if (plan.exact) {
-        feed(j, pixels, ValueSink{sized(scratch.values, stride)}, scratch);
-      } else if (conv_int32_lanes_[syn.plan_index]) {
+      if (conv_int32_lanes_[syn.plan_index]) {
         feed(j, pixels,
              LaneMajorSink<std::int32_t>{
                  rows, sized(scratch.multiples32, slots), k, stride},
@@ -1010,9 +982,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
       std::int64_t* out =
           sized(acc, static_cast<std::size_t>(conv.oc) * conv.oh * conv.ow);
       timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-        if (plan.exact) {
-          kernel.exact_conv(plan, scratch.values.data(), out);
-        } else if (conv_int32_lanes_[syn.plan_index]) {
+        if (conv_int32_lanes_[syn.plan_index]) {
           kernel.accumulate_conv_int32(plan, scratch.multiples32.data(), out);
         } else {
           kernel.accumulate_conv(plan, scratch.multiples.data(), out);
@@ -1030,7 +1000,7 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
   PhaseProfile* const profile = scratch.profile;
   const std::size_t synapses = epilogues_.size() - 1;
   for (std::size_t j = tile_synapse_begin_; j < synapses; ++j) {
-    // Every synapse stage from the tile on is an ASM dense stage that
+    // Every synapse stage from the tile on is a dense stage that
     // fits int32 lanes, fed from the staging window
     // (plan_int32_lanes), so its epilogue holds LUTs and no pool.
     const std::size_t si = epilogues_[j].stage;

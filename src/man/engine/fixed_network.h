@@ -3,15 +3,17 @@
 // multiplier datapaths, with per-layer alphabet schemes.
 //
 // The engine is built from a trained (and, for ASM schemes, projected)
-// float network. Weights are quantized to the QuantSpec grid and — for
-// ASM/MAN layers — constrained to the layer's alphabet set; each
-// weight's select/shift schedule is precompiled so inference costs a
-// few adds per MAC, exactly mirroring the hardware datapath:
+// float network. Weights are quantized to the QuantSpec grid and
+// constrained to the layer's alphabet set; each weight's select/shift
+// schedule is precompiled so inference costs a few adds per MAC,
+// exactly mirroring the hardware datapath:
 //
 //   product(w, x) = (-1)^sign(w) · Σ_quartets (a_q · x) << s_q
 //
 // where a_q·x comes off the shared pre-computer bank (computed once
-// per input value, as in the CSHM unit of Fig 3).
+// per input value, as in the CSHM unit of Fig 3). A conventional layer
+// runs the same datapath over the full set {1,3,…,15}, which encodes
+// every quartet, so it computes W·I exactly (Table I).
 #ifndef MAN_ENGINE_FIXED_NETWORK_H
 #define MAN_ENGINE_FIXED_NETWORK_H
 
@@ -55,11 +57,12 @@ namespace man::engine {
 /// epilogue sweep per stage boundary, charged whole to one field: a
 /// sweep that pools to pool_s, else one that applies a LUT to lut_s,
 /// else one that stages bank outputs (input quantization included) to
-/// staging_s, and the input quantization of an engine whose first
-/// stage is exact to quantize_s. So the five fields cover the whole
+/// staging_s. So kernel_s, staging_s, lut_s and pool_s cover the whole
 /// forward pass. Attach to InferScratch::profile to collect;
 /// bench_fig9_energy and perfbench print the split.
 struct PhaseProfile {
+  /// Always 0: every first stage stages its quantized pixels, which
+  /// goes to staging_s. Kept because perfbench reports it.
   double quantize_s = 0.0;
   double staging_s = 0.0;
   double kernel_s = 0.0;
@@ -131,7 +134,7 @@ class FixedNetwork {
   /// std::invalid_argument on a descriptor that would read past its
   /// input (pool geometry, activation kind, lanes, activation format)
   /// or when plans and descriptors disagree (count, geometry, staging
-  /// window, or exact/ASM mode).
+  /// window, or a plan's alphabet count k against its synapse's bank).
   FixedNetwork(const CompiledModel& model,
                std::vector<man::backend::DenseLayerPlan> plans,
                std::vector<man::backend::ConvLayerPlan> conv_plans,
@@ -166,12 +169,10 @@ class FixedNetwork {
   struct InferScratch {
     /// The last synapse stage's accumulators, per sample.
     std::vector<std::int64_t> acc;
-    /// int64 activations: an exact stage's input.
-    std::vector<std::int64_t> values;
     /// Hand-off between the segments of a boundary with more than one
     /// pool or two LUTs in a row (see Epilogue).
     std::vector<std::int64_t> hops[2];
-    /// An ASM stage's bank outputs in int64 slots: k-strided
+    /// A synapse stage's bank outputs in int64 slots: k-strided
     /// element-major for dense stages, lane-major for conv stages on
     /// int64 lanes.
     std::vector<std::int64_t> multiples;
@@ -182,9 +183,6 @@ class FixedNetwork {
     /// and its accumulators (row r of sample b at [r·kDenseTile + b]).
     std::vector<std::int32_t> tile_multiples;
     std::vector<std::int64_t> tile_acc;
-    /// Output staging for callers that loop infer_into per sample
-    /// (e.g. BatchRunner's Example path) without re-allocating.
-    std::vector<std::int64_t> raw_out;
     /// Non-null: infer_into() times its phases into this (adds two
     /// clock reads per kernel and per stage boundary — leave null on
     /// hot paths).
@@ -268,13 +266,13 @@ class FixedNetwork {
   }
 
   /// First stage of the batch tile: the start of the trailing run of
-  /// LUT stages and ASM dense stages whose plans fit int32 lanes
+  /// LUT stages and dense stages whose plans fit int32 lanes
   /// (man::backend::int32_row_bound) and whose inputs lie in the
   /// staging window; the stage count when no tile forms.
   [[nodiscard]] std::size_t tile_begin() const noexcept { return tile_begin_; }
 
   /// Whether conv_plans()[conv_index] runs on int32 lanes
-  /// (KernelBackend::accumulate_conv_int32): an ASM plan whose rows
+  /// (KernelBackend::accumulate_conv_int32): a plan whose rows
   /// fit int32 (man::backend::int32_row_bound) and whose inputs lie in
   /// the staging window. Other conv plans run the int64
   /// accumulate_conv.
@@ -307,8 +305,8 @@ class FixedNetwork {
     std::size_t plan_index = 0;  ///< into plans_ or conv_plans_
     man::core::PrecomputerBank bank;
     /// The bank's outputs over the staging window, filled once by
-    /// build_tables() and read by every worker; empty for exact stages
-    /// and for stages fed raw accumulators, which stage from `bank`.
+    /// build_tables() and read by every worker; empty for stages fed
+    /// raw accumulators, which stage from `bank`.
     std::optional<man::core::PrecomputerCache> table;
   };
   struct LutStage {
@@ -332,17 +330,16 @@ class FixedNetwork {
   /// The LUT and pool stages between two synapse stages (or before the
   /// first, or after the last), run as one pass from the producer's
   /// accumulators (or the input pixels, quantized) straight into the
-  /// consumer's input layout: its staged bank outputs, an exact
-  /// stage's int64 activations, or the output. A run holding two pools
-  /// or two LUTs in a row splits into several segments, handed on
-  /// through InferScratch::hops; every model the apps build has one.
+  /// consumer's input layout: its staged bank outputs, or the output.
+  /// A run holding two pools or two LUTs in a row splits into several
+  /// segments, handed on through InferScratch::hops; every model the
+  /// apps build has one.
   struct Epilogue {
     /// The synapse stage it feeds; stages_.size() for the output.
     std::size_t stage = 0;
     std::vector<Segment> segments;  ///< at least one
     std::size_t out_size = 0;       ///< values handed on per sample
     std::uint64_t lut_values = 0;   ///< apply_raw calls per sample
-    bool stages = false;            ///< feeds an ASM stage's staging
     /// The one PhaseProfile field the sweep is charged to.
     double PhaseProfile::*phase = nullptr;
   };
@@ -356,7 +353,7 @@ class FixedNetwork {
   /// Sets tile_begin_/tile_synapse_begin_ and conv_int32_lanes_ from
   /// the plans.
   void plan_int32_lanes();
-  /// Fills the staging table of every ASM synapse stage whose inputs
+  /// Fills the staging table of every synapse stage whose inputs
   /// lie in the staging window (last, once stages_ is final).
   void build_tables();
   /// True when stage `stage_index`'s inputs are activation-format

@@ -175,6 +175,46 @@ TEST_P(PlanArtifactBitIdentity, LoadedEngineMatchesEveryBackend) {
 INSTANTIATE_TEST_SUITE_P(PaperWidths, PlanArtifactBitIdentity,
                          ::testing::Values(8, 12));
 
+// Conventional engines of the apps' networks are full-alphabet grouped
+// plans like any other: the LeNet CNN (conv stages) and the SVHN MLP
+// (six dense stages, tiled) each round-trip through an artifact, and
+// the loaded engine serves 2·kDenseTile + 3 samples bit-identically on
+// every backend.
+TEST_F(PlanArtifactTest, ConventionalAppEnginesRoundTripBitIdentically) {
+  using man::apps::AppId;
+  for (const AppId id : {AppId::kDigitCnn12, AppId::kSvhnMlp8}) {
+    const auto& app = man::apps::get_app(id);
+    Network net = app.build_network(/*seed=*/21);
+    const FixedNetwork original(
+        net, app.quant(),
+        LayerAlphabetPlan::conventional(net.num_weight_layers()));
+    const std::string file = path("conventional.plan");
+    save_engine(original, file, app.name);
+    const auto loaded = load_engine(file, app.name);
+    EXPECT_EQ(loaded->tile_begin(), original.tile_begin()) << app.name;
+    ASSERT_EQ(loaded->conv_plans().size(), original.conv_plans().size());
+    for (std::size_t c = 0; c < original.conv_plans().size(); ++c) {
+      EXPECT_EQ(loaded->conv_int32_lanes(c), original.conv_int32_lanes(c));
+    }
+
+    const std::size_t count = 2 * man::backend::kDenseTile + 3;
+    const auto pixels = make_pixels(count * original.input_size(), 31);
+    std::vector<std::int64_t> reference(count * original.output_size());
+    auto stats = original.make_stats();
+    auto scratch = original.make_scratch();
+    original.infer_batch(pixels, reference, stats, scratch,
+                         backend_for(BackendKind::kScalar));
+    for (const auto* backend : all_backends()) {
+      std::vector<std::int64_t> raw(reference.size());
+      auto loaded_stats = loaded->make_stats();
+      auto loaded_scratch = loaded->make_scratch();
+      loaded->infer_batch(pixels, raw, loaded_stats, loaded_scratch,
+                          *backend);
+      EXPECT_EQ(raw, reference) << app.name << " backend=" << backend->name();
+    }
+  }
+}
+
 TEST_F(PlanArtifactTest, TruncatedFileRejected) {
   const FixedNetwork engine(compile(make_mlp(1), 8, 4));
   const std::string file = path("engine.plan");
@@ -205,12 +245,14 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
 
 // Older (version 1 still carried the AoS schedule, version 2 the
 // per-plan conv tile shapes, version 3 the dense quartet planes,
-// version 4 the conv ones) and newer formats alike.
+// version 4 the conv ones, version 5 the exact weights and conv patch
+// offsets) and newer formats alike.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
-  static_assert(kArtifactVersion == 5);
+  static_assert(kArtifactVersion == 6);
   const FixedNetwork engine(compile(make_mlp(3), 8, 4));
   const std::string file = path("engine.plan");
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, kArtifactVersion + 1}) {
+  for (const std::uint32_t version :
+       {1u, 2u, 3u, 4u, 5u, kArtifactVersion + 1}) {
     save_engine(engine, file, "key");
     {
       // The version field sits at byte 8, right after the magic.
@@ -308,25 +350,21 @@ TEST_F(PlanArtifactTest, SameNetworkSavesByteIdenticalArtifacts) {
   }
 }
 
-/// The arrays of a plan, in format order: the shared ones of both
-/// kinds, then a conv plan's patch elements.
+/// The arrays of a plan, in format order (both kinds).
 enum Array {
-  kWeights,
   kBiases,
   kRowGroups,
   kGroupBegin,
   kShifts,
   kSigns,
   kIdx,
-  kPatchElems,
   kPlanArrays
 };
 
 /// Where one plan's fields sit in its artifact: the directory's scalar
-/// block (the plan's leading i32/u32 fields, in format order), the
-/// staging window after it, and each array's first byte and element
-/// count, read from the directory's (offset, count) references that
-/// follow.
+/// block (the plan's leading i32 fields, in format order), the staging
+/// window after it, and each array's first byte and element count,
+/// read from the directory's (offset, count) references that follow.
 struct PlanFields {
   std::size_t scalars = 0;
   std::size_t window = 0;  ///< in_min_raw, then in_max_raw
@@ -334,12 +372,21 @@ struct PlanFields {
   std::size_t count[kPlanArrays] = {};
 };
 
+/// Found by the scalars and the window together, which no other
+/// stretch of the file repeats.
 PlanFields locate(const ArtifactBytes& bytes,
-                  const std::vector<std::int32_t>& scalars, int arrays) {
+                  std::vector<std::int32_t> scalars,
+                  const man::backend::GroupedPlan& plan) {
   PlanFields fields;
+  const std::size_t words = scalars.size();
+  for (const std::int64_t bound : {plan.in_min_raw, plan.in_max_raw}) {
+    std::int32_t halves[2];
+    std::memcpy(halves, &bound, sizeof bound);
+    scalars.insert(scalars.end(), halves, halves + 2);
+  }
   fields.scalars = bytes.find(scalars);
-  fields.window = fields.scalars + 4 * scalars.size();
-  for (int a = 0; a < arrays; ++a) {
+  fields.window = fields.scalars + 4 * words;
+  for (int a = 0; a < kPlanArrays; ++a) {
     const std::size_t ref =
         fields.window + 16 + 16 * static_cast<std::size_t>(a);
     fields.at[a] = bytes.get<std::uint64_t>(ref);
@@ -349,22 +396,21 @@ PlanFields locate(const ArtifactBytes& bytes,
 }
 
 PlanFields locate_dense(const ArtifactBytes& bytes, const DenseLayerPlan& p) {
-  return locate(bytes, {p.rows, p.cols, p.k, p.exact ? 1 : 0}, kIdx + 1);
+  return locate(bytes, {p.rows, p.cols, p.k}, p);
 }
 
 PlanFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
   return locate(bytes,
-                {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols, p.k,
-                 p.exact ? 1 : 0},
-                kPlanArrays);
+                {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols, p.k}, p);
 }
 
 // Loader content checks: each field a kernel or the staging indexes
 // with is patched to a value no compiler emits, the checksum is
 // recomputed, and the load must throw SerializationError. Without the
 // checks, inference on such a plan reads past a buffer (term indices
-// and group offsets, a conv term whose reads leave its lane, exact
-// patch offsets, pool windows, an alphabet count beyond the bank's),
+// and group offsets, a conv term whose reads leave its lane, pool
+// windows, an alphabet count other than the bank's — conventional
+// stages' 8 included),
 // shifts by 32 or more or by a negative amount (UB in the int32
 // lanes), lets the backends disagree (sign masks), or feeds the int32
 // proofs a staging window other than the activation format's.
@@ -376,7 +422,10 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
   };
   const FixedNetwork mlp(compile(make_mlp(8), 8, 4));
   const FixedNetwork cnn(compile(make_cnn(9), 8, 4));
+  const FixedNetwork mlp_exact(compile(make_mlp(8), 8, 0));
   const FixedNetwork cnn_exact(compile(make_cnn(9), 8, 0));
+  ASSERT_EQ(mlp_exact.plans().at(0).k, 8);
+  ASSERT_EQ(cnn_exact.conv_plans().at(0).k, 8);
   const auto& dense = mlp.plans().at(0);
   const auto& conv = cnn.conv_plans().at(0);
   ASSERT_GE(dense.rows, 2);
@@ -481,13 +530,15 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
        [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int64_t>(i64_at(f, kSigns, 0), 2);
        }},
-      {"conv patch element", &cnn,
+      // k = 9 over the full set's 8-wide bank: every term index still
+      // has a lane, so only the alphabet count gives it away.
+      {"conventional dense alphabet count", &mlp_exact,
        [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(u32_at(f, kPatchElems, 0), elems);
+         b.put<std::int32_t>(f.scalars + 8, 9);
        }},
-      {"exact conv patch element", &cnn_exact,
+      {"conventional conv alphabet count", &cnn_exact,
        [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(u32_at(f, kPatchElems, 0), elems);
+         b.put<std::int32_t>(f.scalars + 32, 9);
        }},
       {"pool rows past its input", &cnn,
        [&](ArtifactBytes& b, const PlanFields&) {
@@ -516,7 +567,7 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
 
   // The restamp itself is sound: an unpatched round trip still loads
   // and runs bit-identically.
-  for (const FixedNetwork* engine : {&mlp, &cnn, &cnn_exact}) {
+  for (const FixedNetwork* engine : {&mlp, &cnn, &mlp_exact, &cnn_exact}) {
     const std::string file = path("restamped.plan");
     save_engine(*engine, file, "key");
     ArtifactBytes(file).save();

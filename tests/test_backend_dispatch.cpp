@@ -242,7 +242,7 @@ Network make_tiny_cnn(std::uint64_t seed) {
 }
 
 // Conv twin of BackendBitIdentity: the same contract over ConvLayerPlan
-// — every backend's accumulate_conv/exact_conv must match the scalar
+// — every backend's accumulate_conv must match the scalar
 // reference bit for bit, at both paper weight widths, for ASM and
 // conventional schemes, on non-square and 1-channel geometry.
 class ConvBackendBitIdentity : public ::testing::TestWithParam<int> {};
@@ -674,7 +674,6 @@ TEST(BackendPlans, CompiledPlansCoverEveryDenseStage) {
   ASSERT_EQ(plans.size(), 2u);
   EXPECT_EQ(plans[0].rows, 8);
   EXPECT_EQ(plans[0].cols, 16);
-  EXPECT_FALSE(plans[0].exact);
   EXPECT_EQ(plans[0].k, 4);
   ASSERT_EQ(plans[0].row_groups.size(), 9u);
   EXPECT_EQ(plans[0].row_groups[8], plans[0].shifts.size());
@@ -705,7 +704,6 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   ASSERT_EQ(engine.plans().size(), 1u);  // the trailing dense stage
 
   const ConvLayerPlan& c1 = plans[0];
-  EXPECT_FALSE(c1.exact);
   EXPECT_EQ(c1.oc, 3);
   EXPECT_EQ(c1.ic, 2);
   EXPECT_EQ(c1.kernel, 3);
@@ -726,15 +724,15 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   EXPECT_EQ(c1.group_begin[c1.shifts.size()], c1.idx.size());
   // 8-bit weights: two quartets, 7 magnitude bits, so shifts 0..6.
   for (const std::int64_t shift : c1.shifts) EXPECT_LT(shift, 7);
-  // Patch offsets follow the (ic, ky, kx) element layout: column 0 is
-  // element 0, the first column of channel 1 is element ih·iw.
-  ASSERT_EQ(c1.patch_elems.size(), static_cast<std::size_t>(c1.cols));
-  EXPECT_EQ(c1.patch_elems[0], 0u);
-  EXPECT_EQ(c1.patch_elems[9], 5u * 7);
-  // Every read (idx + any position base) stays in its slot's lane.
+  // Every read (idx + any position base) stays in its slot's lane,
+  // and a slot's element is a patch element at output position (0,0):
+  // (channel · ih + ky) · iw + kx.
   for (const std::uint32_t slot : c1.idx) {
     EXPECT_LT(slot % 70 + c1.max_position_base(), 70u);
     EXPECT_EQ(c1.term_lane(slot), static_cast<int>(slot / 70));
+    const std::uint32_t elem = slot % 70;  // channel · 35 + ky · 7 + kx
+    EXPECT_LT(elem % 35 / 7, 3u);           // ky
+    EXPECT_LT(elem % 7, 3u);                // kx
   }
 
   const ConvLayerPlan& c3 = plans[1];
@@ -743,15 +741,16 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   EXPECT_EQ(c3.oh, 2);
   EXPECT_EQ(c3.ow, 4);
 
-  // The conventional engine gets exact conv plans: oc × cols weights
-  // and no groups.
+  // The conventional engine gets grouped plans over the full set: 8
+  // lanes of lane-major slots, one row of groups per filter.
   FixedNetwork exact_engine(
       net, spec, LayerAlphabetPlan::conventional(net.num_weight_layers()));
   const ConvLayerPlan& e1 = exact_engine.conv_plans()[0];
-  EXPECT_TRUE(e1.exact);
-  EXPECT_EQ(e1.weights.size(), static_cast<std::size_t>(e1.oc) * e1.cols);
-  EXPECT_TRUE(e1.row_groups.empty());
-  EXPECT_TRUE(e1.idx.empty());
+  EXPECT_EQ(e1.k, 8);
+  EXPECT_EQ(e1.padded_multiples(), 70u * 8);
+  ASSERT_EQ(e1.row_groups.size(), 4u);
+  EXPECT_FALSE(e1.idx.empty());
+  for (const std::uint32_t slot : e1.idx) EXPECT_GE(e1.term_lane(slot), 0);
 }
 
 // A conv layer whose weights all quantize to zero ASM steps compiles

@@ -257,7 +257,11 @@ std::vector<std::unique_ptr<FixedNetwork>> tiling_engines() {
 // exactly one, tiles plus a remainder, or only a remainder, and (100,
 // 200 on three workers) is cut into several claimed ranges. Outputs
 // and merged stats must equal sequential infer_into on the MLP (the
-// whole network tiles) and the CNN (only its dense tail tiles).
+// whole network tiles) and the CNN (only its dense tail tiles). The
+// Example path gathers each range's pixels and forms the same tiles:
+// evaluate() over the batch as Examples (from 33 samples on, two full
+// tiles plus a remainder) must give the sequential argmaxes, accuracy
+// and stats.
 class BatchTileIdentity
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -277,6 +281,29 @@ TEST_P(BatchTileIdentity, MatchesSequentialInferInto) {
         << "count=" << count << " workers=" << workers
         << " input_size=" << engine.input_size();
     expect_stats_eq(runner.stats(), expected_stats);
+
+    const std::size_t in = engine.input_size();
+    const std::size_t out = engine.output_size();
+    std::vector<Example> examples(count);
+    std::size_t correct = 0;
+    BatchRunner evaluator(engine, BatchOptions{.workers = workers});
+    for (std::size_t s = 0; s < count; ++s) {
+      const auto first = batch.begin() + static_cast<std::ptrdiff_t>(s * in);
+      examples[s].pixels.assign(first, first + static_cast<std::ptrdiff_t>(in));
+      examples[s].label = static_cast<int>(s % out);
+    }
+    const BatchAccuracy result = evaluator.evaluate(examples);
+    ASSERT_EQ(result.predictions.size(), count);
+    for (std::size_t s = 0; s < count; ++s) {
+      const int expected_prediction = argmax_raw(
+          std::span<const std::int64_t>(expected).subspan(s * out, out));
+      EXPECT_EQ(result.predictions[s], expected_prediction)
+          << "count=" << count << " workers=" << workers << " sample " << s;
+      if (expected_prediction == examples[s].label) ++correct;
+    }
+    EXPECT_DOUBLE_EQ(result.accuracy,
+                     static_cast<double>(correct) / static_cast<double>(count));
+    expect_stats_eq(evaluator.stats(), expected_stats);
   }
 }
 

@@ -1,6 +1,7 @@
 // The fixed-point processing engine: bit-exactness of the ASM datapath
-// against the conventional one on constrained weights, plan handling,
-// and activity statistics.
+// against the test-side int64 oracle (engine_oracle.h) — conventional
+// layers included, which run as full-alphabet ASM layers — plan
+// handling, and activity statistics.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -19,6 +20,8 @@
 #include "man/nn/dense.h"
 #include "man/nn/pool.h"
 #include "man/util/rng.h"
+
+#include "engine_oracle.h"
 
 namespace man::engine {
 namespace {
@@ -72,9 +75,10 @@ std::vector<std::int64_t> infer_raw(const FixedNetwork& engine,
 }
 
 // THE core engine property: with weights projected to an alphabet set,
-// the ASM engine and the conventional engine are BIT-IDENTICAL — all
-// approximation lives in the projection, none in the datapath. The ASM
-// engine runs on every kernel backend, the scalar reference included.
+// the ASM engine computes the conventional multiply BIT FOR BIT — all
+// approximation lives in the projection, none in the datapath. Both
+// engines must equal the oracle's exact Σ q(w)·x on every kernel
+// backend, the scalar reference included.
 class DatapathEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -88,8 +92,9 @@ TEST_P(DatapathEquivalence, AsmMatchesExactOnProjectedWeights) {
   const ProjectionPlan plan(spec, set, net.num_weight_layers());
   plan.project_network(net);
 
-  FixedNetwork exact(net, spec,
-                     LayerAlphabetPlan::conventional(net.num_weight_layers()));
+  const auto conventional =
+      LayerAlphabetPlan::conventional(net.num_weight_layers());
+  FixedNetwork exact(net, spec, conventional);
   FixedNetwork asm_engine(
       net, spec,
       LayerAlphabetPlan::uniform_asm(net.num_weight_layers(), set));
@@ -97,11 +102,14 @@ TEST_P(DatapathEquivalence, AsmMatchesExactOnProjectedWeights) {
   man::util::Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto pixels = random_pixels(16, rng);
-    const auto expected = exact.forward_raw(pixels);
+    const auto expected = oracle::forward(net, spec, conventional, pixels);
     for (const auto* backend : man::backend::all_backends()) {
-      EXPECT_EQ(infer_raw(asm_engine, pixels, *backend), expected)
-          << "bits=" << bits << " n=" << n_alphabets
-          << " backend=" << backend->name();
+      for (const FixedNetwork* engine : {&asm_engine, &exact}) {
+        EXPECT_EQ(infer_raw(*engine, pixels, *backend), expected)
+            << "bits=" << bits << " n=" << n_alphabets
+            << " backend=" << backend->name()
+            << (engine == &exact ? " conventional" : " asm");
+      }
     }
   }
 }
@@ -112,17 +120,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4, 8)));
 
 TEST(FixedNetwork, FullSetNeedsNoProjection) {
-  // The full alphabet set supports every weight: ASM engine ==
-  // conventional engine bit-for-bit on *unprojected* nets.
+  // The full alphabet set supports every weight: the full-set ASM
+  // engine and the conventional engine both multiply exactly on
+  // *unprojected* nets.
   Network net = make_mlp(55);
   const QuantSpec spec = QuantSpec::bits8();
-  FixedNetwork exact(net, spec, LayerAlphabetPlan::conventional(2));
+  const auto conventional = LayerAlphabetPlan::conventional(2);
+  FixedNetwork exact(net, spec, conventional);
   FixedNetwork full(net, spec,
                     LayerAlphabetPlan::uniform_asm(2, AlphabetSet::full()));
   man::util::Rng rng(8);
   for (int trial = 0; trial < 20; ++trial) {
     const auto pixels = random_pixels(16, rng);
-    EXPECT_EQ(exact.forward_raw(pixels), full.forward_raw(pixels));
+    const auto expected = oracle::forward(net, spec, conventional, pixels);
+    EXPECT_EQ(exact.forward_raw(pixels), expected);
+    EXPECT_EQ(full.forward_raw(pixels), expected);
   }
 }
 
@@ -132,16 +144,19 @@ TEST(FixedNetwork, CnnPathsAgreeToo) {
   const ProjectionPlan plan(spec, AlphabetSet::two(), 2);
   plan.project_network(net);
 
-  FixedNetwork exact(net, spec, LayerAlphabetPlan::conventional(2));
+  const auto conventional = LayerAlphabetPlan::conventional(2);
+  FixedNetwork exact(net, spec, conventional);
   FixedNetwork asm_engine(
       net, spec, LayerAlphabetPlan::uniform_asm(2, AlphabetSet::two()));
   man::util::Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {
     const auto pixels = random_pixels(64, rng);
-    const auto expected = exact.forward_raw(pixels);
+    const auto expected = oracle::forward(net, spec, conventional, pixels);
     for (const auto* backend : man::backend::all_backends()) {
       EXPECT_EQ(infer_raw(asm_engine, pixels, *backend), expected)
           << "backend=" << backend->name();
+      EXPECT_EQ(infer_raw(exact, pixels, *backend), expected)
+          << "conventional backend=" << backend->name();
     }
   }
 }
@@ -158,11 +173,12 @@ TEST(FixedNetwork, MixedPlanAppliesPerLayer) {
   EXPECT_EQ(mixed.scheme(0).multiplier, MultiplierKind::kMan);
   EXPECT_EQ(mixed.scheme(1).multiplier, MultiplierKind::kAsm);
 
-  FixedNetwork exact(net, spec, LayerAlphabetPlan::conventional(2));
   FixedNetwork mixed_engine(net, spec, mixed);
   man::util::Rng rng(10);
   const auto pixels = random_pixels(16, rng);
-  EXPECT_EQ(exact.forward_raw(pixels), mixed_engine.forward_raw(pixels));
+  EXPECT_EQ(mixed_engine.forward_raw(pixels),
+            oracle::forward(net, spec, LayerAlphabetPlan::conventional(2),
+                            pixels));
 }
 
 TEST(FixedNetwork, PlanSizeMustMatchNetwork) {
@@ -232,10 +248,9 @@ TEST(FixedNetwork, ConventionalEngineHasNoBankActivity) {
 // dense path: per-inference counts derived from the compiled schedule
 // (each weight fires once per output position), so Fig 8/9 energy
 // replays account CNN stages correctly. Recomputed here from the
-// conventional engine's quantized weights of the same projected
-// network — one step per nonzero quartet, one negate per negative
-// weight — and checked against the ASM plan's terms and the recorded
-// LayerStats.
+// oracle's quantized weights of the same projected network — one step
+// per nonzero quartet, one negate per negative weight — and checked
+// against the ASM plan's terms and the recorded LayerStats.
 TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
   Network net = make_cnn(81);
   const QuantSpec spec = QuantSpec::bits8();
@@ -244,13 +259,15 @@ TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
   plan.project_network(net);
   FixedNetwork engine(net, spec,
                       LayerAlphabetPlan::uniform_asm(2, set));
-  const FixedNetwork exact(net, spec, LayerAlphabetPlan::conventional(2));
+  auto& conv = dynamic_cast<Conv2D&>(net.layer(0));
+  const auto weights =
+      oracle::int_layer(conv.weights(), conv.biases(), spec, LayerScheme{})
+          .weights;
 
   man::util::Rng rng(19);
   (void)engine.predict(random_pixels(engine.input_size(), rng));
 
   const auto& conv_plan = engine.conv_plans().at(0);
-  const auto& weights = exact.conv_plans().at(0).weights;
   const std::uint64_t positions = conv_plan.positions();
   const std::uint64_t macs =
       static_cast<std::uint64_t>(conv_plan.oc) * positions * conv_plan.cols;
@@ -258,8 +275,9 @@ TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
   const man::core::QuartetLayout layout(spec.weight_format.total_bits());
   man::core::OpCounts expected;
   std::uint64_t terms = 0;
-  for (const std::int32_t w : weights) {
-    const auto sm = man::core::to_sign_magnitude(w, layout);
+  for (const std::int64_t w : weights) {
+    const auto sm =
+        man::core::to_sign_magnitude(static_cast<std::int32_t>(w), layout);
     std::uint64_t steps = 0;
     for (int q = 0; q < layout.num_quartets(); ++q) {
       const int mask = (1 << layout.quartet_width(q)) - 1;
@@ -673,101 +691,7 @@ TEST(Int32ConvProof, LeNetConvStagesTakeInt32Lanes) {
   }
 }
 
-// ------------------------------------------------ unfused reference
-
-/// Counts, over a reference run, the pool sums that are negative and
-/// exactly half-way between two averages — where rounding half away
-/// from zero differs from a plain arithmetic shift.
-struct PoolHalves {
-  std::size_t negative = 0;
-};
-
-/// The forward pass as separate passes that share nothing with the
-/// engine's runtime but its compiled descriptors and plans: pixels
-/// quantized into an int64 buffer; every ASM stage's inputs staged
-/// from a bank built here (int64 slots, k-strided or lane-major); the
-/// scalar backend's int64 kernels; apply_raw_reference() of a LUT built
-/// here; and the pool's rounded division.
-std::vector<std::int64_t> unfused_reference(const FixedNetwork& engine,
-                                            std::span<const float> pixels,
-                                            PoolHalves& halves) {
-  const CompiledModel& model = engine.compiled_model();
-  const auto& scalar =
-      man::backend::backend_for(man::backend::BackendKind::kScalar);
-  const auto& afmt = model.spec.activation_format;
-  const man::fixed::QFormat acc_format(
-      30, model.spec.weight_format.frac_bits() + afmt.frac_bits());
-  std::vector<std::int64_t> values;
-  for (const float p : pixels) {
-    values.push_back(afmt.quantize(static_cast<double>(p)));
-  }
-  const auto staged = [&](const CompiledSynapse& syn, bool lane_major) {
-    const man::core::PrecomputerBank bank(syn.scheme.effective_alphabets());
-    const std::size_t k = bank.alphabet_set().size();
-    const std::size_t n = values.size();
-    std::vector<std::int64_t> multiples(n * k);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::vector<std::int64_t> row = bank.compute(values[i]);
-      for (std::size_t l = 0; l < k; ++l) {
-        multiples[lane_major ? l * n + i : i * k + l] = row[l];
-      }
-    }
-    return multiples;
-  };
-  std::size_t dense_index = 0;
-  std::size_t conv_index = 0;
-  for (const CompiledStage& stage : model.stages) {
-    std::vector<std::int64_t> next;
-    if (const auto* d = std::get_if<CompiledDenseStage>(&stage)) {
-      const auto& plan = engine.plans().at(dense_index++);
-      next.resize(static_cast<std::size_t>(d->out));
-      if (plan.exact) {
-        scalar.exact_dense(plan, values.data(), next.data());
-      } else {
-        scalar.accumulate_dense(plan, staged(d->synapse, false).data(),
-                                next.data());
-      }
-    } else if (const auto* c = std::get_if<CompiledConvStage>(&stage)) {
-      const auto& plan = engine.conv_plans().at(conv_index++);
-      next.resize(static_cast<std::size_t>(c->oc) * c->oh * c->ow);
-      if (plan.exact) {
-        scalar.exact_conv(plan, values.data(), next.data());
-      } else {
-        scalar.accumulate_conv(plan, staged(c->synapse, true).data(),
-                               next.data());
-      }
-    } else if (const auto* p = std::get_if<CompiledPoolStage>(&stage)) {
-      const std::int64_t n = p->window * p->window;
-      for (int ch = 0; ch < p->c; ++ch) {
-        for (int oy = 0; oy < p->oh; ++oy) {
-          for (int ox = 0; ox < p->ow; ++ox) {
-            std::int64_t sum = 0;
-            for (int wy = 0; wy < p->window; ++wy) {
-              for (int wx = 0; wx < p->window; ++wx) {
-                sum += values.at(static_cast<std::size_t>(
-                    (ch * p->ih + oy * p->window + wy) * p->iw +
-                    ox * p->window + wx));
-              }
-            }
-            if (sum < 0 && n % 2 == 0 && (-sum) % n == n / 2) {
-              ++halves.negative;
-            }
-            next.push_back(sum >= 0 ? (sum + n / 2) / n
-                                    : -((-sum + n / 2) / n));
-          }
-        }
-      }
-    } else {
-      const man::core::FixedActivationLut lut(
-          std::get<CompiledLutStage>(stage).kind, acc_format, afmt);
-      for (const std::int64_t v : values) {
-        next.push_back(lut.apply_raw_reference(v));
-      }
-    }
-    values = std::move(next);
-  }
-  return values;
-}
+// ------------------------------------------------ every route vs oracle
 
 /// conv → tanh → pool → conv → tanh → pool → dense → sigmoid → dense,
 /// both pools `window` wide. `wide`: a 16-bit activation format and
@@ -808,14 +732,16 @@ PooledCnn make_pooled_cnn(int window, bool wide, std::uint64_t seed) {
   return out;
 }
 
-/// 2·kDenseTile + 3 random samples over [-1, 1) through the unfused
-/// reference, then through every route into `engine` on every backend:
-/// infer_into per sample, infer_batch over full tiles plus the
-/// remainder, and a two-worker BatchRunner. Returns the reference's
-/// pool counts.
-PoolHalves expect_every_route_matches_reference(const FixedNetwork& engine,
-                                                std::uint64_t seed,
-                                                const std::string& label) {
+/// 2·kDenseTile + 3 random samples over [-1, 1) through the oracle,
+/// then through every route into `engine` (compiled from `net` under
+/// `schemes`) on every backend: infer_into per sample, infer_batch
+/// over full tiles plus the remainder, and a two-worker BatchRunner.
+/// Returns the oracle's count of negative half-way pool sums.
+std::size_t expect_every_route_matches_oracle(const FixedNetwork& engine,
+                                              Network& net,
+                                              const LayerAlphabetPlan& schemes,
+                                              std::uint64_t seed,
+                                              const std::string& label) {
   const std::size_t in = engine.input_size();
   const std::size_t out = engine.output_size();
   const std::size_t count = 2 * man::backend::kDenseTile + 3;
@@ -824,13 +750,10 @@ PoolHalves expect_every_route_matches_reference(const FixedNetwork& engine,
   for (float& p : pixels) p = static_cast<float>(rng.next_double() * 2 - 1);
   const std::span<const float> all(pixels);
 
-  PoolHalves halves;
-  std::vector<std::int64_t> expected;
-  for (std::size_t s = 0; s < count; ++s) {
-    const auto raw = unfused_reference(engine, all.subspan(s * in, in), halves);
-    EXPECT_EQ(raw.size(), out) << label;
-    expected.insert(expected.end(), raw.begin(), raw.end());
-  }
+  std::size_t halves = 0;
+  const std::vector<std::int64_t> expected = oracle::forward_batch(
+      net, engine.quant_spec(), schemes, pixels, in, &halves);
+  EXPECT_EQ(expected.size(), count * out) << label;
   for (const auto* backend : man::backend::all_backends()) {
     const std::string where = label + " backend=" + backend->name();
     auto scratch = engine.make_scratch();
@@ -857,17 +780,16 @@ PoolHalves expect_every_route_matches_reference(const FixedNetwork& engine,
 }
 
 // The engine fuses each boundary's LUT, pool and staging into one
-// sweep; the unfused reference above runs them as the separate passes
-// they stand for. Every route into the engine — infer_into per
-// sample, infer_batch over full tiles plus a remainder, and a
-// two-worker BatchRunner — must match it on every backend, at pool
-// windows 1 to 4 (shifted and divided rounding), under ASM and exact
-// schemes, on int32 and int64 conv lanes, and over pool sums that
-// are negative exact halves.
+// sweep; the oracle runs them as the separate passes they stand for.
+// Every route into the engine — infer_into per sample, infer_batch
+// over full tiles plus a remainder, and a two-worker BatchRunner —
+// must match it on every backend, at pool windows 1 to 4 (shifted and
+// divided rounding), under ASM and conventional schemes, on int32 and
+// int64 conv lanes, and over pool sums that are negative exact halves.
 class FusedEpilogue
     : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
 
-TEST_P(FusedEpilogue, MatchesTheUnfusedReference) {
+TEST_P(FusedEpilogue, MatchesTheOracle) {
   const auto [window, asm_scheme, wide] = GetParam();
   PooledCnn cnn = make_pooled_cnn(
       window, wide, 500 + static_cast<std::uint64_t>(window));
@@ -875,18 +797,14 @@ TEST_P(FusedEpilogue, MatchesTheUnfusedReference) {
       asm_scheme ? LayerAlphabetPlan::uniform_asm(4, AlphabetSet::four())
                  : LayerAlphabetPlan::conventional(4);
   const FixedNetwork engine(cnn.net, cnn.spec, schemes);
-  if (asm_scheme) {
-    EXPECT_TRUE(engine.conv_int32_lanes(0));
-    EXPECT_EQ(engine.conv_int32_lanes(1), !wide);
-    EXPECT_EQ(engine.tile_begin(), 6u);  // the first dense stage
-  } else {
-    EXPECT_EQ(engine.tile_begin(), engine.compiled_model().stages.size());
-  }
+  EXPECT_TRUE(engine.conv_int32_lanes(0));
+  EXPECT_EQ(engine.conv_int32_lanes(1), !wide);
+  EXPECT_EQ(engine.tile_begin(), 6u);  // the first dense stage
 
-  const PoolHalves halves = expect_every_route_matches_reference(
-      engine, 600 + static_cast<std::uint64_t>(window),
+  const std::size_t halves = expect_every_route_matches_oracle(
+      engine, cnn.net, schemes, 600 + static_cast<std::uint64_t>(window),
       "window " + std::to_string(window));
-  if (window % 2 == 0) EXPECT_GT(halves.negative, 0u);
+  if (window % 2 == 0) EXPECT_GT(halves, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -899,7 +817,7 @@ INSTANTIATE_TEST_SUITE_P(
 // synapse stages (several segments handed on through int64 hops), a
 // dense stage fed raw accumulators (staged from its bank), two LUTs
 // inside the batch tile, and a LUT after the last stage.
-TEST(FusedEpilogue, UnusualChainsMatchTheUnfusedReference) {
+TEST(FusedEpilogue, UnusualChainsMatchTheOracle) {
   using man::core::ActivationKind;
   man::util::Rng rng(700);
   Network pooled;
@@ -930,18 +848,66 @@ TEST(FusedEpilogue, UnusualChainsMatchTheUnfusedReference) {
   for (const Case& c :
        {Case{"pooled", &pooled, 3}, Case{"chained", &chained, 2}}) {
     for (const bool asm_scheme : {true, false}) {
-      const FixedNetwork engine(
-          *c.net, QuantSpec::bits8(),
-          asm_scheme ? LayerAlphabetPlan::uniform_asm(c.synapses,
-                                                      AlphabetSet::two())
-                     : LayerAlphabetPlan::conventional(c.synapses));
+      const LayerAlphabetPlan schemes =
+          asm_scheme
+              ? LayerAlphabetPlan::uniform_asm(c.synapses, AlphabetSet::two())
+              : LayerAlphabetPlan::conventional(c.synapses);
+      const FixedNetwork engine(*c.net, QuantSpec::bits8(), schemes);
       const std::string where =
           std::string(c.label) + (asm_scheme ? " asm" : " exact");
       if (asm_scheme && c.net == &chained) {
         EXPECT_EQ(engine.tile_begin(), 1u) << where;
       }
-      expect_every_route_matches_reference(engine, 701, where);
+      expect_every_route_matches_oracle(engine, *c.net, schemes, 701, where);
     }
+  }
+}
+
+// Conventional engines run as full-alphabet grouped plans: 8 bank
+// lanes per input, and terms whose alphabets reach 15. On the apps'
+// unprojected networks every route on every backend must equal the
+// oracle's exact Σ q(w)·x: the MLPs tile, LeNet's convs stage 8 lanes.
+TEST(ConventionalEngine, AppsMatchTheOracleOnEveryRoute) {
+  using man::apps::AppId;
+  for (const AppId id : {AppId::kDigitMlp8, AppId::kFaceMlp12,
+                         AppId::kSvhnMlp8, AppId::kDigitCnn12}) {
+    const auto& app = man::apps::get_app(id);
+    Network net = app.build_network(/*seed=*/21);
+    const auto schemes =
+        LayerAlphabetPlan::conventional(net.num_weight_layers());
+    const FixedNetwork engine(net, app.quant(), schemes);
+    for (const auto& plan : engine.plans()) EXPECT_EQ(plan.k, 8) << app.name;
+    for (const auto& plan : engine.conv_plans()) {
+      EXPECT_EQ(plan.k, 8) << app.name;
+    }
+    expect_every_route_matches_oracle(engine, net, schemes, 900, app.name);
+  }
+}
+
+// A conventional stage fed raw accumulators (no LUT in front) stages
+// from its bank, not a table, and its multiples leave int32: Dense →
+// Dense and Conv → Conv chains with large 12-bit weights.
+TEST(ConventionalEngine, RawFedChainsMatchTheOracle) {
+  man::util::Rng rng(910);
+  Network dense_chain;
+  dense_chain.add<Dense>(16, 8);
+  dense_chain.add<Dense>(8, 4);
+  Network conv_chain;
+  conv_chain.add<Conv2D>(1, 2, 3, 8, 9);
+  conv_chain.add<Conv2D>(2, 2, 3, 6, 7);
+  for (Network* net : {&dense_chain, &conv_chain}) {
+    for (std::size_t li = 0; li < 2; ++li) {
+      auto& layer = net->layer(li);
+      const std::span<float> weights =
+          net == &dense_chain ? dynamic_cast<Dense&>(layer).weights()
+                              : dynamic_cast<Conv2D&>(layer).weights();
+      for (float& w : weights) w = rng.next_double() < 0.5 ? -1.5f : 1.5f;
+    }
+    const auto schemes = LayerAlphabetPlan::conventional(2);
+    const FixedNetwork engine(*net, QuantSpec::bits12(), schemes);
+    expect_every_route_matches_oracle(
+        engine, *net, schemes, 911,
+        net == &dense_chain ? "dense->dense" : "conv->conv");
   }
 }
 
@@ -1088,16 +1054,33 @@ TEST(FixedNetwork, DescriptorRebuildMatchesCompiledEngine) {
   }
 }
 
+/// A rows × cols dense plan over the bits8 staging window whose every
+/// weight is 1: one step on lane 0, a bank of `k` alphabets.
+man::backend::DenseLayerPlan unit_dense_plan(int rows, int cols, int k) {
+  const QuantSpec spec = QuantSpec::bits8();
+  std::vector<man::backend::AsmWeight> weights(
+      static_cast<std::size_t>(rows) * cols);
+  std::vector<man::backend::AsmStep> steps;
+  for (auto& w : weights) {
+    w.step_begin = static_cast<std::uint32_t>(steps.size());
+    w.step_count = 1;
+    steps.push_back(man::backend::AsmStep{0, 0});
+  }
+  auto plan = man::backend::DenseLayerPlan::build_asm(
+      rows, cols, k, std::move(weights), std::move(steps),
+      std::vector<std::int64_t>(static_cast<std::size_t>(rows), 0));
+  plan.in_min_raw = spec.activation_format.min_raw();
+  plan.in_max_raw = spec.activation_format.max_raw();
+  return plan;
+}
+
 // The descriptor constructor checks every pool against the AvgPool2D
 // identities and every LUT's activation kind: a 3-wide window over a
 // 4 × 4 input would read element 25 of a 16-element buffer.
 TEST(FixedNetwork, RejectsPoolWindowPastItsInput) {
   const QuantSpec spec = QuantSpec::bits8();
-  auto plan = man::backend::DenseLayerPlan::build_exact(
-      16, 2, std::vector<std::int32_t>(32, 1),
-      std::vector<std::int64_t>(16, 0));
-  plan.in_min_raw = spec.activation_format.min_raw();
-  plan.in_max_raw = spec.activation_format.max_raw();
+  // A conventional synapse: the full set's 8 alphabets.
+  const auto plan = unit_dense_plan(16, 2, 8);
   const auto engine_with = [&](CompiledStage tail) {
     CompiledModel model;
     model.spec = spec;
@@ -1122,6 +1105,48 @@ TEST(FixedNetwork, RejectsPoolWindowPastItsInput) {
       (void)engine_with(CompiledLutStage{
           static_cast<man::core::ActivationKind>(7)}),
       std::invalid_argument);
+}
+
+// A plan stages k bank outputs per input, copied from rows of its
+// synapse's bank table, which are as wide as the bank has alphabets:
+// a plan with k = 8 over a four-alphabet bank would copy 8 lanes out
+// of 4-wide rows and read past the table's last row. The descriptor
+// constructor rejects every plan whose k differs from its synapse's
+// alphabet count, dense and conv, conventional and ASM.
+TEST(FixedNetwork, RejectsPlanWhoseAlphabetCountDiffersFromItsBank) {
+  const QuantSpec spec = QuantSpec::bits8();
+  CompiledSynapse asm4;
+  asm4.scheme.multiplier = MultiplierKind::kAsm;
+  asm4.scheme.alphabets = AlphabetSet::four();
+  const CompiledSynapse conventional;  // full set: 8 alphabets
+  const auto dense_engine = [&](const CompiledSynapse& synapse, int k) {
+    CompiledModel model;
+    model.spec = spec;
+    model.stages.emplace_back(CompiledDenseStage{2, 3, synapse});
+    return FixedNetwork(model, {unit_dense_plan(3, 2, k)}, {}, nullptr);
+  };
+  EXPECT_EQ(dense_engine(asm4, 4).output_size(), 3u);
+  EXPECT_EQ(dense_engine(conventional, 8).output_size(), 3u);
+  EXPECT_THROW((void)dense_engine(asm4, 8), std::invalid_argument);
+  EXPECT_THROW((void)dense_engine(conventional, 4), std::invalid_argument);
+
+  const auto conv_engine = [&](const CompiledSynapse& synapse, int k) {
+    std::vector<man::backend::AsmWeight> weights(2 * 4);
+    for (auto& w : weights) w.step_count = 1;
+    auto plan = man::backend::ConvLayerPlan::build_asm(
+        2, 1, 2, 3, 3, k, std::move(weights), {man::backend::AsmStep{0, 0}},
+        {0, 0});
+    plan.in_min_raw = spec.activation_format.min_raw();
+    plan.in_max_raw = spec.activation_format.max_raw();
+    CompiledModel model;
+    model.spec = spec;
+    model.stages.emplace_back(
+        CompiledConvStage{1, 2, 2, 3, 3, 2, 2, synapse});
+    return FixedNetwork(model, {}, {std::move(plan)}, nullptr);
+  };
+  EXPECT_EQ(conv_engine(asm4, 4).output_size(), 8u);
+  EXPECT_THROW((void)conv_engine(asm4, 8), std::invalid_argument);
+  EXPECT_THROW((void)conv_engine(conventional, 4), std::invalid_argument);
 }
 
 TEST(LayerAlphabetPlan, LabelsAreInformative) {

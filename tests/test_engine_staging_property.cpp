@@ -1,5 +1,6 @@
 // Randomized property test (seeded RNG) for CSHM staging: over random
-// dense/conv geometries at 8- and 12-bit × ASM + exact schemes,
+// dense/conv geometries at 8- and 12-bit × ASM + conventional schemes
+// (a conventional layer stages the full set's 8 alphabets),
 // staging from a PrecomputerCache table over the plan's window and
 // staging straight from the bank must produce bit-identical multiples
 // buffers laid out exactly as the compiled plans index them, every
@@ -123,13 +124,12 @@ void expect_engine_output(const FixedNetwork& engine,
   }
 }
 
-// Table-vs-bank staging + per-backend accumulation for one ASM dense
+// Table-vs-bank staging + per-backend accumulation for one dense
 // engine, then the engine's own staging against the bank reference.
 void check_dense_engine(const FixedNetwork& engine, const QuantSpec& spec,
                         const PrecomputerBank& bank, man::util::Rng& rng) {
   ASSERT_EQ(engine.plans().size(), 1u);
   const auto& plan = engine.plans()[0];
-  ASSERT_FALSE(plan.exact);
   // The plan carries the staging window of the activation format.
   ASSERT_TRUE(plan.has_input_range());
   EXPECT_EQ(plan.in_min_raw, spec.activation_format.min_raw());
@@ -158,12 +158,11 @@ void check_dense_engine(const FixedNetwork& engine, const QuantSpec& spec,
   expect_engine_output(engine, pixels, reference);
 }
 
-// Same property for one ASM conv engine (lane-major layout).
+// Same property for one conv engine (lane-major layout).
 void check_conv_engine(const FixedNetwork& engine, const QuantSpec& spec,
                        const PrecomputerBank& bank, man::util::Rng& rng) {
   ASSERT_EQ(engine.conv_plans().size(), 1u);
   const auto& plan = engine.conv_plans()[0];
-  ASSERT_FALSE(plan.exact);
   ASSERT_TRUE(plan.has_input_range());
   EXPECT_EQ(plan.in_min_raw, spec.activation_format.min_raw());
   EXPECT_EQ(plan.in_max_raw, spec.activation_format.max_raw());
@@ -191,25 +190,13 @@ void check_conv_engine(const FixedNetwork& engine, const QuantSpec& spec,
   expect_engine_output(engine, pixels, reference);
 }
 
-// Exact engines do not stage, but their plans carry the window too
-// and every backend must agree on the full forward pass.
-void check_engine_backends_agree(const FixedNetwork& engine,
-                                 man::util::Rng& rng) {
-  const auto pixels = random_pixels(engine.input_size(), rng);
-  auto scratch = engine.make_scratch();
-  auto stats = engine.make_stats();
-  std::vector<std::int64_t> reference(engine.output_size());
-  engine.infer_into(pixels, reference, stats, scratch,
-                    backend_for(BackendKind::kScalar));
-  expect_engine_output(engine, pixels, reference);
-}
-
 class StagingProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(StagingProperty, RandomDenseGeometries) {
   const QuantSpec spec = QuantSpec::for_bits(GetParam());
   const AlphabetSet set = AlphabetSet::four();
   const PrecomputerBank bank(set);
+  const PrecomputerBank full_bank(AlphabetSet::full());
   man::util::Rng rng(900 + static_cast<std::uint64_t>(GetParam()));
 
   for (int trial = 0; trial < 6; ++trial) {
@@ -224,9 +211,7 @@ TEST_P(StagingProperty, RandomDenseGeometries) {
     check_dense_engine(asm_engine, spec, bank, rng);
 
     FixedNetwork exact_engine(net, spec, LayerAlphabetPlan::conventional(1));
-    ASSERT_TRUE(exact_engine.plans()[0].exact);
-    EXPECT_TRUE(exact_engine.plans()[0].has_input_range());
-    check_engine_backends_agree(exact_engine, rng);
+    check_dense_engine(exact_engine, spec, full_bank, rng);
   }
 }
 
@@ -234,6 +219,7 @@ TEST_P(StagingProperty, RandomConvGeometries) {
   const QuantSpec spec = QuantSpec::for_bits(GetParam());
   const AlphabetSet set = AlphabetSet::four();
   const PrecomputerBank bank(set);
+  const PrecomputerBank full_bank(AlphabetSet::full());
   man::util::Rng rng(7100 + static_cast<std::uint64_t>(GetParam()));
 
   for (int trial = 0; trial < 6; ++trial) {
@@ -251,9 +237,7 @@ TEST_P(StagingProperty, RandomConvGeometries) {
     check_conv_engine(asm_engine, spec, bank, rng);
 
     FixedNetwork exact_engine(net, spec, LayerAlphabetPlan::conventional(1));
-    ASSERT_TRUE(exact_engine.conv_plans()[0].exact);
-    EXPECT_TRUE(exact_engine.conv_plans()[0].has_input_range());
-    check_engine_backends_agree(exact_engine, rng);
+    check_conv_engine(exact_engine, spec, full_bank, rng);
   }
 }
 
