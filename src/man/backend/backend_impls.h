@@ -34,6 +34,18 @@ struct VectorKernels {
   void (*conv)(const ConvLayerPlan&, const std::int64_t*, std::int64_t*);
   void (*conv_int32)(const ConvLayerPlan&, const std::int32_t*,
                      std::int64_t*);
+  /// The epilogue sweeps, null where the tier runs the scalar
+  /// reference instead. Each returns false when it could not run
+  /// exactly (a staged value missed the table's window, or a LUT's
+  /// scale is not 2^bits − 1), and the backend then reruns the scalar
+  /// reference, which throws on the miss.
+  bool (*stage_pixels)(std::span<const float>, const man::fixed::QFormat&,
+                       const man::core::PrecomputerCache::View&,
+                       std::int32_t*, std::size_t);
+  bool (*lut_pool2_stage)(const std::int64_t*, const Pool2Shape&,
+                          const man::core::FixedActivationLut::RawPath&,
+                          const man::core::PrecomputerCache::View&,
+                          std::int32_t*, std::size_t);
 };
 
 /// The widest tier at most `cap_bytes` wide that this CPU runs: 64

@@ -21,8 +21,20 @@
 #include <string_view>
 
 #include "man/backend/layer_plan.h"
+#include "man/core/activation.h"
+#include "man/core/precomputer_bank.h"
+#include "man/fixed/qformat.h"
 
 namespace man::backend {
+
+/// The input of a 2×2 average pool: c channel-major planes of 2·oh
+/// rows × 2·ow int64 values. Pooled value (ch, y, x) is value
+/// (ch·oh + y)·ow + x of the output.
+struct Pool2Shape {
+  int c = 0;
+  int oh = 0;
+  int ow = 0;
+};
 
 /// Registered accumulation kernels. The three vector kinds are caps:
 /// each runs the widest vector tier at or below its cap that CPUID
@@ -37,8 +49,9 @@ enum class BackendKind {
              ///< AVX-512F/VL, portable without either)
 };
 
-/// One implementation of the inner accumulation loops. Stateless and
-/// thread-safe: instances are process-wide singletons obtained via
+/// One implementation of the inner accumulation loops and of the conv
+/// stage boundaries' epilogue sweeps. Stateless and thread-safe:
+/// instances are process-wide singletons obtained via
 /// backend_for()/resolve().
 class KernelBackend {
  public:
@@ -110,6 +123,31 @@ class KernelBackend {
   virtual void accumulate_conv_int32(const ConvLayerPlan& plan,
                                      const std::int32_t* multiples,
                                      std::int64_t* out) const = 0;
+
+  // Epilogue sweeps: the stage boundaries of a conv network, each the
+  // scalar reference loops of epilogue_sweep.h fused into one pass.
+  // Staging writes value o's k table entries lane-major as int32:
+  // lane l at slots[l·stride + o] (the accumulate_conv_int32 layout;
+  // callers hold int32_row_bound() ≤ INT32_MAX, which proves every
+  // entry fits). Every staged value is checked against the table's
+  // window first; a value outside it throws the std::out_of_range
+  // PrecomputerCache::lookup throws.
+
+  /// Each pixel quantized to `format` (QFormat::quantize) and staged
+  /// from `table`, pixel i as value i.
+  virtual void stage_pixels(std::span<const float> pixels,
+                            const man::fixed::QFormat& format,
+                            const man::core::PrecomputerCache::View& table,
+                            std::int32_t* slots, std::size_t stride) const = 0;
+
+  /// Every input through `lut`, then each 2×2 window summed and its
+  /// average rounded to nearest, half away from zero; pooled value o
+  /// staged from `table` as value o.
+  virtual void lut_pool2_stage(
+      const std::int64_t* in, const Pool2Shape& shape,
+      const man::core::FixedActivationLut::RawPath& lut,
+      const man::core::PrecomputerCache::View& table, std::int32_t* slots,
+      std::size_t stride) const = 0;
 };
 
 /// The process-wide instance of one backend kind.

@@ -4,10 +4,16 @@
 // sign) groups: each group's multiples summed, shifted once, then
 // added or subtracted.
 #include "man/backend/backend_impls.h"
+#include "man/backend/epilogue_sweep.h"
 
 namespace man::backend::detail {
 
 namespace {
+
+using epilogue::LaneMajorSink;
+using epilogue::LutSource;
+using epilogue::TableRows;
+using epilogue::ValueSource;
 
 /// Bias plus row r's groups, in int64 whatever the slot width; term t
 /// reads src[idx[t] · scale] (`scale` is the tile's slot stride; a
@@ -92,6 +98,29 @@ class ScalarBackend final : public KernelBackend {
     // The same walk over int32 slots, accumulated in int64 — the oracle
     // needs no overflow proof.
     conv_walk(plan, multiples, out);
+  }
+
+  void stage_pixels(std::span<const float> pixels,
+                    const man::fixed::QFormat& format,
+                    const man::core::PrecomputerCache::View& table,
+                    std::int32_t* slots, std::size_t stride) const override {
+    const epilogue::PixelSource source{pixels.data(), format};
+    LaneMajorSink<std::int32_t, TableRows> sink{{table}, slots, table.k,
+                                                stride};
+    for (std::size_t i = 0; i < pixels.size(); ++i) sink(i, source(i));
+  }
+
+  void lut_pool2_stage(const std::int64_t* in, const Pool2Shape& shape,
+                       const man::core::FixedActivationLut::RawPath& lut,
+                       const man::core::PrecomputerCache::View& table,
+                       std::int32_t* slots,
+                       std::size_t stride) const override {
+    epilogue::pool_sweep<2>(
+        static_cast<std::size_t>(shape.c) * shape.oh,
+        2 * static_cast<std::size_t>(shape.ow), 2, nullptr,
+        LutSource<ValueSource>{ValueSource{in}, lut},
+        LaneMajorSink<std::int32_t, TableRows>{{table}, slots, table.k,
+                                               stride});
   }
 };
 

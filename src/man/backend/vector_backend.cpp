@@ -49,6 +49,30 @@ class VectorBackend final : public KernelBackend {
     kernels_.conv_int32(plan, multiples, out);
   }
 
+  // A tier without epilogue sweeps, or a sweep it could not run exactly
+  // (a value outside the staging window, a LUT scale not 2^bits − 1),
+  // runs the scalar reference, which throws at the first miss.
+  void stage_pixels(std::span<const float> pixels,
+                    const man::fixed::QFormat& format,
+                    const man::core::PrecomputerCache::View& table,
+                    std::int32_t* slots, std::size_t stride) const override {
+    if (kernels_.stage_pixels == nullptr ||
+        !kernels_.stage_pixels(pixels, format, table, slots, stride)) {
+      scalar_backend().stage_pixels(pixels, format, table, slots, stride);
+    }
+  }
+
+  void lut_pool2_stage(const std::int64_t* in, const Pool2Shape& shape,
+                       const man::core::FixedActivationLut::RawPath& lut,
+                       const man::core::PrecomputerCache::View& table,
+                       std::int32_t* slots,
+                       std::size_t stride) const override {
+    if (kernels_.lut_pool2_stage == nullptr ||
+        !kernels_.lut_pool2_stage(in, shape, lut, table, slots, stride)) {
+      scalar_backend().lut_pool2_stage(in, shape, lut, table, slots, stride);
+    }
+  }
+
  private:
   BackendKind kind_;
   const char* name_;

@@ -1,7 +1,8 @@
 // The vector tiers: vector_kernels.h's loops instantiated at 16 bytes
 // (default ISA), 32 bytes (MAN_TARGET_AVX2) and 64 bytes
-// (MAN_TARGET_AVX512), plus the two per-sample dense kernels. This is
-// the only object that holds AVX code; nothing here runs before
+// (MAN_TARGET_AVX512), plus the two per-sample dense kernels and the
+// AVX-512 tier's epilogue sweeps with their gathers. This is the only
+// object that holds AVX code; nothing here runs before
 // vector_kernels() has checked CPUID.
 #include "man/backend/vector_kernels.h"
 
@@ -86,6 +87,25 @@ MAN_TARGET_AVX2 void conv_int32_avx2(const ConvLayerPlan& plan,
   conv<I32x8, kConvRows>(plan, multiples, out);
 }
 
+/// 4-lane table reads in one AVX2 hardware gather, narrower vectors
+/// lane by lane: the AVX-512 tier's half-width rows.
+struct YmmGather : LaneGather {
+  using LaneGather::lut;
+  using LaneGather::rows;
+  MAN_TARGET_AVX2 static void lut(I64x4& out, const std::int32_t* table,
+                                  const I64x4& index) {
+    const auto entries = reinterpret_cast<I32x4>(
+        _mm256_i64gather_epi32(table, reinterpret_cast<__m256i>(index), 4));
+    out = __builtin_convertvector(entries, I64x4);
+  }
+  MAN_TARGET_AVX2 static void rows(I64x4& out, const std::int64_t* base,
+                                   const I64x4& index) {
+    out = reinterpret_cast<I64x4>(
+        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base),
+                               reinterpret_cast<__m256i>(index), 8));
+  }
+};
+
 /// int64 lanes of one zmm.
 inline constexpr int kZmmLanes = 8;
 
@@ -124,6 +144,51 @@ MAN_TARGET_AVX512 void dense_groups_avx512(const DenseLayerPlan& plan,
   }
 }
 
+/// The AVX-512 tier's table reads: a full vector's 8 lanes in one
+/// hardware gather (no DQ instruction: the tier targets AVX-512F/VL),
+/// a half-width one in an AVX2 gather, narrower ones lane by lane.
+struct ZmmGather : YmmGather {
+  using YmmGather::lut;
+  using YmmGather::rows;
+  MAN_TARGET_AVX512 static void lut(
+      I64x8& out, const std::int32_t* table, const I64x8& index) {
+    const auto entries =
+        reinterpret_cast<I32x8>(_mm512_i64gather_epi32(
+            reinterpret_cast<__m512i>(index), table, 4));
+    out = __builtin_convertvector(entries, I64x8);
+  }
+  MAN_TARGET_AVX512 static void rows(
+      I64x8& out, const std::int64_t* base, const I64x8& index) {
+    out = reinterpret_cast<I64x8>(_mm512_i64gather_epi64(
+        reinterpret_cast<__m512i>(index), base, 8));
+  }
+};
+
+using man::core::PrecomputerCache;
+using RawPath = man::core::FixedActivationLut::RawPath;
+
+// The epilogue sweeps report false when they could not run exactly: a
+// staged value missed the table's window (an empty window stages
+// nothing, so no gather reads an unconfigured table), or the LUT's
+// scale is not 2^bits − 1.
+MAN_TARGET_AVX512 bool stage_pixels_avx512(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const PrecomputerCache::View& table, std::int32_t* slots,
+    std::size_t stride) {
+  return table.span != 0 &&
+         stage_pixels<ZmmGather, I64x8>(pixels, format,
+                                        Staging{table, slots, stride});
+}
+MAN_TARGET_AVX512 bool lut_pool2_stage_avx512(
+    const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
+    const PrecomputerCache::View& table, std::int32_t* slots,
+    std::size_t stride) {
+  LutPath lut;
+  return lut.assign(raw) && table.span != 0 &&
+         lut_pool2_stage<ZmmGather, I64x8>(in, shape, lut,
+                                           Staging{table, slots, stride});
+}
+
 MAN_TARGET_AVX512 void dense_tile_avx512(const DenseLayerPlan& plan,
                                          const std::int32_t* tile,
                                          std::int64_t* out) {
@@ -155,13 +220,18 @@ int cpu_bytes() { return 16; }
 #endif  // MAN_X86_KERNELS
 
 constexpr VectorKernels kTiers[] = {
+    // The epilogue sweeps ran 1.2–1.3× slower than the scalar
+    // reference at 16 bytes (SSE2: no 64-bit compares, shifts or
+    // gathers) and no faster at 32 (AVX2: 64-bit shifts, min/max and
+    // multiplies emulated), so these tiers run the reference.
     {16, "portable 16-byte vectors", dense_groups, dense_tile_16, conv_16,
-     conv_int32_16},
+     conv_int32_16, nullptr, nullptr},
 #if MAN_X86_KERNELS
     {32, "AVX2 32-byte vectors", dense_groups, dense_tile_avx2, conv_avx2,
-     conv_int32_avx2},
-    {64, "AVX-512F/VL 64-byte vectors and per-sample gathers",
-     dense_groups_avx512, dense_tile_avx512, conv_avx512, conv_int32_avx512},
+     conv_int32_avx2, nullptr, nullptr},
+    {64, "AVX-512F/VL 64-byte vectors and gathers", dense_groups_avx512,
+     dense_tile_avx512, conv_avx512, conv_int32_avx512, stage_pixels_avx512,
+     lut_pool2_stage_avx512},
 #endif
 };
 

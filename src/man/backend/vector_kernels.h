@@ -21,10 +21,14 @@
 #define MAN_BACKEND_VECTOR_KERNELS_H
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <type_traits>
+#include <utility>
 
+#include "man/backend/kernel_backend.h"
 #include "man/backend/layer_plan.h"
 
 namespace man::backend::detail {
@@ -39,11 +43,18 @@ using I32x16 = std::int32_t __attribute__((vector_size(64)));
 using I64x2 = std::int64_t __attribute__((vector_size(16)));
 using I64x4 = std::int64_t __attribute__((vector_size(32)));
 using I64x8 = std::int64_t __attribute__((vector_size(64)));
+using F32x2 = float __attribute__((vector_size(8)));
+using F32x4 = float __attribute__((vector_size(16)));
+using F32x8 = float __attribute__((vector_size(32)));
+using F64x2 = double __attribute__((vector_size(16)));
+using F64x4 = double __attribute__((vector_size(32)));
+using F64x8 = double __attribute__((vector_size(64)));
 
-/// Per vector type V: Half, what a conv row narrower than V drops to
-/// (a 16-byte vector drops to its slot type, one position per lane);
-/// for int32 lanes also Part, half of V's lanes, and Wide, those lanes
-/// widened to int64.
+/// Per vector type V: Half, what a conv or pool row narrower than V
+/// drops to (a 16-byte vector drops to its slot type, one position per
+/// lane); for int32 lanes also Part, half of V's lanes, and Wide, those
+/// lanes widened to int64; for int64 lanes also Narrow, Real and
+/// Single, V's lane count of int32, double and float.
 template <typename V>
 struct Lanes;
 template <>
@@ -67,15 +78,28 @@ struct Lanes<I32x4> {
 template <>
 struct Lanes<I64x8> {
   using Half = I64x4;
+  using Narrow = I32x8;
+  using Real = F64x8;
+  using Single = F32x8;
 };
 template <>
 struct Lanes<I64x4> {
   using Half = I64x2;
+  using Narrow = I32x4;
+  using Real = F64x4;
+  using Single = F32x4;
 };
 template <>
 struct Lanes<I64x2> {
   using Half = std::int64_t;
+  using Narrow = I32x2;
+  using Real = F64x2;
+  using Single = F32x2;
 };
+
+/// int64 lanes in V (1 for the scalar a 16-byte row drops to).
+template <typename V>
+inline constexpr std::size_t kInt64Lanes = sizeof(V) / sizeof(std::int64_t);
 
 /// The sizeof(V) bytes at `src`, any alignment.
 template <typename V, typename Slot>
@@ -247,6 +271,255 @@ template <typename V, int RN, typename Slot>
       }
     }
   }
+}
+
+// ------------------------------------------------------ epilogue sweeps
+//
+// The stage boundaries of KernelBackend's epilogue sweeps over V's
+// int64 lanes, each equal to its scalar loop in epilogue_sweep.h. A
+// row of outputs runs in vectors of consecutive values; its last vector
+// ends at the row's end, overlapping the one before it (every output
+// depends only on its own inputs, so the overlap rewrites identical
+// values), and a row narrower than V runs at half width, so no sweep
+// reads or writes past a row. Table reads go through a gather policy G:
+// LaneGather reads lane by lane; the AVX-512 tier overrides full and
+// half-width vectors with hardware gathers (vector_kernels.cpp). Only
+// that tier instantiates the sweeps: the portable and AVX2 tiers run
+// the scalar reference.
+
+/// Reads tables at per-lane indices one lane at a time: lut() widens
+/// int32 activation LUT entries, rows() reads int64 staging-table
+/// entries.
+struct LaneGather {
+  template <typename V>
+  [[gnu::always_inline]] static void lut(V& out, const std::int32_t* table,
+                                         const V& index) {
+    if constexpr (std::is_integral_v<V>) {
+      out = table[index];
+    } else {
+      V entries = {};
+      for (std::size_t i = 0; i < kInt64Lanes<V>; ++i) {
+        entries[i] = table[index[i]];
+      }
+      out = entries;
+    }
+  }
+  template <typename V>
+  [[gnu::always_inline]] static void rows(V& out, const std::int64_t* base,
+                                          const V& index) {
+    if constexpr (std::is_integral_v<V>) {
+      out = base[index];
+    } else {
+      V entries = {};
+      for (std::size_t i = 0; i < kInt64Lanes<V>; ++i) {
+        entries[i] = base[index[i]];
+      }
+      out = entries;
+    }
+  }
+};
+
+/// Whether any lane of `mask` is nonzero.
+template <typename V>
+[[gnu::always_inline]] inline bool any_lane(const V& mask) {
+  if constexpr (std::is_integral_v<V>) {
+    return mask != 0;
+  } else {
+    std::int64_t any = 0;
+    for (std::size_t i = 0; i < kInt64Lanes<V>; ++i) any |= mask[i];
+    return any != 0;
+  }
+}
+
+/// QFormat::quantize of V's lanes of floats at `src`: scaled, clamped
+/// (std::clamp's order), NaN to 0, then ±0.5 and truncated through
+/// int32, which the clamp proves exact.
+template <typename V>
+[[gnu::always_inline]] inline void quantize(V& out, const float* src,
+                                            const man::fixed::QFormat& format) {
+  if constexpr (std::is_integral_v<V>) {
+    out = format.quantize(static_cast<double>(*src));
+  } else {
+    using Real = typename Lanes<V>::Real;
+    typename Lanes<V>::Single single;
+    load(single, src);
+    const Real value = __builtin_convertvector(single, Real);
+    const Real limit = Real{} + static_cast<double>(format.max_raw());
+    Real scaled = value * format.scale();
+    scaled = scaled < -limit ? -limit : scaled;
+    scaled = limit < scaled ? limit : scaled;
+    scaled = value == value ? scaled : Real{};
+    scaled += scaled >= 0.0 ? Real{} + 0.5 : Real{} - 0.5;
+    out = __builtin_convertvector(
+        __builtin_convertvector(scaled, typename Lanes<V>::Narrow), V);
+  }
+}
+
+/// An activation LUT's integer address path as the sweeps run it: its
+/// RawPath, whose index_scale N − 1 is 2^bits − 1 (a FixedActivationLut
+/// holds 2^address_bits entries), so the address multiply is a shift
+/// and a subtract.
+struct LutPath {
+  man::core::FixedActivationLut::RawPath raw;
+  int bits = 0;
+
+  /// False when raw's index_scale is not 2^bits − 1.
+  [[nodiscard]] bool assign(
+      const man::core::FixedActivationLut::RawPath& path) {
+    raw = path;
+    const auto entries = static_cast<std::uint64_t>(path.index_scale) + 1;
+    bits = std::countr_zero(entries);
+    return path.index_scale > 0 && std::has_single_bit(entries);
+  }
+};
+
+/// FixedActivationLut::RawPath on V's lanes: the clamp, the exact
+/// integer address (every term non-negative, the LUT's construction
+/// proof keeps it below 2^53), then the table read through G.
+template <typename G, typename V>
+[[gnu::always_inline]] inline void apply_lut(V& out, const V& in,
+                                             const LutPath& lut) {
+  const V clip = V{} + lut.raw.clip_raw;
+  V clamped = in < -clip ? -clip : in;
+  clamped = clip < clamped ? clip : clamped;
+  const V position = clamped + clip;
+  V index = (position << lut.bits) - position + clip;
+  index >>= lut.raw.index_shift;
+  G::lut(out, lut.raw.table, index);
+}
+
+/// Sums of consecutive pairs of the 2n lanes of lo then hi.
+template <typename V, std::size_t... I>
+[[gnu::always_inline]] inline void pair_sums(V& sum, const V& lo, const V& hi,
+                                             std::index_sequence<I...>) {
+  sum = __builtin_shufflevector(lo, hi, (2 * I)...) +
+        __builtin_shufflevector(lo, hi, (2 * I + 1)...);
+}
+
+/// A 2×2 pool over V's lanes of consecutive outputs whose windows start
+/// at row0 and row1 (the two input rows at the first output's column
+/// 2x): each input through the LUT, the windows summed, and the
+/// averages rounded to nearest, half away from zero.
+template <typename G, typename V>
+[[gnu::always_inline]] inline void lut_pool2_vector(V& pooled,
+                                                    const std::int64_t* row0,
+                                                    const std::int64_t* row1,
+                                                    const LutPath& lut) {
+  V sum;
+  if constexpr (std::is_integral_v<V>) {
+    V in[4] = {row0[0], row0[1], row1[0], row1[1]};
+    for (V& v : in) apply_lut<G>(v, v, lut);
+    sum = in[0] + in[1] + in[2] + in[3];
+  } else {
+    constexpr std::size_t n = kInt64Lanes<V>;
+    V in[4];
+    load(in[0], row0);
+    load(in[1], row0 + n);
+    load(in[2], row1);
+    load(in[3], row1 + n);
+    for (V& v : in) apply_lut<G>(v, v, lut);
+    // Column sums of the 2n inputs, then each even column plus the
+    // odd one after it.
+    pair_sums(sum, in[0] + in[2], in[1] + in[3],
+              std::make_index_sequence<n>{});
+  }
+  const V sign = sum >> 63;  // 0 or -1
+  const V rounded = (((sum ^ sign) - sign) + 2) >> 2;  // the magnitude
+  pooled = (rounded ^ sign) - sign;
+}
+
+/// A staging table and the lane-major int32 slots it stages into.
+struct Staging {
+  man::core::PrecomputerCache::View table;
+  std::int32_t* slots;
+  std::size_t stride;
+
+  /// Stages V's lanes of values as values o, o + 1, …: each value's k
+  /// table entries, entry l to slots[l·stride + o]. A value outside
+  /// the window sets its lane of `miss` and stages a row inside it, so
+  /// no read leaves the table; the caller then reruns the scalar
+  /// reference, which throws.
+  template <typename G, typename V>
+  [[gnu::always_inline]] void put(const V& values, std::size_t o,
+                                  V& miss) const {
+    const V first = V{} + table.min_raw;
+    const V last =
+        V{} + (table.min_raw + static_cast<std::int64_t>(table.span) - 1);
+    // Clamped into the window: a lane the clamp moved is a miss (as
+    // min/max and xor, so no compare mask is materialized).
+    V inside = values < first ? first : values;
+    inside = last < inside ? last : inside;
+    miss |= inside ^ values;
+    const V index = (inside - first) * static_cast<std::int64_t>(table.k);
+    for (std::size_t l = 0; l < table.k; ++l) {
+      V entries;
+      G::rows(entries, table.rows + l, index);
+      std::int32_t* dst = slots + l * stride + o;
+      if constexpr (std::is_integral_v<V>) {
+        *dst = static_cast<std::int32_t>(entries);
+      } else {
+        const auto narrow =
+            __builtin_convertvector(entries, typename Lanes<V>::Narrow);
+        std::memcpy(dst, &narrow, sizeof narrow);
+      }
+    }
+  }
+};
+
+/// KernelBackend::stage_pixels as one row of pixels. False when a
+/// value missed the table's window (nothing is read outside it).
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool stage_pixels(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const Staging& staging) {
+  constexpr std::size_t kLanes = kInt64Lanes<V>;
+  const std::size_t n = pixels.size();
+  if constexpr (kLanes > 1) {
+    if (n < kLanes) {
+      return stage_pixels<G, typename Lanes<V>::Half>(pixels, format,
+                                                      staging);
+    }
+  }
+  const auto quantized = format;  // by value, as lut_pool2_stage's LUT
+  V miss = {};
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const std::size_t at = std::min(i, n - kLanes);
+    V values;
+    quantize(values, pixels.data() + at, quantized);
+    staging.put<G>(values, at, miss);
+  }
+  return !any_lane(miss);
+}
+
+/// KernelBackend::lut_pool2_stage, row by row. False when a staged
+/// value missed the table's window.
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool lut_pool2_stage(const std::int64_t* in,
+                                                   const Pool2Shape& shape,
+                                                   const LutPath& path,
+                                                   const Staging& staging) {
+  constexpr std::size_t kLanes = kInt64Lanes<V>;
+  const auto ow = static_cast<std::size_t>(shape.ow);
+  if constexpr (kLanes > 1) {
+    if (ow < kLanes) {
+      return lut_pool2_stage<G, typename Lanes<V>::Half>(in, shape, path,
+                                                         staging);
+    }
+  }
+  const std::size_t iw = 2 * ow;
+  const std::size_t rows = static_cast<std::size_t>(shape.c) * shape.oh;
+  const LutPath lut = path;  // by value: no store of the sweep aliases it
+  V miss = {};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int64_t* row0 = in + 2 * r * iw;
+    for (std::size_t x = 0; x < ow; x += kLanes) {
+      const std::size_t at = std::min(x, ow - kLanes);
+      V pooled;
+      lut_pool2_vector<G>(pooled, row0 + 2 * at, row0 + iw + 2 * at, lut);
+      staging.put<G>(pooled, r * ow + at, miss);
+    }
+  }
+  return !any_lane(miss);
 }
 
 }  // namespace

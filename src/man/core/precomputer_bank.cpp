@@ -188,10 +188,11 @@ void PrecomputerCache::configure_range(std::int64_t min_raw,
   k_ = k;
 }
 
-void PrecomputerCache::throw_out_of_window(std::int64_t input) const {
+void PrecomputerCache::throw_out_of_window(std::int64_t input,
+                                           std::uint64_t span) {
   throw std::out_of_range(
       "PrecomputerCache: input " + std::to_string(input) +
-      " outside the table window of " + std::to_string(span_) + " values");
+      " outside the table window of " + std::to_string(span) + " values");
 }
 
 }  // namespace man::core

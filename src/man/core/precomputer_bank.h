@@ -114,12 +114,31 @@ class PrecomputerCache {
   /// Charges nothing to `counts`: the bank ran when the table filled.
   [[nodiscard]] const std::int64_t* lookup(std::int64_t input,
                                            OpCounts& /*counts*/) const {
-    // Subtraction in uint64 is wrap-safe for any input; a wrapped
-    // offset fails the span check.
-    const std::uint64_t offset = static_cast<std::uint64_t>(input) -
-                                 static_cast<std::uint64_t>(min_raw_);
-    if (offset >= span_) throw_out_of_window(input);
-    return table_.data() + offset * k_;
+    return view().lookup(input);
+  }
+
+  /// The table as plain values, for sweeps that read its rows
+  /// directly (the kernel backends' epilogue sweeps). Valid until the
+  /// next configure_range(); a sweep checks every input against
+  /// [min_raw, min_raw + span) and throws what lookup() throws.
+  struct View {
+    const std::int64_t* rows = nullptr;  ///< span rows of k multiples
+    std::int64_t min_raw = 0;
+    std::uint64_t span = 0;  ///< 0 = no window configured
+    std::size_t k = 0;
+
+    /// PrecomputerCache::lookup().
+    [[nodiscard]] const std::int64_t* lookup(std::int64_t input) const {
+      // Subtraction in uint64 is wrap-safe for any input; a wrapped
+      // offset fails the span check.
+      const std::uint64_t offset = static_cast<std::uint64_t>(input) -
+                                   static_cast<std::uint64_t>(min_raw);
+      if (offset >= span) throw_out_of_window(input, span);
+      return rows + offset * k;
+    }
+  };
+  [[nodiscard]] View view() const noexcept {
+    return View{table_.data(), min_raw_, span_, k_};
   }
 
   /// Widest window configure_range() accepts (64 MiB of rows at
@@ -127,7 +146,8 @@ class PrecomputerCache {
   static constexpr std::uint64_t kMaxFlatSpan = std::uint64_t{1} << 20;
 
  private:
-  [[noreturn]] void throw_out_of_window(std::int64_t input) const;
+  [[noreturn]] static void throw_out_of_window(std::int64_t input,
+                                              std::uint64_t span);
 
   const PrecomputerBank* bank_ = nullptr;
   std::vector<std::int64_t> table_;  ///< span_ rows of k_ multiples

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
+#include "man/backend/epilogue_sweep.h"
 #include "man/core/quartet.h"
 #include "man/core/weight_constraint.h"
 #include "man/nn/activation_layer.h"
@@ -20,6 +22,10 @@ using man::core::MultiplierKind;
 using man::core::OpCounts;
 using man::core::QuartetLayout;
 using man::core::WeightConstraint;
+using man::backend::epilogue::LutSource;
+using man::backend::epilogue::PixelSource;
+using man::backend::epilogue::ValueSink;
+using man::backend::epilogue::ValueSource;
 
 namespace {
 
@@ -60,6 +66,11 @@ class BankRows {
     return row_;
   }
 
+  /// The staging table, or null for a stage fed raw accumulators.
+  [[nodiscard]] const man::core::PrecomputerCache* table() const {
+    return table_;
+  }
+
  private:
   const man::core::PrecomputerCache* table_;
   const man::core::PrecomputerBank* bank_;
@@ -74,35 +85,8 @@ constexpr std::size_t kTile = man::backend::kDenseTile;
 // An epilogue sweep reads a boundary's inputs through a Source, applies
 // its segment's LUTs and pool, and hands each value on to a Sink: the
 // next stage's staged bank outputs in that stage's layout, a segment
-// hand-off, or the output.
-
-// The input image, quantized to the activation format as it is read
-// (the format by value, so no store of the sweep can alias it).
-struct PixelSource {
-  const float* pixels;
-  man::fixed::QFormat format;
-  [[gnu::always_inline]] std::int64_t operator()(std::size_t i) const {
-    return format.quantize(static_cast<double>(pixels[i]));
-  }
-};
-
-// int64 accumulators (or activations handed on by an earlier segment).
-struct ValueSource {
-  const std::int64_t* values;
-  [[gnu::always_inline]] std::int64_t operator()(std::size_t i) const {
-    return values[i];
-  }
-};
-
-// int64 values at their own index: a segment hand-off or one sample's
-// output.
-struct ValueSink {
-  std::int64_t* out;
-  [[gnu::always_inline]] void operator()(std::size_t o,
-                                         std::int64_t v) const {
-    out[o] = v;
-  }
-};
+// hand-off, or the output. The sources, the pool and the lane-major
+// sink are the scalar reference of man/backend/epilogue_sweep.h.
 
 // A tile's outputs: value o = r·kTile + b is row r of sample b, which
 // lands in sample b's `rows`-wide output slot.
@@ -127,24 +111,9 @@ struct DenseSink {
   }
 };
 
-// Conv staging, lane-major: lane l of element o at [l·stride + o], so
-// consecutive output positions of one conv weight read consecutive
-// slots (the layout ConvLayerPlan::idx indexes). Slots are int64, or
-// int32 for a stage whose plan passed int32_row_bound(), which proves
-// every staged multiple fits.
+// Conv staging, lane-major, from the stage's table or its bank.
 template <typename Slot>
-struct LaneMajorSink {
-  BankRows rows;
-  Slot* multiples;
-  std::size_t k;
-  std::size_t stride;
-  [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
-    const std::int64_t* row = rows(v);
-    for (std::size_t l = 0; l < k; ++l) {
-      multiples[l * stride + o] = static_cast<Slot>(row[l]);
-    }
-  }
-};
+using LaneMajorSink = man::backend::epilogue::LaneMajorSink<Slot, BankRows>;
 
 // Tile staging, sample-minor: lane l of element i of sample b at
 // [(i·k + l)·kTile + b], so the kTile sample lanes of one plan slot
@@ -176,58 +145,6 @@ struct SegmentOps {
   const man::core::FixedActivationLut* post = nullptr;
 };
 
-// A source read through the segment's pre-pool LUT.
-template <typename Source>
-struct LutSource {
-  Source source;
-  man::core::FixedActivationLut::RawPath lut;
-  [[gnu::always_inline]] std::int64_t operator()(std::size_t i) const {
-    return lut(source(i));
-  }
-};
-
-// Sums each pool window and rounds the average to nearest, half away
-// from zero: the magnitude is rounded and the sign restored. A
-// power-of-two window² divides by a shift (hardware: add tree +
-// shift). Pool windows tile their input (the constructor checks the
-// AvgPool2D identities), so each input is read once. kWindow > 0 fixes
-// the window at compile time; 0 reads it from the descriptor.
-template <int kWindow, typename Source, typename Sink>
-void pool_sweep(const CompiledPoolStage& pool,
-                const man::core::FixedActivationLut* post_lut, Source source,
-                Sink sink) {
-  const auto post = post_lut != nullptr
-                        ? post_lut->raw_path()
-                        : man::core::FixedActivationLut::RawPath{};
-  const auto window =
-      static_cast<std::size_t>(kWindow > 0 ? kWindow : pool.window);
-  const auto iw = static_cast<std::size_t>(pool.iw);
-  const auto n = static_cast<std::int64_t>(window * window);
-  const std::int64_t half = n / 2;
-  const int shift = (n & (n - 1)) == 0
-                        ? std::countr_zero(static_cast<std::uint64_t>(n))
-                        : -1;
-  const std::size_t rows = static_cast<std::size_t>(pool.c) * pool.oh;
-  std::size_t o = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t row = r * window * iw;
-    for (std::size_t x = 0; x < iw; x += window, ++o) {
-      std::int64_t sum = 0;
-      for (std::size_t wy = 0; wy < window; ++wy) {
-        for (std::size_t wx = 0; wx < window; ++wx) {
-          sum += source(row + wy * iw + x + wx);
-        }
-      }
-      const std::int64_t sign = sum >> 63;  // 0 or -1
-      const std::int64_t magnitude = (sum ^ sign) - sign;
-      const std::int64_t rounded = shift >= 0 ? (magnitude + half) >> shift
-                                              : (magnitude + half) / n;
-      const std::int64_t v = (rounded ^ sign) - sign;
-      sink(o, post.table != nullptr ? post(v) : v);
-    }
-  }
-}
-
 // One segment's sweep over `count` values (the input count; a pool
 // segment reads its descriptor's geometry, one sample at a time).
 template <typename Source, typename Sink>
@@ -235,10 +152,20 @@ void sweep_source(const SegmentOps& ops, std::size_t count, Source source,
                   Sink sink) {
   if (ops.pool == nullptr) {
     for (std::size_t i = 0; i < count; ++i) sink(i, source(i));
-  } else if (ops.pool->window == 2) {
-    pool_sweep<2>(*ops.pool, ops.post, source, sink);
   } else {
-    pool_sweep<0>(*ops.pool, ops.post, source, sink);
+    // Pool windows tile their input (the constructor checks the
+    // AvgPool2D identities).
+    const CompiledPoolStage& pool = *ops.pool;
+    const std::size_t rows = static_cast<std::size_t>(pool.c) * pool.oh;
+    const auto iw = static_cast<std::size_t>(pool.iw);
+    const auto window = static_cast<std::size_t>(pool.window);
+    if (window == 2) {
+      man::backend::epilogue::pool_sweep<2>(rows, iw, window, ops.post,
+                                            source, sink);
+    } else {
+      man::backend::epilogue::pool_sweep<0>(rows, iw, window, ops.post,
+                                            source, sink);
+    }
   }
 }
 
@@ -281,6 +208,38 @@ std::int32_t* tile_slots(std::vector<std::int32_t>& buffer,
                          std::size_t slots) {
   std::int32_t* data = sized(buffer, slots * kTile + kLineSlots - 1);
   return data + line_offset(data);
+}
+
+// The segment shapes the kernel backend sweeps, for one sample into a
+// conv stage's int32 lane-major slots staged from its table: the input
+// image quantized, or a LUT then a 2×2 pool. False for every other
+// shape: raw-fed stages, other windows, a LUT after the pool, int64
+// conv lanes and every other sink stay on the scalar sweeps.
+template <typename Source, typename Sink>
+bool backend_sweep(const SegmentOps& ops, std::size_t count, Source source,
+                   Sink& sink, const man::backend::KernelBackend& kernel) {
+  if constexpr (std::is_same_v<Sink, LaneMajorSink<std::int32_t>>) {
+    const man::core::PrecomputerCache* table = sink.rows.table();
+    if (table == nullptr) return false;
+    if constexpr (std::is_same_v<Source, PixelSource>) {
+      if (ops.pre != nullptr || ops.pool != nullptr || ops.post != nullptr) {
+        return false;
+      }
+      kernel.stage_pixels({source.pixels, count}, source.format,
+                          table->view(), sink.multiples, sink.stride);
+    } else {
+      if (ops.pre == nullptr || ops.pool == nullptr ||
+          ops.pool->window != 2 || ops.post != nullptr) {
+        return false;
+      }
+      kernel.lut_pool2_stage(
+          source.values, {ops.pool->c, ops.pool->oh, ops.pool->ow},
+          ops.pre->raw_path(), table->view(), sink.multiples, sink.stride);
+    }
+    return true;
+  } else {
+    return false;
+  }
 }
 
 // Phase timing shim: runs `fn` and charges its wall clock to the given
@@ -851,7 +810,7 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
         forward_sample(sample(s + b), j, stats, scratch, kernel);
         feed(j, sample(s + b),
              TileSink<false>{BankRows(syn.table, syn.bank), multiples, k, b},
-             scratch);
+             scratch, kernel);
       }
       forward_tile(out.subspan(s * output_size_, kTile * output_size_), stats,
                    scratch, kernel);
@@ -863,7 +822,7 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
   for (; s < count; ++s) {
     forward_sample(sample(s), synapses, stats, scratch, kernel);
     feed(synapses, sample(s), ValueSink{out.data() + s * output_size_},
-         scratch);
+         scratch, kernel);
     stats.inferences += 1;
   }
 }
@@ -879,9 +838,9 @@ void FixedNetwork::charge_synapse(LayerStats& layer,
 }
 
 template <typename Source, typename Sink>
-void FixedNetwork::run_epilogue(std::size_t j, std::size_t samples,
-                                Source source, Sink sink,
-                                InferScratch& scratch) const {
+void FixedNetwork::run_epilogue(
+    std::size_t j, std::size_t samples, Source source, Sink sink,
+    InferScratch& scratch, const man::backend::KernelBackend& kernel) const {
   const Epilogue& epilogue = epilogues_[j];
   const auto lut = [&](std::size_t stage) {
     return stage == Segment::kNoStage
@@ -900,7 +859,13 @@ void FixedNetwork::run_epilogue(std::size_t j, std::size_t samples,
     const std::vector<Segment>& segments = epilogue.segments;
     const Segment& last = segments.back();
     if (segments.size() == 1) {
-      sweep(ops(last), last.in_size * samples, source, sink);
+      const SegmentOps last_ops = ops(last);
+      const std::size_t count = last.in_size * samples;
+      if (samples == 1 &&
+          backend_sweep(last_ops, count, source, sink, kernel)) {
+        return;
+      }
+      sweep(last_ops, count, source, sink);
       return;
     }
     // Every segment but the last hands its int64 values on through the
@@ -927,13 +892,15 @@ void FixedNetwork::run_epilogue(std::size_t j, std::size_t samples,
 
 template <typename Sink>
 void FixedNetwork::feed(std::size_t j, std::span<const float> pixels,
-                        Sink sink, InferScratch& scratch) const {
+                        Sink sink, InferScratch& scratch,
+                        const man::backend::KernelBackend& kernel) const {
   if (j == 0) {
     run_epilogue(j, 1,
                  PixelSource{pixels.data(), model_.spec.activation_format},
-                 sink, scratch);
+                 sink, scratch, kernel);
   } else {
-    run_epilogue(j, 1, ValueSource{scratch.acc.data()}, sink, scratch);
+    run_epilogue(j, 1, ValueSource{scratch.acc.data()}, sink, scratch,
+                 kernel);
   }
 }
 
@@ -956,7 +923,7 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
       feed(j, pixels,
            DenseSink{rows, sized(scratch.multiples, plan.padded_multiples()),
                      static_cast<std::size_t>(plan.k)},
-           scratch);
+           scratch, kernel);
       std::int64_t* out = sized(acc, static_cast<std::size_t>(dense->out));
       timed_phase(profile, &PhaseProfile::kernel_s, [&] {
         kernel.accumulate_dense(plan, scratch.multiples.data(), out);
@@ -972,12 +939,12 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
         feed(j, pixels,
              LaneMajorSink<std::int32_t>{
                  rows, sized(scratch.multiples32, slots), k, stride},
-             scratch);
+             scratch, kernel);
       } else {
         feed(j, pixels,
              LaneMajorSink<std::int64_t>{rows, sized(scratch.multiples, slots),
                                          k, stride},
-             scratch);
+             scratch, kernel);
       }
       std::int64_t* out =
           sized(acc, static_cast<std::size_t>(conv.oc) * conv.oh * conv.ow);
@@ -1017,7 +984,7 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
     charge_synapse(stats.layers[j], dense.synapse, kTile);
     if (j + 1 == synapses) {
       run_epilogue(j + 1, kTile, ValueSource{acc},
-                   TileOutputSink{out.data(), output_size_}, scratch);
+                   TileOutputSink{out.data(), output_size_}, scratch, kernel);
     } else {
       const std::size_t next = epilogues_[j + 1].stage;
       const auto& syn = std::get<SynapseStage>(stages_[next]);
@@ -1027,7 +994,7 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
                                   tile_slots(scratch.tile_multiples,
                                              next_plan.padded_multiples()),
                                   static_cast<std::size_t>(next_plan.k)},
-                   scratch);
+                   scratch, kernel);
     }
   }
 }

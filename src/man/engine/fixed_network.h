@@ -380,15 +380,19 @@ class FixedNetwork {
 
   /// The sweeps of epilogues_[j] over `samples` sample-minor samples
   /// (only pool-free epilogues run more than one) from `source` into
-  /// `sink`, timed and counted into scratch.profile.
+  /// `sink`, timed and counted into scratch.profile. A one-sample
+  /// epilogue of a shape `kernel` sweeps (pixels, or a LUT then a 2×2
+  /// pool, into int32 conv lanes) runs there.
   template <typename Source, typename Sink>
   void run_epilogue(std::size_t j, std::size_t samples, Source source,
-                    Sink sink, InferScratch& scratch) const;
+                    Sink sink, InferScratch& scratch,
+                    const man::backend::KernelBackend& kernel) const;
   /// run_epilogue() for one sample: from `pixels` when j is 0, else
   /// from scratch.acc.
   template <typename Sink>
   void feed(std::size_t j, std::span<const float> pixels, Sink sink,
-            InferScratch& scratch) const;
+            InferScratch& scratch,
+            const man::backend::KernelBackend& kernel) const;
 
   /// The staging window: the activation format's raw range, which
   /// quantized pixels, LUT outputs and pools of those lie in. The

@@ -54,6 +54,8 @@ class QFormat {
   [[nodiscard]] double min_value() const noexcept { return -max_value(); }
   /// Quantization step 2^-frac_bits.
   [[nodiscard]] double resolution() const noexcept { return 1.0 / scale_; }
+  /// 2^frac_bits, the factor quantize() scales a real value by.
+  [[nodiscard]] double scale() const noexcept { return scale_; }
 
   /// Quantizes a real value: round-to-nearest (ties away from zero),
   /// saturating to the representable range; NaN maps to 0. Clamping

@@ -22,6 +22,12 @@ std::chrono::milliseconds retry_after_hint(std::chrono::nanoseconds delay) {
                     std::chrono::milliseconds(30'000));
 }
 
+/// How late the dispatcher may wake from its co-batching wait and
+/// still start a request closed max_wait after submission before its
+/// deadline. A deadline nearer than max_wait plus this closes the
+/// request's batch at once instead.
+constexpr std::chrono::milliseconds kWakeSlack{2};
+
 InferenceResult make_rejection(Status status, std::string message,
                                std::chrono::milliseconds retry_after = {}) {
   InferenceResult result;
@@ -144,6 +150,16 @@ std::size_t InferenceServer::pick_tier(std::chrono::nanoseconds estimated_delay,
 
 InferenceServer::~InferenceServer() { shutdown(); }
 
+InferenceServer::Clock::time_point InferenceServer::flush_time(
+    Clock::time_point now, Clock::time_point deadline) const noexcept {
+  // A batch closing at (or just before) the deadline would find it
+  // passed once the dispatcher wakes a little late, and expire the
+  // request, so a deadline within kWakeSlack of the wait flushes at
+  // once.
+  const Clock::time_point patient = now + config_.max_wait;
+  return deadline < patient + kWakeSlack ? now : patient;
+}
+
 bool InferenceServer::try_enqueue(Pending&& pending,
                                   InferenceResult& rejection) {
   {
@@ -202,7 +218,7 @@ std::future<InferenceResult> InferenceServer::submit(
   pending.count = request.payload.size() / in_size;
   pending.pixels = std::move(request.payload);
   pending.hard_deadline = request.deadline;
-  pending.flush_at = std::min(now + config_.max_wait, request.deadline);
+  pending.flush_at = flush_time(now, request.deadline);
   pending.priority = request.priority;
   pending.enqueued_at = now;
 
@@ -236,7 +252,7 @@ void InferenceServer::submit_async(InferenceRequest request,
   pending.count = request.payload.size() / in_size;
   pending.pixels = std::move(request.payload);
   pending.hard_deadline = request.deadline;
-  pending.flush_at = std::min(now + config_.max_wait, request.deadline);
+  pending.flush_at = flush_time(now, request.deadline);
   pending.priority = request.priority;
   pending.enqueued_at = now;
   pending.callback = std::move(callback);

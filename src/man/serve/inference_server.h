@@ -168,7 +168,7 @@ class InferenceServer {
   struct Pending {
     std::vector<float> pixels;
     std::size_t count = 0;
-    /// Co-batching flush trigger (≤ hard_deadline).
+    /// Co-batching flush trigger (flush_time()).
     Clock::time_point flush_at;
     /// Compute must start by this instant (time_point::max(): never).
     Clock::time_point hard_deadline;
@@ -183,6 +183,12 @@ class InferenceServer {
   /// Shared admission path. Returns true if the request was queued;
   /// otherwise `rejection` holds the immediate result to deliver.
   bool try_enqueue(Pending&& pending, InferenceResult& rejection);
+  /// When a request submitted at `now` closes its micro-batch:
+  /// max_wait later, or at once when `deadline` is nearer than that
+  /// plus a wake-up slack (kWakeSlack, 2 ms), so compute starts before
+  /// the deadline.
+  [[nodiscard]] Clock::time_point flush_time(
+      Clock::time_point now, Clock::time_point deadline) const noexcept;
 
   /// One rung of the serving ladder: the spec, the engine (owned when
   /// the server was built from a TieredEngine, borrowed on the

@@ -91,8 +91,9 @@ struct InferenceRequest {
   /// count × input_size floats, never split across micro-batches.
   std::vector<float> payload;
   /// Hard deadline: if compute has not *started* by this instant the
-  /// request resolves kDeadlineExceeded instead of being served. Also
-  /// bounds the co-batching wait (a near deadline flushes early).
+  /// request resolves kDeadlineExceeded instead of being served. A
+  /// deadline nearer than ServeConfig::max_wait plus 2 ms skips the
+  /// co-batching wait: the request's batch closes at once.
   /// time_point::max() (the default) means "no deadline".
   Clock::time_point deadline = Clock::time_point::max();
   /// Scheduling hint: higher-priority requests are queued ahead of

@@ -153,8 +153,9 @@ TEST(InferenceServer, DeadlineFlushesPartialBatch) {
 }
 
 // Regression: explicit deadlines need not arrive in order. A
-// newcomer with a tight deadline must flush the queue even though the
-// front request could wait an hour.
+// newcomer with a deadline nearer than max_wait must flush the queue
+// even though the front request could wait an hour, and be served:
+// its batch closes at once, not at its deadline.
 TEST(InferenceServer, EarlierDeadlineDeepInQueueTriggersFlush) {
   const FixedNetwork engine = make_engine(9, 8, 6, 3, AlphabetSet::man());
   ServeConfig config;
@@ -165,18 +166,68 @@ TEST(InferenceServer, EarlierDeadlineDeepInQueueTriggersFlush) {
 
   const auto patient_pixels = random_samples(1, engine.input_size(), 60);
   auto patient = server.submit({.payload = patient_pixels});
+  const auto urgent_pixels = random_samples(1, engine.input_size(), 61);
   InferenceRequest urgent_request;
-  urgent_request.payload = random_samples(1, engine.input_size(), 61);
-  urgent_request.deadline = InferenceServer::Clock::now() + 2ms;
+  urgent_request.payload = urgent_pixels;
+  urgent_request.deadline = InferenceServer::Clock::now() + 10s;
   auto urgent = server.submit(std::move(urgent_request));
 
-  // The urgent deadline releases both: batches close oldest-first, so
-  // the patient request ships in the same flush. (The urgent request
-  // itself closes at its own hard deadline, so it may expire.)
+  // The urgent request releases both: batches close oldest-first, so
+  // the patient request ships in the same flush.
   ASSERT_EQ(urgent.wait_for(30s), std::future_status::ready);
   ASSERT_EQ(patient.wait_for(30s), std::future_status::ready);
+  const InferenceResult urgent_result = urgent.get();
+  EXPECT_EQ(urgent_result.status, Status::kOk);
+  EXPECT_EQ(urgent_result.raw, sequential_raw(engine, urgent_pixels));
   EXPECT_EQ(patient.get().raw, sequential_raw(engine, patient_pixels));
   EXPECT_GE(server.metrics().deadline_flushes, 1u);
+  EXPECT_EQ(server.metrics().deadline_expired, 0u);
+}
+
+// A lone request whose deadline is nearer than max_wait is served, not
+// expired at its deadline.
+TEST(InferenceServer, DeadlineNearerThanMaxWaitIsServed) {
+  const FixedNetwork engine = make_engine(10, 8, 6, 3, AlphabetSet::man());
+  ServeConfig config;
+  config.max_batch = 1u << 20;
+  config.queue_capacity = config.max_batch;
+  config.max_wait = 1h;
+  InferenceServer server(engine, config);
+
+  const auto pixels = random_samples(1, engine.input_size(), 62);
+  InferenceRequest request;
+  request.payload = pixels;
+  request.deadline = InferenceServer::Clock::now() + 50ms;
+  auto future = server.submit(std::move(request));
+  ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
+  const InferenceResult result = future.get();
+  EXPECT_EQ(result.status, Status::kOk);
+  EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
+  EXPECT_EQ(server.metrics().deadline_expired, 0u);
+}
+
+// A deadline just past max_wait would expire whenever the dispatcher
+// woke from the wait a moment late, so it flushes at once too. 1 ms
+// past, not less: submit() reads the clock after this test does, and
+// must still see the deadline beyond its own now + max_wait.
+TEST(InferenceServer, DeadlineJustPastMaxWaitIsServed) {
+  const FixedNetwork engine = make_engine(11, 8, 6, 3, AlphabetSet::man());
+  ServeConfig config;
+  config.max_batch = 1u << 20;
+  config.queue_capacity = config.max_batch;
+  config.max_wait = 1h;
+  InferenceServer server(engine, config);
+
+  const auto pixels = random_samples(1, engine.input_size(), 63);
+  InferenceRequest request;
+  request.payload = pixels;
+  request.deadline = InferenceServer::Clock::now() + config.max_wait + 1ms;
+  auto future = server.submit(std::move(request));
+  ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
+  const InferenceResult result = future.get();
+  EXPECT_EQ(result.status, Status::kOk);
+  EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
+  EXPECT_EQ(server.metrics().deadline_expired, 0u);
 }
 
 TEST(InferenceServer, ShutdownDrainsPendingAndRejectsNewWork) {
