@@ -12,13 +12,19 @@
 //   - the same plans, one accumulate_dense call over one sample's
 //     staged int64 multiples (the per-sample kernel: a gather on
 //     avx512, the portable group loop below it);
+//   - the SVHN MLP's tile boundaries, the epilogue sweeps around those
+//     kernels: a 16-sample tile's pixels quantized and staged into the
+//     first plan's tile (stage_pixels_tile), and each hidden layer's
+//     tile accumulators through its tanh LUT into the next plan's tile
+//     (lut_stage_tile);
 //   - the LeNet CNN's (12-bit) conv plans, one accumulate_conv_int32
 //     or accumulate_conv call over one sample's staged lane-major
 //     multiples, on the lane width the engine gives the layer (named
 //     in its label).
-// Prints per layer the plan's terms, (shift, sign) groups and bytes,
-// and µs per call on each backend; exits 1 if any layer's output
-// differs from the scalar reference by a single bit.
+// Prints per layer the plan's terms, (shift, sign) groups and bytes (per
+// boundary the values it stages), and µs per call on each backend;
+// exits 1 if any layer's or boundary's output differs from the scalar
+// reference by a single bit.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -27,6 +33,7 @@
 
 #include "bench_common.h"
 #include "man/backend/kernel_backend.h"
+#include "man/core/activation.h"
 #include "man/core/precomputer_bank.h"
 #include "man/nn/constraint_projection.h"
 #include "man/util/rng.h"
@@ -114,28 +121,34 @@ std::string dense_label(std::size_t i, const DenseLayerPlan& plan) {
          std::to_string(plan.rows);
 }
 
-/// Per-layer rows of one plan family plus its total row: µs per call
-/// on every backend, the first of which is the scalar reference.
+/// Per-layer rows of one plan family (or per-boundary rows of the
+/// sweeps between them) plus its total row: the row's figures, summed
+/// in the total, then µs per call on every backend, the first of which
+/// is the scalar reference.
 class Report {
  public:
-  explicit Report(const std::vector<const KernelBackend*>& backends)
+  Report(const std::vector<std::string>& columns,
+         const std::vector<const KernelBackend*>& backends)
       : backends_(backends),
         us_(backends.size()),
-        table_(header(backends)) {}
+        totals_(columns.size() - 1),
+        table_(header(columns, backends)) {}
 
-  /// Times `run(backend, out)` on every backend into `outputs` slots
-  /// and compares each result with the reference's.
-  template <typename Run>
-  void add(const std::string& label, const GroupedPlan& plan,
+  /// Times `run(backend, out)` on every backend into `outputs` slots of
+  /// type Out and compares each result with the reference's.
+  template <typename Out = std::int64_t, typename Run>
+  void add(const std::string& label, const std::vector<std::size_t>& figures,
            std::size_t outputs, Run run) {
-    std::vector<std::string> row = {label, std::to_string(plan.idx.size()),
-                                    std::to_string(plan.shifts.size()),
-                                    std::to_string(plan_bytes(plan))};
-    std::vector<std::int64_t> expected(outputs);
+    std::vector<std::string> row = {label};
+    for (std::size_t i = 0; i < figures.size(); ++i) {
+      row.push_back(std::to_string(figures[i]));
+      totals_[i] += figures[i];
+    }
+    std::vector<Out> expected(outputs);
     bool same = true;
     for (std::size_t i = 0; i < backends_.size(); ++i) {
-      std::vector<std::int64_t> got(outputs, -1);
-      std::int64_t* out = i == 0 ? expected.data() : got.data();
+      std::vector<Out> got(outputs, -1);
+      Out* out = i == 0 ? expected.data() : got.data();
       const double us = us_per_call([&] { run(*backends_[i], out); });
       same = same && (i == 0 || got == expected);
       us_[i] += us;
@@ -143,17 +156,23 @@ class Report {
     }
     row.push_back(same ? "yes" : "NO");
     identical_ = identical_ && same;
-    terms_ += plan.idx.size();
-    groups_ += plan.shifts.size();
-    bytes_ += plan_bytes(plan);
     table_.add_row(row);
+  }
+
+  /// A plan's row: its terms, groups and bytes.
+  template <typename Run>
+  void add_plan(const std::string& label, const GroupedPlan& plan,
+                std::size_t outputs, Run run) {
+    add(label, {plan.idx.size(), plan.shifts.size(), plan_bytes(plan)},
+        outputs, run);
   }
 
   /// Prints the table with its total row; false on any mismatch.
   bool print() {
-    std::vector<std::string> row = {"total", std::to_string(terms_),
-                                    std::to_string(groups_),
-                                    std::to_string(bytes_)};
+    std::vector<std::string> row = {"total"};
+    for (const std::size_t total : totals_) {
+      row.push_back(std::to_string(total));
+    }
     for (const double us : us_) row.push_back(format_double(us, 1));
     row.push_back(identical_ ? "yes" : "NO");
     table_.add_separator();
@@ -164,9 +183,8 @@ class Report {
 
  private:
   static std::vector<std::string> header(
+      std::vector<std::string> columns,
       const std::vector<const KernelBackend*>& backends) {
-    std::vector<std::string> columns = {"Layer", "Terms", "Groups",
-                                        "Plan bytes"};
     for (const KernelBackend* backend : backends) {
       columns.push_back(std::string(backend->name()) + " us");
     }
@@ -176,10 +194,13 @@ class Report {
 
   std::vector<const KernelBackend*> backends_;
   std::vector<double> us_;
+  std::vector<std::size_t> totals_;
   man::util::Table table_;
-  std::size_t terms_ = 0, groups_ = 0, bytes_ = 0;
   bool identical_ = true;
 };
+
+const std::vector<std::string> kPlanColumns = {"Layer", "Terms", "Groups",
+                                               "Plan bytes"};
 
 /// The scalar reference, then every backend whose capped tier is live
 /// on this CPU, then the resolved backend if it is not among them.
@@ -204,7 +225,61 @@ std::string versus(const std::vector<const KernelBackend*>& backends) {
   return text;
 }
 
-/// The three tables of one scheme; false on any mismatch.
+/// The SVHN MLP's tile boundaries, µs per 16-sample tile; false on any
+/// mismatch.
+bool report_boundaries(const man::engine::FixedNetwork& svhn,
+                       const std::string& scheme,
+                       const std::vector<const KernelBackend*>& backends) {
+  man::bench::print_banner("Dense tile boundaries: SVHN MLP (8-bit) " +
+                           scheme + ", " + std::to_string(kDenseTile) +
+                           "-sample tile, " + versus(backends));
+  const man::nn::QuantSpec spec =
+      man::apps::get_app(man::apps::AppId::kSvhnMlp8).quant();
+  const man::core::FixedActivationLut lut(
+      man::core::ActivationKind::kTanh,
+      man::fixed::QFormat(30, spec.weight_format.frac_bits() +
+                                  spec.activation_format.frac_bits()),
+      spec.activation_format);
+  const std::int64_t clip = lut.raw_clamp_hi();
+  man::util::Rng rng(975);
+  Report report({"Boundary", "Values"}, backends);
+  const auto& plans = svhn.plans();
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const DenseLayerPlan& plan = plans[i];
+    const auto k = static_cast<std::size_t>(plan.k);
+    const man::core::PrecomputerBank bank(
+        man::core::AlphabetSet::first_n(k));
+    man::core::PrecomputerCache table(bank);
+    table.configure_range(plan.in_min_raw, plan.in_max_raw);
+    const auto cols = static_cast<std::size_t>(plan.cols);
+    const std::size_t slots = plan.padded_multiples() * kDenseTile;
+    if (i == 0) {
+      // Pixels as images hold them, in [0, 1].
+      std::vector<float> pixels(cols * kDenseTile);
+      for (float& p : pixels) p = static_cast<float>(rng.next_double());
+      report.add<std::int32_t>(
+          "pixels -> " + dense_label(i, plan), {pixels.size()}, slots,
+          [&](const KernelBackend& backend, std::int32_t* tile) {
+            backend.stage_pixels_tile(pixels, spec.activation_format,
+                                      table.view(), tile);
+          });
+    } else {
+      // Accumulators across the LUT's clamp and beyond it.
+      std::vector<std::int64_t> acc(cols * kDenseTile);
+      for (std::int64_t& a : acc) a = rng.next_in(-2 * clip, 2 * clip);
+      report.add<std::int32_t>(
+          "L" + std::to_string(i - 1) + " LUT -> " + dense_label(i, plan),
+          {acc.size()}, slots,
+          [&](const KernelBackend& backend, std::int32_t* tile) {
+            backend.lut_stage_tile(acc.data(), cols, lut.raw_path(),
+                                   table.view(), tile);
+          });
+    }
+  }
+  return report.print();
+}
+
+/// The four tables of one scheme; false on any mismatch.
 bool report_scheme(bool conventional,
                    const std::vector<const KernelBackend*>& backends) {
   const std::string scheme =
@@ -213,7 +288,7 @@ bool report_scheme(bool conventional,
                            ", " + std::to_string(kDenseTile) +
                            "-sample tile, " + versus(backends));
   const auto svhn = build_engine(man::apps::AppId::kSvhnMlp8, conventional);
-  Report dense(backends);
+  Report dense(kPlanColumns, backends);
   for (std::size_t i = 0; i < svhn.plans().size(); ++i) {
     const DenseLayerPlan& plan = svhn.plans()[i];
     const auto k = static_cast<std::size_t>(plan.k);
@@ -230,7 +305,7 @@ bool report_scheme(bool conventional,
         [&](std::size_t n, std::size_t l) {
           return (n / kDenseTile * k + l) * kDenseTile + n % kDenseTile;
         });
-    dense.add(dense_label(i, plan), plan,
+    dense.add_plan(dense_label(i, plan), plan,
               static_cast<std::size_t>(plan.rows) * kDenseTile,
               [&](const KernelBackend& backend, std::int64_t* out) {
                 backend.accumulate_dense_tile(plan, tile.data(), out);
@@ -238,9 +313,11 @@ bool report_scheme(bool conventional,
   }
   bool identical = dense.print();
 
+  identical = report_boundaries(svhn, scheme, backends) && identical;
+
   man::bench::print_banner("Dense per sample: SVHN MLP (8-bit) " + scheme +
                            ", one sample per call, " + versus(backends));
-  Report sample(backends);
+  Report sample(kPlanColumns, backends);
   for (std::size_t i = 0; i < svhn.plans().size(); ++i) {
     const DenseLayerPlan& plan = svhn.plans()[i];
     const auto k = static_cast<std::size_t>(plan.k);
@@ -248,7 +325,7 @@ bool report_scheme(bool conventional,
     const auto multiples = stage<std::int64_t>(
         plan, static_cast<std::size_t>(plan.cols), plan.padded_multiples(),
         925 + i, [&](std::size_t n, std::size_t l) { return n * k + l; });
-    sample.add(dense_label(i, plan), plan,
+    sample.add_plan(dense_label(i, plan), plan,
                static_cast<std::size_t>(plan.rows),
                [&](const KernelBackend& backend, std::int64_t* out) {
                  backend.accumulate_dense(plan, multiples.data(), out);
@@ -259,7 +336,7 @@ bool report_scheme(bool conventional,
   man::bench::print_banner("Conv: LeNet CNN (12-bit) " + scheme +
                            ", one sample per call, " + versus(backends));
   const auto lenet = build_engine(man::apps::AppId::kDigitCnn12, conventional);
-  Report conv(backends);
+  Report conv(kPlanColumns, backends);
   for (std::size_t i = 0; i < lenet.conv_plans().size(); ++i) {
     const ConvLayerPlan& plan = lenet.conv_plans()[i];
     const std::size_t elems = plan.input_elems();
@@ -277,14 +354,14 @@ bool report_scheme(bool conventional,
     if (int32_lanes) {
       const auto multiples =
           stage(plan, elems, plan.padded_multiples(), 950 + i, slot);
-      conv.add(label, plan, outputs,
+      conv.add_plan(label, plan, outputs,
                [&](const KernelBackend& backend, std::int64_t* out) {
                  backend.accumulate_conv_int32(plan, multiples.data(), out);
                });
     } else {
       const auto multiples = stage<std::int64_t>(
           plan, elems, plan.padded_multiples(), 950 + i, slot);
-      conv.add(label, plan, outputs,
+      conv.add_plan(label, plan, outputs,
                [&](const KernelBackend& backend, std::int64_t* out) {
                  backend.accumulate_conv(plan, multiples.data(), out);
                });

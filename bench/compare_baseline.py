@@ -25,10 +25,11 @@ bench/baseline.json:
     flap them, and they catch a backend silently degrading to the
     scalar path (the hard bit-exactness gate stays the bench's own
     exit code);
-  * fig9_cnn_replay's epilogue_share (the share of its profiled
+  * a replay's epilogue_share (the share of its profiled
     single-thread time spent outside the kernels: the fused
     quantize/staging/LUT/pool sweeps, a ratio measured in one process)
-    above the baseline's max_epilogue_share ceiling fails the job;
+    above that replay's max_epilogue_share ceiling in the baseline
+    (fig9_replay and fig9_cnn_replay each carry one) fails the job;
   * artifact_cold_start (the plan-artifact mmap-load vs in-process
     build comparison) must be bit-identical and its load-vs-build
     speedup must meet the baseline's min_speedup floor;

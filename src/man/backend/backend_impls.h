@@ -36,9 +36,10 @@ struct VectorKernels {
                      std::int64_t*);
   /// The epilogue sweeps, null where the tier runs the scalar
   /// reference instead. Each returns false when it could not run
-  /// exactly (a staged value missed the table's window, or a LUT's
-  /// scale is not 2^bits − 1), and the backend then reruns the scalar
-  /// reference, which throws on the miss.
+  /// exactly (a staged value missed the table's window, a LUT's scale
+  /// is not 2^bits − 1, the table lacks the in-register proof, or a
+  /// pixel format is too wide for float lanes), and the backend then
+  /// reruns the scalar reference, which throws on a miss.
   bool (*stage_pixels)(std::span<const float>, const man::fixed::QFormat&,
                        const man::core::PrecomputerCache::View&,
                        std::int32_t*, std::size_t);
@@ -46,6 +47,14 @@ struct VectorKernels {
                           const man::core::FixedActivationLut::RawPath&,
                           const man::core::PrecomputerCache::View&,
                           std::int32_t*, std::size_t);
+  bool (*stage_pixels_tile)(std::span<const float>,
+                            const man::fixed::QFormat&,
+                            const man::core::PrecomputerCache::View&,
+                            std::int32_t*);
+  bool (*lut_stage_tile)(const std::int64_t*, std::size_t,
+                         const man::core::FixedActivationLut::RawPath&,
+                         const man::core::PrecomputerCache::View&,
+                         std::int32_t*);
 };
 
 /// The widest tier at most `cap_bytes` wide that this CPU runs: 64

@@ -1,10 +1,10 @@
 // The scalar epilogue sweeps: the loops of a stage boundary (input
-// quantization, activation LUT, average pool, lane-major staging) as
-// FixedNetwork runs them for every segment shape and the scalar
-// backend runs them for the shapes KernelBackend sweeps. They are the
-// reference: every vector sweep equals them bit for bit. A sweep reads
-// a boundary's inputs through a Source, applies its LUTs and pool, and
-// hands each value on to a Sink.
+// quantization, activation LUT, average pool, lane-major or tile
+// staging) as FixedNetwork runs them for every segment shape and the
+// scalar backend runs them for the shapes KernelBackend sweeps. They
+// are the reference: every vector sweep equals them bit for bit. A
+// sweep reads a boundary's inputs through a Source, applies its LUTs
+// and pool, and hands each value on to a Sink.
 //
 // Internal linkage, like vector_kernels.h: each includer compiles its
 // own copies, so no template here becomes a weak symbol.
@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "man/backend/layer_plan.h"
 #include "man/core/activation.h"
 #include "man/core/precomputer_bank.h"
 #include "man/fixed/qformat.h"
@@ -85,6 +86,27 @@ struct LaneMajorSink {
     const std::int64_t* row = rows(v);
     for (std::size_t l = 0; l < k; ++l) {
       multiples[l * stride + o] = static_cast<Slot>(row[l]);
+    }
+  }
+};
+
+// Dense tile staging, sample-minor: lane l of element i of sample b at
+// [(i·k + l)·kDenseTile + b], so the kDenseTile sample lanes of one
+// plan slot sit contiguously (the layout accumulate_dense_tile reads),
+// in int32 slots, which int32_row_bound() proves every tiled stage's
+// multiples fit. `rows` maps a value to its k bank outputs.
+template <typename Rows>
+struct TileSlots {
+  Rows rows;
+  std::int32_t* tile;
+  std::size_t k;
+  [[gnu::always_inline]] void operator()(std::size_t i, std::size_t b,
+                                         std::int64_t v) {
+    constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
+    std::int32_t* dest = tile + i * k * kTile + b;
+    const std::int64_t* row = rows(v);
+    for (std::size_t l = 0; l < k; ++l) {
+      dest[l * kTile] = static_cast<std::int32_t>(row[l]);
     }
   }
 };

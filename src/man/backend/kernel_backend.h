@@ -49,9 +49,12 @@ enum class BackendKind {
              ///< AVX-512F/VL, portable without either)
 };
 
-/// One implementation of the inner accumulation loops and of the conv
-/// stage boundaries' epilogue sweeps. Stateless and thread-safe:
-/// instances are process-wide singletons obtained via
+/// One implementation of the inner accumulation loops and of the
+/// stage boundaries' epilogue sweeps: a conv network's first two
+/// (pixels into conv lanes; LUT, 2×2 pool, conv lanes) and a dense
+/// batch tile's (a tile's pixels into its sample-minor slots; its
+/// accumulators through a LUT into the next tile's). Stateless and
+/// thread-safe: instances are process-wide singletons obtained via
 /// backend_for()/resolve().
 class KernelBackend {
  public:
@@ -124,14 +127,18 @@ class KernelBackend {
                                      const std::int32_t* multiples,
                                      std::int64_t* out) const = 0;
 
-  // Epilogue sweeps: the stage boundaries of a conv network, each the
-  // scalar reference loops of epilogue_sweep.h fused into one pass.
-  // Staging writes value o's k table entries lane-major as int32:
-  // lane l at slots[l·stride + o] (the accumulate_conv_int32 layout;
-  // callers hold int32_row_bound() ≤ INT32_MAX, which proves every
-  // entry fits). Every staged value is checked against the table's
+  // Epilogue sweeps: stage boundaries, each the scalar reference loops
+  // of epilogue_sweep.h fused into one pass. Conv staging writes value
+  // o's k table entries lane-major as int32: lane l at
+  // slots[l·stride + o] (the accumulate_conv_int32 layout). Tile
+  // staging writes element i of sample b sample-minor: lane l at
+  // tile[(i·k + l)·kDenseTile + b] (the accumulate_dense_tile layout).
+  // Callers hold int32_row_bound() ≤ INT32_MAX, which proves every
+  // entry fits. Every staged value is checked against the table's
   // window first; a value outside it throws the std::out_of_range
-  // PrecomputerCache::lookup throws.
+  // PrecomputerCache::lookup throws. Where the table carries its
+  // alphabets (View::alphabets), a vector sweep computes the k entries
+  // as alphabets[l]·x in int32 lanes instead of reading its rows.
 
   /// Each pixel quantized to `format` (QFormat::quantize) and staged
   /// from `table`, pixel i as value i.
@@ -148,6 +155,23 @@ class KernelBackend {
       const man::core::FixedActivationLut::RawPath& lut,
       const man::core::PrecomputerCache::View& table, std::int32_t* slots,
       std::size_t stride) const = 0;
+
+  /// A tile's images: `pixels` holds kDenseTile samples of n values
+  /// each, sample after sample; pixel i of sample b is quantized to
+  /// `format` and staged from `table` as element i of sample b.
+  virtual void stage_pixels_tile(
+      std::span<const float> pixels, const man::fixed::QFormat& format,
+      const man::core::PrecomputerCache::View& table,
+      std::int32_t* tile) const = 0;
+
+  /// A tile's accumulators through `lut`: acc[i·kDenseTile + b] (row i
+  /// of sample b, `elements` rows, as accumulate_dense_tile writes
+  /// them) is staged from `table` as element i of sample b.
+  virtual void lut_stage_tile(
+      const std::int64_t* acc, std::size_t elements,
+      const man::core::FixedActivationLut::RawPath& lut,
+      const man::core::PrecomputerCache::View& table,
+      std::int32_t* tile) const = 0;
 };
 
 /// The process-wide instance of one backend kind.

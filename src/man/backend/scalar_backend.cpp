@@ -13,6 +13,7 @@ namespace {
 using epilogue::LaneMajorSink;
 using epilogue::LutSource;
 using epilogue::TableRows;
+using epilogue::TileSlots;
 using epilogue::ValueSource;
 
 /// Bias plus row r's groups, in int64 whatever the slot width; term t
@@ -121,6 +122,34 @@ class ScalarBackend final : public KernelBackend {
         LutSource<ValueSource>{ValueSource{in}, lut},
         LaneMajorSink<std::int32_t, TableRows>{{table}, slots, table.k,
                                                stride});
+  }
+
+  void stage_pixels_tile(std::span<const float> pixels,
+                         const man::fixed::QFormat& format,
+                         const man::core::PrecomputerCache::View& table,
+                         std::int32_t* tile) const override {
+    // Sample by sample, as the per-sample path stages them.
+    constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
+    const std::size_t n = pixels.size() / kTile;
+    const epilogue::PixelSource source{pixels.data(), format};
+    TileSlots<TableRows> slots{{table}, tile, table.k};
+    for (std::size_t b = 0; b < kTile; ++b) {
+      for (std::size_t i = 0; i < n; ++i) slots(i, b, source(b * n + i));
+    }
+  }
+
+  void lut_stage_tile(const std::int64_t* acc, std::size_t elements,
+                      const man::core::FixedActivationLut::RawPath& lut,
+                      const man::core::PrecomputerCache::View& table,
+                      std::int32_t* tile) const override {
+    constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
+    const LutSource<ValueSource> source{ValueSource{acc}, lut};
+    TileSlots<TableRows> slots{{table}, tile, table.k};
+    for (std::size_t i = 0; i < elements; ++i) {
+      for (std::size_t b = 0; b < kTile; ++b) {
+        slots(i, b, source(i * kTile + b));
+      }
+    }
   }
 };
 

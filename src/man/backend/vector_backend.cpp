@@ -50,8 +50,10 @@ class VectorBackend final : public KernelBackend {
   }
 
   // A tier without epilogue sweeps, or a sweep it could not run exactly
-  // (a value outside the staging window, a LUT scale not 2^bits − 1),
-  // runs the scalar reference, which throws at the first miss.
+  // (a value outside the staging window, a LUT scale not 2^bits − 1, a
+  // table without the in-register proof, a format float lanes cannot
+  // quantize exactly), runs the scalar reference, which throws at the
+  // first miss.
   void stage_pixels(std::span<const float> pixels,
                     const man::fixed::QFormat& format,
                     const man::core::PrecomputerCache::View& table,
@@ -70,6 +72,26 @@ class VectorBackend final : public KernelBackend {
     if (kernels_.lut_pool2_stage == nullptr ||
         !kernels_.lut_pool2_stage(in, shape, lut, table, slots, stride)) {
       scalar_backend().lut_pool2_stage(in, shape, lut, table, slots, stride);
+    }
+  }
+
+  void stage_pixels_tile(std::span<const float> pixels,
+                         const man::fixed::QFormat& format,
+                         const man::core::PrecomputerCache::View& table,
+                         std::int32_t* tile) const override {
+    if (kernels_.stage_pixels_tile == nullptr ||
+        !kernels_.stage_pixels_tile(pixels, format, table, tile)) {
+      scalar_backend().stage_pixels_tile(pixels, format, table, tile);
+    }
+  }
+
+  void lut_stage_tile(const std::int64_t* acc, std::size_t elements,
+                      const man::core::FixedActivationLut::RawPath& lut,
+                      const man::core::PrecomputerCache::View& table,
+                      std::int32_t* tile) const override {
+    if (kernels_.lut_stage_tile == nullptr ||
+        !kernels_.lut_stage_tile(acc, elements, lut, table, tile)) {
+      scalar_backend().lut_stage_tile(acc, elements, lut, table, tile);
     }
   }
 

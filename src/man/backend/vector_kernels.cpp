@@ -1,9 +1,9 @@
 // The vector tiers: vector_kernels.h's loops instantiated at 16 bytes
 // (default ISA), 32 bytes (MAN_TARGET_AVX2) and 64 bytes
-// (MAN_TARGET_AVX512), plus the two per-sample dense kernels and the
-// AVX-512 tier's epilogue sweeps with their gathers. This is the only
-// object that holds AVX code; nothing here runs before
-// vector_kernels() has checked CPUID.
+// (MAN_TARGET_AVX512), plus the two per-sample dense kernels and, at
+// the AVX2 and AVX-512 tiers, the four epilogue sweeps with their
+// gathers. This is the only object that holds AVX code; nothing here
+// runs before vector_kernels() has checked CPUID.
 #include "man/backend/vector_kernels.h"
 
 #include "man/backend/backend_impls.h"
@@ -87,22 +87,27 @@ MAN_TARGET_AVX2 void conv_int32_avx2(const ConvLayerPlan& plan,
   conv<I32x8, kConvRows>(plan, multiples, out);
 }
 
-/// 4-lane table reads in one AVX2 hardware gather, narrower vectors
-/// lane by lane: the AVX-512 tier's half-width rows.
+/// Hardware gathers of 8 int32 lanes and of 4 int64 lanes (the AVX2
+/// tier's vectors, and the AVX-512 tier's half-width conv rows);
+/// narrower vectors lane by lane.
 struct YmmGather : LaneGather {
   using LaneGather::lut;
-  using LaneGather::rows;
+  using LaneGather::pixels;
   MAN_TARGET_AVX2 static void lut(I64x4& out, const std::int32_t* table,
                                   const I64x4& index) {
     const auto entries = reinterpret_cast<I32x4>(
         _mm256_i64gather_epi32(table, reinterpret_cast<__m256i>(index), 4));
     out = __builtin_convertvector(entries, I64x4);
   }
-  MAN_TARGET_AVX2 static void rows(I64x4& out, const std::int64_t* base,
-                                   const I64x4& index) {
-    out = reinterpret_cast<I64x4>(
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base),
-                               reinterpret_cast<__m256i>(index), 8));
+  MAN_TARGET_AVX2 static void lut(I32x8& out, const std::int32_t* table,
+                                  const I32x8& index) {
+    out = reinterpret_cast<I32x8>(
+        _mm256_i32gather_epi32(table, reinterpret_cast<__m256i>(index), 4));
+  }
+  MAN_TARGET_AVX2 static void pixels(F32x8& out, const float* base,
+                                     const I32x8& offsets) {
+    out = reinterpret_cast<F32x8>(
+        _mm256_i32gather_ps(base, reinterpret_cast<__m256i>(offsets), 4));
   }
 };
 
@@ -144,12 +149,13 @@ MAN_TARGET_AVX512 void dense_groups_avx512(const DenseLayerPlan& plan,
   }
 }
 
-/// The AVX-512 tier's table reads: a full vector's 8 lanes in one
-/// hardware gather (no DQ instruction: the tier targets AVX-512F/VL),
-/// a half-width one in an AVX2 gather, narrower ones lane by lane.
+/// The AVX-512 tier's table reads: a full vector's lanes in one
+/// hardware gather (8 int64 or 16 int32; no DQ instruction: the tier
+/// targets AVX-512F/VL), a half-width one in an AVX2 gather, narrower
+/// ones lane by lane.
 struct ZmmGather : YmmGather {
   using YmmGather::lut;
-  using YmmGather::rows;
+  using YmmGather::pixels;
   MAN_TARGET_AVX512 static void lut(
       I64x8& out, const std::int32_t* table, const I64x8& index) {
     const auto entries =
@@ -157,10 +163,15 @@ struct ZmmGather : YmmGather {
             reinterpret_cast<__m512i>(index), table, 4));
     out = __builtin_convertvector(entries, I64x8);
   }
-  MAN_TARGET_AVX512 static void rows(
-      I64x8& out, const std::int64_t* base, const I64x8& index) {
-    out = reinterpret_cast<I64x8>(_mm512_i64gather_epi64(
-        reinterpret_cast<__m512i>(index), base, 8));
+  MAN_TARGET_AVX512 static void lut(
+      I32x16& out, const std::int32_t* table, const I32x16& index) {
+    out = reinterpret_cast<I32x16>(
+        _mm512_i32gather_epi32(reinterpret_cast<__m512i>(index), table, 4));
+  }
+  MAN_TARGET_AVX512 static void pixels(F32x16& out, const float* base,
+                                       const I32x16& offsets) {
+    out = reinterpret_cast<F32x16>(
+        _mm512_i32gather_ps(reinterpret_cast<__m512i>(offsets), base, 4));
   }
 };
 
@@ -168,25 +179,95 @@ using man::core::PrecomputerCache;
 using RawPath = man::core::FixedActivationLut::RawPath;
 
 // The epilogue sweeps report false when they could not run exactly: a
-// staged value missed the table's window (an empty window stages
-// nothing, so no gather reads an unconfigured table), or the LUT's
-// scale is not 2^bits − 1.
+// staged value missed the table's window, the table lacks the
+// in-register proof (an unconfigured table has none, so no sweep stages
+// from it), the LUT's scale is not 2^bits − 1, or float lanes cannot
+// quantize the pixel format exactly.
+template <typename V>
+[[gnu::always_inline]] inline bool row_pixels(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const PrecomputerCache::View& table, std::int32_t* slots,
+    std::size_t stride) {
+  FloatQuantize quantizer;
+  return table.alphabets != nullptr && quantizer.assign(format) &&
+         stage_pixels<V>(pixels, quantizer, Staging{table}, slots, stride);
+}
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool lut_pool2(
+    const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
+    const PrecomputerCache::View& table, std::int32_t* slots,
+    std::size_t stride) {
+  LutPath lut;
+  return table.alphabets != nullptr && lut.assign(raw) &&
+         lut_pool2_stage<G, V>(in, shape, lut, Staging{table}, slots, stride);
+}
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool tile_pixels(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const PrecomputerCache::View& table, std::int32_t* tile) {
+  FloatQuantize quantizer;
+  // Every gather offset, (kDenseTile − 1)·n, must fit int32.
+  return table.alphabets != nullptr && quantizer.assign(format) &&
+         pixels.size() <= std::size_t{INT32_MAX} &&
+         stage_pixels_tile<G, V>(pixels, quantizer, Staging{table}, tile);
+}
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool tile_lut(const std::int64_t* acc,
+                                            std::size_t elements,
+                                            const RawPath& raw,
+                                            const PrecomputerCache::View& table,
+                                            std::int32_t* tile) {
+  LutPath lut;
+  return table.alphabets != nullptr && lut.assign(raw) &&
+         lut_stage_tile<G, V>(acc, elements, lut, Staging{table}, tile);
+}
+
 MAN_TARGET_AVX512 bool stage_pixels_avx512(
     std::span<const float> pixels, const man::fixed::QFormat& format,
     const PrecomputerCache::View& table, std::int32_t* slots,
     std::size_t stride) {
-  return table.span != 0 &&
-         stage_pixels<ZmmGather, I64x8>(pixels, format,
-                                        Staging{table, slots, stride});
+  return row_pixels<I32x16>(pixels, format, table, slots, stride);
 }
 MAN_TARGET_AVX512 bool lut_pool2_stage_avx512(
     const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
     const PrecomputerCache::View& table, std::int32_t* slots,
     std::size_t stride) {
-  LutPath lut;
-  return lut.assign(raw) && table.span != 0 &&
-         lut_pool2_stage<ZmmGather, I64x8>(in, shape, lut,
-                                           Staging{table, slots, stride});
+  return lut_pool2<ZmmGather, I64x8>(in, shape, raw, table, slots, stride);
+}
+MAN_TARGET_AVX512 bool stage_pixels_tile_avx512(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const PrecomputerCache::View& table, std::int32_t* tile) {
+  return tile_pixels<ZmmGather, I32x16>(pixels, format, table, tile);
+}
+MAN_TARGET_AVX512 bool lut_stage_tile_avx512(
+    const std::int64_t* acc, std::size_t elements, const RawPath& raw,
+    const PrecomputerCache::View& table, std::int32_t* tile) {
+  return tile_lut<ZmmGather, I32x16>(acc, elements, raw, table, tile);
+}
+
+MAN_TARGET_AVX2 bool stage_pixels_avx2(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const PrecomputerCache::View& table, std::int32_t* slots,
+    std::size_t stride) {
+  return row_pixels<I32x8>(pixels, format, table, slots, stride);
+}
+MAN_TARGET_AVX2 bool lut_pool2_stage_avx2(
+    const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
+    const PrecomputerCache::View& table, std::int32_t* slots,
+    std::size_t stride) {
+  return lut_pool2<YmmGather, I64x4>(in, shape, raw, table, slots, stride);
+}
+MAN_TARGET_AVX2 bool stage_pixels_tile_avx2(
+    std::span<const float> pixels, const man::fixed::QFormat& format,
+    const PrecomputerCache::View& table, std::int32_t* tile) {
+  return tile_pixels<YmmGather, I32x8>(pixels, format, table, tile);
+}
+MAN_TARGET_AVX2 bool lut_stage_tile_avx2(const std::int64_t* acc,
+                                         std::size_t elements,
+                                         const RawPath& raw,
+                                         const PrecomputerCache::View& table,
+                                         std::int32_t* tile) {
+  return tile_lut<YmmGather, I32x8>(acc, elements, raw, table, tile);
 }
 
 MAN_TARGET_AVX512 void dense_tile_avx512(const DenseLayerPlan& plan,
@@ -220,18 +301,19 @@ int cpu_bytes() { return 16; }
 #endif  // MAN_X86_KERNELS
 
 constexpr VectorKernels kTiers[] = {
-    // The epilogue sweeps ran 1.2–1.3× slower than the scalar
-    // reference at 16 bytes (SSE2: no 64-bit compares, shifts or
-    // gathers) and no faster at 32 (AVX2: 64-bit shifts, min/max and
-    // multiplies emulated), so these tiers run the reference.
+    // The portable tier runs the scalar sweeps: at 16 bytes the conv
+    // sweeps ran 1.2–1.3× slower than them (SSE2 has no 64-bit
+    // compares, shifts or gathers), and SSE2 has no int32 multiply for
+    // the in-register multiples.
     {16, "portable 16-byte vectors", dense_groups, dense_tile_16, conv_16,
-     conv_int32_16, nullptr, nullptr},
+     conv_int32_16, nullptr, nullptr, nullptr, nullptr},
 #if MAN_X86_KERNELS
-    {32, "AVX2 32-byte vectors", dense_groups, dense_tile_avx2, conv_avx2,
-     conv_int32_avx2, nullptr, nullptr},
+    {32, "AVX2 32-byte vectors and gathers", dense_groups, dense_tile_avx2,
+     conv_avx2, conv_int32_avx2, stage_pixels_avx2, lut_pool2_stage_avx2,
+     stage_pixels_tile_avx2, lut_stage_tile_avx2},
     {64, "AVX-512F/VL 64-byte vectors and gathers", dense_groups_avx512,
      dense_tile_avx512, conv_avx512, conv_int32_avx512, stage_pixels_avx512,
-     lut_pool2_stage_avx512},
+     lut_pool2_stage_avx512, stage_pixels_tile_avx512, lut_stage_tile_avx512},
 #endif
 };
 

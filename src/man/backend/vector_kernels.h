@@ -43,18 +43,19 @@ using I32x16 = std::int32_t __attribute__((vector_size(64)));
 using I64x2 = std::int64_t __attribute__((vector_size(16)));
 using I64x4 = std::int64_t __attribute__((vector_size(32)));
 using I64x8 = std::int64_t __attribute__((vector_size(64)));
-using F32x2 = float __attribute__((vector_size(8)));
+using U64x2 = std::uint64_t __attribute__((vector_size(16)));
+using U64x4 = std::uint64_t __attribute__((vector_size(32)));
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
 using F32x4 = float __attribute__((vector_size(16)));
 using F32x8 = float __attribute__((vector_size(32)));
-using F64x2 = double __attribute__((vector_size(16)));
-using F64x4 = double __attribute__((vector_size(32)));
-using F64x8 = double __attribute__((vector_size(64)));
+using F32x16 = float __attribute__((vector_size(64)));
 
 /// Per vector type V: Half, what a conv or pool row narrower than V
 /// drops to (a 16-byte vector drops to its slot type, one position per
-/// lane); for int32 lanes also Part, half of V's lanes, and Wide, those
-/// lanes widened to int64; for int64 lanes also Narrow, Real and
-/// Single, V's lane count of int32, double and float.
+/// lane); for int32 lanes also Part, half of V's lanes, Wide, those
+/// lanes widened to int64, and Single, V's lane count of float; for
+/// int64 lanes also Narrow and Unsigned, V's lane count of int32 and
+/// uint64.
 template <typename V>
 struct Lanes;
 template <>
@@ -62,44 +63,58 @@ struct Lanes<I32x16> {
   using Half = I32x8;
   using Part = I32x8;
   using Wide = I64x8;
+  using Single = F32x16;
 };
 template <>
 struct Lanes<I32x8> {
   using Half = I32x4;
   using Part = I32x4;
   using Wide = I64x4;
+  using Single = F32x8;
 };
 template <>
 struct Lanes<I32x4> {
   using Half = std::int32_t;
   using Part = I32x2;
   using Wide = I64x2;
+  using Single = F32x4;
 };
 template <>
 struct Lanes<I64x8> {
   using Half = I64x4;
   using Narrow = I32x8;
-  using Real = F64x8;
-  using Single = F32x8;
+  using Unsigned = U64x8;
 };
 template <>
 struct Lanes<I64x4> {
   using Half = I64x2;
   using Narrow = I32x4;
-  using Real = F64x4;
-  using Single = F32x4;
+  using Unsigned = U64x4;
 };
 template <>
 struct Lanes<I64x2> {
   using Half = std::int64_t;
   using Narrow = I32x2;
-  using Real = F64x2;
-  using Single = F32x2;
+  using Unsigned = U64x2;
 };
 
-/// int64 lanes in V (1 for the scalar a 16-byte row drops to).
+/// The lane type of V (V itself for the scalar a row drops to).
 template <typename V>
-inline constexpr std::size_t kInt64Lanes = sizeof(V) / sizeof(std::int64_t);
+struct LaneOf {
+  using type = std::remove_cvref_t<decltype(std::declval<V&>()[0])>;
+};
+template <>
+struct LaneOf<std::int32_t> {
+  using type = std::int32_t;
+};
+template <>
+struct LaneOf<std::int64_t> {
+  using type = std::int64_t;
+};
+template <typename V>
+using Lane = typename LaneOf<V>::type;
+template <typename V>
+inline constexpr std::size_t kLaneCount = sizeof(V) / sizeof(Lane<V>);
 
 /// The sizeof(V) bytes at `src`, any alignment.
 template <typename V, typename Slot>
@@ -275,85 +290,95 @@ template <typename V, int RN, typename Slot>
 
 // ------------------------------------------------------ epilogue sweeps
 //
-// The stage boundaries of KernelBackend's epilogue sweeps over V's
-// int64 lanes, each equal to its scalar loop in epilogue_sweep.h. A
-// row of outputs runs in vectors of consecutive values; its last vector
+// KernelBackend's epilogue sweeps, each equal to its scalar loop in
+// epilogue_sweep.h. The conv boundaries run a row of outputs in
+// vectors of consecutive values (int32 lanes for pixels, int64 lanes
+// for a LUT and pool over int64 accumulators); a row's last vector
 // ends at the row's end, overlapping the one before it (every output
 // depends only on its own inputs, so the overlap rewrites identical
 // values), and a row narrower than V runs at half width, so no sweep
-// reads or writes past a row. Table reads go through a gather policy G:
-// LaneGather reads lane by lane; the AVX-512 tier overrides full and
-// half-width vectors with hardware gathers (vector_kernels.cpp). Only
-// that tier instantiates the sweeps: the portable and AVX2 tiers run
-// the scalar reference.
+// reads or writes past a row. The tile boundaries run over V's int32
+// lanes, one lane per sample: a tile's kDenseTile samples are
+// kDenseTile / lanes vectors, so there is no tail. Staging computes a
+// value's k bank outputs in-register as alphabets[l]·x in int32 lanes,
+// which the table's construction proves equal to its rows
+// (PrecomputerCache::View::alphabets), so no table row is read. Table
+// reads go through a gather policy G: LaneGather reads lane by lane; the
+// AVX2 and AVX-512 tiers override their vectors with hardware gathers
+// (vector_kernels.cpp).
 
-/// Reads tables at per-lane indices one lane at a time: lut() widens
-/// int32 activation LUT entries, rows() reads int64 staging-table
-/// entries.
+/// Reads tables at per-lane indices one lane at a time: lut() reads
+/// int32 activation LUT entries into V's lanes, pixels() floats.
 struct LaneGather {
-  template <typename V>
-  [[gnu::always_inline]] static void lut(V& out, const std::int32_t* table,
-                                         const V& index) {
-    if constexpr (std::is_integral_v<V>) {
+  template <typename V, typename T, typename I>
+  [[gnu::always_inline]] static void read(V& out, const T* table,
+                                          const I& index) {
+    if constexpr (std::is_arithmetic_v<V>) {
       out = table[index];
     } else {
       V entries = {};
-      for (std::size_t i = 0; i < kInt64Lanes<V>; ++i) {
+      for (std::size_t i = 0; i < kLaneCount<V>; ++i) {
         entries[i] = table[index[i]];
       }
       out = entries;
     }
   }
   template <typename V>
-  [[gnu::always_inline]] static void rows(V& out, const std::int64_t* base,
-                                          const V& index) {
-    if constexpr (std::is_integral_v<V>) {
-      out = base[index];
-    } else {
-      V entries = {};
-      for (std::size_t i = 0; i < kInt64Lanes<V>; ++i) {
-        entries[i] = base[index[i]];
-      }
-      out = entries;
-    }
+  [[gnu::always_inline]] static void lut(V& out, const std::int32_t* table,
+                                         const V& index) {
+    read(out, table, index);
+  }
+  template <typename F, typename V>
+  [[gnu::always_inline]] static void pixels(F& out, const float* base,
+                                            const V& offsets) {
+    read(out, base, offsets);
   }
 };
 
 /// Whether any lane of `mask` is nonzero.
 template <typename V>
 [[gnu::always_inline]] inline bool any_lane(const V& mask) {
-  if constexpr (std::is_integral_v<V>) {
+  if constexpr (std::is_arithmetic_v<V>) {
     return mask != 0;
   } else {
-    std::int64_t any = 0;
-    for (std::size_t i = 0; i < kInt64Lanes<V>; ++i) any |= mask[i];
+    Lane<V> any = 0;
+    for (std::size_t i = 0; i < kLaneCount<V>; ++i) any |= mask[i];
     return any != 0;
   }
 }
 
-/// QFormat::quantize of V's lanes of floats at `src`: scaled, clamped
-/// (std::clamp's order), NaN to 0, then ±0.5 and truncated through
-/// int32, which the clamp proves exact.
-template <typename V>
-[[gnu::always_inline]] inline void quantize(V& out, const float* src,
-                                            const man::fixed::QFormat& format) {
-  if constexpr (std::is_integral_v<V>) {
-    out = format.quantize(static_cast<double>(*src));
-  } else {
-    using Real = typename Lanes<V>::Real;
-    typename Lanes<V>::Single single;
-    load(single, src);
-    const Real value = __builtin_convertvector(single, Real);
-    const Real limit = Real{} + static_cast<double>(format.max_raw());
-    Real scaled = value * format.scale();
-    scaled = scaled < -limit ? -limit : scaled;
-    scaled = limit < scaled ? limit : scaled;
-    scaled = value == value ? scaled : Real{};
-    scaled += scaled >= 0.0 ? Real{} + 0.5 : Real{} - 0.5;
-    out = __builtin_convertvector(
-        __builtin_convertvector(scaled, typename Lanes<V>::Narrow), V);
+/// QFormat::quantize in float lanes, exact for every format assign()
+/// accepts.
+struct FloatQuantize {
+  float scale = 0.0f;
+  float limit = 0.0f;
+
+  /// False unless a float holds the scale (2^frac_bits) and the limit
+  /// lies below 2^24, where the lanes below are exact.
+  [[nodiscard]] bool assign(const man::fixed::QFormat& format) {
+    scale = static_cast<float>(format.scale());
+    limit = static_cast<float>(format.max_raw());
+    return static_cast<double>(scale) == format.scale() &&
+           format.max_raw() < (std::int32_t{1} << 24);
   }
-}
+
+  /// V's int32 lanes from the floats in `value`. The power-of-two scale
+  /// makes the product exact, or ±∞ where the double reference's
+  /// finite product clamps to the same limit; after the clamp the
+  /// truncation and the fraction are exact, and rounding half away from
+  /// zero steps the truncation once where the fraction reaches ±0.5.
+  template <typename V, typename F>
+  [[gnu::always_inline]] void operator()(V& out, const F& value) const {
+    const F bound = F{} + limit;
+    F scaled = value * scale;
+    scaled = scaled < -bound ? -bound : scaled;
+    scaled = bound < scaled ? bound : scaled;
+    scaled = value == value ? scaled : F{};
+    const V whole = __builtin_convertvector(scaled, V);
+    const F fraction = scaled - __builtin_convertvector(whole, F);
+    out = whole - (fraction >= 0.5f) + (fraction <= -0.5f);
+  }
+};
 
 /// An activation LUT's integer address path as the sweeps run it: its
 /// RawPath, whose index_scale N − 1 is 2^bits − 1 (a FixedActivationLut
@@ -371,20 +396,33 @@ struct LutPath {
     bits = std::countr_zero(entries);
     return path.index_scale > 0 && std::has_single_bit(entries);
   }
+
+  /// RawPath's table index of int64 lanes W: the clamp, then the exact
+  /// integer address (every term non-negative, the LUT's construction
+  /// proof keeps it below 2^53, so the shift is logical).
+  template <typename W>
+  [[gnu::always_inline]] void index(W& out, const W& in) const {
+    const W clip = W{} + raw.clip_raw;
+    W clamped = in < -clip ? -clip : in;
+    clamped = clip < clamped ? clip : clamped;
+    const W position = clamped + clip;
+    const W address = (position << bits) - position + clip;
+    if constexpr (std::is_integral_v<W>) {
+      out = address >> raw.index_shift;
+    } else {
+      using U = typename Lanes<W>::Unsigned;
+      out = __builtin_convertvector(
+          __builtin_convertvector(address, U) >> raw.index_shift, W);
+    }
+  }
 };
 
-/// FixedActivationLut::RawPath on V's lanes: the clamp, the exact
-/// integer address (every term non-negative, the LUT's construction
-/// proof keeps it below 2^53), then the table read through G.
+/// FixedActivationLut::RawPath on V's int64 lanes, read through G.
 template <typename G, typename V>
 [[gnu::always_inline]] inline void apply_lut(V& out, const V& in,
                                              const LutPath& lut) {
-  const V clip = V{} + lut.raw.clip_raw;
-  V clamped = in < -clip ? -clip : in;
-  clamped = clip < clamped ? clip : clamped;
-  const V position = clamped + clip;
-  V index = (position << lut.bits) - position + clip;
-  index >>= lut.raw.index_shift;
+  V index;
+  lut.index(index, in);
   G::lut(out, lut.raw.table, index);
 }
 
@@ -394,6 +432,13 @@ template <typename V, std::size_t... I>
                                              std::index_sequence<I...>) {
   sum = __builtin_shufflevector(lo, hi, (2 * I)...) +
         __builtin_shufflevector(lo, hi, (2 * I + 1)...);
+}
+
+/// The lanes of lo then hi as one vector of twice the lanes.
+template <typename V, typename P, std::size_t... I>
+[[gnu::always_inline]] inline void concat(V& out, const P& lo, const P& hi,
+                                          std::index_sequence<I...>) {
+  out = __builtin_shufflevector(lo, hi, I...);
 }
 
 /// A 2×2 pool over V's lanes of consecutive outputs whose windows start
@@ -411,7 +456,7 @@ template <typename G, typename V>
     for (V& v : in) apply_lut<G>(v, v, lut);
     sum = in[0] + in[1] + in[2] + in[3];
   } else {
-    constexpr std::size_t n = kInt64Lanes<V>;
+    constexpr std::size_t n = kLaneCount<V>;
     V in[4];
     load(in[0], row0);
     load(in[1], row0 + n);
@@ -428,65 +473,78 @@ template <typename G, typename V>
   pooled = (rounded ^ sign) - sign;
 }
 
-/// A staging table and the lane-major int32 slots it stages into.
+/// Stages values from a staging table whose alphabets are set: each
+/// value's k bank outputs computed in-register.
 struct Staging {
   man::core::PrecomputerCache::View table;
-  std::int32_t* slots;
-  std::size_t stride;
 
-  /// Stages V's lanes of values as values o, o + 1, …: each value's k
-  /// table entries, entry l to slots[l·stride + o]. A value outside
-  /// the window sets its lane of `miss` and stages a row inside it, so
-  /// no read leaves the table; the caller then reruns the scalar
-  /// reference, which throws.
-  template <typename G, typename V>
-  [[gnu::always_inline]] void put(const V& values, std::size_t o,
-                                  V& miss) const {
-    const V first = V{} + table.min_raw;
-    const V last =
-        V{} + (table.min_raw + static_cast<std::int64_t>(table.span) - 1);
+  /// Stages V's lanes of values (int64 or int32), bank output l of lane
+  /// j to dst[l·lane_stride + j]. A value outside the window sets its
+  /// lane of `miss` and stages a value inside it; the caller then
+  /// reruns the scalar reference, which throws. Inside the window every
+  /// value and every multiple fits int32 (the table's proof), so the
+  /// multiplies run in int32 lanes.
+  template <typename V>
+  [[gnu::always_inline]] void put(const V& values, std::int32_t* dst,
+                                  std::size_t lane_stride, V& miss) const {
+    using L = Lane<V>;
+    const V first = V{} + static_cast<L>(table.min_raw);
+    const V last = V{} + static_cast<L>(table.min_raw +
+                                        static_cast<std::int64_t>(table.span) -
+                                        1);
     // Clamped into the window: a lane the clamp moved is a miss (as
     // min/max and xor, so no compare mask is materialized).
     V inside = values < first ? first : values;
     inside = last < inside ? last : inside;
     miss |= inside ^ values;
-    const V index = (inside - first) * static_cast<std::int64_t>(table.k);
+    if constexpr (std::is_same_v<V, std::int64_t>) {
+      multiples(static_cast<std::int32_t>(inside), dst, lane_stride);
+    } else if constexpr (sizeof(L) == sizeof(std::int64_t)) {
+      multiples(__builtin_convertvector(inside, typename Lanes<V>::Narrow),
+                dst, lane_stride);
+    } else {
+      multiples(inside, dst, lane_stride);
+    }
+  }
+
+  /// alphabets[l]·x of W's int32 lanes to dst[l·lane_stride, …).
+  template <typename W>
+  [[gnu::always_inline]] void multiples(const W& x, std::int32_t* dst,
+                                        std::size_t lane_stride) const {
     for (std::size_t l = 0; l < table.k; ++l) {
-      V entries;
-      G::rows(entries, table.rows + l, index);
-      std::int32_t* dst = slots + l * stride + o;
-      if constexpr (std::is_integral_v<V>) {
-        *dst = static_cast<std::int32_t>(entries);
-      } else {
-        const auto narrow =
-            __builtin_convertvector(entries, typename Lanes<V>::Narrow);
-        std::memcpy(dst, &narrow, sizeof narrow);
-      }
+      const W multiple = x * table.alphabets[l];
+      std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
     }
   }
 };
 
-/// KernelBackend::stage_pixels as one row of pixels. False when a
-/// value missed the table's window (nothing is read outside it).
-template <typename G, typename V>
+/// KernelBackend::stage_pixels as one row of pixels over V's int32
+/// lanes, like a conv row: the last vector overlaps the one before it,
+/// and a row narrower than V runs at half width. False when a value
+/// missed the table's window, or when the row is narrower than the
+/// narrowest vector (the reference stages it).
+template <typename V>
 [[gnu::always_inline]] inline bool stage_pixels(
-    std::span<const float> pixels, const man::fixed::QFormat& format,
-    const Staging& staging) {
-  constexpr std::size_t kLanes = kInt64Lanes<V>;
+    std::span<const float> pixels, const FloatQuantize& quantizer,
+    const Staging& staging, std::int32_t* slots, std::size_t stride) {
+  constexpr std::size_t kLanes = kLaneCount<V>;
   const std::size_t n = pixels.size();
-  if constexpr (kLanes > 1) {
-    if (n < kLanes) {
-      return stage_pixels<G, typename Lanes<V>::Half>(pixels, format,
-                                                      staging);
+  if (n < kLanes) {
+    using Half = typename Lanes<V>::Half;
+    if constexpr (std::is_arithmetic_v<Half>) {
+      return false;
+    } else {
+      return stage_pixels<Half>(pixels, quantizer, staging, slots, stride);
     }
   }
-  const auto quantized = format;  // by value, as lut_pool2_stage's LUT
   V miss = {};
   for (std::size_t i = 0; i < n; i += kLanes) {
     const std::size_t at = std::min(i, n - kLanes);
+    typename Lanes<V>::Single floats;
+    load(floats, pixels.data() + at);
     V values;
-    quantize(values, pixels.data() + at, quantized);
-    staging.put<G>(values, at, miss);
+    quantizer(values, floats);
+    staging.put(values, slots + at, stride, miss);
   }
   return !any_lane(miss);
 }
@@ -494,16 +552,16 @@ template <typename G, typename V>
 /// KernelBackend::lut_pool2_stage, row by row. False when a staged
 /// value missed the table's window.
 template <typename G, typename V>
-[[gnu::always_inline]] inline bool lut_pool2_stage(const std::int64_t* in,
-                                                   const Pool2Shape& shape,
-                                                   const LutPath& path,
-                                                   const Staging& staging) {
-  constexpr std::size_t kLanes = kInt64Lanes<V>;
+[[gnu::always_inline]] inline bool lut_pool2_stage(
+    const std::int64_t* in, const Pool2Shape& shape, const LutPath& path,
+    const Staging& staging, std::int32_t* slots, std::size_t stride) {
+  constexpr std::size_t kLanes = kLaneCount<V>;
   const auto ow = static_cast<std::size_t>(shape.ow);
   if constexpr (kLanes > 1) {
     if (ow < kLanes) {
       return lut_pool2_stage<G, typename Lanes<V>::Half>(in, shape, path,
-                                                         staging);
+                                                         staging, slots,
+                                                         stride);
     }
   }
   const std::size_t iw = 2 * ow;
@@ -516,7 +574,78 @@ template <typename G, typename V>
       const std::size_t at = std::min(x, ow - kLanes);
       V pooled;
       lut_pool2_vector<G>(pooled, row0 + 2 * at, row0 + iw + 2 * at, lut);
-      staging.put<G>(pooled, r * ow + at, miss);
+      staging.put(pooled, slots + r * ow + at, stride, miss);
+    }
+  }
+  return !any_lane(miss);
+}
+
+/// KernelBackend::stage_pixels_tile over V's int32 lanes, one sample
+/// per lane: each element's kDenseTile pixels gathered across the
+/// samples (stride n), quantized in float lanes and staged as one
+/// sample-minor slot row per bank output. False when a value missed
+/// the table's window.
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool stage_pixels_tile(
+    std::span<const float> pixels, const FloatQuantize& quantizer,
+    const Staging& staging, std::int32_t* tile) {
+  constexpr std::size_t kLanes = kLaneCount<V>;
+  constexpr std::size_t kVecs = kDenseTile / kLanes;
+  const std::size_t n = pixels.size() / kDenseTile;
+  // Lane j of vector v reads sample v·kLanes + j.
+  V offsets[kVecs];
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      offsets[v][j] = static_cast<std::int32_t>((v * kLanes + j) * n);
+    }
+  }
+  const std::size_t row = staging.table.k * kDenseTile;
+  V miss = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      typename Lanes<V>::Single floats;
+      G::pixels(floats, pixels.data() + i, offsets[v]);
+      V values;
+      quantizer(values, floats);
+      staging.put(values, tile + i * row + v * kLanes, kDenseTile, miss);
+    }
+  }
+  return !any_lane(miss);
+}
+
+/// KernelBackend::lut_stage_tile over V's int32 lanes, one sample per
+/// lane: each LUT index computed in int64 lanes and narrowed, the
+/// entries read in one int32 gather per vector, then staged as one
+/// sample-minor slot row per bank output. False when a value missed
+/// the table's window.
+template <typename G, typename V>
+[[gnu::always_inline]] inline bool lut_stage_tile(const std::int64_t* acc,
+                                                  std::size_t elements,
+                                                  const LutPath& path,
+                                                  const Staging& staging,
+                                                  std::int32_t* tile) {
+  constexpr std::size_t kLanes = kLaneCount<V>;
+  constexpr std::size_t kVecs = kDenseTile / kLanes;
+  using Part = typename Lanes<V>::Part;
+  using Wide = typename Lanes<V>::Wide;
+  const LutPath lut = path;  // by value: no store of the sweep aliases it
+  const std::size_t row = staging.table.k * kDenseTile;
+  V miss = {};
+  for (std::size_t i = 0; i < elements; ++i) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      const std::int64_t* src = acc + i * kDenseTile + v * kLanes;
+      Part half[2];
+      for (std::size_t h = 0; h < 2; ++h) {
+        Wide wide;
+        load(wide, src + h * (kLanes / 2));
+        lut.index(wide, wide);
+        half[h] = __builtin_convertvector(wide, Part);
+      }
+      V index;
+      concat(index, half[0], half[1], std::make_index_sequence<kLanes>{});
+      V entries;
+      G::lut(entries, lut.raw.table, index);
+      staging.put(entries, tile + i * row + v * kLanes, kDenseTile, miss);
     }
   }
   return !any_lane(miss);

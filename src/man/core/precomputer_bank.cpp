@@ -1,6 +1,7 @@
 #include "man/core/precomputer_bank.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -182,7 +183,26 @@ void PrecomputerCache::configure_range(std::int64_t min_raw,
     bank_->compute_into(min_raw + static_cast<std::int64_t>(offset),
                         table.data() + offset * k, discard);
   }
+  // The in-register proof: every entry is its alphabet times the input
+  // and fits int32, so a sweep may multiply in int32 lanes instead. An
+  // input outside int32 fails it before the multiply could overflow
+  // (every alphabet is at least 1).
+  constexpr std::int64_t kLo = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kHi = std::numeric_limits<std::int32_t>::max();
+  const auto alphabets = bank_->alphabet_set().alphabets();
+  bool in_register = true;
+  for (std::uint64_t offset = 0; offset < span && in_register; ++offset) {
+    const std::int64_t x = min_raw + static_cast<std::int64_t>(offset);
+    in_register = x >= kLo && x <= kHi;
+    for (std::size_t l = 0; l < k && in_register; ++l) {
+      const std::int64_t entry = table[offset * k + l];
+      in_register = entry == std::int64_t{alphabets[l]} * x && entry >= kLo &&
+                    entry <= kHi;
+    }
+  }
   table_ = std::move(table);
+  alphabets_.clear();
+  if (in_register) alphabets_.assign(alphabets.begin(), alphabets.end());
   min_raw_ = min_raw;
   span_ = span;
   k_ = k;

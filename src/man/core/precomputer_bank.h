@@ -106,6 +106,8 @@ class PrecomputerCache {
   /// std::invalid_argument when min_raw > max_raw or the window spans
   /// more than kMaxFlatSpan values (the table is meant for bounded
   /// quantized activation ranges, not arbitrary 64-bit streams).
+  /// Also proves, row by row, that every entry is alphabets[l]·x and
+  /// fits int32; View::alphabets is set only when it holds.
   void configure_range(std::int64_t min_raw, std::int64_t max_raw);
 
   /// Pointer to the bank's alphabet_set().size() multiples of `input`,
@@ -126,6 +128,11 @@ class PrecomputerCache {
     std::int64_t min_raw = 0;
     std::uint64_t span = 0;  ///< 0 = no window configured
     std::size_t k = 0;
+    /// The bank's k alphabets when configure_range() proved every row
+    /// of the window is alphabets[l]·x in int32 (so a sweep may compute
+    /// the multiples in-register instead of reading rows); null when
+    /// that proof failed or no window is configured.
+    const std::int32_t* alphabets = nullptr;
 
     /// PrecomputerCache::lookup().
     [[nodiscard]] const std::int64_t* lookup(std::int64_t input) const {
@@ -138,7 +145,8 @@ class PrecomputerCache {
     }
   };
   [[nodiscard]] View view() const noexcept {
-    return View{table_.data(), min_raw_, span_, k_};
+    return View{table_.data(), min_raw_, span_, k_,
+                alphabets_.empty() ? nullptr : alphabets_.data()};
   }
 
   /// Widest window configure_range() accepts (64 MiB of rows at
@@ -151,6 +159,8 @@ class PrecomputerCache {
 
   const PrecomputerBank* bank_ = nullptr;
   std::vector<std::int64_t> table_;  ///< span_ rows of k_ multiples
+  /// View::alphabets' storage: empty unless the int32 proof held.
+  std::vector<std::int32_t> alphabets_;
   std::int64_t min_raw_ = 0;
   std::uint64_t span_ = 0;  ///< 0 = no window configured
   std::size_t k_ = 0;

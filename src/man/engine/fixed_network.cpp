@@ -85,8 +85,9 @@ constexpr std::size_t kTile = man::backend::kDenseTile;
 // An epilogue sweep reads a boundary's inputs through a Source, applies
 // its segment's LUTs and pool, and hands each value on to a Sink: the
 // next stage's staged bank outputs in that stage's layout, a segment
-// hand-off, or the output. The sources, the pool and the lane-major
-// sink are the scalar reference of man/backend/epilogue_sweep.h.
+// hand-off, or the output. The sources, the pool, the lane-major sink
+// and the tile slots are the scalar reference of
+// man/backend/epilogue_sweep.h.
 
 // A tile's outputs: value o = r·kTile + b is row r of sample b, which
 // lands in sample b's `rows`-wide output slot.
@@ -115,25 +116,24 @@ struct DenseSink {
 template <typename Slot>
 using LaneMajorSink = man::backend::epilogue::LaneMajorSink<Slot, BankRows>;
 
-// Tile staging, sample-minor: lane l of element i of sample b at
-// [(i·k + l)·kTile + b], so the kTile sample lanes of one plan slot
-// sit contiguously — the layout accumulate_dense_tile reads, in int32
-// slots, which int32_row_bound() proves every tiled stage's multiples
-// fit. Fed one sample at a time (o is the element, b fixed) or a whole
-// tile's sample-minor values (kSampleMinor: o = i·kTile + b).
-template <bool kSampleMinor>
+// Tile staging, sample-minor (epilogue::TileSlots), from a value order:
+// one sample's elements (kOneSample: o is the element, b fixed), a
+// whole tile's sample-minor values (kSampleMinor: o = i·kTile + b, as
+// accumulate_dense_tile writes them), or a whole tile's images, sample
+// after sample (kSampleMajor: o = b·elements + i).
+enum class TileOrder { kOneSample, kSampleMinor, kSampleMajor };
+template <TileOrder kOrder>
 struct TileSink {
-  BankRows rows;
-  std::int32_t* multiples;
-  std::size_t k;
-  std::size_t b = 0;
+  man::backend::epilogue::TileSlots<BankRows> slots;
+  std::size_t b = 0;         ///< kOneSample: the sample
+  std::size_t elements = 0;  ///< kSampleMajor: values per sample
   [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
-    const std::size_t i = kSampleMinor ? o / kTile : o;
-    const std::size_t lane = kSampleMinor ? o % kTile : b;
-    std::int32_t* dest = multiples + i * k * kTile + lane;
-    const std::int64_t* row = rows(v);
-    for (std::size_t l = 0; l < k; ++l) {
-      dest[l * kTile] = static_cast<std::int32_t>(row[l]);
+    if constexpr (kOrder == TileOrder::kOneSample) {
+      slots(o, b, v);
+    } else if constexpr (kOrder == TileOrder::kSampleMinor) {
+      slots(o / kTile, o % kTile, v);
+    } else {
+      slots(o % elements, o / elements, v);
     }
   }
 };
@@ -210,21 +210,26 @@ std::int32_t* tile_slots(std::vector<std::int32_t>& buffer,
   return data + line_offset(data);
 }
 
-// The segment shapes the kernel backend sweeps, for one sample into a
-// conv stage's int32 lane-major slots staged from its table: the input
-// image quantized, or a LUT then a 2×2 pool. False for every other
-// shape: raw-fed stages, other windows, a LUT after the pool, int64
-// conv lanes and every other sink stay on the scalar sweeps.
+// The segment shapes the kernel backend sweeps, each from a staging
+// table: one sample into a conv stage's int32 lane-major slots (the
+// input image quantized, or a LUT then a 2×2 pool), and a whole tile
+// into a dense tile's sample-minor slots (the tile's images quantized,
+// or its accumulators through a LUT). False for every other shape:
+// raw-fed stages, other windows, a LUT after the pool, int64 conv
+// lanes and every other sink stay on the scalar sweeps.
 template <typename Source, typename Sink>
-bool backend_sweep(const SegmentOps& ops, std::size_t count, Source source,
-                   Sink& sink, const man::backend::KernelBackend& kernel) {
+bool backend_sweep(const SegmentOps& ops, std::size_t samples,
+                   std::size_t count, Source source, Sink& sink,
+                   const man::backend::KernelBackend& kernel) {
+  constexpr bool kPixels = std::is_same_v<Source, PixelSource>;
+  const bool no_pool = ops.pool == nullptr && ops.post == nullptr;
+  const bool plain = ops.pre == nullptr && no_pool;
+  const bool lut_only = ops.pre != nullptr && no_pool;
   if constexpr (std::is_same_v<Sink, LaneMajorSink<std::int32_t>>) {
     const man::core::PrecomputerCache* table = sink.rows.table();
-    if (table == nullptr) return false;
-    if constexpr (std::is_same_v<Source, PixelSource>) {
-      if (ops.pre != nullptr || ops.pool != nullptr || ops.post != nullptr) {
-        return false;
-      }
+    if (table == nullptr || samples != 1) return false;
+    if constexpr (kPixels) {
+      if (!plain) return false;
       kernel.stage_pixels({source.pixels, count}, source.format,
                           table->view(), sink.multiples, sink.stride);
     } else {
@@ -236,6 +241,20 @@ bool backend_sweep(const SegmentOps& ops, std::size_t count, Source source,
           source.values, {ops.pool->c, ops.pool->oh, ops.pool->ow},
           ops.pre->raw_path(), table->view(), sink.multiples, sink.stride);
     }
+    return true;
+  } else if constexpr (kPixels &&
+                       std::is_same_v<Sink, TileSink<TileOrder::kSampleMajor>>) {
+    const man::core::PrecomputerCache* table = sink.slots.rows.table();
+    if (table == nullptr || samples != kTile || !plain) return false;
+    kernel.stage_pixels_tile({source.pixels, count}, source.format,
+                             table->view(), sink.slots.tile);
+    return true;
+  } else if constexpr (std::is_same_v<Source, ValueSource> &&
+                       std::is_same_v<Sink, TileSink<TileOrder::kSampleMinor>>) {
+    const man::core::PrecomputerCache* table = sink.slots.rows.table();
+    if (table == nullptr || samples != kTile || !lut_only) return false;
+    kernel.lut_stage_tile(source.values, count / kTile, ops.pre->raw_path(),
+                          table->view(), sink.slots.tile);
     return true;
   } else {
     return false;
@@ -625,13 +644,12 @@ void FixedNetwork::link_epilogues() {
     close_segment();
     epilogue.stage = stage;
     epilogue.out_size = size;
-    bool pools = false;
     for (const Segment& seg : epilogue.segments) {
       if (seg.pre != kNone) epilogue.lut_values += seg.in_size;
       if (seg.post != kNone) epilogue.lut_values += seg.out_size;
-      pools = pools || seg.pool != kNone;
+      epilogue.pools = epilogue.pools || seg.pool != kNone;
     }
-    if (pools) {
+    if (epilogue.pools) {
       epilogue.phase = &PhaseProfile::pool_s;
     } else if (epilogue.lut_values > 0) {
       epilogue.phase = &PhaseProfile::lut_s;
@@ -796,21 +814,33 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
   const std::size_t synapses = epilogues_.size() - 1;
   std::size_t s = 0;
   if (tile_synapse_begin_ < synapses) {
-    // Full tiles: each sample runs the stages before the tile alone,
-    // and its epilogue stages it into its lane of the sample-minor
-    // tile.
+    // Full tiles. A tile that starts at the input (pool-free, as every
+    // epilogue run over more than one sample) stages its kTile images
+    // in one sweep; otherwise each sample runs the stages before the
+    // tile alone, and its epilogue stages it into its lane of the
+    // sample-minor tile.
     const std::size_t j = tile_synapse_begin_;
     const auto& syn = std::get<SynapseStage>(stages_[epilogues_[j].stage]);
     const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
     const auto k = static_cast<std::size_t>(plan.k);
+    const bool whole_tile = j == 0 && !epilogues_[0].pools;
     for (; s + kTile <= count; s += kTile) {
       std::int32_t* multiples =
           tile_slots(scratch.tile_multiples, plan.padded_multiples());
-      for (std::size_t b = 0; b < kTile; ++b) {
-        forward_sample(sample(s + b), j, stats, scratch, kernel);
-        feed(j, sample(s + b),
-             TileSink<false>{BankRows(syn.table, syn.bank), multiples, k, b},
-             scratch, kernel);
+      const man::backend::epilogue::TileSlots<BankRows> slots{
+          BankRows(syn.table, syn.bank), multiples, k};
+      if (whole_tile) {
+        run_epilogue(j, kTile,
+                     PixelSource{pixels.data() + s * input_size_,
+                                 model_.spec.activation_format},
+                     TileSink<TileOrder::kSampleMajor>{slots, 0, input_size_},
+                     scratch, kernel);
+      } else {
+        for (std::size_t b = 0; b < kTile; ++b) {
+          forward_sample(sample(s + b), j, stats, scratch, kernel);
+          feed(j, sample(s + b), TileSink<TileOrder::kOneSample>{slots, b},
+               scratch, kernel);
+        }
       }
       forward_tile(out.subspan(s * output_size_, kTile * output_size_), stats,
                    scratch, kernel);
@@ -861,8 +891,7 @@ void FixedNetwork::run_epilogue(
     if (segments.size() == 1) {
       const SegmentOps last_ops = ops(last);
       const std::size_t count = last.in_size * samples;
-      if (samples == 1 &&
-          backend_sweep(last_ops, count, source, sink, kernel)) {
+      if (backend_sweep(last_ops, samples, count, source, sink, kernel)) {
         return;
       }
       sweep(last_ops, count, source, sink);
@@ -990,10 +1019,11 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
       const auto& syn = std::get<SynapseStage>(stages_[next]);
       const auto& next_plan = plans_[syn.plan_index];
       run_epilogue(j + 1, kTile, ValueSource{acc},
-                   TileSink<true>{BankRows(syn.table, syn.bank),
-                                  tile_slots(scratch.tile_multiples,
-                                             next_plan.padded_multiples()),
-                                  static_cast<std::size_t>(next_plan.k)},
+                   TileSink<TileOrder::kSampleMinor>{
+                       {BankRows(syn.table, syn.bank),
+                        tile_slots(scratch.tile_multiples,
+                                   next_plan.padded_multiples()),
+                        static_cast<std::size_t>(next_plan.k)}},
                    scratch, kernel);
     }
   }

@@ -340,6 +340,7 @@ class FixedNetwork {
     std::vector<Segment> segments;  ///< at least one
     std::size_t out_size = 0;       ///< values handed on per sample
     std::uint64_t lut_values = 0;   ///< apply_raw calls per sample
+    bool pools = false;             ///< some segment pools
     /// The one PhaseProfile field the sweep is charged to.
     double PhaseProfile::*phase = nullptr;
   };
@@ -378,11 +379,12 @@ class FixedNetwork {
                     InferScratch& scratch,
                     const man::backend::KernelBackend& kernel) const;
 
-  /// The sweeps of epilogues_[j] over `samples` sample-minor samples
-  /// (only pool-free epilogues run more than one) from `source` into
-  /// `sink`, timed and counted into scratch.profile. A one-sample
-  /// epilogue of a shape `kernel` sweeps (pixels, or a LUT then a 2×2
-  /// pool, into int32 conv lanes) runs there.
+  /// The sweeps of epilogues_[j] over `samples` samples (only
+  /// pool-free epilogues run more than one) from `source` into `sink`,
+  /// timed and counted into scratch.profile. An epilogue of a shape
+  /// `kernel` sweeps runs there: one sample's pixels, or a LUT then a
+  /// 2×2 pool, into int32 conv lanes; a tile's pixels, or its
+  /// accumulators through a LUT, into a dense tile.
   template <typename Source, typename Sink>
   void run_epilogue(std::size_t j, std::size_t samples, Source source,
                     Sink sink, InferScratch& scratch,

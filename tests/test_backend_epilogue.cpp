@@ -1,11 +1,14 @@
 // The kernel backends' epilogue sweeps (KernelBackend::stage_pixels,
-// lut_pool2_stage) against the scalar reference templates
-// of man/backend/epilogue_sweep.h, on every registered backend: LUT
-// inputs at every bucket seam and clamp edge and the int64 extremes,
-// pool rows of every width from 1 to 17 outputs (so the overlapping
-// last vector and each half-width drop run), and pixels at rounding
-// ties, non-finite values and beyond the clamp. A staged value outside
-// the table's window must throw what PrecomputerCache::lookup throws.
+// lut_pool2_stage, stage_pixels_tile, lut_stage_tile) against the
+// scalar reference templates of man/backend/epilogue_sweep.h, on every
+// registered backend: LUT inputs at every bucket seam and clamp edge
+// and the int64 extremes, pool rows of every width from 1 to 17
+// outputs (so the overlapping last vector and each half-width drop
+// run), tiles of 1 to 600 rows and of images of 1 to 1,558 pixels, at
+// k = 1, 2, 4 and 8, and pixels at rounding ties, non-finite values,
+// denormals and beyond the clamp. A staged value outside the table's
+// window must throw what PrecomputerCache::lookup throws for the first
+// such value in the reference's order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,11 +38,13 @@ using man::fixed::QFormat;
 using epilogue::LaneMajorSink;
 using epilogue::LutSource;
 using epilogue::TableRows;
+using epilogue::TileSlots;
 using epilogue::ValueSink;
 using epilogue::ValueSource;
 
 constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
 
 // The engine's formats: 12-bit weights (Q1.10) × Q0.8 activations
 // accumulate at frac 18; LUT outputs and staged values are Q0.8.
@@ -81,6 +86,28 @@ std::vector<std::int32_t> reference_stage(
       {table}, slots.data(), table.k, values.size()};
   for (std::size_t o = 0; o < values.size(); ++o) sink(o, values[o]);
   return slots;
+}
+
+// Sample-minor tile slots of `values` (element i of sample b at
+// values[i·kDenseTile + b]) staged from `table`.
+std::vector<std::int32_t> reference_tile(
+    const std::vector<std::int64_t>& values,
+    const PrecomputerCache::View& table) {
+  std::vector<std::int32_t> tile(values.size() * table.k);
+  TileSlots<TableRows> slots{{table}, tile.data(), table.k};
+  for (std::size_t o = 0; o < values.size(); ++o) {
+    slots(o / kTile, o % kTile, values[o]);
+  }
+  return tile;
+}
+
+std::vector<std::int64_t> reference_lut(const std::vector<std::int64_t>& in,
+                                        const FixedActivationLut& lut) {
+  const LutSource<ValueSource> source{ValueSource{in.data()},
+                                      lut.raw_path()};
+  std::vector<std::int64_t> out;
+  for (std::size_t i = 0; i < in.size(); ++i) out.push_back(source(i));
+  return out;
 }
 
 std::vector<std::int64_t> reference_quantize(const std::vector<float>& pixels,
@@ -128,6 +155,55 @@ void expect_pixels_match(const std::vector<float>& pixels, std::size_t k) {
     EXPECT_EQ(slots.back(), -7);
     slots.pop_back();
     EXPECT_EQ(slots, staged);
+  }
+}
+
+// Every backend's lut_stage_tile over `acc` (row i of sample b at
+// acc[i·kDenseTile + b]) against the references; the slot past the
+// sweep's last keeps a sentinel.
+void expect_lut_tiles_match(const std::vector<std::int64_t>& acc,
+                            const FixedActivationLut& lut, std::size_t k) {
+  const Table table(k);
+  const PrecomputerCache::View view = table.cache.view();
+  const std::vector<std::int32_t> staged =
+      reference_tile(reference_lut(acc, lut), view);
+  const std::size_t elements = acc.size() / kTile;
+  for (const KernelBackend* backend : all_backends()) {
+    SCOPED_TRACE(std::string(backend->name()) + " rows=" +
+                 std::to_string(elements) + " k=" + std::to_string(k));
+    std::vector<std::int32_t> tile(staged.size() + 1, -7);
+    backend->lut_stage_tile(acc.data(), elements, lut.raw_path(), view,
+                            tile.data());
+    EXPECT_EQ(tile.back(), -7);
+    tile.pop_back();
+    EXPECT_EQ(tile, staged);
+  }
+}
+
+// Every backend's stage_pixels_tile over `pixels` (kDenseTile images,
+// one after another) against the references.
+void expect_pixel_tiles_match(const std::vector<float>& pixels,
+                              const QFormat& format, std::size_t k) {
+  const Table table(k, format.min_raw(), format.max_raw());
+  const PrecomputerCache::View view = table.cache.view();
+  const std::vector<std::int64_t> quantized =
+      reference_quantize(pixels, format);
+  const std::size_t n = pixels.size() / kTile;
+  std::vector<std::int64_t> sample_minor(quantized.size());
+  for (std::size_t b = 0; b < kTile; ++b) {
+    for (std::size_t i = 0; i < n; ++i) {
+      sample_minor[i * kTile + b] = quantized[b * n + i];
+    }
+  }
+  const std::vector<std::int32_t> staged = reference_tile(sample_minor, view);
+  for (const KernelBackend* backend : all_backends()) {
+    SCOPED_TRACE(std::string(backend->name()) + " n=" + std::to_string(n) +
+                 " k=" + std::to_string(k) + " " + format.to_string());
+    std::vector<std::int32_t> tile(staged.size() + 1, -7);
+    backend->stage_pixels_tile(pixels, format, view, tile.data());
+    EXPECT_EQ(tile.back(), -7);
+    tile.pop_back();
+    EXPECT_EQ(tile, staged);
   }
 }
 
@@ -213,8 +289,9 @@ TEST(BackendEpilogue, PoolRowsOfEveryWidthMatch) {
   }
 }
 
-TEST(BackendEpilogue, PixelsMatchAtTiesNonFiniteAndBeyondTheClamp) {
-  const QFormat format = activation_format();
+// Pixels at every rounding tie of `format` ± one ulp, non-finite
+// values, denormals, the clamp edges ± one step and beyond, both signs.
+std::vector<float> probe_pixels(const QFormat& format) {
   const auto scale = static_cast<float>(format.scale());
   std::vector<float> pixels = {
       std::numeric_limits<float>::quiet_NaN(),
@@ -248,6 +325,11 @@ TEST(BackendEpilogue, PixelsMatchAtTiesNonFiniteAndBeyondTheClamp) {
     pixels.push_back(v);
     pixels.push_back(-v);
   }
+  return pixels;
+}
+
+TEST(BackendEpilogue, PixelsMatchAtTiesNonFiniteAndBeyondTheClamp) {
+  const std::vector<float> pixels = probe_pixels(activation_format());
   for (std::size_t k : {1u, 4u, 8u}) expect_pixels_match(pixels, k);
 
   // Short images run the half-width drops and the overlapping tail.
@@ -255,6 +337,73 @@ TEST(BackendEpilogue, PixelsMatchAtTiesNonFiniteAndBeyondTheClamp) {
     const std::vector<float> head(pixels.begin() + 100,
                                   pixels.begin() + 100 + n);
     expect_pixels_match(head, 4);
+  }
+}
+
+TEST(BackendEpilogue, LutTilesMatchAtEverySeamEdgeAndExtreme) {
+  for (ActivationKind kind : {ActivationKind::kTanh, ActivationKind::kSigmoid,
+                              ActivationKind::kRelu}) {
+    const FixedActivationLut lut(kind, accumulator_format(),
+                                 activation_format());
+    const std::vector<std::int64_t> probes = lut_probe_inputs(lut);
+    SCOPED_TRACE(man::core::to_string(kind));
+    // Each probe in its own slot, then the probes shifted across the
+    // sample lanes so each one meets every lane.
+    const std::size_t size = (probes.size() + kTile - 1) / kTile * kTile;
+    for (std::size_t shift : {0u, 1u, 7u, 15u}) {
+      std::vector<std::int64_t> acc(size);
+      for (std::size_t o = 0; o < size; ++o) {
+        acc[o] = probes[(o * (shift + 1) + shift) % probes.size()];
+      }
+      expect_lut_tiles_match(acc, lut, 4);
+    }
+  }
+}
+
+TEST(BackendEpilogue, LutTilesOfEveryRowCountMatch) {
+  const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
+                               activation_format());
+  const std::int64_t clip = lut.raw_clamp_hi();
+  man::util::Rng rng(27);
+  std::vector<std::int64_t> acc(600 * kTile);
+  for (std::int64_t& v : acc) v = rng.next_in(-2 * clip, 2 * clip);
+  for (std::size_t rows = 1; rows <= 600; ++rows) {
+    const std::vector<std::int64_t> head(acc.begin(),
+                                         acc.begin() + rows * kTile);
+    expect_lut_tiles_match(head, lut, 4);
+    if (rows <= 17 || rows % 97 == 0 || rows == 580 || rows == 600) {
+      for (std::size_t k : {1u, 2u, 8u}) expect_lut_tiles_match(head, lut, k);
+    }
+  }
+}
+
+TEST(BackendEpilogue, PixelTilesMatchAtTiesNonFiniteAndBeyondTheClamp) {
+  for (const QFormat format : {activation_format(), QFormat(13, 12)}) {
+    const std::vector<float> probes = probe_pixels(format);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+    for (std::size_t n : {100u, 577u, 1024u, 1558u}) sizes.push_back(n);
+    for (std::size_t n : sizes) {
+      // Probe p lands in sample (p·n) / total mod kDenseTile, so the
+      // probes spread over every lane and element.
+      std::vector<float> pixels(n * kTile);
+      for (std::size_t o = 0; o < pixels.size(); ++o) {
+        pixels[o] = probes[(o * 5 + n) % probes.size()];
+      }
+      expect_pixel_tiles_match(pixels, format, 4);
+      if (n == 1 || n == 17 || n == 1558) {
+        for (std::size_t k : {1u, 2u, 8u}) {
+          expect_pixel_tiles_match(pixels, format, k);
+        }
+      }
+    }
+    // Every probe once, in every lane.
+    const std::size_t n = probes.size();
+    std::vector<float> pixels(n * kTile);
+    for (std::size_t o = 0; o < pixels.size(); ++o) {
+      pixels[o] = probes[(o + o / n) % n];
+    }
+    expect_pixel_tiles_match(pixels, format, 4);
   }
 }
 
@@ -315,6 +464,49 @@ TEST(BackendEpilogue, OutOfWindowValuesThrowOnEveryBackend) {
     expect_window_miss(empty, 0, [&] {
       backend->stage_pixels(std::vector<float>(9, 0.0f), format, empty.view(),
                             slots.data(), 9);
+    });
+  }
+}
+
+TEST(BackendEpilogue, OutOfWindowTileValuesThrowOnEveryBackend) {
+  const QFormat format = activation_format();
+  const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
+                               format);
+  const Table narrow(4, -20, 20);
+  const PrecomputerCache::View view = narrow.cache.view();
+  // 16 images of 37 pixels: sample 5's pixel 29 quantizes to 64, but
+  // sample 2's pixel 30 (77) comes first in the reference's
+  // sample-by-sample order.
+  constexpr std::size_t n = 37;
+  std::vector<float> pixels(n * kTile, 0.01f);
+  pixels[5 * n + 29] = 0.25f;
+  pixels[2 * n + 30] = 0.3f;
+  ASSERT_EQ(format.quantize(0.3), 77);
+  // 9 rows: row 4 of sample 9 pools to the LUT's bottom entry and row 6
+  // of sample 2 to its top; the reference reaches row 4 first.
+  std::vector<std::int64_t> acc(9 * kTile, 0);
+  acc[6 * kTile + 2] = kMax;
+  acc[4 * kTile + 9] = kMin;
+  const std::int64_t bottom = lut.apply_raw(kMin);
+  ASSERT_LT(bottom, -20);
+  std::vector<std::int32_t> tile(n * 4 * kTile);
+  for (const KernelBackend* backend : all_backends()) {
+    SCOPED_TRACE(backend->name());
+    expect_window_miss(narrow.cache, 77, [&] {
+      backend->stage_pixels_tile(pixels, format, view, tile.data());
+    });
+    expect_window_miss(narrow.cache, bottom, [&] {
+      backend->lut_stage_tile(acc.data(), 9, lut.raw_path(), view,
+                              tile.data());
+    });
+    const PrecomputerCache empty;
+    expect_window_miss(empty, 0, [&] {
+      backend->stage_pixels_tile(std::vector<float>(3 * kTile, 0.0f), format,
+                                 empty.view(), tile.data());
+    });
+    expect_window_miss(empty, lut.apply_raw(0), [&] {
+      backend->lut_stage_tile(std::vector<std::int64_t>(kTile, 0).data(), 1,
+                              lut.raw_path(), empty.view(), tile.data());
     });
   }
 }

@@ -147,6 +147,58 @@ TEST(PrecomputerCacheTable, FilledTableOutlivesItsBank) {
   EXPECT_EQ(row[7], -45);
 }
 
+// The in-register proof configure_range() runs: over every odd
+// alphabet subset of {1,…,15} and 8- and 12-bit windows, every row is
+// alphabets[l]·x in int32, so View::alphabets is the set itself.
+TEST(PrecomputerCacheTable, InRegisterProofHoldsForEveryAlphabetSubset) {
+  for (const man::fixed::QFormat format :
+       {man::fixed::QFormat(8, 6), man::fixed::QFormat::input8(),
+        man::fixed::QFormat(12, 10)}) {
+    for (unsigned mask = 1; mask < 256; ++mask) {
+      std::vector<int> values;
+      for (int bit = 0; bit < 8; ++bit) {
+        if ((mask >> bit) & 1u) values.push_back(2 * bit + 1);
+      }
+      const PrecomputerBank bank{AlphabetSet(values)};
+      PrecomputerCache table(bank);
+      table.configure_range(format.min_raw(), format.max_raw());
+      const PrecomputerCache::View view = table.view();
+      ASSERT_NE(view.alphabets, nullptr)
+          << bank.alphabet_set().to_string() << " " << format.to_string();
+      for (std::size_t l = 0; l < view.k; ++l) {
+        ASSERT_EQ(view.alphabets[l], values[l]);
+      }
+      for (std::int64_t x = format.min_raw(); x <= format.max_raw(); ++x) {
+        const std::int64_t* row = view.lookup(x);
+        for (std::size_t l = 0; l < view.k; ++l) {
+          ASSERT_EQ(row[l], values[l] * x);
+        }
+      }
+    }
+  }
+}
+
+// A window whose multiples leave int32 fails the proof (the sweeps then
+// read the table's rows); an unconfigured table has no proof either.
+TEST(PrecomputerCacheTable, InRegisterProofFailsBeyondInt32) {
+  EXPECT_EQ(PrecomputerCache().view().alphabets, nullptr);
+  const std::int64_t base = std::int64_t{1} << 28;  // 15·2^28 > INT32_MAX
+  const PrecomputerBank full(AlphabetSet::full());
+  PrecomputerCache wide(full);
+  wide.configure_range(base, base + 15);
+  EXPECT_EQ(wide.view().alphabets, nullptr);
+  wide.configure_range(-15, 15);  // a later window proves again
+  EXPECT_NE(wide.view().alphabets, nullptr);
+
+  const PrecomputerBank man(AlphabetSet::man());
+  PrecomputerCache narrow(man);
+  narrow.configure_range(base, base + 15);  // 1·x still fits
+  EXPECT_NE(narrow.view().alphabets, nullptr);
+  const std::int64_t past = std::int64_t{1} << 31;  // x itself does not
+  narrow.configure_range(past - 4, past + 4);
+  EXPECT_EQ(narrow.view().alphabets, nullptr);
+}
+
 TEST(CshmUnit, SharesOneBankActivationAcrossLanes) {
   CshmUnit unit(QuartetLayout::bits8(), AlphabetSet::four(), 4);
   const std::vector<int> weights{3, -5, 48, 0};
