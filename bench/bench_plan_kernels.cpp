@@ -10,21 +10,25 @@
 //     call over a staged 16-sample tile (plans that fit int32 lanes,
 //     as the engine tiles them);
 //   - the same plans, one accumulate_dense call over one sample's
-//     staged int64 multiples (the per-sample kernel: a gather on
-//     avx512, the portable group loop below it);
+//     staged int64 multiples (the per-sample kernel: a gather on the
+//     AVX-512 tier, the scalar reference's walk on every other);
 //   - the SVHN MLP's tile boundaries, the epilogue sweeps around those
 //     kernels: a 16-sample tile's pixels quantized and staged into the
 //     first plan's tile (stage_pixels_tile), and each hidden layer's
 //     tile accumulators through its tanh LUT into the next plan's tile
-//     (lut_stage_tile);
+//     (lut_stage_tile), on the engine's route: the backend's sweep, or
+//     the reference templates of epilogue_sweep.h where it declines
+//     (the scalar column runs the templates directly);
 //   - the LeNet CNN's (12-bit) conv plans, one accumulate_conv_int32
 //     or accumulate_conv call over one sample's staged lane-major
 //     multiples, on the lane width the engine gives the layer (named
-//     in its label).
+//     in its label; int64 lanes run the scalar reference everywhere).
 // Prints per layer the plan's terms, (shift, sign) groups and bytes (per
-// boundary the values it stages), and µs per call on each backend;
-// exits 1 if any layer's or boundary's output differs from the scalar
-// reference by a single bit.
+// boundary the values it stages), and µs per call on each backend, and
+// under each per-sample table the backends that run the scalar
+// reference there; exits 1 if any layer's or boundary's output differs
+// from the scalar reference by a single bit, or if a tier above the
+// portable one declines a tile boundary (each covers all of SVHN's).
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "man/backend/epilogue_sweep.h"
 #include "man/backend/kernel_backend.h"
 #include "man/core/activation.h"
 #include "man/core/precomputer_bank.h"
@@ -225,8 +230,20 @@ std::string versus(const std::vector<const KernelBackend*>& backends) {
   return text;
 }
 
+/// One tile boundary on the engine's route: the backend's sweep, or the
+/// reference templates where it declines (the scalar backend, which
+/// declines every sweep, runs them directly). Sets `declined` when a
+/// tier above the portable one declines.
+template <typename Sweep, typename Reference>
+void run_boundary(const KernelBackend& backend, bool& declined, Sweep sweep,
+                  Reference reference) {
+  if (backend.kind() != BackendKind::kScalar && sweep()) return;
+  declined = declined || backend.accelerated();
+  reference();
+}
+
 /// The SVHN MLP's tile boundaries, µs per 16-sample tile; false on any
-/// mismatch.
+/// mismatch or decline.
 bool report_boundaries(const man::engine::FixedNetwork& svhn,
                        const std::string& scheme,
                        const std::vector<const KernelBackend*>& backends) {
@@ -243,6 +260,7 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
   const std::int64_t clip = lut.raw_clamp_hi();
   man::util::Rng rng(975);
   Report report({"Boundary", "Values"}, backends);
+  bool declined = false;
   const auto& plans = svhn.plans();
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const DenseLayerPlan& plan = plans[i];
@@ -253,33 +271,69 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
     table.configure_range(plan.in_min_raw, plan.in_max_raw);
     const auto cols = static_cast<std::size_t>(plan.cols);
     const std::size_t slots = plan.padded_multiples() * kDenseTile;
+    const man::core::PrecomputerCache::View view = table.view();
+    // The reference's staging rows, window-checked.
+    const auto rows = [view](std::int64_t x) { return view.lookup(x); };
+    using TileSlots = man::backend::epilogue::TileSlots<decltype(rows)>;
     if (i == 0) {
-      // Pixels as images hold them, in [0, 1].
+      // Pixels as images hold them, in [0, 1], staged sample by sample.
       std::vector<float> pixels(cols * kDenseTile);
       for (float& p : pixels) p = static_cast<float>(rng.next_double());
+      const man::backend::epilogue::PixelSource source{
+          pixels.data(), spec.activation_format};
       report.add<std::int32_t>(
           "pixels -> " + dense_label(i, plan), {pixels.size()}, slots,
           [&](const KernelBackend& backend, std::int32_t* tile) {
-            backend.stage_pixels_tile(pixels, spec.activation_format,
-                                      table.view(), tile);
+            run_boundary(
+                backend, declined,
+                [&] {
+                  return backend.stage_pixels_tile(
+                      pixels, spec.activation_format, view, tile);
+                },
+                [&] {
+                  TileSlots sink{rows, tile, k};
+                  for (std::size_t b = 0; b < kDenseTile; ++b) {
+                    for (std::size_t c = 0; c < cols; ++c) {
+                      sink(c, b, source(b * cols + c));
+                    }
+                  }
+                });
           });
     } else {
       // Accumulators across the LUT's clamp and beyond it.
       std::vector<std::int64_t> acc(cols * kDenseTile);
       for (std::int64_t& a : acc) a = rng.next_in(-2 * clip, 2 * clip);
+      const man::backend::epilogue::LutSource<
+          man::backend::epilogue::ValueSource>
+          source{{acc.data()}, lut.raw_path()};
       report.add<std::int32_t>(
           "L" + std::to_string(i - 1) + " LUT -> " + dense_label(i, plan),
           {acc.size()}, slots,
           [&](const KernelBackend& backend, std::int32_t* tile) {
-            backend.lut_stage_tile(acc.data(), cols, lut.raw_path(),
-                                   table.view(), tile);
+            run_boundary(
+                backend, declined,
+                [&] {
+                  return backend.lut_stage_tile(acc.data(), cols,
+                                                lut.raw_path(), view, tile);
+                },
+                [&] {
+                  TileSlots sink{rows, tile, k};
+                  for (std::size_t o = 0; o < acc.size(); ++o) {
+                    sink(o / kDenseTile, o % kDenseTile, source(o));
+                  }
+                });
           });
     }
   }
-  return report.print();
+  const bool identical = report.print();
+  if (declined) {
+    std::cerr << "a vector tier above the portable one declined a tile "
+                 "boundary\n";
+  }
+  return identical && !declined;
 }
 
-/// The four tables of one scheme; false on any mismatch.
+/// The four tables of one scheme; false on any mismatch or decline.
 bool report_scheme(bool conventional,
                    const std::vector<const KernelBackend*>& backends) {
   const std::string scheme =
@@ -311,9 +365,9 @@ bool report_scheme(bool conventional,
                 backend.accumulate_dense_tile(plan, tile.data(), out);
               });
   }
-  bool identical = dense.print();
+  bool ok = dense.print();
 
-  identical = report_boundaries(svhn, scheme, backends) && identical;
+  ok = report_boundaries(svhn, scheme, backends) && ok;
 
   man::bench::print_banner("Dense per sample: SVHN MLP (8-bit) " + scheme +
                            ", one sample per call, " + versus(backends));
@@ -331,7 +385,18 @@ bool report_scheme(bool conventional,
                  backend.accumulate_dense(plan, multiples.data(), out);
                });
   }
-  identical = sample.print() && identical;
+  ok = sample.print() && ok;
+  // Only the AVX-512 tier has a per-sample kernel of its own.
+  std::string reference;
+  for (const KernelBackend* backend : backends) {
+    if (backend->kind() == BackendKind::kAvx512 &&
+        man::backend::detect_best_backend() == BackendKind::kAvx512) {
+      continue;
+    }
+    reference += (reference.empty() ? "" : ", ") + std::string(backend->name());
+  }
+  std::cout << "Per-sample dense calls run the scalar reference on: "
+            << reference << "\n";
 
   man::bench::print_banner("Conv: LeNet CNN (12-bit) " + scheme +
                            ", one sample per call, " + versus(backends));
@@ -367,19 +432,23 @@ bool report_scheme(bool conventional,
                });
     }
   }
-  return conv.print() && identical;
+  ok = conv.print() && ok;
+  std::cout << "int64 conv lanes run the scalar reference on every "
+               "backend\n";
+  return ok;
 }
 
 }  // namespace
 
 int main() {
   const auto backends = timed_backends();
-  bool identical = true;
+  bool ok = true;
   for (const bool conventional : {false, true}) {
-    identical = report_scheme(conventional, backends) && identical;
+    ok = report_scheme(conventional, backends) && ok;
   }
-  if (!identical) {
-    std::cerr << "plan kernel outputs diverge from the scalar reference\n";
+  if (!ok) {
+    std::cerr << "plan kernels failed: an output diverges from the scalar "
+                 "reference, or a tier declined a boundary\n";
     return 1;
   }
   return 0;

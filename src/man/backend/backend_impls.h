@@ -28,18 +28,16 @@ namespace man::backend::detail {
 struct VectorKernels {
   int bytes;                ///< 16 (portable), 32 (AVX2), 64 (AVX-512)
   const char* description;  ///< KernelBackend::description()
+  /// The per-sample dense gather, null where the tier runs the scalar
+  /// reference (every tier below AVX-512).
   void (*dense)(const DenseLayerPlan&, const std::int64_t*, std::int64_t*);
   void (*dense_tile)(const DenseLayerPlan&, const std::int32_t*,
                      std::int64_t*);
-  void (*conv)(const ConvLayerPlan&, const std::int64_t*, std::int64_t*);
   void (*conv_int32)(const ConvLayerPlan&, const std::int32_t*,
                      std::int64_t*);
-  /// The epilogue sweeps, null where the tier runs the scalar
-  /// reference instead. Each returns false when it could not run
-  /// exactly (a staged value missed the table's window, a LUT's scale
-  /// is not 2^bits − 1, the table lacks the in-register proof, or a
-  /// pixel format is too wide for float lanes), and the backend then
-  /// reruns the scalar reference, which throws on a miss.
+  /// The epilogue sweeps (KernelBackend's), null where the tier has
+  /// none. Each returns false where it does not run exactly, and
+  /// FixedNetwork then runs the reference, which throws on a miss.
   bool (*stage_pixels)(std::span<const float>, const man::fixed::QFormat&,
                        const man::core::PrecomputerCache::View&,
                        std::int32_t*, std::size_t);

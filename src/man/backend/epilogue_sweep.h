@@ -1,8 +1,8 @@
 // The scalar epilogue sweeps: the loops of a stage boundary (input
 // quantization, activation LUT, average pool, lane-major or tile
-// staging) as FixedNetwork runs them for every segment shape and the
-// scalar backend runs them for the shapes KernelBackend sweeps. They
-// are the reference: every vector sweep equals them bit for bit. A
+// staging) as FixedNetwork runs them for every segment that no kernel
+// backend sweeps, or whose sweep declined. They are the reference:
+// every vector sweep equals them bit for bit. A
 // sweep reads a boundary's inputs through a Source, applies its LUTs
 // and pool, and hands each value on to a Sink.
 //
@@ -17,7 +17,6 @@
 
 #include "man/backend/layer_plan.h"
 #include "man/core/activation.h"
-#include "man/core/precomputer_bank.h"
 #include "man/fixed/qformat.h"
 
 namespace man::backend::epilogue {
@@ -58,15 +57,6 @@ struct ValueSink {
   [[gnu::always_inline]] void operator()(std::size_t o,
                                          std::int64_t v) const {
     out[o] = v;
-  }
-};
-
-// A staging table's rows, window-checked (PrecomputerCache::lookup).
-struct TableRows {
-  man::core::PrecomputerCache::View table;
-  [[gnu::always_inline]] const std::int64_t* operator()(
-      std::int64_t input) const {
-    return table.lookup(input);
   }
 };
 

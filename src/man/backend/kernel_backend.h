@@ -49,10 +49,10 @@ enum class BackendKind {
              ///< AVX-512F/VL, portable without either)
 };
 
-/// One implementation of the inner accumulation loops and of the
-/// stage boundaries' epilogue sweeps: a conv network's first two
-/// (pixels into conv lanes; LUT, 2×2 pool, conv lanes) and a dense
-/// batch tile's (a tile's pixels into its sample-minor slots; its
+/// One implementation of the inner accumulation loops and, where it
+/// has them, of the stage boundaries' epilogue sweeps: a conv network's
+/// first two (pixels into conv lanes; LUT, 2×2 pool, conv lanes) and a
+/// dense batch tile's (a tile's pixels into its sample-minor slots; its
 /// accumulators through a LUT into the next tile's). Stateless and
 /// thread-safe: instances are process-wide singletons obtained via
 /// backend_for()/resolve().
@@ -75,7 +75,8 @@ class KernelBackend {
   /// ASM accumulation for one dense stage, group by group:
   /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g].
   /// `multiples` holds plan.padded_multiples() slots (cols × k bank
-  /// outputs, k-strided).
+  /// outputs, k-strided). The AVX-512 tier gathers; every other
+  /// backend runs the scalar reference's walk.
   virtual void accumulate_dense(const DenseLayerPlan& plan,
                                 const std::int64_t* multiples,
                                 std::int64_t* out) const = 0;
@@ -107,8 +108,8 @@ class KernelBackend {
   /// strides by elements, not by k). `multiples` holds
   /// plan.padded_multiples() slots — k lanes of ic·ih·iw bank
   /// outputs. FixedNetwork calls it only for plans that do not fit
-  /// int32 lanes. The vector backend runs accumulate_conv_int32's
-  /// register tiles over int64 lanes here: one template serves both.
+  /// int32 lanes (a stage fed raw accumulators, or one that fails the
+  /// row bound); every backend runs the scalar reference's walk here.
   virtual void accumulate_conv(const ConvLayerPlan& plan,
                                const std::int64_t* multiples,
                                std::int64_t* out) const = 0;
@@ -127,51 +128,60 @@ class KernelBackend {
                                      const std::int32_t* multiples,
                                      std::int64_t* out) const = 0;
 
-  // Epilogue sweeps: stage boundaries, each the scalar reference loops
-  // of epilogue_sweep.h fused into one pass. Conv staging writes value
-  // o's k table entries lane-major as int32: lane l at
-  // slots[l·stride + o] (the accumulate_conv_int32 layout). Tile
-  // staging writes element i of sample b sample-minor: lane l at
-  // tile[(i·k + l)·kDenseTile + b] (the accumulate_dense_tile layout).
-  // Callers hold int32_row_bound() ≤ INT32_MAX, which proves every
-  // entry fits. Every staged value is checked against the table's
-  // window first; a value outside it throws the std::out_of_range
-  // PrecomputerCache::lookup throws. Where the table carries its
-  // alphabets (View::alphabets), a vector sweep computes the k entries
-  // as alphabets[l]·x in int32 lanes instead of reading its rows.
+  // Epilogue sweeps: stage boundaries, each one pass that equals the
+  // reference loops of epilogue_sweep.h, which FixedNetwork runs
+  // whenever a sweep returns false. Conv staging writes value o's k
+  // table entries lane-major as int32: lane l at slots[l·stride + o]
+  // (the accumulate_conv_int32 layout). Tile staging writes element i
+  // of sample b sample-minor: lane l at tile[(i·k + l)·kDenseTile + b]
+  // (the accumulate_dense_tile layout). Callers hold int32_row_bound()
+  // ≤ INT32_MAX, which proves every entry fits. A sweep computes the k
+  // entries as alphabets[l]·x in int32 lanes (View::alphabets) and
+  // returns true, or returns false, its output unspecified, where it
+  // does not run exactly (docs/backends.md lists the declines; a value
+  // outside the table's window is one). The base class declines every
+  // case, so the scalar backend has no sweeps.
 
   /// Each pixel quantized to `format` (QFormat::quantize) and staged
   /// from `table`, pixel i as value i.
-  virtual void stage_pixels(std::span<const float> pixels,
-                            const man::fixed::QFormat& format,
-                            const man::core::PrecomputerCache::View& table,
-                            std::int32_t* slots, std::size_t stride) const = 0;
+  [[nodiscard]] virtual bool stage_pixels(
+      std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
+      const man::core::PrecomputerCache::View& /*table*/,
+      std::int32_t* /*slots*/, std::size_t /*stride*/) const {
+    return false;
+  }
 
   /// Every input through `lut`, then each 2×2 window summed and its
   /// average rounded to nearest, half away from zero; pooled value o
   /// staged from `table` as value o.
-  virtual void lut_pool2_stage(
-      const std::int64_t* in, const Pool2Shape& shape,
-      const man::core::FixedActivationLut::RawPath& lut,
-      const man::core::PrecomputerCache::View& table, std::int32_t* slots,
-      std::size_t stride) const = 0;
+  [[nodiscard]] virtual bool lut_pool2_stage(
+      const std::int64_t* /*in*/, const Pool2Shape& /*shape*/,
+      const man::core::FixedActivationLut::RawPath& /*lut*/,
+      const man::core::PrecomputerCache::View& /*table*/,
+      std::int32_t* /*slots*/, std::size_t /*stride*/) const {
+    return false;
+  }
 
   /// A tile's images: `pixels` holds kDenseTile samples of n values
   /// each, sample after sample; pixel i of sample b is quantized to
   /// `format` and staged from `table` as element i of sample b.
-  virtual void stage_pixels_tile(
-      std::span<const float> pixels, const man::fixed::QFormat& format,
-      const man::core::PrecomputerCache::View& table,
-      std::int32_t* tile) const = 0;
+  [[nodiscard]] virtual bool stage_pixels_tile(
+      std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
+      const man::core::PrecomputerCache::View& /*table*/,
+      std::int32_t* /*tile*/) const {
+    return false;
+  }
 
   /// A tile's accumulators through `lut`: acc[i·kDenseTile + b] (row i
   /// of sample b, `elements` rows, as accumulate_dense_tile writes
   /// them) is staged from `table` as element i of sample b.
-  virtual void lut_stage_tile(
-      const std::int64_t* acc, std::size_t elements,
-      const man::core::FixedActivationLut::RawPath& lut,
-      const man::core::PrecomputerCache::View& table,
-      std::int32_t* tile) const = 0;
+  [[nodiscard]] virtual bool lut_stage_tile(
+      const std::int64_t* /*acc*/, std::size_t /*elements*/,
+      const man::core::FixedActivationLut::RawPath& /*lut*/,
+      const man::core::PrecomputerCache::View& /*table*/,
+      std::int32_t* /*tile*/) const {
+    return false;
+  }
 };
 
 /// The process-wide instance of one backend kind.

@@ -3,8 +3,10 @@
 // portable tier, the only vector code off x86-64; simd runs AVX2 where
 // CPUID reports it; avx512 runs AVX-512F/VL, else AVX2. Each picks the
 // widest tier at or below its cap that the CPU runs (vector_kernels())
-// once, and each method is one call into that tier's kernels, so no
-// method runs AVX code before the CPUID check.
+// once, and each method is one call into that tier's kernels, or into
+// the scalar reference where the tier has no kernel of its own (int64
+// conv lanes everywhere, the per-sample dense loop below AVX-512), so
+// no method runs AVX code before the CPUID check.
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
@@ -28,7 +30,11 @@ class VectorBackend final : public KernelBackend {
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-    kernels_.dense(plan, multiples, out);
+    if (kernels_.dense != nullptr) {
+      kernels_.dense(plan, multiples, out);
+    } else {
+      scalar_backend().accumulate_dense(plan, multiples, out);
+    }
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,
@@ -37,10 +43,12 @@ class VectorBackend final : public KernelBackend {
     kernels_.dense_tile(plan, tile, out);
   }
 
+  // Int64 conv lanes serve only plans outside the int32 proof, which no
+  // app builds: they run the scalar reference.
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const override {
-    kernels_.conv(plan, multiples, out);
+    scalar_backend().accumulate_conv(plan, multiples, out);
   }
 
   void accumulate_conv_int32(const ConvLayerPlan& plan,
@@ -49,50 +57,37 @@ class VectorBackend final : public KernelBackend {
     kernels_.conv_int32(plan, multiples, out);
   }
 
-  // A tier without epilogue sweeps, or a sweep it could not run exactly
-  // (a value outside the staging window, a LUT scale not 2^bits − 1, a
-  // table without the in-register proof, a format float lanes cannot
-  // quantize exactly), runs the scalar reference, which throws at the
-  // first miss.
-  void stage_pixels(std::span<const float> pixels,
+  bool stage_pixels(std::span<const float> pixels,
                     const man::fixed::QFormat& format,
                     const man::core::PrecomputerCache::View& table,
                     std::int32_t* slots, std::size_t stride) const override {
-    if (kernels_.stage_pixels == nullptr ||
-        !kernels_.stage_pixels(pixels, format, table, slots, stride)) {
-      scalar_backend().stage_pixels(pixels, format, table, slots, stride);
-    }
+    return kernels_.stage_pixels != nullptr &&
+           kernels_.stage_pixels(pixels, format, table, slots, stride);
   }
 
-  void lut_pool2_stage(const std::int64_t* in, const Pool2Shape& shape,
+  bool lut_pool2_stage(const std::int64_t* in, const Pool2Shape& shape,
                        const man::core::FixedActivationLut::RawPath& lut,
                        const man::core::PrecomputerCache::View& table,
                        std::int32_t* slots,
                        std::size_t stride) const override {
-    if (kernels_.lut_pool2_stage == nullptr ||
-        !kernels_.lut_pool2_stage(in, shape, lut, table, slots, stride)) {
-      scalar_backend().lut_pool2_stage(in, shape, lut, table, slots, stride);
-    }
+    return kernels_.lut_pool2_stage != nullptr &&
+           kernels_.lut_pool2_stage(in, shape, lut, table, slots, stride);
   }
 
-  void stage_pixels_tile(std::span<const float> pixels,
+  bool stage_pixels_tile(std::span<const float> pixels,
                          const man::fixed::QFormat& format,
                          const man::core::PrecomputerCache::View& table,
                          std::int32_t* tile) const override {
-    if (kernels_.stage_pixels_tile == nullptr ||
-        !kernels_.stage_pixels_tile(pixels, format, table, tile)) {
-      scalar_backend().stage_pixels_tile(pixels, format, table, tile);
-    }
+    return kernels_.stage_pixels_tile != nullptr &&
+           kernels_.stage_pixels_tile(pixels, format, table, tile);
   }
 
-  void lut_stage_tile(const std::int64_t* acc, std::size_t elements,
+  bool lut_stage_tile(const std::int64_t* acc, std::size_t elements,
                       const man::core::FixedActivationLut::RawPath& lut,
                       const man::core::PrecomputerCache::View& table,
                       std::int32_t* tile) const override {
-    if (kernels_.lut_stage_tile == nullptr ||
-        !kernels_.lut_stage_tile(acc, elements, lut, table, tile)) {
-      scalar_backend().lut_stage_tile(acc, elements, lut, table, tile);
-    }
+    return kernels_.lut_stage_tile != nullptr &&
+           kernels_.lut_stage_tile(acc, elements, lut, table, tile);
   }
 
  private:

@@ -1,7 +1,7 @@
 // The vector tiers: vector_kernels.h's loops instantiated at 16 bytes
 // (default ISA), 32 bytes (MAN_TARGET_AVX2) and 64 bytes
-// (MAN_TARGET_AVX512), plus the two per-sample dense kernels and, at
-// the AVX2 and AVX-512 tiers, the four epilogue sweeps with their
+// (MAN_TARGET_AVX512), plus the AVX-512 per-sample dense gather and,
+// at the AVX2 and AVX-512 tiers, the four epilogue sweeps with their
 // gathers. This is the only object that holds AVX code; nothing here
 // runs before vector_kernels() has checked CPUID.
 #include "man/backend/vector_kernels.h"
@@ -35,34 +35,9 @@ static_assert(ConvLayerPlan::tile_avx2.row_tile == kConvRows &&
 static_assert(ConvLayerPlan::tile_avx512.row_tile == kConvRows512 &&
               ConvLayerPlan::tile_avx512.col_vecs == 2);
 
-/// Per-sample dense kernel below AVX-512: each group's int64 multiples
-/// summed, shifted once, and added branch-free as (sum ^ s) − s. It
-/// beat an AVX2 gather kernel on every SVHN layer (docs/backends.md).
-void dense_groups(const DenseLayerPlan& plan, const std::int64_t* multiples,
-                  std::int64_t* out) {
-  const std::uint32_t* idx = plan.idx.data();
-  const std::uint32_t* begin = plan.group_begin.data();
-  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-    std::int64_t acc = plan.biases[r];
-    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
-      std::int64_t sum = 0;
-      for (std::uint32_t t = begin[g]; t < begin[g + 1]; ++t) {
-        sum += multiples[idx[t]];
-      }
-      const std::int64_t sign = plan.sign_masks[g];
-      acc += ((sum << plan.shifts[g]) ^ sign) - sign;
-    }
-    out[r] = acc;
-  }
-}
-
 void dense_tile_16(const DenseLayerPlan& plan, const std::int32_t* tile,
                    std::int64_t* out) {
   dense_tile<I32x4>(plan, tile, out);
-}
-void conv_16(const ConvLayerPlan& plan, const std::int64_t* multiples,
-             std::int64_t* out) {
-  conv<I64x2, kConvRows>(plan, multiples, out);
 }
 void conv_int32_16(const ConvLayerPlan& plan, const std::int32_t* multiples,
                    std::int64_t* out) {
@@ -75,11 +50,6 @@ MAN_TARGET_AVX2 void dense_tile_avx2(const DenseLayerPlan& plan,
                                      const std::int32_t* tile,
                                      std::int64_t* out) {
   dense_tile<I32x8>(plan, tile, out);
-}
-MAN_TARGET_AVX2 void conv_avx2(const ConvLayerPlan& plan,
-                               const std::int64_t* multiples,
-                               std::int64_t* out) {
-  conv<I64x4, kConvRows>(plan, multiples, out);
 }
 MAN_TARGET_AVX2 void conv_int32_avx2(const ConvLayerPlan& plan,
                                      const std::int32_t* multiples,
@@ -178,11 +148,11 @@ struct ZmmGather : YmmGather {
 using man::core::PrecomputerCache;
 using RawPath = man::core::FixedActivationLut::RawPath;
 
-// The epilogue sweeps report false when they could not run exactly: a
-// staged value missed the table's window, the table lacks the
-// in-register proof (an unconfigured table has none, so no sweep stages
-// from it), the LUT's scale is not 2^bits − 1, or float lanes cannot
-// quantize the pixel format exactly.
+// The epilogue sweeps decline (return false) where they do not run
+// exactly: a staged value missed the table's window, the table lacks
+// the in-register proof (an unconfigured table has none, so no sweep
+// stages from it), the LUT's scale is not 2^bits − 1, or float lanes
+// cannot quantize the pixel format exactly.
 template <typename V>
 [[gnu::always_inline]] inline bool row_pixels(
     std::span<const float> pixels, const man::fixed::QFormat& format,
@@ -275,11 +245,6 @@ MAN_TARGET_AVX512 void dense_tile_avx512(const DenseLayerPlan& plan,
                                          std::int64_t* out) {
   dense_tile<I32x16>(plan, tile, out);
 }
-MAN_TARGET_AVX512 void conv_avx512(const ConvLayerPlan& plan,
-                                   const std::int64_t* multiples,
-                                   std::int64_t* out) {
-  conv<I64x8, kConvRows512>(plan, multiples, out);
-}
 MAN_TARGET_AVX512 void conv_int32_avx512(const ConvLayerPlan& plan,
                                          const std::int32_t* multiples,
                                          std::int64_t* out) {
@@ -301,18 +266,18 @@ int cpu_bytes() { return 16; }
 #endif  // MAN_X86_KERNELS
 
 constexpr VectorKernels kTiers[] = {
-    // The portable tier runs the scalar sweeps: at 16 bytes the conv
-    // sweeps ran 1.2–1.3× slower than them (SSE2 has no 64-bit
+    // The portable tier has no epilogue sweeps: at 16 bytes the conv
+    // sweeps ran 1.2–1.3× slower than the reference (SSE2 has no 64-bit
     // compares, shifts or gathers), and SSE2 has no int32 multiply for
     // the in-register multiples.
-    {16, "portable 16-byte vectors", dense_groups, dense_tile_16, conv_16,
-     conv_int32_16, nullptr, nullptr, nullptr, nullptr},
+    {16, "portable 16-byte vectors", nullptr, dense_tile_16, conv_int32_16,
+     nullptr, nullptr, nullptr, nullptr},
 #if MAN_X86_KERNELS
-    {32, "AVX2 32-byte vectors and gathers", dense_groups, dense_tile_avx2,
-     conv_avx2, conv_int32_avx2, stage_pixels_avx2, lut_pool2_stage_avx2,
+    {32, "AVX2 32-byte vectors and gathers", nullptr, dense_tile_avx2,
+     conv_int32_avx2, stage_pixels_avx2, lut_pool2_stage_avx2,
      stage_pixels_tile_avx2, lut_stage_tile_avx2},
     {64, "AVX-512F/VL 64-byte vectors and gathers", dense_groups_avx512,
-     dense_tile_avx512, conv_avx512, conv_int32_avx512, stage_pixels_avx512,
+     dense_tile_avx512, conv_int32_avx512, stage_pixels_avx512,
      lut_pool2_stage_avx512, stage_pixels_tile_avx512, lut_stage_tile_avx512},
 #endif
 };

@@ -51,11 +51,11 @@ using F32x8 = float __attribute__((vector_size(32)));
 using F32x16 = float __attribute__((vector_size(64)));
 
 /// Per vector type V: Half, what a conv or pool row narrower than V
-/// drops to (a 16-byte vector drops to its slot type, one position per
+/// drops to (a 16-byte vector drops to its lane type, one position per
 /// lane); for int32 lanes also Part, half of V's lanes, Wide, those
 /// lanes widened to int64, and Single, V's lane count of float; for
-/// int64 lanes also Narrow and Unsigned, V's lane count of int32 and
-/// uint64.
+/// the int64 lanes of the LUT and pool sweep also Narrow and Unsigned,
+/// V's lane count of int32 and uint64.
 template <typename V>
 struct Lanes;
 template <>
@@ -117,8 +117,8 @@ template <typename V>
 inline constexpr std::size_t kLaneCount = sizeof(V) / sizeof(Lane<V>);
 
 /// The sizeof(V) bytes at `src`, any alignment.
-template <typename V, typename Slot>
-[[gnu::always_inline]] inline void load(V& v, const Slot* src) {
+template <typename V, typename T>
+[[gnu::always_inline]] inline void load(V& v, const T* src) {
   std::memcpy(&v, src, sizeof v);
 }
 
@@ -136,16 +136,13 @@ template <typename V>
   }
 }
 
-/// bias + acc's lanes, each widened to int64, at dst.
+/// bias + acc's int32 lanes, each widened to int64, at dst.
 template <typename V>
 [[gnu::always_inline]] inline void store_widened(std::int64_t* dst,
                                                  const V& acc,
                                                  std::int64_t bias) {
   if constexpr (std::is_integral_v<V>) {
     *dst = bias + acc;
-  } else if constexpr (sizeof(acc[0]) == sizeof(std::int64_t)) {
-    const V sum = acc + bias;
-    std::memcpy(dst, &sum, sizeof sum);
   } else {
     // Half the lanes at a time, so each int64 vector is V's width.
     using Part = typename Lanes<V>::Part;
@@ -200,9 +197,9 @@ template <typename V>
 /// plain loads and adds into the group sums; RN and CN are
 /// compile-time constants so the sums and accumulators stay in
 /// registers.
-template <typename V, int RN, int CN, typename Slot>
+template <typename V, int RN, int CN>
 [[gnu::always_inline]] inline void conv_tile(const ConvLayerPlan& plan,
-                                             const Slot* multiples,
+                                             const std::int32_t* multiples,
                                              std::int64_t* out, int oy0,
                                              const int* ox) {
   const std::size_t positions = plan.positions();
@@ -210,7 +207,7 @@ template <typename V, int RN, int CN, typename Slot>
   const std::uint32_t* begin = plan.group_begin.data();
   // Where each tile row's first column group reads position (0,0)'s
   // slots; a term adds its idx, and the second group adds step.
-  const Slot* at[RN];
+  const std::int32_t* at[RN];
   for (int ty = 0; ty < RN; ++ty) {
     at[ty] = multiples + static_cast<std::size_t>(oy0 + ty) * plan.iw + ox[0];
   }
@@ -242,9 +239,9 @@ template <typename V, int RN, int CN, typename Slot>
 
 /// conv_tile for a runtime row count rn ≤ RN (fewer only in a plan's
 /// last row tile).
-template <typename V, int RN, int CN, typename Slot>
+template <typename V, int RN, int CN>
 [[gnu::always_inline]] inline void conv_rows(const ConvLayerPlan& plan,
-                                             const Slot* multiples,
+                                             const std::int32_t* multiples,
                                              std::int64_t* out, int oy0,
                                              int rn, const int* ox) {
   if constexpr (RN > 1) {
@@ -256,17 +253,16 @@ template <typename V, int RN, int CN, typename Slot>
   conv_tile<V, RN, CN>(plan, multiples, out, oy0, ox);
 }
 
-/// KernelBackend::accumulate_conv (int64 slots) and
-/// accumulate_conv_int32 (int32 slots; the caller holds
+/// KernelBackend::accumulate_conv_int32 (the caller holds
 /// int32_row_bound() ≤ INT32_MAX): tiles of RN rows × two column
-/// groups of V, a row's odd last group alone. A row narrower than V
-/// runs at V's half width, and one narrower than a 16-byte vector one
-/// position per lane.
-template <typename V, int RN, typename Slot>
+/// groups of V's int32 lanes, a row's odd last group alone. A row
+/// narrower than V runs at V's half width, and one narrower than a
+/// 16-byte vector one position per lane.
+template <typename V, int RN>
 [[gnu::always_inline]] inline void conv(const ConvLayerPlan& plan,
-                                        const Slot* multiples,
+                                        const std::int32_t* multiples,
                                         std::int64_t* out) {
-  constexpr int kLanes = sizeof(V) / sizeof(Slot);
+  constexpr int kLanes = sizeof(V) / sizeof(std::int32_t);
   if constexpr (kLanes > 1) {
     if (plan.ow < kLanes) {
       conv<typename Lanes<V>::Half, RN>(plan, multiples, out);

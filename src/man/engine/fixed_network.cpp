@@ -210,13 +210,15 @@ std::int32_t* tile_slots(std::vector<std::int32_t>& buffer,
   return data + line_offset(data);
 }
 
-// The segment shapes the kernel backend sweeps, each from a staging
+// The segment shapes a kernel backend may sweep, each from a staging
 // table: one sample into a conv stage's int32 lane-major slots (the
 // input image quantized, or a LUT then a 2×2 pool), and a whole tile
 // into a dense tile's sample-minor slots (the tile's images quantized,
-// or its accumulators through a LUT). False for every other shape:
-// raw-fed stages, other windows, a LUT after the pool, int64 conv
-// lanes and every other sink stay on the scalar sweeps.
+// or its accumulators through a LUT). False for every other shape
+// (raw-fed stages, other windows, a LUT after the pool, int64 conv
+// lanes, every other sink) and wherever the backend declines; the
+// caller then runs the reference sweep, which throws at the first
+// staged value outside the table's window.
 template <typename Source, typename Sink>
 bool backend_sweep(const SegmentOps& ops, std::size_t samples,
                    std::size_t count, Source source, Sink& sink,
@@ -230,32 +232,30 @@ bool backend_sweep(const SegmentOps& ops, std::size_t samples,
     if (table == nullptr || samples != 1) return false;
     if constexpr (kPixels) {
       if (!plain) return false;
-      kernel.stage_pixels({source.pixels, count}, source.format,
-                          table->view(), sink.multiples, sink.stride);
+      return kernel.stage_pixels({source.pixels, count}, source.format,
+                                 table->view(), sink.multiples, sink.stride);
     } else {
       if (ops.pre == nullptr || ops.pool == nullptr ||
           ops.pool->window != 2 || ops.post != nullptr) {
         return false;
       }
-      kernel.lut_pool2_stage(
+      return kernel.lut_pool2_stage(
           source.values, {ops.pool->c, ops.pool->oh, ops.pool->ow},
           ops.pre->raw_path(), table->view(), sink.multiples, sink.stride);
     }
-    return true;
   } else if constexpr (kPixels &&
                        std::is_same_v<Sink, TileSink<TileOrder::kSampleMajor>>) {
     const man::core::PrecomputerCache* table = sink.slots.rows.table();
     if (table == nullptr || samples != kTile || !plain) return false;
-    kernel.stage_pixels_tile({source.pixels, count}, source.format,
-                             table->view(), sink.slots.tile);
-    return true;
+    return kernel.stage_pixels_tile({source.pixels, count}, source.format,
+                                    table->view(), sink.slots.tile);
   } else if constexpr (std::is_same_v<Source, ValueSource> &&
                        std::is_same_v<Sink, TileSink<TileOrder::kSampleMinor>>) {
     const man::core::PrecomputerCache* table = sink.slots.rows.table();
     if (table == nullptr || samples != kTile || !lut_only) return false;
-    kernel.lut_stage_tile(source.values, count / kTile, ops.pre->raw_path(),
-                          table->view(), sink.slots.tile);
-    return true;
+    return kernel.lut_stage_tile(source.values, count / kTile,
+                                 ops.pre->raw_path(), table->view(),
+                                 sink.slots.tile);
   } else {
     return false;
   }

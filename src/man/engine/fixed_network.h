@@ -173,8 +173,9 @@ class FixedNetwork {
     /// pool or two LUTs in a row (see Epilogue).
     std::vector<std::int64_t> hops[2];
     /// A synapse stage's bank outputs in int64 slots: k-strided
-    /// element-major for dense stages, lane-major for conv stages on
-    /// int64 lanes.
+    /// element-major for dense stages run per sample, lane-major for
+    /// conv stages on int64 lanes (which every backend runs on the
+    /// scalar reference).
     std::vector<std::int64_t> multiples;
     /// An int32-lane conv stage's lane-major bank outputs.
     std::vector<std::int32_t> multiples32;
@@ -274,8 +275,8 @@ class FixedNetwork {
   /// Whether conv_plans()[conv_index] runs on int32 lanes
   /// (KernelBackend::accumulate_conv_int32): a plan whose rows
   /// fit int32 (man::backend::int32_row_bound) and whose inputs lie in
-  /// the staging window. Other conv plans run the int64
-  /// accumulate_conv.
+  /// the staging window. Other conv plans (no app builds one) run the
+  /// int64 accumulate_conv, the scalar reference on every backend.
   [[nodiscard]] bool conv_int32_lanes(std::size_t conv_index) const {
     return conv_int32_lanes_.at(conv_index);
   }

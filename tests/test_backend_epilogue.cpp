@@ -6,14 +6,24 @@
 // outputs (so the overlapping last vector and each half-width drop
 // run), tiles of 1 to 600 rows and of images of 1 to 1,558 pixels, at
 // k = 1, 2, 4 and 8, and pixels at rounding ties, non-finite values,
-// denormals and beyond the clamp. A staged value outside the table's
-// window must throw what PrecomputerCache::lookup throws for the first
-// such value in the reference's order.
+// denormals and beyond the clamp.
+//
+// The decline contract: a sweep that returns true must equal the
+// reference and write nothing past its output; one that returns false
+// leaves the boundary to the reference, which FixedNetwork then runs.
+// The scalar backend declines every case. An accelerated() backend
+// must sweep every in-window case but the documented declines: a pixel
+// format float lanes cannot quantize, a pixel row under 4 values, and
+// a table without the in-register proof (an unconfigured one has
+// none). Every backend declines a staged value outside the table's
+// window, and the reference throws what PrecomputerCache::lookup
+// throws for the first such value in its order.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,7 +33,12 @@
 #include "man/core/activation.h"
 #include "man/core/alphabet_set.h"
 #include "man/core/precomputer_bank.h"
+#include "man/engine/fixed_network.h"
 #include "man/fixed/qformat.h"
+#include "man/nn/activation_layer.h"
+#include "man/nn/conv2d.h"
+#include "man/nn/dense.h"
+#include "man/nn/pool.h"
 #include "man/util/rng.h"
 
 namespace man::backend {
@@ -37,7 +52,6 @@ using man::core::PrecomputerCache;
 using man::fixed::QFormat;
 using epilogue::LaneMajorSink;
 using epilogue::LutSource;
-using epilogue::TableRows;
 using epilogue::TileSlots;
 using epilogue::ValueSink;
 using epilogue::ValueSource;
@@ -60,6 +74,14 @@ struct Table {
                  std::int64_t max_raw = activation_format().max_raw())
       : bank(AlphabetSet::first_n(k)), cache(bank) {
     cache.configure_range(min_raw, max_raw);
+  }
+};
+
+// A staging table's rows, window-checked (PrecomputerCache::lookup).
+struct TableRows {
+  PrecomputerCache::View table;
+  const std::int64_t* operator()(std::int64_t input) const {
+    return table.lookup(input);
   }
 };
 
@@ -101,6 +123,22 @@ std::vector<std::int32_t> reference_tile(
   return tile;
 }
 
+// A tile's images (kDenseTile samples of n pixels, one after another)
+// quantized and staged sample by sample, as FixedNetwork's reference
+// sweep stages them.
+std::vector<std::int32_t> reference_pixel_tile(
+    const std::vector<float>& pixels, const QFormat& format,
+    const PrecomputerCache::View& table) {
+  const std::size_t n = pixels.size() / kTile;
+  std::vector<std::int32_t> tile(pixels.size() * table.k);
+  TileSlots<TableRows> slots{{table}, tile.data(), table.k};
+  const epilogue::PixelSource source{pixels.data(), format};
+  for (std::size_t b = 0; b < kTile; ++b) {
+    for (std::size_t i = 0; i < n; ++i) slots(i, b, source(b * n + i));
+  }
+  return tile;
+}
+
 std::vector<std::int64_t> reference_lut(const std::vector<std::int64_t>& in,
                                         const FixedActivationLut& lut) {
   const LutSource<ValueSource> source{ValueSource{in.data()},
@@ -118,93 +156,106 @@ std::vector<std::int64_t> reference_quantize(const std::vector<float>& pixels,
   return values;
 }
 
-// Every backend's lut_pool2_stage over `in` against the references;
-// the slot past the sweep's last keeps a sentinel.
+// Whether a case is one an accelerated backend must sweep.
+enum class Case { kSwept, kDeclined };
+
+// `sweep(backend, out)` on every backend, into staged.size() slots and
+// a sentinel past them. The scalar backend declines; an accelerated
+// one sweeps unless the case is a documented decline; a backend that
+// sweeps writes `staged` and leaves the sentinel.
+template <typename Sweep>
+void expect_sweeps_match(const std::vector<std::int32_t>& staged, Case c,
+                         Sweep sweep) {
+  for (const KernelBackend* backend : all_backends()) {
+    SCOPED_TRACE(backend->name());
+    std::vector<std::int32_t> out(staged.size() + 1, -7);
+    const bool swept = sweep(*backend, out.data());
+    if (backend->kind() == BackendKind::kScalar) {
+      EXPECT_FALSE(swept);
+    } else if (backend->accelerated()) {
+      EXPECT_EQ(swept, c == Case::kSwept);
+    }
+    if (!swept) continue;
+    EXPECT_EQ(out.back(), -7);
+    out.pop_back();
+    EXPECT_EQ(out, staged);
+  }
+}
+
+// Every backend's lut_pool2_stage over `in` against the references.
 void expect_pools_match(const std::vector<std::int64_t>& in,
                         const Pool2Shape& shape,
                         const FixedActivationLut& lut, std::size_t k) {
+  SCOPED_TRACE("c=" + std::to_string(shape.c) + " oh=" +
+               std::to_string(shape.oh) + " ow=" + std::to_string(shape.ow) +
+               " k=" + std::to_string(k));
   const Table table(k);
   const PrecomputerCache::View view = table.cache.view();
   const std::vector<std::int64_t> pooled = reference_pool(in, shape, lut);
-  const std::vector<std::int32_t> staged = reference_stage(pooled, view);
-  for (const KernelBackend* backend : all_backends()) {
-    SCOPED_TRACE(std::string(backend->name()) + " c=" +
-                 std::to_string(shape.c) + " oh=" + std::to_string(shape.oh) +
-                 " ow=" + std::to_string(shape.ow) + " k=" +
-                 std::to_string(k));
-    std::vector<std::int32_t> slots(staged.size() + 1, -7);
-    backend->lut_pool2_stage(in.data(), shape, lut.raw_path(), view,
-                             slots.data(), pooled.size());
-    EXPECT_EQ(slots.back(), -7);
-    slots.pop_back();
-    EXPECT_EQ(slots, staged);
-  }
+  expect_sweeps_match(
+      reference_stage(pooled, view), Case::kSwept,
+      [&](const KernelBackend& backend, std::int32_t* slots) {
+        return backend.lut_pool2_stage(in.data(), shape, lut.raw_path(), view,
+                                       slots, pooled.size());
+      });
 }
 
-void expect_pixels_match(const std::vector<float>& pixels, std::size_t k) {
-  const QFormat format = activation_format();
+// Every backend's stage_pixels over `pixels` against the references:
+// an image under 4 pixels is a documented decline, and so is a format
+// float lanes cannot quantize (`c`).
+void expect_pixels_match(const std::vector<float>& pixels, std::size_t k,
+                         const QFormat& format = activation_format(),
+                         Case c = Case::kSwept) {
+  SCOPED_TRACE("n=" + std::to_string(pixels.size()) + " k=" +
+               std::to_string(k) + " " + format.to_string());
   const Table table(k);
   const PrecomputerCache::View view = table.cache.view();
-  const std::vector<std::int32_t> staged =
-      reference_stage(reference_quantize(pixels, format), view);
-  for (const KernelBackend* backend : all_backends()) {
-    SCOPED_TRACE(std::string(backend->name()) + " n=" +
-                 std::to_string(pixels.size()) + " k=" + std::to_string(k));
-    std::vector<std::int32_t> slots(staged.size() + 1, -7);
-    backend->stage_pixels(pixels, format, view, slots.data(), pixels.size());
-    EXPECT_EQ(slots.back(), -7);
-    slots.pop_back();
-    EXPECT_EQ(slots, staged);
-  }
+  expect_sweeps_match(
+      reference_stage(reference_quantize(pixels, format), view),
+      pixels.size() < 4 ? Case::kDeclined : c,
+      [&](const KernelBackend& backend, std::int32_t* slots) {
+        return backend.stage_pixels(pixels, format, view, slots,
+                                    pixels.size());
+      });
 }
 
 // Every backend's lut_stage_tile over `acc` (row i of sample b at
-// acc[i·kDenseTile + b]) against the references; the slot past the
-// sweep's last keeps a sentinel.
+// acc[i·kDenseTile + b]) against the references.
 void expect_lut_tiles_match(const std::vector<std::int64_t>& acc,
                             const FixedActivationLut& lut, std::size_t k) {
+  const std::size_t elements = acc.size() / kTile;
+  SCOPED_TRACE("rows=" + std::to_string(elements) + " k=" +
+               std::to_string(k));
   const Table table(k);
   const PrecomputerCache::View view = table.cache.view();
-  const std::vector<std::int32_t> staged =
-      reference_tile(reference_lut(acc, lut), view);
-  const std::size_t elements = acc.size() / kTile;
-  for (const KernelBackend* backend : all_backends()) {
-    SCOPED_TRACE(std::string(backend->name()) + " rows=" +
-                 std::to_string(elements) + " k=" + std::to_string(k));
-    std::vector<std::int32_t> tile(staged.size() + 1, -7);
-    backend->lut_stage_tile(acc.data(), elements, lut.raw_path(), view,
-                            tile.data());
-    EXPECT_EQ(tile.back(), -7);
-    tile.pop_back();
-    EXPECT_EQ(tile, staged);
-  }
+  expect_sweeps_match(
+      reference_tile(reference_lut(acc, lut), view), Case::kSwept,
+      [&](const KernelBackend& backend, std::int32_t* tile) {
+        return backend.lut_stage_tile(acc.data(), elements, lut.raw_path(),
+                                      view, tile);
+      });
 }
 
 // Every backend's stage_pixels_tile over `pixels` (kDenseTile images,
-// one after another) against the references.
+// one after another) against the references, from a table over
+// `window` (the format's own range by default).
 void expect_pixel_tiles_match(const std::vector<float>& pixels,
-                              const QFormat& format, std::size_t k) {
-  const Table table(k, format.min_raw(), format.max_raw());
-  const PrecomputerCache::View view = table.cache.view();
-  const std::vector<std::int64_t> quantized =
-      reference_quantize(pixels, format);
+                              const QFormat& format, std::size_t k,
+                              Case c = Case::kSwept,
+                              const Table* window = nullptr) {
   const std::size_t n = pixels.size() / kTile;
-  std::vector<std::int64_t> sample_minor(quantized.size());
-  for (std::size_t b = 0; b < kTile; ++b) {
-    for (std::size_t i = 0; i < n; ++i) {
-      sample_minor[i * kTile + b] = quantized[b * n + i];
-    }
+  SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) + " " +
+               format.to_string());
+  std::optional<Table> own;
+  if (window == nullptr) {
+    window = &own.emplace(k, format.min_raw(), format.max_raw());
   }
-  const std::vector<std::int32_t> staged = reference_tile(sample_minor, view);
-  for (const KernelBackend* backend : all_backends()) {
-    SCOPED_TRACE(std::string(backend->name()) + " n=" + std::to_string(n) +
-                 " k=" + std::to_string(k) + " " + format.to_string());
-    std::vector<std::int32_t> tile(staged.size() + 1, -7);
-    backend->stage_pixels_tile(pixels, format, view, tile.data());
-    EXPECT_EQ(tile.back(), -7);
-    tile.pop_back();
-    EXPECT_EQ(tile, staged);
-  }
+  const PrecomputerCache::View view = window->cache.view();
+  expect_sweeps_match(
+      reference_pixel_tile(pixels, format, view), c,
+      [&](const KernelBackend& backend, std::int32_t* tile) {
+        return backend.stage_pixels_tile(pixels, format, view, tile);
+      });
 }
 
 // Every LUT bucket seam ±1 (the first input of each table index and
@@ -428,7 +479,19 @@ void expect_window_miss(const PrecomputerCache& cache, std::int64_t input,
   }
 }
 
-TEST(BackendEpilogue, OutOfWindowValuesThrowOnEveryBackend) {
+// Every backend declines `sweep` into `slots` int32 slots.
+template <typename Sweep>
+void expect_declined(std::size_t slots, Sweep sweep) {
+  for (const KernelBackend* backend : all_backends()) {
+    SCOPED_TRACE(backend->name());
+    std::vector<std::int32_t> out(slots);
+    EXPECT_FALSE(sweep(*backend, out.data()));
+  }
+}
+
+// A value outside the table's window: every backend declines, and the
+// reference throws for the first miss in its order.
+TEST(BackendEpilogue, OutOfWindowValuesAreDeclinedAndTheReferenceThrows) {
   const QFormat format = activation_format();
   const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
                                format);
@@ -448,27 +511,32 @@ TEST(BackendEpilogue, OutOfWindowValuesThrowOnEveryBackend) {
   }
   const std::int64_t top = lut.apply_raw(kMax);
   ASSERT_GT(top, 20);
-  std::vector<std::int32_t> slots(pixels.size() * 4);
-  for (const KernelBackend* backend : all_backends()) {
-    SCOPED_TRACE(backend->name());
-    expect_window_miss(narrow.cache, 64, [&] {
-      backend->stage_pixels(pixels, format, view, slots.data(),
-                            pixels.size());
-    });
-    expect_window_miss(narrow.cache, top, [&] {
-      backend->lut_pool2_stage(in.data(), shape, lut.raw_path(), view,
-                               slots.data(), 18);
-    });
-    // An unconfigured table misses every value.
-    const PrecomputerCache empty;
-    expect_window_miss(empty, 0, [&] {
-      backend->stage_pixels(std::vector<float>(9, 0.0f), format, empty.view(),
-                            slots.data(), 9);
-    });
-  }
+  const std::size_t slots = pixels.size() * 4;
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.stage_pixels(pixels, format, view, out, pixels.size());
+  });
+  expect_window_miss(narrow.cache, 64, [&] {
+    (void)reference_stage(reference_quantize(pixels, format), view);
+  });
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.lut_pool2_stage(in.data(), shape, lut.raw_path(), view,
+                                   out, 18);
+  });
+  expect_window_miss(narrow.cache, top, [&] {
+    (void)reference_stage(reference_pool(in, shape, lut), view);
+  });
+  // An unconfigured table misses every value.
+  const PrecomputerCache empty;
+  const std::vector<float> zeros(9, 0.0f);
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.stage_pixels(zeros, format, empty.view(), out, 9);
+  });
+  expect_window_miss(empty, 0, [&] {
+    (void)reference_stage(reference_quantize(zeros, format), empty.view());
+  });
 }
 
-TEST(BackendEpilogue, OutOfWindowTileValuesThrowOnEveryBackend) {
+TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
   const QFormat format = activation_format();
   const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
                                format);
@@ -482,32 +550,188 @@ TEST(BackendEpilogue, OutOfWindowTileValuesThrowOnEveryBackend) {
   pixels[5 * n + 29] = 0.25f;
   pixels[2 * n + 30] = 0.3f;
   ASSERT_EQ(format.quantize(0.3), 77);
-  // 9 rows: row 4 of sample 9 pools to the LUT's bottom entry and row 6
+  // 9 rows: row 4 of sample 9 maps to the LUT's bottom entry and row 6
   // of sample 2 to its top; the reference reaches row 4 first.
   std::vector<std::int64_t> acc(9 * kTile, 0);
   acc[6 * kTile + 2] = kMax;
   acc[4 * kTile + 9] = kMin;
   const std::int64_t bottom = lut.apply_raw(kMin);
   ASSERT_LT(bottom, -20);
-  std::vector<std::int32_t> tile(n * 4 * kTile);
-  for (const KernelBackend* backend : all_backends()) {
-    SCOPED_TRACE(backend->name());
-    expect_window_miss(narrow.cache, 77, [&] {
-      backend->stage_pixels_tile(pixels, format, view, tile.data());
-    });
-    expect_window_miss(narrow.cache, bottom, [&] {
-      backend->lut_stage_tile(acc.data(), 9, lut.raw_path(), view,
-                              tile.data());
-    });
-    const PrecomputerCache empty;
-    expect_window_miss(empty, 0, [&] {
-      backend->stage_pixels_tile(std::vector<float>(3 * kTile, 0.0f), format,
-                                 empty.view(), tile.data());
-    });
-    expect_window_miss(empty, lut.apply_raw(0), [&] {
-      backend->lut_stage_tile(std::vector<std::int64_t>(kTile, 0).data(), 1,
-                              lut.raw_path(), empty.view(), tile.data());
-    });
+  const std::size_t slots = n * 4 * kTile;
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.stage_pixels_tile(pixels, format, view, out);
+  });
+  expect_window_miss(narrow.cache, 77, [&] {
+    (void)reference_pixel_tile(pixels, format, view);
+  });
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.lut_stage_tile(acc.data(), 9, lut.raw_path(), view, out);
+  });
+  expect_window_miss(narrow.cache, bottom, [&] {
+    (void)reference_tile(reference_lut(acc, lut), view);
+  });
+  const PrecomputerCache empty;
+  const std::vector<float> zeros(3 * kTile, 0.0f);
+  const std::vector<std::int64_t> zero_acc(kTile, 0);
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.stage_pixels_tile(zeros, format, empty.view(), out);
+  });
+  expect_window_miss(empty, 0, [&] {
+    (void)reference_pixel_tile(zeros, format, empty.view());
+  });
+  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+    return backend.lut_stage_tile(zero_acc.data(), 1, lut.raw_path(),
+                                  empty.view(), out);
+  });
+  expect_window_miss(empty, lut.apply_raw(0), [&] {
+    (void)reference_tile(reference_lut(zero_acc, lut), empty.view());
+  });
+}
+
+// A format whose raw range reaches 2^24 is past float lanes' exact
+// quantization: every backend declines it, in window or not.
+TEST(BackendEpilogue, PixelFormatsPastFloatLanesAreDeclined) {
+  const QFormat wide(26, 8);
+  ASSERT_GE(wide.max_raw(), std::int64_t{1} << 24);
+  man::util::Rng rng(28);
+  // Within (-0.99, 0.99), so every value quantizes into the
+  // activation format's window the tables cover.
+  std::vector<float> pixels(37 * kTile);
+  for (float& p : pixels) {
+    p = static_cast<float>(rng.next_double() * 1.98 - 0.99);
+  }
+  const std::vector<float> image(pixels.begin(), pixels.begin() + 37);
+  expect_pixels_match(image, 4, wide, Case::kDeclined);
+  const Table window(4);
+  expect_pixel_tiles_match(pixels, wide, 4, Case::kDeclined, &window);
+}
+
+// A backend with `kernels`' accumulation loops that declines every
+// sweep and counts the ones offered to it.
+class DecliningBackend final : public KernelBackend {
+ public:
+  explicit DecliningBackend(const KernelBackend& kernels)
+      : kernels_(kernels) {}
+
+  [[nodiscard]] BackendKind kind() const noexcept override {
+    return kernels_.kind();
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return "declining";
+  }
+  [[nodiscard]] const char* description() const noexcept override {
+    return "declines every sweep";
+  }
+  [[nodiscard]] bool accelerated() const noexcept override { return false; }
+
+  void accumulate_dense(const DenseLayerPlan& plan,
+                        const std::int64_t* multiples,
+                        std::int64_t* out) const override {
+    kernels_.accumulate_dense(plan, multiples, out);
+  }
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             const std::int32_t* tile,
+                             std::int64_t* out) const override {
+    kernels_.accumulate_dense_tile(plan, tile, out);
+  }
+  void accumulate_conv(const ConvLayerPlan& plan,
+                       const std::int64_t* multiples,
+                       std::int64_t* out) const override {
+    kernels_.accumulate_conv(plan, multiples, out);
+  }
+  void accumulate_conv_int32(const ConvLayerPlan& plan,
+                             const std::int32_t* multiples,
+                             std::int64_t* out) const override {
+    kernels_.accumulate_conv_int32(plan, multiples, out);
+  }
+
+  bool stage_pixels(std::span<const float>, const QFormat&,
+                    const PrecomputerCache::View&, std::int32_t*,
+                    std::size_t) const override {
+    return offer(0);
+  }
+  bool lut_pool2_stage(const std::int64_t*, const Pool2Shape&,
+                       const FixedActivationLut::RawPath&,
+                       const PrecomputerCache::View&, std::int32_t*,
+                       std::size_t) const override {
+    return offer(1);
+  }
+  bool stage_pixels_tile(std::span<const float>, const QFormat&,
+                         const PrecomputerCache::View&,
+                         std::int32_t*) const override {
+    return offer(2);
+  }
+  bool lut_stage_tile(const std::int64_t*, std::size_t,
+                      const FixedActivationLut::RawPath&,
+                      const PrecomputerCache::View&,
+                      std::int32_t*) const override {
+    return offer(3);
+  }
+
+  /// Sweeps offered so far: stage_pixels, lut_pool2_stage,
+  /// stage_pixels_tile, lut_stage_tile.
+  mutable std::size_t offered[4] = {};
+
+ private:
+  bool offer(std::size_t sweep) const {
+    ++offered[sweep];
+    return false;
+  }
+
+  const KernelBackend& kernels_;
+};
+
+// FixedNetwork hands every boundary a backend declines to the
+// reference sweep: on a backend that declines all four sweeps, a conv
+// chain (pixels into conv lanes; LUT, 2×2 pool, conv lanes) and an MLP
+// batch tile (pixels into the tile; LUT into the next tile) match the
+// scalar backend over two tiles and a remainder. No FixedNetwork stages
+// a value outside its window (its tables span the whole activation
+// format, which pixels and LUT outputs are quantized into), so the
+// miss itself is checked on the reference templates above.
+TEST(BackendEpilogue, FixedNetworkRunsTheReferenceWhereABackendDeclines) {
+  using man::nn::ActivationLayer;
+  man::util::Rng rng(29);
+  man::nn::Network cnn;
+  cnn.add<man::nn::Conv2D>(1, 2, 3, 12, 12).init_xavier(rng);
+  cnn.add<ActivationLayer>(ActivationKind::kTanh);
+  cnn.add<man::nn::AvgPool2D>(2, 10, 10, 2);
+  cnn.add<man::nn::Conv2D>(2, 3, 3, 5, 5).init_xavier(rng);
+  cnn.add<ActivationLayer>(ActivationKind::kTanh);
+  cnn.add<man::nn::Dense>(27, 4).init_xavier(rng);
+  man::nn::Network mlp;
+  mlp.add<man::nn::Dense>(20, 9).init_xavier(rng);
+  mlp.add<ActivationLayer>(ActivationKind::kSigmoid);
+  mlp.add<man::nn::Dense>(9, 5).init_xavier(rng);
+  const auto scheme = man::engine::LayerAlphabetPlan::uniform_asm(
+      3, AlphabetSet::four());
+  const man::engine::FixedNetwork cnn_engine(cnn, man::nn::QuantSpec::bits12(),
+                                             scheme);
+  const man::engine::FixedNetwork mlp_engine(
+      mlp, man::nn::QuantSpec::bits8(),
+      man::engine::LayerAlphabetPlan::uniform_asm(2, AlphabetSet::four()));
+  const auto& scalar = backend_for(BackendKind::kScalar);
+  for (const KernelBackend* kernels : all_backends()) {
+    SCOPED_TRACE(kernels->name());
+    const DecliningBackend declining(*kernels);
+    for (const man::engine::FixedNetwork* engine : {&cnn_engine, &mlp_engine}) {
+      std::vector<float> pixels((2 * kTile + 3) * engine->input_size());
+      for (float& p : pixels) {
+        p = static_cast<float>(rng.next_double() * 2 - 1);
+      }
+      const std::size_t outputs =
+          pixels.size() / engine->input_size() * engine->output_size();
+      std::vector<std::int64_t> expected(outputs);
+      std::vector<std::int64_t> got(outputs);
+      auto scratch = engine->make_scratch();
+      auto stats = engine->make_stats();
+      engine->infer_batch(pixels, expected, stats, scratch, scalar);
+      engine->infer_batch(pixels, got, stats, scratch, declining);
+      EXPECT_EQ(got, expected);
+    }
+    for (std::size_t sweep = 0; sweep < 4; ++sweep) {
+      EXPECT_GT(declining.offered[sweep], 0u) << "sweep " << sweep;
+    }
   }
 }
 
