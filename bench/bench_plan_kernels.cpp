@@ -1,19 +1,19 @@
 // Grouped plan kernels layer by layer, on the scalar reference and on
 // every vector tier this CPU runs (blocked, simd when AVX2 is live,
-// avx512 when AVX-512F/VL is; plus the resolved backend when MAN_BACKEND
+// avx512 when AVX-512F/VL/BW is; plus the resolved backend when MAN_BACKEND
 // caps one that is not live at its own tier), under two schemes over
 // seed-21 weights: ASM 4 {1,3,5,7} (weights projected onto it) and the
 // conventional multiplier (unprojected weights, compiled over the full
 // set {1,3,…,15}: 8 bank lanes and alphabets up to 15 in the row
 // bounds). Per scheme:
 //   - the SVHN MLP's (8-bit) dense plans, one accumulate_dense_tile
-//     call over a staged 16-sample tile (plans that fit int32 lanes,
-//     as the engine tiles them);
+//     call over a staged 32-sample int16 tile (plans that pass the
+//     int32 row and int16 chunk proofs, as the engine tiles them);
 //   - the same plans, one accumulate_dense call over one sample's
 //     staged int64 multiples (the per-sample kernel: a gather on the
 //     AVX-512 tier, the scalar reference's walk on every other);
 //   - the SVHN MLP's tile boundaries, the epilogue sweeps around those
-//     kernels: a 16-sample tile's pixels quantized and staged into the
+//     kernels: a 32-sample tile's pixels quantized and staged into the
 //     first plan's tile (stage_pixels_tile), and each hidden layer's
 //     tile accumulators through its tanh LUT into the next plan's tile
 //     (lut_stage_tile), on the engine's route: the backend's sweep, or
@@ -24,8 +24,10 @@
 //     multiples, on the lane width the engine gives the layer (named
 //     in its label; int64 lanes run the scalar reference everywhere).
 // Prints per layer the plan's terms, (shift, sign) groups and bytes (per
-// boundary the values it stages), and µs per call on each backend, and
-// under each per-sample table the backends that run the scalar
+// boundary the values it stages), and µs per call on each backend
+// (under the tile tables also the total's µs per sample, which compares
+// across tile widths), and under each per-sample table the backends
+// that run the scalar
 // reference there; exits 1 if any layer's or boundary's output differs
 // from the scalar reference by a single bit, or if a tier above the
 // portable one declines a tile boundary (each covers all of SVHN's).
@@ -172,8 +174,10 @@ class Report {
         outputs, run);
   }
 
-  /// Prints the table with its total row; false on any mismatch.
-  bool print() {
+  /// Prints the table with its total row and, for a table of
+  /// `samples`-sample tiles, the total's µs per sample; false on any
+  /// mismatch.
+  bool print(std::size_t samples = 1) {
     std::vector<std::string> row = {"total"};
     for (const std::size_t total : totals_) {
       row.push_back(std::to_string(total));
@@ -182,6 +186,15 @@ class Report {
     row.push_back(identical_ ? "yes" : "NO");
     table_.add_separator();
     table_.add_row(row);
+    if (samples > 1) {
+      std::vector<std::string> per = {"us per sample"};
+      per.resize(totals_.size() + 1);
+      for (const double us : us_) {
+        per.push_back(format_double(us / static_cast<double>(samples), 2));
+      }
+      per.emplace_back();
+      table_.add_row(per);
+    }
     std::cout << table_.to_string();
     return identical_;
   }
@@ -242,7 +255,7 @@ void run_boundary(const KernelBackend& backend, bool& declined, Sweep sweep,
   reference();
 }
 
-/// The SVHN MLP's tile boundaries, µs per 16-sample tile; false on any
+/// The SVHN MLP's tile boundaries, µs per 32-sample tile; false on any
 /// mismatch or decline.
 bool report_boundaries(const man::engine::FixedNetwork& svhn,
                        const std::string& scheme,
@@ -281,9 +294,9 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
       for (float& p : pixels) p = static_cast<float>(rng.next_double());
       const man::backend::epilogue::PixelSource source{
           pixels.data(), spec.activation_format};
-      report.add<std::int32_t>(
+      report.add<std::int16_t>(
           "pixels -> " + dense_label(i, plan), {pixels.size()}, slots,
-          [&](const KernelBackend& backend, std::int32_t* tile) {
+          [&](const KernelBackend& backend, std::int16_t* tile) {
             run_boundary(
                 backend, declined,
                 [&] {
@@ -306,10 +319,10 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
       const man::backend::epilogue::LutSource<
           man::backend::epilogue::ValueSource>
           source{{acc.data()}, lut.raw_path()};
-      report.add<std::int32_t>(
+      report.add<std::int16_t>(
           "L" + std::to_string(i - 1) + " LUT -> " + dense_label(i, plan),
           {acc.size()}, slots,
-          [&](const KernelBackend& backend, std::int32_t* tile) {
+          [&](const KernelBackend& backend, std::int16_t* tile) {
             run_boundary(
                 backend, declined,
                 [&] {
@@ -325,7 +338,7 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
           });
     }
   }
-  const bool identical = report.print();
+  const bool identical = report.print(kDenseTile);
   if (declined) {
     std::cerr << "a vector tier above the portable one declined a tile "
                  "boundary\n";
@@ -346,14 +359,17 @@ bool report_scheme(bool conventional,
   for (std::size_t i = 0; i < svhn.plans().size(); ++i) {
     const DenseLayerPlan& plan = svhn.plans()[i];
     const auto k = static_cast<std::size_t>(plan.k);
-    if (man::backend::int32_row_bound(
-            plan, man::core::AlphabetSet::first_n(k).alphabets()) >=
-        man::backend::kInt32RowOverflow) {
-      std::cout << dense_label(i, plan) << " does not fit int32 lanes\n";
+    const man::core::AlphabetSet set = man::core::AlphabetSet::first_n(k);
+    const auto alphabets = set.alphabets();
+    const int chunk = man::backend::int16_tile_chunk(plan, alphabets);
+    if (man::backend::int32_row_bound(plan, alphabets) >=
+            man::backend::kInt32RowOverflow ||
+        chunk < 1) {
+      std::cout << dense_label(i, plan) << " does not tile\n";
       continue;
     }
     // Input c of sample b, lane l: tile[(c·k + l)·kDenseTile + b].
-    const auto tile = stage(
+    const auto tile = stage<std::int16_t>(
         plan, static_cast<std::size_t>(plan.cols) * kDenseTile,
         plan.padded_multiples() * kDenseTile, 900 + i,
         [&](std::size_t n, std::size_t l) {
@@ -362,10 +378,10 @@ bool report_scheme(bool conventional,
     dense.add_plan(dense_label(i, plan), plan,
               static_cast<std::size_t>(plan.rows) * kDenseTile,
               [&](const KernelBackend& backend, std::int64_t* out) {
-                backend.accumulate_dense_tile(plan, tile.data(), out);
+                backend.accumulate_dense_tile(plan, chunk, tile.data(), out);
               });
   }
-  bool ok = dense.print();
+  bool ok = dense.print(kDenseTile);
 
   ok = report_boundaries(svhn, scheme, backends) && ok;
 

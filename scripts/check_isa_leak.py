@@ -3,7 +3,8 @@
 
 Every object in libman.a is built for the baseline x86-64 ISA. Only
 the AVX2 and AVX-512 tier kernels in vector_kernels.cpp carry a
-per-function target("avx2") or target("avx512f,avx512vl") attribute,
+per-function target("avx2") or target("avx512f,avx512vl,avx512bw")
+attribute (BW for the dense tile's int16 lanes),
 and the vector backends pick a tier only after a CPUID check, so the
 library runs on any x86-64 CPU. The rule the lint guards: AVX code
 appears only in that object, never in a weak symbol, and never in a

@@ -9,14 +9,15 @@
 
 // The one compile-time ISA switch. On x86-64 under GCC or Clang, the
 // 32- and 64-byte vector tiers compile their kernels, and only those
-// functions, for AVX2 or AVX-512F/VL through a per-function target
+// functions, for AVX2 or AVX-512F/VL/BW through a per-function target
 // attribute; every file is built at the default ISA, and runtime CPUID
 // decides whether the kernels run. Elsewhere only the 16-byte tier
 // exists.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MAN_X86_KERNELS 1
 #define MAN_TARGET_AVX2 __attribute__((target("avx2")))
-#define MAN_TARGET_AVX512 __attribute__((target("avx512f,avx512vl")))
+#define MAN_TARGET_AVX512 \
+  __attribute__((target("avx512f,avx512vl,avx512bw")))
 #else
 #define MAN_X86_KERNELS 0
 #endif
@@ -31,7 +32,7 @@ struct VectorKernels {
   /// The per-sample dense gather, null where the tier runs the scalar
   /// reference (every tier below AVX-512).
   void (*dense)(const DenseLayerPlan&, const std::int64_t*, std::int64_t*);
-  void (*dense_tile)(const DenseLayerPlan&, const std::int32_t*,
+  void (*dense_tile)(const DenseLayerPlan&, int, const std::int16_t*,
                      std::int64_t*);
   void (*conv_int32)(const ConvLayerPlan&, const std::int32_t*,
                      std::int64_t*);
@@ -48,15 +49,15 @@ struct VectorKernels {
   bool (*stage_pixels_tile)(std::span<const float>,
                             const man::fixed::QFormat&,
                             const man::core::PrecomputerCache::View&,
-                            std::int32_t*);
+                            std::int16_t*);
   bool (*lut_stage_tile)(const std::int64_t*, std::size_t,
                          const man::core::FixedActivationLut::RawPath&,
                          const man::core::PrecomputerCache::View&,
-                         std::int32_t*);
+                         std::int16_t*);
 };
 
 /// The widest tier at most `cap_bytes` wide that this CPU runs: 64
-/// when CPUID reports AVX-512F/VL, 32 with AVX2, 16 otherwise and
+/// when CPUID reports AVX-512F/VL/BW, 32 with AVX2, 16 otherwise and
 /// without MAN_X86_KERNELS.
 [[nodiscard]] const VectorKernels& vector_kernels(int cap_bytes);
 

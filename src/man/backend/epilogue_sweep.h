@@ -83,20 +83,20 @@ struct LaneMajorSink {
 // Dense tile staging, sample-minor: lane l of element i of sample b at
 // [(i·k + l)·kDenseTile + b], so the kDenseTile sample lanes of one
 // plan slot sit contiguously (the layout accumulate_dense_tile reads),
-// in int32 slots, which int32_row_bound() proves every tiled stage's
+// in int16 slots, which int16_tile_chunk() proves every tiled stage's
 // multiples fit. `rows` maps a value to its k bank outputs.
 template <typename Rows>
 struct TileSlots {
   Rows rows;
-  std::int32_t* tile;
+  std::int16_t* tile;
   std::size_t k;
   [[gnu::always_inline]] void operator()(std::size_t i, std::size_t b,
                                          std::int64_t v) {
     constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
-    std::int32_t* dest = tile + i * k * kTile + b;
+    std::int16_t* dest = tile + i * k * kTile + b;
     const std::int64_t* row = rows(v);
     for (std::size_t l = 0; l < k; ++l) {
-      dest[l * kTile] = static_cast<std::int32_t>(row[l]);
+      dest[l * kTile] = static_cast<std::int16_t>(row[l]);
     }
   }
 };

@@ -45,8 +45,8 @@ enum class BackendKind {
   kBlocked,  ///< the portable tier: 16-byte vectors at the default
              ///< ISA, the only vector code that runs off x86-64
   kSimd,     ///< AVX2's 32-byte vectors (portable without AVX2)
-  kAvx512,   ///< AVX-512F/VL's 64-byte vectors (AVX2's without
-             ///< AVX-512F/VL, portable without either)
+  kAvx512,   ///< AVX-512F/VL/BW's 64-byte vectors (AVX2's without
+             ///< AVX-512F/VL/BW, portable without either)
 };
 
 /// One implementation of the inner accumulation loops and, where it
@@ -82,22 +82,24 @@ class KernelBackend {
                                 std::int64_t* out) const = 0;
 
   /// accumulate_dense over a tile of kDenseTile samples at once, laid
-  /// out sample-minor in int32 lanes: slot s of sample b lives at
+  /// out sample-minor in int16 lanes: slot s of sample b lives at
   /// tile[s·kDenseTile + b] (plan.padded_multiples() × kDenseTile
   /// values), and row r of sample b lands at out[r·kDenseTile + b].
   /// Each term is read once per tile and adds kDenseTile contiguous
   /// lanes — one 64-byte vector, two 32-byte or four 16-byte ones — so
-  /// the plan indices stay unchanged
-  /// (the kernel scales them by kDenseTile) and vector kernels use
-  /// plain loads where the per-sample kernel gathers. Group sums and
-  /// the row accumulate in int32; each group is shifted once, and each
-  /// row is widened to int64 before the bias is added. Callers must
-  /// hold int32_row_bound(plan, ...) ≤
-  /// INT32_MAX for the staged inputs (FixedNetwork tiles only such
-  /// plans); the scalar reference accumulates in int64 regardless.
-  /// Bit-identical to kDenseTile accumulate_dense calls.
-  virtual void accumulate_dense_tile(const DenseLayerPlan& plan,
-                                     const std::int32_t* tile,
+  /// the plan indices stay unchanged (the kernel scales them by
+  /// kDenseTile) and vector kernels use plain loads where the
+  /// per-sample kernel gathers. A group's terms are summed in int16
+  /// runs of at most `chunk` terms, each run widened into the group's
+  /// int32 sum; each group is shifted once and added to the row in
+  /// int32, and each row is widened to int64 before the bias is added.
+  /// Callers must hold 1 ≤ chunk ≤ int16_tile_chunk(plan, ...) and
+  /// int32_row_bound(plan, ...) ≤ INT32_MAX for the staged inputs
+  /// (FixedNetwork tiles only such plans); the scalar reference
+  /// accumulates in int64 regardless. Bit-identical to kDenseTile
+  /// accumulate_dense calls.
+  virtual void accumulate_dense_tile(const DenseLayerPlan& plan, int chunk,
+                                     const std::int16_t* tile,
                                      std::int64_t* out) const = 0;
 
   /// ASM accumulation for one conv stage, group by group: for every
@@ -132,15 +134,17 @@ class KernelBackend {
   // reference loops of epilogue_sweep.h, which FixedNetwork runs
   // whenever a sweep returns false. Conv staging writes value o's k
   // table entries lane-major as int32: lane l at slots[l·stride + o]
-  // (the accumulate_conv_int32 layout). Tile staging writes element i
-  // of sample b sample-minor: lane l at tile[(i·k + l)·kDenseTile + b]
-  // (the accumulate_dense_tile layout). Callers hold int32_row_bound()
-  // ≤ INT32_MAX, which proves every entry fits. A sweep computes the k
-  // entries as alphabets[l]·x in int32 lanes (View::alphabets) and
-  // returns true, or returns false, its output unspecified, where it
-  // does not run exactly (docs/backends.md lists the declines; a value
-  // outside the table's window is one). The base class declines every
-  // case, so the scalar backend has no sweeps.
+  // (the accumulate_conv_int32 layout); callers hold int32_row_bound()
+  // ≤ INT32_MAX, which proves every entry fits. Tile staging writes
+  // element i of sample b sample-minor as int16: lane l at
+  // tile[(i·k + l)·kDenseTile + b] (the accumulate_dense_tile layout);
+  // callers hold int16_tile_chunk() ≥ 1, which proves every entry
+  // fits. A sweep computes the k entries as alphabets[l]·x in int32
+  // lanes (View::alphabets) and returns true, or returns false, its
+  // output unspecified, where it does not run exactly
+  // (docs/backends.md lists the declines; a value outside the table's
+  // window is one). The base class declines every case, so the scalar
+  // backend has no sweeps.
 
   /// Each pixel quantized to `format` (QFormat::quantize) and staged
   /// from `table`, pixel i as value i.
@@ -168,7 +172,7 @@ class KernelBackend {
   [[nodiscard]] virtual bool stage_pixels_tile(
       std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
       const man::core::PrecomputerCache::View& /*table*/,
-      std::int32_t* /*tile*/) const {
+      std::int16_t* /*tile*/) const {
     return false;
   }
 
@@ -179,7 +183,7 @@ class KernelBackend {
       const std::int64_t* /*acc*/, std::size_t /*elements*/,
       const man::core::FixedActivationLut::RawPath& /*lut*/,
       const man::core::PrecomputerCache::View& /*table*/,
-      std::int32_t* /*tile*/) const {
+      std::int16_t* /*tile*/) const {
     return false;
   }
 };
@@ -192,7 +196,7 @@ class KernelBackend {
 [[nodiscard]] std::span<const KernelBackend* const> all_backends();
 
 /// Best backend for this CPU: the cap of the widest tier CPUID
-/// reports — avx512 with AVX-512F/VL, else simd with AVX2, blocked
+/// reports — avx512 with AVX-512F/VL/BW, else simd with AVX2, blocked
 /// otherwise.
 [[nodiscard]] BackendKind detect_best_backend();
 

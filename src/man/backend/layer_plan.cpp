@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -203,6 +204,21 @@ std::int64_t int32_row_bound(const DenseLayerPlan& plan,
 std::int64_t int32_row_bound(const ConvLayerPlan& plan,
                              std::span<const std::uint8_t> alphabets) {
   return group_bound(plan, plan.oc, alphabets);
+}
+
+int int16_tile_chunk(const DenseLayerPlan& plan,
+                     std::span<const std::uint8_t> alphabets) {
+  constexpr std::int64_t kInt16Max = INT16_MAX;
+  if (!plan.has_input_range() || plan.k < 1 ||
+      alphabets.size() != static_cast<std::size_t>(plan.k) ||
+      plan.in_min_raw < -kInt16Max || plan.in_max_raw > kInt16Max) {
+    return 0;
+  }
+  const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);
+  const std::int64_t slot =
+      x * *std::max_element(alphabets.begin(), alphabets.end());
+  // An all-zero window stages only zeros: any run of terms fits.
+  return static_cast<int>(kInt16Max / std::max<std::int64_t>(slot, 1));
 }
 
 std::string to_string(const ConvTileShape& shape) {

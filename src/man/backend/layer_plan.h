@@ -138,16 +138,14 @@ inline constexpr int kMaxShift = 32;
 
 /// Samples per batch tile of the dense tile kernels
 /// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
-/// slot s of sample b sits at tile[s·kDenseTile + b] as an int32
-/// (int32_row_bound() proves the plan's sums fit), so every term is
-/// read once per tile and adds kDenseTile contiguous lanes — one
-/// 64-byte line and vector. Rows come out int64 at
-/// out[r·kDenseTile + b]. A fixed constant, not a knob: a wider tile
-/// would tile even fewer serving micro-batches, of which only a full
-/// 64-sample batch on 4 workers shards into 16-sample ranges
-/// (BatchRunner::run_sharded splits 32 samples into 4 × 8 and 48 into
-/// 4 × 12).
-inline constexpr int kDenseTile = 16;
+/// slot s of sample b sits at tile[s·kDenseTile + b] as an int16
+/// (int16_tile_chunk() proves every staged multiple fits), so every
+/// term is read once per tile and adds kDenseTile contiguous lanes —
+/// one 64-byte line and vector. Rows come out int64 at
+/// out[r·kDenseTile + b]. A fixed constant, not a knob: BatchRunner
+/// cuts a batch into whole-tile ranges, so a 64-sample serving batch
+/// forms two tiles.
+inline constexpr int kDenseTile = 32;
 
 /// Register tile of one vectorized conv kernel
 /// (KernelBackend::accumulate_conv_int32 and accumulate_conv):
@@ -331,6 +329,21 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
     const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 [[nodiscard]] std::int64_t int32_row_bound(
     const ConvLayerPlan& plan, std::span<const std::uint8_t> alphabets);
+
+/// The no-overflow proof behind the int16 slots of the dense batch
+/// tile: every staged slot a·x has |a·x| ≤ X · max(alphabets) (X as
+/// for int32_row_bound()), so a run of at most
+///   C = ⌊INT16_MAX / (X · max(alphabets))⌋
+/// terms sums in int16 lanes without leaving [-INT16_MAX, INT16_MAX].
+/// accumulate_dense_tile adds at most C terms in int16, then widens
+/// that chunk sum into the group's int32 sum (which int32_row_bound()
+/// covers). Returns C, or 0 when a staged slot does not fit int16 (the
+/// stage then runs per sample): plans without a staging window, or
+/// whose alphabet count disagrees with `alphabets`. O(1); derived,
+/// never serialized. For the apps' 8-bit activations (X = 255) C is
+/// 18 under ASM 4 (a ≤ 7) and 8 under the conventional set (a ≤ 15).
+[[nodiscard]] int int16_tile_chunk(const DenseLayerPlan& plan,
+                                   std::span<const std::uint8_t> alphabets);
 
 }  // namespace man::backend
 

@@ -71,11 +71,11 @@ class ScalarBackend final : public KernelBackend {
     }
   }
 
-  void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int32_t* tile,
+  void accumulate_dense_tile(const DenseLayerPlan& plan, int /*chunk*/,
+                             const std::int16_t* tile,
                              std::int64_t* out) const override {
-    // The same walk, each int32 slot read at stride kDenseTile and
-    // accumulated in int64 — the oracle needs no overflow proof.
+    // The same walk, each int16 slot read at stride kDenseTile and
+    // accumulated in int64 — the oracle needs no chunk or row proof.
     constexpr std::size_t kTile = kDenseTile;
     for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
       for (std::size_t b = 0; b < kTile; ++b) {

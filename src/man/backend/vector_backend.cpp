@@ -1,7 +1,7 @@
 // The vector backends: blocked, simd and avx512 are one class, whose
 // BackendKind is a cap on the vector width. blocked runs the 16-byte
 // portable tier, the only vector code off x86-64; simd runs AVX2 where
-// CPUID reports it; avx512 runs AVX-512F/VL, else AVX2. Each picks the
+// CPUID reports it; avx512 runs AVX-512F/VL/BW, else AVX2. Each picks the
 // widest tier at or below its cap that the CPU runs (vector_kernels())
 // once, and each method is one call into that tier's kernels, or into
 // the scalar reference where the tier has no kernel of its own (int64
@@ -37,10 +37,10 @@ class VectorBackend final : public KernelBackend {
     }
   }
 
-  void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int32_t* tile,
+  void accumulate_dense_tile(const DenseLayerPlan& plan, int chunk,
+                             const std::int16_t* tile,
                              std::int64_t* out) const override {
-    kernels_.dense_tile(plan, tile, out);
+    kernels_.dense_tile(plan, chunk, tile, out);
   }
 
   // Int64 conv lanes serve only plans outside the int32 proof, which no
@@ -77,7 +77,7 @@ class VectorBackend final : public KernelBackend {
   bool stage_pixels_tile(std::span<const float> pixels,
                          const man::fixed::QFormat& format,
                          const man::core::PrecomputerCache::View& table,
-                         std::int32_t* tile) const override {
+                         std::int16_t* tile) const override {
     return kernels_.stage_pixels_tile != nullptr &&
            kernels_.stage_pixels_tile(pixels, format, table, tile);
   }
@@ -85,7 +85,7 @@ class VectorBackend final : public KernelBackend {
   bool lut_stage_tile(const std::int64_t* acc, std::size_t elements,
                       const man::core::FixedActivationLut::RawPath& lut,
                       const man::core::PrecomputerCache::View& table,
-                      std::int32_t* tile) const override {
+                      std::int16_t* tile) const override {
     return kernels_.lut_stage_tile != nullptr &&
            kernels_.lut_stage_tile(acc, elements, lut, table, tile);
   }

@@ -35,9 +35,9 @@ static_assert(ConvLayerPlan::tile_avx2.row_tile == kConvRows &&
 static_assert(ConvLayerPlan::tile_avx512.row_tile == kConvRows512 &&
               ConvLayerPlan::tile_avx512.col_vecs == 2);
 
-void dense_tile_16(const DenseLayerPlan& plan, const std::int32_t* tile,
-                   std::int64_t* out) {
-  dense_tile<I32x4>(plan, tile, out);
+void dense_tile_16(const DenseLayerPlan& plan, int chunk,
+                   const std::int16_t* tile, std::int64_t* out) {
+  dense_tile<I16x8>(plan, chunk, tile, out);
 }
 void conv_int32_16(const ConvLayerPlan& plan, const std::int32_t* multiples,
                    std::int64_t* out) {
@@ -46,10 +46,10 @@ void conv_int32_16(const ConvLayerPlan& plan, const std::int32_t* multiples,
 
 #if MAN_X86_KERNELS
 
-MAN_TARGET_AVX2 void dense_tile_avx2(const DenseLayerPlan& plan,
-                                     const std::int32_t* tile,
+MAN_TARGET_AVX2 void dense_tile_avx2(const DenseLayerPlan& plan, int chunk,
+                                     const std::int16_t* tile,
                                      std::int64_t* out) {
-  dense_tile<I32x8>(plan, tile, out);
+  dense_tile<I16x16>(plan, chunk, tile, out);
 }
 MAN_TARGET_AVX2 void conv_int32_avx2(const ConvLayerPlan& plan,
                                      const std::int32_t* multiples,
@@ -62,7 +62,6 @@ MAN_TARGET_AVX2 void conv_int32_avx2(const ConvLayerPlan& plan,
 /// narrower vectors lane by lane.
 struct YmmGather : LaneGather {
   using LaneGather::lut;
-  using LaneGather::pixels;
   MAN_TARGET_AVX2 static void lut(I64x4& out, const std::int32_t* table,
                                   const I64x4& index) {
     const auto entries = reinterpret_cast<I32x4>(
@@ -73,11 +72,6 @@ struct YmmGather : LaneGather {
                                   const I32x8& index) {
     out = reinterpret_cast<I32x8>(
         _mm256_i32gather_epi32(table, reinterpret_cast<__m256i>(index), 4));
-  }
-  MAN_TARGET_AVX2 static void pixels(F32x8& out, const float* base,
-                                     const I32x8& offsets) {
-    out = reinterpret_cast<F32x8>(
-        _mm256_i32gather_ps(base, reinterpret_cast<__m256i>(offsets), 4));
   }
 };
 
@@ -121,11 +115,10 @@ MAN_TARGET_AVX512 void dense_groups_avx512(const DenseLayerPlan& plan,
 
 /// The AVX-512 tier's table reads: a full vector's lanes in one
 /// hardware gather (8 int64 or 16 int32; no DQ instruction: the tier
-/// targets AVX-512F/VL), a half-width one in an AVX2 gather, narrower
+/// targets AVX-512F/VL/BW), a half-width one in an AVX2 gather, narrower
 /// ones lane by lane.
 struct ZmmGather : YmmGather {
   using YmmGather::lut;
-  using YmmGather::pixels;
   MAN_TARGET_AVX512 static void lut(
       I64x8& out, const std::int32_t* table, const I64x8& index) {
     const auto entries =
@@ -137,11 +130,6 @@ struct ZmmGather : YmmGather {
       I32x16& out, const std::int32_t* table, const I32x16& index) {
     out = reinterpret_cast<I32x16>(
         _mm512_i32gather_epi32(reinterpret_cast<__m512i>(index), table, 4));
-  }
-  MAN_TARGET_AVX512 static void pixels(F32x16& out, const float* base,
-                                       const I32x16& offsets) {
-    out = reinterpret_cast<F32x16>(
-        _mm512_i32gather_ps(reinterpret_cast<__m512i>(offsets), base, 4));
   }
 };
 
@@ -171,22 +159,20 @@ template <typename G, typename V>
   return table.alphabets != nullptr && lut.assign(raw) &&
          lut_pool2_stage<G, V>(in, shape, lut, Staging{table}, slots, stride);
 }
-template <typename G, typename V>
+template <typename V>
 [[gnu::always_inline]] inline bool tile_pixels(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int32_t* tile) {
+    const PrecomputerCache::View& table, std::int16_t* tile) {
   FloatQuantize quantizer;
-  // Every gather offset, (kDenseTile − 1)·n, must fit int32.
   return table.alphabets != nullptr && quantizer.assign(format) &&
-         pixels.size() <= std::size_t{INT32_MAX} &&
-         stage_pixels_tile<G, V>(pixels, quantizer, Staging{table}, tile);
+         stage_pixels_tile<V>(pixels, quantizer, Staging{table}, tile);
 }
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool tile_lut(const std::int64_t* acc,
                                             std::size_t elements,
                                             const RawPath& raw,
                                             const PrecomputerCache::View& table,
-                                            std::int32_t* tile) {
+                                            std::int16_t* tile) {
   LutPath lut;
   return table.alphabets != nullptr && lut.assign(raw) &&
          lut_stage_tile<G, V>(acc, elements, lut, Staging{table}, tile);
@@ -206,12 +192,12 @@ MAN_TARGET_AVX512 bool lut_pool2_stage_avx512(
 }
 MAN_TARGET_AVX512 bool stage_pixels_tile_avx512(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int32_t* tile) {
-  return tile_pixels<ZmmGather, I32x16>(pixels, format, table, tile);
+    const PrecomputerCache::View& table, std::int16_t* tile) {
+  return tile_pixels<I32x16>(pixels, format, table, tile);
 }
 MAN_TARGET_AVX512 bool lut_stage_tile_avx512(
     const std::int64_t* acc, std::size_t elements, const RawPath& raw,
-    const PrecomputerCache::View& table, std::int32_t* tile) {
+    const PrecomputerCache::View& table, std::int16_t* tile) {
   return tile_lut<ZmmGather, I32x16>(acc, elements, raw, table, tile);
 }
 
@@ -229,21 +215,21 @@ MAN_TARGET_AVX2 bool lut_pool2_stage_avx2(
 }
 MAN_TARGET_AVX2 bool stage_pixels_tile_avx2(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int32_t* tile) {
-  return tile_pixels<YmmGather, I32x8>(pixels, format, table, tile);
+    const PrecomputerCache::View& table, std::int16_t* tile) {
+  return tile_pixels<I32x8>(pixels, format, table, tile);
 }
 MAN_TARGET_AVX2 bool lut_stage_tile_avx2(const std::int64_t* acc,
                                          std::size_t elements,
                                          const RawPath& raw,
                                          const PrecomputerCache::View& table,
-                                         std::int32_t* tile) {
+                                         std::int16_t* tile) {
   return tile_lut<YmmGather, I32x8>(acc, elements, raw, table, tile);
 }
 
 MAN_TARGET_AVX512 void dense_tile_avx512(const DenseLayerPlan& plan,
-                                         const std::int32_t* tile,
+                                         int chunk, const std::int16_t* tile,
                                          std::int64_t* out) {
-  dense_tile<I32x16>(plan, tile, out);
+  dense_tile<I16x32>(plan, chunk, tile, out);
 }
 MAN_TARGET_AVX512 void conv_int32_avx512(const ConvLayerPlan& plan,
                                          const std::int32_t* multiples,
@@ -252,8 +238,10 @@ MAN_TARGET_AVX512 void conv_int32_avx512(const ConvLayerPlan& plan,
 }
 
 int cpu_bytes() {
+  // BW for the dense tile's int16 lanes (vpaddw and vpmovsxwd on zmm).
   if (__builtin_cpu_supports("avx512f") != 0 &&
-      __builtin_cpu_supports("avx512vl") != 0) {
+      __builtin_cpu_supports("avx512vl") != 0 &&
+      __builtin_cpu_supports("avx512bw") != 0) {
     return 64;
   }
   return __builtin_cpu_supports("avx2") != 0 ? 32 : 16;
@@ -276,7 +264,7 @@ constexpr VectorKernels kTiers[] = {
     {32, "AVX2 32-byte vectors and gathers", nullptr, dense_tile_avx2,
      conv_int32_avx2, stage_pixels_avx2, lut_pool2_stage_avx2,
      stage_pixels_tile_avx2, lut_stage_tile_avx2},
-    {64, "AVX-512F/VL 64-byte vectors and gathers", dense_groups_avx512,
+    {64, "AVX-512F/VL/BW 64-byte vectors and gathers", dense_groups_avx512,
      dense_tile_avx512, conv_int32_avx512, stage_pixels_avx512,
      lut_pool2_stage_avx512, stage_pixels_tile_avx512, lut_stage_tile_avx512},
 #endif

@@ -36,6 +36,10 @@ namespace {
 
 // One explicit typedef per width: GCC 12 silently ignores
 // vector_size(N) on an alias whose N depends on a template parameter.
+using I16x4 = std::int16_t __attribute__((vector_size(8)));
+using I16x8 = std::int16_t __attribute__((vector_size(16)));
+using I16x16 = std::int16_t __attribute__((vector_size(32)));
+using I16x32 = std::int16_t __attribute__((vector_size(64)));
 using I32x2 = std::int32_t __attribute__((vector_size(8)));
 using I32x4 = std::int32_t __attribute__((vector_size(16)));
 using I32x8 = std::int32_t __attribute__((vector_size(32)));
@@ -43,6 +47,9 @@ using I32x16 = std::int32_t __attribute__((vector_size(64)));
 using I64x2 = std::int64_t __attribute__((vector_size(16)));
 using I64x4 = std::int64_t __attribute__((vector_size(32)));
 using I64x8 = std::int64_t __attribute__((vector_size(64)));
+using U16x4 = std::uint16_t __attribute__((vector_size(8)));
+using U16x8 = std::uint16_t __attribute__((vector_size(16)));
+using U16x16 = std::uint16_t __attribute__((vector_size(32)));
 using U64x2 = std::uint64_t __attribute__((vector_size(16)));
 using U64x4 = std::uint64_t __attribute__((vector_size(32)));
 using U64x8 = std::uint64_t __attribute__((vector_size(64)));
@@ -53,16 +60,34 @@ using F32x16 = float __attribute__((vector_size(64)));
 /// Per vector type V: Half, what a conv or pool row narrower than V
 /// drops to (a 16-byte vector drops to its lane type, one position per
 /// lane); for int32 lanes also Part, half of V's lanes, Wide, those
-/// lanes widened to int64, and Single, V's lane count of float; for
-/// the int64 lanes of the LUT and pool sweep also Narrow and Unsigned,
-/// V's lane count of int32 and uint64.
+/// lanes widened to int64, Short, V's lane count of uint16, and Single,
+/// V's lane count of float; for the int16 lanes of the dense tile also
+/// Part and Wide, half of V's lanes and those widened to int32; for the
+/// int64 lanes of the LUT and pool sweep also Narrow and Unsigned, V's
+/// lane count of int32 and uint64.
 template <typename V>
 struct Lanes;
+template <>
+struct Lanes<I16x32> {
+  using Part = I16x16;
+  using Wide = I32x16;
+};
+template <>
+struct Lanes<I16x16> {
+  using Part = I16x8;
+  using Wide = I32x8;
+};
+template <>
+struct Lanes<I16x8> {
+  using Part = I16x4;
+  using Wide = I32x4;
+};
 template <>
 struct Lanes<I32x16> {
   using Half = I32x8;
   using Part = I32x8;
   using Wide = I64x8;
+  using Short = U16x16;
   using Single = F32x16;
 };
 template <>
@@ -70,6 +95,7 @@ struct Lanes<I32x8> {
   using Half = I32x4;
   using Part = I32x4;
   using Wide = I64x4;
+  using Short = U16x8;
   using Single = F32x8;
 };
 template <>
@@ -77,6 +103,7 @@ struct Lanes<I32x4> {
   using Half = std::int32_t;
   using Part = I32x2;
   using Wide = I64x2;
+  using Short = U16x4;
   using Single = F32x4;
 };
 template <>
@@ -157,34 +184,68 @@ template <typename V>
   }
 }
 
-/// KernelBackend::accumulate_dense_tile: a row's kDenseTile int32
+/// The lanes [kFirst, kFirst + P's lanes) of v, in registers.
+template <std::size_t kFirst, typename P, typename V, std::size_t... I>
+[[gnu::always_inline]] inline void slice(P& out, const V& v,
+                                         std::index_sequence<I...>) {
+  out = __builtin_shufflevector(v, v, (kFirst + I)...);
+}
+
+/// `chunk`'s int16 lanes widened to int32 and added to sum[0] (its low
+/// half) and sum[1] (its high half).
+template <typename V, typename W>
+[[gnu::always_inline]] inline void widen_add(W* sum, const V& chunk) {
+  using Part = typename Lanes<V>::Part;
+  constexpr std::size_t kHalf = kLaneCount<V> / 2;
+  Part lo;
+  Part hi;
+  slice<0>(lo, chunk, std::make_index_sequence<kHalf>{});
+  slice<kHalf>(hi, chunk, std::make_index_sequence<kHalf>{});
+  sum[0] += __builtin_convertvector(lo, W);
+  sum[1] += __builtin_convertvector(hi, W);
+}
+
+/// KernelBackend::accumulate_dense_tile: a row's kDenseTile int16
 /// sample lanes are kDenseTile / lanes vectors of V. A term is one idx
 /// driving plain loads and adds from the sample-minor tile (no gather,
-/// no shift); a group is one shift and one add or subtract per vector.
+/// no shift) into int16 chunk sums; after at most `chunk` terms
+/// (int16_tile_chunk() proves they fit) the chunk sums are widened into
+/// the group's int32 sums, and a group is one shift and one add or
+/// subtract per int32 vector.
 template <typename V>
 [[gnu::always_inline]] inline void dense_tile(const DenseLayerPlan& plan,
-                                              const std::int32_t* tile,
+                                              int chunk,
+                                              const std::int16_t* tile,
                                               std::int64_t* out) {
-  constexpr int kLanes = sizeof(V) / sizeof(std::int32_t);
+  using W = typename Lanes<V>::Wide;
+  constexpr int kLanes = kLaneCount<V>;
   constexpr int kVecs = kDenseTile / kLanes;
+  constexpr int kWide = 2 * kVecs;  // int32 vectors per row
+  const auto run = static_cast<std::uint32_t>(std::max(chunk, 1));
   const std::uint32_t* idx = plan.idx.data();
   const std::uint32_t* begin = plan.group_begin.data();
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-    V acc[kVecs] = {};
+    W acc[kWide] = {};
     for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
-      V sum[kVecs] = {};
-      for (std::uint32_t t = begin[g]; t < begin[g + 1]; ++t) {
-        const std::int32_t* src = tile + std::size_t{idx[t]} * kDenseTile;
-        for (int v = 0; v < kVecs; ++v) {
-          V lanes;
-          load(lanes, src + v * kLanes);
-          sum[v] += lanes;
+      W sum[kWide] = {};
+      const std::uint32_t end = begin[g + 1];
+      for (std::uint32_t t = begin[g]; t < end;) {
+        const std::uint32_t stop = end - t > run ? t + run : end;
+        V part[kVecs] = {};
+        for (; t < stop; ++t) {
+          const std::int16_t* src = tile + std::size_t{idx[t]} * kDenseTile;
+          for (int v = 0; v < kVecs; ++v) {
+            V lanes;
+            load(lanes, src + v * kLanes);
+            part[v] += lanes;
+          }
         }
+        for (int v = 0; v < kVecs; ++v) widen_add(sum + 2 * v, part[v]);
       }
-      add_group(acc, sum, kVecs, plan, g);
+      add_group(acc, sum, kWide, plan, g);
     }
-    for (int v = 0; v < kVecs; ++v) {
-      store_widened(out + r * kDenseTile + v * kLanes, acc[v],
+    for (int v = 0; v < kWide; ++v) {
+      store_widened(out + r * kDenseTile + v * (kLanes / 2), acc[v],
                     plan.biases[r]);
     }
   }
@@ -295,7 +356,8 @@ template <typename V, int RN>
 // values), and a row narrower than V runs at half width, so no sweep
 // reads or writes past a row. The tile boundaries run over V's int32
 // lanes, one lane per sample: a tile's kDenseTile samples are
-// kDenseTile / lanes vectors, so there is no tail. Staging computes a
+// kDenseTile / lanes vectors, so there is no tail, and each multiple
+// is formed in uint16 lanes for its int16 tile slot. Staging computes a
 // value's k bank outputs in-register as alphabets[l]·x in int32 lanes,
 // which the table's construction proves equal to its rows
 // (PrecomputerCache::View::alphabets), so no table row is read. Table
@@ -303,12 +365,12 @@ template <typename V, int RN>
 // AVX2 and AVX-512 tiers override their vectors with hardware gathers
 // (vector_kernels.cpp).
 
-/// Reads tables at per-lane indices one lane at a time: lut() reads
-/// int32 activation LUT entries into V's lanes, pixels() floats.
+/// Reads int32 activation LUT entries at V's per-lane indices into
+/// V's lanes, one lane at a time.
 struct LaneGather {
-  template <typename V, typename T, typename I>
-  [[gnu::always_inline]] static void read(V& out, const T* table,
-                                          const I& index) {
+  template <typename V>
+  [[gnu::always_inline]] static void lut(V& out, const std::int32_t* table,
+                                         const V& index) {
     if constexpr (std::is_arithmetic_v<V>) {
       out = table[index];
     } else {
@@ -318,16 +380,6 @@ struct LaneGather {
       }
       out = entries;
     }
-  }
-  template <typename V>
-  [[gnu::always_inline]] static void lut(V& out, const std::int32_t* table,
-                                         const V& index) {
-    read(out, table, index);
-  }
-  template <typename F, typename V>
-  [[gnu::always_inline]] static void pixels(F& out, const float* base,
-                                            const V& offsets) {
-    read(out, base, offsets);
   }
 };
 
@@ -475,13 +527,14 @@ struct Staging {
   man::core::PrecomputerCache::View table;
 
   /// Stages V's lanes of values (int64 or int32), bank output l of lane
-  /// j to dst[l·lane_stride + j]. A value outside the window sets its
-  /// lane of `miss` and stages a value inside it; the caller then
-  /// reruns the scalar reference, which throws. Inside the window every
-  /// value and every multiple fits int32 (the table's proof), so the
-  /// multiplies run in int32 lanes.
-  template <typename V>
-  [[gnu::always_inline]] void put(const V& values, std::int32_t* dst,
+  /// j to dst[l·lane_stride + j], as int32 or int16 slots. A value
+  /// outside the window sets its lane of `miss` and stages a value
+  /// inside it; the caller then reruns the scalar reference, which
+  /// throws. Inside the window every value and every multiple fits
+  /// int32 (the table's proof), so the multiplies run in int32 lanes,
+  /// or in uint16 lanes for int16 slots (multiples()).
+  template <typename V, typename Slot>
+  [[gnu::always_inline]] void put(const V& values, Slot* dst,
                                   std::size_t lane_stride, V& miss) const {
     using L = Lane<V>;
     const V first = V{} + static_cast<L>(table.min_raw);
@@ -503,13 +556,26 @@ struct Staging {
     }
   }
 
-  /// alphabets[l]·x of W's int32 lanes to dst[l·lane_stride, …).
-  template <typename W>
-  [[gnu::always_inline]] void multiples(const W& x, std::int32_t* dst,
+  /// alphabets[l]·x of W's int32 lanes to dst[l·lane_stride, …). For
+  /// int16 slots x is narrowed once and each multiple formed in uint16
+  /// lanes: a·x mod 2^16, the int32 product's low half, which
+  /// int16_tile_chunk() ≥ 1 proves is a·x itself.
+  template <typename W, typename Slot>
+  [[gnu::always_inline]] void multiples(const W& x, Slot* dst,
                                         std::size_t lane_stride) const {
-    for (std::size_t l = 0; l < table.k; ++l) {
-      const W multiple = x * table.alphabets[l];
-      std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
+    if constexpr (std::is_same_v<Slot, std::int32_t>) {
+      for (std::size_t l = 0; l < table.k; ++l) {
+        const W multiple = x * table.alphabets[l];
+        std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
+      }
+    } else {
+      static_assert(std::is_same_v<Slot, std::int16_t>);
+      const auto low = __builtin_convertvector(x, typename Lanes<W>::Short);
+      for (std::size_t l = 0; l < table.k; ++l) {
+        const auto multiple =
+            low * static_cast<std::uint16_t>(table.alphabets[l]);
+        std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
+      }
     }
   }
 };
@@ -576,34 +642,81 @@ template <typename G, typename V>
   return !any_lane(miss);
 }
 
+/// One round of an in-register transpose: rows a and b, whose indices
+/// differ in bit H, swap bit H of the row index with bit H of the lane
+/// index — a's lanes with bit H set trade places with b's lanes with it
+/// clear.
+template <std::size_t H, typename F, std::size_t... J>
+[[gnu::always_inline]] inline void swap_lanes(F& a, F& b,
+                                              std::index_sequence<J...>) {
+  constexpr std::size_t kN = sizeof...(J);
+  const F lo =
+      __builtin_shufflevector(a, b, (J % (2 * H) < H ? J : kN + J - H)...);
+  const F hi =
+      __builtin_shufflevector(a, b, (J % (2 * H) < H ? J + H : kN + J)...);
+  a = lo;
+  b = hi;
+}
+
+/// Every row pair (p's row with bit H clear, and that row + H) through
+/// one round.
+template <std::size_t H, typename F, std::size_t... P>
+[[gnu::always_inline]] inline void transpose_round(F* m,
+                                                   std::index_sequence<P...>) {
+  constexpr std::size_t kN = 2 * sizeof...(P);
+  (swap_lanes<H>(m[P / H * 2 * H + P % H], m[P / H * 2 * H + P % H + H],
+                 std::make_index_sequence<kN>{}),
+   ...);
+}
+
+/// The kN × kN matrix of rows m[0, kN) (kN = F's lanes) transposed in
+/// registers: log2 kN rounds of kN two-input shuffles.
+template <std::size_t H, typename F>
+[[gnu::always_inline]] inline void transpose(F* m) {
+  transpose_round<H>(m, std::make_index_sequence<kLaneCount<F> / 2>{});
+  if constexpr (H > 1) transpose<H / 2>(m);
+}
+
 /// KernelBackend::stage_pixels_tile over V's int32 lanes, one sample
-/// per lane: each element's kDenseTile pixels gathered across the
-/// samples (stride n), quantized in float lanes and staged as one
-/// sample-minor slot row per bank output. False when a value missed
-/// the table's window.
-template <typename G, typename V>
+/// per lane: the tile's images are read in blocks of V's lane count of
+/// elements, each sample's block one contiguous load, and each block of
+/// V's lanes of samples is transposed in registers, so row e holds
+/// element e of those samples; each row is quantized in float lanes and
+/// staged as one sample-minor int16 slot row per bank output (gathers
+/// across the images, n floats apart, cost more than the staging).
+/// False when a value missed the table's window.
+template <typename V>
 [[gnu::always_inline]] inline bool stage_pixels_tile(
     std::span<const float> pixels, const FloatQuantize& quantizer,
-    const Staging& staging, std::int32_t* tile) {
+    const Staging& staging, std::int16_t* tile) {
+  using F = typename Lanes<V>::Single;
   constexpr std::size_t kLanes = kLaneCount<V>;
   constexpr std::size_t kVecs = kDenseTile / kLanes;
   const std::size_t n = pixels.size() / kDenseTile;
-  // Lane j of vector v reads sample v·kLanes + j.
-  V offsets[kVecs];
-  for (std::size_t v = 0; v < kVecs; ++v) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      offsets[v][j] = static_cast<std::int32_t>((v * kLanes + j) * n);
-    }
-  }
   const std::size_t row = staging.table.k * kDenseTile;
   V miss = {};
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t first = 0; first < n; first += kLanes) {
+    const std::size_t width = std::min(kLanes, n - first);
     for (std::size_t v = 0; v < kVecs; ++v) {
-      typename Lanes<V>::Single floats;
-      G::pixels(floats, pixels.data() + i, offsets[v]);
-      V values;
-      quantizer(values, floats);
-      staging.put(values, tile + i * row + v * kLanes, kDenseTile, miss);
+      // m[j]: sample v·kLanes + j's elements [first, first + width),
+      // zero past the image's end; transposed, m[e]: element first + e.
+      F m[kLanes];
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const float* src = pixels.data() + (v * kLanes + j) * n + first;
+        if (width == kLanes) {
+          load(m[j], src);
+        } else {
+          m[j] = F{};
+          std::memcpy(&m[j], src, sizeof(float) * width);
+        }
+      }
+      transpose<kLanes / 2>(m);
+      for (std::size_t e = 0; e < width; ++e) {
+        V values;
+        quantizer(values, m[e]);
+        staging.put(values, tile + (first + e) * row + v * kLanes, kDenseTile,
+                    miss);
+      }
     }
   }
   return !any_lane(miss);
@@ -612,14 +725,14 @@ template <typename G, typename V>
 /// KernelBackend::lut_stage_tile over V's int32 lanes, one sample per
 /// lane: each LUT index computed in int64 lanes and narrowed, the
 /// entries read in one int32 gather per vector, then staged as one
-/// sample-minor slot row per bank output. False when a value missed
-/// the table's window.
+/// sample-minor int16 slot row per bank output. False when a value
+/// missed the table's window.
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool lut_stage_tile(const std::int64_t* acc,
                                                   std::size_t elements,
                                                   const LutPath& path,
                                                   const Staging& staging,
-                                                  std::int32_t* tile) {
+                                                  std::int16_t* tile) {
   constexpr std::size_t kLanes = kLaneCount<V>;
   constexpr std::size_t kVecs = kDenseTile / kLanes;
   using Part = typename Lanes<V>::Part;

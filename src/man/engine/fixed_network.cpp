@@ -183,12 +183,13 @@ void sweep(const SegmentOps& ops, std::size_t count, Source source,
   }
 }
 
-// int32 slots per 64-byte cache line, and how many slots past `p` the
-// next line starts.
-constexpr std::size_t kLineSlots = 64 / sizeof(std::int32_t);
-std::size_t line_offset(const std::int32_t* p) {
-  const auto slot = reinterpret_cast<std::uintptr_t>(p) / sizeof(std::int32_t);
-  return (kLineSlots - slot % kLineSlots) % kLineSlots;
+// int16 tile lanes per 64-byte cache line (one slot's kTile samples),
+// and how many lanes past `p` the next line starts.
+constexpr std::size_t kLineSlots = 64 / sizeof(std::int16_t);
+static_assert(kLineSlots == kTile);
+std::size_t line_offset(const std::int16_t* p) {
+  const auto lane = reinterpret_cast<std::uintptr_t>(p) / sizeof(std::int16_t);
+  return (kLineSlots - lane % kLineSlots) % kLineSlots;
 }
 
 // `buffer` grown to hold at least `n` values. Scratch buffers never
@@ -201,12 +202,12 @@ T* sized(std::vector<T>& buffer, std::size_t n) {
 }
 
 // `slots` sample-minor tile slots of `buffer`, starting on a cache line
-// (the buffer carries the slack), so each slot's kTile int32 lanes are
+// (the buffer carries the slack), so each slot's kTile int16 lanes are
 // exactly one line. Until the buffer grows, it returns the same
 // pointer.
-std::int32_t* tile_slots(std::vector<std::int32_t>& buffer,
+std::int16_t* tile_slots(std::vector<std::int16_t>& buffer,
                          std::size_t slots) {
-  std::int32_t* data = sized(buffer, slots * kTile + kLineSlots - 1);
+  std::int16_t* data = sized(buffer, slots * kTile + kLineSlots - 1);
   return data + line_offset(data);
 }
 
@@ -589,7 +590,7 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
 
   link_stages();
   link_epilogues();
-  plan_int32_lanes();
+  plan_lanes();
   build_tables();
   default_kernel_ = &man::backend::resolve();
 }
@@ -694,22 +695,27 @@ bool FixedNetwork::input_in_window(std::size_t stage_index) const {
          input_in_window(stage_index - 1);
 }
 
-void FixedNetwork::plan_int32_lanes() {
+void FixedNetwork::plan_lanes() {
   // Where a batch tile forms: the first dense stage of the longest
-  // trailing run of LUT stages and dense stages whose plans fit int32
-  // lanes (the MLP's whole network, LeNet's fully connected tail). The
-  // proof assumes every input lies in the staging window, so a dense
-  // stage fed raw accumulators ends the run too. Everything before the
-  // run stays per sample on the int64 kernels.
+  // trailing run of LUT stages and dense stages whose plans pass both
+  // tile proofs, rows in int32 and slots in int16 (the MLP's whole
+  // network, LeNet's fully connected tail). The proofs assume every
+  // input lies in the staging window, so a dense stage fed raw
+  // accumulators ends the run too. Everything before the run stays
+  // per sample on the int64 kernels.
   tile_begin_ = stages_.size();
   for (std::size_t i = stages_.size(); i-- > 0;) {
     if (std::holds_alternative<CompiledDenseStage>(model_.stages[i])) {
-      const auto& syn = std::get<SynapseStage>(stages_[i]);
-      const std::int64_t bound = man::backend::int32_row_bound(
-          plans_[syn.plan_index], syn.bank.alphabet_set().alphabets());
-      if (bound >= man::backend::kInt32RowOverflow || !input_in_window(i)) {
+      auto& syn = std::get<SynapseStage>(stages_[i]);
+      const auto& plan = plans_[syn.plan_index];
+      const auto alphabets = syn.bank.alphabet_set().alphabets();
+      const int chunk = man::backend::int16_tile_chunk(plan, alphabets);
+      if (chunk < 1 || !input_in_window(i) ||
+          man::backend::int32_row_bound(plan, alphabets) >=
+              man::backend::kInt32RowOverflow) {
         break;
       }
+      syn.tile_chunk = chunk;
       tile_begin_ = i;
     } else if (!std::holds_alternative<LutStage>(stages_[i])) {
       break;
@@ -825,7 +831,7 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
     const auto k = static_cast<std::size_t>(plan.k);
     const bool whole_tile = j == 0 && !epilogues_[0].pools;
     for (; s + kTile <= count; s += kTile) {
-      std::int32_t* multiples =
+      std::int16_t* multiples =
           tile_slots(scratch.tile_multiples, plan.padded_multiples());
       const man::backend::epilogue::TileSlots<BankRows> slots{
           BankRows(syn.table, syn.bank), multiples, k};
@@ -997,18 +1003,18 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
   const std::size_t synapses = epilogues_.size() - 1;
   for (std::size_t j = tile_synapse_begin_; j < synapses; ++j) {
     // Every synapse stage from the tile on is a dense stage that
-    // fits int32 lanes, fed from the staging window
-    // (plan_int32_lanes), so its epilogue holds LUTs and no pool.
+    // passes both tile proofs, fed from the staging window
+    // (plan_lanes), so its epilogue holds LUTs and no pool.
     const std::size_t si = epilogues_[j].stage;
     const auto& dense = std::get<CompiledDenseStage>(model_.stages[si]);
-    const auto& plan =
-        plans_[std::get<SynapseStage>(stages_[si]).plan_index];
-    const std::int32_t* multiples =
+    const auto& syn = std::get<SynapseStage>(stages_[si]);
+    const auto& plan = plans_[syn.plan_index];
+    const std::int16_t* multiples =
         tile_slots(scratch.tile_multiples, plan.padded_multiples());
     std::int64_t* acc =
         sized(scratch.tile_acc, static_cast<std::size_t>(dense.out) * kTile);
     timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-      kernel.accumulate_dense_tile(plan, multiples, acc);
+      kernel.accumulate_dense_tile(plan, syn.tile_chunk, multiples, acc);
     });
     charge_synapse(stats.layers[j], dense.synapse, kTile);
     if (j + 1 == synapses) {
@@ -1016,11 +1022,11 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
                    TileOutputSink{out.data(), output_size_}, scratch, kernel);
     } else {
       const std::size_t next = epilogues_[j + 1].stage;
-      const auto& syn = std::get<SynapseStage>(stages_[next]);
-      const auto& next_plan = plans_[syn.plan_index];
+      const auto& next_syn = std::get<SynapseStage>(stages_[next]);
+      const auto& next_plan = plans_[next_syn.plan_index];
       run_epilogue(j + 1, kTile, ValueSource{acc},
                    TileSink<TileOrder::kSampleMinor>{
-                       {BankRows(syn.table, syn.bank),
+                       {BankRows(next_syn.table, next_syn.bank),
                         tile_slots(scratch.tile_multiples,
                                    next_plan.padded_multiples()),
                         static_cast<std::size_t>(next_plan.k)}},

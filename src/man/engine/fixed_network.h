@@ -179,10 +179,11 @@ class FixedNetwork {
     std::vector<std::int64_t> multiples;
     /// An int32-lane conv stage's lane-major bank outputs.
     std::vector<std::int32_t> multiples32;
-    /// A tile stage's bank outputs, sample-minor in int32 lanes (slot s
-    /// of sample b at [s·kDenseTile + b], from a cache-line boundary),
-    /// and its accumulators (row r of sample b at [r·kDenseTile + b]).
-    std::vector<std::int32_t> tile_multiples;
+    /// A tile stage's bank outputs, sample-minor in int16 lanes (slot s
+    /// of sample b at [s·kDenseTile + b], from a cache-line boundary,
+    /// so each slot is one line), and its accumulators (row r of
+    /// sample b at [r·kDenseTile + b]).
+    std::vector<std::int16_t> tile_multiples;
     std::vector<std::int64_t> tile_acc;
     /// Non-null: infer_into() times its phases into this (adds two
     /// clock reads per kernel and per stage boundary — leave null on
@@ -221,8 +222,8 @@ class FixedNetwork {
   /// `out` (count × output_size()); infer_into() is its one-sample
   /// case. Stages before tile_begin() run one sample at a time. When
   /// a tile forms, each sample of a full tile of kDenseTile samples
-  /// is staged into its lane of the sample-minor tile, and the tile
-  /// runs the remaining stages on the int32 accumulate_dense_tile; the
+  /// is staged into its lane of the sample-minor int16 tile, and the
+  /// tile runs the remaining stages on accumulate_dense_tile; the
   /// count % kDenseTile remainder runs per sample. Outputs and stats
   /// are bit-identical to `count` infer_into() calls.
   void infer_batch(std::span<const float> pixels, std::span<std::int64_t> out,
@@ -267,9 +268,10 @@ class FixedNetwork {
   }
 
   /// First stage of the batch tile: the start of the trailing run of
-  /// LUT stages and dense stages whose plans fit int32 lanes
-  /// (man::backend::int32_row_bound) and whose inputs lie in the
-  /// staging window; the stage count when no tile forms.
+  /// LUT stages and dense stages whose plans pass both tile proofs —
+  /// rows that fit int32 (man::backend::int32_row_bound) and slots that
+  /// fit int16 (man::backend::int16_tile_chunk ≥ 1) — and whose inputs
+  /// lie in the staging window; the stage count when no tile forms.
   [[nodiscard]] std::size_t tile_begin() const noexcept { return tile_begin_; }
 
   /// Whether conv_plans()[conv_index] runs on int32 lanes
@@ -309,6 +311,9 @@ class FixedNetwork {
     /// build_tables() and read by every worker; empty for stages fed
     /// raw accumulators, which stage from `bank`.
     std::optional<man::core::PrecomputerCache> table;
+    /// A tiled dense stage's int16 run length (int16_tile_chunk), set
+    /// by plan_lanes(); 0 for every stage that does not tile.
+    int tile_chunk = 0;
   };
   struct LutStage {
     man::core::FixedActivationLut lut;
@@ -352,9 +357,9 @@ class FixedNetwork {
   /// Groups the LUT and pool stages into epilogues_ (after
   /// link_stages()).
   void link_epilogues();
-  /// Sets tile_begin_/tile_synapse_begin_ and conv_int32_lanes_ from
-  /// the plans.
-  void plan_int32_lanes();
+  /// Sets tile_begin_/tile_synapse_begin_, the tiled stages'
+  /// tile_chunk and conv_int32_lanes_ from the plans.
+  void plan_lanes();
   /// Fills the staging table of every synapse stage whose inputs
   /// lie in the staging window (last, once stages_ is final).
   void build_tables();
@@ -416,10 +421,10 @@ class FixedNetwork {
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
   /// First stage of the batch tile (stages_.size() when no tile forms)
-  /// and the synapse index it starts at; set by plan_int32_lanes().
+  /// and the synapse index it starts at; set by plan_lanes().
   std::size_t tile_begin_ = 0;
   std::size_t tile_synapse_begin_ = 0;
-  /// Per conv plan: runs on int32 lanes; set by plan_int32_lanes().
+  /// Per conv plan: runs on int32 lanes; set by plan_lanes().
   std::vector<bool> conv_int32_lanes_;
   /// One per synapse stage, in order, plus the output's last.
   std::vector<Epilogue> epilogues_;

@@ -75,14 +75,15 @@ TEST(BackendRegistry, AllFourKindsAreRegisteredAndDistinct) {
     EXPECT_NE(backend->description(), nullptr);
   }
   // Each vector backend caps the vector tier it runs: blocked the
-  // portable one, simd AVX2 when CPUID reports it, avx512 AVX-512F/VL
+  // portable one, simd AVX2 when CPUID reports it, avx512 AVX-512F/VL/BW
   // when CPUID reports it, else AVX2. accelerated() is true exactly
   // when a tier above the portable one is live, and description()
   // names the live tier.
 #if MAN_X86_KERNELS
   const bool avx2 = __builtin_cpu_supports("avx2") != 0;
   const bool avx512 = __builtin_cpu_supports("avx512f") != 0 &&
-                      __builtin_cpu_supports("avx512vl") != 0;
+                      __builtin_cpu_supports("avx512vl") != 0 &&
+                      __builtin_cpu_supports("avx512bw") != 0;
 #else
   const bool avx2 = false;
   const bool avx512 = false;
@@ -376,25 +377,26 @@ std::vector<std::vector<std::int64_t>> window_samples(
 }
 
 /// `samples` (kDenseTile of them) transposed into the sample-minor
-/// int32 tile.
-std::vector<std::int32_t> to_tile(
+/// int16 tile.
+std::vector<std::int16_t> to_tile(
     const std::vector<std::vector<std::int64_t>>& samples) {
-  std::vector<std::int32_t> tile(samples[0].size() * kDenseTile);
+  std::vector<std::int16_t> tile(samples[0].size() * kDenseTile);
   for (std::size_t b = 0; b < kDenseTile; ++b) {
     for (std::size_t s = 0; s < samples[b].size(); ++s) {
-      tile[s * kDenseTile + b] = static_cast<std::int32_t>(samples[b][s]);
+      EXPECT_EQ(samples[b][s], static_cast<std::int16_t>(samples[b][s]));
+      tile[s * kDenseTile + b] = static_cast<std::int16_t>(samples[b][s]);
     }
   }
   return tile;
 }
 
-/// Every backend's accumulate_dense on each sample, and (when
-/// `tile_too`) accumulate_dense_tile on all of them, must produce
-/// `expected[b]` for sample b.
+/// Every backend's accumulate_dense on each sample, and (when `chunk`,
+/// the tile's int16 run length, is at least 1) accumulate_dense_tile on
+/// all of them, must produce `expected[b]` for sample b.
 void expect_dense_rows(const DenseLayerPlan& plan,
                        const std::vector<std::vector<std::int64_t>>& samples,
                        const std::vector<std::vector<std::int64_t>>& expected,
-                       bool tile_too, const std::string& label) {
+                       int chunk, const std::string& label) {
   const auto rows = static_cast<std::size_t>(plan.rows);
   std::vector<std::int64_t> expected_tile(rows * kDenseTile);
   for (std::size_t b = 0; b < kDenseTile; ++b) {
@@ -402,7 +404,7 @@ void expect_dense_rows(const DenseLayerPlan& plan,
       expected_tile[r * kDenseTile + b] = expected[b][r];
     }
   }
-  const std::vector<std::int32_t> tile = to_tile(samples);
+  const std::vector<std::int16_t> tile = to_tile(samples);
   for (const auto* backend : all_backends()) {
     for (std::size_t b = 0; b < kDenseTile; ++b) {
       std::vector<std::int64_t> out(rows, -7);
@@ -410,9 +412,9 @@ void expect_dense_rows(const DenseLayerPlan& plan,
       EXPECT_EQ(out, expected[b])
           << label << " sample " << b << " backend=" << backend->name();
     }
-    if (tile_too) {
+    if (chunk >= 1) {
       std::vector<std::int64_t> out(expected_tile.size(), -7);
-      backend->accumulate_dense_tile(plan, tile.data(), out.data());
+      backend->accumulate_dense_tile(plan, chunk, tile.data(), out.data());
       EXPECT_EQ(out, expected_tile)
           << label << " tile backend=" << backend->name();
     }
@@ -420,7 +422,7 @@ void expect_dense_rows(const DenseLayerPlan& plan,
 }
 
 // The batch-tiled dense kernel contract on compiled plans at both
-// paper widths: every backend's int32 accumulate_dense_tile, fed
+// paper widths: every backend's int16 accumulate_dense_tile, fed
 // activations on and inside the staging window, equals kDenseTile
 // scalar per-sample int64 accumulate_dense calls (13 columns; one
 // all-zero row, which gets no groups; terms from more than one
@@ -446,6 +448,8 @@ TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
   ASSERT_GE(*std::max_element(plan.shifts.begin(), plan.shifts.end()), 4);
   ASSERT_LE(int32_row_bound(plan, set.alphabets()),
             std::numeric_limits<std::int32_t>::max());
+  const int chunk = int16_tile_chunk(plan, set.alphabets());
+  ASSERT_GE(chunk, 1);
 
   const auto samples = window_samples(plan, set.alphabets(), 31);
   std::vector<std::vector<std::int64_t>> expected;
@@ -455,7 +459,7 @@ TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
         .accumulate_dense(plan, sample.data(), rows.data());
     expected.push_back(rows);
   }
-  expect_dense_rows(plan, samples, expected, true,
+  expect_dense_rows(plan, samples, expected, chunk,
                     "bits=" + std::to_string(bits));
 }
 
@@ -470,8 +474,8 @@ INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
 // the schedule. Row 1 has no steps and row 2 is a single (shift, sign)
 // group. Shifts reach 30 on the per-sample path, whose int64 sums take
 // any of them, and stay below 12 where the tile runs too, so a ±512
-// window fits the tile's int32 proof. A plan with no terms at all
-// yields its biases.
+// window fits the tile's int32 proof (and its int16 one: 512 · 7 fits
+// int16 in runs of 9). A plan with no terms at all yields its biases.
 TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
   constexpr int kRows = 6;
   constexpr int kCols = 11;
@@ -502,9 +506,11 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
         EXPECT_EQ(plan.row_groups[1], plan.row_groups[2]) << label;
         EXPECT_EQ(plan.row_groups[3] - plan.row_groups[2], 1u) << label;
         const bool tile = shift_limit <= 12;
+        const int chunk = tile ? int16_tile_chunk(plan, set.alphabets()) : 0;
         if (tile) {
           ASSERT_LE(int32_row_bound(plan, set.alphabets()),
                     std::numeric_limits<std::int32_t>::max());
+          ASSERT_GE(chunk, 1);
         }
         const auto samples =
             window_samples(plan, set.alphabets(), rng.next_below(1000));
@@ -512,7 +518,7 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
         for (const auto& sample : samples) {
           expected.push_back(aos_dense(schedule, plan, sample));
         }
-        expect_dense_rows(plan, samples, expected, tile, label);
+        expect_dense_rows(plan, samples, expected, chunk, label);
       }
     }
   }
@@ -530,7 +536,68 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
       window_samples(plan, AlphabetSet::four().alphabets(), 7);
   expect_dense_rows(plan, samples,
                     std::vector<std::vector<std::int64_t>>(kDenseTile, biases),
-                    true, "no terms");
+                    int16_tile_chunk(plan, AlphabetSet::four().alphabets()),
+                    "no terms");
+}
+
+// The int16 chunk proof at its edge: every term of every row on the
+// largest alphabet a (7 for ASM 4, 15 for the full set) over the apps'
+// 8-bit window, so each staged slot is ±255·a and a run of C =
+// int16_tile_chunk() terms reaches C·255·a, just inside int16, while
+// C + 1 would leave it. Rows are single groups of 2C + 3 terms (three
+// chunks, the last partial), negative and positive, and a row of two
+// groups; every sample sits at the window's low edge, then at its high
+// edge, then alternates. Every backend's tile must equal the AoS walk.
+TEST(DensePlanOracle, SaturatedTileFillsEveryInt16Chunk) {
+  for (const AlphabetSet* set : {&AlphabetSet::four(), &AlphabetSet::full()}) {
+    const auto alphabets = set->alphabets();
+    const auto k = static_cast<int>(alphabets.size());
+    const int top = alphabets.back();
+    const man::fixed::QFormat window = man::fixed::QFormat::input8();
+    // ⌊INT16_MAX / (255·a)⌋.
+    const int expected_chunk = top == 7 ? 18 : 8;
+    const int cols = 2 * expected_chunk + 3;
+    constexpr int kRows = 3;
+    Schedule schedule;
+    for (int r = 0; r < kRows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        AsmWeight w;
+        w.step_begin = static_cast<std::uint32_t>(schedule.steps.size());
+        w.step_count = 1;
+        w.negative = r == 0 || (r == 2 && c % 2 == 0);
+        schedule.weights.push_back(w);
+        schedule.steps.push_back(AsmStep{
+            static_cast<std::uint8_t>(k - 1),
+            static_cast<std::uint8_t>(r == 2 ? 3 * (c % 2) : r)});
+      }
+    }
+    DenseLayerPlan plan = DenseLayerPlan::build_asm(
+        kRows, cols, k, schedule.weights, schedule.steps, {3, -4, 5});
+    plan.in_min_raw = window.min_raw();
+    plan.in_max_raw = window.max_raw();
+    const int chunk = int16_tile_chunk(plan, alphabets);
+    EXPECT_EQ(chunk, expected_chunk) << "a=" << top;
+    ASSERT_LE(int32_row_bound(plan, alphabets),
+              std::numeric_limits<std::int32_t>::max());
+    ASSERT_EQ(plan.row_groups[1] - plan.row_groups[0], 1u);
+    ASSERT_EQ(plan.group_begin[1] - plan.group_begin[0],
+              static_cast<std::uint32_t>(cols));
+    for (const int edge : {0, 1, 2}) {
+      std::vector<std::vector<std::int64_t>> samples(kDenseTile);
+      std::vector<std::vector<std::int64_t>> expected;
+      for (std::size_t b = 0; b < kDenseTile; ++b) {
+        const bool low = edge == 0 || (edge == 2 && b % 2 == 0);
+        const std::int64_t x = low ? plan.in_min_raw : plan.in_max_raw;
+        for (int c = 0; c < cols; ++c) {
+          for (const std::uint8_t a : alphabets) samples[b].push_back(a * x);
+        }
+        expected.push_back(aos_dense(schedule, plan, samples[b]));
+      }
+      expect_dense_rows(plan, samples, expected, chunk,
+                        "a=" + std::to_string(top) + " edge " +
+                            std::to_string(edge));
+    }
+  }
 }
 
 // The conv twin of DensePlanOracle: random schedules of up to 1-4

@@ -110,12 +110,12 @@ std::vector<std::int32_t> reference_stage(
   return slots;
 }
 
-// Sample-minor tile slots of `values` (element i of sample b at
+// Sample-minor int16 tile slots of `values` (element i of sample b at
 // values[i·kDenseTile + b]) staged from `table`.
-std::vector<std::int32_t> reference_tile(
+std::vector<std::int16_t> reference_tile(
     const std::vector<std::int64_t>& values,
     const PrecomputerCache::View& table) {
-  std::vector<std::int32_t> tile(values.size() * table.k);
+  std::vector<std::int16_t> tile(values.size() * table.k);
   TileSlots<TableRows> slots{{table}, tile.data(), table.k};
   for (std::size_t o = 0; o < values.size(); ++o) {
     slots(o / kTile, o % kTile, values[o]);
@@ -126,11 +126,11 @@ std::vector<std::int32_t> reference_tile(
 // A tile's images (kDenseTile samples of n pixels, one after another)
 // quantized and staged sample by sample, as FixedNetwork's reference
 // sweep stages them.
-std::vector<std::int32_t> reference_pixel_tile(
+std::vector<std::int16_t> reference_pixel_tile(
     const std::vector<float>& pixels, const QFormat& format,
     const PrecomputerCache::View& table) {
   const std::size_t n = pixels.size() / kTile;
-  std::vector<std::int32_t> tile(pixels.size() * table.k);
+  std::vector<std::int16_t> tile(pixels.size() * table.k);
   TileSlots<TableRows> slots{{table}, tile.data(), table.k};
   const epilogue::PixelSource source{pixels.data(), format};
   for (std::size_t b = 0; b < kTile; ++b) {
@@ -159,16 +159,17 @@ std::vector<std::int64_t> reference_quantize(const std::vector<float>& pixels,
 // Whether a case is one an accelerated backend must sweep.
 enum class Case { kSwept, kDeclined };
 
-// `sweep(backend, out)` on every backend, into staged.size() slots and
-// a sentinel past them. The scalar backend declines; an accelerated
-// one sweeps unless the case is a documented decline; a backend that
-// sweeps writes `staged` and leaves the sentinel.
-template <typename Sweep>
-void expect_sweeps_match(const std::vector<std::int32_t>& staged, Case c,
+// `sweep(backend, out)` on every backend, into staged.size() slots
+// (int32 conv lanes or int16 tile lanes) and a sentinel past them. The
+// scalar backend declines; an accelerated one sweeps unless the case
+// is a documented decline; a backend that sweeps writes `staged` and
+// leaves the sentinel.
+template <typename Slot, typename Sweep>
+void expect_sweeps_match(const std::vector<Slot>& staged, Case c,
                          Sweep sweep) {
   for (const KernelBackend* backend : all_backends()) {
     SCOPED_TRACE(backend->name());
-    std::vector<std::int32_t> out(staged.size() + 1, -7);
+    std::vector<Slot> out(staged.size() + 1, -7);
     const bool swept = sweep(*backend, out.data());
     if (backend->kind() == BackendKind::kScalar) {
       EXPECT_FALSE(swept);
@@ -230,7 +231,7 @@ void expect_lut_tiles_match(const std::vector<std::int64_t>& acc,
   const PrecomputerCache::View view = table.cache.view();
   expect_sweeps_match(
       reference_tile(reference_lut(acc, lut), view), Case::kSwept,
-      [&](const KernelBackend& backend, std::int32_t* tile) {
+      [&](const KernelBackend& backend, std::int16_t* tile) {
         return backend.lut_stage_tile(acc.data(), elements, lut.raw_path(),
                                       view, tile);
       });
@@ -253,7 +254,7 @@ void expect_pixel_tiles_match(const std::vector<float>& pixels,
   const PrecomputerCache::View view = window->cache.view();
   expect_sweeps_match(
       reference_pixel_tile(pixels, format, view), c,
-      [&](const KernelBackend& backend, std::int32_t* tile) {
+      [&](const KernelBackend& backend, std::int16_t* tile) {
         return backend.stage_pixels_tile(pixels, format, view, tile);
       });
 }
@@ -401,7 +402,7 @@ TEST(BackendEpilogue, LutTilesMatchAtEverySeamEdgeAndExtreme) {
     // Each probe in its own slot, then the probes shifted across the
     // sample lanes so each one meets every lane.
     const std::size_t size = (probes.size() + kTile - 1) / kTile * kTile;
-    for (std::size_t shift : {0u, 1u, 7u, 15u}) {
+    for (std::size_t shift : {0u, 1u, 7u, 15u, 31u}) {
       std::vector<std::int64_t> acc(size);
       for (std::size_t o = 0; o < size; ++o) {
         acc[o] = probes[(o * (shift + 1) + shift) % probes.size()];
@@ -479,12 +480,12 @@ void expect_window_miss(const PrecomputerCache& cache, std::int64_t input,
   }
 }
 
-// Every backend declines `sweep` into `slots` int32 slots.
-template <typename Sweep>
+// Every backend declines `sweep` into `slots` Slot values.
+template <typename Slot = std::int32_t, typename Sweep>
 void expect_declined(std::size_t slots, Sweep sweep) {
   for (const KernelBackend* backend : all_backends()) {
     SCOPED_TRACE(backend->name());
-    std::vector<std::int32_t> out(slots);
+    std::vector<Slot> out(slots);
     EXPECT_FALSE(sweep(*backend, out.data()));
   }
 }
@@ -542,7 +543,8 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
                                format);
   const Table narrow(4, -20, 20);
   const PrecomputerCache::View view = narrow.cache.view();
-  // 16 images of 37 pixels: sample 5's pixel 29 quantizes to 64, but
+  // kDenseTile images of 37 pixels: sample 5's pixel 29 quantizes to
+  // 64, but
   // sample 2's pixel 30 (77) comes first in the reference's
   // sample-by-sample order.
   constexpr std::size_t n = 37;
@@ -558,13 +560,15 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
   const std::int64_t bottom = lut.apply_raw(kMin);
   ASSERT_LT(bottom, -20);
   const std::size_t slots = n * 4 * kTile;
-  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+  expect_declined<std::int16_t>(
+      slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.stage_pixels_tile(pixels, format, view, out);
   });
   expect_window_miss(narrow.cache, 77, [&] {
     (void)reference_pixel_tile(pixels, format, view);
   });
-  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+  expect_declined<std::int16_t>(
+      slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.lut_stage_tile(acc.data(), 9, lut.raw_path(), view, out);
   });
   expect_window_miss(narrow.cache, bottom, [&] {
@@ -573,13 +577,15 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
   const PrecomputerCache empty;
   const std::vector<float> zeros(3 * kTile, 0.0f);
   const std::vector<std::int64_t> zero_acc(kTile, 0);
-  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+  expect_declined<std::int16_t>(
+      slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.stage_pixels_tile(zeros, format, empty.view(), out);
   });
   expect_window_miss(empty, 0, [&] {
     (void)reference_pixel_tile(zeros, format, empty.view());
   });
-  expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
+  expect_declined<std::int16_t>(
+      slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.lut_stage_tile(zero_acc.data(), 1, lut.raw_path(),
                                   empty.view(), out);
   });
@@ -629,10 +635,10 @@ class DecliningBackend final : public KernelBackend {
                         std::int64_t* out) const override {
     kernels_.accumulate_dense(plan, multiples, out);
   }
-  void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             const std::int32_t* tile,
+  void accumulate_dense_tile(const DenseLayerPlan& plan, int chunk,
+                             const std::int16_t* tile,
                              std::int64_t* out) const override {
-    kernels_.accumulate_dense_tile(plan, tile, out);
+    kernels_.accumulate_dense_tile(plan, chunk, tile, out);
   }
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
@@ -658,13 +664,13 @@ class DecliningBackend final : public KernelBackend {
   }
   bool stage_pixels_tile(std::span<const float>, const QFormat&,
                          const PrecomputerCache::View&,
-                         std::int32_t*) const override {
+                         std::int16_t*) const override {
     return offer(2);
   }
   bool lut_stage_tile(const std::int64_t*, std::size_t,
                       const FixedActivationLut::RawPath&,
                       const PrecomputerCache::View&,
-                      std::int32_t*) const override {
+                      std::int16_t*) const override {
     return offer(3);
   }
 

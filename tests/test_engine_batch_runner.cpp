@@ -252,16 +252,15 @@ std::vector<std::unique_ptr<FixedNetwork>> tiling_engines() {
   return engines;
 }
 
-// Batch tiles: sample counts below, at and around kDenseTile (16) and
-// multiples of it, on one and three workers, so a shard holds no tile,
-// exactly one, tiles plus a remainder, or only a remainder, and (100,
-// 200 on three workers) is cut into several claimed ranges. Outputs
-// and merged stats must equal sequential infer_into on the MLP (the
-// whole network tiles) and the CNN (only its dense tail tiles). The
-// Example path gathers each range's pixels and forms the same tiles:
-// evaluate() over the batch as Examples (from 33 samples on, two full
-// tiles plus a remainder) must give the sequential argmaxes, accuracy
-// and stats.
+// Batch tiles: sample counts below, at and around kDenseTile (32), its
+// multiples and 16, on one and three workers, so a shard holds no
+// tile, exactly one, tiles plus a remainder, or only a remainder, and
+// (100, 200 on three workers) is cut into several claimed ranges.
+// Outputs and merged stats must equal sequential infer_into on the MLP
+// (the whole network tiles) and the CNN (only its dense tail tiles).
+// The Example path gathers each range's pixels and forms the same
+// tiles: evaluate() over the batch as Examples must give the
+// sequential argmaxes, accuracy and stats.
 class BatchTileIdentity
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -309,7 +308,8 @@ TEST_P(BatchTileIdentity, MatchesSequentialInferInto) {
 
 INSTANTIATE_TEST_SUITE_P(
     Counts, BatchTileIdentity,
-    ::testing::Combine(::testing::Values(1, 15, 16, 17, 33, 53, 100, 200),
+    ::testing::Combine(::testing::Values(1, 15, 16, 17, 31, 32, 33, 53, 65,
+                                         100, 200),
                        ::testing::Values(1, 3)));
 
 // The runner keeps one scratch per shard slot across run() calls: a

@@ -553,6 +553,103 @@ TEST(Int32TileProof, DenseFedRawAccumulatorsRunsPerSample) {
   expect_batch_matches_scalar(engine, pixels);
 }
 
+// ------------------------------------------------ int16 tile proof edge
+
+/// A MAN engine of one 5 → 2 dense stage over `bits`-bit activations
+/// (window ±(2^(bits−1) − 1)): single-step weights at shifts 0–2 with
+/// mixed signs, so a row's int32 bound is small, and row 0's five
+/// terms are one group — five int16 chunks when C = 1.
+FixedNetwork int16_edge_engine(int bits) {
+  QuantSpec spec = QuantSpec::bits8();
+  spec.activation_format = man::fixed::QFormat(bits, bits - 1);
+  CompiledModel model;
+  model.spec = spec;
+  model.stages.emplace_back(CompiledDenseStage{5, 2, man_synapse("edge")});
+  std::vector<man::backend::AsmWeight> weights(10);
+  std::vector<man::backend::AsmStep> steps;
+  for (std::uint8_t w = 0; w < 10; ++w) {
+    weights[w].step_begin = w;
+    weights[w].step_count = 1;
+    weights[w].negative = w >= 5 && w % 2 == 1;
+    steps.push_back(man::backend::AsmStep{
+        0, static_cast<std::uint8_t>(w < 5 ? 0 : w % 3)});
+  }
+  std::vector<man::backend::DenseLayerPlan> plans{
+      man::backend::DenseLayerPlan::build_asm(2, 5, 1, std::move(weights),
+                                              std::move(steps), {7, -9})};
+  plans[0].in_min_raw = spec.activation_format.min_raw();
+  plans[0].in_max_raw = spec.activation_format.max_raw();
+  return FixedNetwork(model, std::move(plans), {}, nullptr);
+}
+
+/// 2·kDenseTile + 3 samples of 5 pixels: sample 0 at the window's low
+/// edge, sample 1 at its high edge (both past the clamp), the rest
+/// random over it with every fourth pixel saturated.
+std::vector<float> int16_edge_pixels() {
+  man::util::Rng rng(1616);
+  std::vector<float> pixels;
+  for (int s = 0; s < 2 * man::backend::kDenseTile + 3; ++s) {
+    for (int c = 0; c < 5; ++c) {
+      float pixel = static_cast<float>(rng.next_double() * 2 - 1);
+      if (s == 0 || (s > 1 && c % 4 == 0 && pixel < 0)) pixel = -2.0f;
+      if (s == 1 || (s > 1 && c % 4 == 0 && pixel >= 0)) pixel = 2.0f;
+      pixels.push_back(pixel);
+    }
+  }
+  return pixels;
+}
+
+// The int16 slot proof at its edge. Over 16-bit activations under MAN
+// (a = 1) every staged slot is at most X·a = 32767, exactly INT16_MAX:
+// C = 1, the stage tiles, and the saturated samples' rows match the
+// int64 scalar reference on every backend.
+TEST(Int16TileProof, SlotAtInt16MaxTiles) {
+  const FixedNetwork engine = int16_edge_engine(16);
+  const auto alphabets = AlphabetSet::man().alphabets();
+  ASSERT_EQ(engine.plans()[0].in_max_raw, 32767);
+  EXPECT_EQ(man::backend::int16_tile_chunk(engine.plans()[0], alphabets), 1);
+  EXPECT_EQ(engine.tile_begin(), 0u);
+  const auto raw = expect_batch_matches_scalar(engine, int16_edge_pixels());
+  // Row 0 of samples 0 and 1: bias 7 plus five terms of ∓32767.
+  EXPECT_EQ(raw[0], 7 - 5 * 32767);
+  EXPECT_EQ(raw[2], 7 + 5 * 32767);
+}
+
+// One unit over: a window whose X·max a is INT16_MAX + 1 leaves int16
+// (the proof returns 0), and so does X one past ⌊INT16_MAX / max a⌋
+// under ASM 4 and the full set, where each X up to it gives
+// C = ⌊INT16_MAX / (X·max a)⌋. Activation windows are ±(2^n − 1) and
+// alphabets odd, so no engine window lands one unit over; the nearest
+// is 17-bit activations under MAN (X·a = 65535), whose stage runs per
+// sample and still matches the scalar reference.
+TEST(Int16TileProof, SlotOneUnitOverRunsPerSample) {
+  man::backend::DenseLayerPlan plan = int16_edge_engine(16).plans()[0];
+  const auto man_set = AlphabetSet::man().alphabets();
+  plan.in_max_raw = 32768;
+  EXPECT_EQ(man::backend::int16_tile_chunk(plan, man_set), 0);
+  plan.in_max_raw = 32767;
+  plan.in_min_raw = -32768;
+  EXPECT_EQ(man::backend::int16_tile_chunk(plan, man_set), 0);
+  for (const AlphabetSet* set : {&AlphabetSet::four(), &AlphabetSet::full()}) {
+    const auto alphabets = set->alphabets();
+    const std::int64_t a = alphabets.back();
+    const std::int64_t edge = 32767 / a;
+    plan.k = static_cast<int>(alphabets.size());
+    for (const std::int64_t x : {std::int64_t{1}, std::int64_t{255}, edge - 1,
+                                 edge, edge + 1}) {
+      plan.in_min_raw = -x;
+      plan.in_max_raw = x;
+      EXPECT_EQ(man::backend::int16_tile_chunk(plan, alphabets),
+                32767 / (x * a))
+          << "a=" << a << " X=" << x;
+    }
+  }
+  const FixedNetwork engine = int16_edge_engine(17);
+  EXPECT_EQ(man::backend::int16_tile_chunk(engine.plans()[0], man_set), 0);
+  EXPECT_EQ(engine.tile_begin(), 1u);  // no tile
+  expect_batch_matches_scalar(engine, int16_edge_pixels());
+}
+
 // ------------------------------------------- int32 conv proof boundary
 
 /// The boundary schedule as a 1×1 MAN conv over `cols` channels of a
@@ -799,7 +896,9 @@ TEST_P(FusedEpilogue, MatchesTheOracle) {
   const FixedNetwork engine(cnn.net, cnn.spec, schemes);
   EXPECT_TRUE(engine.conv_int32_lanes(0));
   EXPECT_EQ(engine.conv_int32_lanes(1), !wide);
-  EXPECT_EQ(engine.tile_begin(), 6u);  // the first dense stage
+  // The first dense stage; none tiles under 16-bit activations, whose
+  // staged multiples (32767·a) leave the tile's int16 slots.
+  EXPECT_EQ(engine.tile_begin(), wide ? 9u : 6u);
 
   const std::size_t halves = expect_every_route_matches_oracle(
       engine, cnn.net, schemes, 600 + static_cast<std::uint64_t>(window),

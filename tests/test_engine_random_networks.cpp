@@ -7,8 +7,10 @@
 // full set), with output widths around every vector width and pool
 // windows 1 to 4. Each network is compiled, saved as an artifact and
 // mapped back, then run on every backend through infer_into,
-// infer_batch and a two-worker BatchRunner at 1, 15, 16, 17 and 33
-// samples. Every fifth network is an edge network, whose saturated
+// infer_batch and a two-worker BatchRunner at 1, kDenseTile ± 1,
+// kDenseTile and 2·kDenseTile + 1 samples. Every tiled dense stage
+// must pass both tile proofs (rows in int32, slots in int16). Every
+// fifth network is an edge network, whose saturated
 // sample drives each row to its int32 row bound, just past INT32_MAX
 // or just short of it. Networks run seed after seed, from 0, for a
 // fixed wall-clock budget and at least kMinNetworks of them; each
@@ -54,8 +56,10 @@ using man::nn::QuantSpec;
 using man::util::Rng;
 
 constexpr int kWidths[] = {1, 3, 4, 7, 8, 15, 16, 17, 31, 33};
-constexpr std::size_t kCounts[] = {1, 15, 16, 17, 33};
-constexpr std::size_t kSamples = 33;
+constexpr auto kTile = static_cast<std::size_t>(man::backend::kDenseTile);
+constexpr std::size_t kCounts[] = {1, kTile - 1, kTile, kTile + 1,
+                                   2 * kTile + 1};
+constexpr std::size_t kSamples = 2 * kTile + 1;
 constexpr auto kBudget = std::chrono::seconds(3);
 constexpr std::uint64_t kMinNetworks = 40;
 
@@ -271,23 +275,29 @@ RandomNetwork random_network(std::uint64_t seed) {
 
 /// Every stage on int32 lanes passes the row bound over the staging
 /// window: a conv plan on int32 lanes, and every dense plan from the
-/// batch tile on.
-void expect_int32_lanes_proven(const FixedNetwork& engine,
-                               const LayerAlphabetPlan& schemes) {
+/// batch tile on, which must also stage int16 slots
+/// (int16_tile_chunk() ≥ 1).
+void expect_lanes_proven(const FixedNetwork& engine,
+                         const LayerAlphabetPlan& schemes) {
   const auto& stages = engine.compiled_model().stages;
   std::size_t synapse = 0;
   std::size_t dense = 0;
   std::size_t conv = 0;
+  const auto alphabets = [&] {
+    return schemes.scheme(synapse).effective_alphabets().alphabets();
+  };
   const auto fits = [&](const auto& plan) {
-    return man::backend::int32_row_bound(
-               plan,
-               schemes.scheme(synapse).effective_alphabets().alphabets()) <
+    return man::backend::int32_row_bound(plan, alphabets()) <
            man::backend::kInt32RowOverflow;
   };
   for (std::size_t i = 0; i < stages.size(); ++i) {
     if (std::holds_alternative<CompiledDenseStage>(stages[i])) {
       if (i >= engine.tile_begin()) {
-        EXPECT_TRUE(fits(engine.plans()[dense])) << "dense plan " << dense;
+        const auto& plan = engine.plans()[dense];
+        const int chunk = man::backend::int16_tile_chunk(plan, alphabets());
+        EXPECT_TRUE(fits(plan)) << "dense plan " << dense;
+        EXPECT_GE(chunk, 1) << "dense plan " << dense << " int16 chunk "
+                            << chunk;
       }
       ++dense;
       ++synapse;
@@ -359,7 +369,7 @@ TEST(RandomNetworks, MatchTheOracleOnEveryBackendAndRoute) {
       man::artifact::save_engine(compiled, path, key);
     }
     const auto engine = man::artifact::load_engine(path, key);
-    expect_int32_lanes_proven(*engine, random.schemes);
+    expect_lanes_proven(*engine, random.schemes);
 
     // Sample 0 saturates every pixel high and sample 1 low (past the
     // clamp of every format here); the rest are random, some past it.
