@@ -154,8 +154,7 @@ def check_http(serve, baseline, failures, warnings):
         return
     min_shed = base.get("min_shed_rate_overload")
     if usable_number(min_shed) and shed_rate is not None:
-        line = (f"serve_http: shed rate {shed_rate:.1%} at "
-                f"{http.get('overload_factor', 0):.0f}x capacity "
+        line = (f"serve_http: shed rate {shed_rate:.1%} at 2x capacity "
                 f"{capacity if usable_number(capacity) else 0:.0f} qps")
         if shed_rate < min_shed:
             failures.append(

@@ -446,7 +446,7 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
     model.spec.activation_format = man::fixed::QFormat(act_bits, act_frac);
     model.lanes = dir.read_i32();
     const std::uint64_t stage_count = dir.read_u64();
-    if (stage_count > 1024) {
+    if (stage_count == 0 || stage_count > 1024) {
       throw SerializationError("plan artifact: implausible stage count");
     }
     model.stages.reserve(static_cast<std::size_t>(stage_count));
@@ -489,6 +489,11 @@ std::shared_ptr<const man::engine::FixedNetwork> load_engine(
         throw SerializationError("plan artifact: unknown stage tag " +
                                  std::to_string(tag));
       }
+    }
+    // The writer ends the file with the last stage: bytes past it mean
+    // a stage count or a stage length that is not the writer's.
+    if (dir.remaining() != 0) {
+      throw SerializationError("plan artifact: bytes after the last stage");
     }
   } catch (const SerializationError&) {
     throw;

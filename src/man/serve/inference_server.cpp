@@ -160,8 +160,29 @@ InferenceServer::Clock::time_point InferenceServer::flush_time(
   return deadline < patient + kWakeSlack ? now : patient;
 }
 
-bool InferenceServer::try_enqueue(Pending&& pending,
-                                  InferenceResult& rejection) {
+void InferenceServer::admit(InferenceRequest request, Pending pending) {
+  const std::size_t in_size = engine_->input_size();
+  if (request.payload.empty() || request.payload.size() % in_size != 0) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      metrics_.rejected_bad_request += 1;
+    }
+    pending.deliver(make_rejection(
+        Status::kBadRequest,
+        "payload of " + std::to_string(request.payload.size()) +
+            " floats is not a non-zero whole number of " +
+            std::to_string(in_size) + "-value samples"));
+    return;
+  }
+
+  const auto now = Clock::now();
+  pending.count = request.payload.size() / in_size;
+  pending.pixels = std::move(request.payload);
+  pending.hard_deadline = request.deadline;
+  pending.flush_at = flush_time(now, request.deadline);
+  pending.priority = request.priority;
+  pending.enqueued_at = now;
+  InferenceResult rejection;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -189,80 +210,26 @@ bool InferenceServer::try_enqueue(Pending&& pending,
       }
       queue_.insert(pos, std::move(pending));
       cv_.notify_one();  // only the dispatcher waits on cv_
-      return true;
+      return;
     }
   }
-  return false;
+  // Outside the lock: a callback may submit again.
+  pending.deliver(std::move(rejection));
 }
 
 std::future<InferenceResult> InferenceServer::submit(
     InferenceRequest request) {
   Pending pending;
   std::future<InferenceResult> future = pending.promise.get_future();
-  const std::size_t in_size = engine_->input_size();
-
-  if (request.payload.empty() || request.payload.size() % in_size != 0) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.rejected_bad_request += 1;
-    }
-    pending.promise.set_value(make_rejection(
-        Status::kBadRequest,
-        "payload of " + std::to_string(request.payload.size()) +
-            " floats is not a non-zero whole number of " +
-            std::to_string(in_size) + "-value samples"));
-    return future;
-  }
-
-  const auto now = Clock::now();
-  pending.count = request.payload.size() / in_size;
-  pending.pixels = std::move(request.payload);
-  pending.hard_deadline = request.deadline;
-  pending.flush_at = flush_time(now, request.deadline);
-  pending.priority = request.priority;
-  pending.enqueued_at = now;
-
-  InferenceResult rejection;
-  if (!try_enqueue(std::move(pending), rejection)) {
-    std::promise<InferenceResult> rejected;
-    future = rejected.get_future();
-    rejected.set_value(std::move(rejection));
-  }
+  admit(std::move(request), std::move(pending));
   return future;
 }
 
 void InferenceServer::submit_async(InferenceRequest request,
                                    Callback callback) {
-  const std::size_t in_size = engine_->input_size();
-  if (request.payload.empty() || request.payload.size() % in_size != 0) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.rejected_bad_request += 1;
-    }
-    callback(make_rejection(
-        Status::kBadRequest,
-        "payload of " + std::to_string(request.payload.size()) +
-            " floats is not a non-zero whole number of " +
-            std::to_string(in_size) + "-value samples"));
-    return;
-  }
-
-  const auto now = Clock::now();
   Pending pending;
-  pending.count = request.payload.size() / in_size;
-  pending.pixels = std::move(request.payload);
-  pending.hard_deadline = request.deadline;
-  pending.flush_at = flush_time(now, request.deadline);
-  pending.priority = request.priority;
-  pending.enqueued_at = now;
   pending.callback = std::move(callback);
-
-  InferenceResult rejection;
-  if (!try_enqueue(std::move(pending), rejection)) {
-    // pending.callback was not consumed: try_enqueue only moves on
-    // success.
-    pending.callback(std::move(rejection));
-  }
+  admit(std::move(request), std::move(pending));
 }
 
 void InferenceServer::shutdown() {

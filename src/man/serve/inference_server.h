@@ -180,9 +180,11 @@ class InferenceServer {
     void deliver(InferenceResult&& result);
   };
 
-  /// Shared admission path. Returns true if the request was queued;
-  /// otherwise `rejection` holds the immediate result to deliver.
-  bool try_enqueue(Pending&& pending, InferenceResult& rejection);
+  /// The one admission path behind submit() and submit_async():
+  /// checks the payload, fills `pending` from `request` and queues it,
+  /// or delivers the rejection (bad request, shutdown, queue full)
+  /// through `pending` at once.
+  void admit(InferenceRequest request, Pending pending);
   /// When a request submitted at `now` closes its micro-batch:
   /// max_wait later, or at once when `deadline` is nearer than that
   /// plus a wake-up slack (kWakeSlack, 2 ms), so compute starts before

@@ -412,8 +412,9 @@ PlanFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
 // windows, an alphabet count other than the bank's — conventional
 // stages' 8 included),
 // shifts by 32 or more or by a negative amount (UB in the int32
-// lanes), lets the backends disagree (sign masks), or feeds the int32
-// proofs a staging window other than the activation format's.
+// lanes), lets the backends disagree (sign masks), feeds the int32
+// proofs a staging window other than the activation format's, or
+// leaves stages out of the engine (stage counts).
 TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
   struct Case {
     const char* label;
@@ -428,6 +429,13 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
   ASSERT_EQ(cnn_exact.conv_plans().at(0).k, 8);
   const auto& dense = mlp.plans().at(0);
   const auto& conv = cnn.conv_plans().at(0);
+  // make_mlp's three stages are counted past the config key "key", the
+  // four format fields and the lanes.
+  const auto set_stage_count = [](ArtifactBytes& b, std::uint64_t count) {
+    const std::size_t at = b.get<std::uint64_t>(40) + 8 + 3 + 5 * 4;
+    EXPECT_EQ(b.get<std::uint64_t>(at), 3u);
+    b.put<std::uint64_t>(at, count);
+  };
   ASSERT_GE(dense.rows, 2);
   ASSERT_GE(dense.shifts.size(), 2u);
   ASSERT_GE(conv.shifts.size(), 2u);
@@ -540,6 +548,12 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
        [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::int32_t>(f.scalars + 32, 9);
        }},
+      // A count of 0 loads an engine with no input stage; one short
+      // loads a truncated network and leaves the last stage unread.
+      {"stage count of 0", &mlp,
+       [&](ArtifactBytes& b, const PlanFields&) { set_stage_count(b, 0); }},
+      {"stage count one short", &mlp,
+       [&](ArtifactBytes& b, const PlanFields&) { set_stage_count(b, 2); }},
       {"pool rows past its input", &cnn,
        [&](ArtifactBytes& b, const PlanFields&) {
          // Tag, c, ih, iw, window, oh, ow of make_cnn's pool; 9 × 1
@@ -596,7 +610,7 @@ void add_group_regions(const PlanFields& fields, std::vector<Region>& out) {
   }
 }
 
-/// Random damage to plan arrays behind a valid checksum: `mutants`
+/// Random damage to an artifact behind a valid checksum: `mutants`
 /// seeded copies of the artifact at `base` (saved under "key"), each
 /// with one to four random bytes of `regions` overwritten and
 /// restamped, written to `file`. Every mutant must either be rejected
@@ -634,6 +648,10 @@ std::pair<int, int> run_mutants(const std::string& base,
       loaded = load_engine(file, "key");
     } catch (const SerializationError&) {
       ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << mutant
+                    << " escaped load_engine with: " << e.what();
       continue;
     }
     ++served;
@@ -678,17 +696,22 @@ TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
   EXPECT_GT(served, 0);
 }
 
-// Both conv plans of the LeNet CNN (ASM-4, seed-21 weights), whose
-// stages run int32 lanes unless a mutant breaks their proof.
-TEST_F(PlanArtifactTest, MutatedConvPlansRejectedOrServedBitIdentically) {
+/// The LeNet CNN under ASM-4 with seed-21 weights.
+FixedNetwork lenet() {
   const auto& app = man::apps::get_app(man::apps::AppId::kDigitCnn12);
   Network net = app.build_network(/*seed=*/21);
   const AlphabetSet set = AlphabetSet::four();
   ProjectionPlan(app.quant(), set, net.num_weight_layers())
       .project_network(net);
-  const FixedNetwork engine(
+  return FixedNetwork(
       net, app.quant(),
       LayerAlphabetPlan::uniform_asm(net.num_weight_layers(), set));
+}
+
+// Both conv plans of the LeNet CNN, whose stages run int32 lanes
+// unless a mutant breaks their proof.
+TEST_F(PlanArtifactTest, MutatedConvPlansRejectedOrServedBitIdentically) {
+  const FixedNetwork engine = lenet();
   ASSERT_EQ(engine.conv_plans().size(), 2u);
   ASSERT_TRUE(engine.conv_int32_lanes(0));
   ASSERT_TRUE(engine.conv_int32_lanes(1));
@@ -703,6 +726,70 @@ TEST_F(PlanArtifactTest, MutatedConvPlansRejectedOrServedBitIdentically) {
       base, path("mutant.plan"), regions, engine.input_size(), 3, 300, 2025);
   EXPECT_GT(rejected, 0);
   EXPECT_GT(served, 0);
+}
+
+/// The byte ranges of an artifact's header fields (all but the
+/// checksum, which ArtifactBytes::save() restamps) and of every scalar
+/// in its directory: the formats, lanes and stage count, then per
+/// stage its tag and geometry, its synapse fields (the name aside) and
+/// its plan's geometry, alphabet count, staging window and array
+/// references. The config key is left alone: any change to it is a
+/// mismatch.
+std::vector<Region> header_and_directory_regions(const ArtifactBytes& bytes) {
+  std::vector<Region> out = {{0, 32}, {40, 8}};
+  std::size_t at = bytes.get<std::uint64_t>(40);
+  const auto skip_string = [&] { at += 8 + bytes.get<std::uint64_t>(at); };
+  const auto field = [&](std::size_t size) {
+    out.push_back({at, size});
+    at += size;
+  };
+  const auto synapse_and_plan = [&](std::size_t plan_geometry) {
+    field(4);                                       // multiplier
+    field(8 + 4 * bytes.get<std::uint64_t>(at));    // alphabets
+    skip_string();                                  // name
+    field(7 * 8);                                   // macs and op counts
+    field(4 * plan_geometry + 4 + 2 * 8 + 6 * 16);  // plan scalars, refs
+  };
+  skip_string();
+  field(5 * 4 + 8);
+  const auto stages = bytes.get<std::uint64_t>(at - 8);
+  for (std::uint64_t s = 0; s < stages; ++s) {
+    const auto tag = bytes.get<std::uint32_t>(at);
+    field(4);
+    if (tag == 0) {  // dense: in, out; plan rows, cols
+      field(2 * 4);
+      synapse_and_plan(2);
+    } else if (tag == 1) {  // conv: ic .. ow; plan oc .. cols
+      field(7 * 4);
+      synapse_and_plan(8);
+    } else {  // pool geometry, or a LUT's activation kind
+      field(tag == 2 ? 6 * 4 : 4);
+    }
+  }
+  EXPECT_EQ(at, bytes.bytes().size());
+  return out;
+}
+
+// The header and the directory's scalars of an MLP and of the LeNet
+// CNN: a mutant either throws SerializationError or serves
+// bit-identically, and no other exception leaves load_engine.
+TEST_F(PlanArtifactTest,
+       MutatedHeaderAndDirectoryRejectedOrServedBitIdentically) {
+  const FixedNetwork mlp(compile(make_mlp(14), 8, 4));
+  const FixedNetwork cnn = lenet();
+  std::uint64_t seed = 2026;
+  for (const FixedNetwork* engine : {&mlp, &cnn}) {
+    const std::string base = path("base.plan");
+    save_engine(*engine, base, "key");
+    const auto regions = header_and_directory_regions(ArtifactBytes(base));
+    const std::size_t samples =
+        engine == &mlp ? 2 * man::backend::kDenseTile + 3 : 3;
+    const auto [rejected, served] =
+        run_mutants(base, path("mutant.plan"), regions, engine->input_size(),
+                    samples, 300, seed++);
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(served, 0);
+  }
 }
 
 // An artifact declaring a 24-bit activation format (2^24 - 1 raw

@@ -1,7 +1,7 @@
 // Seeded random networks against the test-side oracle
 // (engine_oracle.h): small chains of dense, conv, pool and LUT stages,
 // raw-fed Conv → Conv and Dense → Dense hops included (stages the
-// engine runs on int64 lanes, on the scalar reference), under 8- to
+// engine runs on int64 lanes, on the scalar reference), under 4- to
 // 16-bit weight and activation formats and one random scheme per
 // synapse layer (conventional, MAN {1}, a random alphabet subset or the
 // full set), with output widths around every vector width and pool
@@ -157,8 +157,8 @@ RandomNetwork random_network(std::uint64_t seed) {
   Rng rng(seed);
   RandomNetwork out;
   const bool edge = seed % 5 == 4;
-  const int wbits = edge ? 16 : 8 + static_cast<int>(rng.next_below(9));
-  const int abits = edge ? 16 : 8 + static_cast<int>(rng.next_below(9));
+  const int wbits = edge ? 16 : 4 + static_cast<int>(rng.next_below(13));
+  const int abits = edge ? 16 : 4 + static_cast<int>(rng.next_below(13));
   out.spec.weight_format = QFormat(wbits, wbits - 2);
   out.spec.activation_format = QFormat(
       abits, abits - 1 - (edge ? 0 : static_cast<int>(rng.next_below(2))));
