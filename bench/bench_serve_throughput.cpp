@@ -364,11 +364,14 @@ void print_steps(const Steps& steps) {
 /// since one unclean step between clean ones is a scheduling stall (on
 /// a shared VM such a stall shed 1-3 % of a step at a third of
 /// capacity). C is the last clean rate, or `start` when no step was.
+/// Each such lone unclean step (one followed by a clean step) adds 1
+/// to `lone_unclean`.
 double calibrate(const HttpTarget& target, double start,
-                 SpotChecks& checks) {
+                 SpotChecks& checks, std::size_t& lone_unclean) {
   Steps ramp;
   double clean = 0.0;
   int unclean_in_a_row = 0;
+  std::size_t lone = 0;
   for (double rate = start; rate < start * 1e4; rate *= kRampFactor) {
     ramp.emplace_back("ramp", open_loop(target, rate, kRampSeconds, checks));
     const SweepStep& step = ramp.back().second;
@@ -377,12 +380,15 @@ double calibrate(const HttpTarget& target, double start,
         static_cast<double>(step.shed + step.errors) <=
             0.01 * static_cast<double>(done)) {
       clean = rate;
+      lone += static_cast<std::size_t>(unclean_in_a_row);
       unclean_in_a_row = 0;
     } else if (++unclean_in_a_row == 2) {
       break;
     }
   }
   print_steps(ramp);
+  std::cout << "lone unclean ramp steps: " << lone << "\n";
+  lone_unclean += lone;
   if (clean == 0.0) {
     std::cout << "warning: no ramp step was clean; C is taken as the "
                  "starting rate\n";
@@ -591,7 +597,9 @@ int main() {
       man::util::format_double(kRampSeconds, 0) + " s step" +
       (target.external ? " [external]" : ""));
   SpotChecks http_checks;
-  const double capacity_qps = calibrate(target, kRampStart, http_checks);
+  std::size_t lone_unclean_steps = 0;
+  const double capacity_qps =
+      calibrate(target, kRampStart, http_checks, lone_unclean_steps);
   std::cout << "capacity: " << man::util::format_double(capacity_qps, 0)
             << " requests/s\n";
 
@@ -645,7 +653,8 @@ int main() {
     // under it.
     digit_target = make_target("127.0.0.1", target.port, false, {digit_model});
     settle(digit_target);
-    tiered_capacity = calibrate(digit_target, capacity_qps / 4, http_checks);
+    tiered_capacity = calibrate(digit_target, capacity_qps / 4, http_checks,
+                                lone_unclean_steps);
     std::cout << "digit-only capacity: "
               << man::util::format_double(tiered_capacity, 0)
               << " requests/s\n";
@@ -668,11 +677,6 @@ int main() {
     tiered_target.port = qos_http->port();
   }
 
-  // Discarded warm step: calibrates the tiered server's queue-delay
-  // EWMA (and pays connection setup) before the measured curve.
-  settle(tiered_target);
-  open_loop(tiered_target, tiered_capacity * 0.6, kStepSeconds / 4,
-            http_checks);
   for (const double factor : {0.6, 1.15, 2.0}) {
     if (factor == 2.0 && !target.external) {
       // The shed-only reference runs right before the step it is
@@ -790,6 +794,7 @@ int main() {
         << man::util::format_double(at_1c.p999_ms, 4)
         << ",\n    \"recovery_p99_ratio\": "
         << man::util::format_double(recovery_p99_ratio, 4)
+        << ",\n    \"ramp_lone_unclean_steps\": " << lone_unclean_steps
         << ",\n    \"external\": " << (target.external ? "true" : "false")
         << ",\n    \"bit_identical\": "
         << (http_identical ? "true" : "false") << "\n  },\n"

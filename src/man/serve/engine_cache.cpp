@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <utility>
 
 #include "man/artifact/plan_artifact.h"
@@ -43,34 +42,29 @@ EngineCache::EngineCache(std::string model_dir, std::string plan_dir)
     : models_(std::move(model_dir)),
       plan_dir_(resolve_plan_dir(std::move(plan_dir))) {}
 
-EngineCache::Shard& EngineCache::shard_for(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % kShards];
-}
-
 std::shared_ptr<const man::engine::FixedNetwork> EngineCache::get(
     const EngineSpec& spec) {
   const std::string key = spec.key();
-  Shard& shard = shard_for(key);
 
   std::promise<std::shared_ptr<const man::engine::FixedNetwork>> promise;
   EngineFuture future;
   bool builder = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.engines.find(key);
-    if (it != shard.engines.end()) {
+    std::lock_guard<std::mutex> lock(engines_mutex_);
+    auto it = engines_.find(key);
+    if (it != engines_.end()) {
       future = it->second;
     } else {
       future = promise.get_future().share();
-      shard.engines.emplace(key, future);
+      engines_.emplace(key, future);
       builder = true;
     }
   }
 
   if (!builder) return future.get();
 
-  // Build outside the shard lock: a slow training run must not block
-  // lookups of unrelated keys that hash to the same shard.
+  // Build outside the lock: a slow training run must not block
+  // lookups or builds of other keys.
   try {
     auto engine = load_or_build(spec, key);
     promise.set_value(engine);
@@ -80,8 +74,8 @@ std::shared_ptr<const man::engine::FixedNetwork> EngineCache::get(
     {
       // Drop the poisoned entry so a later call can retry; waiters
       // already holding the future still see the original error.
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.engines.erase(key);
+      std::lock_guard<std::mutex> lock(engines_mutex_);
+      engines_.erase(key);
     }
     throw;
   }
@@ -121,13 +115,11 @@ std::shared_ptr<const man::data::Dataset> EngineCache::dataset(
 }
 
 std::size_t EngineCache::size() const {
+  using namespace std::chrono_literals;
+  std::lock_guard<std::mutex> lock(engines_mutex_);
   std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, future] : shard.engines) {
-      using namespace std::chrono_literals;
-      if (future.wait_for(0s) == std::future_status::ready) total += 1;
-    }
+  for (const auto& [key, future] : engines_) {
+    if (future.wait_for(0s) == std::future_status::ready) total += 1;
   }
   return total;
 }

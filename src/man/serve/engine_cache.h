@@ -1,16 +1,15 @@
-// In-process sharded cache of compiled fixed-point engines, layered
-// over the on-disk apps::ModelCache: many FixedNetwork / alphabet-plan
+// In-process cache of compiled fixed-point engines, layered over the
+// on-disk apps::ModelCache: many FixedNetwork / alphabet-plan
 // configurations are served concurrently from one process, each
 // trained and compiled exactly once no matter how many threads ask.
-// Lookups are sharded by key hash so unrelated configurations never
-// contend on one lock, and a miss publishes a shared_future before
-// building, so concurrent requests for the same key wait on the one
-// build instead of repeating it (model_cache previously retrained per
-// call site).
+// Lookups run once per model at start-up, so one lock guards the map;
+// a miss publishes a shared_future and builds outside the lock, so
+// distinct keys build in parallel and concurrent requests for the same
+// key wait on the one build instead of repeating it (model_cache
+// previously retrained per call site).
 #ifndef MAN_SERVE_ENGINE_CACHE_H
 #define MAN_SERVE_ENGINE_CACHE_H
 
-#include <array>
 #include <future>
 #include <map>
 #include <memory>
@@ -48,7 +47,7 @@ struct EngineSpec {
   [[nodiscard]] std::string key() const;
 };
 
-/// Thread-safe sharded engine cache. get() may be called from any
+/// Thread-safe engine cache. get() may be called from any
 /// number of threads; every caller asking for the same spec receives
 /// the same shared engine (FixedNetwork::infer_into is const and
 /// re-entrant, so one compiled engine serves arbitrarily many servers
@@ -93,7 +92,7 @@ class EngineCache {
   [[nodiscard]] std::shared_ptr<const man::data::Dataset> dataset(
       man::apps::AppId app, double scale);
 
-  /// Engines resident across all shards (successfully built).
+  /// Engines resident (successfully built).
   [[nodiscard]] std::size_t size() const;
 
   [[nodiscard]] man::apps::ModelCache& models() noexcept { return models_; }
@@ -102,13 +101,6 @@ class EngineCache {
   using EngineFuture =
       std::shared_future<std::shared_ptr<const man::engine::FixedNetwork>>;
 
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, EngineFuture> engines;
-  };
-
-  [[nodiscard]] Shard& shard_for(const std::string& key);
   [[nodiscard]] std::shared_ptr<const man::engine::FixedNetwork> build(
       const EngineSpec& spec);
   [[nodiscard]] std::shared_ptr<const man::engine::FixedNetwork>
@@ -116,7 +108,8 @@ class EngineCache {
 
   man::apps::ModelCache models_;
   std::string plan_dir_;
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex engines_mutex_;
+  std::unordered_map<std::string, EngineFuture> engines_;
 
   std::mutex dataset_mutex_;
   std::map<std::string, std::shared_ptr<const man::data::Dataset>> datasets_;

@@ -416,26 +416,6 @@ void HttpServer::handle_infer(Conn& conn, const ParsedRequest& request,
     return;
   }
 
-  // Load shedding: past the queue-delay SLO the honest answer is
-  // "come back later", not a response that will blow the deadline.
-  const auto estimated = server.estimated_queue_delay();
-  const auto slo = server.config().queue_delay_slo;
-  if (estimated > slo) {
-    {
-      std::lock_guard<std::mutex> lock(metrics_mutex_);
-      metrics_.shed += 1;
-    }
-    const auto estimated_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(estimated);
-    respond_now(
-        conn, keep, 429,
-        encode_error_json(Status::kRejectedOverload,
-                          "estimated queue delay " +
-                              std::to_string(estimated_ms.count()) +
-                              " ms exceeds the SLO"),
-        retry_after_seconds(estimated_ms));
-    return;
-  }
   if (inflight_ >= config_.max_inflight) {
     // Backpressure should keep us from reading this deep; shed
     // defensively if a burst outran the pause.
@@ -497,11 +477,8 @@ void HttpServer::drain_completions() {
                        result.tier_name.empty() ? "full" : result.tier_name});
     }
     if (result.status == Status::kRejectedOverload) {
-      extra.push_back({"Retry-After", retry_after_seconds(
-                                          result.retry_after.count() > 0
-                                              ? result.retry_after
-                                              : std::chrono::milliseconds(
-                                                    1000))});
+      extra.push_back(
+          {"Retry-After", retry_after_seconds(result.retry_after)});
     }
     {
       std::lock_guard<std::mutex> lock(metrics_mutex_);

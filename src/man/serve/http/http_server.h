@@ -14,10 +14,10 @@
 //   * backpressure — at max_inflight the loop stops reading sockets
 //     (EPOLLIN interest dropped) until the backlog drains, pushing
 //     the queue into the kernel's TCP buffers instead of memory;
-//   * load shedding — once a model's estimated queue delay exceeds
-//     its ServeConfig::queue_delay_slo, new work is rejected with
-//     429 + Retry-After (as are the micro-batcher's own
-//     kRejectedOverload responses).
+//   * load shedding — the model's InferenceServer decides admission
+//     (queue full, or queue delay past its ServeConfig::
+//     queue_delay_slo); its kRejectedOverload results answer
+//     429 + Retry-After.
 #ifndef MAN_SERVE_HTTP_HTTP_SERVER_H
 #define MAN_SERVE_HTTP_HTTP_SERVER_H
 

@@ -11,9 +11,9 @@ namespace man::serve {
 
 namespace {
 
-/// Clamped Retry-After hint from an estimated queue delay: at least
-/// 1 ms (an empty estimate still asks the client to back off), at
-/// most 30 s.
+/// Clamped Retry-After hint from the queue delay: at least 1 ms (a
+/// queue that is full but not late still asks the client to back
+/// off), at most 30 s.
 std::chrono::milliseconds retry_after_hint(std::chrono::nanoseconds delay) {
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(delay) +
@@ -185,6 +185,7 @@ void InferenceServer::admit(InferenceRequest request, Pending pending) {
   InferenceResult rejection;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    const std::chrono::nanoseconds delay = queue_delay_locked(now);
     if (stopping_) {
       metrics_.rejected_shutdown += 1;
       rejection = make_rejection(Status::kShutdown,
@@ -195,9 +196,21 @@ void InferenceServer::admit(InferenceRequest request, Pending pending) {
           Status::kRejectedOverload,
           "queue full (" + std::to_string(queued_samples_) + " of " +
               std::to_string(config_.queue_capacity) + " samples queued)",
-          retry_after_hint(estimated_delay_locked()));
+          retry_after_hint(delay));
+    } else if (delay > config_.queue_delay_slo) {
+      metrics_.rejected_overload += 1;
+      rejection = make_rejection(
+          Status::kRejectedOverload,
+          "queue " +
+              std::to_string(
+                  std::chrono::duration_cast<std::chrono::microseconds>(delay)
+                      .count()) +
+              " us past its flush time exceeds the " +
+              std::to_string(config_.queue_delay_slo.count()) + " us SLO",
+          retry_after_hint(delay));
     } else {
       queued_samples_ += pending.count;
+      earliest_flush_ = std::min(earliest_flush_, pending.flush_at);
       metrics_.requests += 1;
       metrics_.samples += pending.count;
       // Priority order: ahead of strictly lower priorities, FIFO
@@ -254,14 +267,15 @@ man::engine::EngineStats InferenceServer::stats() const {
 
 std::chrono::nanoseconds InferenceServer::estimated_queue_delay() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return estimated_delay_locked();
+  return queue_delay_locked(Clock::now());
 }
 
-std::chrono::nanoseconds InferenceServer::estimated_delay_locked()
-    const noexcept {
-  return std::chrono::nanoseconds(
-      static_cast<std::int64_t>(queued_samples_) *
-      static_cast<std::int64_t>(ewma_ns_per_sample_));
+std::chrono::nanoseconds InferenceServer::queue_delay_locked(
+    Clock::time_point now) const noexcept {
+  return now > earliest_flush_
+             ? std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   now - earliest_flush_)
+             : std::chrono::nanoseconds::zero();
 }
 
 void InferenceServer::dispatch_loop() {
@@ -276,33 +290,26 @@ void InferenceServer::dispatch_loop() {
     // Micro-batching wait: flush when the queue reaches max_batch
     // samples, when the earliest flush deadline among queued requests
     // arrives (one already in the past flushes immediately), or when
-    // shutdown drains the queue. Flush deadlines need not be
-    // monotonic in arrival order (explicit deadlines and priority
-    // insertion both reorder), so scan the whole queue.
+    // shutdown drains the queue.
     bool deadline_flush = false;
     while (!stopping_ && queued_samples_ < config_.max_batch) {
-      Clock::time_point earliest = queue_.front().flush_at;
-      for (const Pending& pending : queue_) {
-        earliest = std::min(earliest, pending.flush_at);
-      }
-      if (Clock::now() >= earliest) {
+      if (Clock::now() >= earliest_flush_) {
         deadline_flush = true;
         break;
       }
-      cv_.wait_until(lock, earliest);
+      cv_.wait_until(lock, earliest_flush_);
     }
     if (stopping_ && queued_samples_ < config_.max_batch) {
       deadline_flush = true;  // drain counts as a deadline flush
     }
 
-    // Pick the accuracy tier for this micro-batch from the same
-    // deadline-pressure signal the HTTP front-end sheds on — before
-    // the batch is extracted, so the full queue depth (including the
-    // work about to dispatch) is what votes. Serving a cheaper tier
-    // shrinks the EWMA, which lowers the next estimate and upgrades
-    // the tier back once the queue clears: negative feedback.
+    // Pick the accuracy tier for this micro-batch from the delay
+    // admission sheds on, before the batch is extracted: the oldest
+    // overdue request, about to dispatch, is what votes. A cheaper
+    // tier drains the queue sooner, and the tier climbs back once
+    // nothing waits past its flush time: negative feedback.
     const std::size_t tier =
-        pick_tier(estimated_delay_locked(), config_.queue_delay_slo,
+        pick_tier(queue_delay_locked(Clock::now()), config_.queue_delay_slo,
                   tiers_.size(), config_.qos_min_tier);
 
     // Close the micro-batch: whole requests only, in queue order, up
@@ -333,6 +340,13 @@ void InferenceServer::dispatch_loop() {
       if (total_samples >= config_.max_batch) break;
     }
     queued_samples_ -= total_samples;
+    // Flush deadlines need not be monotonic in arrival order
+    // (explicit deadlines and priority insertion both reorder), so
+    // the rest of the queue is scanned once per batch.
+    earliest_flush_ = Clock::time_point::max();
+    for (const Pending& pending : queue_) {
+      earliest_flush_ = std::min(earliest_flush_, pending.flush_at);
+    }
     if (!batch.empty()) {
       metrics_.batches += 1;
       if (deadline_flush) {
@@ -355,24 +369,8 @@ void InferenceServer::dispatch_loop() {
               .count());
       pending.deliver(std::move(result));
     }
-    std::uint64_t batch_ns = 0;
-    if (!batch.empty()) {
-      const auto started = Clock::now();
-      run_batch(batch, total_samples, tier, lock);
-      batch_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               started)
-              .count());
-    }
+    if (!batch.empty()) run_batch(batch, total_samples, tier, lock);
     lock.lock();
-    if (!batch.empty()) {
-      const std::uint64_t per_sample =
-          batch_ns / std::max<std::size_t>(total_samples, 1);
-      ewma_ns_per_sample_ =
-          ewma_ns_per_sample_ == 0
-              ? per_sample
-              : (4 * ewma_ns_per_sample_ + per_sample) / 5;
-    }
   }
 }
 

@@ -13,12 +13,15 @@
 // FixedNetwork::infer_into sample by sample, regardless of how
 // traffic interleaves or how many workers run.
 //
-// Admission control: the queue is bounded (ServeConfig::
-// queue_capacity samples); a submit that would overflow it resolves
-// kRejectedOverload immediately, with a Retry-After hint derived from
-// the estimated queue delay (EWMA of recent per-sample compute time ×
-// queued samples — the same estimate the HTTP front-end sheds on once
-// it exceeds ServeConfig::queue_delay_slo).
+// Admission control, decided in one place under the queue lock: a
+// submit resolves kRejectedOverload immediately when it would overflow
+// the bounded queue (ServeConfig::queue_capacity samples) or when the
+// queue delay exceeds ServeConfig::queue_delay_slo. The queue delay is
+// how far now is past the earliest flush time in the queue: zero on an
+// idle server and during a request's co-batching wait, growing only
+// while running batches hold queued requests past their flush time.
+// The same delay sets the rejection's Retry-After hint and the tier
+// each micro-batch is served at.
 #ifndef MAN_SERVE_INFERENCE_SERVER_H
 #define MAN_SERVE_INFERENCE_SERVER_H
 
@@ -43,10 +46,10 @@ namespace man::serve {
 /// or, given a TieredEngine, for a ladder of precision variants of
 /// one model: each micro-batch is dispatched at the accuracy tier the
 /// current deadline pressure calls for (full precision while the
-/// queue is clear, stepping down as the estimated queue delay climbs
-/// toward queue_delay_slo — the paper's accuracy/energy trade applied
-/// per micro-batch, so overload degrades precision before the HTTP
-/// front-end sheds with 429). submit()/submit_async() are
+/// queue is clear, stepping down as the queue delay climbs toward
+/// queue_delay_slo — the paper's accuracy/energy trade applied per
+/// micro-batch, so overload degrades precision before admission sheds
+/// with kRejectedOverload). submit()/submit_async() are
 /// thread-safe; the engine(s) must outlive the server. Run several
 /// servers over different engines on one shared ThreadPool to serve
 /// many model configurations from a single process.
@@ -109,9 +112,10 @@ class InferenceServer {
   /// Typed submit: never throws for per-request conditions — the
   /// returned future resolves with the Status instead (kBadRequest
   /// for an empty/ragged payload, kRejectedOverload when the bounded
-  /// queue is full, kShutdown after shutdown(), kDeadlineExceeded if
-  /// the hard deadline passes before compute starts, else kOk with
-  /// payload fields bit-identical to the sequential engine path).
+  /// queue is full or its delay is past the SLO, kShutdown after
+  /// shutdown(), kDeadlineExceeded if the hard deadline passes before
+  /// compute starts, else kOk with payload fields bit-identical to the
+  /// sequential engine path).
   std::future<InferenceResult> submit(InferenceRequest request);
 
   /// Callback flavour of the typed submit, for completion-driven
@@ -123,18 +127,18 @@ class InferenceServer {
   /// joins the dispatcher. Idempotent; also run by the destructor.
   void shutdown();
 
-  /// Estimated time a newly queued sample would wait before compute:
-  /// queued samples × EWMA per-sample batch time. Zero until the
-  /// first batch calibrates the estimate. The HTTP front-end sheds
-  /// load once this exceeds config().queue_delay_slo; the tier picker
-  /// steps precision down as it climbs toward that SLO.
+  /// The queue delay: how far now is past the earliest flush time of
+  /// a queued request, zero when nothing queued is overdue (an idle
+  /// server, or requests still inside their co-batching wait).
+  /// Admission sheds once it exceeds config().queue_delay_slo; the
+  /// tier picker steps precision down as it climbs toward that SLO.
   [[nodiscard]] std::chrono::nanoseconds estimated_queue_delay() const;
 
   /// The deterministic tier-selection policy, exposed pure for tests:
-  /// tier t serves while the estimated delay sits in
+  /// tier t serves while the queue delay sits in
   /// [t·slo/tier_count, (t+1)·slo/tier_count); at or past the SLO the
-  /// last (cheapest) tier serves — shedding beyond it is the
-  /// front-end's job. `min_tier` pins the floor (ServeConfig::
+  /// last (cheapest) tier serves — shedding beyond it is admission's
+  /// job. `min_tier` pins the floor (ServeConfig::
   /// qos_min_tier); a non-positive SLO degenerates to the last tier.
   [[nodiscard]] static std::size_t pick_tier(
       std::chrono::nanoseconds estimated_delay, std::chrono::microseconds slo,
@@ -182,8 +186,8 @@ class InferenceServer {
 
   /// The one admission path behind submit() and submit_async():
   /// checks the payload, fills `pending` from `request` and queues it,
-  /// or delivers the rejection (bad request, shutdown, queue full)
-  /// through `pending` at once.
+  /// or delivers the rejection (bad request, shutdown, queue full,
+  /// queue delay past the SLO) through `pending` at once.
   void admit(InferenceRequest request, Pending pending);
   /// When a request submitted at `now` closes its micro-batch:
   /// max_wait later, or at once when `deadline` is nearer than that
@@ -220,8 +224,10 @@ class InferenceServer {
   /// every result — so stats() already counts a delivered result.
   void run_batch(std::vector<Pending>& batch, std::size_t total_samples,
                  std::size_t tier, std::unique_lock<std::mutex>& lock);
-  [[nodiscard]] std::chrono::nanoseconds estimated_delay_locked()
-      const noexcept;
+  /// How far `now` is past earliest_flush_, or zero: the one queue
+  /// delay admission, its Retry-After hint and pick_tier read.
+  [[nodiscard]] std::chrono::nanoseconds queue_delay_locked(
+      Clock::time_point now) const noexcept;
 
   const man::engine::FixedNetwork* engine_;
   ServeConfig config_;
@@ -234,9 +240,10 @@ class InferenceServer {
   std::size_t queued_samples_ = 0;
   bool stopping_ = false;
   Metrics metrics_;
-  /// EWMA of per-sample micro-batch wall time, for the queue-delay
-  /// estimate (0 until the first batch lands).
-  std::uint64_t ewma_ns_per_sample_ = 0;
+  /// Earliest Pending::flush_at in queue_ (time_point::max() when it
+  /// is empty): lowered by each admitted request, recomputed by the
+  /// dispatcher when it closes a batch. The dispatcher waits for it.
+  Clock::time_point earliest_flush_ = Clock::time_point::max();
   /// Copy of the runner's stats, refreshed after each batch so
   /// readers never race the dispatcher.
   man::engine::EngineStats stats_snapshot_;

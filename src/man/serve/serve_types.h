@@ -128,15 +128,16 @@ struct InferenceResult {
   /// label as the X-Man-Accuracy-Tier response header.
   std::size_t tier = 0;
   std::string tier_name;
-  /// For kRejectedOverload: suggested client back-off.
+  /// For kRejectedOverload: suggested client back-off (at least
+  /// 1 ms, from the queue delay).
   std::chrono::milliseconds retry_after{0};
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::kOk; }
 };
 
 /// Every serving knob in one composable config: micro-batching,
-/// worker pool, kernel backend, and the admission-control bounds the
-/// HTTP front-end enforces; workers/backend/pool sit next to the
+/// worker pool, kernel backend, and the admission-control bounds
+/// InferenceServer enforces; workers/backend/pool sit next to the
 /// batching knobs they interact with.
 struct ServeConfig {
   // --- micro-batching -------------------------------------------------
@@ -160,11 +161,12 @@ struct ServeConfig {
   /// Bounded request queue, in samples: a submit that would push the
   /// queue beyond this resolves kRejectedOverload immediately.
   std::size_t queue_capacity = 4096;
-  /// Load-shedding SLO: once the estimated queue delay exceeds this,
-  /// the HTTP front-end sheds new work with 429 + Retry-After. On a
-  /// tiered server this is also the degradation scale: tier t engages
-  /// once the estimated delay reaches t/T of the SLO, so precision
-  /// steps down before the 429 threshold is reached.
+  /// Load-shedding SLO: once the queue delay (how far the queue's
+  /// earliest flush time is overdue) exceeds this, submit resolves
+  /// new work kRejectedOverload with a Retry-After hint (HTTP 429).
+  /// On a tiered server this is also the degradation scale: tier t
+  /// engages once the delay reaches t/T of the SLO, so precision
+  /// steps down before the shedding threshold is reached.
   std::chrono::microseconds queue_delay_slo{50'000};
 
   // --- accuracy/energy QoS ladder -------------------------------------

@@ -1,5 +1,6 @@
 // The serving front-end: deadline and queue edge cases (deadline
-// flushes, oversized request, shutdown drain) and the
+// flushes, oversized request, shedding an overdue queue, shutdown
+// drain) and the
 // acceptance property — server responses bit-identical to sequential
 // FixedNetwork::infer_into for interleaved mixed-model traffic from
 // concurrent clients, at any worker count.
@@ -8,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -228,6 +230,56 @@ TEST(InferenceServer, DeadlineJustPastMaxWaitIsServed) {
   EXPECT_EQ(result.status, Status::kOk);
   EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
   EXPECT_EQ(server.metrics().deadline_expired, 0u);
+}
+
+// Admission sheds on the queue delay: a long oversized batch (its
+// completion callback holds the dispatcher) keeps the next request
+// queued past its flush time, and once that lateness exceeds the SLO
+// a submit resolves kRejectedOverload at once, with a Retry-After
+// hint. The held request is still served, and the delay reads zero
+// again once the queue is empty.
+TEST(InferenceServer, OverdueQueueShedsPastTheSlo) {
+  const FixedNetwork engine = make_engine(12, 8, 6, 3, AlphabetSet::man());
+  ServeConfig config;
+  config.max_batch = 4;
+  config.max_wait = 100us;
+  config.queue_delay_slo = 1ms;
+  InferenceServer server(engine, config);
+  // Declared after the server: on an early return the broken promise
+  // frees the dispatcher before the server's destructor joins it.
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  server.submit_async(
+      {.payload = random_samples(256, engine.input_size(), 120)},
+      [&entered, released](InferenceResult&&) {
+        entered.set_value();
+        released.wait();
+      });
+  entered.get_future().wait();
+
+  const auto held_pixels = random_samples(1, engine.input_size(), 121);
+  auto held = server.submit({.payload = held_pixels});
+  std::this_thread::sleep_for(5ms);  // held is now ~5 ms past its flush
+  EXPECT_GT(server.estimated_queue_delay(), config.queue_delay_slo);
+  auto shed = server.submit(
+      {.payload = random_samples(1, engine.input_size(), 122)});
+  const bool shed_at_once = shed.wait_for(0s) == std::future_status::ready;
+  release.set_value();
+
+  ASSERT_TRUE(shed_at_once) << "a queue past its SLO must shed at submit";
+  const InferenceResult rejection = shed.get();
+  EXPECT_EQ(rejection.status, Status::kRejectedOverload);
+  EXPECT_GE(rejection.retry_after, 2ms);  // delay (> 1 ms) + 1 ms
+  EXPECT_NE(rejection.message.find("SLO"), std::string::npos)
+      << rejection.message;
+  const InferenceResult served = held.get();
+  EXPECT_EQ(served.status, Status::kOk);
+  EXPECT_EQ(served.raw, sequential_raw(engine, held_pixels));
+  EXPECT_EQ(server.estimated_queue_delay(), std::chrono::nanoseconds::zero());
+  const auto metrics = server.metrics();
+  EXPECT_EQ(metrics.rejected_overload, 1u);
+  EXPECT_EQ(metrics.requests, 2u);
 }
 
 TEST(InferenceServer, ShutdownDrainsPendingAndRejectsNewWork) {

@@ -1,7 +1,9 @@
 // The accuracy/energy QoS ladder: pick_tier's deterministic
 // delay-to-tier mapping (boundaries, min-tier pin, degenerate SLO),
 // ladder-spec parsing and validation, the tiered InferenceServer
-// constructor cross-checks, per-tier bit-identity against each rung's
+// constructor cross-checks, the dispatcher stepping down after an
+// overdue wait but not during a co-batching wait, per-tier
+// bit-identity against each rung's
 // own sequential engine across every kernel backend, and the
 // EngineStats backend/tier label merge policy (an idle runner carries
 // no vote).
@@ -10,7 +12,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,7 +112,7 @@ std::vector<std::int64_t> sequential_raw(const FixedNetwork& engine,
 
 // ---------------------------------------------------------------- pick_tier
 
-// Tier t serves while the estimated delay sits in
+// Tier t serves while the queue delay sits in
 // [t*slo/T, (t+1)*slo/T); at or past the SLO the last tier serves.
 TEST(PickTier, MapsDelayBandsToTiersDeterministically) {
   const auto slo = 30'000us;  // slice = 10 ms per tier on a 3-rung ladder
@@ -120,7 +124,7 @@ TEST(PickTier, MapsDelayBandsToTiersDeterministically) {
   EXPECT_EQ(InferenceServer::pick_tier(20ms, slo, 3, 0), 2u);
   EXPECT_EQ(InferenceServer::pick_tier(30ms, slo, 3, 0), 2u);
   // Past the SLO the ladder is exhausted: still the last tier —
-  // shedding beyond it is the front-end's job, not the picker's.
+  // shedding beyond it is admission's job, not the picker's.
   EXPECT_EQ(InferenceServer::pick_tier(10h, slo, 3, 0), 2u);
 }
 
@@ -251,7 +255,7 @@ TEST(TieredServerCtor, BackfillsConfigLadderFromEngines) {
 // With a clear queue the dispatcher always serves the ladder front:
 // full precision is the steady state, degradation needs pressure.
 // The SLO is pinned huge so a CPU-starved CI runner cannot push the
-// delay estimate into a degradation band and flip the expected tier.
+// queue delay into a degradation band and flip the expected tier.
 TEST(TieredServer, ClearQueueServesTierZero) {
   ServeConfig config;
   config.queue_delay_slo = std::chrono::minutes(10);
@@ -265,6 +269,67 @@ TEST(TieredServer, ClearQueueServesTierZero) {
     EXPECT_EQ(result.raw, sequential_raw(server.tier_engine(0), pixels));
   }
   EXPECT_EQ(server.stats().tier, "asm4");
+}
+
+// The batch after an overdue wait steps down: a long oversized batch
+// (its completion callback holds the dispatcher) keeps the next
+// request queued well past the SLO, and that request is served on the
+// ladder's last tier, bit-identical to that rung's sequential engine.
+TEST(TieredServer, OverdueQueueServesLastTier) {
+  ServeConfig config;
+  config.max_batch = 4;
+  config.max_wait = 100us;
+  config.queue_delay_slo = 1ms;
+  InferenceServer server(make_ladder(42), config);
+  // Declared after the server: on an early return the broken promise
+  // frees the dispatcher before the server's destructor joins it.
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  server.submit_async({.payload = random_samples(256, 8, 420)},
+                      [&entered, released](InferenceResult&&) {
+                        entered.set_value();
+                        released.wait();
+                      });
+  entered.get_future().wait();
+
+  const auto pixels = random_samples(2, 8, 421);
+  auto held = server.submit({.payload = pixels});
+  std::this_thread::sleep_for(5ms);  // held is now ~5 ms past its flush
+  release.set_value();
+
+  const InferenceResult result = held.get();
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.tier, 2u);
+  EXPECT_EQ(result.tier_name, "exact");
+  EXPECT_EQ(result.raw, sequential_raw(server.tier_engine(2), pixels));
+}
+
+// Co-batching is not delay: with max_wait far past the SLO, requests
+// spread over longer than the SLO sit inside their co-batching wait,
+// nothing is overdue, and every one is served on the ladder front.
+TEST(TieredServer, CoBatchingWaitIsNotQueueDelay) {
+  ServeConfig config;
+  config.max_batch = 6;
+  config.max_wait = 1h;  // only the size trigger releases the batch
+  config.queue_delay_slo = 1ms;
+  InferenceServer server(make_ladder(43), config);
+  std::vector<std::future<InferenceResult>> pending;
+  std::vector<std::vector<float>> inputs;
+  for (std::size_t i = 0; i < config.max_batch; ++i) {
+    if (i > 0) std::this_thread::sleep_for(1ms);  // 5 ms spread in all
+    inputs.push_back(random_samples(1, 8, 430 + i));
+    pending.push_back(server.submit({.payload = inputs.back()}));
+  }
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    ASSERT_EQ(pending[i].wait_for(30s), std::future_status::ready) << i;
+    const InferenceResult result = pending[i].get();
+    ASSERT_TRUE(result.ok()) << i << ": " << result.message;
+    EXPECT_EQ(result.tier, 0u) << i;
+    EXPECT_EQ(result.raw, sequential_raw(server.tier_engine(0), inputs[i]))
+        << i;
+  }
+  EXPECT_EQ(server.metrics().rejected_overload, 0u);
 }
 
 // An untiered server reports the "full" placeholder tier.
@@ -295,7 +360,7 @@ TEST_P(TierBitIdentityAcrossBackends, EachRungMatchesItsSequentialEngine) {
     config.max_wait = 200us;
     config.qos_min_tier = pin;
     // Huge SLO: the pin alone decides the tier, even on a loaded
-    // runner where the delay estimate would otherwise add pressure.
+    // runner where the queue delay would otherwise add pressure.
     config.queue_delay_slo = std::chrono::minutes(10);
     InferenceServer server(make_ladder(50), config);
     man::util::Rng rng(500 + pin);

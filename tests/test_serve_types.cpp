@@ -224,8 +224,8 @@ TEST(TypedSubmit, AsyncCallbackPaths) {
   EXPECT_EQ(result.raw, expected);
 }
 
-// Priorities are accepted and do not perturb results; the queue-delay
-// estimate calibrates after traffic and reads zero when idle.
+// Priorities are accepted and do not perturb results; the queue delay
+// reads zero on an idle server, before and after traffic.
 TEST(TypedSubmit, PriorityAcceptedAndDelayEstimateIdleZero) {
   const FixedNetwork engine = make_engine(9, 8, 6, 3);
   ServeConfig config;
@@ -244,7 +244,7 @@ TEST(TypedSubmit, PriorityAcceptedAndDelayEstimateIdleZero) {
     EXPECT_EQ(result.status, Status::kOk) << priority;
     EXPECT_EQ(result.raw, expected) << priority;
   }
-  // Idle again: nothing queued, so the estimate must be zero.
+  // Idle again: nothing queued, so the delay must be zero.
   EXPECT_EQ(server.estimated_queue_delay(), std::chrono::nanoseconds::zero());
 }
 
