@@ -7,8 +7,9 @@
 // set {1,3,…,15}: 8 bank lanes and alphabets up to 15 in the row
 // bounds). Per scheme:
 //   - the SVHN MLP's (8-bit) dense plans, one accumulate_dense_tile
-//     call over a staged 32-sample int16 tile (plans that pass the
-//     int32 row and int16 chunk proofs, as the engine tiles them);
+//     call over a staged 32-sample int16 tile of inputs (plans that
+//     pass the int32 row and int16 chunk proofs, as the engine tiles
+//     them), with the tile's size;
 //   - the same plans, one accumulate_dense call over one sample's
 //     staged int64 multiples (the per-sample kernel: a gather on the
 //     AVX-512 tier, the scalar reference's walk on every other);
@@ -23,8 +24,8 @@
 //     or accumulate_conv call over one sample's staged lane-major
 //     multiples, on the lane width the engine gives the layer (named
 //     in its label; int64 lanes run the scalar reference everywhere).
-// Prints per layer the plan's terms, (shift, sign) groups and bytes (per
-// boundary the values it stages), and µs per call on each backend
+// Prints per layer the plan's terms, groups and bytes (per boundary the
+// values it stages), and µs per call on each backend
 // (under the tile tables also the total's µs per sample, which compares
 // across tile widths), and under each per-sample table the backends
 // that run the scalar
@@ -81,6 +82,10 @@ std::size_t plan_bytes(const GroupedPlan& plan) {
              sizeof(std::uint32_t) +
          (plan.shifts.size() + plan.sign_masks.size() + plan.biases.size()) *
              sizeof(std::int64_t);
+}
+std::size_t plan_bytes(const DenseLayerPlan& plan) {
+  return plan_bytes(static_cast<const GroupedPlan&>(plan)) +
+         plan.bank_lanes.size() * sizeof(std::uint8_t);
 }
 
 /// `n` random window inputs through the plan's bank, as `Value` bank
@@ -166,12 +171,15 @@ class Report {
     table_.add_row(row);
   }
 
-  /// A plan's row: its terms, groups and bytes.
-  template <typename Run>
-  void add_plan(const std::string& label, const GroupedPlan& plan,
-                std::size_t outputs, Run run) {
-    add(label, {plan.idx.size(), plan.shifts.size(), plan_bytes(plan)},
-        outputs, run);
+  /// A plan's row: its terms, groups and bytes, then `more` figures.
+  template <typename Plan, typename Run>
+  void add_plan(const std::string& label, const Plan& plan,
+                std::size_t outputs, Run run,
+                const std::vector<std::size_t>& more = {}) {
+    std::vector<std::size_t> figures = {plan.idx.size(), plan.shifts.size(),
+                                        plan_bytes(plan)};
+    figures.insert(figures.end(), more.begin(), more.end());
+    add(label, figures, outputs, run);
   }
 
   /// Prints the table with its total row and, for a table of
@@ -283,11 +291,9 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
     man::core::PrecomputerCache table(bank);
     table.configure_range(plan.in_min_raw, plan.in_max_raw);
     const auto cols = static_cast<std::size_t>(plan.cols);
-    const std::size_t slots = plan.padded_multiples() * kDenseTile;
+    const std::size_t slots = cols * kDenseTile;
     const man::core::PrecomputerCache::View view = table.view();
-    // The reference's staging rows, window-checked.
-    const auto rows = [view](std::int64_t x) { return view.lookup(x); };
-    using TileSlots = man::backend::epilogue::TileSlots<decltype(rows)>;
+    using man::backend::epilogue::TileSlots;
     if (i == 0) {
       // Pixels as images hold them, in [0, 1], staged sample by sample.
       std::vector<float> pixels(cols * kDenseTile);
@@ -304,7 +310,7 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
                       pixels, spec.activation_format, view, tile);
                 },
                 [&] {
-                  TileSlots sink{rows, tile, k};
+                  const TileSlots sink{view, tile};
                   for (std::size_t b = 0; b < kDenseTile; ++b) {
                     for (std::size_t c = 0; c < cols; ++c) {
                       sink(c, b, source(b * cols + c));
@@ -330,7 +336,7 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
                                                 lut.raw_path(), view, tile);
                 },
                 [&] {
-                  TileSlots sink{rows, tile, k};
+                  const TileSlots sink{view, tile};
                   for (std::size_t o = 0; o < acc.size(); ++o) {
                     sink(o / kDenseTile, o % kDenseTile, source(o));
                   }
@@ -355,31 +361,38 @@ bool report_scheme(bool conventional,
                            ", " + std::to_string(kDenseTile) +
                            "-sample tile, " + versus(backends));
   const auto svhn = build_engine(man::apps::AppId::kSvhnMlp8, conventional);
-  Report dense(kPlanColumns, backends);
+  std::vector<std::string> tile_columns = kPlanColumns;
+  tile_columns.emplace_back("Tile KiB");
+  Report dense(tile_columns, backends);
   for (std::size_t i = 0; i < svhn.plans().size(); ++i) {
     const DenseLayerPlan& plan = svhn.plans()[i];
     const auto k = static_cast<std::size_t>(plan.k);
     const man::core::AlphabetSet set = man::core::AlphabetSet::first_n(k);
     const auto alphabets = set.alphabets();
-    const int chunk = man::backend::int16_tile_chunk(plan, alphabets);
+    const int chunk = man::backend::int16_tile_chunk(plan);
     if (man::backend::int32_row_bound(plan, alphabets) >=
             man::backend::kInt32RowOverflow ||
         chunk < 1) {
       std::cout << dense_label(i, plan) << " does not tile\n";
       continue;
     }
-    // Input c of sample b, lane l: tile[(c·k + l)·kDenseTile + b].
-    const auto tile = stage<std::int16_t>(
-        plan, static_cast<std::size_t>(plan.cols) * kDenseTile,
-        plan.padded_multiples() * kDenseTile, 900 + i,
-        [&](std::size_t n, std::size_t l) {
-          return (n / kDenseTile * k + l) * kDenseTile + n % kDenseTile;
-        });
-    dense.add_plan(dense_label(i, plan), plan,
-              static_cast<std::size_t>(plan.rows) * kDenseTile,
-              [&](const KernelBackend& backend, std::int64_t* out) {
-                backend.accumulate_dense_tile(plan, chunk, tile.data(), out);
-              });
+    // Input c of sample b: tile[c·kDenseTile + b], x itself.
+    const std::size_t slots = static_cast<std::size_t>(plan.cols) * kDenseTile;
+    std::vector<std::int16_t> tile(slots);
+    man::util::Rng rng(900 + i);
+    for (std::int16_t& x : tile) {
+      x = static_cast<std::int16_t>(
+          rng.next_in(plan.in_min_raw, plan.in_max_raw));
+    }
+    const std::size_t tile_kib = (slots * sizeof(std::int16_t) + 512) / 1024;
+    dense.add_plan(
+        dense_label(i, plan), plan,
+        static_cast<std::size_t>(plan.rows) * kDenseTile,
+        [&](const KernelBackend& backend, std::int64_t* out) {
+          backend.accumulate_dense_tile(plan, alphabets, chunk, tile.data(),
+                                        out);
+        },
+        {tile_kib});
   }
   bool ok = dense.print(kDenseTile);
 

@@ -79,7 +79,8 @@ void write_synapse(BlobWriter& dir, const CompiledSynapse& synapse) {
 }
 
 /// The fields both plan kinds share, in format order: alphabet count,
-/// staging window, then the bias and group arrays.
+/// staging window, then the bias and group arrays (a dense plan's
+/// per-group bank lanes follow them).
 void write_grouped(BlobWriter& dir, BlobWriter& arrays,
                    const GroupedPlan& plan) {
   dir.write_i32(plan.k);
@@ -98,6 +99,7 @@ void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_i32(plan.rows);
   dir.write_i32(plan.cols);
   write_grouped(dir, arrays, plan);
+  write_array_ref(dir, arrays, plan.bank_lanes);
 }
 
 void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
@@ -187,10 +189,12 @@ void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
 
 /// Groups of a plan of either kind: rows + 1 row offsets into the
 /// groups and groups + 1 group offsets into the terms, both monotone
-/// and ending at their array sizes; every term index a slot with a
-/// lane (Plan::term_lane: below cols · k for dense, and for conv in
-/// the buffer and in its lane under every position base); every shift
-/// below kMaxShift; every sign mask 0 or -1.
+/// and ending at their array sizes; every term index one with a lane
+/// (Plan::term_lane: for dense an input below cols in a group whose
+/// lane is below k, for conv a slot in the buffer and in its lane under
+/// every position base); every shift below kMaxShift; every sign mask
+/// 0 or -1. A dense plan's lane array must already hold one lane per
+/// group.
 template <typename Plan>
 void check_groups(const Plan& plan, int rows) {
   const std::size_t groups = plan.shifts.size();
@@ -201,8 +205,13 @@ void check_groups(const Plan& plan, int rows) {
   }
   check_offsets(plan.row_groups, groups, "row group");
   check_offsets(plan.group_begin, plan.idx.size(), "group term");
-  for (const std::uint32_t slot : plan.idx) {
-    if (plan.term_lane(slot) < 0) reject("term index out of range");
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t t = plan.group_begin[g]; t < plan.group_begin[g + 1];
+         ++t) {
+      if (plan.term_lane(g, plan.idx[t]) < 0) {
+        reject("term index out of range");
+      }
+    }
   }
   for (std::size_t g = 0; g < groups; ++g) {
     if (plan.shifts[g] < 0 || plan.shifts[g] >= man::backend::kMaxShift) {
@@ -244,7 +253,16 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
   plan.rows = dir.read_i32();
   plan.cols = dir.read_i32();
   read_grouped(dir, file, plan);
+  plan.bank_lanes = read_array_ref<std::uint8_t>(dir, file);
   if (plan.rows < 0 || plan.cols < 0) reject("bad dense geometry");
+  // Every group's lane, empty groups' too: the tile reads each one's
+  // alphabet.
+  if (plan.bank_lanes.size() != plan.shifts.size()) {
+    reject("bank lanes disagree with the groups");
+  }
+  for (const std::uint8_t lane : plan.bank_lanes) {
+    if (lane >= plan.k) reject("bank lane out of range");
+  }
   check_grouped(plan, plan.rows);
   return plan;
 }

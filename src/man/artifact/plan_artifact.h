@@ -22,9 +22,9 @@
 //
 // Every validation failure — truncation, flipped payload byte, wrong
 // version, wrong config key, or (behind a valid checksum) a plan whose
-// geometry, offsets, indices, shifts or sign masks no compiler could have
-// produced — throws util::SerializationError, so callers fall back to
-// compiling instead of serving a corrupt plan.
+// geometry, offsets, indices, lanes, shifts or sign masks no compiler
+// could have produced — throws util::SerializationError, so callers
+// fall back to compiling instead of serving a corrupt plan.
 #ifndef MAN_ARTIFACT_PLAN_ARTIFACT_H
 #define MAN_ARTIFACT_PLAN_ARTIFACT_H
 
@@ -42,8 +42,10 @@ namespace man::artifact {
 /// quartet planes with (shift, sign) groups of term indices, and
 /// version 5 the conv ones; version 6 dropped the exact flag, the
 /// exact weights and the conv patch offsets (conventional layers are
-/// full-alphabet grouped plans).
-inline constexpr std::uint32_t kArtifactVersion = 6;
+/// full-alphabet grouped plans); version 7 split dense groups by bank
+/// lane (a per-group lane array) and made dense term indices input
+/// columns.
+inline constexpr std::uint32_t kArtifactVersion = 7;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

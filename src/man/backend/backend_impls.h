@@ -32,8 +32,8 @@ struct VectorKernels {
   /// The per-sample dense gather, null where the tier runs the scalar
   /// reference (every tier below AVX-512).
   void (*dense)(const DenseLayerPlan&, const std::int64_t*, std::int64_t*);
-  void (*dense_tile)(const DenseLayerPlan&, int, const std::int16_t*,
-                     std::int64_t*);
+  void (*dense_tile)(const DenseLayerPlan&, std::span<const std::uint8_t>,
+                     int, const std::int16_t*, std::int64_t*);
   void (*conv_int32)(const ConvLayerPlan&, const std::int32_t*,
                      std::int64_t*);
   /// The epilogue sweeps (KernelBackend's), null where the tier has

@@ -17,6 +17,7 @@
 
 #include "man/backend/layer_plan.h"
 #include "man/core/activation.h"
+#include "man/core/precomputer_bank.h"
 #include "man/fixed/qformat.h"
 
 namespace man::backend::epilogue {
@@ -80,24 +81,21 @@ struct LaneMajorSink {
   }
 };
 
-// Dense tile staging, sample-minor: lane l of element i of sample b at
-// [(i·k + l)·kDenseTile + b], so the kDenseTile sample lanes of one
-// plan slot sit contiguously (the layout accumulate_dense_tile reads),
-// in int16 slots, which int16_tile_chunk() proves every tiled stage's
-// multiples fit. `rows` maps a value to its k bank outputs.
-template <typename Rows>
+// Dense tile staging, sample-minor: element i of sample b itself at
+// [i·kDenseTile + b], so the kDenseTile sample lanes of one input sit
+// contiguously (the layout accumulate_dense_tile reads, which applies
+// the bank to each group's sum), in int16 slots, which
+// int16_tile_chunk() proves every tiled stage's inputs fit. A value
+// outside `window` (the stage's staging table) throws std::out_of_range,
+// as the table's lookup does.
 struct TileSlots {
-  Rows rows;
+  man::core::PrecomputerCache::View window;
   std::int16_t* tile;
-  std::size_t k;
   [[gnu::always_inline]] void operator()(std::size_t i, std::size_t b,
-                                         std::int64_t v) {
-    constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
-    std::int16_t* dest = tile + i * k * kTile + b;
-    const std::int64_t* row = rows(v);
-    for (std::size_t l = 0; l < k; ++l) {
-      dest[l * kTile] = static_cast<std::int16_t>(row[l]);
-    }
+                                         std::int64_t v) const {
+    (void)window.lookup(v);
+    tile[i * static_cast<std::size_t>(kDenseTile) + b] =
+        static_cast<std::int16_t>(v);
   }
 };
 

@@ -73,33 +73,36 @@ class KernelBackend {
   [[nodiscard]] virtual bool accelerated() const noexcept = 0;
 
   /// ASM accumulation for one dense stage, group by group:
-  /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g].
-  /// `multiples` holds plan.padded_multiples() slots (cols × k bank
-  /// outputs, k-strided). The AVX-512 tier gathers; every other
-  /// backend runs the scalar reference's walk.
+  /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]·k + l]) << shifts[g]
+  /// with l = plan.bank_lanes[g]. `multiples` holds
+  /// plan.padded_multiples() slots (cols × k bank outputs, k-strided).
+  /// The AVX-512 tier gathers; every other backend runs the scalar
+  /// reference's walk.
   virtual void accumulate_dense(const DenseLayerPlan& plan,
                                 const std::int64_t* multiples,
                                 std::int64_t* out) const = 0;
 
   /// accumulate_dense over a tile of kDenseTile samples at once, laid
-  /// out sample-minor in int16 lanes: slot s of sample b lives at
-  /// tile[s·kDenseTile + b] (plan.padded_multiples() × kDenseTile
-  /// values), and row r of sample b lands at out[r·kDenseTile + b].
-  /// Each term is read once per tile and adds kDenseTile contiguous
-  /// lanes — one 64-byte vector, two 32-byte or four 16-byte ones — so
-  /// the plan indices stay unchanged (the kernel scales them by
-  /// kDenseTile) and vector kernels use plain loads where the
+  /// out sample-minor in int16 lanes: input c of sample b lives at
+  /// tile[c·kDenseTile + b] (plan.cols × kDenseTile values, the inputs
+  /// themselves, not their bank outputs), and row r of sample b lands
+  /// at out[r·kDenseTile + b]. Each term is read once per tile and adds
+  /// kDenseTile contiguous lanes — one 64-byte vector, two 32-byte or
+  /// four 16-byte ones — so vector kernels use plain loads where the
   /// per-sample kernel gathers. A group's terms are summed in int16
   /// runs of at most `chunk` terms, each run widened into the group's
-  /// int32 sum; each group is shifted once and added to the row in
-  /// int32, and each row is widened to int64 before the bias is added.
-  /// Callers must hold 1 ≤ chunk ≤ int16_tile_chunk(plan, ...) and
-  /// int32_row_bound(plan, ...) ≤ INT32_MAX for the staged inputs
+  /// int32 sum Σx; the bank is applied to that sum, a·Σx with a =
+  /// alphabets[plan.bank_lanes[g]], then shifted and added to the row
+  /// (or subtracted) in int32, and each row is widened to int64 before
+  /// the bias is added. `alphabets` are the stage's k bank alphabets.
+  /// Callers must hold 1 ≤ chunk ≤ int16_tile_chunk(plan) and
+  /// int32_row_bound(plan, alphabets) ≤ INT32_MAX for the staged inputs
   /// (FixedNetwork tiles only such plans); the scalar reference
   /// accumulates in int64 regardless. Bit-identical to kDenseTile
   /// accumulate_dense calls.
-  virtual void accumulate_dense_tile(const DenseLayerPlan& plan, int chunk,
-                                     const std::int16_t* tile,
+  virtual void accumulate_dense_tile(const DenseLayerPlan& plan,
+                                     std::span<const std::uint8_t> alphabets,
+                                     int chunk, const std::int16_t* tile,
                                      std::int64_t* out) const = 0;
 
   /// ASM accumulation for one conv stage, group by group: for every
@@ -134,13 +137,13 @@ class KernelBackend {
   // reference loops of epilogue_sweep.h, which FixedNetwork runs
   // whenever a sweep returns false. Conv staging writes value o's k
   // table entries lane-major as int32: lane l at slots[l·stride + o]
-  // (the accumulate_conv_int32 layout); callers hold int32_row_bound()
-  // ≤ INT32_MAX, which proves every entry fits. Tile staging writes
-  // element i of sample b sample-minor as int16: lane l at
-  // tile[(i·k + l)·kDenseTile + b] (the accumulate_dense_tile layout);
-  // callers hold int16_tile_chunk() ≥ 1, which proves every entry
-  // fits. A sweep computes the k entries as alphabets[l]·x in int32
-  // lanes (View::alphabets) and returns true, or returns false, its
+  // (the accumulate_conv_int32 layout), computed as alphabets[l]·x in
+  // int32 lanes (View::alphabets); callers hold int32_row_bound() ≤
+  // INT32_MAX, which proves every entry fits. Tile staging writes
+  // element i of sample b itself, sample-minor as int16, at
+  // tile[i·kDenseTile + b] (the accumulate_dense_tile layout); callers
+  // hold int16_tile_chunk() ≥ 1, which proves every value in the
+  // table's window fits. A sweep returns true, or returns false, its
   // output unspecified, where it does not run exactly
   // (docs/backends.md lists the declines; a value outside the table's
   // window is one). The base class declines every case, so the scalar
@@ -168,7 +171,8 @@ class KernelBackend {
 
   /// A tile's images: `pixels` holds kDenseTile samples of n values
   /// each, sample after sample; pixel i of sample b is quantized to
-  /// `format` and staged from `table` as element i of sample b.
+  /// `format` and staged, inside `table`'s window, as element i of
+  /// sample b.
   [[nodiscard]] virtual bool stage_pixels_tile(
       std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
       const man::core::PrecomputerCache::View& /*table*/,
@@ -178,7 +182,8 @@ class KernelBackend {
 
   /// A tile's accumulators through `lut`: acc[i·kDenseTile + b] (row i
   /// of sample b, `elements` rows, as accumulate_dense_tile writes
-  /// them) is staged from `table` as element i of sample b.
+  /// them) is staged, inside `table`'s window, as element i of sample
+  /// b.
   [[nodiscard]] virtual bool lut_stage_tile(
       const std::int64_t* /*acc*/, std::size_t /*elements*/,
       const man::core::FixedActivationLut::RawPath& /*lut*/,

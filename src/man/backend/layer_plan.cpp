@@ -3,7 +3,6 @@
 #include "man/backend/conv_autotune.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -24,23 +23,30 @@ void check_count(std::size_t schedules, int rows, int cols,
   }
 }
 
-/// The grouping pass of both plan kinds: the (shift, sign) groups of
-/// `rows` × `cols` compiled weights, where weight (r, c)'s step on
-/// `lane` reads multiples slot `slot(c, lane)`.
+/// The grouping pass of both plan kinds: the groups of `rows` × `cols`
+/// compiled weights, where weight (r, c)'s step on `lane` is term
+/// `term(c, lane)`. Groups are (shift, sign) pure, and lane pure too
+/// when `split_lanes` (dense plans); returns each group's lane (0 for
+/// groups that mix lanes).
 ///
-/// One stable counting pass per row over (shift, sign) buckets, key
-/// shift · 2 + negative: columns arrive in ascending order, so a
-/// bucket is already sorted by idx unless the slots of one lane do not
-/// grow with c, or one weight put two steps into it out of lane order.
-template <typename Slot>
-void build_groups(GroupedPlan& plan, int rows, int cols,
-                  const std::vector<AsmWeight>& asm_weights,
-                  const std::vector<AsmStep>& steps, Slot slot) {
-  constexpr std::size_t kBuckets = 2 * kMaxShift;
+/// One stable counting pass per row over the buckets, key
+/// (shift · 2 + negative) · lanes + lane, with lanes = k when splitting
+/// and 1 otherwise: columns arrive in ascending order, so a bucket is
+/// already sorted by idx unless the terms of one lane do not grow with
+/// c, or one weight put two steps into it out of lane order.
+template <typename Term>
+std::vector<std::uint8_t> build_groups(
+    GroupedPlan& plan, int rows, int cols,
+    const std::vector<AsmWeight>& asm_weights,
+    const std::vector<AsmStep>& steps, bool split_lanes, Term term) {
+  const std::size_t lanes =
+      split_lanes ? static_cast<std::size_t>(std::max(plan.k, 1)) : 1;
+  const std::size_t buckets = 2 * kMaxShift * lanes;
   std::vector<std::uint32_t> row_groups{0};
   std::vector<std::uint32_t> group_begin{0};
   std::vector<std::int64_t> shifts;
   std::vector<std::int64_t> sign_masks;
+  std::vector<std::uint8_t> group_lanes;
   std::size_t total = 0;
   for (const AsmWeight& w : asm_weights) {
     if (w.step_begin + std::size_t{w.step_count} > steps.size()) {
@@ -61,34 +67,39 @@ void build_groups(GroupedPlan& plan, int rows, int cols,
               "build_asm: step lane " + std::to_string(step.lane) +
               " shift " + std::to_string(step.shift) + " out of range");
         }
-        visit(step.shift * 2u + (w.negative ? 1u : 0u), slot(c, step.lane));
+        visit((step.shift * 2u + (w.negative ? 1u : 0u)) * lanes +
+                  (split_lanes ? step.lane : 0u),
+              term(c, step.lane));
       }
     }
   };
+  // Bucket key's terms land at terms + [bounds[key], bounds[key+1]).
+  std::vector<std::size_t> bounds(buckets + 1);
+  std::vector<std::size_t> next(buckets);
   for (int r = 0; r < rows; ++r) {
-    // Bucket key's terms land at terms + [bounds[key], bounds[key+1]).
-    std::array<std::size_t, kBuckets + 1> bounds{};
+    std::fill(bounds.begin(), bounds.end(), 0);
     for_each_step(r,
                   [&](std::size_t key, std::uint32_t) { ++bounds[key + 1]; });
     std::partial_sum(bounds.begin(), bounds.end(), bounds.begin());
-    std::array<std::size_t, kBuckets> next{};
-    std::copy_n(bounds.begin(), kBuckets, next.begin());
-    for_each_step(r, [&](std::size_t key, std::uint32_t term) {
-      idx[terms + next[key]++] = term;
+    std::copy_n(bounds.begin(), buckets, next.begin());
+    for_each_step(r, [&](std::size_t key, std::uint32_t t) {
+      idx[terms + next[key]++] = t;
     });
-    for (std::size_t key = 0; key < kBuckets; ++key) {
+    for (std::size_t key = 0; key < buckets; ++key) {
       if (bounds[key] == bounds[key + 1]) continue;
       const auto first =
           idx.begin() + static_cast<std::ptrdiff_t>(terms + bounds[key]);
       const auto last =
           idx.begin() + static_cast<std::ptrdiff_t>(terms + bounds[key + 1]);
       if (!std::is_sorted(first, last)) std::sort(first, last);
-      shifts.push_back(static_cast<std::int64_t>(key / 2));
-      sign_masks.push_back(key % 2 == 1 ? -1 : 0);
+      const std::size_t shift_sign = key / lanes;
+      shifts.push_back(static_cast<std::int64_t>(shift_sign / 2));
+      sign_masks.push_back(shift_sign % 2 == 1 ? -1 : 0);
+      group_lanes.push_back(static_cast<std::uint8_t>(key % lanes));
       group_begin.push_back(
           static_cast<std::uint32_t>(terms + bounds[key + 1]));
     }
-    terms += bounds[kBuckets];
+    terms += bounds[buckets];
     row_groups.push_back(static_cast<std::uint32_t>(shifts.size()));
   }
   plan.row_groups = std::move(row_groups);
@@ -96,6 +107,7 @@ void build_groups(GroupedPlan& plan, int rows, int cols,
   plan.shifts = std::move(shifts);
   plan.sign_masks = std::move(sign_masks);
   plan.idx = std::move(idx);
+  return group_lanes;
 }
 
 }  // namespace
@@ -110,10 +122,9 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
   plan.cols = cols;
   plan.k = k;
   plan.biases = std::move(biases);
-  build_groups(plan, rows, cols, asm_weights, steps,
-               [k](int c, std::uint8_t lane) {
-                 return static_cast<std::uint32_t>(c) * k + lane;
-               });
+  plan.bank_lanes = build_groups(
+      plan, rows, cols, asm_weights, steps, /*split_lanes=*/true,
+      [](int c, std::uint8_t) { return static_cast<std::uint32_t>(c); });
   return plan;
 }
 
@@ -143,14 +154,15 @@ ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
   // Patch column c, in (ic, ky, kx) order, reads input element
   // (channel · ih + ky) · iw + kx at output position (0,0).
   const auto elems = static_cast<std::uint32_t>(plan.input_elems());
-  build_groups(plan, oc, plan.cols, asm_weights, steps,
-               [&](int c, std::uint8_t lane) {
-                 const int channel = c / (kernel * kernel);
-                 const int ky = (c / kernel) % kernel;
-                 const int kx = c % kernel;
-                 return lane * elems + static_cast<std::uint32_t>(
-                                           (channel * ih + ky) * iw + kx);
-               });
+  (void)build_groups(plan, oc, plan.cols, asm_weights, steps,
+                     /*split_lanes=*/false, [&](int c, std::uint8_t lane) {
+                       const int channel = c / (kernel * kernel);
+                       const int ky = (c / kernel) % kernel;
+                       const int kx = c % kernel;
+                       return lane * elems +
+                              static_cast<std::uint32_t>(
+                                  (channel * ih + ky) * iw + kx);
+                     });
   return plan;
 }
 
@@ -180,7 +192,7 @@ std::int64_t group_bound(const Plan& plan, int rows,
       std::int64_t group = 0;
       for (std::size_t t = plan.group_begin[g]; t < plan.group_begin[g + 1];
            ++t) {
-        const int lane = plan.term_lane(plan.idx[t]);
+        const int lane = plan.term_lane(g, plan.idx[t]);
         if (lane < 0) return kInt32RowOverflow;
         group += x * alphabets[static_cast<std::size_t>(lane)];
         if (group > kMax) return kInt32RowOverflow;
@@ -206,19 +218,15 @@ std::int64_t int32_row_bound(const ConvLayerPlan& plan,
   return group_bound(plan, plan.oc, alphabets);
 }
 
-int int16_tile_chunk(const DenseLayerPlan& plan,
-                     std::span<const std::uint8_t> alphabets) {
+int int16_tile_chunk(const DenseLayerPlan& plan) {
   constexpr std::int64_t kInt16Max = INT16_MAX;
-  if (!plan.has_input_range() || plan.k < 1 ||
-      alphabets.size() != static_cast<std::size_t>(plan.k) ||
-      plan.in_min_raw < -kInt16Max || plan.in_max_raw > kInt16Max) {
+  if (!plan.has_input_range() || plan.in_min_raw < -kInt16Max ||
+      plan.in_max_raw > kInt16Max) {
     return 0;
   }
   const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);
-  const std::int64_t slot =
-      x * *std::max_element(alphabets.begin(), alphabets.end());
   // An all-zero window stages only zeros: any run of terms fits.
-  return static_cast<int>(kInt16Max / std::max<std::int64_t>(slot, 1));
+  return static_cast<int>(kInt16Max / std::max<std::int64_t>(x, 1));
 }
 
 std::string to_string(const ConvTileShape& shape) {

@@ -9,13 +9,18 @@
 //   row_groups[r]  : row r's first group (rows + 1 offsets)
 //   group_begin[g] : group g's first term (groups + 1 offsets)
 //   shifts[g], sign_masks[g] : the group's left shift and sign (0/-1)
-//   idx[t]         : term t's slot in the multiples buffer
-// so out[r] = bias[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g]: one
-// load and add per term, one shift and one add or subtract per group,
-// 4 bytes per term and no padding or absent entries. A dense row is an
-// output neuron and its slots are c·k + lane; a conv row is a filter,
-// its slots are lane-major patch elements at output position (0,0),
-// and the kernels add each position's base offset to every read.
+//   idx[t]         : term t's input
+// so out[r] = bias[r] + Σ_g ±(Σ_t m(t)) << shifts[g], where m(t) is the
+// bank output term t selects: one load and add per term, one shift and
+// one add or subtract per group, 4 bytes per term and no padding or
+// absent entries. A conv row is a filter, its idx are lane-major slots
+// of patch elements at output position (0,0), and the kernels add each
+// position's base offset to every read. A dense row is an output
+// neuron; its groups are also split by bank lane (bank_lanes[g]), and
+// its idx name input columns c, so one sample's term reads the
+// k-strided multiple c·k + bank_lanes[g], while the batch tile, which
+// holds x itself, scales each group's Σ x by alphabets[bank_lanes[g]]
+// (the bank is linear: a·Σx = Σ a·x).
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
@@ -138,10 +143,10 @@ inline constexpr int kMaxShift = 32;
 
 /// Samples per batch tile of the dense tile kernels
 /// (KernelBackend::accumulate_dense_tile). The tile is sample-minor:
-/// slot s of sample b sits at tile[s·kDenseTile + b] as an int16
-/// (int16_tile_chunk() proves every staged multiple fits), so every
-/// term is read once per tile and adds kDenseTile contiguous lanes —
-/// one 64-byte line and vector. Rows come out int64 at
+/// input c of sample b sits at tile[c·kDenseTile + b] as an int16
+/// (int16_tile_chunk() proves every staged input fits), so every term
+/// is read once per tile and adds kDenseTile contiguous lanes — one
+/// 64-byte line and vector. Rows come out int64 at
 /// out[r·kDenseTile + b]. A fixed constant, not a knob: BatchRunner
 /// cuts a batch into whole-tile ranges, so a 64-sample serving batch
 /// forms two tiles.
@@ -175,15 +180,15 @@ struct GroupedPlan {
 
   /// Grouped terms (every backend walks these). Row r owns groups
   /// [row_groups[r], row_groups[r+1]), group g owns terms
-  /// [group_begin[g], group_begin[g+1]) and adds
-  /// (Σ multiples[idx[t]]) << shifts[g], subtracted when
-  /// sign_masks[g] is -1. build_asm() orders a row's groups by
-  /// (shift, sign) and a group's terms by idx.
+  /// [group_begin[g], group_begin[g+1]) and adds the sum of its terms'
+  /// bank outputs shifted by shifts[g], subtracted when sign_masks[g]
+  /// is -1. build_asm() orders a row's groups by (shift, sign) (a dense
+  /// row's then by bank lane) and a group's terms by idx.
   PlanArray<std::uint32_t> row_groups;   ///< rows + 1 offsets
   PlanArray<std::uint32_t> group_begin;  ///< groups + 1 offsets
   PlanArray<std::int64_t> shifts;        ///< per group, < kMaxShift
   PlanArray<std::int64_t> sign_masks;    ///< per group, 0 or -1
-  PlanArray<std::uint32_t> idx;          ///< per term, a multiples slot
+  PlanArray<std::uint32_t> idx;          ///< per term (see the plan kinds)
 
   /// Staging window: the activation QFormat's raw range
   /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
@@ -202,21 +207,31 @@ struct GroupedPlan {
   }
 };
 
-/// Plan of one dense stage: row r is output neuron r, and term slots
-/// are k-strided, c·k + lane for input c.
+/// Plan of one dense stage: row r is output neuron r, group g reads
+/// bank lane bank_lanes[g] and term t names input idx[t] < cols. One
+/// sample's multiples are k-strided (input c's lane l at c·k + l), so a
+/// term reads slot idx[t]·k + bank_lanes[g]; the batch tile stages x
+/// and scales each group's sum by its lane's alphabet.
 struct DenseLayerPlan : GroupedPlan {
   int rows = 0;  ///< output neurons
   int cols = 0;  ///< input features
 
-  /// Slots the multiples buffer must provide: cols × k bank outputs.
+  /// Per group, the bank lane (< k) all its terms select.
+  PlanArray<std::uint8_t> bank_lanes;
+
+  /// Slots one sample's multiples buffer must provide: cols × k bank
+  /// outputs.
   [[nodiscard]] std::size_t padded_multiples() const noexcept {
     return static_cast<std::size_t>(cols) * k;
   }
 
-  /// The bank lane term slot `slot` reads (slot % k), or -1 when it
-  /// lies past the multiples buffer.
-  [[nodiscard]] int term_lane(std::uint32_t slot) const noexcept {
-    return slot < padded_multiples() ? static_cast<int>(slot % k) : -1;
+  /// The bank lane of group g's term `input`, or -1 when the input is
+  /// not below cols or the group's lane not below k.
+  [[nodiscard]] int term_lane(std::size_t g,
+                              std::uint32_t input) const noexcept {
+    return input < static_cast<std::uint32_t>(cols) && bank_lanes[g] < k
+               ? bank_lanes[g]
+               : -1;
   }
 
   /// Builds the plan for one ASM layer from the compiled schedule,
@@ -281,8 +296,9 @@ struct ConvLayerPlan : GroupedPlan {
 
   /// The bank lane term slot `slot` reads (slot / (ic·ih·iw)), or -1
   /// when a read at slot + oy·iw + ox would leave that lane for some
-  /// output position.
-  [[nodiscard]] int term_lane(std::uint32_t slot) const noexcept {
+  /// output position (any group: conv groups mix lanes).
+  [[nodiscard]] int term_lane(std::size_t /*g*/,
+                              std::uint32_t slot) const noexcept {
     const std::size_t elems = input_elems();
     return slot < padded_multiples() &&
                    slot % elems + max_position_base() < elems
@@ -307,43 +323,43 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
 /// tile (KernelBackend::accumulate_dense_tile) and int32 conv lanes
 /// (KernelBackend::accumulate_conv_int32). Lane l of the stage's bank
 /// stages alphabets[l] · x, and every input x lies in the staging
-/// window, |x| ≤ X = max(|in_min_raw|, |in_max_raw|). Slot idx then
-/// holds a(idx) · x, with a(idx) = alphabets[term_lane(idx)].
+/// window, |x| ≤ X = max(|in_min_raw|, |in_max_raw|). Term t of group g
+/// then selects a(t) · x, with a(t) = alphabets[term_lane(g, idx[t])]
+/// (a dense group's lane, a conv slot's).
 ///
 /// Row r's bound is
-///   B_r = Σ_g (Σ_{t in g} X · a(idx[t])) << shifts[g].
+///   B_r = Σ_g (Σ_{t in g} X · a(t)) << shifts[g].
 /// Every partial sum of a group's terms, that sum shifted, and every
 /// running sum of the row lies in [-B_r, B_r]: the kernels add and
-/// subtract exact values, with no sign trick. A conv read adds the
-/// position base oy·iw + ox, which keeps it in its slot's lane
-/// (term_lane() checks), so one row bound covers every output
-/// position.
+/// subtract exact values, with no sign trick. A dense group's terms
+/// share one a, so the bound covers a · Σx too, which the tile forms
+/// from the sum of the staged inputs. A conv read adds the position
+/// base oy·iw + ox, which keeps it in its slot's lane (term_lane()
+/// checks), so one row bound covers every output position.
 ///
 /// Returns the largest B_r, or X · max(alphabets) when a staged slot
 /// is larger, saturated at kInt32RowOverflow; plans without a staging
-/// window, shifts outside [0, 30] and slots without a lane give
+/// window, shifts outside [0, 30] and terms without a lane give
 /// kInt32RowOverflow. A plan fits int32 lanes when the result is at
-/// most INT32_MAX. O(plan terms); derived, never
-/// serialized.
+/// most INT32_MAX. O(plan terms); derived, never serialized.
 [[nodiscard]] std::int64_t int32_row_bound(
     const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 [[nodiscard]] std::int64_t int32_row_bound(
     const ConvLayerPlan& plan, std::span<const std::uint8_t> alphabets);
 
 /// The no-overflow proof behind the int16 slots of the dense batch
-/// tile: every staged slot a·x has |a·x| ≤ X · max(alphabets) (X as
-/// for int32_row_bound()), so a run of at most
-///   C = ⌊INT16_MAX / (X · max(alphabets))⌋
+/// tile, which stages every input x itself (|x| ≤ X as for
+/// int32_row_bound()): a run of at most
+///   C = ⌊INT16_MAX / X⌋
 /// terms sums in int16 lanes without leaving [-INT16_MAX, INT16_MAX].
 /// accumulate_dense_tile adds at most C terms in int16, then widens
-/// that chunk sum into the group's int32 sum (which int32_row_bound()
-/// covers). Returns C, or 0 when a staged slot does not fit int16 (the
-/// stage then runs per sample): plans without a staging window, or
-/// whose alphabet count disagrees with `alphabets`. O(1); derived,
+/// that chunk sum into the group's int32 sum Σx, which it scales by the
+/// group's alphabet (int32_row_bound() covers a · Σx). Returns C, or 0
+/// when an input does not fit int16 (the stage then runs per sample):
+/// plans without a staging window or with X > INT16_MAX. O(1); derived,
 /// never serialized. For the apps' 8-bit activations (X = 255) C is
-/// 18 under ASM 4 (a ≤ 7) and 8 under the conventional set (a ≤ 15).
-[[nodiscard]] int int16_tile_chunk(const DenseLayerPlan& plan,
-                                   std::span<const std::uint8_t> alphabets);
+/// 128, whatever the alphabets.
+[[nodiscard]] int int16_tile_chunk(const DenseLayerPlan& plan);
 
 }  // namespace man::backend
 

@@ -1,29 +1,27 @@
 // The sequential reference — per sample, per row — every other
 // backend is defined as "bit-identical to this". A row (a dense output
 // neuron, or a conv filter at one output position) walks its (shift,
-// sign) groups: each group's multiples summed, shifted once, then
-// added or subtracted. It has no epilogue sweeps: KernelBackend's
+// sign) groups: each group's multiples summed (in the dense tile, its
+// inputs summed and scaled by the group's alphabet), shifted once,
+// then added or subtracted. It has no epilogue sweeps: KernelBackend's
 // declines them, and FixedNetwork runs the reference templates of
 // epilogue_sweep.h instead.
 #include "man/backend/backend_impls.h"
+
+#include <type_traits>
 
 namespace man::backend::detail {
 
 namespace {
 
-/// Bias plus row r's groups, in int64 whatever the slot width; term t
-/// reads src[idx[t] · scale] (`scale` is the tile's slot stride; a
-/// conv caller passes src at its position's base offset).
-template <typename Slot>
+/// Bias plus row r's groups, in int64 whatever the slot width; group
+/// g's sum of bank outputs is group_sum(g).
+template <typename GroupSum>
 std::int64_t group_row(const GroupedPlan& plan, std::size_t r,
-                       const Slot* src, std::size_t scale) {
+                       GroupSum group_sum) {
   std::int64_t acc = plan.biases[r];
   for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
-    std::int64_t sum = 0;
-    for (std::size_t t = plan.group_begin[g]; t < plan.group_begin[g + 1];
-         ++t) {
-      sum += std::int64_t{src[plan.idx[t] * scale]};
-    }
+    const std::int64_t sum = group_sum(g);
     // Branch-free: a sign mask of 0 adds the shifted sum, −1 subtracts
     // it. The branch cost the per-sample SVHN pass ~6 %.
     const std::int64_t sign = plan.sign_masks[g];
@@ -32,19 +30,84 @@ std::int64_t group_row(const GroupedPlan& plan, std::size_t r,
   return acc;
 }
 
+/// A slot stride known at compile time.
+template <std::size_t K>
+using Stride = std::integral_constant<std::size_t, K>;
+
+/// Σ src[idx[t] · scale] over group g's terms, in int64. `scale` is the
+/// slot stride, a std::integral_constant where it is known (the
+/// compiler then folds the multiply); a conv caller passes src at its
+/// position's base offset, a dense one at its group's lane. Four terms
+/// a step into two sums: this is the per-sample dense kernel of every
+/// tier below AVX-512, and on lane-split groups the one-sum loop with a
+/// run-time stride took ~1.7× the time of this one.
+template <typename Slot, typename Scale>
+[[gnu::always_inline]] inline std::int64_t term_sum(const GroupedPlan& plan,
+                                                    std::size_t g,
+                                                    const Slot* src,
+                                                    Scale scale) {
+  const std::uint32_t* idx = plan.idx.data();
+  std::size_t t = plan.group_begin[g];
+  const std::size_t end = plan.group_begin[g + 1];
+  std::int64_t even = 0;
+  std::int64_t odd = 0;
+  for (; t + 4 <= end; t += 4) {
+    even += std::int64_t{src[idx[t] * scale]} + src[idx[t + 1] * scale];
+    odd += std::int64_t{src[idx[t + 2] * scale]} + src[idx[t + 3] * scale];
+  }
+  for (; t < end; ++t) even += src[idx[t] * scale];
+  return even + odd;
+}
+
+// The walks read scattered slots: GCC's -O3 vectorizer turns
+// term_sum's four-term step into emulated gathers, which made the
+// per-sample SVHN walk ~1.7× slower, so each walk is built without it.
+
+/// accumulate_dense with k-strided multiples: input c's lane l at
+/// c·k + l, so each group reads its lane's column at stride k.
+template <typename Scale>
+[[gnu::optimize("no-tree-vectorize")]] void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
+                std::int64_t* out, Scale k) {
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
+    out[r] = group_row(plan, r, [&](std::size_t g) {
+      return term_sum(plan, g, multiples + plan.bank_lanes[g], k);
+    });
+  }
+}
+
 /// Every filter at every output position (oy, ox), reading the
 /// lane-major slots plus oy·iw + ox.
+/// accumulate_dense_tile: the same walk over the staged inputs, each
+/// int16 slot read at stride kDenseTile and each group's Σx scaled by
+/// its lane's alphabet, in int64 — the oracle needs no chunk or row
+/// proof.
+[[gnu::optimize("no-tree-vectorize")]] void tile_walk(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets,
+    const std::int16_t* tile, std::int64_t* out) {
+  constexpr std::size_t kTile = kDenseTile;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
+    for (std::size_t b = 0; b < kTile; ++b) {
+      out[r * kTile + b] = group_row(plan, r, [&](std::size_t g) {
+        return std::int64_t{alphabets[plan.bank_lanes[g]]} *
+               term_sum(plan, g, tile + b, Stride<kTile>{});
+      });
+    }
+  }
+}
+
 template <typename Slot>
-void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
-               std::int64_t* out) {
+[[gnu::optimize("no-tree-vectorize")]] void conv_walk(
+    const ConvLayerPlan& plan, const Slot* multiples, std::int64_t* out) {
   const std::size_t positions = plan.positions();
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.oc); ++r) {
     for (int oy = 0; oy < plan.oh; ++oy) {
       for (int ox = 0; ox < plan.ow; ++ox) {
+        const Slot* base =
+            multiples + static_cast<std::size_t>(oy) * plan.iw + ox;
         out[r * positions + static_cast<std::size_t>(oy) * plan.ow + ox] =
-            group_row(plan, r,
-                      multiples + static_cast<std::size_t>(oy) * plan.iw + ox,
-                      1);
+            group_row(plan, r, [&](std::size_t g) {
+              return term_sum(plan, g, base, Stride<1>{});
+            });
       }
     }
   }
@@ -66,22 +129,23 @@ class ScalarBackend final : public KernelBackend {
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-    for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-      out[r] = group_row(plan, r, multiples, 1);
+    // A compile-time stride for the apps' alphabet counts.
+    switch (plan.k) {
+      case 1: return dense_walk(plan, multiples, out, Stride<1>{});
+      case 2: return dense_walk(plan, multiples, out, Stride<2>{});
+      case 4: return dense_walk(plan, multiples, out, Stride<4>{});
+      case 8: return dense_walk(plan, multiples, out, Stride<8>{});
+      default:
+        return dense_walk(plan, multiples, out,
+                          static_cast<std::size_t>(plan.k));
     }
   }
 
-  void accumulate_dense_tile(const DenseLayerPlan& plan, int /*chunk*/,
-                             const std::int16_t* tile,
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets,
+                             int /*chunk*/, const std::int16_t* tile,
                              std::int64_t* out) const override {
-    // The same walk, each int16 slot read at stride kDenseTile and
-    // accumulated in int64 — the oracle needs no chunk or row proof.
-    constexpr std::size_t kTile = kDenseTile;
-    for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-      for (std::size_t b = 0; b < kTile; ++b) {
-        out[r * kTile + b] = group_row(plan, r, tile + b, kTile);
-      }
-    }
+    tile_walk(plan, alphabets, tile, out);
   }
 
   void accumulate_conv(const ConvLayerPlan& plan,

@@ -37,10 +37,11 @@ class VectorBackend final : public KernelBackend {
     }
   }
 
-  void accumulate_dense_tile(const DenseLayerPlan& plan, int chunk,
-                             const std::int16_t* tile,
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets,
+                             int chunk, const std::int16_t* tile,
                              std::int64_t* out) const override {
-    kernels_.dense_tile(plan, chunk, tile, out);
+    kernels_.dense_tile(plan, alphabets, chunk, tile, out);
   }
 
   // Int64 conv lanes serve only plans outside the int32 proof, which no

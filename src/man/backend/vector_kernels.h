@@ -191,32 +191,46 @@ template <std::size_t kFirst, typename P, typename V, std::size_t... I>
   out = __builtin_shufflevector(v, v, (kFirst + I)...);
 }
 
-/// `chunk`'s int16 lanes widened to int32 and added to sum[0] (its low
-/// half) and sum[1] (its high half).
+/// `chunk`'s int16 lanes widened to int32, scaled by `factor` and added
+/// to acc[0] (its low half) and acc[1] (its high half).
 template <typename V, typename W>
-[[gnu::always_inline]] inline void widen_add(W* sum, const V& chunk) {
+[[gnu::always_inline]] inline void widen_scale_add(W* acc, const V& chunk,
+                                                   std::int32_t factor) {
   using Part = typename Lanes<V>::Part;
   constexpr std::size_t kHalf = kLaneCount<V> / 2;
   Part lo;
   Part hi;
   slice<0>(lo, chunk, std::make_index_sequence<kHalf>{});
   slice<kHalf>(hi, chunk, std::make_index_sequence<kHalf>{});
-  sum[0] += __builtin_convertvector(lo, W);
-  sum[1] += __builtin_convertvector(hi, W);
+  acc[0] += __builtin_convertvector(lo, W) * factor;
+  acc[1] += __builtin_convertvector(hi, W) * factor;
+}
+
+/// Group g's bank alphabet, shift and sign as one int32 factor,
+/// ±alphabets[bank_lanes[g]] · 2^shifts[g]. It wraps only where
+/// int32_row_bound() shows the group sums to 0 (an all-zero window),
+/// so every product the tile forms with it is exact.
+[[gnu::always_inline]] inline std::int32_t group_factor(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets,
+    std::size_t g) {
+  const std::int64_t scaled = std::int64_t{alphabets[plan.bank_lanes[g]]}
+                              << plan.shifts[g];
+  const std::int64_t sign = plan.sign_masks[g];
+  return static_cast<std::int32_t>((scaled ^ sign) - sign);
 }
 
 /// KernelBackend::accumulate_dense_tile: a row's kDenseTile int16
 /// sample lanes are kDenseTile / lanes vectors of V. A term is one idx
-/// driving plain loads and adds from the sample-minor tile (no gather,
-/// no shift) into int16 chunk sums; after at most `chunk` terms
-/// (int16_tile_chunk() proves they fit) the chunk sums are widened into
-/// the group's int32 sums, and a group is one shift and one add or
-/// subtract per int32 vector.
+/// driving plain loads and adds of the staged inputs (no gather, no
+/// shift) into int16 chunk sums of x. After at most `chunk` terms
+/// (int16_tile_chunk() proves they fit) each chunk sum is widened to
+/// int32 and added to the row times the group's factor (group_factor:
+/// the bank's alphabet, the shift and the sign in one multiply), exact
+/// under int32_row_bound(), which bounds every partial sum of a row.
 template <typename V>
-[[gnu::always_inline]] inline void dense_tile(const DenseLayerPlan& plan,
-                                              int chunk,
-                                              const std::int16_t* tile,
-                                              std::int64_t* out) {
+[[gnu::always_inline]] inline void dense_tile(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets,
+    int chunk, const std::int16_t* tile, std::int64_t* out) {
   using W = typename Lanes<V>::Wide;
   constexpr int kLanes = kLaneCount<V>;
   constexpr int kVecs = kDenseTile / kLanes;
@@ -227,7 +241,7 @@ template <typename V>
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     W acc[kWide] = {};
     for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
-      W sum[kWide] = {};
+      const std::int32_t factor = group_factor(plan, alphabets, g);
       const std::uint32_t end = begin[g + 1];
       for (std::uint32_t t = begin[g]; t < end;) {
         const std::uint32_t stop = end - t > run ? t + run : end;
@@ -240,9 +254,10 @@ template <typename V>
             part[v] += lanes;
           }
         }
-        for (int v = 0; v < kVecs; ++v) widen_add(sum + 2 * v, part[v]);
+        for (int v = 0; v < kVecs; ++v) {
+          widen_scale_add(acc + 2 * v, part[v], factor);
+        }
       }
-      add_group(acc, sum, kWide, plan, g);
     }
     for (int v = 0; v < kWide; ++v) {
       store_widened(out + r * kDenseTile + v * (kLanes / 2), acc[v],
@@ -354,16 +369,16 @@ template <typename V, int RN>
 // ends at the row's end, overlapping the one before it (every output
 // depends only on its own inputs, so the overlap rewrites identical
 // values), and a row narrower than V runs at half width, so no sweep
-// reads or writes past a row. The tile boundaries run over V's int32
-// lanes, one lane per sample: a tile's kDenseTile samples are
-// kDenseTile / lanes vectors, so there is no tail, and each multiple
-// is formed in uint16 lanes for its int16 tile slot. Staging computes a
-// value's k bank outputs in-register as alphabets[l]·x in int32 lanes,
-// which the table's construction proves equal to its rows
-// (PrecomputerCache::View::alphabets), so no table row is read. Table
-// reads go through a gather policy G: LaneGather reads lane by lane; the
-// AVX2 and AVX-512 tiers override their vectors with hardware gathers
-// (vector_kernels.cpp).
+// reads or writes past a row. Conv staging computes a value's k bank
+// outputs in-register as alphabets[l]·x in int32 lanes, which the
+// table's construction proves equal to its rows
+// (PrecomputerCache::View::alphabets), so no table row is read. The
+// tile boundaries run over V's int32 lanes, one lane per sample: a
+// tile's kDenseTile samples are kDenseTile / lanes vectors, so there is
+// no tail, and each value is narrowed to its int16 tile slot (the tile
+// kernel applies the bank to group sums). LUT reads go through a gather
+// policy G: LaneGather reads lane by lane; the AVX2 and AVX-512 tiers
+// override their vectors with hardware gathers (vector_kernels.cpp).
 
 /// Reads int32 activation LUT entries at V's per-lane indices into
 /// V's lanes, one lane at a time.
@@ -521,34 +536,42 @@ template <typename G, typename V>
   pooled = (rounded ^ sign) - sign;
 }
 
-/// Stages values from a staging table whose alphabets are set: each
-/// value's k bank outputs computed in-register.
+/// Stages values inside a staging table's window: as their k bank
+/// outputs computed in-register (conv slots, from a table whose
+/// alphabets are set), or as themselves (tile slots).
 struct Staging {
   man::core::PrecomputerCache::View table;
 
-  /// Stages V's lanes of values (int64 or int32), bank output l of lane
-  /// j to dst[l·lane_stride + j], as int32 or int16 slots. A value
-  /// outside the window sets its lane of `miss` and stages a value
-  /// inside it; the caller then reruns the scalar reference, which
-  /// throws. Inside the window every value and every multiple fits
-  /// int32 (the table's proof), so the multiplies run in int32 lanes,
-  /// or in uint16 lanes for int16 slots (multiples()).
-  template <typename V, typename Slot>
-  [[gnu::always_inline]] void put(const V& values, Slot* dst,
-                                  std::size_t lane_stride, V& miss) const {
+  /// V's lanes of values clamped into the window, to `inside`. A value
+  /// outside it sets its lane of `miss` and comes back inside it; the
+  /// caller then reruns the scalar reference, which throws.
+  template <typename V>
+  [[gnu::always_inline]] void clamp(V& inside, const V& values,
+                                    V& miss) const {
     using L = Lane<V>;
     const V first = V{} + static_cast<L>(table.min_raw);
     const V last = V{} + static_cast<L>(table.min_raw +
                                         static_cast<std::int64_t>(table.span) -
                                         1);
-    // Clamped into the window: a lane the clamp moved is a miss (as
-    // min/max and xor, so no compare mask is materialized).
-    V inside = values < first ? first : values;
+    // A lane the clamp moved is a miss (as min/max and xor, so no
+    // compare mask is materialized).
+    inside = values < first ? first : values;
     inside = last < inside ? last : inside;
     miss |= inside ^ values;
+  }
+
+  /// Stages V's lanes of values (int64 or int32), bank output l of lane
+  /// j to dst[l·lane_stride + j], as int32 slots, with clamp()'s miss
+  /// rule. Inside the window every value and every multiple fits int32
+  /// (the table's proof), so the multiplies run in int32 lanes.
+  template <typename V>
+  [[gnu::always_inline]] void put(const V& values, std::int32_t* dst,
+                                  std::size_t lane_stride, V& miss) const {
+    V inside;
+    clamp(inside, values, miss);
     if constexpr (std::is_same_v<V, std::int64_t>) {
       multiples(static_cast<std::int32_t>(inside), dst, lane_stride);
-    } else if constexpr (sizeof(L) == sizeof(std::int64_t)) {
+    } else if constexpr (sizeof(Lane<V>) == sizeof(std::int64_t)) {
       multiples(__builtin_convertvector(inside, typename Lanes<V>::Narrow),
                 dst, lane_stride);
     } else {
@@ -556,27 +579,27 @@ struct Staging {
     }
   }
 
-  /// alphabets[l]·x of W's int32 lanes to dst[l·lane_stride, …). For
-  /// int16 slots x is narrowed once and each multiple formed in uint16
-  /// lanes: a·x mod 2^16, the int32 product's low half, which
-  /// int16_tile_chunk() ≥ 1 proves is a·x itself.
-  template <typename W, typename Slot>
-  [[gnu::always_inline]] void multiples(const W& x, Slot* dst,
+  /// alphabets[l]·x of W's int32 lanes to dst[l·lane_stride, …).
+  template <typename W>
+  [[gnu::always_inline]] void multiples(const W& x, std::int32_t* dst,
                                         std::size_t lane_stride) const {
-    if constexpr (std::is_same_v<Slot, std::int32_t>) {
-      for (std::size_t l = 0; l < table.k; ++l) {
-        const W multiple = x * table.alphabets[l];
-        std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
-      }
-    } else {
-      static_assert(std::is_same_v<Slot, std::int16_t>);
-      const auto low = __builtin_convertvector(x, typename Lanes<W>::Short);
-      for (std::size_t l = 0; l < table.k; ++l) {
-        const auto multiple =
-            low * static_cast<std::uint16_t>(table.alphabets[l]);
-        std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
-      }
+    for (std::size_t l = 0; l < table.k; ++l) {
+      const W multiple = x * table.alphabets[l];
+      std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
     }
+  }
+
+  /// V's int32 lanes of values, with clamp()'s miss rule, narrowed to
+  /// int16 tile slots at dst: x mod 2^16, which int16_tile_chunk() ≥ 1
+  /// proves is x itself inside the window.
+  template <typename V>
+  [[gnu::always_inline]] void put_inputs(const V& values, std::int16_t* dst,
+                                         V& miss) const {
+    V inside;
+    clamp(inside, values, miss);
+    const auto narrow =
+        __builtin_convertvector(inside, typename Lanes<V>::Short);
+    std::memcpy(dst, &narrow, sizeof narrow);
   }
 };
 
@@ -682,9 +705,9 @@ template <std::size_t H, typename F>
 /// elements, each sample's block one contiguous load, and each block of
 /// V's lanes of samples is transposed in registers, so row e holds
 /// element e of those samples; each row is quantized in float lanes and
-/// staged as one sample-minor int16 slot row per bank output (gathers
-/// across the images, n floats apart, cost more than the staging).
-/// False when a value missed the table's window.
+/// staged as the element's sample-minor int16 slot row (gathers across
+/// the images, n floats apart, cost more than the staging). False when
+/// a value missed the table's window.
 template <typename V>
 [[gnu::always_inline]] inline bool stage_pixels_tile(
     std::span<const float> pixels, const FloatQuantize& quantizer,
@@ -693,7 +716,6 @@ template <typename V>
   constexpr std::size_t kLanes = kLaneCount<V>;
   constexpr std::size_t kVecs = kDenseTile / kLanes;
   const std::size_t n = pixels.size() / kDenseTile;
-  const std::size_t row = staging.table.k * kDenseTile;
   V miss = {};
   for (std::size_t first = 0; first < n; first += kLanes) {
     const std::size_t width = std::min(kLanes, n - first);
@@ -714,8 +736,8 @@ template <typename V>
       for (std::size_t e = 0; e < width; ++e) {
         V values;
         quantizer(values, m[e]);
-        staging.put(values, tile + (first + e) * row + v * kLanes, kDenseTile,
-                    miss);
+        staging.put_inputs(values, tile + (first + e) * kDenseTile + v * kLanes,
+                           miss);
       }
     }
   }
@@ -724,9 +746,9 @@ template <typename V>
 
 /// KernelBackend::lut_stage_tile over V's int32 lanes, one sample per
 /// lane: each LUT index computed in int64 lanes and narrowed, the
-/// entries read in one int32 gather per vector, then staged as one
-/// sample-minor int16 slot row per bank output. False when a value
-/// missed the table's window.
+/// entries read in one int32 gather per vector, then staged as the
+/// element's sample-minor int16 slot row. False when a value missed the
+/// table's window.
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool lut_stage_tile(const std::int64_t* acc,
                                                   std::size_t elements,
@@ -738,7 +760,6 @@ template <typename G, typename V>
   using Part = typename Lanes<V>::Part;
   using Wide = typename Lanes<V>::Wide;
   const LutPath lut = path;  // by value: no store of the sweep aliases it
-  const std::size_t row = staging.table.k * kDenseTile;
   V miss = {};
   for (std::size_t i = 0; i < elements; ++i) {
     for (std::size_t v = 0; v < kVecs; ++v) {
@@ -754,7 +775,7 @@ template <typename G, typename V>
       concat(index, half[0], half[1], std::make_index_sequence<kLanes>{});
       V entries;
       G::lut(entries, lut.raw.table, index);
-      staging.put(entries, tile + i * row + v * kLanes, kDenseTile, miss);
+      staging.put_inputs(entries, tile + i * kDenseTile + v * kLanes, miss);
     }
   }
   return !any_lane(miss);

@@ -124,7 +124,7 @@ using LaneMajorSink = man::backend::epilogue::LaneMajorSink<Slot, BankRows>;
 enum class TileOrder { kOneSample, kSampleMinor, kSampleMajor };
 template <TileOrder kOrder>
 struct TileSink {
-  man::backend::epilogue::TileSlots<BankRows> slots;
+  man::backend::epilogue::TileSlots slots;
   std::size_t b = 0;         ///< kOneSample: the sample
   std::size_t elements = 0;  ///< kSampleMajor: values per sample
   [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
@@ -246,16 +246,14 @@ bool backend_sweep(const SegmentOps& ops, std::size_t samples,
     }
   } else if constexpr (kPixels &&
                        std::is_same_v<Sink, TileSink<TileOrder::kSampleMajor>>) {
-    const man::core::PrecomputerCache* table = sink.slots.rows.table();
-    if (table == nullptr || samples != kTile || !plain) return false;
+    if (samples != kTile || !plain) return false;
     return kernel.stage_pixels_tile({source.pixels, count}, source.format,
-                                    table->view(), sink.slots.tile);
+                                    sink.slots.window, sink.slots.tile);
   } else if constexpr (std::is_same_v<Source, ValueSource> &&
                        std::is_same_v<Sink, TileSink<TileOrder::kSampleMinor>>) {
-    const man::core::PrecomputerCache* table = sink.slots.rows.table();
-    if (table == nullptr || samples != kTile || !lut_only) return false;
+    if (samples != kTile || !lut_only) return false;
     return kernel.lut_stage_tile(source.values, count / kTile,
-                                 ops.pre->raw_path(), table->view(),
+                                 ops.pre->raw_path(), sink.slots.window,
                                  sink.slots.tile);
   } else {
     return false;
@@ -709,7 +707,7 @@ void FixedNetwork::plan_lanes() {
       auto& syn = std::get<SynapseStage>(stages_[i]);
       const auto& plan = plans_[syn.plan_index];
       const auto alphabets = syn.bank.alphabet_set().alphabets();
-      const int chunk = man::backend::int16_tile_chunk(plan, alphabets);
+      const int chunk = man::backend::int16_tile_chunk(plan);
       if (chunk < 1 || !input_in_window(i) ||
           man::backend::int32_row_bound(plan, alphabets) >=
               man::backend::kInt32RowOverflow) {
@@ -828,13 +826,11 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
     const std::size_t j = tile_synapse_begin_;
     const auto& syn = std::get<SynapseStage>(stages_[epilogues_[j].stage]);
     const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
-    const auto k = static_cast<std::size_t>(plan.k);
     const bool whole_tile = j == 0 && !epilogues_[0].pools;
     for (; s + kTile <= count; s += kTile) {
-      std::int16_t* multiples =
-          tile_slots(scratch.tile_multiples, plan.padded_multiples());
-      const man::backend::epilogue::TileSlots<BankRows> slots{
-          BankRows(syn.table, syn.bank), multiples, k};
+      const man::backend::epilogue::TileSlots slots{
+          syn.table->view(),
+          tile_slots(scratch.tile_inputs, static_cast<std::size_t>(plan.cols))};
       if (whole_tile) {
         run_epilogue(j, kTile,
                      PixelSource{pixels.data() + s * input_size_,
@@ -1009,12 +1005,13 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
     const auto& dense = std::get<CompiledDenseStage>(model_.stages[si]);
     const auto& syn = std::get<SynapseStage>(stages_[si]);
     const auto& plan = plans_[syn.plan_index];
-    const std::int16_t* multiples =
-        tile_slots(scratch.tile_multiples, plan.padded_multiples());
+    const std::int16_t* inputs =
+        tile_slots(scratch.tile_inputs, static_cast<std::size_t>(plan.cols));
     std::int64_t* acc =
         sized(scratch.tile_acc, static_cast<std::size_t>(dense.out) * kTile);
     timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-      kernel.accumulate_dense_tile(plan, syn.tile_chunk, multiples, acc);
+      kernel.accumulate_dense_tile(plan, syn.bank.alphabet_set().alphabets(),
+                                   syn.tile_chunk, inputs, acc);
     });
     charge_synapse(stats.layers[j], dense.synapse, kTile);
     if (j + 1 == synapses) {
@@ -1026,10 +1023,9 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
       const auto& next_plan = plans_[next_syn.plan_index];
       run_epilogue(j + 1, kTile, ValueSource{acc},
                    TileSink<TileOrder::kSampleMinor>{
-                       {BankRows(next_syn.table, next_syn.bank),
-                        tile_slots(scratch.tile_multiples,
-                                   next_plan.padded_multiples()),
-                        static_cast<std::size_t>(next_plan.k)}},
+                       {next_syn.table->view(),
+                        tile_slots(scratch.tile_inputs,
+                                   static_cast<std::size_t>(next_plan.cols))}},
                    scratch, kernel);
     }
   }

@@ -179,11 +179,12 @@ class FixedNetwork {
     std::vector<std::int64_t> multiples;
     /// An int32-lane conv stage's lane-major bank outputs.
     std::vector<std::int32_t> multiples32;
-    /// A tile stage's bank outputs, sample-minor in int16 lanes (slot s
-    /// of sample b at [s·kDenseTile + b], from a cache-line boundary,
-    /// so each slot is one line), and its accumulators (row r of
-    /// sample b at [r·kDenseTile + b]).
-    std::vector<std::int16_t> tile_multiples;
+    /// A tile stage's inputs themselves, sample-minor in int16 lanes
+    /// (input c of sample b at [c·kDenseTile + b], from a cache-line
+    /// boundary, so each input is one line; the tile kernel applies the
+    /// bank to group sums), and its accumulators (row r of sample b at
+    /// [r·kDenseTile + b]).
+    std::vector<std::int16_t> tile_inputs;
     std::vector<std::int64_t> tile_acc;
     /// Non-null: infer_into() times its phases into this (adds two
     /// clock reads per kernel and per stage boundary — leave null on
@@ -379,7 +380,7 @@ class FixedNetwork {
                       const man::backend::KernelBackend& kernel) const;
 
   /// One full tile through synapse stages [tile_synapse_begin_, end),
-  /// whose first stage's input is staged in scratch.tile_multiples;
+  /// whose first stage's input is staged in scratch.tile_inputs;
   /// writes the tile's outputs to `out` (kDenseTile × output_size()).
   void forward_tile(std::span<std::int64_t> out, EngineStats& stats,
                     InferScratch& scratch,

@@ -719,8 +719,23 @@ std::string HttpServer::metrics_json() const {
   field("latency_count", snapshot.latency_count);
   field("p50_us", snapshot.p50_ns / 1000);
   field("p99_us", snapshot.p99_ns / 1000);
-  field("p999_us", snapshot.p999_ns / 1000, /*last=*/true);
-  out += "}";
+  field("p999_us", snapshot.p999_ns / 1000);
+  // Per model: its admission SLO and which check made each 429.
+  out += "\"models\":{";
+  for (auto it = models_.begin(); it != models_.end(); ++it) {
+    if (it != models_.begin()) out.push_back(',');
+    const InferenceServer::Metrics model = it->second->metrics();
+    out.push_back('"');
+    append_escaped(out, it->first);
+    out += "\":{";
+    field("queue_delay_slo_us",
+          static_cast<std::uint64_t>(
+              it->second->config().queue_delay_slo.count()));
+    field("rejected_queue_full", model.rejected_queue_full);
+    field("rejected_queue_delay", model.rejected_queue_delay, /*last=*/true);
+    out += "}";
+  }
+  out += "}}";
   return out;
 }
 

@@ -245,6 +245,8 @@ DecodedInfer decode_binary(const ParsedRequest& request, DecodedInfer out) {
   return out;
 }
 
+}  // namespace
+
 void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
@@ -264,8 +266,6 @@ void append_escaped(std::string& out, std::string_view text) {
     }
   }
 }
-
-}  // namespace
 
 DecodedInfer decode_infer_body(const ParsedRequest& request) {
   DecodedInfer out;

@@ -51,6 +51,10 @@ struct DecodedInfer {
 [[nodiscard]] std::string encode_result_json(std::string_view model_key,
                                              const InferenceResult& result);
 
+/// `text` appended to `out` as the inside of a JSON string (quotes,
+/// backslashes and control characters escaped).
+void append_escaped(std::string& out, std::string_view text);
+
 /// The JSON body of every non-kOk outcome:
 /// {"status":"<status_name>","error":"<message>"}.
 [[nodiscard]] std::string encode_error_json(Status status,

@@ -192,6 +192,7 @@ void InferenceServer::admit(InferenceRequest request, Pending pending) {
                                  "server is shutting down");
     } else if (queued_samples_ + pending.count > config_.queue_capacity) {
       metrics_.rejected_overload += 1;
+      metrics_.rejected_queue_full += 1;
       rejection = make_rejection(
           Status::kRejectedOverload,
           "queue full (" + std::to_string(queued_samples_) + " of " +
@@ -199,6 +200,7 @@ void InferenceServer::admit(InferenceRequest request, Pending pending) {
           retry_after_hint(delay));
     } else if (delay > config_.queue_delay_slo) {
       metrics_.rejected_overload += 1;
+      metrics_.rejected_queue_delay += 1;
       rejection = make_rejection(
           Status::kRejectedOverload,
           "queue " +

@@ -77,8 +77,12 @@ class InferenceServer {
     std::size_t largest_batch = 0;
     /// Typed-API outcomes: admission-control rejections, malformed
     /// payloads, requests whose hard deadline expired while queued,
-    /// and submissions after shutdown.
+    /// and submissions after shutdown. rejected_overload is the sum of
+    /// the two admission checks: a full queue (queue_capacity) and a
+    /// queue delay past queue_delay_slo.
     std::uint64_t rejected_overload = 0;
+    std::uint64_t rejected_queue_full = 0;
+    std::uint64_t rejected_queue_delay = 0;
     std::uint64_t rejected_bad_request = 0;
     std::uint64_t deadline_expired = 0;
     std::uint64_t rejected_shutdown = 0;

@@ -246,13 +246,14 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
 // Older (version 1 still carried the AoS schedule, version 2 the
 // per-plan conv tile shapes, version 3 the dense quartet planes,
 // version 4 the conv ones, version 5 the exact weights and conv patch
-// offsets) and newer formats alike.
+// offsets, version 6 dense groups that mixed bank lanes) and newer
+// formats alike.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
-  static_assert(kArtifactVersion == 6);
+  static_assert(kArtifactVersion == 7);
   const FixedNetwork engine(compile(make_mlp(3), 8, 4));
   const std::string file = path("engine.plan");
   for (const std::uint32_t version :
-       {1u, 2u, 3u, 4u, 5u, kArtifactVersion + 1}) {
+       {1u, 2u, 3u, 4u, 5u, 6u, kArtifactVersion + 1}) {
     save_engine(engine, file, "key");
     {
       // The version field sits at byte 8, right after the magic.
@@ -350,7 +351,8 @@ TEST_F(PlanArtifactTest, SameNetworkSavesByteIdenticalArtifacts) {
   }
 }
 
-/// The arrays of a plan, in format order (both kinds).
+/// The arrays of a plan, in format order: both kinds' six, then a
+/// dense plan's bank lanes.
 enum Array {
   kBiases,
   kRowGroups,
@@ -358,6 +360,7 @@ enum Array {
   kShifts,
   kSigns,
   kIdx,
+  kLanes,
   kPlanArrays
 };
 
@@ -376,7 +379,7 @@ struct PlanFields {
 /// stretch of the file repeats.
 PlanFields locate(const ArtifactBytes& bytes,
                   std::vector<std::int32_t> scalars,
-                  const man::backend::GroupedPlan& plan) {
+                  const man::backend::GroupedPlan& plan, int arrays) {
   PlanFields fields;
   const std::size_t words = scalars.size();
   for (const std::int64_t bound : {plan.in_min_raw, plan.in_max_raw}) {
@@ -386,7 +389,7 @@ PlanFields locate(const ArtifactBytes& bytes,
   }
   fields.scalars = bytes.find(scalars);
   fields.window = fields.scalars + 4 * words;
-  for (int a = 0; a < kPlanArrays; ++a) {
+  for (int a = 0; a < arrays; ++a) {
     const std::size_t ref =
         fields.window + 16 + 16 * static_cast<std::size_t>(a);
     fields.at[a] = bytes.get<std::uint64_t>(ref);
@@ -396,12 +399,13 @@ PlanFields locate(const ArtifactBytes& bytes,
 }
 
 PlanFields locate_dense(const ArtifactBytes& bytes, const DenseLayerPlan& p) {
-  return locate(bytes, {p.rows, p.cols, p.k}, p);
+  return locate(bytes, {p.rows, p.cols, p.k}, p, kPlanArrays);
 }
 
 PlanFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
   return locate(bytes,
-                {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols, p.k}, p);
+                {p.oc, p.ic, p.kernel, p.ih, p.iw, p.oh, p.ow, p.cols, p.k}, p,
+                kLanes);
 }
 
 // Loader content checks: each field a kernel or the staging indexes
@@ -477,11 +481,19 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
        [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(u32_at(f, kGroupBegin, groups), terms + 1);
        }},
-      {"dense term index past cols·k", &mlp,
+      {"dense term index past cols", &mlp,
        [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(
-             u32_at(f, kIdx, 0),
-             static_cast<std::uint32_t>(dense.cols * dense.k));
+         b.put<std::uint32_t>(u32_at(f, kIdx, 0),
+                              static_cast<std::uint32_t>(dense.cols));
+       }},
+      {"dense bank lane k", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint8_t>(f.at[kLanes], static_cast<std::uint8_t>(dense.k));
+       }},
+      {"dense bank lanes one short", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         b.put<std::uint64_t>(f.window + 16 + 16 * kLanes + 8,
+                              f.count[kLanes] - 1);
        }},
       {"dense shift of 32", &mlp,
        [&](ArtifactBytes& b, const PlanFields& f) {
@@ -599,11 +611,14 @@ struct Region {
 };
 
 /// The byte ranges of a plan's biases, group offsets, shifts, sign
-/// masks and term indices.
-void add_group_regions(const PlanFields& fields, std::vector<Region>& out) {
+/// masks and term indices, and of a dense plan's bank lanes.
+void add_group_regions(const PlanFields& fields, std::vector<Region>& out,
+                       bool dense) {
   for (const Array a :
-       {kBiases, kRowGroups, kGroupBegin, kShifts, kSigns, kIdx}) {
-    const std::size_t width = a == kRowGroups || a == kGroupBegin || a == kIdx
+       {kBiases, kRowGroups, kGroupBegin, kShifts, kSigns, kIdx, kLanes}) {
+    if (a == kLanes && !dense) continue;
+    const std::size_t width = a == kLanes ? sizeof(std::uint8_t)
+                              : a == kRowGroups || a == kGroupBegin || a == kIdx
                                   ? sizeof(std::uint32_t)
                                   : sizeof(std::int64_t);
     out.push_back({fields.at[a], fields.count[a] * width});
@@ -682,16 +697,39 @@ std::pair<int, int> run_mutants(const std::string& base,
 // served mutants run full batch tiles too.
 TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
   const FixedNetwork engine(compile(make_mlp(12), 8, 4));
+  ASSERT_EQ(engine.tile_begin(), 0u);
   const std::string base = path("base.plan");
   save_engine(engine, base, "key");
   std::vector<Region> regions;
   add_group_regions(locate_dense(ArtifactBytes(base), engine.plans()[0]),
-                    regions);
+                    regions, /*dense=*/true);
   const auto [rejected, served] =
       run_mutants(base, path("mutant.plan"), regions, engine.input_size(),
                   2 * man::backend::kDenseTile + 3, 300, 2024);
   // Both outcomes occur, so the budget exercises the checks and the
   // kernels alike.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(served, 0);
+}
+
+// Mutants of the two arrays a dense tile reads through its plan that
+// no other array checks: the bank lanes, which pick each group's
+// alphabet, and the term indices, now input columns (below cols, no
+// longer below cols·k). Every byte of both, so each lane and each
+// index is hit; a served mutant must match its own per-sample scalar
+// reference on every backend, full tiles included.
+TEST_F(PlanArtifactTest, MutatedDenseLanesAndIndicesRejectedOrServed) {
+  const FixedNetwork engine(compile(make_mlp(12), 8, 4));
+  const std::string base = path("base.plan");
+  save_engine(engine, base, "key");
+  const PlanFields fields =
+      locate_dense(ArtifactBytes(base), engine.plans()[0]);
+  const std::vector<Region> regions = {
+      {fields.at[kLanes], fields.count[kLanes]},
+      {fields.at[kIdx], fields.count[kIdx] * sizeof(std::uint32_t)}};
+  const auto [rejected, served] =
+      run_mutants(base, path("mutant.plan"), regions, engine.input_size(),
+                  2 * man::backend::kDenseTile + 3, 200, 2027);
   EXPECT_GT(rejected, 0);
   EXPECT_GT(served, 0);
 }
@@ -720,7 +758,7 @@ TEST_F(PlanArtifactTest, MutatedConvPlansRejectedOrServedBitIdentically) {
   const ArtifactBytes bytes(base);
   std::vector<Region> regions;
   for (const ConvLayerPlan& plan : engine.conv_plans()) {
-    add_group_regions(locate_conv(bytes, plan), regions);
+    add_group_regions(locate_conv(bytes, plan), regions, /*dense=*/false);
   }
   const auto [rejected, served] = run_mutants(
       base, path("mutant.plan"), regions, engine.input_size(), 3, 300, 2025);
@@ -743,12 +781,13 @@ std::vector<Region> header_and_directory_regions(const ArtifactBytes& bytes) {
     out.push_back({at, size});
     at += size;
   };
-  const auto synapse_and_plan = [&](std::size_t plan_geometry) {
-    field(4);                                       // multiplier
-    field(8 + 4 * bytes.get<std::uint64_t>(at));    // alphabets
-    skip_string();                                  // name
-    field(7 * 8);                                   // macs and op counts
-    field(4 * plan_geometry + 4 + 2 * 8 + 6 * 16);  // plan scalars, refs
+  const auto synapse_and_plan = [&](std::size_t plan_geometry,
+                                    std::size_t arrays) {
+    field(4);                                     // multiplier
+    field(8 + 4 * bytes.get<std::uint64_t>(at));  // alphabets
+    skip_string();                                // name
+    field(7 * 8);                                 // macs and op counts
+    field(4 * plan_geometry + 4 + 2 * 8 + arrays * 16);  // scalars, refs
   };
   skip_string();
   field(5 * 4 + 8);
@@ -756,12 +795,12 @@ std::vector<Region> header_and_directory_regions(const ArtifactBytes& bytes) {
   for (std::uint64_t s = 0; s < stages; ++s) {
     const auto tag = bytes.get<std::uint32_t>(at);
     field(4);
-    if (tag == 0) {  // dense: in, out; plan rows, cols
+    if (tag == 0) {  // dense: in, out; plan rows, cols; seven arrays
       field(2 * 4);
-      synapse_and_plan(2);
-    } else if (tag == 1) {  // conv: ic .. ow; plan oc .. cols
+      synapse_and_plan(2, 7);
+    } else if (tag == 1) {  // conv: ic .. ow; plan oc .. cols; six arrays
       field(7 * 4);
-      synapse_and_plan(8);
+      synapse_and_plan(8, 6);
     } else {  // pool geometry, or a LUT's activation kind
       field(tag == 2 ? 6 * 4 : 4);
     }

@@ -357,12 +357,11 @@ std::vector<std::int64_t> aos_dense(const Schedule& schedule,
   return rows;
 }
 
-/// kDenseTile samples of k-strided bank outputs a · x for `plan`, one
-/// input x per column: sample 0 at the window's low edge, sample 1 at
-/// its high edge, sample 2 alternating between them, the rest random.
-std::vector<std::vector<std::int64_t>> window_samples(
-    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets,
-    std::uint64_t seed) {
+/// kDenseTile samples of inputs x for `plan`, one per column: sample 0
+/// at the window's low edge, sample 1 at its high edge, sample 2
+/// alternating between them, the rest random.
+std::vector<std::vector<std::int64_t>> window_inputs(
+    const DenseLayerPlan& plan, std::uint64_t seed) {
   man::util::Rng rng(seed);
   std::vector<std::vector<std::int64_t>> samples(kDenseTile);
   for (std::size_t b = 0; b < samples.size(); ++b) {
@@ -370,30 +369,43 @@ std::vector<std::vector<std::int64_t>> window_samples(
       std::int64_t x = rng.next_in(plan.in_min_raw, plan.in_max_raw);
       if (b == 0 || (b == 2 && c % 2 == 0)) x = plan.in_min_raw;
       if (b == 1 || (b == 2 && c % 2 == 1)) x = plan.in_max_raw;
-      for (const std::uint8_t a : alphabets) samples[b].push_back(a * x);
+      samples[b].push_back(x);
     }
   }
   return samples;
 }
 
-/// `samples` (kDenseTile of them) transposed into the sample-minor
-/// int16 tile.
+/// One sample's k-strided bank outputs: a · x for each input x and
+/// alphabet a.
+std::vector<std::int64_t> bank_outputs(const std::vector<std::int64_t>& inputs,
+                                       std::span<const std::uint8_t> alphabets) {
+  std::vector<std::int64_t> multiples;
+  for (const std::int64_t x : inputs) {
+    for (const std::uint8_t a : alphabets) multiples.push_back(a * x);
+  }
+  return multiples;
+}
+
+/// `samples`' inputs (kDenseTile of them) transposed into the
+/// sample-minor int16 tile.
 std::vector<std::int16_t> to_tile(
     const std::vector<std::vector<std::int64_t>>& samples) {
   std::vector<std::int16_t> tile(samples[0].size() * kDenseTile);
   for (std::size_t b = 0; b < kDenseTile; ++b) {
-    for (std::size_t s = 0; s < samples[b].size(); ++s) {
-      EXPECT_EQ(samples[b][s], static_cast<std::int16_t>(samples[b][s]));
-      tile[s * kDenseTile + b] = static_cast<std::int16_t>(samples[b][s]);
+    for (std::size_t c = 0; c < samples[b].size(); ++c) {
+      EXPECT_EQ(samples[b][c], static_cast<std::int16_t>(samples[b][c]));
+      tile[c * kDenseTile + b] = static_cast<std::int16_t>(samples[b][c]);
     }
   }
   return tile;
 }
 
-/// Every backend's accumulate_dense on each sample, and (when `chunk`,
-/// the tile's int16 run length, is at least 1) accumulate_dense_tile on
-/// all of them, must produce `expected[b]` for sample b.
+/// Every backend's accumulate_dense on each sample's bank outputs, and
+/// (when `chunk`, the tile's int16 run length, is at least 1)
+/// accumulate_dense_tile on all of their inputs, must produce
+/// `expected[b]` for sample b.
 void expect_dense_rows(const DenseLayerPlan& plan,
+                       std::span<const std::uint8_t> alphabets,
                        const std::vector<std::vector<std::int64_t>>& samples,
                        const std::vector<std::vector<std::int64_t>>& expected,
                        int chunk, const std::string& label) {
@@ -408,13 +420,15 @@ void expect_dense_rows(const DenseLayerPlan& plan,
   for (const auto* backend : all_backends()) {
     for (std::size_t b = 0; b < kDenseTile; ++b) {
       std::vector<std::int64_t> out(rows, -7);
-      backend->accumulate_dense(plan, samples[b].data(), out.data());
+      backend->accumulate_dense(plan, bank_outputs(samples[b], alphabets).data(),
+                                out.data());
       EXPECT_EQ(out, expected[b])
           << label << " sample " << b << " backend=" << backend->name();
     }
     if (chunk >= 1) {
       std::vector<std::int64_t> out(expected_tile.size(), -7);
-      backend->accumulate_dense_tile(plan, chunk, tile.data(), out.data());
+      backend->accumulate_dense_tile(plan, alphabets, chunk, tile.data(),
+                                     out.data());
       EXPECT_EQ(out, expected_tile)
           << label << " tile backend=" << backend->name();
     }
@@ -448,18 +462,19 @@ TEST_P(DenseTileBitIdentity, EveryBackendMatchesScalarPerSample) {
   ASSERT_GE(*std::max_element(plan.shifts.begin(), plan.shifts.end()), 4);
   ASSERT_LE(int32_row_bound(plan, set.alphabets()),
             std::numeric_limits<std::int32_t>::max());
-  const int chunk = int16_tile_chunk(plan, set.alphabets());
+  const int chunk = int16_tile_chunk(plan);
   ASSERT_GE(chunk, 1);
 
-  const auto samples = window_samples(plan, set.alphabets(), 31);
+  const auto samples = window_inputs(plan, 31);
   std::vector<std::vector<std::int64_t>> expected;
   for (const auto& sample : samples) {
     std::vector<std::int64_t> rows(static_cast<std::size_t>(plan.rows));
     backend_for(BackendKind::kScalar)
-        .accumulate_dense(plan, sample.data(), rows.data());
+        .accumulate_dense(plan, bank_outputs(sample, set.alphabets()).data(),
+                          rows.data());
     expected.push_back(rows);
   }
-  expect_dense_rows(plan, samples, expected, chunk,
+  expect_dense_rows(plan, set.alphabets(), samples, expected, chunk,
                     "bits=" + std::to_string(bits));
 }
 
@@ -472,7 +487,7 @@ INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
 // to 1-3 steps, every backend's accumulate_dense and
 // accumulate_dense_tile must equal the AoS walk over a kept copy of
 // the schedule. Row 1 has no steps and row 2 is a single (shift, sign)
-// group. Shifts reach 30 on the per-sample path, whose int64 sums take
+// pair, one group per lane. Shifts reach 30 on the per-sample path, whose int64 sums take
 // any of them, and stay below 12 where the tile runs too, so a ±512
 // window fits the tile's int32 proof (and its int16 one: 512 · 7 fits
 // int16 in runs of 9). A plan with no terms at all yields its biases.
@@ -504,21 +519,35 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
                                   std::to_string(max_steps) + " shifts<" +
                                   std::to_string(shift_limit);
         EXPECT_EQ(plan.row_groups[1], plan.row_groups[2]) << label;
-        EXPECT_EQ(plan.row_groups[3] - plan.row_groups[2], 1u) << label;
+        // Row 2's steps share one (shift, sign), so its groups are its
+        // lanes; every group names a lane below k, and every term an
+        // input column.
+        EXPECT_LE(plan.row_groups[3] - plan.row_groups[2],
+                  static_cast<std::uint32_t>(k))
+            << label;
+        ASSERT_EQ(plan.bank_lanes.size(), plan.shifts.size()) << label;
+        for (std::size_t g = 0; g < plan.shifts.size(); ++g) {
+          EXPECT_LT(plan.bank_lanes[g], k) << label;
+          for (std::size_t t = plan.group_begin[g];
+               t < plan.group_begin[g + 1]; ++t) {
+            EXPECT_LT(plan.idx[t], static_cast<std::uint32_t>(kCols)) << label;
+          }
+        }
         const bool tile = shift_limit <= 12;
-        const int chunk = tile ? int16_tile_chunk(plan, set.alphabets()) : 0;
+        const int chunk = tile ? int16_tile_chunk(plan) : 0;
         if (tile) {
           ASSERT_LE(int32_row_bound(plan, set.alphabets()),
                     std::numeric_limits<std::int32_t>::max());
           ASSERT_GE(chunk, 1);
         }
-        const auto samples =
-            window_samples(plan, set.alphabets(), rng.next_below(1000));
+        const auto samples = window_inputs(plan, rng.next_below(1000));
         std::vector<std::vector<std::int64_t>> expected;
         for (const auto& sample : samples) {
-          expected.push_back(aos_dense(schedule, plan, sample));
+          expected.push_back(aos_dense(
+              schedule, plan, bank_outputs(sample, set.alphabets())));
         }
-        expect_dense_rows(plan, samples, expected, chunk, label);
+        expect_dense_rows(plan, set.alphabets(), samples, expected, chunk,
+                          label);
       }
     }
   }
@@ -532,30 +561,29 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
   plan.in_max_raw = 511;
   EXPECT_TRUE(plan.idx.empty());
   EXPECT_TRUE(plan.shifts.empty());
-  const auto samples =
-      window_samples(plan, AlphabetSet::four().alphabets(), 7);
-  expect_dense_rows(plan, samples,
+  expect_dense_rows(plan, AlphabetSet::four().alphabets(),
+                    window_inputs(plan, 7),
                     std::vector<std::vector<std::int64_t>>(kDenseTile, biases),
-                    int16_tile_chunk(plan, AlphabetSet::four().alphabets()),
-                    "no terms");
+                    int16_tile_chunk(plan), "no terms");
 }
 
 // The int16 chunk proof at its edge: every term of every row on the
 // largest alphabet a (7 for ASM 4, 15 for the full set) over the apps'
-// 8-bit window, so each staged slot is ±255·a and a run of C =
-// int16_tile_chunk() terms reaches C·255·a, just inside int16, while
-// C + 1 would leave it. Rows are single groups of 2C + 3 terms (three
-// chunks, the last partial), negative and positive, and a row of two
-// groups; every sample sits at the window's low edge, then at its high
-// edge, then alternates. Every backend's tile must equal the AoS walk.
+// 8-bit window. The tile stages each input x, ±255, so a run of C =
+// int16_tile_chunk() = 128 terms reaches C·255 = 32,640, just inside
+// int16, while C + 1 would leave it; a scales the widened int32 sum.
+// Rows are single groups of 2C + 3 terms (three chunks, the last
+// partial), negative and positive, and a row of two groups; every
+// sample sits at the window's low edge, then at its high edge, then
+// alternates. Every backend's tile must equal the AoS walk.
 TEST(DensePlanOracle, SaturatedTileFillsEveryInt16Chunk) {
   for (const AlphabetSet* set : {&AlphabetSet::four(), &AlphabetSet::full()}) {
     const auto alphabets = set->alphabets();
     const auto k = static_cast<int>(alphabets.size());
     const int top = alphabets.back();
     const man::fixed::QFormat window = man::fixed::QFormat::input8();
-    // ⌊INT16_MAX / (255·a)⌋.
-    const int expected_chunk = top == 7 ? 18 : 8;
+    // ⌊INT16_MAX / 255⌋, whatever the alphabets.
+    const int expected_chunk = 128;
     const int cols = 2 * expected_chunk + 3;
     constexpr int kRows = 3;
     Schedule schedule;
@@ -575,7 +603,7 @@ TEST(DensePlanOracle, SaturatedTileFillsEveryInt16Chunk) {
         kRows, cols, k, schedule.weights, schedule.steps, {3, -4, 5});
     plan.in_min_raw = window.min_raw();
     plan.in_max_raw = window.max_raw();
-    const int chunk = int16_tile_chunk(plan, alphabets);
+    const int chunk = int16_tile_chunk(plan);
     EXPECT_EQ(chunk, expected_chunk) << "a=" << top;
     ASSERT_LE(int32_row_bound(plan, alphabets),
               std::numeric_limits<std::int32_t>::max());
@@ -588,12 +616,11 @@ TEST(DensePlanOracle, SaturatedTileFillsEveryInt16Chunk) {
       for (std::size_t b = 0; b < kDenseTile; ++b) {
         const bool low = edge == 0 || (edge == 2 && b % 2 == 0);
         const std::int64_t x = low ? plan.in_min_raw : plan.in_max_raw;
-        for (int c = 0; c < cols; ++c) {
-          for (const std::uint8_t a : alphabets) samples[b].push_back(a * x);
-        }
-        expected.push_back(aos_dense(schedule, plan, samples[b]));
+        samples[b].assign(static_cast<std::size_t>(cols), x);
+        expected.push_back(
+            aos_dense(schedule, plan, bank_outputs(samples[b], alphabets)));
       }
-      expect_dense_rows(plan, samples, expected, chunk,
+      expect_dense_rows(plan, alphabets, samples, expected, chunk,
                         "a=" + std::to_string(top) + " edge " +
                             std::to_string(edge));
     }
@@ -749,9 +776,21 @@ TEST(BackendPlans, CompiledPlansCoverEveryDenseStage) {
   EXPECT_EQ(plans[0].group_begin[plans[0].shifts.size()],
             plans[0].idx.size());
   // 8-bit weights decompose into two quartets, 7 magnitude bits (paper
-  // Fig 4): shifts 0..6, so at most 7 shifts × 2 signs per row.
+  // Fig 4): shifts 0..6, so at most 7 shifts × 2 signs × 4 bank lanes
+  // per row, each group at most once, in (shift, sign, lane) order.
+  ASSERT_EQ(plans[0].bank_lanes.size(), plans[0].shifts.size());
   for (std::size_t r = 0; r < 8; ++r) {
-    EXPECT_LE(plans[0].row_groups[r + 1] - plans[0].row_groups[r], 14u);
+    EXPECT_LE(plans[0].row_groups[r + 1] - plans[0].row_groups[r], 56u);
+    std::int64_t last = -1;
+    for (std::size_t g = plans[0].row_groups[r]; g < plans[0].row_groups[r + 1];
+         ++g) {
+      EXPECT_LT(plans[0].bank_lanes[g], 4);
+      const std::int64_t key =
+          (plans[0].shifts[g] * 2 - plans[0].sign_masks[g]) * 4 +
+          plans[0].bank_lanes[g];
+      EXPECT_GT(key, last);
+      last = key;
+    }
   }
   for (const std::int64_t shift : plans[0].shifts) EXPECT_LT(shift, 7);
 }
@@ -796,7 +835,7 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   // (channel · ih + ky) · iw + kx.
   for (const std::uint32_t slot : c1.idx) {
     EXPECT_LT(slot % 70 + c1.max_position_base(), 70u);
-    EXPECT_EQ(c1.term_lane(slot), static_cast<int>(slot / 70));
+    EXPECT_EQ(c1.term_lane(0, slot), static_cast<int>(slot / 70));
     const std::uint32_t elem = slot % 70;  // channel · 35 + ky · 7 + kx
     EXPECT_LT(elem % 35 / 7, 3u);           // ky
     EXPECT_LT(elem % 7, 3u);                // kx
@@ -817,7 +856,7 @@ TEST(BackendPlans, CompiledConvPlansExposeGeometry) {
   EXPECT_EQ(e1.padded_multiples(), 70u * 8);
   ASSERT_EQ(e1.row_groups.size(), 4u);
   EXPECT_FALSE(e1.idx.empty());
-  for (const std::uint32_t slot : e1.idx) EXPECT_GE(e1.term_lane(slot), 0);
+  for (const std::uint32_t slot : e1.idx) EXPECT_GE(e1.term_lane(0, slot), 0);
 }
 
 // A conv layer whose weights all quantize to zero ASM steps compiles

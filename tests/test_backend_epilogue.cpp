@@ -111,12 +111,12 @@ std::vector<std::int32_t> reference_stage(
 }
 
 // Sample-minor int16 tile slots of `values` (element i of sample b at
-// values[i·kDenseTile + b]) staged from `table`.
+// values[i·kDenseTile + b]) staged inside `table`'s window.
 std::vector<std::int16_t> reference_tile(
     const std::vector<std::int64_t>& values,
     const PrecomputerCache::View& table) {
-  std::vector<std::int16_t> tile(values.size() * table.k);
-  TileSlots<TableRows> slots{{table}, tile.data(), table.k};
+  std::vector<std::int16_t> tile(values.size());
+  const TileSlots slots{table, tile.data()};
   for (std::size_t o = 0; o < values.size(); ++o) {
     slots(o / kTile, o % kTile, values[o]);
   }
@@ -130,8 +130,8 @@ std::vector<std::int16_t> reference_pixel_tile(
     const std::vector<float>& pixels, const QFormat& format,
     const PrecomputerCache::View& table) {
   const std::size_t n = pixels.size() / kTile;
-  std::vector<std::int16_t> tile(pixels.size() * table.k);
-  TileSlots<TableRows> slots{{table}, tile.data(), table.k};
+  std::vector<std::int16_t> tile(pixels.size());
+  const TileSlots slots{table, tile.data()};
   const epilogue::PixelSource source{pixels.data(), format};
   for (std::size_t b = 0; b < kTile; ++b) {
     for (std::size_t i = 0; i < n; ++i) slots(i, b, source(b * n + i));
@@ -559,7 +559,7 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
   acc[4 * kTile + 9] = kMin;
   const std::int64_t bottom = lut.apply_raw(kMin);
   ASSERT_LT(bottom, -20);
-  const std::size_t slots = n * 4 * kTile;
+  const std::size_t slots = n * kTile;
   expect_declined<std::int16_t>(
       slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.stage_pixels_tile(pixels, format, view, out);
@@ -635,10 +635,11 @@ class DecliningBackend final : public KernelBackend {
                         std::int64_t* out) const override {
     kernels_.accumulate_dense(plan, multiples, out);
   }
-  void accumulate_dense_tile(const DenseLayerPlan& plan, int chunk,
-                             const std::int16_t* tile,
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets,
+                             int chunk, const std::int16_t* tile,
                              std::int64_t* out) const override {
-    kernels_.accumulate_dense_tile(plan, chunk, tile, out);
+    kernels_.accumulate_dense_tile(plan, alphabets, chunk, tile, out);
   }
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,

@@ -599,15 +599,15 @@ std::vector<float> int16_edge_pixels() {
   return pixels;
 }
 
-// The int16 slot proof at its edge. Over 16-bit activations under MAN
-// (a = 1) every staged slot is at most X·a = 32767, exactly INT16_MAX:
-// C = 1, the stage tiles, and the saturated samples' rows match the
-// int64 scalar reference on every backend.
+// The int16 slot proof at its edge. The tile stages each input itself,
+// and over 16-bit activations (window ±32767) every input is at most
+// X = 32767, exactly INT16_MAX: C = 1, the stage tiles, and the
+// saturated samples' rows match the int64 scalar reference on every
+// backend.
 TEST(Int16TileProof, SlotAtInt16MaxTiles) {
   const FixedNetwork engine = int16_edge_engine(16);
-  const auto alphabets = AlphabetSet::man().alphabets();
   ASSERT_EQ(engine.plans()[0].in_max_raw, 32767);
-  EXPECT_EQ(man::backend::int16_tile_chunk(engine.plans()[0], alphabets), 1);
+  EXPECT_EQ(man::backend::int16_tile_chunk(engine.plans()[0]), 1);
   EXPECT_EQ(engine.tile_begin(), 0u);
   const auto raw = expect_batch_matches_scalar(engine, int16_edge_pixels());
   // Row 0 of samples 0 and 1: bias 7 plus five terms of ∓32767.
@@ -615,39 +615,79 @@ TEST(Int16TileProof, SlotAtInt16MaxTiles) {
   EXPECT_EQ(raw[2], 7 + 5 * 32767);
 }
 
-// One unit over: a window whose X·max a is INT16_MAX + 1 leaves int16
-// (the proof returns 0), and so does X one past ⌊INT16_MAX / max a⌋
-// under ASM 4 and the full set, where each X up to it gives
-// C = ⌊INT16_MAX / (X·max a)⌋. Activation windows are ±(2^n − 1) and
-// alphabets odd, so no engine window lands one unit over; the nearest
-// is 17-bit activations under MAN (X·a = 65535), whose stage runs per
-// sample and still matches the scalar reference.
+// One unit over: a window whose X is INT16_MAX + 1 leaves int16 (the
+// proof returns 0), whatever the alphabets, and each X up to it gives
+// C = ⌊INT16_MAX / X⌋. The nearest engine window one unit over is
+// 17-bit activations (X = 65535), whose stage runs per sample and
+// still matches the scalar reference.
 TEST(Int16TileProof, SlotOneUnitOverRunsPerSample) {
   man::backend::DenseLayerPlan plan = int16_edge_engine(16).plans()[0];
-  const auto man_set = AlphabetSet::man().alphabets();
   plan.in_max_raw = 32768;
-  EXPECT_EQ(man::backend::int16_tile_chunk(plan, man_set), 0);
+  EXPECT_EQ(man::backend::int16_tile_chunk(plan), 0);
   plan.in_max_raw = 32767;
   plan.in_min_raw = -32768;
-  EXPECT_EQ(man::backend::int16_tile_chunk(plan, man_set), 0);
-  for (const AlphabetSet* set : {&AlphabetSet::four(), &AlphabetSet::full()}) {
-    const auto alphabets = set->alphabets();
-    const std::int64_t a = alphabets.back();
-    const std::int64_t edge = 32767 / a;
-    plan.k = static_cast<int>(alphabets.size());
-    for (const std::int64_t x : {std::int64_t{1}, std::int64_t{255}, edge - 1,
-                                 edge, edge + 1}) {
-      plan.in_min_raw = -x;
-      plan.in_max_raw = x;
-      EXPECT_EQ(man::backend::int16_tile_chunk(plan, alphabets),
-                32767 / (x * a))
-          << "a=" << a << " X=" << x;
-    }
+  EXPECT_EQ(man::backend::int16_tile_chunk(plan), 0);
+  for (const std::int64_t x : {std::int64_t{1}, std::int64_t{255},
+                               std::int64_t{4681}, std::int64_t{32766},
+                               std::int64_t{32767}}) {
+    plan.in_min_raw = -x;
+    plan.in_max_raw = x;
+    EXPECT_EQ(man::backend::int16_tile_chunk(plan), 32767 / x) << "X=" << x;
   }
   const FixedNetwork engine = int16_edge_engine(17);
-  EXPECT_EQ(man::backend::int16_tile_chunk(engine.plans()[0], man_set), 0);
+  EXPECT_EQ(man::backend::int16_tile_chunk(engine.plans()[0]), 0);
   EXPECT_EQ(engine.tile_begin(), 1u);  // no tile
   expect_batch_matches_scalar(engine, int16_edge_pixels());
+}
+
+// Wide activation formats tile: since the tile stages x and applies
+// the alphabet to each group's sum, only X ≤ INT16_MAX must hold, not
+// X · max a. An ASM-4 MLP over 14-bit activations (X = 8191, where
+// 8191 · 7 left int16) and a conventional one over 13-bit activations
+// (X = 4095, where 4095 · 15 did) pass the int32 row bound, form the
+// tile at their first stage, and match the scalar reference on every
+// backend and the test-side oracle.
+TEST(Int16TileProof, WideActivationFormatsTile) {
+  for (const bool conventional : {false, true}) {
+    const int bits = conventional ? 13 : 14;
+    SCOPED_TRACE(std::to_string(bits) + "-bit activations, " +
+                 (conventional ? "conventional" : "ASM 4"));
+    QuantSpec spec = QuantSpec::bits8();
+    spec.activation_format = man::fixed::QFormat(bits, bits - 1);
+    man::util::Rng rng(1400 + static_cast<std::uint64_t>(bits));
+    Network net;
+    net.add<Dense>(24, 12).init_xavier(rng);
+    net.add<ActivationLayer>(man::core::ActivationKind::kTanh);
+    net.add<Dense>(12, 5).init_xavier(rng);
+    const AlphabetSet& set =
+        conventional ? AlphabetSet::full() : AlphabetSet::four();
+    if (!conventional) ProjectionPlan(spec, set, 2).project_network(net);
+    const LayerAlphabetPlan schemes =
+        conventional ? LayerAlphabetPlan::conventional(2)
+                     : LayerAlphabetPlan::uniform_asm(2, set);
+    const FixedNetwork engine(net, spec, schemes);
+    const std::int64_t x = (std::int64_t{1} << (bits - 1)) - 1;
+    for (const auto& plan : engine.plans()) {
+      EXPECT_LT(man::backend::int32_row_bound(plan, set.alphabets()),
+                man::backend::kInt32RowOverflow);
+      EXPECT_EQ(man::backend::int16_tile_chunk(plan), 32767 / x);
+    }
+    EXPECT_EQ(engine.tile_begin(), 0u);
+    // Samples 0 and 1 saturate every pixel; the rest are random, some
+    // past the clamp.
+    std::vector<float> pixels((2 * man::backend::kDenseTile + 3) *
+                              engine.input_size());
+    for (std::size_t i = 0; i < pixels.size(); ++i) {
+      pixels[i] = i < engine.input_size()       ? 2.0f
+                  : i < 2 * engine.input_size() ? -2.0f
+                                                : static_cast<float>(
+                                                      rng.next_double_in(
+                                                          -1.25, 1.25));
+    }
+    const auto raw = expect_batch_matches_scalar(engine, pixels);
+    EXPECT_EQ(raw, oracle::forward_batch(net, spec, schemes, pixels,
+                                         engine.input_size()));
+  }
 }
 
 // ------------------------------------------- int32 conv proof boundary
@@ -896,9 +936,9 @@ TEST_P(FusedEpilogue, MatchesTheOracle) {
   const FixedNetwork engine(cnn.net, cnn.spec, schemes);
   EXPECT_TRUE(engine.conv_int32_lanes(0));
   EXPECT_EQ(engine.conv_int32_lanes(1), !wide);
-  // The first dense stage; none tiles under 16-bit activations, whose
-  // staged multiples (32767·a) leave the tile's int16 slots.
-  EXPECT_EQ(engine.tile_begin(), wide ? 9u : 6u);
+  // The first dense stage, under 16-bit activations too: the tile
+  // stages each input itself, and ±32767 fits its int16 slots (C = 1).
+  EXPECT_EQ(engine.tile_begin(), 6u);
 
   const std::size_t halves = expect_every_route_matches_oracle(
       engine, cnn.net, schemes, 600 + static_cast<std::uint64_t>(window),

@@ -13,21 +13,25 @@
 // fifth network is an edge network, whose saturated
 // sample drives each row to its int32 row bound, just past INT32_MAX
 // or just short of it. Networks run seed after seed, from 0, for a
-// fixed wall-clock budget and at least kMinNetworks of them; each
-// prints its seed and layers first, a failure names them too, and
+// wall-clock budget — 3 s, or MAN_RANDOM_NETWORKS_SECONDS whole seconds
+// (the sanitizer build raises it) — and at least kMinNetworks of them;
+// each prints its seed and layers first, a failure names them too, and
 // starting the loop at that seed replays it.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "man/artifact/plan_artifact.h"
@@ -60,8 +64,25 @@ constexpr auto kTile = static_cast<std::size_t>(man::backend::kDenseTile);
 constexpr std::size_t kCounts[] = {1, kTile - 1, kTile, kTile + 1,
                                    2 * kTile + 1};
 constexpr std::size_t kSamples = 2 * kTile + 1;
-constexpr auto kBudget = std::chrono::seconds(3);
 constexpr std::uint64_t kMinNetworks = 40;
+
+/// The wall-clock budget: MAN_RANDOM_NETWORKS_SECONDS when set, a
+/// positive whole number of seconds, else 3 s.
+std::chrono::seconds budget() {
+  const char* env = std::getenv("MAN_RANDOM_NETWORKS_SECONDS");
+  if (env == nullptr || *env == '\0') return std::chrono::seconds(3);
+  const std::string_view text(env);
+  long seconds = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), seconds);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      seconds < 1) {
+    ADD_FAILURE() << "MAN_RANDOM_NETWORKS_SECONDS=" << text
+                  << " is not a positive whole number of seconds";
+    return std::chrono::seconds(3);
+  }
+  return std::chrono::seconds(seconds);
+}
 
 struct RandomNetwork {
   Network net;
@@ -294,7 +315,7 @@ void expect_lanes_proven(const FixedNetwork& engine,
     if (std::holds_alternative<CompiledDenseStage>(stages[i])) {
       if (i >= engine.tile_begin()) {
         const auto& plan = engine.plans()[dense];
-        const int chunk = man::backend::int16_tile_chunk(plan, alphabets());
+        const int chunk = man::backend::int16_tile_chunk(plan);
         EXPECT_TRUE(fits(plan)) << "dense plan " << dense;
         EXPECT_GE(chunk, 1) << "dense plan " << dense << " int16 chunk "
                             << chunk;
@@ -353,9 +374,10 @@ TEST(RandomNetworks, MatchTheOracleOnEveryBackendAndRoute) {
       ("man_random_networks_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto start = std::chrono::steady_clock::now();
+  const std::chrono::seconds limit = budget();
   std::uint64_t seed = 0;
   for (; seed < kMinNetworks ||
-         std::chrono::steady_clock::now() - start < kBudget;
+         std::chrono::steady_clock::now() - start < limit;
        ++seed) {
     RandomNetwork random = random_network(seed);
     // One line per network, so even a crash names the seed it hit.

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -491,10 +492,82 @@ TEST(HttpServer, MetricsSumInvariantCoversEveryOutcome) {
   EXPECT_EQ(m.requests, m.responses_ok + m.shed + m.bad_requests +
                             m.not_found + m.deadline_exceeded + m.shutdown);
 
-  // The JSON export carries the new counter too.
+  // The model's own outcomes add up too, and its one 429 is the queue
+  // bound's.
+  const InferenceServer::Metrics digit = fixture.digit_server.metrics();
+  EXPECT_EQ(digit.rejected_queue_full, 1u);
+  EXPECT_EQ(digit.rejected_queue_delay, 0u);
+  EXPECT_EQ(digit.rejected_overload,
+            digit.rejected_queue_full + digit.rejected_queue_delay);
+
+  // The JSON export carries the new counters too, per model with its
+  // SLO.
   const HttpResponse metrics = client.request("GET", "/metrics");
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("\"shutdown\":1"), std::string::npos);
+  const std::string digit_json =
+      "\"digit\":{\"queue_delay_slo_us\":" +
+      std::to_string(config.queue_delay_slo.count()) +
+      ",\"rejected_queue_full\":1,\"rejected_queue_delay\":0}";
+  EXPECT_NE(metrics.body.find(digit_json), std::string::npos) << metrics.body;
+}
+
+// Each admission check counts its own 429s: an oversized request is
+// the queue bound's, and a request behind a queue held past its flush
+// time by a running batch is the SLO check's. /metrics reports both
+// per model, and the HTTP outcome sum still covers every request.
+TEST(HttpServer, MetricsAttributeEveryShedToItsCheck) {
+  ServeConfig config;
+  config.max_batch = 4;
+  config.queue_capacity = 8;
+  config.max_wait = 100us;
+  config.queue_delay_slo = 1ms;
+  Fixture fixture(config);
+  // A long batch whose completion callback holds the dispatcher.
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  fixture.digit_server.submit_async(
+      {.payload = random_samples(8, fixture.digit.input_size(), 310)},
+      [&entered, released](InferenceResult&&) {
+        entered.set_value();
+        released.wait();
+      });
+  entered.get_future().wait();
+  auto held = fixture.digit_server.submit(
+      {.payload = random_samples(1, fixture.digit.input_size(), 311)});
+  std::this_thread::sleep_for(5ms);  // held is now ~5 ms past its flush
+
+  HttpClient client = fixture.client();
+  const auto one = random_samples(1, fixture.digit.input_size(), 312);
+  const auto big = random_samples(9, fixture.digit.input_size(), 313);
+  const int late = client
+                       .request("POST", "/v1/infer/digit", binary_payload(one),
+                                "application/octet-stream")
+                       .status;
+  const int full = client
+                       .request("POST", "/v1/infer/digit", binary_payload(big),
+                                "application/octet-stream")
+                       .status;
+  release.set_value();
+  EXPECT_EQ(late, 429);
+  EXPECT_EQ(full, 429);
+  EXPECT_EQ(held.get().status, Status::kOk);
+
+  const InferenceServer::Metrics digit = fixture.digit_server.metrics();
+  EXPECT_EQ(digit.rejected_queue_delay, 1u);
+  EXPECT_EQ(digit.rejected_queue_full, 1u);
+  EXPECT_EQ(digit.rejected_overload, 2u);
+  const HttpServer::Metrics m = fixture.server.metrics();
+  EXPECT_EQ(m.shed, 2u);
+  EXPECT_EQ(m.requests, m.responses_ok + m.shed + m.bad_requests +
+                            m.not_found + m.deadline_exceeded + m.shutdown);
+  const HttpResponse metrics = client.request("GET", "/metrics");
+  EXPECT_NE(metrics.body.find("\"digit\":{\"queue_delay_slo_us\":1000,"
+                              "\"rejected_queue_full\":1,"
+                              "\"rejected_queue_delay\":1}"),
+            std::string::npos)
+      << metrics.body;
 }
 
 TEST(HttpServer, ConfigValidationAndLifecycle) {

@@ -279,6 +279,9 @@ TEST(InferenceServer, OverdueQueueShedsPastTheSlo) {
   EXPECT_EQ(server.estimated_queue_delay(), std::chrono::nanoseconds::zero());
   const auto metrics = server.metrics();
   EXPECT_EQ(metrics.rejected_overload, 1u);
+  // The shed is the SLO check's, not the queue bound's.
+  EXPECT_EQ(metrics.rejected_queue_delay, 1u);
+  EXPECT_EQ(metrics.rejected_queue_full, 0u);
   EXPECT_EQ(metrics.requests, 2u);
 }
 

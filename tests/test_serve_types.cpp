@@ -164,6 +164,9 @@ TEST(TypedSubmit, OverloadRejectionIsImmediateWithRetryAfter) {
   EXPECT_EQ(result.status, Status::kRejectedOverload);
   EXPECT_GE(result.retry_after, 1ms);
   EXPECT_EQ(server.metrics().rejected_overload, 1u);
+  // The queue bound's shed, not the SLO check's.
+  EXPECT_EQ(server.metrics().rejected_queue_full, 1u);
+  EXPECT_EQ(server.metrics().rejected_queue_delay, 0u);
 }
 
 // An expired hard deadline is a real drop, not a flush hint.
