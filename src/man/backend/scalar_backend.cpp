@@ -66,8 +66,9 @@ template <typename Slot, typename Scale>
 /// accumulate_dense with k-strided multiples: input c's lane l at
 /// c·k + l, so each group reads its lane's column at stride k.
 template <typename Scale>
-[[gnu::optimize("no-tree-vectorize")]] void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
-                std::int64_t* out, Scale k) {
+[[gnu::optimize("no-tree-vectorize")]] void dense_walk(
+    const DenseLayerPlan& plan, const std::int64_t* multiples,
+    std::int64_t* out, Scale k) {
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     out[r] = group_row(plan, r, [&](std::size_t g) {
       return term_sum(plan, g, multiples + plan.bank_lanes[g], k);
@@ -75,8 +76,6 @@ template <typename Scale>
   }
 }
 
-/// Every filter at every output position (oy, ox), reading the
-/// lane-major slots plus oy·iw + ox.
 /// accumulate_dense_tile: the same walk over the staged inputs, each
 /// int16 slot read at stride kDenseTile and each group's Σx scaled by
 /// its lane's alphabet, in int64 — the oracle needs no chunk or row
@@ -95,6 +94,8 @@ template <typename Scale>
   }
 }
 
+/// Every filter at every output position (oy, ox), reading the
+/// lane-major slots plus oy·iw + ox.
 template <typename Slot>
 [[gnu::optimize("no-tree-vectorize")]] void conv_walk(
     const ConvLayerPlan& plan, const Slot* multiples, std::int64_t* out) {

@@ -377,8 +377,9 @@ std::vector<std::vector<std::int64_t>> window_inputs(
 
 /// One sample's k-strided bank outputs: a · x for each input x and
 /// alphabet a.
-std::vector<std::int64_t> bank_outputs(const std::vector<std::int64_t>& inputs,
-                                       std::span<const std::uint8_t> alphabets) {
+std::vector<std::int64_t> bank_outputs(
+    const std::vector<std::int64_t>& inputs,
+    std::span<const std::uint8_t> alphabets) {
   std::vector<std::int64_t> multiples;
   for (const std::int64_t x : inputs) {
     for (const std::uint8_t a : alphabets) multiples.push_back(a * x);
@@ -420,8 +421,8 @@ void expect_dense_rows(const DenseLayerPlan& plan,
   for (const auto* backend : all_backends()) {
     for (std::size_t b = 0; b < kDenseTile; ++b) {
       std::vector<std::int64_t> out(rows, -7);
-      backend->accumulate_dense(plan, bank_outputs(samples[b], alphabets).data(),
-                                out.data());
+      backend->accumulate_dense(
+          plan, bank_outputs(samples[b], alphabets).data(), out.data());
       EXPECT_EQ(out, expected[b])
           << label << " sample " << b << " backend=" << backend->name();
     }
@@ -487,10 +488,11 @@ INSTANTIATE_TEST_SUITE_P(PaperWidths, DenseTileBitIdentity,
 // to 1-3 steps, every backend's accumulate_dense and
 // accumulate_dense_tile must equal the AoS walk over a kept copy of
 // the schedule. Row 1 has no steps and row 2 is a single (shift, sign)
-// pair, one group per lane. Shifts reach 30 on the per-sample path, whose int64 sums take
-// any of them, and stay below 12 where the tile runs too, so a ±512
-// window fits the tile's int32 proof (and its int16 one: 512 · 7 fits
-// int16 in runs of 9). A plan with no terms at all yields its biases.
+// pair, one group per lane. Shifts reach 30 on the per-sample path,
+// whose int64 sums take any of them, and stay below 12 where the tile
+// runs too, so a ±512 window fits the tile's int32 proof (and its
+// int16 one: 512 fits int16 in runs of 63). A plan with no terms at
+// all yields its biases.
 TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
   constexpr int kRows = 6;
   constexpr int kCols = 11;
