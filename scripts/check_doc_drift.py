@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Doc-drift lint: the docs may only name knobs and members that exist.
 
-Every runtime environment variable referenced in src/, bench/,
-examples/ or tests/ must be documented somewhere under docs/ or
-README.md, and
+Every runtime environment variable referenced in src/, bench/, or
+examples/ must be documented somewhere under docs/ or README.md, and
 every documented knob must still exist in the code — so the docs
 cannot silently rot as knobs are added or removed.
 
@@ -29,7 +28,7 @@ import sys
 
 TOKEN = re.compile(r"MAN_[A-Z0-9_]+")
 
-CODE_DIRS = ["src", "bench", "examples", "tests"]
+CODE_DIRS = ["src", "bench", "examples"]
 CODE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc", ".py"}
 DOC_SUFFIXES = {".md"}
 
@@ -124,7 +123,7 @@ def main() -> int:
     for name in stale:
         where = ", ".join(sorted(docs[name])[:3])
         print(f"STALE DOC: {name} (documented in {where}) "
-              f"no longer exists in src/, bench/, examples/ or tests/")
+              f"no longer exists in src/, bench/, or examples/")
     refs, members = stale_members(repo)
     for ref, doc in members:
         print(f"STALE MEMBER: `{ref}` (named in {doc}) is not declared "

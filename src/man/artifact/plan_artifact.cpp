@@ -190,9 +190,9 @@ void check_offsets(const PlanArray<std::uint32_t>& offsets, std::size_t size,
 /// Groups of a plan of either kind: rows + 1 row offsets into the
 /// groups and groups + 1 group offsets into the terms, both monotone
 /// and ending at their array sizes; every term index one with a lane
-/// (Plan::term_lane: for dense an input below cols in a group whose
-/// lane is below k, for conv a slot in the buffer and in its lane under
-/// every position base); every shift below kMaxShift; every sign mask
+/// (Plan::term_lane: for dense a slot below cols·k on its group's lane,
+/// which is below k, for conv a slot in the buffer and in its lane
+/// under every position base); every shift below kMaxShift; every sign mask
 /// 0 or -1. A dense plan's lane array must already hold one lane per
 /// group.
 template <typename Plan>
@@ -264,6 +264,7 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
     if (lane >= plan.k) reject("bank lane out of range");
   }
   check_grouped(plan, plan.rows);
+  plan.link_runs();
   return plan;
 }
 

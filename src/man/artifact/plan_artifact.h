@@ -43,8 +43,8 @@ namespace man::artifact {
 /// version 5 the conv ones; version 6 dropped the exact flag, the
 /// exact weights and the conv patch offsets (conventional layers are
 /// full-alphabet grouped plans); version 7 split dense groups by bank
-/// lane (a per-group lane array) and made dense term indices input
-/// columns.
+/// lane (a per-group lane array; every term's slot must lie on its
+/// group's lane).
 inline constexpr std::uint32_t kArtifactVersion = 7;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`

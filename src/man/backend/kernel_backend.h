@@ -73,8 +73,8 @@ class KernelBackend {
   [[nodiscard]] virtual bool accelerated() const noexcept = 0;
 
   /// ASM accumulation for one dense stage, group by group:
-  /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]·k + l]) << shifts[g]
-  /// with l = plan.bank_lanes[g]. `multiples` holds
+  /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g].
+  /// `multiples` holds
   /// plan.padded_multiples() slots (cols × k bank outputs, k-strided).
   /// The AVX-512 tier gathers; every other backend runs the scalar
   /// reference's walk.
@@ -85,7 +85,8 @@ class KernelBackend {
   /// accumulate_dense over a tile of kDenseTile samples at once, laid
   /// out sample-minor in int16 lanes: input c of sample b lives at
   /// tile[c·kDenseTile + b] (plan.cols × kDenseTile values, the inputs
-  /// themselves, not their bank outputs), and row r of sample b lands
+  /// themselves, not their bank outputs; term t reads input idx[t] / k),
+  /// and row r of sample b lands
   /// at out[r·kDenseTile + b]. Each term is read once per tile and adds
   /// kDenseTile contiguous lanes — one 64-byte vector, two 32-byte or
   /// four 16-byte ones — so vector kernels use plain loads where the

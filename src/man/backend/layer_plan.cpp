@@ -124,8 +124,31 @@ DenseLayerPlan DenseLayerPlan::build_asm(int rows, int cols, int k,
   plan.biases = std::move(biases);
   plan.bank_lanes = build_groups(
       plan, rows, cols, asm_weights, steps, /*split_lanes=*/true,
-      [](int c, std::uint8_t) { return static_cast<std::uint32_t>(c); });
+      [k](int c, std::uint8_t lane) {
+        return static_cast<std::uint32_t>(c) * static_cast<std::uint32_t>(k) +
+               lane;
+      });
+  plan.link_runs();
   return plan;
+}
+
+void DenseLayerPlan::link_runs() {
+  // Const reads: the arrays may be borrowed from a mapped artifact.
+  const std::uint32_t* rows = row_groups.data();
+  const std::int64_t* shift = shifts.data();
+  const std::int64_t* sign = sign_masks.data();
+  std::vector<std::uint32_t> ends(shifts.size());
+  for (std::size_t r = 0; r + 1 < row_groups.size(); ++r) {
+    std::uint32_t end = rows[r + 1];
+    for (std::uint32_t g = end; g-- > rows[r];) {
+      if (g + 1 < end &&
+          (shift[g] != shift[g + 1] || sign[g] != sign[g + 1])) {
+        end = g + 1;
+      }
+      ends[g] = end;
+    }
+  }
+  run_ends = std::move(ends);
 }
 
 ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,
@@ -221,7 +244,8 @@ std::int64_t int32_row_bound(const ConvLayerPlan& plan,
 int int16_tile_chunk(const DenseLayerPlan& plan) {
   constexpr std::int64_t kInt16Max = INT16_MAX;
   if (!plan.has_input_range() || plan.in_min_raw < -kInt16Max ||
-      plan.in_max_raw > kInt16Max) {
+      plan.in_max_raw > kInt16Max || plan.k < 1 || plan.k > 8 ||
+      plan.padded_multiples() > (std::size_t{1} << 29)) {
     return 0;
   }
   const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);

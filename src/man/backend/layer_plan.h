@@ -16,11 +16,13 @@
 // absent entries. A conv row is a filter, its idx are lane-major slots
 // of patch elements at output position (0,0), and the kernels add each
 // position's base offset to every read. A dense row is an output
-// neuron; its groups are also split by bank lane (bank_lanes[g]), and
-// its idx name input columns c, so one sample's term reads the
-// k-strided multiple c·k + bank_lanes[g], while the batch tile, which
-// holds x itself, scales each group's Σ x by alphabets[bank_lanes[g]]
-// (the bank is linear: a·Σx = Σ a·x).
+// neuron and its idx are k-strided slots c·k + l (input column c, bank
+// lane l). Its groups are also split by bank lane (bank_lanes[g]), so
+// the batch tile, which stages each input x once, reads input idx / k
+// and scales each group's Σx by alphabets[bank_lanes[g]] (the bank is
+// linear: a·Σx = Σ a·x). One sample's multiples hold every lane, so the
+// per-sample walk sums a whole (shift, sign) run of lane groups
+// (run_ends[g]) as one group.
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
@@ -207,17 +209,22 @@ struct GroupedPlan {
   }
 };
 
-/// Plan of one dense stage: row r is output neuron r, group g reads
-/// bank lane bank_lanes[g] and term t names input idx[t] < cols. One
-/// sample's multiples are k-strided (input c's lane l at c·k + l), so a
-/// term reads slot idx[t]·k + bank_lanes[g]; the batch tile stages x
-/// and scales each group's sum by its lane's alphabet.
+/// Plan of one dense stage: row r is output neuron r and term t names
+/// the k-strided slot idx[t] = c·k + l < cols·k of input c's lane l, the
+/// lane of its group, bank_lanes[g]. A row's lane groups of one (shift,
+/// sign) are consecutive, lanes ascending: one sample's walk sums such
+/// a run in one pass (its multiples are k-strided, input c's lane l at
+/// c·k + l), while the batch tile stages x once per input and scales
+/// each group's sum by its lane's alphabet.
 struct DenseLayerPlan : GroupedPlan {
   int rows = 0;  ///< output neurons
   int cols = 0;  ///< input features
-
   /// Per group, the bank lane (< k) all its terms select.
   PlanArray<std::uint8_t> bank_lanes;
+  /// Per group, one past the last group of the (shift, sign) run it
+  /// starts (consecutive groups of its row with its shift and sign).
+  /// Derived from the groups by link_runs(), never serialized.
+  PlanArray<std::uint32_t> run_ends;
 
   /// Slots one sample's multiples buffer must provide: cols × k bank
   /// outputs.
@@ -225,14 +232,20 @@ struct DenseLayerPlan : GroupedPlan {
     return static_cast<std::size_t>(cols) * k;
   }
 
-  /// The bank lane of group g's term `input`, or -1 when the input is
-  /// not below cols or the group's lane not below k.
+  /// The bank lane of group g's term slot `slot`, or -1 when the slot
+  /// is not below cols·k, is not on the group's lane (slot mod k), or
+  /// the group's lane is not below k.
   [[nodiscard]] int term_lane(std::size_t g,
-                              std::uint32_t input) const noexcept {
-    return input < static_cast<std::uint32_t>(cols) && bank_lanes[g] < k
+                              std::uint32_t slot) const noexcept {
+    return slot < padded_multiples() && bank_lanes[g] < k &&
+                   slot % static_cast<std::uint32_t>(k) == bank_lanes[g]
                ? bank_lanes[g]
                : -1;
   }
+
+  /// Fills run_ends from row_groups, shifts and sign_masks. build_asm()
+  /// calls it, and so must anything else that sets a plan's groups.
+  void link_runs();
 
   /// Builds the plan for one ASM layer from the compiled schedule,
   /// which it consumes: `asm_weights` has rows × cols entries whose
@@ -355,11 +368,30 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
 /// accumulate_dense_tile adds at most C terms in int16, then widens
 /// that chunk sum into the group's int32 sum Σx, which it scales by the
 /// group's alphabet (int32_row_bound() covers a · Σx). Returns C, or 0
-/// when an input does not fit int16 (the stage then runs per sample):
-/// plans without a staging window or with X > INT16_MAX. O(1); derived,
-/// never serialized. For the apps' 8-bit activations (X = 255) C is
-/// 128, whatever the alphabets.
+/// when an input does not fit int16 or TileInput cannot name the
+/// plan's inputs (the stage then runs per sample): plans without a
+/// staging window, with X > INT16_MAX, k outside [1, 8] or cols·k above
+/// 2^29. O(1); derived, never serialized. For the apps' 8-bit
+/// activations (X = 255) C is 128, whatever the alphabets.
 [[nodiscard]] int int16_tile_chunk(const DenseLayerPlan& plan);
+
+/// A dense term's input column, idx / k, by one multiply and shift:
+/// ⌊slot · (⌊2^32 / k⌋ + 1) / 2^32⌋ is exact for slot < 2^29 and
+/// 1 ≤ k ≤ 8 (the error term stays below slot / 2^32 < 1/8 ≤ 1/k),
+/// which int16_tile_chunk() requires before a plan tiles.
+class TileInput {
+ public:
+  explicit TileInput(int k) noexcept
+      : magic_((std::uint64_t{1} << 32) /
+                   static_cast<std::uint64_t>(k > 1 ? k : 1) +
+               1) {}
+  [[nodiscard]] std::size_t operator()(std::uint32_t slot) const noexcept {
+    return static_cast<std::size_t>((slot * magic_) >> 32);
+  }
+
+ private:
+  std::uint64_t magic_;
+};
 
 }  // namespace man::backend
 

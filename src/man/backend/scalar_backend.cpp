@@ -3,24 +3,25 @@
 // neuron, or a conv filter at one output position) walks its (shift,
 // sign) groups: each group's multiples summed (in the dense tile, its
 // inputs summed and scaled by the group's alphabet), shifted once,
-// then added or subtracted. It has no epilogue sweeps: KernelBackend's
-// declines them, and FixedNetwork runs the reference templates of
-// epilogue_sweep.h instead.
+// then added or subtracted. One dense sample walks each (shift, sign)
+// run of lane groups as one group. It has no epilogue sweeps:
+// KernelBackend's declines them, and FixedNetwork runs the reference
+// templates of epilogue_sweep.h instead.
 #include "man/backend/backend_impls.h"
-
-#include <type_traits>
 
 namespace man::backend::detail {
 
 namespace {
 
-/// Bias plus row r's groups, in int64 whatever the slot width; group
-/// g's sum of bank outputs is group_sum(g).
-template <typename GroupSum>
+/// Bias plus row r's groups, in int64 whatever the slot width: from
+/// group g, group_sum(g) sums the bank outputs of the groups up to
+/// next(g), which share g's shift and sign.
+template <typename GroupSum, typename Next>
 std::int64_t group_row(const GroupedPlan& plan, std::size_t r,
-                       GroupSum group_sum) {
+                       GroupSum group_sum, Next next) {
   std::int64_t acc = plan.biases[r];
-  for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+  for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1];
+       g = next(g)) {
     const std::int64_t sum = group_sum(g);
     // Branch-free: a sign mask of 0 adds the shifted sum, −1 subtracts
     // it. The branch cost the per-sample SVHN pass ~6 %.
@@ -30,65 +31,72 @@ std::int64_t group_row(const GroupedPlan& plan, std::size_t r,
   return acc;
 }
 
-/// A slot stride known at compile time.
-template <std::size_t K>
-using Stride = std::integral_constant<std::size_t, K>;
+/// The next group, for walks that scale each group on its own.
+inline std::size_t next_group(std::size_t g) { return g + 1; }
 
-/// Σ src[idx[t] · scale] over group g's terms, in int64. `scale` is the
-/// slot stride, a std::integral_constant where it is known (the
-/// compiler then folds the multiply); a conv caller passes src at its
-/// position's base offset, a dense one at its group's lane. Four terms
-/// a step into two sums: this is the per-sample dense kernel of every
-/// tier below AVX-512, and on lane-split groups the one-sum loop with a
-/// run-time stride took ~1.7× the time of this one.
-template <typename Slot, typename Scale>
+/// Σ src[slot(idx[t])] over terms [t, end), in int64. Four terms a
+/// step into two sums: this is the per-sample dense kernel of every
+/// tier below AVX-512.
+template <typename Slot, typename SlotOf>
 [[gnu::always_inline]] inline std::int64_t term_sum(const GroupedPlan& plan,
-                                                    std::size_t g,
+                                                    std::size_t t,
+                                                    std::size_t end,
                                                     const Slot* src,
-                                                    Scale scale) {
+                                                    SlotOf slot) {
   const std::uint32_t* idx = plan.idx.data();
-  std::size_t t = plan.group_begin[g];
-  const std::size_t end = plan.group_begin[g + 1];
   std::int64_t even = 0;
   std::int64_t odd = 0;
   for (; t + 4 <= end; t += 4) {
-    even += std::int64_t{src[idx[t] * scale]} + src[idx[t + 1] * scale];
-    odd += std::int64_t{src[idx[t + 2] * scale]} + src[idx[t + 3] * scale];
+    even += std::int64_t{src[slot(idx[t])]} + src[slot(idx[t + 1])];
+    odd += std::int64_t{src[slot(idx[t + 2])]} + src[slot(idx[t + 3])];
     // Pins both sums to registers each step: GCC's -O3 vectorizer
     // otherwise turns the step into emulated gathers, which made the
     // per-sample SVHN walk ~1.7× slower.
     asm("" : "+r"(even), "+r"(odd));
   }
-  for (; t < end; ++t) even += src[idx[t] * scale];
+  for (; t < end; ++t) even += src[slot(idx[t])];
   return even + odd;
 }
 
-/// accumulate_dense with k-strided multiples: input c's lane l at
-/// c·k + l, so each group reads its lane's column at stride k.
-template <typename Scale>
+/// A slot read as is.
+inline std::size_t same_slot(std::uint32_t slot) { return slot; }
+
+/// accumulate_dense: the k-strided multiples hold every lane, so each
+/// (shift, sign) run of lane groups sums as one group.
 void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
-                std::int64_t* out, Scale k) {
+                std::int64_t* out) {
+  const std::uint32_t* begin = plan.group_begin.data();
+  const auto run_end = [&](std::size_t g) { return plan.run_ends[g]; };
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-    out[r] = group_row(plan, r, [&](std::size_t g) {
-      return term_sum(plan, g, multiples + plan.bank_lanes[g], k);
-    });
+    out[r] = group_row(
+        plan, r,
+        [&](std::size_t g) {
+          return term_sum(plan, begin[g], begin[run_end(g)], multiples,
+                          same_slot);
+        },
+        run_end);
   }
 }
 
-/// accumulate_dense_tile: the same walk over the staged inputs, each
-/// int16 slot read at stride kDenseTile and each group's Σx scaled by
-/// its lane's alphabet, in int64 — the oracle needs no chunk or row
-/// proof.
+/// accumulate_dense_tile: each term reads input idx / k, its int16
+/// slots at stride kDenseTile, and each group's Σx is scaled by its
+/// lane's alphabet, in int64 — the oracle needs no chunk or row proof.
 void tile_walk(const DenseLayerPlan& plan,
                std::span<const std::uint8_t> alphabets,
                const std::int16_t* tile, std::int64_t* out) {
   constexpr std::size_t kTile = kDenseTile;
+  const TileInput input(plan.k);
+  const auto row_of = [&](std::uint32_t slot) { return input(slot) * kTile; };
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     for (std::size_t b = 0; b < kTile; ++b) {
-      out[r * kTile + b] = group_row(plan, r, [&](std::size_t g) {
-        return std::int64_t{alphabets[plan.bank_lanes[g]]} *
-               term_sum(plan, g, tile + b, Stride<kTile>{});
-      });
+      out[r * kTile + b] = group_row(
+          plan, r,
+          [&](std::size_t g) {
+            return std::int64_t{alphabets[plan.bank_lanes[g]]} *
+                   term_sum(plan, plan.group_begin[g], plan.group_begin[g + 1],
+                            tile + b, row_of);
+          },
+          next_group);
     }
   }
 }
@@ -105,9 +113,13 @@ void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
         const Slot* base =
             multiples + static_cast<std::size_t>(oy) * plan.iw + ox;
         out[r * positions + static_cast<std::size_t>(oy) * plan.ow + ox] =
-            group_row(plan, r, [&](std::size_t g) {
-              return term_sum(plan, g, base, Stride<1>{});
-            });
+            group_row(
+                plan, r,
+                [&](std::size_t g) {
+                  return term_sum(plan, plan.group_begin[g],
+                                  plan.group_begin[g + 1], base, same_slot);
+                },
+                next_group);
       }
     }
   }
@@ -129,16 +141,7 @@ class ScalarBackend final : public KernelBackend {
   void accumulate_dense(const DenseLayerPlan& plan,
                         const std::int64_t* multiples,
                         std::int64_t* out) const override {
-    // A compile-time stride for the apps' alphabet counts.
-    switch (plan.k) {
-      case 1: return dense_walk(plan, multiples, out, Stride<1>{});
-      case 2: return dense_walk(plan, multiples, out, Stride<2>{});
-      case 4: return dense_walk(plan, multiples, out, Stride<4>{});
-      case 8: return dense_walk(plan, multiples, out, Stride<8>{});
-      default:
-        return dense_walk(plan, multiples, out,
-                          static_cast<std::size_t>(plan.k));
-    }
+    dense_walk(plan, multiples, out);
   }
 
   void accumulate_dense_tile(const DenseLayerPlan& plan,

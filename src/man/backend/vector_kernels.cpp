@@ -81,42 +81,34 @@ struct YmmGather : LaneGather {
 inline constexpr int kZmmLanes = 8;
 
 // Per-sample dense kernel at AVX-512, the one intrinsic kernel left:
-// each group's terms gathered 8 int64 multiples at a time from its
-// lane's column (input c's multiple at c·k, past the lane; the last,
-// partial gather lane-masked), shifted once, then added or subtracted.
-// No generic-vector form of a gather was competitive with it.
+// each (shift, sign) run of lane groups gathered 8 int64 multiples at a
+// time (the last, partial gather lane-masked), shifted once, then added
+// or subtracted. No generic-vector form of a gather was competitive
+// with it.
 MAN_TARGET_AVX512 void dense_groups_avx512(const DenseLayerPlan& plan,
                                            const std::int64_t* multiples,
                                            std::int64_t* out) {
   const std::uint32_t* idx = plan.idx.data();
   const std::uint32_t* begin = plan.group_begin.data();
-  // Each input's index times k: a shift for a power-of-two k (a
-  // multiply cost the SVHN pass ~10 %), else a multiply.
-  const bool pow2 = std::has_single_bit(static_cast<unsigned>(plan.k));
-  const __m128i log2k = _mm_cvtsi32_si128(std::countr_zero(
-      static_cast<unsigned>(plan.k)));
-  const __m256i k = _mm256_set1_epi32(plan.k);
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     __m512i acc = _mm512_setzero_si512();
-    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
-      const std::int64_t* column = multiples + plan.bank_lanes[g];
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1];
+         g = plan.run_ends[g]) {
+      const std::uint32_t end = begin[plan.run_ends[g]];
       __m512i sum = _mm512_setzero_si512();
       std::uint32_t t = begin[g];
-      for (; t + kZmmLanes <= begin[g + 1]; t += kZmmLanes) {
-        const __m256i inputs =
+      for (; t + kZmmLanes <= end; t += kZmmLanes) {
+        const __m256i vidx =
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + t));
-        const __m256i vidx = pow2 ? _mm256_sll_epi32(inputs, log2k)
-                                  : _mm256_mullo_epi32(inputs, k);
-        sum = _mm512_add_epi64(sum, _mm512_i32gather_epi64(vidx, column, 8));
+        sum = _mm512_add_epi64(sum,
+                               _mm512_i32gather_epi64(vidx, multiples, 8));
       }
-      if (t < begin[g + 1]) {
-        const auto mask = static_cast<__mmask8>((1u << (begin[g + 1] - t)) - 1);
-        const __m256i inputs = _mm256_maskz_loadu_epi32(mask, idx + t);
-        const __m256i vidx = pow2 ? _mm256_sll_epi32(inputs, log2k)
-                                  : _mm256_mullo_epi32(inputs, k);
+      if (t < end) {
+        const auto mask = static_cast<__mmask8>((1u << (end - t)) - 1);
+        const __m256i vidx = _mm256_maskz_loadu_epi32(mask, idx + t);
         sum = _mm512_add_epi64(
             sum, _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), mask,
-                                             vidx, column, 8));
+                                             vidx, multiples, 8));
       }
       sum = _mm512_sll_epi64(sum, _mm_cvtsi64_si128(plan.shifts[g]));
       acc = plan.sign_masks[g] != 0 ? _mm512_sub_epi64(acc, sum)
@@ -150,8 +142,8 @@ using man::core::PrecomputerCache;
 using RawPath = man::core::FixedActivationLut::RawPath;
 
 // The epilogue sweeps decline (return false) where they do not run
-// exactly: a staged value missed the table's window (an unconfigured
-// table has none, so every value misses), a conv sweep's table lacks
+// exactly: the table has no window (an unconfigured one, span 0), a
+// staged value missed the table's window, a conv sweep's table lacks
 // the in-register proof, the LUT's scale is not 2^bits − 1, or float
 // lanes cannot quantize the pixel format exactly.
 template <typename V>
@@ -177,7 +169,7 @@ template <typename V>
     std::span<const float> pixels, const man::fixed::QFormat& format,
     const PrecomputerCache::View& table, std::int16_t* tile) {
   FloatQuantize quantizer;
-  return quantizer.assign(format) &&
+  return table.span != 0 && quantizer.assign(format) &&
          stage_pixels_tile<V>(pixels, quantizer, Staging{table}, tile);
 }
 template <typename G, typename V>
@@ -187,7 +179,7 @@ template <typename G, typename V>
                                             const PrecomputerCache::View& table,
                                             std::int16_t* tile) {
   LutPath lut;
-  return lut.assign(raw) &&
+  return table.span != 0 && lut.assign(raw) &&
          lut_stage_tile<G, V>(acc, elements, lut, Staging{table}, tile);
 }
 

@@ -220,9 +220,10 @@ template <typename V, typename W>
 }
 
 /// KernelBackend::accumulate_dense_tile: a row's kDenseTile int16
-/// sample lanes are kDenseTile / lanes vectors of V. A term is one idx
-/// driving plain loads and adds of the staged inputs (no gather, no
-/// shift) into int16 chunk sums of x. After at most `chunk` terms
+/// sample lanes are kDenseTile / lanes vectors of V. A term is one idx,
+/// divided by k into its input (TileInput), driving plain loads and
+/// adds of the staged inputs (no gather, no shift) into int16 chunk
+/// sums of x. After at most `chunk` terms
 /// (int16_tile_chunk() proves they fit) each chunk sum is widened to
 /// int32 and added to the row times the group's factor (group_factor:
 /// the bank's alphabet, the shift and the sign in one multiply), exact
@@ -238,6 +239,7 @@ template <typename V>
   const auto run = static_cast<std::uint32_t>(std::max(chunk, 1));
   const std::uint32_t* idx = plan.idx.data();
   const std::uint32_t* begin = plan.group_begin.data();
+  const TileInput input(plan.k);
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     W acc[kWide] = {};
     for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
@@ -247,7 +249,7 @@ template <typename V>
         const std::uint32_t stop = end - t > run ? t + run : end;
         V part[kVecs] = {};
         for (; t < stop; ++t) {
-          const std::int16_t* src = tile + std::size_t{idx[t]} * kDenseTile;
+          const std::int16_t* src = tile + input(idx[t]) * kDenseTile;
           for (int v = 0; v < kVecs; ++v) {
             V lanes;
             load(lanes, src + v * kLanes);

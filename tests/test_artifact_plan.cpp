@@ -417,7 +417,9 @@ PlanFields locate_conv(const ArtifactBytes& bytes, const ConvLayerPlan& p) {
 // windows, an alphabet count other than the bank's — conventional
 // stages' 8 included),
 // shifts by 32 or more or by a negative amount (UB in the int32
-// lanes), lets the backends disagree (sign masks), feeds the int32
+// lanes), lets the backends disagree (sign masks, a dense term slot
+// off its group's bank lane, which the batch tile would scale by
+// another alphabet than one sample reads), feeds the int32
 // proofs a staging window other than the activation format's, or
 // leaves stages out of the engine (stage counts).
 TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
@@ -482,10 +484,18 @@ TEST_F(PlanArtifactTest, HostilePlanContentsRejectedBehindValidChecksum) {
        [&](ArtifactBytes& b, const PlanFields& f) {
          b.put<std::uint32_t>(u32_at(f, kGroupBegin, groups), terms + 1);
        }},
-      {"dense term index past cols", &mlp,
+      {"dense term slot past cols·k", &mlp,
        [&](ArtifactBytes& b, const PlanFields& f) {
-         b.put<std::uint32_t>(u32_at(f, kIdx, 0),
-                              static_cast<std::uint32_t>(dense.cols));
+         b.put<std::uint32_t>(
+             u32_at(f, kIdx, 0),
+             static_cast<std::uint32_t>(dense.cols * dense.k));
+       }},
+      {"dense term slot off its group's lane", &mlp,
+       [&](ArtifactBytes& b, const PlanFields& f) {
+         // Input c's other lane: in range, so only the lane check
+         // rejects it.
+         ASSERT_EQ(dense.k, 4);
+         b.put<std::uint32_t>(u32_at(f, kIdx, 0), dense.idx[0] ^ 1u);
        }},
       {"dense bank lane k", &mlp,
        [&](ArtifactBytes& b, const PlanFields& f) {
@@ -694,8 +704,8 @@ std::pair<int, int> run_mutants(const std::string& base,
   return {rejected, served};
 }
 
-// The first dense plan's arrays, its bank lanes and its input-column
-// term indices included, over 2·kDenseTile + 3 samples so served
+// The first dense plan's arrays, its bank lanes and its k-strided term
+// slots included, over 2·kDenseTile + 3 samples so served
 // mutants run full batch tiles too.
 TEST_F(PlanArtifactTest, MutatedDensePlansRejectedOrServedBitIdentically) {
   const FixedNetwork engine(compile(make_mlp(12), 8, 4));

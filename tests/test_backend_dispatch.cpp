@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -521,18 +522,32 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
                                   std::to_string(max_steps) + " shifts<" +
                                   std::to_string(shift_limit);
         EXPECT_EQ(plan.row_groups[1], plan.row_groups[2]) << label;
-        // Row 2's steps share one (shift, sign), so its groups are its
-        // lanes; every group names a lane below k, and every term an
-        // input column.
-        EXPECT_LE(plan.row_groups[3] - plan.row_groups[2],
-                  static_cast<std::uint32_t>(k))
+        // Row 2's steps share one (shift, sign), so its groups are the
+        // distinct lanes of its steps, one run, each group on one of
+        // those lanes; every group names a lane below k, and every term
+        // a k-strided slot on its group's lane.
+        std::set<int> row2_lanes;
+        for (std::size_t w = 2 * kCols; w < 3 * kCols; ++w) {
+          const AsmWeight& weight = schedule.weights[w];
+          for (std::uint8_t s = 0; s < weight.step_count; ++s) {
+            row2_lanes.insert(schedule.steps[weight.step_begin + s].lane);
+          }
+        }
+        ASSERT_EQ(plan.row_groups[3] - plan.row_groups[2], row2_lanes.size())
             << label;
+        for (std::size_t g = plan.row_groups[2]; g < plan.row_groups[3]; ++g) {
+          EXPECT_EQ(row2_lanes.count(plan.bank_lanes[g]), 1u) << label;
+          EXPECT_EQ(plan.run_ends[g], plan.row_groups[3]) << label;
+        }
         ASSERT_EQ(plan.bank_lanes.size(), plan.shifts.size()) << label;
+        ASSERT_EQ(plan.run_ends.size(), plan.shifts.size()) << label;
         for (std::size_t g = 0; g < plan.shifts.size(); ++g) {
           EXPECT_LT(plan.bank_lanes[g], k) << label;
           for (std::size_t t = plan.group_begin[g];
                t < plan.group_begin[g + 1]; ++t) {
-            EXPECT_LT(plan.idx[t], static_cast<std::uint32_t>(kCols)) << label;
+            EXPECT_LT(plan.idx[t], static_cast<std::uint32_t>(kCols * k))
+                << label;
+            EXPECT_EQ(plan.idx[t] % k, plan.bank_lanes[g]) << label;
           }
         }
         const bool tile = shift_limit <= 12;
@@ -779,19 +794,32 @@ TEST(BackendPlans, CompiledPlansCoverEveryDenseStage) {
             plans[0].idx.size());
   // 8-bit weights decompose into two quartets, 7 magnitude bits (paper
   // Fig 4): shifts 0..6, so at most 7 shifts × 2 signs × 4 bank lanes
-  // per row, each group at most once, in (shift, sign, lane) order.
-  ASSERT_EQ(plans[0].bank_lanes.size(), plans[0].shifts.size());
+  // per row, each group at most once, in (shift, sign, lane) order; a
+  // group's run ends at the row's next (shift, sign).
+  const DenseLayerPlan& p = plans[0];
+  ASSERT_EQ(p.bank_lanes.size(), p.shifts.size());
+  ASSERT_EQ(p.run_ends.size(), p.shifts.size());
   for (std::size_t r = 0; r < 8; ++r) {
-    EXPECT_LE(plans[0].row_groups[r + 1] - plans[0].row_groups[r], 56u);
+    const std::uint32_t end = p.row_groups[r + 1];
+    EXPECT_LE(end - p.row_groups[r], 56u);
     std::int64_t last = -1;
-    for (std::size_t g = plans[0].row_groups[r]; g < plans[0].row_groups[r + 1];
-         ++g) {
-      EXPECT_LT(plans[0].bank_lanes[g], 4);
+    for (std::size_t g = p.row_groups[r]; g < end; ++g) {
+      EXPECT_LT(p.bank_lanes[g], 4);
       const std::int64_t key =
-          (plans[0].shifts[g] * 2 - plans[0].sign_masks[g]) * 4 +
-          plans[0].bank_lanes[g];
+          (p.shifts[g] * 2 - p.sign_masks[g]) * 4 + p.bank_lanes[g];
       EXPECT_GT(key, last);
       last = key;
+      const std::uint32_t run_end = p.run_ends[g];
+      ASSERT_GT(run_end, g);
+      ASSERT_LE(run_end, end);
+      for (std::size_t h = g; h < run_end; ++h) {
+        EXPECT_EQ(p.shifts[h], p.shifts[g]);
+        EXPECT_EQ(p.sign_masks[h], p.sign_masks[g]);
+      }
+      if (run_end < end) {
+        EXPECT_TRUE(p.shifts[run_end] != p.shifts[g] ||
+                    p.sign_masks[run_end] != p.sign_masks[g]);
+      }
     }
   }
   for (const std::int64_t shift : plans[0].shifts) EXPECT_LT(shift, 7);

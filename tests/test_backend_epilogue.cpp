@@ -26,6 +26,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "man/backend/epilogue_sweep.h"
@@ -574,24 +575,43 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
   expect_window_miss(narrow.cache, bottom, [&] {
     (void)reference_tile(reference_lut(acc, lut), view);
   });
+  // An unconfigured table has no window. Zeros, and -1 too: a window
+  // clamp over its span of 0 would run from 0 down to -1 and let -1
+  // through unchanged. The LUT above outputs even values only, so a
+  // 6-fraction-bit tanh supplies the -1.
   const PrecomputerCache empty;
-  const std::vector<float> zeros(3 * kTile, 0.0f);
-  const std::vector<std::int64_t> zero_acc(kTile, 0);
-  expect_declined<std::int16_t>(
-      slots, [&](const KernelBackend& backend, std::int16_t* out) {
-    return backend.stage_pixels_tile(zeros, format, empty.view(), out);
-  });
-  expect_window_miss(empty, 0, [&] {
-    (void)reference_pixel_tile(zeros, format, empty.view());
-  });
-  expect_declined<std::int16_t>(
-      slots, [&](const KernelBackend& backend, std::int16_t* out) {
-    return backend.lut_stage_tile(zero_acc.data(), 1, lut.raw_path(),
-                                  empty.view(), out);
-  });
-  expect_window_miss(empty, lut.apply_raw(0), [&] {
-    (void)reference_tile(reference_lut(zero_acc, lut), empty.view());
-  });
+  std::vector<float> zeros(3 * kTile, 0.0f);
+  std::vector<float> minus_one(3 * kTile, 0.0f);
+  minus_one[0] = static_cast<float>(-1.0 / format.scale());
+  ASSERT_EQ(format.quantize(minus_one[0]), -1);
+  for (const auto& [images, first] :
+       {std::pair{&zeros, std::int64_t{0}}, std::pair{&minus_one, -1L}}) {
+    expect_declined<std::int16_t>(
+        slots, [&](const KernelBackend& backend, std::int16_t* out) {
+      return backend.stage_pixels_tile(*images, format, empty.view(), out);
+    });
+    expect_window_miss(empty, first, [&] {
+      (void)reference_pixel_tile(*images, format, empty.view());
+    });
+  }
+  const FixedActivationLut fine(ActivationKind::kTanh, accumulator_format(),
+                                QFormat(8, 6));
+  std::int64_t acc_minus_one = 0;
+  while (fine.apply_raw(acc_minus_one) > -1) --acc_minus_one;
+  ASSERT_EQ(fine.apply_raw(acc_minus_one), -1);
+  for (const auto& [table_lut, a] :
+       {std::pair{&lut, std::int64_t{0}}, std::pair{&fine, acc_minus_one}}) {
+    const std::vector<std::int64_t> tile_acc(kTile, a);
+    expect_declined<std::int16_t>(
+        slots, [&](const KernelBackend& backend, std::int16_t* out) {
+      return backend.lut_stage_tile(tile_acc.data(), 1,
+                                    table_lut->raw_path(), empty.view(), out);
+    });
+    expect_window_miss(empty, table_lut->apply_raw(a), [&] {
+      (void)reference_tile(reference_lut(tile_acc, *table_lut),
+                           empty.view());
+    });
+  }
 }
 
 // A format whose raw range reaches 2^24 is past float lanes' exact

@@ -13,8 +13,8 @@
 // fifth network is an edge network, whose saturated
 // sample drives each row to its int32 row bound, just past INT32_MAX
 // or just short of it. Networks run seed after seed, from 0, for a
-// wall-clock budget — 3 s, or MAN_RANDOM_NETWORKS_SECONDS whole seconds
-// (the sanitizer build raises it) — and at least kMinNetworks of them;
+// wall-clock budget (3 s; 20 s in an AddressSanitizer build, where each
+// network runs several times slower) and at least kMinNetworks of them;
 // each prints its seed and layers first, a failure names them too, and
 // starting the loop at that seed replays it.
 #include <gtest/gtest.h>
@@ -22,16 +22,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "man/artifact/plan_artifact.h"
@@ -66,23 +63,18 @@ constexpr std::size_t kCounts[] = {1, kTile - 1, kTile, kTile + 1,
 constexpr std::size_t kSamples = 2 * kTile + 1;
 constexpr std::uint64_t kMinNetworks = 40;
 
-/// The wall-clock budget: MAN_RANDOM_NETWORKS_SECONDS when set, a
-/// positive whole number of seconds, else 3 s.
-std::chrono::seconds budget() {
-  const char* env = std::getenv("MAN_RANDOM_NETWORKS_SECONDS");
-  if (env == nullptr || *env == '\0') return std::chrono::seconds(3);
-  const std::string_view text(env);
-  long seconds = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), seconds);
-  if (error != std::errc() || end != text.data() + text.size() ||
-      seconds < 1) {
-    ADD_FAILURE() << "MAN_RANDOM_NETWORKS_SECONDS=" << text
-                  << " is not a positive whole number of seconds";
-    return std::chrono::seconds(3);
-  }
-  return std::chrono::seconds(seconds);
-}
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+constexpr auto kBudget = std::chrono::seconds(kSanitized ? 20 : 3);
 
 struct RandomNetwork {
   Network net;
@@ -374,10 +366,9 @@ TEST(RandomNetworks, MatchTheOracleOnEveryBackendAndRoute) {
       ("man_random_networks_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto start = std::chrono::steady_clock::now();
-  const std::chrono::seconds limit = budget();
   std::uint64_t seed = 0;
   for (; seed < kMinNetworks ||
-         std::chrono::steady_clock::now() - start < limit;
+         std::chrono::steady_clock::now() - start < kBudget;
        ++seed) {
     RandomNetwork random = random_network(seed);
     // One line per network, so even a crash names the seed it hit.
