@@ -244,8 +244,8 @@ std::int64_t int32_row_bound(const ConvLayerPlan& plan,
 int int16_tile_chunk(const DenseLayerPlan& plan) {
   constexpr std::int64_t kInt16Max = INT16_MAX;
   if (!plan.has_input_range() || plan.in_min_raw < -kInt16Max ||
-      plan.in_max_raw > kInt16Max || plan.k < 1 || plan.k > 8 ||
-      plan.padded_multiples() > (std::size_t{1} << 29)) {
+      plan.in_max_raw > kInt16Max || plan.k < 1 ||
+      kDenseTile % plan.k != 0) {
     return 0;
   }
   const std::int64_t x = std::max(-plan.in_min_raw, plan.in_max_raw);

@@ -368,30 +368,14 @@ inline constexpr std::int64_t kInt32RowOverflow = std::int64_t{1} << 31;
 /// accumulate_dense_tile adds at most C terms in int16, then widens
 /// that chunk sum into the group's int32 sum Σx, which it scales by the
 /// group's alphabet (int32_row_bound() covers a · Σx). Returns C, or 0
-/// when an input does not fit int16 or TileInput cannot name the
-/// plan's inputs (the stage then runs per sample): plans without a
-/// staging window, with X > INT16_MAX, k outside [1, 8] or cols·k above
-/// 2^29. O(1); derived, never serialized. For the apps' 8-bit
-/// activations (X = 255) C is 128, whatever the alphabets.
+/// when an input does not fit int16 or k does not divide kDenseTile
+/// (the tile kernels find input idx / k as (idx − lane) · kDenseTile / k;
+/// the apps' 1, 2, 4 and 8 alphabets all divide it), and the stage then
+/// runs per sample: plans without a staging window, with X > INT16_MAX
+/// or with k outside {1, 2, 4, 8, 16, 32}. O(1); derived, never
+/// serialized. For the apps' 8-bit activations (X = 255) C is 128,
+/// whatever the alphabets.
 [[nodiscard]] int int16_tile_chunk(const DenseLayerPlan& plan);
-
-/// A dense term's input column, idx / k, by one multiply and shift:
-/// ⌊slot · (⌊2^32 / k⌋ + 1) / 2^32⌋ is exact for slot < 2^29 and
-/// 1 ≤ k ≤ 8 (the error term stays below slot / 2^32 < 1/8 ≤ 1/k),
-/// which int16_tile_chunk() requires before a plan tiles.
-class TileInput {
- public:
-  explicit TileInput(int k) noexcept
-      : magic_((std::uint64_t{1} << 32) /
-                   static_cast<std::uint64_t>(k > 1 ? k : 1) +
-               1) {}
-  [[nodiscard]] std::size_t operator()(std::uint32_t slot) const noexcept {
-    return static_cast<std::size_t>((slot * magic_) >> 32);
-  }
-
- private:
-  std::uint64_t magic_;
-};
 
 }  // namespace man::backend
 

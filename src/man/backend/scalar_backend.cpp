@@ -9,6 +9,8 @@
 // templates of epilogue_sweep.h instead.
 #include "man/backend/backend_impls.h"
 
+#include <algorithm>
+
 namespace man::backend::detail {
 
 namespace {
@@ -78,26 +80,31 @@ void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
   }
 }
 
-/// accumulate_dense_tile: each term reads input idx / k, its int16
-/// slots at stride kDenseTile, and each group's Σx is scaled by its
-/// lane's alphabet, in int64 — the oracle needs no chunk or row proof.
+/// accumulate_dense_tile: each term reads the kDenseTile int16 lanes
+/// of input idx / k, and each group's Σx is scaled by its lane's
+/// alphabet, in int64 — the oracle needs no chunk or row proof.
 void tile_walk(const DenseLayerPlan& plan,
                std::span<const std::uint8_t> alphabets,
                const std::int16_t* tile, std::int64_t* out) {
   constexpr std::size_t kTile = kDenseTile;
-  const TileInput input(plan.k);
-  const auto row_of = [&](std::uint32_t slot) { return input(slot) * kTile; };
+  const auto k = static_cast<std::uint32_t>(plan.k);
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-    for (std::size_t b = 0; b < kTile; ++b) {
-      out[r * kTile + b] = group_row(
-          plan, r,
-          [&](std::size_t g) {
-            return std::int64_t{alphabets[plan.bank_lanes[g]]} *
-                   term_sum(plan, plan.group_begin[g], plan.group_begin[g + 1],
-                            tile + b, row_of);
-          },
-          next_group);
+    std::int64_t acc[kTile];
+    std::fill_n(acc, kTile, plan.biases[r]);
+    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
+      std::int64_t sum[kTile] = {};
+      for (std::size_t t = plan.group_begin[g]; t < plan.group_begin[g + 1];
+           ++t) {
+        const std::int16_t* lanes = tile + std::size_t{plan.idx[t] / k} * kTile;
+        for (std::size_t b = 0; b < kTile; ++b) sum[b] += lanes[b];
+      }
+      const std::int64_t a = alphabets[plan.bank_lanes[g]];
+      const std::int64_t sign = plan.sign_masks[g];
+      for (std::size_t b = 0; b < kTile; ++b) {
+        acc[b] += (((a * sum[b]) << plan.shifts[g]) ^ sign) - sign;
+      }
     }
+    std::copy_n(acc, kTile, out + r * kTile);
   }
 }
 

@@ -220,10 +220,9 @@ template <typename V, typename W>
 }
 
 /// KernelBackend::accumulate_dense_tile: a row's kDenseTile int16
-/// sample lanes are kDenseTile / lanes vectors of V. A term is one idx,
-/// divided by k into its input (TileInput), driving plain loads and
-/// adds of the staged inputs (no gather, no shift) into int16 chunk
-/// sums of x. After at most `chunk` terms
+/// sample lanes are kDenseTile / lanes vectors of V. A term is one idx
+/// driving plain loads and adds of its input's staged lanes (no
+/// gather) into int16 chunk sums of x. After at most `chunk` terms
 /// (int16_tile_chunk() proves they fit) each chunk sum is widened to
 /// int32 and added to the row times the group's factor (group_factor:
 /// the bank's alphabet, the shift and the sign in one multiply), exact
@@ -239,17 +238,27 @@ template <typename V>
   const auto run = static_cast<std::uint32_t>(std::max(chunk, 1));
   const std::uint32_t* idx = plan.idx.data();
   const std::uint32_t* begin = plan.group_begin.data();
-  const TileInput input(plan.k);
+  // Slot c·k + l's input row starts at tile + c·kDenseTile, that is at
+  // (slot − l) · stride bytes: each group folds its lane l into its base
+  // address, so a term costs one multiply, as cheap as the shift of a
+  // per-input index (two more instructions per term, a division by a
+  // multiply and shift, cost batch_dense ~20 %). k divides kDenseTile
+  // (int16_tile_chunk()).
+  const std::uintptr_t stride =
+      sizeof(std::int16_t) * kDenseTile / static_cast<std::size_t>(plan.k);
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     W acc[kWide] = {};
     for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1]; ++g) {
       const std::int32_t factor = group_factor(plan, alphabets, g);
+      const std::uintptr_t base =
+          reinterpret_cast<std::uintptr_t>(tile) - plan.bank_lanes[g] * stride;
       const std::uint32_t end = begin[g + 1];
       for (std::uint32_t t = begin[g]; t < end;) {
         const std::uint32_t stop = end - t > run ? t + run : end;
         V part[kVecs] = {};
         for (; t < stop; ++t) {
-          const std::int16_t* src = tile + input(idx[t]) * kDenseTile;
+          const auto* src = reinterpret_cast<const std::int16_t*>(
+              base + std::uintptr_t{idx[t]} * stride);
           for (int v = 0; v < kVecs; ++v) {
             V lanes;
             load(lanes, src + v * kLanes);

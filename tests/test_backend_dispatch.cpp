@@ -550,12 +550,16 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
             EXPECT_EQ(plan.idx[t] % k, plan.bank_lanes[g]) << label;
           }
         }
-        const bool tile = shift_limit <= 12;
-        const int chunk = tile ? int16_tile_chunk(plan) : 0;
+        // Three alphabets do not divide the tile: that plan runs per
+        // sample only.
+        const bool tile = shift_limit <= 12 && k != 3;
+        const int chunk = int16_tile_chunk(plan);
         if (tile) {
           ASSERT_LE(int32_row_bound(plan, set.alphabets()),
                     std::numeric_limits<std::int32_t>::max());
           ASSERT_GE(chunk, 1);
+        } else if (k == 3) {
+          EXPECT_EQ(chunk, 0) << label;
         }
         const auto samples = window_inputs(plan, rng.next_below(1000));
         std::vector<std::vector<std::int64_t>> expected;
@@ -563,8 +567,8 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
           expected.push_back(aos_dense(
               schedule, plan, bank_outputs(sample, set.alphabets())));
         }
-        expect_dense_rows(plan, set.alphabets(), samples, expected, chunk,
-                          label);
+        expect_dense_rows(plan, set.alphabets(), samples, expected,
+                          tile ? chunk : 0, label);
       }
     }
   }
