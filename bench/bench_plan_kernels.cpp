@@ -86,7 +86,8 @@ std::size_t plan_bytes(const GroupedPlan& plan) {
 std::size_t plan_bytes(const DenseLayerPlan& plan) {
   return plan_bytes(static_cast<const GroupedPlan&>(plan)) +
          plan.bank_lanes.size() * sizeof(std::uint8_t) +
-         plan.run_ends.size() * sizeof(std::uint32_t);
+         (plan.row_runs.size() + plan.run_groups.size()) *
+             sizeof(std::uint32_t);
 }
 
 /// `n` random window inputs through the plan's bank, as `Value` bank

@@ -137,18 +137,20 @@ void DenseLayerPlan::link_runs() {
   const std::uint32_t* rows = row_groups.data();
   const std::int64_t* shift = shifts.data();
   const std::int64_t* sign = sign_masks.data();
-  std::vector<std::uint32_t> ends(shifts.size());
+  std::vector<std::uint32_t> runs_of_row{0};
+  std::vector<std::uint32_t> runs;
   for (std::size_t r = 0; r + 1 < row_groups.size(); ++r) {
-    std::uint32_t end = rows[r + 1];
-    for (std::uint32_t g = end; g-- > rows[r];) {
-      if (g + 1 < end &&
-          (shift[g] != shift[g + 1] || sign[g] != sign[g + 1])) {
-        end = g + 1;
+    for (std::uint32_t g = rows[r]; g < rows[r + 1]; ++g) {
+      if (g == rows[r] || shift[g] != shift[g - 1] ||
+          sign[g] != sign[g - 1]) {
+        runs.push_back(g);
       }
-      ends[g] = end;
     }
+    runs_of_row.push_back(static_cast<std::uint32_t>(runs.size()));
   }
-  run_ends = std::move(ends);
+  runs.push_back(static_cast<std::uint32_t>(shifts.size()));
+  row_runs = std::move(runs_of_row);
+  run_groups = std::move(runs);
 }
 
 ConvLayerPlan ConvLayerPlan::build_asm(int oc, int ic, int kernel, int ih,

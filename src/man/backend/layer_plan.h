@@ -22,7 +22,7 @@
 // and scales each group's Σx by alphabets[bank_lanes[g]] (the bank is
 // linear: a·Σx = Σ a·x). One sample's multiples hold every lane, so the
 // per-sample walk sums a whole (shift, sign) run of lane groups
-// (run_ends[g]) as one group.
+// (run_groups) as one group.
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
@@ -221,10 +221,13 @@ struct DenseLayerPlan : GroupedPlan {
   int cols = 0;  ///< input features
   /// Per group, the bank lane (< k) all its terms select.
   PlanArray<std::uint8_t> bank_lanes;
-  /// Per group, one past the last group of the (shift, sign) run it
-  /// starts (consecutive groups of its row with its shift and sign).
-  /// Derived from the groups by link_runs(), never serialized.
-  PlanArray<std::uint32_t> run_ends;
+  /// One sample's (shift, sign) runs: run j covers groups
+  /// [run_groups[j], run_groups[j + 1]), the consecutive groups of one
+  /// row that share a shift and sign, and row r owns runs
+  /// [row_runs[r], row_runs[r + 1]). Derived from the groups by
+  /// link_runs(), never serialized.
+  PlanArray<std::uint32_t> row_runs;    ///< rows + 1 offsets
+  PlanArray<std::uint32_t> run_groups;  ///< runs + 1 offsets
 
   /// Slots one sample's multiples buffer must provide: cols × k bank
   /// outputs.
@@ -243,8 +246,9 @@ struct DenseLayerPlan : GroupedPlan {
                : -1;
   }
 
-  /// Fills run_ends from row_groups, shifts and sign_masks. build_asm()
-  /// calls it, and so must anything else that sets a plan's groups.
+  /// Fills row_runs and run_groups from row_groups, shifts and
+  /// sign_masks. build_asm() calls it, and so must anything else that
+  /// sets a plan's groups.
   void link_runs();
 
   /// Builds the plan for one ASM layer from the compiled schedule,

@@ -15,68 +15,51 @@ namespace man::backend::detail {
 
 namespace {
 
-/// Bias plus row r's groups, in int64 whatever the slot width: from
-/// group g, group_sum(g) sums the bank outputs of the groups up to
-/// next(g), which share g's shift and sign.
-template <typename GroupSum, typename Next>
-std::int64_t group_row(const GroupedPlan& plan, std::size_t r,
-                       GroupSum group_sum, Next next) {
-  std::int64_t acc = plan.biases[r];
-  for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1];
-       g = next(g)) {
-    const std::int64_t sum = group_sum(g);
-    // Branch-free: a sign mask of 0 adds the shifted sum, −1 subtracts
-    // it. The branch cost the per-sample SVHN pass ~6 %.
-    const std::int64_t sign = plan.sign_masks[g];
-    acc += ((sum << plan.shifts[g]) ^ sign) - sign;
-  }
-  return acc;
+/// ±(sum << shifts[g]), branch-free: a sign mask of 0 adds the shifted
+/// sum, −1 subtracts it. The branch cost the per-sample SVHN pass ~6 %.
+[[gnu::always_inline]] inline std::int64_t signed_shift(
+    const GroupedPlan& plan, std::size_t g, std::int64_t sum) {
+  const std::int64_t sign = plan.sign_masks[g];
+  return ((sum << plan.shifts[g]) ^ sign) - sign;
 }
 
-/// The next group, for walks that scale each group on its own.
-inline std::size_t next_group(std::size_t g) { return g + 1; }
-
-/// Σ src[slot(idx[t])] over terms [t, end), in int64. Four terms a
-/// step into two sums: this is the per-sample dense kernel of every
-/// tier below AVX-512.
-template <typename Slot, typename SlotOf>
+/// Σ src[idx[t]] over terms [t, end), in int64. Four terms a step into
+/// two sums: this is the per-sample dense kernel of every tier below
+/// AVX-512.
+template <typename Slot>
 [[gnu::always_inline]] inline std::int64_t term_sum(const GroupedPlan& plan,
                                                     std::size_t t,
                                                     std::size_t end,
-                                                    const Slot* src,
-                                                    SlotOf slot) {
+                                                    const Slot* src) {
   const std::uint32_t* idx = plan.idx.data();
   std::int64_t even = 0;
   std::int64_t odd = 0;
   for (; t + 4 <= end; t += 4) {
-    even += std::int64_t{src[slot(idx[t])]} + src[slot(idx[t + 1])];
-    odd += std::int64_t{src[slot(idx[t + 2])]} + src[slot(idx[t + 3])];
+    even += std::int64_t{src[idx[t]]} + src[idx[t + 1]];
+    odd += std::int64_t{src[idx[t + 2]]} + src[idx[t + 3]];
     // Pins both sums to registers each step: GCC's -O3 vectorizer
     // otherwise turns the step into emulated gathers, which made the
     // per-sample SVHN walk ~1.7× slower.
     asm("" : "+r"(even), "+r"(odd));
   }
-  for (; t < end; ++t) even += src[slot(idx[t])];
+  for (; t < end; ++t) even += src[idx[t]];
   return even + odd;
 }
-
-/// A slot read as is.
-inline std::size_t same_slot(std::uint32_t slot) { return slot; }
 
 /// accumulate_dense: the k-strided multiples hold every lane, so each
 /// (shift, sign) run of lane groups sums as one group.
 void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
                 std::int64_t* out) {
   const std::uint32_t* begin = plan.group_begin.data();
-  const auto run_end = [&](std::size_t g) { return plan.run_ends[g]; };
+  const std::uint32_t* runs = plan.run_groups.data();
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
-    out[r] = group_row(
-        plan, r,
-        [&](std::size_t g) {
-          return term_sum(plan, begin[g], begin[run_end(g)], multiples,
-                          same_slot);
-        },
-        run_end);
+    std::int64_t acc = plan.biases[r];
+    for (std::size_t j = plan.row_runs[r]; j < plan.row_runs[r + 1]; ++j) {
+      const std::size_t g = runs[j];
+      acc += signed_shift(
+          plan, g, term_sum(plan, begin[g], begin[runs[j + 1]], multiples));
+    }
+    out[r] = acc;
   }
 }
 
@@ -99,9 +82,8 @@ void tile_walk(const DenseLayerPlan& plan,
         for (std::size_t b = 0; b < kTile; ++b) sum[b] += lanes[b];
       }
       const std::int64_t a = alphabets[plan.bank_lanes[g]];
-      const std::int64_t sign = plan.sign_masks[g];
       for (std::size_t b = 0; b < kTile; ++b) {
-        acc[b] += (((a * sum[b]) << plan.shifts[g]) ^ sign) - sign;
+        acc[b] += signed_shift(plan, g, a * sum[b]);
       }
     }
     std::copy_n(acc, kTile, out + r * kTile);
@@ -119,14 +101,15 @@ void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
       for (int ox = 0; ox < plan.ow; ++ox) {
         const Slot* base =
             multiples + static_cast<std::size_t>(oy) * plan.iw + ox;
-        out[r * positions + static_cast<std::size_t>(oy) * plan.ow + ox] =
-            group_row(
-                plan, r,
-                [&](std::size_t g) {
-                  return term_sum(plan, plan.group_begin[g],
-                                  plan.group_begin[g + 1], base, same_slot);
-                },
-                next_group);
+        std::int64_t acc = plan.biases[r];
+        for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1];
+             ++g) {
+          acc += signed_shift(
+              plan, g,
+              term_sum(plan, plan.group_begin[g], plan.group_begin[g + 1],
+                       base));
+        }
+        out[r * positions + static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
       }
     }
   }

@@ -90,11 +90,12 @@ MAN_TARGET_AVX512 void dense_groups_avx512(const DenseLayerPlan& plan,
                                            std::int64_t* out) {
   const std::uint32_t* idx = plan.idx.data();
   const std::uint32_t* begin = plan.group_begin.data();
+  const std::uint32_t* runs = plan.run_groups.data();
   for (std::size_t r = 0; r < static_cast<std::size_t>(plan.rows); ++r) {
     __m512i acc = _mm512_setzero_si512();
-    for (std::size_t g = plan.row_groups[r]; g < plan.row_groups[r + 1];
-         g = plan.run_ends[g]) {
-      const std::uint32_t end = begin[plan.run_ends[g]];
+    for (std::size_t j = plan.row_runs[r]; j < plan.row_runs[r + 1]; ++j) {
+      const std::size_t g = runs[j];
+      const std::uint32_t end = begin[runs[j + 1]];
       __m512i sum = _mm512_setzero_si512();
       std::uint32_t t = begin[g];
       for (; t + kZmmLanes <= end; t += kZmmLanes) {

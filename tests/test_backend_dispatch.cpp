@@ -537,10 +537,15 @@ TEST(DensePlanOracle, EveryBackendMatchesTheAosWalk) {
             << label;
         for (std::size_t g = plan.row_groups[2]; g < plan.row_groups[3]; ++g) {
           EXPECT_EQ(row2_lanes.count(plan.bank_lanes[g]), 1u) << label;
-          EXPECT_EQ(plan.run_ends[g], plan.row_groups[3]) << label;
+        }
+        if (!row2_lanes.empty()) {
+          ASSERT_EQ(plan.row_runs[3] - plan.row_runs[2], 1u) << label;
+          EXPECT_EQ(plan.run_groups[plan.row_runs[2]], plan.row_groups[2])
+              << label;
+          EXPECT_EQ(plan.run_groups[plan.row_runs[2] + 1], plan.row_groups[3])
+              << label;
         }
         ASSERT_EQ(plan.bank_lanes.size(), plan.shifts.size()) << label;
-        ASSERT_EQ(plan.run_ends.size(), plan.shifts.size()) << label;
         for (std::size_t g = 0; g < plan.shifts.size(); ++g) {
           EXPECT_LT(plan.bank_lanes[g], k) << label;
           for (std::size_t t = plan.group_begin[g];
@@ -798,11 +803,13 @@ TEST(BackendPlans, CompiledPlansCoverEveryDenseStage) {
             plans[0].idx.size());
   // 8-bit weights decompose into two quartets, 7 magnitude bits (paper
   // Fig 4): shifts 0..6, so at most 7 shifts × 2 signs × 4 bank lanes
-  // per row, each group at most once, in (shift, sign, lane) order; a
-  // group's run ends at the row's next (shift, sign).
+  // per row, each group at most once, in (shift, sign, lane) order. A
+  // row's runs cover its groups in order, one run per (shift, sign).
   const DenseLayerPlan& p = plans[0];
   ASSERT_EQ(p.bank_lanes.size(), p.shifts.size());
-  ASSERT_EQ(p.run_ends.size(), p.shifts.size());
+  ASSERT_EQ(p.row_runs.size(), 9u);
+  ASSERT_EQ(p.run_groups.size(), p.row_runs[8] + std::size_t{1});
+  EXPECT_EQ(p.run_groups[p.row_runs[8]], p.shifts.size());
   for (std::size_t r = 0; r < 8; ++r) {
     const std::uint32_t end = p.row_groups[r + 1];
     EXPECT_LE(end - p.row_groups[r], 56u);
@@ -813,16 +820,21 @@ TEST(BackendPlans, CompiledPlansCoverEveryDenseStage) {
           (p.shifts[g] * 2 - p.sign_masks[g]) * 4 + p.bank_lanes[g];
       EXPECT_GT(key, last);
       last = key;
-      const std::uint32_t run_end = p.run_ends[g];
-      ASSERT_GT(run_end, g);
-      ASSERT_LE(run_end, end);
-      for (std::size_t h = g; h < run_end; ++h) {
-        EXPECT_EQ(p.shifts[h], p.shifts[g]);
-        EXPECT_EQ(p.sign_masks[h], p.sign_masks[g]);
+    }
+    ASSERT_LT(p.row_runs[r], p.row_runs[r + 1]);
+    EXPECT_EQ(p.run_groups[p.row_runs[r]], p.row_groups[r]);
+    EXPECT_EQ(p.run_groups[p.row_runs[r + 1]], end);
+    for (std::size_t j = p.row_runs[r]; j < p.row_runs[r + 1]; ++j) {
+      const std::uint32_t first = p.run_groups[j];
+      ASSERT_LT(first, p.run_groups[j + 1]);
+      for (std::size_t g = first; g < p.run_groups[j + 1]; ++g) {
+        EXPECT_EQ(p.shifts[g], p.shifts[first]);
+        EXPECT_EQ(p.sign_masks[g], p.sign_masks[first]);
       }
-      if (run_end < end) {
-        EXPECT_TRUE(p.shifts[run_end] != p.shifts[g] ||
-                    p.sign_masks[run_end] != p.sign_masks[g]);
+      if (j > p.row_runs[r]) {
+        const std::uint32_t prev = p.run_groups[j - 1];
+        EXPECT_TRUE(p.shifts[prev] != p.shifts[first] ||
+                    p.sign_masks[prev] != p.sign_masks[first]);
       }
     }
   }
