@@ -74,10 +74,9 @@ class KernelBackend {
 
   /// ASM accumulation for one dense stage, group by group:
   /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g].
-  /// `multiples` holds
-  /// plan.padded_multiples() slots (cols × k bank outputs, k-strided).
-  /// The AVX-512 tier gathers; every other backend runs the scalar
-  /// reference's walk.
+  /// `multiples` holds plan.padded_multiples() slots (cols × k bank
+  /// outputs, k-strided). The AVX-512 tier gathers; every other
+  /// backend runs the scalar reference's walk.
   virtual void accumulate_dense(const DenseLayerPlan& plan,
                                 const std::int64_t* multiples,
                                 std::int64_t* out) const = 0;
@@ -86,11 +85,10 @@ class KernelBackend {
   /// out sample-minor in int16 lanes: input c of sample b lives at
   /// tile[c·kDenseTile + b] (plan.cols × kDenseTile values, the inputs
   /// themselves, not their bank outputs; term t reads input idx[t] / k),
-  /// and row r of sample b lands
-  /// at out[r·kDenseTile + b]. Each term is read once per tile and adds
-  /// kDenseTile contiguous lanes — one 64-byte vector, two 32-byte or
-  /// four 16-byte ones — so vector kernels use plain loads where the
-  /// per-sample kernel gathers. A group's terms are summed in int16
+  /// and row r of sample b lands at out[r·kDenseTile + b]. Each term is
+  /// read once per tile and adds kDenseTile contiguous lanes — one
+  /// 64-byte vector, two 32-byte or four 16-byte ones — so vector
+  /// kernels use plain loads where the per-sample kernel gathers. A group's terms are summed in int16
   /// runs of at most `chunk` terms, each run widened into the group's
   /// int32 sum Σx; the bank is applied to that sum, a·Σx with a =
   /// alphabets[plan.bank_lanes[g]], then shifted and added to the row

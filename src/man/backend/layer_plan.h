@@ -9,20 +9,18 @@
 //   row_groups[r]  : row r's first group (rows + 1 offsets)
 //   group_begin[g] : group g's first term (groups + 1 offsets)
 //   shifts[g], sign_masks[g] : the group's left shift and sign (0/-1)
-//   idx[t]         : term t's input
-// so out[r] = bias[r] + Σ_g ±(Σ_t m(t)) << shifts[g], where m(t) is the
-// bank output term t selects: one load and add per term, one shift and
-// one add or subtract per group, 4 bytes per term and no padding or
-// absent entries. A conv row is a filter, its idx are lane-major slots
-// of patch elements at output position (0,0), and the kernels add each
-// position's base offset to every read. A dense row is an output
-// neuron and its idx are k-strided slots c·k + l (input column c, bank
-// lane l). Its groups are also split by bank lane (bank_lanes[g]), so
+//   idx[t]         : term t's slot in the multiples buffer
+// so out[r] = bias[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g]: one
+// load and add per term, one shift and one add or subtract per group,
+// 4 bytes per term and no padding or absent entries. A dense row is an
+// output neuron and its slots are c·k + lane; a conv row is a filter,
+// its slots are lane-major patch elements at output position (0,0),
+// and the kernels add each position's base offset to every read. A
+// dense row's groups are also split by bank lane (bank_lanes[g]), so
 // the batch tile, which stages each input x once, reads input idx / k
 // and scales each group's Σx by alphabets[bank_lanes[g]] (the bank is
-// linear: a·Σx = Σ a·x). One sample's multiples hold every lane, so the
-// per-sample walk sums a whole (shift, sign) run of lane groups
-// (run_groups) as one group.
+// linear: a·Σx = Σ a·x); one sample sums each (shift, sign) run of
+// lane groups as one group (run_groups).
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
@@ -182,15 +180,16 @@ struct GroupedPlan {
 
   /// Grouped terms (every backend walks these). Row r owns groups
   /// [row_groups[r], row_groups[r+1]), group g owns terms
-  /// [group_begin[g], group_begin[g+1]) and adds the sum of its terms'
-  /// bank outputs shifted by shifts[g], subtracted when sign_masks[g]
-  /// is -1. build_asm() orders a row's groups by (shift, sign) (a dense
-  /// row's then by bank lane) and a group's terms by idx.
+  /// [group_begin[g], group_begin[g+1]) and adds
+  /// (Σ multiples[idx[t]]) << shifts[g], subtracted when
+  /// sign_masks[g] is -1. build_asm() orders a row's groups by
+  /// (shift, sign) (a dense row's then by bank lane) and a group's
+  /// terms by idx.
   PlanArray<std::uint32_t> row_groups;   ///< rows + 1 offsets
   PlanArray<std::uint32_t> group_begin;  ///< groups + 1 offsets
   PlanArray<std::int64_t> shifts;        ///< per group, < kMaxShift
   PlanArray<std::int64_t> sign_masks;    ///< per group, 0 or -1
-  PlanArray<std::uint32_t> idx;          ///< per term (see the plan kinds)
+  PlanArray<std::uint32_t> idx;          ///< per term, a multiples slot
 
   /// Staging window: the activation QFormat's raw range
   /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
