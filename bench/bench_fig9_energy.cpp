@@ -150,8 +150,7 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
   // One sample at a time through infer_into with one scratch: never a
   // batch tile, so this runs a backend's per-sample kernels (what
   // serving runs at micro-batches near 1). The first pass sizes the
-  // scratch buffers and pages in the plan and staging tables; the
-  // second is timed.
+  // scratch buffers and pages in the plans; the second is timed.
   const auto per_sample = [&](const man::backend::KernelBackend& kernel,
                               std::vector<std::int64_t>& raw,
                               man::engine::EngineStats& stats) {

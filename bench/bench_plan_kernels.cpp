@@ -288,13 +288,11 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const DenseLayerPlan& plan = plans[i];
     const auto k = static_cast<std::size_t>(plan.k);
-    const man::core::PrecomputerBank bank(
-        man::core::AlphabetSet::first_n(k));
-    man::core::PrecomputerCache table(bank);
-    table.configure_range(plan.in_min_raw, plan.in_max_raw);
+    const man::core::AlphabetSet set = man::core::AlphabetSet::first_n(k);
+    const man::backend::StagingWindow window{plan.in_min_raw, plan.in_max_raw,
+                                             set.alphabets()};
     const auto cols = static_cast<std::size_t>(plan.cols);
     const std::size_t slots = cols * kDenseTile;
-    const man::core::PrecomputerCache::View view = table.view();
     using man::backend::epilogue::TileSlots;
     if (i == 0) {
       // Pixels as images hold them, in [0, 1], staged sample by sample.
@@ -309,10 +307,10 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
                 backend, declined,
                 [&] {
                   return backend.stage_pixels_tile(
-                      pixels, spec.activation_format, view, tile);
+                      pixels, spec.activation_format, window, tile);
                 },
                 [&] {
-                  const TileSlots sink{view, tile};
+                  const TileSlots sink{window, tile};
                   for (std::size_t b = 0; b < kDenseTile; ++b) {
                     for (std::size_t c = 0; c < cols; ++c) {
                       sink(c, b, source(b * cols + c));
@@ -335,10 +333,10 @@ bool report_boundaries(const man::engine::FixedNetwork& svhn,
                 backend, declined,
                 [&] {
                   return backend.lut_stage_tile(acc.data(), cols,
-                                                lut.raw_path(), view, tile);
+                                                lut.raw_path(), window, tile);
                 },
                 [&] {
-                  const TileSlots sink{view, tile};
+                  const TileSlots sink{window, tile};
                   for (std::size_t o = 0; o < acc.size(); ++o) {
                     sink(o / kDenseTile, o % kDenseTile, source(o));
                   }

@@ -40,20 +40,16 @@ struct VectorKernels {
   /// none. Each returns false where it does not run exactly, and
   /// FixedNetwork then runs the reference, which throws on a miss.
   bool (*stage_pixels)(std::span<const float>, const man::fixed::QFormat&,
-                       const man::core::PrecomputerCache::View&,
-                       std::int32_t*, std::size_t);
+                       const StagingWindow&, std::int32_t*, std::size_t);
   bool (*lut_pool2_stage)(const std::int64_t*, const Pool2Shape&,
                           const man::core::FixedActivationLut::RawPath&,
-                          const man::core::PrecomputerCache::View&,
-                          std::int32_t*, std::size_t);
+                          const StagingWindow&, std::int32_t*, std::size_t);
   bool (*stage_pixels_tile)(std::span<const float>,
-                            const man::fixed::QFormat&,
-                            const man::core::PrecomputerCache::View&,
+                            const man::fixed::QFormat&, const StagingWindow&,
                             std::int16_t*);
   bool (*lut_stage_tile)(const std::int64_t*, std::size_t,
                          const man::core::FixedActivationLut::RawPath&,
-                         const man::core::PrecomputerCache::View&,
-                         std::int16_t*);
+                         const StagingWindow&, std::int16_t*);
 };
 
 /// The widest tier at most `cap_bytes` wide that this CPU runs: 64

@@ -8,6 +8,12 @@
 
 namespace man::backend {
 
+void StagingWindow::throw_outside(std::int64_t x) const {
+  throw std::out_of_range("staging: input " + std::to_string(x) +
+                          " outside the window [" + std::to_string(min_raw) +
+                          ", " + std::to_string(max_raw) + "]");
+}
+
 const KernelBackend& backend_for(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar:

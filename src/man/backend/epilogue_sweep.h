@@ -1,6 +1,6 @@
 // The scalar epilogue sweeps: the loops of a stage boundary (input
-// quantization, activation LUT, average pool, lane-major or tile
-// staging) as FixedNetwork runs them for every segment that no kernel
+// quantization, activation LUT, average pool, bank or tile staging) as
+// FixedNetwork runs them for every segment that no kernel
 // backend sweeps, or whose sweep declined. They are the reference:
 // every vector sweep equals them bit for bit. A
 // sweep reads a boundary's inputs through a Source, applies its LUTs
@@ -15,9 +15,9 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "man/backend/kernel_backend.h"
 #include "man/backend/layer_plan.h"
 #include "man/core/activation.h"
-#include "man/core/precomputer_bank.h"
 #include "man/fixed/qformat.h"
 
 namespace man::backend::epilogue {
@@ -61,22 +61,29 @@ struct ValueSink {
   }
 };
 
-// Conv staging, lane-major: lane l of element o at [l·stride + o], so
-// consecutive output positions of one conv weight read consecutive
-// slots (the layout ConvLayerPlan::idx indexes). Slots are int64, or
-// int32 for a stage whose plan passed int32_row_bound(), which proves
-// every staged multiple fits. `rows` maps a value to its k bank
-// outputs.
-template <typename Slot, typename Rows>
-struct LaneMajorSink {
-  Rows rows;
+// Bank staging, by the one staging rule: value o's k bank outputs
+// alphabets[l]·v, after the window check (StagingWindow::check), at
+// multiples[o·value_stride + l·lane_stride]. A dense stage run per
+// sample stages k-strided element-major (value_stride k, lane_stride 1,
+// the accumulate_dense layout); a conv stage lane-major (value_stride
+// 1, lane_stride the element count), so consecutive output positions
+// of one conv weight read consecutive slots (the layout
+// ConvLayerPlan::idx indexes). Slots are int64, or int32 for a conv
+// stage whose plan passed int32_row_bound(), which proves every staged
+// multiple fits.
+template <typename Slot>
+struct MultiplesSink {
+  StagingWindow window;
   Slot* multiples;
-  std::size_t k;
-  std::size_t stride;
-  [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
-    const std::int64_t* row = rows(v);
-    for (std::size_t l = 0; l < k; ++l) {
-      multiples[l * stride + o] = static_cast<Slot>(row[l]);
+  std::size_t value_stride;
+  std::size_t lane_stride;
+  [[gnu::always_inline]] void operator()(std::size_t o,
+                                         std::int64_t v) const {
+    window.check(v);
+    Slot* slot = multiples + o * value_stride;
+    for (const std::uint8_t a : window.alphabets) {
+      *slot = static_cast<Slot>(std::int64_t{a} * v);
+      slot += lane_stride;
     }
   }
 };
@@ -86,14 +93,13 @@ struct LaneMajorSink {
 // contiguously (the layout accumulate_dense_tile reads, which applies
 // the bank to each group's sum), in int16 slots, which
 // int16_tile_chunk() proves every tiled stage's inputs fit. A value
-// outside `window` (the stage's staging table) throws std::out_of_range,
-// as the table's lookup does.
+// outside `window` throws std::out_of_range.
 struct TileSlots {
-  man::core::PrecomputerCache::View window;
+  StagingWindow window;
   std::int16_t* tile;
   [[gnu::always_inline]] void operator()(std::size_t i, std::size_t b,
                                          std::int64_t v) const {
-    (void)window.lookup(v);
+    window.check(v);
     tile[i * static_cast<std::size_t>(kDenseTile) + b] =
         static_cast<std::int16_t>(v);
   }

@@ -15,14 +15,15 @@
 #ifndef MAN_BACKEND_KERNEL_BACKEND_H
 #define MAN_BACKEND_KERNEL_BACKEND_H
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string_view>
 
 #include "man/backend/layer_plan.h"
 #include "man/core/activation.h"
-#include "man/core/precomputer_bank.h"
 #include "man/fixed/qformat.h"
 
 namespace man::backend {
@@ -34,6 +35,43 @@ struct Pool2Shape {
   int c = 0;
   int oh = 0;
   int ow = 0;
+};
+
+/// How a synapse stage stages its inputs: the pre-computer bank is
+/// linear, so its output l of input x is alphabets[l]·x, and every
+/// staged x must lie in [min_raw, max_raw] — the plan's staging window
+/// for a stage fed activation-format values, all of int64 for one fed
+/// raw accumulators.
+struct StagingWindow {
+  std::int64_t min_raw = 0;
+  std::int64_t max_raw = -1;  ///< below min_raw: the window is empty
+  std::span<const std::uint8_t> alphabets;  ///< the bank's k alphabets
+
+  /// Throws std::out_of_range when x lies outside the window.
+  void check(std::int64_t x) const {
+    if (x < min_raw || x > max_raw) throw_outside(x);
+  }
+
+  /// True when the window is not empty and every alphabets[l]·x of it
+  /// fits int32: X·max(a) ≤ INT32_MAX, X = max(|min_raw|, |max_raw|).
+  /// The sweeps decline every other window.
+  [[nodiscard]] bool fits_int32() const noexcept {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::int32_t>::max();
+    const auto magnitude = [](std::int64_t v) {
+      const auto u = static_cast<std::uint64_t>(v);
+      return v < 0 ? 0 - u : u;
+    };
+    const std::uint64_t x = std::max(magnitude(min_raw), magnitude(max_raw));
+    std::uint64_t a = 1;
+    for (const std::uint8_t alphabet : alphabets) {
+      a = std::max<std::uint64_t>(a, alphabet);
+    }
+    return min_raw <= max_raw && x <= kMax && x * a <= kMax;
+  }
+
+ private:
+  /// check()'s throw, out of line.
+  [[noreturn]] void throw_outside(std::int64_t x) const;
 };
 
 /// Registered accumulation kernels. The three vector kinds are caps:
@@ -113,10 +151,11 @@ class KernelBackend {
   /// plan.padded_multiples() slots — k lanes of ic·ih·iw bank
   /// outputs. FixedNetwork calls it only for plans that do not fit
   /// int32 lanes (a stage fed raw accumulators, or one that fails the
-  /// row bound); every backend runs the scalar reference's walk here.
-  virtual void accumulate_conv(const ConvLayerPlan& plan,
-                               const std::int64_t* multiples,
-                               std::int64_t* out) const = 0;
+  /// row bound), so it is not virtual: every backend runs the scalar
+  /// reference's walk (scalar_backend.cpp).
+  void accumulate_conv(const ConvLayerPlan& plan,
+                       const std::int64_t* multiples,
+                       std::int64_t* out) const;
 
   /// accumulate_conv over int32 multiples: the same lane-major layout
   /// and output. The vector backend runs 4, 8 or 16 consecutive output
@@ -134,60 +173,54 @@ class KernelBackend {
 
   // Epilogue sweeps: stage boundaries, each one pass that equals the
   // reference loops of epilogue_sweep.h, which FixedNetwork runs
-  // whenever a sweep returns false. Conv staging writes value o's k
-  // table entries lane-major as int32: lane l at slots[l·stride + o]
-  // (the accumulate_conv_int32 layout), computed as alphabets[l]·x in
-  // int32 lanes (View::alphabets); callers hold int32_row_bound() ≤
-  // INT32_MAX, which proves every entry fits. Tile staging writes
-  // element i of sample b itself, sample-minor as int16, at
-  // tile[i·kDenseTile + b] (the accumulate_dense_tile layout); callers
-  // hold int16_tile_chunk() ≥ 1, which proves every value in the
-  // table's window fits. A sweep returns true, or returns false, its
-  // output unspecified, where it does not run exactly
-  // (docs/backends.md lists the declines; a value outside the table's
-  // window is one). The base class declines every case, so the scalar
-  // backend has no sweeps.
+  // whenever a sweep returns false. Conv staging writes value x's k
+  // bank outputs alphabets[l]·x lane-major as int32: lane l of value o
+  // at slots[l·stride + o] (the accumulate_conv_int32 layout). Tile
+  // staging writes element i of sample b itself, sample-minor as int16,
+  // at tile[i·kDenseTile + b] (the accumulate_dense_tile layout);
+  // callers hold int16_tile_chunk() ≥ 1, which proves every value in
+  // the window fits. A sweep returns true, or returns false, its output
+  // unspecified, where it does not run exactly (docs/backends.md lists
+  // the declines: a window that fails StagingWindow::fits_int32() is
+  // one, a staged value outside the window another). The base class
+  // declines every case, so the scalar backend has no sweeps.
 
   /// Each pixel quantized to `format` (QFormat::quantize) and staged
-  /// from `table`, pixel i as value i.
+  /// through `window`, pixel i as value i.
   [[nodiscard]] virtual bool stage_pixels(
       std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
-      const man::core::PrecomputerCache::View& /*table*/,
-      std::int32_t* /*slots*/, std::size_t /*stride*/) const {
+      const StagingWindow& /*window*/, std::int32_t* /*slots*/,
+      std::size_t /*stride*/) const {
     return false;
   }
 
   /// Every input through `lut`, then each 2×2 window summed and its
   /// average rounded to nearest, half away from zero; pooled value o
-  /// staged from `table` as value o.
+  /// staged through `window` as value o.
   [[nodiscard]] virtual bool lut_pool2_stage(
       const std::int64_t* /*in*/, const Pool2Shape& /*shape*/,
       const man::core::FixedActivationLut::RawPath& /*lut*/,
-      const man::core::PrecomputerCache::View& /*table*/,
-      std::int32_t* /*slots*/, std::size_t /*stride*/) const {
+      const StagingWindow& /*window*/, std::int32_t* /*slots*/,
+      std::size_t /*stride*/) const {
     return false;
   }
 
   /// A tile's images: `pixels` holds kDenseTile samples of n values
   /// each, sample after sample; pixel i of sample b is quantized to
-  /// `format` and staged, inside `table`'s window, as element i of
-  /// sample b.
+  /// `format` and staged, inside `window`, as element i of sample b.
   [[nodiscard]] virtual bool stage_pixels_tile(
       std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
-      const man::core::PrecomputerCache::View& /*table*/,
-      std::int16_t* /*tile*/) const {
+      const StagingWindow& /*window*/, std::int16_t* /*tile*/) const {
     return false;
   }
 
   /// A tile's accumulators through `lut`: acc[i·kDenseTile + b] (row i
   /// of sample b, `elements` rows, as accumulate_dense_tile writes
-  /// them) is staged, inside `table`'s window, as element i of sample
-  /// b.
+  /// them) is staged, inside `window`, as element i of sample b.
   [[nodiscard]] virtual bool lut_stage_tile(
       const std::int64_t* /*acc*/, std::size_t /*elements*/,
       const man::core::FixedActivationLut::RawPath& /*lut*/,
-      const man::core::PrecomputerCache::View& /*table*/,
-      std::int16_t* /*tile*/) const {
+      const StagingWindow& /*window*/, std::int16_t* /*tile*/) const {
     return false;
   }
 };

@@ -4,9 +4,10 @@
 // sign) groups: each group's multiples summed (in the dense tile, its
 // inputs summed and scaled by the group's alphabet), shifted once,
 // then added or subtracted. One dense sample walks each (shift, sign)
-// run of lane groups as one group. It has no epilogue sweeps:
-// KernelBackend's declines them, and FixedNetwork runs the reference
-// templates of epilogue_sweep.h instead.
+// run of lane groups as one group; its int64 conv walk is
+// KernelBackend::accumulate_conv, which every backend runs. It has no
+// epilogue sweeps: KernelBackend's declines them, and FixedNetwork runs
+// the reference templates of epilogue_sweep.h instead.
 #include "man/backend/backend_impls.h"
 
 #include <algorithm>
@@ -141,12 +142,6 @@ class ScalarBackend final : public KernelBackend {
     tile_walk(plan, alphabets, tile, out);
   }
 
-  void accumulate_conv(const ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
-                       std::int64_t* out) const override {
-    conv_walk(plan, multiples, out);
-  }
-
   void accumulate_conv_int32(const ConvLayerPlan& plan,
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
@@ -164,3 +159,13 @@ const KernelBackend& scalar_backend() {
 }
 
 }  // namespace man::backend::detail
+
+namespace man::backend {
+
+void KernelBackend::accumulate_conv(const ConvLayerPlan& plan,
+                                    const std::int64_t* multiples,
+                                    std::int64_t* out) const {
+  detail::conv_walk(plan, multiples, out);
+}
+
+}  // namespace man::backend

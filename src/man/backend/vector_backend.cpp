@@ -4,9 +4,10 @@
 // CPUID reports it; avx512 runs AVX-512F/VL/BW, else AVX2. Each picks the
 // widest tier at or below its cap that the CPU runs (vector_kernels())
 // once, and each method is one call into that tier's kernels, or into
-// the scalar reference where the tier has no kernel of its own (int64
-// conv lanes everywhere, the per-sample dense loop below AVX-512), so
-// no method runs AVX code before the CPUID check.
+// the scalar reference where the tier has no kernel of its own (the
+// per-sample dense loop below AVX-512; int64 conv lanes run it on every
+// backend, KernelBackend::accumulate_conv), so no method runs AVX code
+// before the CPUID check.
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
@@ -44,14 +45,6 @@ class VectorBackend final : public KernelBackend {
     kernels_.dense_tile(plan, alphabets, chunk, tile, out);
   }
 
-  // Int64 conv lanes serve only plans outside the int32 proof, which no
-  // app builds: they run the scalar reference.
-  void accumulate_conv(const ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
-                       std::int64_t* out) const override {
-    scalar_backend().accumulate_conv(plan, multiples, out);
-  }
-
   void accumulate_conv_int32(const ConvLayerPlan& plan,
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
@@ -60,35 +53,34 @@ class VectorBackend final : public KernelBackend {
 
   bool stage_pixels(std::span<const float> pixels,
                     const man::fixed::QFormat& format,
-                    const man::core::PrecomputerCache::View& table,
-                    std::int32_t* slots, std::size_t stride) const override {
+                    const StagingWindow& window, std::int32_t* slots,
+                    std::size_t stride) const override {
     return kernels_.stage_pixels != nullptr &&
-           kernels_.stage_pixels(pixels, format, table, slots, stride);
+           kernels_.stage_pixels(pixels, format, window, slots, stride);
   }
 
   bool lut_pool2_stage(const std::int64_t* in, const Pool2Shape& shape,
                        const man::core::FixedActivationLut::RawPath& lut,
-                       const man::core::PrecomputerCache::View& table,
-                       std::int32_t* slots,
+                       const StagingWindow& window, std::int32_t* slots,
                        std::size_t stride) const override {
     return kernels_.lut_pool2_stage != nullptr &&
-           kernels_.lut_pool2_stage(in, shape, lut, table, slots, stride);
+           kernels_.lut_pool2_stage(in, shape, lut, window, slots, stride);
   }
 
   bool stage_pixels_tile(std::span<const float> pixels,
                          const man::fixed::QFormat& format,
-                         const man::core::PrecomputerCache::View& table,
+                         const StagingWindow& window,
                          std::int16_t* tile) const override {
     return kernels_.stage_pixels_tile != nullptr &&
-           kernels_.stage_pixels_tile(pixels, format, table, tile);
+           kernels_.stage_pixels_tile(pixels, format, window, tile);
   }
 
   bool lut_stage_tile(const std::int64_t* acc, std::size_t elements,
                       const man::core::FixedActivationLut::RawPath& lut,
-                      const man::core::PrecomputerCache::View& table,
+                      const StagingWindow& window,
                       std::int16_t* tile) const override {
     return kernels_.lut_stage_tile != nullptr &&
-           kernels_.lut_stage_tile(acc, elements, lut, table, tile);
+           kernels_.lut_stage_tile(acc, elements, lut, window, tile);
   }
 
  private:

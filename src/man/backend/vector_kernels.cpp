@@ -139,97 +139,89 @@ struct ZmmGather : YmmGather {
   }
 };
 
-using man::core::PrecomputerCache;
 using RawPath = man::core::FixedActivationLut::RawPath;
 
 // The epilogue sweeps decline (return false) where they do not run
-// exactly: the table has no window (an unconfigured one, span 0), a
-// staged value missed the table's window, a conv sweep's table lacks
-// the in-register proof, the LUT's scale is not 2^bits − 1, or float
-// lanes cannot quantize the pixel format exactly.
+// exactly: the window fails StagingWindow::fits_int32() (an empty one
+// included), a staged value missed the window, the LUT's scale is not
+// 2^bits − 1, or float lanes cannot quantize the pixel format exactly.
 template <typename V>
 [[gnu::always_inline]] inline bool row_pixels(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int32_t* slots,
-    std::size_t stride) {
+    const StagingWindow& window, std::int32_t* slots, std::size_t stride) {
   FloatQuantize quantizer;
-  return table.alphabets != nullptr && quantizer.assign(format) &&
-         stage_pixels<V>(pixels, quantizer, Staging{table}, slots, stride);
+  return window.fits_int32() && quantizer.assign(format) &&
+         stage_pixels<V>(pixels, quantizer, Staging{window}, slots, stride);
 }
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool lut_pool2(
     const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
-    const PrecomputerCache::View& table, std::int32_t* slots,
-    std::size_t stride) {
+    const StagingWindow& window, std::int32_t* slots, std::size_t stride) {
   LutPath lut;
-  return table.alphabets != nullptr && lut.assign(raw) &&
-         lut_pool2_stage<G, V>(in, shape, lut, Staging{table}, slots, stride);
+  return window.fits_int32() && lut.assign(raw) &&
+         lut_pool2_stage<G, V>(in, shape, lut, Staging{window}, slots, stride);
 }
 template <typename V>
 [[gnu::always_inline]] inline bool tile_pixels(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int16_t* tile) {
+    const StagingWindow& window, std::int16_t* tile) {
   FloatQuantize quantizer;
-  return table.span != 0 && quantizer.assign(format) &&
-         stage_pixels_tile<V>(pixels, quantizer, Staging{table}, tile);
+  return window.fits_int32() && quantizer.assign(format) &&
+         stage_pixels_tile<V>(pixels, quantizer, Staging{window}, tile);
 }
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool tile_lut(const std::int64_t* acc,
                                             std::size_t elements,
                                             const RawPath& raw,
-                                            const PrecomputerCache::View& table,
+                                            const StagingWindow& window,
                                             std::int16_t* tile) {
   LutPath lut;
-  return table.span != 0 && lut.assign(raw) &&
-         lut_stage_tile<G, V>(acc, elements, lut, Staging{table}, tile);
+  return window.fits_int32() && lut.assign(raw) &&
+         lut_stage_tile<G, V>(acc, elements, lut, Staging{window}, tile);
 }
 
 MAN_TARGET_AVX512 bool stage_pixels_avx512(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int32_t* slots,
-    std::size_t stride) {
-  return row_pixels<I32x16>(pixels, format, table, slots, stride);
+    const StagingWindow& window, std::int32_t* slots, std::size_t stride) {
+  return row_pixels<I32x16>(pixels, format, window, slots, stride);
 }
 MAN_TARGET_AVX512 bool lut_pool2_stage_avx512(
     const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
-    const PrecomputerCache::View& table, std::int32_t* slots,
-    std::size_t stride) {
-  return lut_pool2<ZmmGather, I64x8>(in, shape, raw, table, slots, stride);
+    const StagingWindow& window, std::int32_t* slots, std::size_t stride) {
+  return lut_pool2<ZmmGather, I64x8>(in, shape, raw, window, slots, stride);
 }
 MAN_TARGET_AVX512 bool stage_pixels_tile_avx512(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int16_t* tile) {
-  return tile_pixels<I32x16>(pixels, format, table, tile);
+    const StagingWindow& window, std::int16_t* tile) {
+  return tile_pixels<I32x16>(pixels, format, window, tile);
 }
 MAN_TARGET_AVX512 bool lut_stage_tile_avx512(
     const std::int64_t* acc, std::size_t elements, const RawPath& raw,
-    const PrecomputerCache::View& table, std::int16_t* tile) {
-  return tile_lut<ZmmGather, I32x16>(acc, elements, raw, table, tile);
+    const StagingWindow& window, std::int16_t* tile) {
+  return tile_lut<ZmmGather, I32x16>(acc, elements, raw, window, tile);
 }
 
 MAN_TARGET_AVX2 bool stage_pixels_avx2(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int32_t* slots,
-    std::size_t stride) {
-  return row_pixels<I32x8>(pixels, format, table, slots, stride);
+    const StagingWindow& window, std::int32_t* slots, std::size_t stride) {
+  return row_pixels<I32x8>(pixels, format, window, slots, stride);
 }
 MAN_TARGET_AVX2 bool lut_pool2_stage_avx2(
     const std::int64_t* in, const Pool2Shape& shape, const RawPath& raw,
-    const PrecomputerCache::View& table, std::int32_t* slots,
-    std::size_t stride) {
-  return lut_pool2<YmmGather, I64x4>(in, shape, raw, table, slots, stride);
+    const StagingWindow& window, std::int32_t* slots, std::size_t stride) {
+  return lut_pool2<YmmGather, I64x4>(in, shape, raw, window, slots, stride);
 }
 MAN_TARGET_AVX2 bool stage_pixels_tile_avx2(
     std::span<const float> pixels, const man::fixed::QFormat& format,
-    const PrecomputerCache::View& table, std::int16_t* tile) {
-  return tile_pixels<I32x8>(pixels, format, table, tile);
+    const StagingWindow& window, std::int16_t* tile) {
+  return tile_pixels<I32x8>(pixels, format, window, tile);
 }
 MAN_TARGET_AVX2 bool lut_stage_tile_avx2(const std::int64_t* acc,
                                          std::size_t elements,
                                          const RawPath& raw,
-                                         const PrecomputerCache::View& table,
+                                         const StagingWindow& window,
                                          std::int16_t* tile) {
-  return tile_lut<YmmGather, I32x8>(acc, elements, raw, table, tile);
+  return tile_lut<YmmGather, I32x8>(acc, elements, raw, window, tile);
 }
 
 MAN_TARGET_AVX512 void dense_tile_avx512(

@@ -381,13 +381,12 @@ template <typename V, int RN>
 // depends only on its own inputs, so the overlap rewrites identical
 // values), and a row narrower than V runs at half width, so no sweep
 // reads or writes past a row. Conv staging computes a value's k bank
-// outputs in-register as alphabets[l]·x in int32 lanes, which the
-// table's construction proves equal to its rows
-// (PrecomputerCache::View::alphabets), so no table row is read. The
-// tile boundaries run over V's int32 lanes, one lane per sample: a
-// tile's kDenseTile samples are kDenseTile / lanes vectors, so there is
-// no tail, and each value is narrowed to its int16 tile slot (the tile
-// kernel applies the bank to group sums). LUT reads go through a gather
+// outputs in-register as alphabets[l]·x in int32 lanes, exact over a
+// window that passes StagingWindow::fits_int32(). The tile boundaries
+// run over V's int32 lanes, one lane per sample: a tile's kDenseTile
+// samples are kDenseTile / lanes vectors, so there is no tail, and each
+// value is narrowed to its int16 tile slot (the tile kernel applies the
+// bank to group sums). LUT reads go through a gather
 // policy G: LaneGather reads lane by lane; the AVX2 and AVX-512 tiers
 // override their vectors with hardware gathers (vector_kernels.cpp).
 
@@ -547,11 +546,11 @@ template <typename G, typename V>
   pooled = (rounded ^ sign) - sign;
 }
 
-/// Stages values inside a staging table's window: as their k bank
-/// outputs computed in-register (conv slots, from a table whose
-/// alphabets are set), or as themselves (tile slots).
+/// Stages values inside a staging window: as their k bank outputs
+/// alphabets[l]·x (conv slots), or as themselves (tile slots). Every
+/// sweep runs only over a window that passes fits_int32().
 struct Staging {
-  man::core::PrecomputerCache::View table;
+  StagingWindow window;
 
   /// V's lanes of values clamped into the window, to `inside`. A value
   /// outside it sets its lane of `miss` and comes back inside it; the
@@ -560,10 +559,8 @@ struct Staging {
   [[gnu::always_inline]] void clamp(V& inside, const V& values,
                                     V& miss) const {
     using L = Lane<V>;
-    const V first = V{} + static_cast<L>(table.min_raw);
-    const V last = V{} + static_cast<L>(table.min_raw +
-                                        static_cast<std::int64_t>(table.span) -
-                                        1);
+    const V first = V{} + static_cast<L>(window.min_raw);
+    const V last = V{} + static_cast<L>(window.max_raw);
     // A lane the clamp moved is a miss (as min/max and xor, so no
     // compare mask is materialized).
     inside = values < first ? first : values;
@@ -574,7 +571,7 @@ struct Staging {
   /// Stages V's lanes of values (int64 or int32), bank output l of lane
   /// j to dst[l·lane_stride + j], as int32 slots, with clamp()'s miss
   /// rule. Inside the window every value and every multiple fits int32
-  /// (the table's proof), so the multiplies run in int32 lanes.
+  /// (fits_int32()), so the multiplies run in int32 lanes.
   template <typename V>
   [[gnu::always_inline]] void put(const V& values, std::int32_t* dst,
                                   std::size_t lane_stride, V& miss) const {
@@ -594,8 +591,8 @@ struct Staging {
   template <typename W>
   [[gnu::always_inline]] void multiples(const W& x, std::int32_t* dst,
                                         std::size_t lane_stride) const {
-    for (std::size_t l = 0; l < table.k; ++l) {
-      const W multiple = x * table.alphabets[l];
+    for (std::size_t l = 0; l < window.alphabets.size(); ++l) {
+      const W multiple = x * std::int32_t{window.alphabets[l]};
       std::memcpy(dst + l * lane_stride, &multiple, sizeof multiple);
     }
   }
@@ -617,8 +614,8 @@ struct Staging {
 /// KernelBackend::stage_pixels as one row of pixels over V's int32
 /// lanes, like a conv row: the last vector overlaps the one before it,
 /// and a row narrower than V runs at half width. False when a value
-/// missed the table's window, or when the row is narrower than the
-/// narrowest vector (the reference stages it).
+/// missed the window, or when the row is narrower than the narrowest
+/// vector (the reference stages it).
 template <typename V>
 [[gnu::always_inline]] inline bool stage_pixels(
     std::span<const float> pixels, const FloatQuantize& quantizer,
@@ -646,7 +643,7 @@ template <typename V>
 }
 
 /// KernelBackend::lut_pool2_stage, row by row. False when a staged
-/// value missed the table's window.
+/// value missed the window.
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool lut_pool2_stage(
     const std::int64_t* in, const Pool2Shape& shape, const LutPath& path,
@@ -718,7 +715,7 @@ template <std::size_t H, typename F>
 /// element e of those samples; each row is quantized in float lanes and
 /// staged as the element's sample-minor int16 slot row (gathers across
 /// the images, n floats apart, cost more than the staging). False when
-/// a value missed the table's window.
+/// a value missed the window.
 template <typename V>
 [[gnu::always_inline]] inline bool stage_pixels_tile(
     std::span<const float> pixels, const FloatQuantize& quantizer,
@@ -759,7 +756,7 @@ template <typename V>
 /// lane: each LUT index computed in int64 lanes and narrowed, the
 /// entries read in one int32 gather per vector, then staged as the
 /// element's sample-minor int16 slot row. False when a value missed the
-/// table's window.
+/// window.
 template <typename G, typename V>
 [[gnu::always_inline]] inline bool lut_stage_tile(const std::int64_t* acc,
                                                   std::size_t elements,

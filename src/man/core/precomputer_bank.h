@@ -48,8 +48,7 @@ class PrecomputerBank {
                                                   OpCounts& counts) const;
 
   /// Allocation-free variant: writes alphabet_set().size() multiples
-  /// into `out` (caller-sized). The workhorse behind PrecomputerCache
-  /// and the engine's staging of raw-accumulator inputs.
+  /// into `out` (caller-sized). The workhorse behind PrecomputerCache.
   void compute_into(std::int64_t input, std::int64_t* out,
                     OpCounts& counts) const;
 
@@ -84,15 +83,12 @@ class PrecomputerBank {
 };
 
 /// Read-only table of one bank's outputs over a raw input window
-/// [min_raw, max_raw], modelling a CSHM bank whose inputs are bounded
-/// quantized activations: configure_range() evaluates the bank once
-/// per value of the window, after which a lookup is a subtract, a
-/// bounds check and an indexed load. FixedNetwork builds one per ASM
-/// synapse stage at construction and every worker reads it at once
-/// (lookups are const and write nothing). The adder activity of the
-/// fill is not billed per lookup: the engine charges the static
-/// every-unit-fires activity per inference instead, so its stats do
-/// not depend on how staging is arranged.
+/// [min_raw, max_raw]: configure_range() evaluates the bank once per
+/// value of the window, after which a lookup is a subtract, a bounds
+/// check and an indexed load. No engine reads one — the bank is linear,
+/// so FixedNetwork stages alphabets[l]·x — but perfbench's core.staging
+/// probe still times its lookups. The adder activity of the fill is not
+/// billed per lookup.
 class PrecomputerCache {
  public:
   PrecomputerCache() = default;
@@ -104,10 +100,7 @@ class PrecomputerCache {
   /// [min_raw, max_raw] (inclusive), replacing any earlier window.
   /// Throws std::logic_error on an unbound cache and
   /// std::invalid_argument when min_raw > max_raw or the window spans
-  /// more than kMaxFlatSpan values (the table is meant for bounded
-  /// quantized activation ranges, not arbitrary 64-bit streams).
-  /// Also proves, row by row, that every entry is alphabets[l]·x and
-  /// fits int32; View::alphabets is set only when it holds.
+  /// more than kMaxFlatSpan values.
   void configure_range(std::int64_t min_raw, std::int64_t max_raw);
 
   /// Pointer to the bank's alphabet_set().size() multiples of `input`,
@@ -116,41 +109,16 @@ class PrecomputerCache {
   /// Charges nothing to `counts`: the bank ran when the table filled.
   [[nodiscard]] const std::int64_t* lookup(std::int64_t input,
                                            OpCounts& /*counts*/) const {
-    return view().lookup(input);
-  }
-
-  /// The table as plain values, for sweeps that read its rows
-  /// directly (the kernel backends' epilogue sweeps). Valid until the
-  /// next configure_range(); a sweep checks every input against
-  /// [min_raw, min_raw + span) and throws what lookup() throws.
-  struct View {
-    const std::int64_t* rows = nullptr;  ///< span rows of k multiples
-    std::int64_t min_raw = 0;
-    std::uint64_t span = 0;  ///< 0 = no window configured
-    std::size_t k = 0;
-    /// The bank's k alphabets when configure_range() proved every row
-    /// of the window is alphabets[l]·x in int32 (so a sweep may compute
-    /// the multiples in-register instead of reading rows); null when
-    /// that proof failed or no window is configured.
-    const std::int32_t* alphabets = nullptr;
-
-    /// PrecomputerCache::lookup().
-    [[nodiscard]] const std::int64_t* lookup(std::int64_t input) const {
-      // Subtraction in uint64 is wrap-safe for any input; a wrapped
-      // offset fails the span check.
-      const std::uint64_t offset = static_cast<std::uint64_t>(input) -
-                                   static_cast<std::uint64_t>(min_raw);
-      if (offset >= span) throw_out_of_window(input, span);
-      return rows + offset * k;
-    }
-  };
-  [[nodiscard]] View view() const noexcept {
-    return View{table_.data(), min_raw_, span_, k_,
-                alphabets_.empty() ? nullptr : alphabets_.data()};
+    // Subtraction in uint64 is wrap-safe for any input; a wrapped
+    // offset fails the span check.
+    const std::uint64_t offset = static_cast<std::uint64_t>(input) -
+                                 static_cast<std::uint64_t>(min_raw_);
+    if (offset >= span_) throw_out_of_window(input, span_);
+    return table_.data() + offset * k_;
   }
 
   /// Widest window configure_range() accepts (64 MiB of rows at
-  /// k = 8) — far above any quantized activation format's span.
+  /// k = 8).
   static constexpr std::uint64_t kMaxFlatSpan = std::uint64_t{1} << 20;
 
  private:
@@ -159,8 +127,6 @@ class PrecomputerCache {
 
   const PrecomputerBank* bank_ = nullptr;
   std::vector<std::int64_t> table_;  ///< span_ rows of k_ multiples
-  /// View::alphabets' storage: empty unless the int32 proof held.
-  std::vector<std::int32_t> alphabets_;
   std::int64_t min_raw_ = 0;
   std::uint64_t span_ = 0;  ///< 0 = no window configured
   std::size_t k_ = 0;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
 #include "man/backend/epilogue_sweep.h"
+#include "man/core/precomputer_bank.h"
 #include "man/core/quartet.h"
 #include "man/core/weight_constraint.h"
 #include "man/nn/activation_layer.h"
@@ -23,6 +25,7 @@ using man::core::OpCounts;
 using man::core::QuartetLayout;
 using man::core::WeightConstraint;
 using man::backend::epilogue::LutSource;
+using man::backend::epilogue::MultiplesSink;
 using man::backend::epilogue::PixelSource;
 using man::backend::epilogue::ValueSink;
 using man::backend::epilogue::ValueSource;
@@ -35,48 +38,23 @@ man::fixed::QFormat accumulator_format(const man::nn::QuantSpec& spec) {
       30, spec.weight_format.frac_bits() + spec.activation_format.frac_bits());
 }
 
-// Every synapse stage fed activation-format values stages from a table
-// over the format's raw range, so that range must fit one.
+// The widest activation format an engine accepts, in raw values: far
+// above any quantized activation format's span.
+constexpr std::uint64_t kMaxActivationSpan = std::uint64_t{1} << 20;
+
+// Every synapse stage fed activation-format values stages inside the
+// format's raw range, which must stay below kMaxActivationSpan.
 void require_table_window(const man::nn::QuantSpec& spec) {
   const auto& afmt = spec.activation_format;
   const auto span =
       static_cast<std::uint64_t>(afmt.max_raw() - afmt.min_raw()) + 1;
-  if (span > man::core::PrecomputerCache::kMaxFlatSpan) {
+  if (span > kMaxActivationSpan) {
     throw std::invalid_argument(
         "FixedNetwork: activation format spans " + std::to_string(span) +
-        " raw values, the staging table holds at most " +
-        std::to_string(man::core::PrecomputerCache::kMaxFlatSpan));
+        " raw values, the staging window holds at most " +
+        std::to_string(kMaxActivationSpan));
   }
 }
-
-// The bank outputs of one synapse stage's input values: a row of the
-// stage's table when its inputs are proven to lie in the staging
-// window, else the bank's multiples computed into a stack row, as the
-// hardware bank does (a stage fed raw accumulators). A row stays valid
-// until the next call.
-class BankRows {
- public:
-  BankRows(const std::optional<man::core::PrecomputerCache>& table,
-           const man::core::PrecomputerBank& bank)
-      : table_(table ? &*table : nullptr), bank_(&bank) {}
-
-  [[gnu::always_inline]] const std::int64_t* operator()(std::int64_t input) {
-    if (table_ != nullptr) return table_->lookup(input, discard_);
-    bank_->compute_into(input, row_, discard_);
-    return row_;
-  }
-
-  /// The staging table, or null for a stage fed raw accumulators.
-  [[nodiscard]] const man::core::PrecomputerCache* table() const {
-    return table_;
-  }
-
- private:
-  const man::core::PrecomputerCache* table_;
-  const man::core::PrecomputerBank* bank_;
-  OpCounts discard_;
-  std::int64_t row_[(AlphabetSet::kMaxAlphabetValue + 1) / 2] = {};
-};
 
 constexpr std::size_t kTile = man::backend::kDenseTile;
 
@@ -85,9 +63,8 @@ constexpr std::size_t kTile = man::backend::kDenseTile;
 // An epilogue sweep reads a boundary's inputs through a Source, applies
 // its segment's LUTs and pool, and hands each value on to a Sink: the
 // next stage's staged bank outputs in that stage's layout, a segment
-// hand-off, or the output. The sources, the pool, the lane-major sink
-// and the tile slots are the scalar reference of
-// man/backend/epilogue_sweep.h.
+// hand-off, or the output. The sources, the pool, the bank sink and the
+// tile slots are the scalar reference of man/backend/epilogue_sweep.h.
 
 // A tile's outputs: value o = r·kTile + b is row r of sample b, which
 // lands in sample b's `rows`-wide output slot.
@@ -99,22 +76,6 @@ struct TileOutputSink {
     out[(o % kTile) * rows + o / kTile] = v;
   }
 };
-
-// Dense staging: element o's k bank outputs at [o·k, o·k + k) — the
-// per-sample accumulate_dense layout.
-struct DenseSink {
-  BankRows rows;
-  std::int64_t* multiples;
-  std::size_t k;
-  [[gnu::always_inline]] void operator()(std::size_t o, std::int64_t v) {
-    const std::int64_t* row = rows(v);
-    std::copy(row, row + k, multiples + o * k);
-  }
-};
-
-// Conv staging, lane-major, from the stage's table or its bank.
-template <typename Slot>
-using LaneMajorSink = man::backend::epilogue::LaneMajorSink<Slot, BankRows>;
 
 // Tile staging, sample-minor (epilogue::TileSlots), from a value order:
 // one sample's elements (kOneSample: o is the element, b fixed), a
@@ -211,15 +172,14 @@ std::int16_t* tile_slots(std::vector<std::int16_t>& buffer,
   return data + line_offset(data);
 }
 
-// The segment shapes a kernel backend may sweep, each from a staging
-// table: one sample into a conv stage's int32 lane-major slots (the
-// input image quantized, or a LUT then a 2×2 pool), and a whole tile
-// into a dense tile's sample-minor slots (the tile's images quantized,
-// or its accumulators through a LUT). False for every other shape
-// (raw-fed stages, other windows, a LUT after the pool, int64 conv
-// lanes, every other sink) and wherever the backend declines; the
-// caller then runs the reference sweep, which throws at the first
-// staged value outside the table's window.
+// The segment shapes a kernel backend may sweep: one sample into a
+// conv stage's int32 lane-major slots (the input image quantized, or a
+// LUT then a 2×2 pool), and a whole tile into a dense tile's
+// sample-minor slots (the tile's images quantized, or its accumulators
+// through a LUT). False for every other shape (other windows, a LUT
+// after the pool, int64 slots, every other sink) and wherever the
+// backend declines; the caller then runs the reference sweep, which
+// throws at the first staged value outside the stage's window.
 template <typename Source, typename Sink>
 bool backend_sweep(const SegmentOps& ops, std::size_t samples,
                    std::size_t count, Source source, Sink& sink,
@@ -228,13 +188,13 @@ bool backend_sweep(const SegmentOps& ops, std::size_t samples,
   const bool no_pool = ops.pool == nullptr && ops.post == nullptr;
   const bool plain = ops.pre == nullptr && no_pool;
   const bool lut_only = ops.pre != nullptr && no_pool;
-  if constexpr (std::is_same_v<Sink, LaneMajorSink<std::int32_t>>) {
-    const man::core::PrecomputerCache* table = sink.rows.table();
-    if (table == nullptr || samples != 1) return false;
+  if constexpr (std::is_same_v<Sink, MultiplesSink<std::int32_t>>) {
+    if (samples != 1) return false;
     if constexpr (kPixels) {
       if (!plain) return false;
       return kernel.stage_pixels({source.pixels, count}, source.format,
-                                 table->view(), sink.multiples, sink.stride);
+                                 sink.window, sink.multiples,
+                                 sink.lane_stride);
     } else {
       if (ops.pre == nullptr || ops.pool == nullptr ||
           ops.pool->window != 2 || ops.post != nullptr) {
@@ -242,7 +202,7 @@ bool backend_sweep(const SegmentOps& ops, std::size_t samples,
       }
       return kernel.lut_pool2_stage(
           source.values, {ops.pool->c, ops.pool->oh, ops.pool->ow},
-          ops.pre->raw_path(), table->view(), sink.multiples, sink.stride);
+          ops.pre->raw_path(), sink.window, sink.multiples, sink.lane_stride);
     }
   } else if constexpr (kPixels &&
                        std::is_same_v<Sink, TileSink<TileOrder::kSampleMajor>>) {
@@ -506,8 +466,8 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   // Lowering gives every plan the activation format's window; the
   // int32 tile proof bounds the staged inputs by it.
   const auto window = staging_window();
-  // A plan stages k bank outputs per input, one per lane of its
-  // synapse's bank, whose table rows are that many lanes wide.
+  // A plan stages k bank outputs per input, one per alphabet of its
+  // synapse's bank.
   const auto check_plan = [&](const auto& plan, const CompiledSynapse& syn,
                               bool geometry_matches, const char* kind) {
     if (!geometry_matches) {
@@ -527,13 +487,17 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
           "format");
     }
   };
+  // A stage fed raw accumulators stages any int64 value.
   const auto add_synapse = [&](const CompiledSynapse& syn,
                                std::size_t plan_index) {
     stats_.layers.push_back(LayerStats{syn.name, 0, 0, {}});
+    const auto alphabets = syn.scheme.effective_alphabets().alphabets();
+    const bool windowed = input_in_window(stages_.size());
     stages_.emplace_back(SynapseStage{
         plan_index,
-        man::core::PrecomputerBank(syn.scheme.effective_alphabets()),
-        std::nullopt});
+        {alphabets.begin(), alphabets.end()},
+        windowed ? window.first : std::numeric_limits<std::int64_t>::min(),
+        windowed ? window.second : std::numeric_limits<std::int64_t>::max()});
   };
 
   std::size_t dense_count = 0;
@@ -589,7 +553,6 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   link_stages();
   link_epilogues();
   plan_lanes();
-  build_tables();
   default_kernel_ = &man::backend::resolve();
 }
 
@@ -597,16 +560,26 @@ void FixedNetwork::link_stages() {
   // Static stage-graph geometry: records input/output sizes (span
   // validation, batch buffer pre-allocation) and rejects mis-chained
   // networks up front — infer_into() itself no longer re-checks every
-  // stage boundary per sample.
-  std::size_t current = 0;  // 0 until the first size-defining stage
+  // stage boundary per sample. A boundary of no values (a model of LUT
+  // stages only, a pool over an empty plane) is rejected too: an engine
+  // must take and produce at least one value per sample.
+  bool first = true;
+  std::size_t current = 0;
   const auto chain = [&](std::size_t in, std::size_t out, const char* kind) {
-    if (current != 0 && current != in) {
+    if (in == 0 || out == 0) {
+      throw std::invalid_argument(std::string("FixedNetwork: ") + kind +
+                                  " stage maps " + std::to_string(in) +
+                                  " inputs to " + std::to_string(out) +
+                                  " outputs");
+    }
+    if (!first && current != in) {
       throw std::invalid_argument(
           std::string("FixedNetwork: ") + kind + " stage expects " +
           std::to_string(in) + " inputs but previous stage produces " +
           std::to_string(current));
     }
-    if (input_size_ == 0) input_size_ = in;
+    if (first) input_size_ = in;
+    first = false;
     current = out;
   };
   for (const CompiledStage& stage : model_.stages) {
@@ -620,6 +593,10 @@ void FixedNetwork::link_stages() {
       chain(static_cast<std::size_t>(pool->c) * pool->ih * pool->iw,
             static_cast<std::size_t>(pool->c) * pool->oh * pool->ow, "pool");
     }
+  }
+  if (first) {
+    throw std::invalid_argument(
+        "FixedNetwork: no dense, conv or pool stage sizes the input");
   }
   output_size_ = current;
 }
@@ -706,10 +683,9 @@ void FixedNetwork::plan_lanes() {
     if (std::holds_alternative<CompiledDenseStage>(model_.stages[i])) {
       auto& syn = std::get<SynapseStage>(stages_[i]);
       const auto& plan = plans_[syn.plan_index];
-      const auto alphabets = syn.bank.alphabet_set().alphabets();
       const int chunk = man::backend::int16_tile_chunk(plan);
       if (chunk < 1 || !input_in_window(i) ||
-          man::backend::int32_row_bound(plan, alphabets) >=
+          man::backend::int32_row_bound(plan, syn.alphabets) >=
               man::backend::kInt32RowOverflow) {
         break;
       }
@@ -737,18 +713,8 @@ void FixedNetwork::plan_lanes() {
     conv_int32_lanes_[syn.plan_index] =
         input_in_window(i) &&
         man::backend::int32_row_bound(conv_plans_[syn.plan_index],
-                                      syn.bank.alphabet_set().alphabets()) <
+                                      syn.alphabets) <
             man::backend::kInt32RowOverflow;
-  }
-}
-
-void FixedNetwork::build_tables() {
-  const auto [in_min, in_max] = staging_window();
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    auto* syn = std::get_if<SynapseStage>(&stages_[i]);
-    if (syn == nullptr || !input_in_window(i)) continue;
-    syn->table.emplace(syn->bank);
-    syn->table->configure_range(in_min, in_max);
   }
 }
 
@@ -829,7 +795,7 @@ void FixedNetwork::infer_batch(std::span<const float> pixels,
     const bool whole_tile = j == 0 && !epilogues_[0].pools;
     for (; s + kTile <= count; s += kTile) {
       const man::backend::epilogue::TileSlots slots{
-          syn.table->view(),
+          syn.window(),
           tile_slots(scratch.tile_inputs, static_cast<std::size_t>(plan.cols))};
       if (whole_tile) {
         run_epilogue(j, kTile,
@@ -945,15 +911,16 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
   for (std::size_t j = 0; j < synapse_end; ++j) {
     const std::size_t si = epilogues_[j].stage;
     const auto& syn = std::get<SynapseStage>(stages_[si]);
-    const BankRows rows(syn.table, syn.bank);
+    const man::backend::StagingWindow window = syn.window();
     // The epilogue reads acc and stages this stage's input; the kernel
     // then overwrites acc.
     if (const auto* dense =
             std::get_if<CompiledDenseStage>(&model_.stages[si])) {
       const man::backend::DenseLayerPlan& plan = plans_[syn.plan_index];
       feed(j, pixels,
-           DenseSink{rows, sized(scratch.multiples, plan.padded_multiples()),
-                     static_cast<std::size_t>(plan.k)},
+           MultiplesSink<std::int64_t>{
+               window, sized(scratch.multiples, plan.padded_multiples()),
+               static_cast<std::size_t>(plan.k), 1},
            scratch, kernel);
       std::int64_t* out = sized(acc, static_cast<std::size_t>(dense->out));
       timed_phase(profile, &PhaseProfile::kernel_s, [&] {
@@ -963,18 +930,17 @@ void FixedNetwork::forward_sample(std::span<const float> pixels,
     } else {
       const auto& conv = std::get<CompiledConvStage>(model_.stages[si]);
       const man::backend::ConvLayerPlan& plan = conv_plans_[syn.plan_index];
-      const auto k = static_cast<std::size_t>(plan.k);
       const std::size_t stride = epilogues_[j].out_size;
       const std::size_t slots = plan.padded_multiples();
       if (conv_int32_lanes_[syn.plan_index]) {
         feed(j, pixels,
-             LaneMajorSink<std::int32_t>{
-                 rows, sized(scratch.multiples32, slots), k, stride},
+             MultiplesSink<std::int32_t>{
+                 window, sized(scratch.multiples32, slots), 1, stride},
              scratch, kernel);
       } else {
         feed(j, pixels,
-             LaneMajorSink<std::int64_t>{rows, sized(scratch.multiples, slots),
-                                         k, stride},
+             MultiplesSink<std::int64_t>{
+                 window, sized(scratch.multiples, slots), 1, stride},
              scratch, kernel);
       }
       std::int64_t* out =
@@ -1010,8 +976,8 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
     std::int64_t* acc =
         sized(scratch.tile_acc, static_cast<std::size_t>(dense.out) * kTile);
     timed_phase(profile, &PhaseProfile::kernel_s, [&] {
-      kernel.accumulate_dense_tile(plan, syn.bank.alphabet_set().alphabets(),
-                                   syn.tile_chunk, inputs, acc);
+      kernel.accumulate_dense_tile(plan, syn.alphabets, syn.tile_chunk,
+                                   inputs, acc);
     });
     charge_synapse(stats.layers[j], dense.synapse, kTile);
     if (j + 1 == synapses) {
@@ -1023,7 +989,7 @@ void FixedNetwork::forward_tile(std::span<std::int64_t> out,
       const auto& next_plan = plans_[next_syn.plan_index];
       run_epilogue(j + 1, kTile, ValueSource{acc},
                    TileSink<TileOrder::kSampleMinor>{
-                       {next_syn.table->view(),
+                       {next_syn.window(),
                         tile_slots(scratch.tile_inputs,
                                    static_cast<std::size_t>(next_plan.cols))}},
                    scratch, kernel);

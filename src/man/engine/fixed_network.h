@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -28,7 +27,8 @@
 
 #include "man/backend/kernel_backend.h"
 #include "man/core/activation.h"
-#include "man/core/precomputer_bank.h"
+#include "man/core/alphabet_set.h"
+#include "man/core/op_counts.h"
 #include "man/data/dataset.h"
 #include "man/engine/engine_stats.h"
 #include "man/engine/layer_alphabet_plan.h"
@@ -126,15 +126,17 @@ class FixedNetwork {
 
   /// Builds an engine from a CompiledModel plus its plans, in stage
   /// order — the one construction body, which the compile route and
-  /// the artifact loader both reach: pre-computer banks, staging
-  /// tables and activation LUTs are rebuilt deterministically from the
-  /// descriptors.
+  /// the artifact loader both reach: each stage's bank alphabets and
+  /// staging window and the activation LUTs are rebuilt
+  /// deterministically from the descriptors.
   /// `storage` (may be null) is pinned for the engine's lifetime;
   /// plans with borrowed arrays point into it. Throws
   /// std::invalid_argument on a descriptor that would read past its
-  /// input (pool geometry, activation kind, lanes, activation format)
-  /// or when plans and descriptors disagree (count, geometry, staging
-  /// window, or a plan's alphabet count k against its synapse's bank).
+  /// input (pool geometry, activation kind, lanes, activation format),
+  /// on a stage graph that takes or hands on no values (no dense, conv
+  /// or pool stage, or a stage of size 0), or when plans and
+  /// descriptors disagree (count, geometry, staging window, or a plan's
+  /// alphabet count k against its synapse's bank).
   FixedNetwork(const CompiledModel& model,
                std::vector<man::backend::DenseLayerPlan> plans,
                std::vector<man::backend::ConvLayerPlan> conv_plans,
@@ -163,9 +165,8 @@ class FixedNetwork {
     return output_size_;
   }
 
-  /// Per-worker buffers for the re-entrant forward path; the CSHM bank
-  /// outputs they are staged from live in the engine, read-only. Any
-  /// scratch works with any engine: buffers are sized on first use.
+  /// Per-worker buffers for the re-entrant forward path. Any scratch
+  /// works with any engine: buffers are sized on first use.
   struct InferScratch {
     /// The last synapse stage's accumulators, per sample.
     std::vector<std::int64_t> acc;
@@ -307,14 +308,20 @@ class FixedNetwork {
   /// and plan.
   struct SynapseStage {
     std::size_t plan_index = 0;  ///< into plans_ or conv_plans_
-    man::core::PrecomputerBank bank;
-    /// The bank's outputs over the staging window, filled once by
-    /// build_tables() and read by every worker; empty for stages fed
-    /// raw accumulators, which stage from `bank`.
-    std::optional<man::core::PrecomputerCache> table;
+    /// The bank's alphabets: its output l of input x is alphabets[l]·x.
+    std::vector<man::core::Alphabet> alphabets;
+    /// The inputs' range: the staging window for a stage whose inputs
+    /// lie in it (input_in_window()), all of int64 for one fed raw
+    /// accumulators.
+    std::int64_t in_min_raw = 0;
+    std::int64_t in_max_raw = 0;
     /// A tiled dense stage's int16 run length (int16_tile_chunk), set
     /// by plan_lanes(); 0 for every stage that does not tile.
     int tile_chunk = 0;
+
+    [[nodiscard]] man::backend::StagingWindow window() const {
+      return {in_min_raw, in_max_raw, alphabets};
+    }
   };
   struct LutStage {
     man::core::FixedActivationLut lut;
@@ -361,9 +368,6 @@ class FixedNetwork {
   /// Sets tile_begin_/tile_synapse_begin_, the tiled stages'
   /// tile_chunk and conv_int32_lanes_ from the plans.
   void plan_lanes();
-  /// Fills the staging table of every synapse stage whose inputs
-  /// lie in the staging window (last, once stages_ is final).
-  void build_tables();
   /// True when stage `stage_index`'s inputs are activation-format
   /// values: quantized pixels, LUT outputs, or pools of those.
   [[nodiscard]] bool input_in_window(std::size_t stage_index) const;
@@ -405,8 +409,7 @@ class FixedNetwork {
 
   /// The staging window: the activation format's raw range, which
   /// quantized pixels, LUT outputs and pools of those lie in. The
-  /// constructor rejects formats wider than
-  /// PrecomputerCache::kMaxFlatSpan.
+  /// constructor rejects formats wider than 2^20 raw values.
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> staging_window() const;
 
   CompiledModel model_;

@@ -822,7 +822,7 @@ TEST_F(PlanArtifactTest,
 }
 
 // An artifact declaring a 24-bit activation format (2^24 - 1 raw
-// values, past PrecomputerCache::kMaxFlatSpan) is rejected with
+// values, past the engine's cap of 2^20) is rejected with
 // SerializationError, whether its plans carry the matching 24-bit
 // window or the unknown window {0, -1} older engines saved for formats
 // the staging table could not cover.

@@ -14,16 +14,15 @@
 // The scalar backend declines every case. An accelerated() backend
 // must sweep every in-window case but the documented declines: a pixel
 // format float lanes cannot quantize, a pixel row under 4 values, and
-// a table without the in-register proof (an unconfigured one has
-// none). Every backend declines a staged value outside the table's
-// window, and the reference throws what PrecomputerCache::lookup
-// throws for the first such value in its order.
+// a window whose multiples alphabets[l]·x leave int32 (an empty one
+// too). Every backend declines a staged value outside the window, and
+// the reference throws what StagingWindow::check throws for the first
+// such value in its order.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -33,7 +32,6 @@
 #include "man/backend/kernel_backend.h"
 #include "man/core/activation.h"
 #include "man/core/alphabet_set.h"
-#include "man/core/precomputer_bank.h"
 #include "man/engine/fixed_network.h"
 #include "man/fixed/qformat.h"
 #include "man/nn/activation_layer.h"
@@ -48,11 +46,9 @@ namespace {
 using man::core::ActivationKind;
 using man::core::AlphabetSet;
 using man::core::FixedActivationLut;
-using man::core::PrecomputerBank;
-using man::core::PrecomputerCache;
 using man::fixed::QFormat;
-using epilogue::LaneMajorSink;
 using epilogue::LutSource;
+using epilogue::MultiplesSink;
 using epilogue::TileSlots;
 using epilogue::ValueSink;
 using epilogue::ValueSource;
@@ -66,23 +62,21 @@ constexpr auto kTile = static_cast<std::size_t>(kDenseTile);
 QFormat accumulator_format() { return QFormat(30, 18); }
 QFormat activation_format() { return QFormat::input8(); }
 
-// A bank's staging table over the activation format's window.
-struct Table {
-  PrecomputerBank bank;
-  PrecomputerCache cache;
-  explicit Table(std::size_t k,
-                 std::int64_t min_raw = activation_format().min_raw(),
-                 std::int64_t max_raw = activation_format().max_raw())
-      : bank(AlphabetSet::first_n(k)), cache(bank) {
-    cache.configure_range(min_raw, max_raw);
+// The first k alphabets' staging window, over the activation format's
+// raw range by default.
+struct Window {
+  std::vector<std::uint8_t> alphabets;
+  std::int64_t min_raw;
+  std::int64_t max_raw;
+  explicit Window(std::size_t k,
+                  std::int64_t min = activation_format().min_raw(),
+                  std::int64_t max = activation_format().max_raw())
+      : min_raw(min), max_raw(max) {
+    const AlphabetSet set = AlphabetSet::first_n(k);
+    alphabets.assign(set.alphabets().begin(), set.alphabets().end());
   }
-};
-
-// A staging table's rows, window-checked (PrecomputerCache::lookup).
-struct TableRows {
-  PrecomputerCache::View table;
-  const std::int64_t* operator()(std::int64_t input) const {
-    return table.lookup(input);
+  [[nodiscard]] StagingWindow staging() const {
+    return {min_raw, max_raw, alphabets};
   }
 };
 
@@ -100,24 +94,22 @@ std::vector<std::int64_t> reference_pool(const std::vector<std::int64_t>& in,
   return out;
 }
 
-// Lane-major int32 slots of `values` staged from `table`.
+// Lane-major int32 slots of `values` staged through `window`.
 std::vector<std::int32_t> reference_stage(
-    const std::vector<std::int64_t>& values,
-    const PrecomputerCache::View& table) {
-  std::vector<std::int32_t> slots(values.size() * table.k);
-  LaneMajorSink<std::int32_t, TableRows> sink{
-      {table}, slots.data(), table.k, values.size()};
+    const std::vector<std::int64_t>& values, const StagingWindow& window) {
+  std::vector<std::int32_t> slots(values.size() * window.alphabets.size());
+  const MultiplesSink<std::int32_t> sink{window, slots.data(), 1,
+                                         values.size()};
   for (std::size_t o = 0; o < values.size(); ++o) sink(o, values[o]);
   return slots;
 }
 
 // Sample-minor int16 tile slots of `values` (element i of sample b at
-// values[i·kDenseTile + b]) staged inside `table`'s window.
+// values[i·kDenseTile + b]) staged inside `window`.
 std::vector<std::int16_t> reference_tile(
-    const std::vector<std::int64_t>& values,
-    const PrecomputerCache::View& table) {
+    const std::vector<std::int64_t>& values, const StagingWindow& window) {
   std::vector<std::int16_t> tile(values.size());
-  const TileSlots slots{table, tile.data()};
+  const TileSlots slots{window, tile.data()};
   for (std::size_t o = 0; o < values.size(); ++o) {
     slots(o / kTile, o % kTile, values[o]);
   }
@@ -129,10 +121,10 @@ std::vector<std::int16_t> reference_tile(
 // sweep stages them.
 std::vector<std::int16_t> reference_pixel_tile(
     const std::vector<float>& pixels, const QFormat& format,
-    const PrecomputerCache::View& table) {
+    const StagingWindow& window) {
   const std::size_t n = pixels.size() / kTile;
   std::vector<std::int16_t> tile(pixels.size());
-  const TileSlots slots{table, tile.data()};
+  const TileSlots slots{window, tile.data()};
   const epilogue::PixelSource source{pixels.data(), format};
   for (std::size_t b = 0; b < kTile; ++b) {
     for (std::size_t i = 0; i < n; ++i) slots(i, b, source(b * n + i));
@@ -191,8 +183,8 @@ void expect_pools_match(const std::vector<std::int64_t>& in,
   SCOPED_TRACE("c=" + std::to_string(shape.c) + " oh=" +
                std::to_string(shape.oh) + " ow=" + std::to_string(shape.ow) +
                " k=" + std::to_string(k));
-  const Table table(k);
-  const PrecomputerCache::View view = table.cache.view();
+  const Window window(k);
+  const StagingWindow view = window.staging();
   const std::vector<std::int64_t> pooled = reference_pool(in, shape, lut);
   expect_sweeps_match(
       reference_stage(pooled, view), Case::kSwept,
@@ -202,16 +194,18 @@ void expect_pools_match(const std::vector<std::int64_t>& in,
       });
 }
 
-// Every backend's stage_pixels over `pixels` against the references:
-// an image under 4 pixels is a documented decline, and so is a format
-// float lanes cannot quantize (`c`).
+// Every backend's stage_pixels over `pixels` against the references,
+// through `window` (the activation format's, by default): an image
+// under 4 pixels is a documented decline, and so is a format float
+// lanes cannot quantize or a window past the int32 bound (`c`).
 void expect_pixels_match(const std::vector<float>& pixels, std::size_t k,
                          const QFormat& format = activation_format(),
-                         Case c = Case::kSwept) {
+                         Case c = Case::kSwept,
+                         const Window* window = nullptr) {
   SCOPED_TRACE("n=" + std::to_string(pixels.size()) + " k=" +
                std::to_string(k) + " " + format.to_string());
-  const Table table(k);
-  const PrecomputerCache::View view = table.cache.view();
+  const Window own(k);
+  const StagingWindow view = (window != nullptr ? *window : own).staging();
   expect_sweeps_match(
       reference_stage(reference_quantize(pixels, format), view),
       pixels.size() < 4 ? Case::kDeclined : c,
@@ -224,14 +218,16 @@ void expect_pixels_match(const std::vector<float>& pixels, std::size_t k,
 // Every backend's lut_stage_tile over `acc` (row i of sample b at
 // acc[i·kDenseTile + b]) against the references.
 void expect_lut_tiles_match(const std::vector<std::int64_t>& acc,
-                            const FixedActivationLut& lut, std::size_t k) {
+                            const FixedActivationLut& lut, std::size_t k,
+                            Case c = Case::kSwept,
+                            const Window* window = nullptr) {
   const std::size_t elements = acc.size() / kTile;
   SCOPED_TRACE("rows=" + std::to_string(elements) + " k=" +
                std::to_string(k));
-  const Table table(k);
-  const PrecomputerCache::View view = table.cache.view();
+  const Window own(k);
+  const StagingWindow view = (window != nullptr ? *window : own).staging();
   expect_sweeps_match(
-      reference_tile(reference_lut(acc, lut), view), Case::kSwept,
+      reference_tile(reference_lut(acc, lut), view), c,
       [&](const KernelBackend& backend, std::int16_t* tile) {
         return backend.lut_stage_tile(acc.data(), elements, lut.raw_path(),
                                       view, tile);
@@ -239,20 +235,17 @@ void expect_lut_tiles_match(const std::vector<std::int64_t>& acc,
 }
 
 // Every backend's stage_pixels_tile over `pixels` (kDenseTile images,
-// one after another) against the references, from a table over
-// `window` (the format's own range by default).
+// one after another) against the references, through `window` (the
+// format's own range by default).
 void expect_pixel_tiles_match(const std::vector<float>& pixels,
                               const QFormat& format, std::size_t k,
                               Case c = Case::kSwept,
-                              const Table* window = nullptr) {
+                              const Window* window = nullptr) {
   const std::size_t n = pixels.size() / kTile;
   SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) + " " +
                format.to_string());
-  std::optional<Table> own;
-  if (window == nullptr) {
-    window = &own.emplace(k, format.min_raw(), format.max_raw());
-  }
-  const PrecomputerCache::View view = window->cache.view();
+  const Window own(k, format.min_raw(), format.max_raw());
+  const StagingWindow view = (window != nullptr ? *window : own).staging();
   expect_sweeps_match(
       reference_pixel_tile(pixels, format, view), c,
       [&](const KernelBackend& backend, std::int16_t* tile) {
@@ -460,15 +453,14 @@ TEST(BackendEpilogue, PixelTilesMatchAtTiesNonFiniteAndBeyondTheClamp) {
   }
 }
 
-// Expects `fn` to throw the std::out_of_range PrecomputerCache::lookup
+// Expects `fn` to throw the std::out_of_range StagingWindow::check
 // throws for `input`.
 template <typename Fn>
-void expect_window_miss(const PrecomputerCache& cache, std::int64_t input,
+void expect_window_miss(const StagingWindow& window, std::int64_t input,
                         Fn&& fn) {
   std::string expected;
   try {
-    man::core::OpCounts counts;
-    (void)cache.lookup(input, counts);
+    window.check(input);
   } catch (const std::out_of_range& e) {
     expected = e.what();
   }
@@ -491,15 +483,15 @@ void expect_declined(std::size_t slots, Sweep sweep) {
   }
 }
 
-// A value outside the table's window: every backend declines, and the
+// A value outside the window: every backend declines, and the
 // reference throws for the first miss in its order.
 TEST(BackendEpilogue, OutOfWindowValuesAreDeclinedAndTheReferenceThrows) {
   const QFormat format = activation_format();
   const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
                                format);
   // A window of raw values [-20, 20]: pixel 0.25 quantizes to 64.
-  const Table narrow(4, -20, 20);
-  const PrecomputerCache::View view = narrow.cache.view();
+  const Window narrow(4, -20, 20);
+  const StagingWindow view = narrow.staging();
   std::vector<float> pixels(37, 0.01f);
   pixels[29] = 0.25f;
   // Two channels of one 9-output row; the window of channel 1's
@@ -517,24 +509,25 @@ TEST(BackendEpilogue, OutOfWindowValuesAreDeclinedAndTheReferenceThrows) {
   expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
     return backend.stage_pixels(pixels, format, view, out, pixels.size());
   });
-  expect_window_miss(narrow.cache, 64, [&] {
+  expect_window_miss(view, 64, [&] {
     (void)reference_stage(reference_quantize(pixels, format), view);
   });
   expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
     return backend.lut_pool2_stage(in.data(), shape, lut.raw_path(), view,
                                    out, 18);
   });
-  expect_window_miss(narrow.cache, top, [&] {
+  expect_window_miss(view, top, [&] {
     (void)reference_stage(reference_pool(in, shape, lut), view);
   });
-  // An unconfigured table misses every value.
-  const PrecomputerCache empty;
+  // An empty window misses every value.
+  const Window none(4, 0, -1);
+  const StagingWindow empty = none.staging();
   const std::vector<float> zeros(9, 0.0f);
   expect_declined(slots, [&](const KernelBackend& backend, std::int32_t* out) {
-    return backend.stage_pixels(zeros, format, empty.view(), out, 9);
+    return backend.stage_pixels(zeros, format, empty, out, 9);
   });
   expect_window_miss(empty, 0, [&] {
-    (void)reference_stage(reference_quantize(zeros, format), empty.view());
+    (void)reference_stage(reference_quantize(zeros, format), empty);
   });
 }
 
@@ -542,8 +535,8 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
   const QFormat format = activation_format();
   const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
                                format);
-  const Table narrow(4, -20, 20);
-  const PrecomputerCache::View view = narrow.cache.view();
+  const Window narrow(4, -20, 20);
+  const StagingWindow view = narrow.staging();
   // kDenseTile images of 37 pixels: sample 5's pixel 29 quantizes to
   // 64, but
   // sample 2's pixel 30 (77) comes first in the reference's
@@ -565,21 +558,21 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
       slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.stage_pixels_tile(pixels, format, view, out);
   });
-  expect_window_miss(narrow.cache, 77, [&] {
+  expect_window_miss(view, 77, [&] {
     (void)reference_pixel_tile(pixels, format, view);
   });
   expect_declined<std::int16_t>(
       slots, [&](const KernelBackend& backend, std::int16_t* out) {
     return backend.lut_stage_tile(acc.data(), 9, lut.raw_path(), view, out);
   });
-  expect_window_miss(narrow.cache, bottom, [&] {
+  expect_window_miss(view, bottom, [&] {
     (void)reference_tile(reference_lut(acc, lut), view);
   });
-  // An unconfigured table has no window. Zeros, and -1 too: a window
-  // clamp over its span of 0 would run from 0 down to -1 and let -1
-  // through unchanged. The LUT above outputs even values only, so a
-  // 6-fraction-bit tanh supplies the -1.
-  const PrecomputerCache empty;
+  // An empty window, [0, -1]. Zeros, and -1 too: its clamp runs from 0
+  // down to -1 and would let -1 through unchanged. The LUT above
+  // outputs even values only, so a 6-fraction-bit tanh supplies the -1.
+  const Window none(4, 0, -1);
+  const StagingWindow empty = none.staging();
   std::vector<float> zeros(3 * kTile, 0.0f);
   std::vector<float> minus_one(3 * kTile, 0.0f);
   minus_one[0] = static_cast<float>(-1.0 / format.scale());
@@ -588,10 +581,10 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
        {std::pair{&zeros, std::int64_t{0}}, std::pair{&minus_one, -1L}}) {
     expect_declined<std::int16_t>(
         slots, [&](const KernelBackend& backend, std::int16_t* out) {
-      return backend.stage_pixels_tile(*images, format, empty.view(), out);
+      return backend.stage_pixels_tile(*images, format, empty, out);
     });
     expect_window_miss(empty, first, [&] {
-      (void)reference_pixel_tile(*images, format, empty.view());
+      (void)reference_pixel_tile(*images, format, empty);
     });
   }
   const FixedActivationLut fine(ActivationKind::kTanh, accumulator_format(),
@@ -605,11 +598,10 @@ TEST(BackendEpilogue, OutOfWindowTileValuesAreDeclinedAndTheReferenceThrows) {
     expect_declined<std::int16_t>(
         slots, [&](const KernelBackend& backend, std::int16_t* out) {
       return backend.lut_stage_tile(tile_acc.data(), 1,
-                                    table_lut->raw_path(), empty.view(), out);
+                                    table_lut->raw_path(), empty, out);
     });
     expect_window_miss(empty, table_lut->apply_raw(a), [&] {
-      (void)reference_tile(reference_lut(tile_acc, *table_lut),
-                           empty.view());
+      (void)reference_tile(reference_lut(tile_acc, *table_lut), empty);
     });
   }
 }
@@ -621,15 +613,62 @@ TEST(BackendEpilogue, PixelFormatsPastFloatLanesAreDeclined) {
   ASSERT_GE(wide.max_raw(), std::int64_t{1} << 24);
   man::util::Rng rng(28);
   // Within (-0.99, 0.99), so every value quantizes into the
-  // activation format's window the tables cover.
+  // activation format's window.
   std::vector<float> pixels(37 * kTile);
   for (float& p : pixels) {
     p = static_cast<float>(rng.next_double() * 1.98 - 0.99);
   }
   const std::vector<float> image(pixels.begin(), pixels.begin() + 37);
   expect_pixels_match(image, 4, wide, Case::kDeclined);
-  const Table window(4);
+  const Window window(4);
   expect_pixel_tiles_match(pixels, wide, 4, Case::kDeclined, &window);
+}
+
+// A window whose multiples alphabets[l]·x may leave int32 —
+// max(|min|, |max|)·max(a) > INT32_MAX — is declined by every backend,
+// even where every staged value is small; one at the bound is swept.
+TEST(BackendEpilogue, WindowsPastTheInt32BoundAreDeclined) {
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t bound = kInt32Max / 15;  // the full set's largest a
+  const FixedActivationLut lut(ActivationKind::kTanh, accumulator_format(),
+                               activation_format());
+  man::util::Rng rng(30);
+  std::vector<float> pixels(37 * kTile);
+  for (float& p : pixels) {
+    p = static_cast<float>(rng.next_double() * 1.98 - 0.99);
+  }
+  const std::vector<float> image(pixels.begin(), pixels.begin() + 37);
+  const Pool2Shape shape{2, 3, 9};
+  std::vector<std::int64_t> in(static_cast<std::size_t>(shape.c) * shape.oh *
+                               4 * shape.ow);
+  for (std::int64_t& v : in) v = rng.next_in(-(1 << 20), 1 << 20);
+  const std::vector<std::int64_t> acc(in.begin(), in.begin() + 3 * kTile);
+  const auto check = [&](const Window& window, Case c) {
+    SCOPED_TRACE("[" + std::to_string(window.min_raw) + ", " +
+                 std::to_string(window.max_raw) + "] k=" +
+                 std::to_string(window.alphabets.size()));
+    const std::size_t k = window.alphabets.size();
+    const StagingWindow view = window.staging();
+    expect_pixels_match(image, k, activation_format(), c, &window);
+    expect_pixel_tiles_match(pixels, activation_format(), k, c, &window);
+    expect_lut_tiles_match(acc, lut, k, c, &window);
+    expect_sweeps_match(
+        reference_stage(reference_pool(in, shape, lut), view), c,
+        [&](const KernelBackend& backend, std::int32_t* slots) {
+          return backend.lut_pool2_stage(
+              in.data(), shape, lut.raw_path(), view, slots,
+              static_cast<std::size_t>(shape.c) * shape.oh * shape.ow);
+        });
+  };
+  check(Window(8, -bound, bound), Case::kSwept);
+  check(Window(8, -bound - 1, bound), Case::kDeclined);
+  check(Window(8, -bound, bound + 1), Case::kDeclined);
+  check(Window(1, -kInt32Max, kInt32Max), Case::kSwept);
+  check(Window(1, -kInt32Max - 1, kInt32Max), Case::kDeclined);
+  check(Window(1, -kInt32Max, std::int64_t{1} << 40), Case::kDeclined);
+  check(Window(1, std::numeric_limits<std::int64_t>::min(),
+               std::numeric_limits<std::int64_t>::max()),
+        Case::kDeclined);
 }
 
 // A backend with `kernels`' accumulation loops that declines every
@@ -661,11 +700,6 @@ class DecliningBackend final : public KernelBackend {
                              std::int64_t* out) const override {
     kernels_.accumulate_dense_tile(plan, alphabets, chunk, tile, out);
   }
-  void accumulate_conv(const ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
-                       std::int64_t* out) const override {
-    kernels_.accumulate_conv(plan, multiples, out);
-  }
   void accumulate_conv_int32(const ConvLayerPlan& plan,
                              const std::int32_t* multiples,
                              std::int64_t* out) const override {
@@ -673,25 +707,23 @@ class DecliningBackend final : public KernelBackend {
   }
 
   bool stage_pixels(std::span<const float>, const QFormat&,
-                    const PrecomputerCache::View&, std::int32_t*,
+                    const StagingWindow&, std::int32_t*,
                     std::size_t) const override {
     return offer(0);
   }
   bool lut_pool2_stage(const std::int64_t*, const Pool2Shape&,
                        const FixedActivationLut::RawPath&,
-                       const PrecomputerCache::View&, std::int32_t*,
+                       const StagingWindow&, std::int32_t*,
                        std::size_t) const override {
     return offer(1);
   }
   bool stage_pixels_tile(std::span<const float>, const QFormat&,
-                         const PrecomputerCache::View&,
-                         std::int16_t*) const override {
+                         const StagingWindow&, std::int16_t*) const override {
     return offer(2);
   }
   bool lut_stage_tile(const std::int64_t*, std::size_t,
                       const FixedActivationLut::RawPath&,
-                      const PrecomputerCache::View&,
-                      std::int16_t*) const override {
+                      const StagingWindow&, std::int16_t*) const override {
     return offer(3);
   }
 
@@ -713,7 +745,7 @@ class DecliningBackend final : public KernelBackend {
 // chain (pixels into conv lanes; LUT, 2×2 pool, conv lanes) and an MLP
 // batch tile (pixels into the tile; LUT into the next tile) match the
 // scalar backend over two tiles and a remainder. No FixedNetwork stages
-// a value outside its window (its tables span the whole activation
+// a value outside its window (its windows span the whole activation
 // format, which pixels and LUT outputs are quantized into), so the
 // miss itself is checked on the reference templates above.
 TEST(BackendEpilogue, FixedNetworkRunsTheReferenceWhereABackendDeclines) {

@@ -188,9 +188,10 @@ TEST(FixedNetwork, PlanSizeMustMatchNetwork) {
                std::invalid_argument);
 }
 
-// Staging reads a table over the activation format's raw range, so a
-// format wider than the table's cap is rejected at construction (the
-// ASM and the exact plan alike: every engine carries the window).
+// Staging checks every input against the activation format's raw
+// range, so a format wider than the engine's cap of 2^20 raw values is
+// rejected at construction (the ASM and the exact plan alike: every
+// engine carries the window).
 TEST(FixedNetwork, RejectsActivationFormatWiderThanTheStagingTable) {
   QuantSpec spec = QuantSpec::bits8();
   spec.activation_format = man::fixed::QFormat(24, 8);  // 2^24 - 1 values
@@ -1254,10 +1255,9 @@ TEST(FixedNetwork, RejectsPoolWindowPastItsInput) {
       std::invalid_argument);
 }
 
-// A plan stages k bank outputs per input, copied from rows of its
-// synapse's bank table, which are as wide as the bank has alphabets:
-// a plan with k = 8 over a four-alphabet bank would copy 8 lanes out
-// of 4-wide rows and read past the table's last row. The descriptor
+// A plan stages k bank outputs per input, one per alphabet of its
+// synapse's bank: a plan with k = 8 over a four-alphabet bank would
+// index 8 lanes of slots the engine stages 4 of. The descriptor
 // constructor rejects every plan whose k differs from its synapse's
 // alphabet count, dense and conv, conventional and ASM.
 TEST(FixedNetwork, RejectsPlanWhoseAlphabetCountDiffersFromItsBank) {
@@ -1294,6 +1294,32 @@ TEST(FixedNetwork, RejectsPlanWhoseAlphabetCountDiffersFromItsBank) {
   EXPECT_EQ(conv_engine(asm4, 4).output_size(), 8u);
   EXPECT_THROW((void)conv_engine(asm4, 8), std::invalid_argument);
   EXPECT_THROW((void)conv_engine(conventional, 4), std::invalid_argument);
+}
+
+// An engine takes and hands on at least one value per sample (a
+// server's admission divides by input_size()): a model of LUT stages
+// only sizes no input, and a pool over an empty plane (ih = 0) takes
+// none, so the descriptor constructor rejects both, and a model with
+// no stage at all.
+TEST(FixedNetwork, RejectsStageGraphsOfNoValues) {
+  const auto engine_of = [](std::vector<CompiledStage> stages) {
+    CompiledModel model;
+    model.spec = QuantSpec::bits8();
+    model.stages = std::move(stages);
+    return FixedNetwork(model, {}, {}, nullptr);
+  };
+  EXPECT_EQ(engine_of({CompiledPoolStage{1, 4, 4, 2, 2, 2}}).input_size(),
+            16u);
+  EXPECT_THROW((void)engine_of({}), std::invalid_argument);
+  EXPECT_THROW(
+      (void)engine_of({CompiledLutStage{man::core::ActivationKind::kTanh}}),
+      std::invalid_argument);
+  EXPECT_THROW((void)engine_of({CompiledPoolStage{1, 0, 4, 2, 0, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)engine_of({CompiledLutStage{man::core::ActivationKind::kRelu},
+                       CompiledPoolStage{2, 0, 0, 2, 0, 0}}),
+      std::invalid_argument);
 }
 
 TEST(LayerAlphabetPlan, LabelsAreInformative) {

@@ -1,13 +1,13 @@
 // Randomized property test (seeded RNG) for CSHM staging: over random
 // dense/conv geometries at 8- and 12-bit × ASM + conventional schemes
-// (a conventional layer stages the full set's 8 alphabets),
-// staging from a PrecomputerCache table over the plan's window and
-// staging straight from the bank must produce bit-identical multiples
-// buffers laid out exactly as the compiled plans index them, every
-// kernel backend must produce bit-identical accumulators from either,
-// and the engine's own forward pass — table-staged where a stage's
-// inputs lie in the window, bank-staged where it is fed raw
-// accumulators — must equal a reference staged from the bank alone.
+// (a conventional layer stages the full set's 8 alphabets), staging by
+// the engine's rule, alphabets[l]·x, and staging through the bank's
+// shift-add network must produce bit-identical multiples buffers laid
+// out exactly as the compiled plans index them, every kernel backend
+// must produce bit-identical accumulators from either, and the
+// engine's own forward pass — stages fed activations and stages fed
+// raw accumulators alike — must equal a reference staged from the bank
+// alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,9 +30,7 @@ using man::backend::backend_for;
 using man::backend::ConvLayerPlan;
 using man::backend::DenseLayerPlan;
 using man::core::AlphabetSet;
-using man::core::OpCounts;
 using man::core::PrecomputerBank;
-using man::core::PrecomputerCache;
 using man::nn::Network;
 using man::nn::ProjectionPlan;
 using man::nn::QuantSpec;
@@ -87,6 +85,16 @@ std::vector<std::int64_t> stage_conv(const ConvLayerPlan& plan,
   return multiples;
 }
 
+// The engine's staging rule: the k bank outputs alphabets[l]·v.
+std::vector<std::int64_t> rule_row(const PrecomputerBank& bank,
+                                   std::int64_t v) {
+  std::vector<std::int64_t> row;
+  for (const auto a : bank.alphabet_set().alphabets()) {
+    row.push_back(std::int64_t{a} * v);
+  }
+  return row;
+}
+
 // Scalar-kernel stage outputs over multiples staged from the bank.
 std::vector<std::int64_t> dense_from_bank(const DenseLayerPlan& plan,
                                           const PrecomputerBank& bank,
@@ -124,7 +132,7 @@ void expect_engine_output(const FixedNetwork& engine,
   }
 }
 
-// Table-vs-bank staging + per-backend accumulation for one dense
+// Rule-vs-bank staging + per-backend accumulation for one dense
 // engine, then the engine's own staging against the bank reference.
 void check_dense_engine(const FixedNetwork& engine, const QuantSpec& spec,
                         const PrecomputerBank& bank, man::util::Rng& rng) {
@@ -138,18 +146,15 @@ void check_dense_engine(const FixedNetwork& engine, const QuantSpec& spec,
   const auto pixels = random_pixels(static_cast<std::size_t>(plan.cols), rng);
   const auto values = quantize(pixels, spec);
 
-  PrecomputerCache table(bank);
-  table.configure_range(plan.in_min_raw, plan.in_max_raw);
-  OpCounts discard;
-  const auto table_multiples = stage_dense(
-      plan, values, [&](std::int64_t v) { return table.lookup(v, discard); });
+  const auto rule_multiples = stage_dense(
+      plan, values, [&](std::int64_t v) { return rule_row(bank, v); });
   const auto bank_multiples = stage_dense(
       plan, values, [&](std::int64_t v) { return bank.compute(v); });
-  EXPECT_EQ(table_multiples, bank_multiples);
+  EXPECT_EQ(rule_multiples, bank_multiples);
 
   const auto reference = dense_from_bank(plan, bank, values);
   for (const auto* backend : all_backends()) {
-    for (const auto* multiples : {&table_multiples, &bank_multiples}) {
+    for (const auto* multiples : {&rule_multiples, &bank_multiples}) {
       std::vector<std::int64_t> out(static_cast<std::size_t>(plan.rows));
       backend->accumulate_dense(plan, multiples->data(), out.data());
       EXPECT_EQ(out, reference) << "backend=" << backend->name();
@@ -170,18 +175,15 @@ void check_conv_engine(const FixedNetwork& engine, const QuantSpec& spec,
   const auto pixels = random_pixels(plan.input_elems(), rng);
   const auto values = quantize(pixels, spec);
 
-  PrecomputerCache table(bank);
-  table.configure_range(plan.in_min_raw, plan.in_max_raw);
-  OpCounts discard;
-  const auto table_multiples = stage_conv(
-      plan, values, [&](std::int64_t v) { return table.lookup(v, discard); });
+  const auto rule_multiples = stage_conv(
+      plan, values, [&](std::int64_t v) { return rule_row(bank, v); });
   const auto bank_multiples = stage_conv(
       plan, values, [&](std::int64_t v) { return bank.compute(v); });
-  EXPECT_EQ(table_multiples, bank_multiples);
+  EXPECT_EQ(rule_multiples, bank_multiples);
 
   const auto reference = conv_from_bank(plan, bank, values);
   for (const auto* backend : all_backends()) {
-    for (const auto* multiples : {&table_multiples, &bank_multiples}) {
+    for (const auto* multiples : {&rule_multiples, &bank_multiples}) {
       std::vector<std::int64_t> out(reference.size());
       backend->accumulate_conv(plan, multiples->data(), out.data());
       EXPECT_EQ(out, reference) << "backend=" << backend->name();
@@ -242,9 +244,9 @@ TEST_P(StagingProperty, RandomConvGeometries) {
 }
 
 // A synapse stage fed raw accumulators (no LUT in front of it) has
-// inputs outside the staging window, so it stages straight from its
-// bank: Dense → Dense and Conv → Dense engines match a reference that
-// stages every stage from the bank.
+// inputs outside the staging window, so its window is all of int64:
+// Dense → Dense and Conv → Dense engines match a reference that stages
+// every stage from the bank.
 TEST_P(StagingProperty, RawFedStagesStageFromTheBank) {
   const QuantSpec spec = QuantSpec::for_bits(GetParam());
   const AlphabetSet set = AlphabetSet::four();
