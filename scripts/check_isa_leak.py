@@ -4,27 +4,33 @@
 Every object in libman.a is built for the baseline x86-64 ISA. Only
 the AVX2 and AVX-512 tier kernels in vector_kernels.cpp carry a
 per-function target("avx2") or target("avx512f,avx512vl,avx512bw")
-attribute (BW for the dense tile's int16 lanes),
-and the vector backends pick a tier only after a CPUID check, so the
-library runs on any x86-64 CPU. The rule the lint guards: AVX code
-appears only in that object, never in a weak symbol, and never in a
-`*Backend::` member function. A weak symbol
+attribute (BW for the dense tile's int16 lanes). A backend is one
+`KernelBackend` object holding a table of its loops; the registry
+builds the vector caps' tables (vector_backend(), after cpu_bytes()
+has checked CPUID), so the library runs on any x86-64 CPU. The rule
+the lint guards: AVX code appears only in the tagged kernels' object,
+never in a weak symbol, never in a `KernelBackend::` member function,
+and never in that object's registry functions. A weak symbol
 holding AVX code is the dangerous case: the linker keeps a single copy
 for every caller, so portable code would execute AVX instructions and
 die with SIGILL on a CPU without them. That happens if a target
 attribute (or a per-file -m flag) ever reaches a header-defined
 function with external linkage (inline or a template); the kernel
 templates in vector_kernels.h have internal linkage for that reason.
-A backend method holding AVX code
-is the other: the methods run on every CPU, so an
-inlined kernel could execute AVX instructions (a vmovq, say) on a CPU
-without them; the symbols are local, so the weak rule cannot see it.
+A `KernelBackend` method or a registry function holding AVX code is
+the other: they run on every CPU, the registry before the CPUID check
+has picked a tier, so an inlined kernel could execute AVX instructions
+(a vmovq, say) on a CPU without them; their symbols may be local, so
+the weak rule cannot see it.
 
 The lint disassembles the archive with demangled names and fails when
-a weak symbol, a `*Backend::` member function, or any function outside
-the kernels' object contains a VEX- or EVEX-encoded instruction
-(AT&T mnemonics starting with "v", or the AVX-512 mask instructions
-starting with "k"). Its ok line counts the AVX functions per object.
+a weak symbol, a `KernelBackend::` member function, a registry
+function, or any function outside the kernels' object contains a VEX-
+or EVEX-encoded instruction (AT&T mnemonics starting with "v", or the
+AVX-512 mask instructions starting with "k"). It also fails when a
+registry function is missing from the kernels' object, so a rename
+cannot switch the rule off. Its ok line counts the AVX functions per
+object.
 
 Usage: python3 scripts/check_isa_leak.py build/libman.a
 Exit 0 when clean, 1 with a report, 2 on bad usage.
@@ -37,6 +43,12 @@ from collections import Counter
 
 # The object whose kernels carry AVX target attributes.
 AVX_OBJECTS = {"vector_kernels.cpp.o"}
+
+# Functions of that object that run before, or make, the CPUID check
+# and build the tier tables: they must hold no AVX code. Matched as
+# demangled-name prefixes, so GCC's clones (".cold", ".part") count.
+REGISTRY_FUNCTIONS = ("man::backend::detail::cpu_bytes(",
+                      "man::backend::detail::vector_backend(")
 
 # nm types of weak and unique-global definitions.
 WEAK_TYPES = {"W", "V", "u"}
@@ -62,13 +74,19 @@ def weak_symbols(archive):
 
 
 def backend_method(symbol):
-    """True for a member function of a class named *Backend."""
-    return re.search(r"\w*Backend::~?\w+\(", symbol) is not None
+    """True for a member function of KernelBackend."""
+    return re.search(r"\bKernelBackend::~?\w+\(", symbol) is not None
 
 
-def avx_functions(archive):
-    """(object, symbol) of every function holding a VEX/EVEX instruction."""
-    found = set()
+def registry_function(symbol):
+    """True for a registry function of the kernels' object."""
+    return symbol.startswith(REGISTRY_FUNCTIONS)
+
+
+def functions(archive):
+    """(object, symbol) of every function, and of those holding a
+    VEX/EVEX instruction."""
+    every, found = set(), set()
     member = symbol = None
     disassembly = run("objdump", "-d", "-C", "--no-show-raw-insn", archive)
     for line in disassembly.splitlines():
@@ -76,10 +94,11 @@ def avx_functions(archive):
             member, symbol = match.group(1), None
         elif match := FUNCTION.match(line):
             symbol = match.group(1)
+            every.add((member, symbol))
         elif symbol and (match := INSTRUCTION.match(line)):
             if match.group(1).startswith(("v", "k")):
                 found.add((member, symbol))
-    return found
+    return every, found
 
 
 def main(argv):
@@ -87,17 +106,27 @@ def main(argv):
         print("usage: check_isa_leak.py <libman.a>", file=sys.stderr)
         return 2
     weak = weak_symbols(argv[1])
-    found = avx_functions(argv[1])
+    every, found = functions(argv[1])
     failures = []
+    for prefix in REGISTRY_FUNCTIONS:
+        if not any(member in AVX_OBJECTS and symbol.startswith(prefix)
+                   for member, symbol in every):
+            failures.append(f"registry function {prefix}...) not found in "
+                            f"{', '.join(sorted(AVX_OBJECTS))}; update "
+                            f"REGISTRY_FUNCTIONS")
     for member, symbol in sorted(found):
         if symbol in weak:
             failures.append(f"{member}: weak symbol {symbol} holds AVX code; "
                             f"the linker may hand this copy to portable "
                             f"callers")
         elif backend_method(symbol):
-            failures.append(f"{member}: {symbol} holds AVX code; backend "
-                            f"methods run before their CPUID check and must "
-                            f"only call the tagged kernels")
+            failures.append(f"{member}: {symbol} holds AVX code; "
+                            f"KernelBackend methods run on every CPU and "
+                            f"must only call through their loop table")
+        elif registry_function(symbol):
+            failures.append(f"{member}: {symbol} holds AVX code; the "
+                            f"registry runs before the CPUID check has "
+                            f"picked a tier")
         elif member not in AVX_OBJECTS:
             failures.append(f"{member}: {symbol} holds AVX code outside "
                             f"the tagged kernels' objects")
@@ -108,7 +137,8 @@ def main(argv):
     per_object = ", ".join(f"{member}: {count}"
                            for member, count in sorted(counts.items()))
     print(f"ok: {len(found)} functions hold AVX code ({per_object or 'none'}); "
-          f"none is weak or a Backend:: method")
+          f"none is weak, a KernelBackend:: method or a registry "
+          f"function")
     return 0
 
 

@@ -49,27 +49,37 @@ std::mutex& ModelCache::mutex_of(const std::string& key) {
   return *slot;
 }
 
-man::nn::Network ModelCache::baseline(const AppSpec& app,
-                                      const man::data::Dataset& dataset,
-                                      double dataset_scale, bool* trained) {
-  const std::string key = key_of(app, dataset_scale, "baseline");
+man::nn::Network ModelCache::load_or_train(
+    const AppSpec& app, double dataset_scale, const std::string& variant,
+    const std::function<void(man::nn::Network&)>& train, bool* trained) {
+  const std::string key = key_of(app, dataset_scale, variant);
   const std::string path = path_of(key);
   std::lock_guard<std::mutex> lock(mutex_of(key));
 
   man::nn::Network net = app.build_network(kInitSeed);
-  if (man::nn::load_params(net, path, key)) {
-    if (trained != nullptr) *trained = false;
-    return net;
+  const bool hit = man::nn::load_params(net, path, key);
+  if (!hit) {
+    train(net);
+    (void)man::nn::save_params(net, path, key);
   }
-
-  man::nn::Sgd::Options opts;
-  opts.learning_rate = app.baseline_lr();
-  opts.momentum = 0.9;
-  man::nn::Sgd optimizer(net, opts);
-  (void)man::nn::fit(net, optimizer, dataset.train, app.baseline_training());
-  (void)man::nn::save_params(net, path, key);
-  if (trained != nullptr) *trained = true;
+  if (trained != nullptr) *trained = !hit;
   return net;
+}
+
+man::nn::Network ModelCache::baseline(const AppSpec& app,
+                                      const man::data::Dataset& dataset,
+                                      double dataset_scale, bool* trained) {
+  return load_or_train(
+      app, dataset_scale, "baseline",
+      [&](man::nn::Network& net) {
+        man::nn::Sgd::Options opts;
+        opts.learning_rate = app.baseline_lr();
+        opts.momentum = 0.9;
+        man::nn::Sgd optimizer(net, opts);
+        (void)man::nn::fit(net, optimizer, dataset.train,
+                           app.baseline_training());
+      },
+      trained);
 }
 
 man::nn::Network ModelCache::retrained(const AppSpec& app,
@@ -77,26 +87,18 @@ man::nn::Network ModelCache::retrained(const AppSpec& app,
                                        double dataset_scale,
                                        const man::core::AlphabetSet& set,
                                        bool* trained) {
-  const std::string key =
-      key_of(app, dataset_scale, "asm" + set.to_string());
-  const std::string path = path_of(key);
-  std::lock_guard<std::mutex> lock(mutex_of(key));
-
-  man::nn::Network net = app.build_network(kInitSeed);
-  if (man::nn::load_params(net, path, key)) {
-    if (trained != nullptr) *trained = false;
-    return net;
-  }
-
-  // Start from the trained baseline (Algorithm 2's restore point).
-  net = baseline(app, dataset, dataset_scale);
-  const man::nn::ProjectionPlan plan(app.quant(), set,
-                                     net.num_weight_layers());
-  (void)man::nn::retrain_constrained(net, dataset.train, dataset.test, plan,
-                                     app.retraining(), app.retrain_lr());
-  (void)man::nn::save_params(net, path, key);
-  if (trained != nullptr) *trained = true;
-  return net;
+  return load_or_train(
+      app, dataset_scale, "asm" + set.to_string(),
+      [&](man::nn::Network& net) {
+        // Start from the trained baseline (Algorithm 2's restore point).
+        net = baseline(app, dataset, dataset_scale);
+        const man::nn::ProjectionPlan plan(app.quant(), set,
+                                           net.num_weight_layers());
+        (void)man::nn::retrain_constrained(net, dataset.train, dataset.test,
+                                           plan, app.retraining(),
+                                           app.retrain_lr());
+      },
+      trained);
 }
 
 man::nn::Network ModelCache::retrained_mixed(
@@ -106,23 +108,16 @@ man::nn::Network ModelCache::retrained_mixed(
     bool* trained) {
   std::string variant = "mixed";
   for (const auto& set : per_layer_sets) variant += set.to_string();
-  const std::string key = key_of(app, dataset_scale, variant);
-  const std::string path = path_of(key);
-  std::lock_guard<std::mutex> lock(mutex_of(key));
-
-  man::nn::Network net = app.build_network(kInitSeed);
-  if (man::nn::load_params(net, path, key)) {
-    if (trained != nullptr) *trained = false;
-    return net;
-  }
-
-  net = baseline(app, dataset, dataset_scale);
-  const man::nn::ProjectionPlan plan(app.quant(), per_layer_sets);
-  (void)man::nn::retrain_constrained(net, dataset.train, dataset.test, plan,
-                                     app.retraining(), app.retrain_lr());
-  (void)man::nn::save_params(net, path, key);
-  if (trained != nullptr) *trained = true;
-  return net;
+  return load_or_train(
+      app, dataset_scale, variant,
+      [&](man::nn::Network& net) {
+        net = baseline(app, dataset, dataset_scale);
+        const man::nn::ProjectionPlan plan(app.quant(), per_layer_sets);
+        (void)man::nn::retrain_constrained(net, dataset.train, dataset.test,
+                                           plan, app.retraining(),
+                                           app.retrain_lr());
+      },
+      trained);
 }
 
 }  // namespace man::apps

@@ -11,6 +11,7 @@
 #ifndef MAN_APPS_MODEL_CACHE_H
 #define MAN_APPS_MODEL_CACHE_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,6 +58,12 @@ class ModelCache {
   [[nodiscard]] std::string key_of(const AppSpec& app, double scale,
                                    const std::string& variant) const;
   [[nodiscard]] std::string path_of(const std::string& key) const;
+  /// The network cached under `variant`'s key; on a miss, a fresh
+  /// network through `train`, then cached. Holds the key's mutex
+  /// throughout, and sets *trained when it trained.
+  [[nodiscard]] man::nn::Network load_or_train(
+      const AppSpec& app, double dataset_scale, const std::string& variant,
+      const std::function<void(man::nn::Network&)>& train, bool* trained);
   /// The per-configuration mutex for `key`, created on first use.
   /// retrained() holds its own key's mutex while calling baseline()
   /// (a different key, so a different mutex — never recursive).

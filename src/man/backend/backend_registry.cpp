@@ -15,28 +15,28 @@ void StagingWindow::throw_outside(std::int64_t x) const {
 }
 
 const KernelBackend& backend_for(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kScalar:
-      return detail::scalar_backend();
-    case BackendKind::kBlocked:
-    case BackendKind::kSimd:
-    case BackendKind::kAvx512:
-      return detail::vector_backend(kind);
+  const auto index = static_cast<std::size_t>(kind);
+  const auto backends = all_backends();
+  if (index >= backends.size()) {
+    throw std::invalid_argument("backend_for: unknown BackendKind");
   }
-  throw std::invalid_argument("backend_for: unknown BackendKind");
+  return *backends[index];
 }
 
 std::span<const KernelBackend* const> all_backends() {
-  static const std::array<const KernelBackend*, 4> backends = {
-      &detail::scalar_backend(),
-      &detail::vector_backend(BackendKind::kBlocked),
-      &detail::vector_backend(BackendKind::kSimd),
-      &detail::vector_backend(BackendKind::kAvx512)};
-  return backends;
+  // In BackendKind order; the vector caps check CPUID here, once.
+  static const std::array<KernelBackend, 4> backends = {
+      detail::scalar_backend(),
+      detail::vector_backend(BackendKind::kBlocked),
+      detail::vector_backend(BackendKind::kSimd),
+      detail::vector_backend(BackendKind::kAvx512)};
+  static const std::array<const KernelBackend*, 4> pointers = {
+      &backends[0], &backends[1], &backends[2], &backends[3]};
+  return pointers;
 }
 
 BackendKind detect_best_backend() {
-  switch (detail::vector_kernels(64).bytes) {
+  switch (detail::cpu_bytes()) {
     case 64:
       return BackendKind::kAvx512;
     case 32:

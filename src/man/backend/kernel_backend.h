@@ -1,12 +1,13 @@
 // Multi-backend ASM accumulation: the inner MAC loop of the
-// fixed-point engine abstracted behind a KernelBackend interface, so
-// the same compiled plans — the (shift, sign) groups of a dense or conv
-// plan — run on the extracted scalar reference or on the vector
-// backend, all under one bit-exactness contract (every backend must
-// produce accumulators identical to the scalar reference; the Fig 9
-// replay gate enforces this in CI). The vector backend writes each
-// loop once over a generic vector type and instantiates it per vector
-// width: 16 bytes at the default ISA, 32 for AVX2, 64 for AVX-512.
+// fixed-point engine as one KernelBackend class, whose four instances
+// each hold a table of loops, so the same compiled plans — the (shift,
+// sign) groups of a dense or conv plan — run on the extracted scalar
+// reference or on a vector tier, all under one bit-exactness contract
+// (every backend must produce accumulators identical to the scalar
+// reference; the Fig 9 replay gate enforces this in CI). The vector
+// tiers write each loop once over a generic vector type and
+// instantiate it per vector width: 16 bytes at the default ISA, 32 for
+// AVX2, 64 for AVX-512.
 //
 // Selection: resolve() picks, in precedence order, a programmatic
 // override (BatchOptions::backend), the MAN_BACKEND environment
@@ -87,37 +88,79 @@ enum class BackendKind {
              ///< AVX-512F/VL/BW, portable without either)
 };
 
+/// Backend names for diagnostics ("scalar|blocked|simd|avx512"); each
+/// view is a null-terminated literal.
+[[nodiscard]] std::string_view to_string(BackendKind kind) noexcept;
+
 /// One implementation of the inner accumulation loops and, where it
 /// has them, of the stage boundaries' epilogue sweeps: a conv network's
 /// first two (pixels into conv lanes; LUT, 2×2 pool, conv lanes) and a
 /// dense batch tile's (a tile's pixels into its sample-minor slots; its
-/// accumulators through a LUT into the next tile's). Stateless and
-/// thread-safe: instances are process-wide singletons obtained via
-/// backend_for()/resolve().
+/// accumulators through a LUT into the next tile's). A backend is its
+/// kind, its tier and a table of its loops; each method is one call
+/// through the table. Stateless and thread-safe: the registered
+/// instances are process-wide, obtained via backend_for()/resolve().
 class KernelBackend {
  public:
-  virtual ~KernelBackend() = default;
+  /// The loops a backend runs. The three accumulation loops are always
+  /// set; a sweep is null where the backend has none.
+  struct Loops {
+    void (*dense)(const DenseLayerPlan&, const std::int64_t*,
+                  std::int64_t*) = nullptr;
+    void (*dense_tile)(const DenseLayerPlan&, std::span<const std::uint8_t>,
+                       int, const std::int16_t*, std::int64_t*) = nullptr;
+    void (*conv_int32)(const ConvLayerPlan&, const std::int32_t*,
+                       std::int64_t*) = nullptr;
+    bool (*stage_pixels)(std::span<const float>, const man::fixed::QFormat&,
+                         const StagingWindow&, std::int32_t*,
+                         std::size_t) = nullptr;
+    bool (*lut_pool2_stage)(const std::int64_t*, const Pool2Shape&,
+                            const man::core::FixedActivationLut::RawPath&,
+                            const StagingWindow&, std::int32_t*,
+                            std::size_t) = nullptr;
+    bool (*stage_pixels_tile)(std::span<const float>,
+                              const man::fixed::QFormat&,
+                              const StagingWindow&, std::int16_t*) = nullptr;
+    bool (*lut_stage_tile)(const std::int64_t*, std::size_t,
+                           const man::core::FixedActivationLut::RawPath&,
+                           const StagingWindow&, std::int16_t*) = nullptr;
+  };
 
-  [[nodiscard]] virtual BackendKind kind() const noexcept = 0;
+  constexpr KernelBackend(BackendKind kind, const char* description,
+                          bool accelerated, const Loops& loops) noexcept
+      : kind_(kind),
+        description_(description),
+        accelerated_(accelerated),
+        loops_(loops) {}
+
+  [[nodiscard]] BackendKind kind() const noexcept { return kind_; }
   /// Stable lowercase identifier ("scalar", "blocked", "simd",
   /// "avx512") — the MAN_BACKEND spelling and the EngineStats backend
   /// label.
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
+  [[nodiscard]] const char* name() const noexcept {
+    return to_string(kind_).data();
+  }
   /// Human-readable variant description (for a vector backend, the
   /// tier live on this CPU under its cap).
-  [[nodiscard]] virtual const char* description() const noexcept = 0;
+  [[nodiscard]] const char* description() const noexcept {
+    return description_;
+  }
   /// True when this backend runs a vector tier above the portable one
   /// (AVX2 or AVX-512). Every registered backend is always *runnable*.
-  [[nodiscard]] virtual bool accelerated() const noexcept = 0;
+  [[nodiscard]] bool accelerated() const noexcept { return accelerated_; }
+  /// The table every method calls through.
+  [[nodiscard]] const Loops& loops() const noexcept { return loops_; }
 
   /// ASM accumulation for one dense stage, group by group:
   /// out[r] = biases[r] + Σ_g ±(Σ_t multiples[idx[t]]) << shifts[g].
   /// `multiples` holds plan.padded_multiples() slots (cols × k bank
   /// outputs, k-strided). The AVX-512 tier gathers; every other
   /// backend runs the scalar reference's walk.
-  virtual void accumulate_dense(const DenseLayerPlan& plan,
-                                const std::int64_t* multiples,
-                                std::int64_t* out) const = 0;
+  void accumulate_dense(const DenseLayerPlan& plan,
+                        const std::int64_t* multiples,
+                        std::int64_t* out) const {
+    loops_.dense(plan, multiples, out);
+  }
 
   /// accumulate_dense over a tile of kDenseTile samples at once, laid
   /// out sample-minor in int16 lanes: input c of sample b lives at
@@ -137,10 +180,12 @@ class KernelBackend {
   /// (FixedNetwork tiles only such plans); the scalar reference
   /// accumulates in int64 regardless. Bit-identical to kDenseTile
   /// accumulate_dense calls.
-  virtual void accumulate_dense_tile(const DenseLayerPlan& plan,
-                                     std::span<const std::uint8_t> alphabets,
-                                     int chunk, const std::int16_t* tile,
-                                     std::int64_t* out) const = 0;
+  void accumulate_dense_tile(const DenseLayerPlan& plan,
+                             std::span<const std::uint8_t> alphabets,
+                             int chunk, const std::int16_t* tile,
+                             std::int64_t* out) const {
+    loops_.dense_tile(plan, alphabets, chunk, tile, out);
+  }
 
   /// ASM accumulation for one conv stage, group by group: for every
   /// filter r and output position p = (oy, ox),
@@ -151,25 +196,27 @@ class KernelBackend {
   /// plan.padded_multiples() slots — k lanes of ic·ih·iw bank
   /// outputs. FixedNetwork calls it only for plans that do not fit
   /// int32 lanes (a stage fed raw accumulators, or one that fails the
-  /// row bound), so it is not virtual: every backend runs the scalar
-  /// reference's walk (scalar_backend.cpp).
+  /// row bound), so it has no table entry: every backend runs the
+  /// scalar reference's walk (scalar_backend.cpp).
   void accumulate_conv(const ConvLayerPlan& plan,
                        const std::int64_t* multiples,
                        std::int64_t* out) const;
 
   /// accumulate_conv over int32 multiples: the same lane-major layout
-  /// and output. The vector backend runs 4, 8 or 16 consecutive output
-  /// positions per vector (by tier), sums each group and the filter in
-  /// int32, and widens each output to int64 where the bias is added;
-  /// it tiles positions by one fixed register tile per tier, and a
-  /// row's last vector ends at ow, overlapping the one before it, so
-  /// no read leaves the row. Callers must hold int32_row_bound(plan,
-  /// ...) ≤ INT32_MAX for the staged inputs (FixedNetwork routes only
-  /// such plans here); the scalar reference accumulates in int64
-  /// regardless. Bit-identical to accumulate_conv on the same values.
-  virtual void accumulate_conv_int32(const ConvLayerPlan& plan,
-                                     const std::int32_t* multiples,
-                                     std::int64_t* out) const = 0;
+  /// and output. The vector tiers run 4, 8 or 16 consecutive output
+  /// positions per vector, sum each group and the filter in int32, and
+  /// widen each output to int64 where the bias is added; each tiles
+  /// positions by one fixed register tile, and a row's last vector ends
+  /// at ow, overlapping the one before it, so no read leaves the row.
+  /// Callers must hold int32_row_bound(plan, ...) ≤ INT32_MAX for the
+  /// staged inputs (FixedNetwork routes only such plans here); the
+  /// scalar reference accumulates in int64 regardless. Bit-identical
+  /// to accumulate_conv on the same values.
+  void accumulate_conv_int32(const ConvLayerPlan& plan,
+                             const std::int32_t* multiples,
+                             std::int64_t* out) const {
+    loops_.conv_int32(plan, multiples, out);
+  }
 
   // Epilogue sweeps: stage boundaries, each one pass that equals the
   // reference loops of epilogue_sweep.h, which FixedNetwork runs
@@ -182,47 +229,60 @@ class KernelBackend {
   // the window fits. A sweep returns true, or returns false, its output
   // unspecified, where it does not run exactly (docs/backends.md lists
   // the declines: a window that fails StagingWindow::fits_int32() is
-  // one, a staged value outside the window another). The base class
-  // declines every case, so the scalar backend has no sweeps.
+  // one, a staged value outside the window another). A backend whose
+  // table has no sweep declines every case: the scalar backend and the
+  // portable tier have none.
 
   /// Each pixel quantized to `format` (QFormat::quantize) and staged
   /// through `window`, pixel i as value i.
-  [[nodiscard]] virtual bool stage_pixels(
-      std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
-      const StagingWindow& /*window*/, std::int32_t* /*slots*/,
-      std::size_t /*stride*/) const {
-    return false;
+  [[nodiscard]] bool stage_pixels(std::span<const float> pixels,
+                                  const man::fixed::QFormat& format,
+                                  const StagingWindow& window,
+                                  std::int32_t* slots,
+                                  std::size_t stride) const {
+    return loops_.stage_pixels != nullptr &&
+           loops_.stage_pixels(pixels, format, window, slots, stride);
   }
 
   /// Every input through `lut`, then each 2×2 window summed and its
   /// average rounded to nearest, half away from zero; pooled value o
   /// staged through `window` as value o.
-  [[nodiscard]] virtual bool lut_pool2_stage(
-      const std::int64_t* /*in*/, const Pool2Shape& /*shape*/,
-      const man::core::FixedActivationLut::RawPath& /*lut*/,
-      const StagingWindow& /*window*/, std::int32_t* /*slots*/,
-      std::size_t /*stride*/) const {
-    return false;
+  [[nodiscard]] bool lut_pool2_stage(
+      const std::int64_t* in, const Pool2Shape& shape,
+      const man::core::FixedActivationLut::RawPath& lut,
+      const StagingWindow& window, std::int32_t* slots,
+      std::size_t stride) const {
+    return loops_.lut_pool2_stage != nullptr &&
+           loops_.lut_pool2_stage(in, shape, lut, window, slots, stride);
   }
 
   /// A tile's images: `pixels` holds kDenseTile samples of n values
   /// each, sample after sample; pixel i of sample b is quantized to
   /// `format` and staged, inside `window`, as element i of sample b.
-  [[nodiscard]] virtual bool stage_pixels_tile(
-      std::span<const float> /*pixels*/, const man::fixed::QFormat& /*format*/,
-      const StagingWindow& /*window*/, std::int16_t* /*tile*/) const {
-    return false;
+  [[nodiscard]] bool stage_pixels_tile(std::span<const float> pixels,
+                                       const man::fixed::QFormat& format,
+                                       const StagingWindow& window,
+                                       std::int16_t* tile) const {
+    return loops_.stage_pixels_tile != nullptr &&
+           loops_.stage_pixels_tile(pixels, format, window, tile);
   }
 
   /// A tile's accumulators through `lut`: acc[i·kDenseTile + b] (row i
   /// of sample b, `elements` rows, as accumulate_dense_tile writes
   /// them) is staged, inside `window`, as element i of sample b.
-  [[nodiscard]] virtual bool lut_stage_tile(
-      const std::int64_t* /*acc*/, std::size_t /*elements*/,
-      const man::core::FixedActivationLut::RawPath& /*lut*/,
-      const StagingWindow& /*window*/, std::int16_t* /*tile*/) const {
-    return false;
+  [[nodiscard]] bool lut_stage_tile(
+      const std::int64_t* acc, std::size_t elements,
+      const man::core::FixedActivationLut::RawPath& lut,
+      const StagingWindow& window, std::int16_t* tile) const {
+    return loops_.lut_stage_tile != nullptr &&
+           loops_.lut_stage_tile(acc, elements, lut, window, tile);
   }
+
+ private:
+  BackendKind kind_;
+  const char* description_;
+  bool accelerated_;
+  Loops loops_;
 };
 
 /// The process-wide instance of one backend kind.
@@ -254,9 +314,6 @@ class KernelBackend {
 /// resolve_backend() + backend_for() in one call.
 [[nodiscard]] const KernelBackend& resolve(
     std::optional<BackendKind> programmatic = std::nullopt);
-
-/// Backend names for diagnostics ("scalar|blocked|simd|avx512").
-[[nodiscard]] std::string_view to_string(BackendKind kind) noexcept;
 
 }  // namespace man::backend
 

@@ -194,13 +194,14 @@ struct GroupedPlan {
   /// Staging window: the activation QFormat's raw range
   /// [in_min_raw, in_max_raw], which quantized pixels, LUT outputs and
   /// pool averages stay inside. Set on every plan when a network is
-  /// lowered and checked by the FixedNetwork constructor. A stage
-  /// whose inputs lie in it stages from the engine's table of bank
-  /// outputs over the window, and int32_row_bound() bounds the
-  /// inputs by it; a stage fed raw accumulators (no LUT in front)
-  /// stages straight from its bank and never runs int32 lanes. min >
-  /// max (the default, hand-built plans only) means no window: such a
-  /// plan never runs int32 lanes.
+  /// lowered and checked by the FixedNetwork constructor. Every stage
+  /// stages its bank outputs as alphabets[l]·x through a
+  /// StagingWindow: a stage whose inputs lie in this window checks
+  /// them against it, and int32_row_bound() bounds the inputs by it; a
+  /// stage fed raw accumulators (no LUT in front) stages through a
+  /// window of all of int64 and never runs int32 lanes. min > max (the
+  /// default, hand-built plans only) means no window: such a plan
+  /// never runs int32 lanes.
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
   [[nodiscard]] bool has_input_range() const noexcept {

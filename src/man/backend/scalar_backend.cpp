@@ -4,9 +4,10 @@
 // sign) groups: each group's multiples summed (in the dense tile, its
 // inputs summed and scaled by the group's alphabet), shifted once,
 // then added or subtracted. One dense sample walks each (shift, sign)
-// run of lane groups as one group; its int64 conv walk is
+// run of lane groups as one group, the dense loop of every vector tier
+// below AVX-512 too; its int64 conv walk is
 // KernelBackend::accumulate_conv, which every backend runs. It has no
-// epilogue sweeps: KernelBackend's declines them, and FixedNetwork runs
+// epilogue sweeps: its table leaves them null, and FixedNetwork runs
 // the reference templates of epilogue_sweep.h instead.
 #include "man/backend/backend_impls.h"
 
@@ -47,6 +48,8 @@ template <typename Slot>
   return even + odd;
 }
 
+}  // namespace
+
 /// accumulate_dense: the k-strided multiples hold every lane, so each
 /// (shift, sign) run of lane groups sums as one group.
 void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
@@ -64,11 +67,13 @@ void dense_walk(const DenseLayerPlan& plan, const std::int64_t* multiples,
   }
 }
 
+namespace {
+
 /// accumulate_dense_tile: each term reads the kDenseTile int16 lanes
 /// of input idx / k, and each group's Σx is scaled by its lane's
 /// alphabet, in int64 — the oracle needs no chunk or row proof.
 void tile_walk(const DenseLayerPlan& plan,
-               std::span<const std::uint8_t> alphabets,
+               std::span<const std::uint8_t> alphabets, int /*chunk*/,
                const std::int16_t* tile, std::int64_t* out) {
   constexpr std::size_t kTile = kDenseTile;
   const auto k = static_cast<std::uint32_t>(plan.k);
@@ -92,7 +97,9 @@ void tile_walk(const DenseLayerPlan& plan,
 }
 
 /// Every filter at every output position (oy, ox), reading the
-/// lane-major slots plus oy·iw + ox.
+/// lane-major slots plus oy·iw + ox. Over int32 slots it is the int32
+/// conv kernel, accumulated in int64: the oracle needs no overflow
+/// proof.
 template <typename Slot>
 void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
                std::int64_t* out) {
@@ -116,46 +123,14 @@ void conv_walk(const ConvLayerPlan& plan, const Slot* multiples,
   }
 }
 
-class ScalarBackend final : public KernelBackend {
- public:
-  [[nodiscard]] BackendKind kind() const noexcept override {
-    return BackendKind::kScalar;
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "scalar";
-  }
-  [[nodiscard]] const char* description() const noexcept override {
-    return "sequential reference (per-row walk of groups)";
-  }
-  [[nodiscard]] bool accelerated() const noexcept override { return false; }
-
-  void accumulate_dense(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
-                        std::int64_t* out) const override {
-    dense_walk(plan, multiples, out);
-  }
-
-  void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             std::span<const std::uint8_t> alphabets,
-                             int /*chunk*/, const std::int16_t* tile,
-                             std::int64_t* out) const override {
-    tile_walk(plan, alphabets, tile, out);
-  }
-
-  void accumulate_conv_int32(const ConvLayerPlan& plan,
-                             const std::int32_t* multiples,
-                             std::int64_t* out) const override {
-    // The same walk over int32 slots, accumulated in int64 — the oracle
-    // needs no overflow proof.
-    conv_walk(plan, multiples, out);
-  }
-};
-
 }  // namespace
 
-const KernelBackend& scalar_backend() {
-  static const ScalarBackend backend;
-  return backend;
+KernelBackend scalar_backend() {
+  return {BackendKind::kScalar, "sequential reference (per-row walk of groups)",
+          false,
+          {.dense = dense_walk,
+           .dense_tile = tile_walk,
+           .conv_int32 = conv_walk<std::int32_t>}};
 }
 
 }  // namespace man::backend::detail

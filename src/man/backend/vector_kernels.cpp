@@ -2,8 +2,10 @@
 // (default ISA), 32 bytes (MAN_TARGET_AVX2) and 64 bytes
 // (MAN_TARGET_AVX512), plus the AVX-512 per-sample dense gather and,
 // at the AVX2 and AVX-512 tiers, the four epilogue sweeps with their
-// gathers. This is the only object that holds AVX code; nothing here
-// runs before vector_kernels() has checked CPUID.
+// gathers, and vector_backend(), which builds a cap's KernelBackend from
+// the widest tier cpu_bytes() allows. This is the only object that
+// holds AVX code; only the tagged tier functions do, and they run only
+// through a table vector_backend() built after checking CPUID.
 #include "man/backend/vector_kernels.h"
 
 #include "man/backend/backend_impls.h"
@@ -235,7 +237,12 @@ MAN_TARGET_AVX512 void conv_int32_avx512(const ConvLayerPlan& plan,
   conv<I32x16, kConvRows512>(plan, multiples, out);
 }
 
+#endif  // MAN_X86_KERNELS
+
+}  // namespace
+
 int cpu_bytes() {
+#if MAN_X86_KERNELS
   // BW for the dense tile's int16 lanes (vpaddw and vpmovsxwd on zmm).
   if (__builtin_cpu_supports("avx512f") != 0 &&
       __builtin_cpu_supports("avx512vl") != 0 &&
@@ -243,40 +250,46 @@ int cpu_bytes() {
     return 64;
   }
   return __builtin_cpu_supports("avx2") != 0 ? 32 : 16;
+#else
+  return 16;
+#endif
 }
 
-#else
-
-int cpu_bytes() { return 16; }
-
-#endif  // MAN_X86_KERNELS
-
-constexpr VectorKernels kTiers[] = {
-    // The portable tier has no epilogue sweeps: at 16 bytes the conv
-    // sweeps ran 1.2–1.3× slower than the reference (SSE2 has no 64-bit
-    // compares, shifts or gathers), and SSE2 has no int32 multiply for
-    // the in-register multiples.
-    {16, "portable 16-byte vectors", nullptr, dense_tile_16, conv_int32_16,
-     nullptr, nullptr, nullptr, nullptr},
+KernelBackend vector_backend(BackendKind cap) {
+  const int cap_bytes = cap == BackendKind::kAvx512 ? 64
+                        : cap == BackendKind::kSimd ? 32
+                                                    : 16;
+  switch (std::min(cap_bytes, cpu_bytes())) {
 #if MAN_X86_KERNELS
-    {32, "AVX2 32-byte vectors and gathers", nullptr, dense_tile_avx2,
-     conv_int32_avx2, stage_pixels_avx2, lut_pool2_stage_avx2,
-     stage_pixels_tile_avx2, lut_stage_tile_avx2},
-    {64, "AVX-512F/VL/BW 64-byte vectors and gathers", dense_groups_avx512,
-     dense_tile_avx512, conv_int32_avx512, stage_pixels_avx512,
-     lut_pool2_stage_avx512, stage_pixels_tile_avx512, lut_stage_tile_avx512},
+    case 64:
+      return {cap, "AVX-512F/VL/BW 64-byte vectors and gathers", true,
+              {.dense = dense_groups_avx512,
+               .dense_tile = dense_tile_avx512,
+               .conv_int32 = conv_int32_avx512,
+               .stage_pixels = stage_pixels_avx512,
+               .lut_pool2_stage = lut_pool2_stage_avx512,
+               .stage_pixels_tile = stage_pixels_tile_avx512,
+               .lut_stage_tile = lut_stage_tile_avx512}};
+    case 32:
+      return {cap, "AVX2 32-byte vectors and gathers", true,
+              {.dense = dense_walk,
+               .dense_tile = dense_tile_avx2,
+               .conv_int32 = conv_int32_avx2,
+               .stage_pixels = stage_pixels_avx2,
+               .lut_pool2_stage = lut_pool2_stage_avx2,
+               .stage_pixels_tile = stage_pixels_tile_avx2,
+               .lut_stage_tile = lut_stage_tile_avx2}};
 #endif
-};
-
-}  // namespace
-
-const VectorKernels& vector_kernels(int cap_bytes) {
-  const int bytes = std::min(cap_bytes, cpu_bytes());
-  const VectorKernels* widest = &kTiers[0];
-  for (const VectorKernels& tier : kTiers) {
-    if (tier.bytes <= bytes) widest = &tier;
+    default:
+      // The portable tier has no epilogue sweeps: at 16 bytes the conv
+      // sweeps ran 1.2–1.3× slower than the reference (SSE2 has no
+      // 64-bit compares, shifts or gathers), and SSE2 has no int32
+      // multiply for the in-register multiples.
+      return {cap, "portable 16-byte vectors", false,
+              {.dense = dense_walk,
+               .dense_tile = dense_tile_16,
+               .conv_int32 = conv_int32_16}};
   }
-  return *widest;
 }
 
 }  // namespace man::backend::detail

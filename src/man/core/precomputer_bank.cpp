@@ -1,11 +1,39 @@
 #include "man/core/precomputer_bank.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace man::core {
+
+namespace {
+
+/// One two-operand step (b << sb) ± (c << sc) == target over the
+/// `available` multiples: the first hit in (b, sb, c, sc) order, the
+/// sum tried before the difference.
+std::optional<PrecomputeStep> one_step(int target,
+                                       const std::vector<int>& available) {
+  constexpr int kLimit = 2 * AlphabetSet::kMaxAlphabetValue;
+  for (int b : available) {
+    for (int sb = 0; (b << sb) <= kLimit; ++sb) {
+      for (int c : available) {
+        for (int sc = 0; (c << sc) <= kLimit; ++sc) {
+          if ((b << sb) + (c << sc) == target) {
+            return PrecomputeStep{target, b, sb, c, sc, false};
+          }
+          if ((b << sb) - (c << sc) == target) {
+            return PrecomputeStep{target, b, sb, c, sc, true};
+          }
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 PrecomputerBank::PrecomputerBank(AlphabetSet set) : set_(std::move(set)) {
   build_structural_network();
@@ -22,42 +50,15 @@ void PrecomputerBank::build_structural_network() {
   for (Alphabet a : set_.alphabets()) {
     const int target = a;
     if (target == 1) continue;
-
-    const auto try_two_operand = [&](int& out_b, int& out_sb, int& out_c,
-                                     int& out_sc, bool& out_sub) {
-      for (int b : available) {
-        for (int sb = 0; (b << sb) <= 2 * AlphabetSet::kMaxAlphabetValue;
-             ++sb) {
-          for (int c : available) {
-            for (int sc = 0; (c << sc) <= 2 * AlphabetSet::kMaxAlphabetValue;
-                 ++sc) {
-              if ((b << sb) + (c << sc) == target) {
-                out_b = b; out_sb = sb; out_c = c; out_sc = sc;
-                out_sub = false;
-                return true;
-              }
-              if ((b << sb) - (c << sc) == target) {
-                out_b = b; out_sb = sb; out_c = c; out_sc = sc;
-                out_sub = true;
-                return true;
-              }
-            }
-          }
-        }
-      }
-      return false;
-    };
-
-    int b = 0, sb = 0, c = 0, sc = 0;
-    bool sub = false;
-    if (try_two_operand(b, sb, c, sc, sub)) {
-      steps_.push_back(PrecomputeStep{target, b, sb, c, sc, sub});
+    if (const auto step = one_step(target, available)) {
+      steps_.push_back(*step);
       available.push_back(target);
       continue;
     }
     // Two-step fallback (only reachable for sparse sets like {1,11}
     // where no single combination of available multiples works):
-    // synthesize an intermediate odd helper first.
+    // synthesize an intermediate odd helper first, itself one step
+    // from the available multiples.
     bool placed = false;
     for (int helper = 3; helper <= AlphabetSet::kMaxAlphabetValue && !placed;
          helper += 2) {
@@ -65,43 +66,16 @@ void PrecomputerBank::build_structural_network() {
           available.end()) {
         continue;
       }
-      // helper must itself be one step from available.
+      const auto helper_step = one_step(helper, available);
+      if (!helper_step) continue;
       std::vector<int> extended = available;
-      int hb = 0, hsb = 0, hc = 0, hsc = 0;
-      bool hsub = false;
-      const int saved_target = target;
-      // Try helper construction.
-      const auto build = [&](int tgt, std::vector<int>& avail, int& ob,
-                             int& osb, int& oc, int& osc, bool& osub) {
-        for (int bb : avail) {
-          for (int sbb = 0; (bb << sbb) <= 2 * AlphabetSet::kMaxAlphabetValue;
-               ++sbb) {
-            for (int cc : avail) {
-              for (int scc = 0;
-                   (cc << scc) <= 2 * AlphabetSet::kMaxAlphabetValue; ++scc) {
-                if ((bb << sbb) + (cc << scc) == tgt) {
-                  ob = bb; osb = sbb; oc = cc; osc = scc; osub = false;
-                  return true;
-                }
-                if ((bb << sbb) - (cc << scc) == tgt) {
-                  ob = bb; osb = sbb; oc = cc; osc = scc; osub = true;
-                  return true;
-                }
-              }
-            }
-          }
-        }
-        return false;
-      };
-      if (!build(helper, extended, hb, hsb, hc, hsc, hsub)) continue;
       extended.push_back(helper);
-      int tb = 0, tsb = 0, tc = 0, tsc = 0;
-      bool tsub = false;
-      if (!build(saved_target, extended, tb, tsb, tc, tsc, tsub)) continue;
-      steps_.push_back(PrecomputeStep{helper, hb, hsb, hc, hsc, hsub});
-      steps_.push_back(PrecomputeStep{saved_target, tb, tsb, tc, tsc, tsub});
+      const auto target_step = one_step(target, extended);
+      if (!target_step) continue;
+      steps_.push_back(*helper_step);
+      steps_.push_back(*target_step);
       available.push_back(helper);
-      available.push_back(saved_target);
+      available.push_back(target);
       placed = true;
     }
     if (!placed) {

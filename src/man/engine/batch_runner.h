@@ -5,10 +5,10 @@
 // engine in one FixedNetwork::infer_batch call (so the tiles form
 // inside it), keeps one InferScratch of buffers per shard slot across
 // calls, and reduces the per-shard EngineStats into one aggregate with
-// per-layer activity preserved. Every shard stages
-// from the engine's one read-only CSHM table per synapse stage (the
-// pre-computer outputs computed once and broadcast to every lane,
-// paper §III).
+// per-layer activity preserved. Every shard stages its own inputs
+// by the engine's one rule: each synapse stage's bank outputs are
+// alphabets[l]·x, computed once per input and read by every lane that
+// shares it (the pre-computer broadcast of paper §III).
 //
 // Results are bit-identical to the sequential path for any worker
 // count: every sample's output lands in its own slot, and the
@@ -40,8 +40,9 @@ namespace man::engine {
 /// Worker-pool knobs for BatchRunner.
 struct BatchOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency()
-  /// (clamped to [1, 16]). Negative values are rejected with
-  /// std::invalid_argument at construction.
+  /// (clamped to [1, 16]), and an explicit count above 64 runs 64.
+  /// Negative values are rejected with std::invalid_argument at
+  /// construction.
   int workers = 0;
   /// Below this many samples per worker the shard count shrinks, down
   /// to a plain inline loop — pool dispatch is not worth a handful of

@@ -148,7 +148,8 @@ struct ServeConfig {
   std::chrono::microseconds max_wait{500};
 
   // --- execution ------------------------------------------------------
-  /// Worker threads; 0 auto-detects (clamped to [1, 16]).
+  /// Worker threads; 0 auto-detects (clamped to [1, 16]), and an
+  /// explicit count above 64 runs 64 (BatchOptions::workers).
   int workers = 0;
   /// Below this many samples per worker the shard count shrinks.
   std::size_t min_samples_per_worker = 1;

@@ -20,6 +20,7 @@
 // such value in its order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -671,74 +672,38 @@ TEST(BackendEpilogue, WindowsPastTheInt32BoundAreDeclined) {
         Case::kDeclined);
 }
 
-// A backend with `kernels`' accumulation loops that declines every
-// sweep and counts the ones offered to it.
-class DecliningBackend final : public KernelBackend {
- public:
-  explicit DecliningBackend(const KernelBackend& kernels)
-      : kernels_(kernels) {}
+// Sweeps offered to a declining backend so far: stage_pixels,
+// lut_pool2_stage, stage_pixels_tile, lut_stage_tile.
+std::size_t offered[4] = {};
 
-  [[nodiscard]] BackendKind kind() const noexcept override {
-    return kernels_.kind();
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "declining";
-  }
-  [[nodiscard]] const char* description() const noexcept override {
-    return "declines every sweep";
-  }
-  [[nodiscard]] bool accelerated() const noexcept override { return false; }
+bool offer(std::size_t sweep) {
+  ++offered[sweep];
+  return false;
+}
 
-  void accumulate_dense(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
-                        std::int64_t* out) const override {
-    kernels_.accumulate_dense(plan, multiples, out);
-  }
-  void accumulate_dense_tile(const DenseLayerPlan& plan,
-                             std::span<const std::uint8_t> alphabets,
-                             int chunk, const std::int16_t* tile,
-                             std::int64_t* out) const override {
-    kernels_.accumulate_dense_tile(plan, alphabets, chunk, tile, out);
-  }
-  void accumulate_conv_int32(const ConvLayerPlan& plan,
-                             const std::int32_t* multiples,
-                             std::int64_t* out) const override {
-    kernels_.accumulate_conv_int32(plan, multiples, out);
-  }
-
-  bool stage_pixels(std::span<const float>, const QFormat&,
-                    const StagingWindow&, std::int32_t*,
-                    std::size_t) const override {
+// A backend with `kernels`' accumulation loops whose four sweeps
+// decline every case and count the ones offered to them.
+KernelBackend declining_backend(const KernelBackend& kernels) {
+  KernelBackend::Loops loops = kernels.loops();
+  loops.stage_pixels = [](std::span<const float>, const QFormat&,
+                          const StagingWindow&, std::int32_t*, std::size_t) {
     return offer(0);
-  }
-  bool lut_pool2_stage(const std::int64_t*, const Pool2Shape&,
-                       const FixedActivationLut::RawPath&,
-                       const StagingWindow&, std::int32_t*,
-                       std::size_t) const override {
-    return offer(1);
-  }
-  bool stage_pixels_tile(std::span<const float>, const QFormat&,
-                         const StagingWindow&, std::int16_t*) const override {
+  };
+  loops.lut_pool2_stage = [](const std::int64_t*, const Pool2Shape&,
+                             const FixedActivationLut::RawPath&,
+                             const StagingWindow&, std::int32_t*,
+                             std::size_t) { return offer(1); };
+  loops.stage_pixels_tile = [](std::span<const float>, const QFormat&,
+                               const StagingWindow&, std::int16_t*) {
     return offer(2);
-  }
-  bool lut_stage_tile(const std::int64_t*, std::size_t,
-                      const FixedActivationLut::RawPath&,
-                      const StagingWindow&, std::int16_t*) const override {
+  };
+  loops.lut_stage_tile = [](const std::int64_t*, std::size_t,
+                            const FixedActivationLut::RawPath&,
+                            const StagingWindow&, std::int16_t*) {
     return offer(3);
-  }
-
-  /// Sweeps offered so far: stage_pixels, lut_pool2_stage,
-  /// stage_pixels_tile, lut_stage_tile.
-  mutable std::size_t offered[4] = {};
-
- private:
-  bool offer(std::size_t sweep) const {
-    ++offered[sweep];
-    return false;
-  }
-
-  const KernelBackend& kernels_;
-};
+  };
+  return {kernels.kind(), "declines every sweep", false, loops};
+}
 
 // FixedNetwork hands every boundary a backend declines to the
 // reference sweep: on a backend that declines all four sweeps, a conv
@@ -772,7 +737,8 @@ TEST(BackendEpilogue, FixedNetworkRunsTheReferenceWhereABackendDeclines) {
   const auto& scalar = backend_for(BackendKind::kScalar);
   for (const KernelBackend* kernels : all_backends()) {
     SCOPED_TRACE(kernels->name());
-    const DecliningBackend declining(*kernels);
+    const KernelBackend declining = declining_backend(*kernels);
+    std::fill_n(offered, 4, std::size_t{0});
     for (const man::engine::FixedNetwork* engine : {&cnn_engine, &mlp_engine}) {
       std::vector<float> pixels((2 * kTile + 3) * engine->input_size());
       for (float& p : pixels) {
@@ -789,7 +755,7 @@ TEST(BackendEpilogue, FixedNetworkRunsTheReferenceWhereABackendDeclines) {
       EXPECT_EQ(got, expected);
     }
     for (std::size_t sweep = 0; sweep < 4; ++sweep) {
-      EXPECT_GT(declining.offered[sweep], 0u) << "sweep " << sweep;
+      EXPECT_GT(offered[sweep], 0u) << "sweep " << sweep;
     }
   }
 }

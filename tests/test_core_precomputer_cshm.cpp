@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -183,6 +184,40 @@ TEST(PrecomputerBank, OutputsAreAlphabetTimesInputForEveryAlphabetSubset) {
         ASSERT_EQ(out[l], std::int64_t{alphabets[l]} * x)
             << bank.alphabet_set().to_string() << " x=" << x;
       }
+    }
+  }
+}
+
+// The structural network is a valid schedule for every odd alphabet
+// subset of {1,…,15}: each step reads only multiples already available
+// (1, or an earlier step's result), its (a<<sa) ± (b<<sb) equals its
+// result, and every alphabet of the set is produced.
+TEST(PrecomputerBank, StepsReadOnlyAvailableMultiplesForEveryAlphabetSubset) {
+  for (unsigned mask = 1; mask < 256; ++mask) {
+    std::vector<int> values;
+    for (int bit = 0; bit < 8; ++bit) {
+      if ((mask >> bit) & 1u) values.push_back(2 * bit + 1);
+    }
+    const PrecomputerBank bank{AlphabetSet(values)};
+    SCOPED_TRACE(bank.alphabet_set().to_string());
+    std::vector<int> available{1};
+    for (const PrecomputeStep& step : bank.steps()) {
+      const auto has = [&](int v) {
+        return std::find(available.begin(), available.end(), v) !=
+               available.end();
+      };
+      ASSERT_TRUE(has(step.operand_a)) << "reads " << step.operand_a;
+      ASSERT_TRUE(has(step.operand_b)) << "reads " << step.operand_b;
+      ASSERT_FALSE(has(step.result)) << "rebuilds " << step.result;
+      const int lhs = step.operand_a << step.shift_a;
+      const int rhs = step.operand_b << step.shift_b;
+      ASSERT_EQ(step.subtract ? lhs - rhs : lhs + rhs, step.result);
+      available.push_back(step.result);
+    }
+    for (const int v : values) {
+      EXPECT_NE(std::find(available.begin(), available.end(), v),
+                available.end())
+          << "never produces " << v;
     }
   }
 }
